@@ -466,7 +466,12 @@ class SortEngine:
         ``len(paths) > fan_in``) spill to a private temp directory.
         :attr:`report` afterwards carries the merge phase only.
         """
-        from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_runs
+        from repro.sort.spill import (
+            SpilledRun,
+            SpillSession,
+            merge_spilled_runs,
+            publish_instrumentation,
+        )
 
         session = SpillSession(
             tempfile.mkdtemp(prefix="repro-merge-", dir=self.tmp_dir),
@@ -512,11 +517,8 @@ class SortEngine:
                 cpu_time=counter.cpu_ops * self.cpu_op_time,
                 wall_time=time.perf_counter() - started,
             )
-            self.report = report
         finally:
-            report.spill_raw_bytes = session.spill_raw_bytes
-            report.spill_disk_bytes = session.spill_disk_bytes
-            self._capture_session(session)
+            publish_instrumentation(self, session, report)
             session.cleanup()
 
     # -- relational operator facades (repro.ops; DESIGN.md §12) ----------------
@@ -681,12 +683,6 @@ class SortEngine:
         if self.reading != AUTO_READING:
             return self.reading
         return "naive" if n_runs <= 1 else "forecasting"
-
-    def _capture_session(self, session: Any) -> None:
-        self.merge_passes = session.merge_passes
-        self.max_resident_records = session.max_resident_records
-        self.max_open_readers = session.max_open_readers
-        self.reading_stats = session.reading_stats
 
     def _sort_in_memory(self, stream: Iterable[Any]) -> Iterator[Any]:
         started = time.perf_counter()

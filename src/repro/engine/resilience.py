@@ -5,21 +5,27 @@ disposable: any failure — a worker death, a full disk, a torn write —
 throws away every spilled run and the whole sort starts over.  This
 module adds the durable variant:
 
-* :class:`SortJournal` — an append-only JSONL manifest in the sort's
-  *work directory*.  Each completed spill run (and each completed
+* :class:`JsonlLog` — the one fsynced append-only JSONL log: every
+  append is flushed and fsynced, a damaged trailing line (the crash
+  happened mid-append) is tolerated, dropped and cut off before the
+  next append, and a rewrite is published atomically.  The sort's
+  :class:`SortJournal` and the store's MANIFEST
+  (:class:`~repro.store.manifest.StoreManifest`) are this log with
+  their own entry semantics on top.
+* :class:`SortJournal` — the run manifest in the sort's *work
+  directory*.  Each completed spill run (and each completed
   intermediate merge) is recorded with its file name, record count and
   CRC-32 as soon as it is durable (``fsync`` before journal append),
-  so the manifest never claims data that does not exist.  A torn
-  trailing line — the crash happened mid-append — is tolerated and
-  simply dropped.
-* :class:`ResumableSpillSort` — a serial external sort whose run
-  boundaries are aligned to the input: run *i* is the sorted ``i``-th
-  chunk of ``memory`` consecutive input records.  That alignment is
-  what makes exact resume possible with bounded memory: a journaled
-  run tells the resumed sort precisely which input records it covers,
-  so generation replays the input, *skips the sorting and writing* of
-  every surviving valid run, regenerates any missing or corrupt one
-  from its chunk, and restarts the merge from the surviving
+  so the manifest never claims data that does not exist.
+* :class:`ResumableSpillSort` — the journaled
+  :class:`~repro.sort.spill.FileSpillSort` whose run boundaries are
+  aligned to the input: run *i* is the sorted ``i``-th chunk of
+  ``memory`` consecutive input records (Load-Sort-Store, §2.1.1).  That
+  alignment is what makes exact resume possible with bounded memory: a
+  journaled run tells the resumed sort precisely which input records it
+  covers, so generation replays the input, *skips the sorting and
+  writing* of every surviving valid run, regenerates any missing or
+  corrupt one from its chunk, and restarts the merge from the surviving
   intermediate merge outputs.  (Replacement selection produces longer
   runs but scatters a run's records across an unbounded input window —
   the classic durability/run-length trade, see DESIGN.md §11.)
@@ -46,7 +52,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import time
 import zlib
 from contextlib import contextmanager
 from itertools import islice
@@ -61,6 +66,8 @@ from typing import (
     Sequence,
     TextIO,
     Tuple,
+    Type,
+    TypeVar,
 )
 
 from repro.core.records import INT, RecordFormat
@@ -72,22 +79,22 @@ from repro.engine.block_io import (
     write_block_file,
 )
 from repro.engine.errors import JournalError, SortError
-from repro.engine.merge_reading import validate_reading
-from repro.engine.spill_codec import validate_codec
-from repro.merge.kway import MergeCounter, kway_merge, validate_merge_params
+from repro.merge.kway import MergeCounter, kway_merge
 from repro.merge.merge_tree import DEFAULT_FAN_IN
-from repro.runs.base import log_cost
-from repro.sort.external import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
+from repro.runs.base import RunGeneratorStats, log_cost
+from repro.runs.load_sort_store import LoadSortStore
+from repro.sort.external import DEFAULT_CPU_OP_TIME
 from repro.sort.spill import (
     DEFAULT_BUFFER_RECORDS,
+    FileSpillSort,
     SpilledRun,
     SpillSession,
-    merge_spilled_runs,
 )
 
 __all__ = [
     "JOURNAL_NAME",
     "MARKER_SUFFIX",
+    "JsonlLog",
     "ResumableSpillSort",
     "SortJournal",
     "atomic_output",
@@ -118,8 +125,8 @@ def file_crc32(path: str, chunk_bytes: int = 1 << 20) -> int:
             crc = zlib.crc32(chunk, crc)
 
 
-def artifact_valid(path: str, records: int, crc: int) -> bool:
-    """True when a journaled artifact survived intact on disk."""
+def artifact_valid(path: str, crc: int) -> bool:
+    """True when a journaled artifact exists and re-hashes to ``crc``."""
     try:
         if not os.path.isfile(path):
             return False
@@ -128,20 +135,28 @@ def artifact_valid(path: str, records: int, crc: int) -> bool:
         return False
 
 
-def write_marker(path: str, payload: Dict[str, Any]) -> None:
-    """Atomically persist a completion marker (write + fsync + rename).
+def _publish_text(path: str, text: str) -> None:
+    """Atomically replace ``path`` with ``text`` (write + fsync + rename).
 
     The rename is the commit point: a crash at any earlier moment
-    leaves no marker, so a half-written shard can never be mistaken
-    for a finished one.
+    leaves ``path`` exactly as it was, never half written.
     """
     tmp = path + ".tmp"
-    # repro: lint-waive R002 completion markers are recovery metadata; injecting faults here would fake the commit point itself
+    # repro: lint-waive R002 markers and log rewrites are recovery metadata; injecting faults here would fake the commit point itself
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+
+
+def write_marker(path: str, payload: Dict[str, Any]) -> None:
+    """Atomically persist a completion marker.
+
+    A crash before the rename leaves no marker, so a half-written
+    shard can never be mistaken for a finished one.
+    """
+    _publish_text(path, json.dumps(payload))
 
 
 @contextmanager
@@ -201,27 +216,132 @@ def _wipe_directory(work_dir: str) -> None:
                 pass
 
 
-class SortJournal:
-    """Append-only JSONL run manifest of one durable sort.
+def _log_line(entry: Dict[str, Any]) -> str:
+    return json.dumps(entry, sort_keys=True) + "\n"
+
+
+_Log = TypeVar("_Log", bound="JsonlLog")
+
+
+class JsonlLog:
+    """An fsynced append-only JSONL log: one JSON object per line.
+
+    * :meth:`append` writes one line, flushes and fsyncs before it
+      returns, so an acknowledged entry is on disk.
+    * :meth:`_read` tolerates one damaged *final* line — unparseable,
+      not valid UTF-8, not a JSON object, or missing its newline: the
+      crash-mid-append case — and drops it.  Damage anywhere else means
+      the file did not grow append-only, and raises :attr:`error`.
+    * :meth:`_open_append` cuts a dropped final line off the file
+      first: appending after it would fuse two entries into one
+      damaged mid-file line, poisoning the log for every later load.
+    * :meth:`rewrite` replaces the whole log atomically (write → fsync
+      → ``os.replace``).
+
+    The log bypasses the block-I/O fault seam on purpose: it is the
+    recovery mechanism for the faults that seam injects.  Owners
+    subclass it with their entry semantics and typed :attr:`error`.
+    """
+
+    #: Raised for damage before the final line.
+    error: Type[SortError] = SortError
+    #: What the owner calls its log, in error messages.
+    label = "log"
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.entries: List[Dict[str, Any]] = []
+        #: Byte length of the intact prefix :meth:`_read` found.
+        self._intact: Optional[int] = None
+        self._handle: Optional[TextIO] = None
+
+    @classmethod
+    def _load(cls, path: str) -> List[Dict[str, Any]]:
+        """The entries of the log at ``path``."""
+        log = cls(path)
+        log._read()
+        return log.entries
+
+    def _read(self) -> None:
+        """Load :attr:`entries` from disk, dropping a torn final line."""
+        # repro: lint-waive R002 the log is the recovery mechanism; wrapping it in the fault seam it arbitrates would be circular
+        with open(self.path, "rb") as handle:
+            lines = handle.readlines()
+        entries: List[Dict[str, Any]] = []
+        intact = 0
+        for index, line in enumerate(lines):
+            if line.strip():
+                try:
+                    entry = json.loads(line.decode("utf-8"))
+                except ValueError:  # undecodable bytes or broken JSON
+                    entry = None
+                if not isinstance(entry, dict) or not line.endswith(b"\n"):
+                    if index == len(lines) - 1:
+                        break  # torn final append — the crash we planned for
+                    raise self.error(
+                        f"{self.label} {self.path!r} is corrupt at line "
+                        f"{index + 1}; it only ever grows by appending, so "
+                        f"damage before the tail means it cannot be trusted"
+                    )
+                entries.append(entry)
+            intact += len(line)
+        self.entries = entries
+        self._intact = intact
+
+    def _open_append(self) -> None:
+        """Open for appending, first cutting off a dropped final line."""
+        intact = self._intact
+        if intact is not None and os.path.getsize(self.path) > intact:
+            os.truncate(self.path, intact)
+        # repro: lint-waive R002 log appends must bypass the seam they make recoverable; close() owns this handle
+        self._handle = open(self.path, "a", encoding="utf-8")
+
+    def append(self, entry: Dict[str, Any]) -> None:
+        """Durably record one entry (write + flush + fsync)."""
+        assert self._handle is not None, f"{self.label} is not open for append"
+        self.entries.append(entry)
+        self._handle.write(_log_line(entry))
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def rewrite(self, entries: List[Dict[str, Any]]) -> None:
+        """Atomically replace the whole log with ``entries``.
+
+        A crash before the rename leaves the old log untouched.
+        """
+        assert self._handle is not None, f"{self.label} is not open"
+        _publish_text(self.path, "".join(map(_log_line, entries)))
+        self.close()
+        self.entries = entries
+        self._intact = None
+        self._open_append()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self: _Log) -> _Log:
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+class SortJournal(JsonlLog):
+    """The run manifest of one durable sort.
 
     The first entry is always ``meta`` carrying the sort's parameter
     *fingerprint* (format, memory, fan-in, checksum flag, input
     identity…).  :meth:`open_dir` only resumes a journal whose
     fingerprint matches the current sort exactly; anything else — a
-    different input file, a changed memory budget, a corrupt manifest —
+    different input file, a changed memory budget, a corrupt journal —
     wipes the work directory and starts fresh, because mixing runs
     from two configurations would merge silently wrong data.
-
-    Every :meth:`append` flushes and fsyncs, and the loader tolerates
-    one torn trailing line (the crash-mid-append case); a torn line
-    anywhere *else* means the file did not grow append-only and the
-    whole journal is rejected.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.entries: List[Dict[str, Any]] = []
-        self._handle: Optional[TextIO] = None
+    error = JournalError
+    label = "journal"
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -235,17 +355,17 @@ class SortJournal:
         if resume and os.path.exists(path):
             journal = cls(path)
             try:
-                journal.entries = cls._load(path)
-                meta = journal.entries[0] if journal.entries else {}
-                if (
-                    meta.get("type") == "meta"
-                    and meta.get("version") == JOURNAL_VERSION
-                    and meta.get("fingerprint") == fingerprint
-                ):
-                    journal._open_append()
-                    return journal
+                journal._read()
             except JournalError:
-                pass
+                pass  # damaged before its tail: start fresh below
+            meta = journal.entries[0] if journal.entries else {}
+            if (
+                meta.get("type") == "meta"
+                and meta.get("version") == JOURNAL_VERSION
+                and meta.get("fingerprint") == fingerprint
+            ):
+                journal._open_append()
+                return journal
         # Fresh start: stale artifacts from another configuration (or a
         # rejected journal) must not survive into this attempt.  Never
         # wipe a directory that was not ours: anything non-empty
@@ -268,61 +388,6 @@ class SortJournal:
         )
         return journal
 
-    @staticmethod
-    def _load(path: str) -> List[Dict[str, Any]]:
-        entries: List[Dict[str, Any]] = []
-        # repro: lint-waive R002 the journal is the recovery mechanism; wrapping it in the fault seam it arbitrates would be circular
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # torn final append — the crash we planned for
-                raise JournalError(
-                    f"journal {path!r} is corrupt at line {index + 1}; "
-                    f"refusing to resume from it"
-                ) from None
-        return entries
-
-    def _open_append(self) -> None:
-        # Repair a torn final append before extending the file: the
-        # loader tolerates (drops) a partial trailing line, but writing
-        # after it would fuse two entries into one unparseable mid-file
-        # line — poisoning the journal for every later resume.
-        try:
-            # repro: lint-waive R002 binary in-place torn-tail repair; open_text has no rb+ mode and must not fault-inject the journal
-            with open(self.path, "rb+") as repair:
-                data = repair.read()
-                if data and not data.endswith(b"\n"):
-                    repair.truncate(data.rfind(b"\n") + 1)
-        except FileNotFoundError:
-            pass
-        # repro: lint-waive R002 journal appends must bypass the seam they make recoverable; close() owns this handle
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def append(self, entry: Dict[str, Any]) -> None:
-        """Durably record one entry (write + flush + fsync)."""
-        assert self._handle is not None, "journal is not open for append"
-        self.entries.append(entry)
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "SortJournal":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     # -- queries ---------------------------------------------------------------
 
     def _last_by_key(self, entry_type: str, key: str) -> Dict[Any, Dict]:
@@ -331,33 +396,6 @@ class SortJournal:
             if entry.get("type") == entry_type:
                 found[entry.get(key)] = entry
         return found
-
-    def valid_runs(self, work_dir: str) -> Dict[int, Dict[str, Any]]:
-        """Journaled generation runs whose files verify on disk."""
-        return {
-            run_id: entry
-            for run_id, entry in self._last_by_key("run", "id").items()
-            if artifact_valid(
-                os.path.join(work_dir, entry["file"]),
-                entry["records"],
-                entry["crc32"],
-            )
-        }
-
-    def valid_merges(
-        self, work_dir: str
-    ) -> Dict[Tuple[Any, ...], Dict[str, Any]]:
-        """Journaled intermediate merges whose outputs verify on disk,
-        keyed by the tuple of run ids they consumed."""
-        return {
-            tuple(entry["inputs"]): entry
-            for entry in self._last_by_key("merge", "id").values()
-            if artifact_valid(
-                os.path.join(work_dir, entry["file"]),
-                entry["records"],
-                entry["crc32"],
-            )
-        }
 
     def runs(self) -> Dict[int, Dict[str, Any]]:
         """All journaled generation-run entries (no disk verification)."""
@@ -414,9 +452,7 @@ class _ResumeState:
         cached = self._disk.get(key)
         if cached is None:
             cached = artifact_valid(
-                os.path.join(self.work_dir, entry["file"]),
-                entry["records"],
-                entry["crc32"],
+                os.path.join(self.work_dir, entry["file"]), entry["crc32"]
             )
             self._disk[key] = cached
         return cached
@@ -448,18 +484,17 @@ class _ResumeState:
         return None
 
 
-class ResumableSpillSort:
-    """Serial external sort with a durable, restartable work directory.
+class ResumableSpillSort(FileSpillSort):
+    """:class:`~repro.sort.spill.FileSpillSort` with a durable,
+    restartable work directory.
 
-    The drop-in durable sibling of :class:`~repro.sort.spill.
-    FileSpillSort` (same instrumentation surface, so
-    :class:`~repro.engine.planner.SortEngine` streams through either),
-    with three behavioural differences:
+    It shares the base class's ``sort()`` — report, merge and
+    instrumentation — and overrides only the journal-specific steps:
 
     * **Chunk-aligned run generation** — run *i* is ``sorted()`` over
-      input records ``[i*memory, (i+1)*memory)``; deterministic and
-      exactly resumable (module docstring).  Reported algorithm name:
-      ``CKPT``.
+      input records ``[i*memory, (i+1)*memory)``, Load-Sort-Store's run
+      *i*; deterministic and exactly resumable (module docstring).
+      Reported algorithm name: ``CKPT``.
     * **Journaled progress** — every run and intermediate merge is
       fsynced, CRC-recorded and journaled when complete; consumed
       inputs are only deleted *after* their merge output is journaled.
@@ -491,33 +526,26 @@ class ResumableSpillSort:
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
         spill_codec: str = "none",
     ) -> None:
-        if memory < 1:
-            raise ValueError(f"memory must be >= 1, got {memory}")
-        validate_merge_params(fan_in, buffer_records)
         validate_block_records(buffer_records)
+        # The generator documents the run boundaries; _spill_runs
+        # chunks inline so a resume can skip sorting surviving runs.
+        super().__init__(
+            LoadSortStore(memory),
+            fan_in=fan_in,
+            buffer_records=buffer_records,
+            record_format=record_format,
+            reading=reading,
+            checksum=checksum,
+            cpu_op_time=cpu_op_time,
+            spill_codec=spill_codec,
+        )
         self.memory = memory
         self.work_dir = work_dir
-        self.fan_in = fan_in
-        self.buffer_records = buffer_records
-        self.record_format = record_format
-        self.reading = validate_reading(reading)
-        self.checksum = checksum
         self.resume = resume
         self.input_fingerprint = input_fingerprint
-        self.cpu_op_time = cpu_op_time
-        #: Spill codec (DESIGN.md §15) for every journaled artifact.
-        self.spill_codec = validate_codec(spill_codec)
-        # -- instrumentation of the last finished sort --
-        self.report: Optional[SortReport] = None
-        self.merge_passes = 0
-        self.max_resident_records = 0
-        self.max_open_readers = 0
-        self.reading_stats = None
         #: Runs / intermediate merges skipped thanks to the journal.
         self.runs_reused = 0
         self.merges_reused = 0
-
-    # -- public API --------------------------------------------------------------
 
     def fingerprint(self) -> Dict[str, Any]:
         """Parameters that must match for a journal to be resumable."""
@@ -541,80 +569,30 @@ class ResumableSpillSort:
             "input": self.input_fingerprint,
         }
 
-    def sort(self, records: Iterable[Any]) -> Iterator[Any]:
-        """Lazily yield ``records`` ascending, journaling as it goes.
+    # -- FileSpillSort steps ---------------------------------------------------
 
-        The work directory is created if missing, reused if resuming,
-        and removed only when the returned iterator is *fully*
-        consumed; a raise or abandonment mid-stream leaves every
-        journaled artifact in place for the next attempt.
-        """
-        os.makedirs(self.work_dir, exist_ok=True)
-        journal = SortJournal.open_dir(
+    def _open_session(self) -> SpillSession:
+        """Open the journal (resuming when allowed) and the work dir."""
+        self._journal = SortJournal.open_dir(
             self.work_dir, self.fingerprint(), self.resume
         )
-        self._resume_state = _ResumeState(journal, self.work_dir)
-        session = SpillSession(
-            self.work_dir, checksum=self.checksum, codec=self.spill_codec
-        )
+        self._resume_state = _ResumeState(self._journal, self.work_dir)
         self.runs_reused = 0
         self.merges_reused = 0
-        completed = False
-        report = None
-        try:
-            counter = MergeCounter()
-            started = time.perf_counter()
-            runs, consumed, gen_ops, run_lengths = self._generate_runs(
-                records, journal, session
-            )
-            run_wall = time.perf_counter() - started
+        return SpillSession(
+            self.work_dir, checksum=self.checksum, codec=self.spill_codec
+        )
 
-            report = SortReport(
-                algorithm="CKPT",
-                records=consumed,
-                runs=len(runs),
-                run_lengths=run_lengths,
-            )
-            report.run_phase = PhaseReport(
-                cpu_ops=gen_ops,
-                cpu_time=gen_ops * self.cpu_op_time,
-                wall_time=run_wall,
-            )
+    def _close_session(self, session: SpillSession, completed: bool) -> None:
+        """Keep every journaled artifact unless the sort completed."""
+        self._journal.close()
+        if completed:
+            session.cleanup()
 
-            started = time.perf_counter()
-            yield from merge_spilled_runs(
-                session,
-                runs,
-                counter,
-                self.record_format,
-                self.fan_in,
-                self.buffer_records,
-                self.reading,
-                merge_group=self._journaled_merge_group(
-                    journal, session, counter
-                ),
-            )
-            report.merge_phase = PhaseReport(
-                cpu_ops=counter.cpu_ops,
-                cpu_time=counter.cpu_ops * self.cpu_op_time,
-                wall_time=time.perf_counter() - started,
-            )
-            completed = True
-        finally:
-            # Run-phase stats survive an abandoned or faulted merge.
-            if report is not None:
-                report.spill_raw_bytes = session.spill_raw_bytes
-                report.spill_disk_bytes = session.spill_disk_bytes
-                self.report = report
-            journal.close()
-            self.reading_stats = session.reading_stats
-            self.merge_passes = session.merge_passes
-            self.max_resident_records = session.max_resident_records
-            self.max_open_readers = session.max_open_readers
-            if completed:
-                session.cleanup()
-
-    # -- internals -----------------------------------------------------------------
+    def _merge_group(
+        self, session: SpillSession, counter: MergeCounter
+    ) -> Callable[[Sequence[SpilledRun]], SpilledRun]:
+        return self._journaled_merge_group(self._journal, session, counter)
 
     def _run_path(self, run_id: Any) -> str:
         return os.path.join(self.work_dir, f"run-{run_id:06d}.txt")
@@ -633,28 +611,26 @@ class ResumableSpillSort:
         run.run_id = run_id
         return run
 
-    def _generate_runs(
-        self,
-        records: Iterable[Any],
-        journal: SortJournal,
-        session: SpillSession,
-    ) -> Tuple[List[SpilledRun], int, int, List[int]]:
+    def _spill_runs(
+        self, records: Iterable[Any], session: SpillSession
+    ) -> Tuple[List[SpilledRun], str, RunGeneratorStats]:
         """Chunk, sort and spill the input — reusing journaled runs.
 
-        Returns ``(runs, records_consumed, cpu_ops, run_lengths)``.
         A journaled run counts as reusable when its file verifies on
         disk *or* a surviving merge already consumed it
         (:class:`_ResumeState`); when a previous attempt finished
         generation and every run is reusable, the input stream is not
-        touched at all (the mid-merge-crash fast path).
+        touched at all (the mid-merge-crash fast path).  Only the runs
+        sorted here count toward the CPU ops.
         """
+        journal = self._journal
         state = self._resume_state
+        runs: List[SpilledRun] = []
+        stats = RunGeneratorStats()
         done = journal.runs_done()
         if done is not None and all(
             state.run_available(run_id) for run_id in range(done["runs"])
         ):
-            runs = []
-            run_lengths = []
             for run_id in range(done["runs"]):
                 entry = state.run_entries[run_id]
                 runs.append(
@@ -665,21 +641,18 @@ class ResumableSpillSort:
                         run_id,
                     )
                 )
-                run_lengths.append(entry["records"])
+                stats.note_run(entry["records"])
+            stats.records_in = done["records"]
             self.runs_reused = len(runs)
-            return runs, done["records"], 0, run_lengths
+            return runs, "CKPT", stats
 
         stream = iter(records)
-        runs: List[SpilledRun] = []
-        run_lengths: List[int] = []
-        cpu_ops = 0
-        consumed = 0
         run_id = 0
         while True:
             chunk = list(islice(stream, self.memory))
             if not chunk:
                 break
-            consumed += len(chunk)
+            stats.records_in += len(chunk)
             entry = state.run_entries.get(run_id)
             path = self._run_path(run_id)
             if (
@@ -711,13 +684,13 @@ class ResumableSpillSort:
                     }
                 )
                 runs.append(self._adopt(session, path, count, run_id))
-                cpu_ops += count * log_cost(count)
-            run_lengths.append(len(chunk))
+                stats.cpu_ops += count * log_cost(count)
+            stats.note_run(len(chunk))
             run_id += 1
         journal.append(
-            {"type": "runs_done", "runs": run_id, "records": consumed}
+            {"type": "runs_done", "runs": run_id, "records": stats.records_in}
         )
-        return runs, consumed, cpu_ops, run_lengths
+        return runs, "CKPT", stats
 
     def _journaled_merge_group(
         self,

@@ -21,7 +21,7 @@ when a finishing worker releases.
 
 Workers are spawn-safe: the only things crossing the process boundary
 are a picklable :class:`~repro.core.config.GeneratorSpec`, file paths,
-top-level encode/decode callables, and a broker proxy.
+a picklable record format, and a broker proxy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import KeyOnlyRecord, RecordFormat
+from repro.core.records import INT, KeyOnlyRecord, RecordFormat
 from repro.engine.block_io import BlockWriter, iter_records, open_run
 from repro.engine.errors import SortError
 from repro.engine.merge_reading import validate_reading
@@ -56,7 +56,7 @@ from repro.sort.spill import (
     SpilledRun,
     SpillSession,
     merge_spilled_runs,
-    resolve_record_format,
+    publish_instrumentation,
 )
 
 #: Supported partitioning strategies.
@@ -343,8 +343,7 @@ class PartitionedSort:
         (sampled cut points; shards cover disjoint key ranges).
     fan_in / buffer_records / tmp_dir / record_format / reading /
     cpu_op_time:
-        As in :class:`FileSpillSort`; the format (or the legacy
-        ``encode``/``decode`` top-level callables) must be picklable so
+        As in :class:`FileSpillSort`; the format must be picklable so
         the spawn start method can ship it to workers.  ``reading``
         selects the parent merge's real-file reading strategy.
     total_memory:
@@ -382,9 +381,7 @@ class PartitionedSort:
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         tmp_dir: Optional[str] = None,
-        encode: Optional[Callable[[Any], str]] = None,
-        decode: Optional[Callable[[str], Any]] = None,
-        record_format: Optional[RecordFormat] = None,
+        record_format: RecordFormat = INT,
         reading: str = "naive",
         total_memory: Optional[int] = None,
         mp_context: str = "spawn",
@@ -416,9 +413,7 @@ class PartitionedSort:
         self.fan_in = fan_in
         self.buffer_records = buffer_records
         self.tmp_dir = tmp_dir
-        self.record_format = resolve_record_format(
-            record_format, encode, decode
-        )
+        self.record_format = record_format
         self.reading = validate_reading(reading)
         self.total_memory = total_memory if total_memory is not None else spec.memory
         if self.total_memory < MIN_WORKER_MEMORY:
@@ -544,16 +539,7 @@ class PartitionedSort:
                 report.merge_phase.wall_time = merge_wall
                 completed = True
             finally:
-                # Mirror FileSpillSort: instrumentation and the report
-                # (run-phase stats at least) reflect the sort even when
-                # the stream is abandoned mid-merge.
-                report.spill_raw_bytes += session.spill_raw_bytes
-                report.spill_disk_bytes += session.spill_disk_bytes
-                self.report = report
-                self.merge_passes = session.merge_passes
-                self.reading_stats = session.reading_stats
-                self.max_resident_records = session.max_resident_records
-                self.max_open_readers = session.max_open_readers
+                publish_instrumentation(self, session, report)
         finally:
             if not durable or completed:
                 shutil.rmtree(work_dir, ignore_errors=True)
@@ -719,9 +705,7 @@ class PartitionedSort:
                     marker is not None
                     and isinstance(marker.get("records"), int)
                     and artifact_valid(
-                        task.output_path,
-                        marker["records"],
-                        marker.get("crc32", -1),
+                        task.output_path, marker.get("crc32", -1)
                     )
                 ):
                     try:

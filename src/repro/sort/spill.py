@@ -14,9 +14,7 @@ RecordFormat` (DESIGN.md §9): spill files are written and read in
 *blocks* of records through :mod:`repro.engine.block_io`, and the final
 merge can read through any of the real-file reading strategies of
 :mod:`repro.engine.merge_reading` (``naive`` by default — identical
-behaviour to the seed).  The legacy ``encode=``/``decode=`` callable
-pair is still accepted and wrapped in a
-:class:`~repro.core.records.CallableFormat`.
+behaviour to the seed).
 
 The backend instruments its own laziness: :attr:`FileSpillSort.
 max_resident_records` tracks the largest number of records ever held in
@@ -31,9 +29,18 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.records import INT, CallableFormat, RecordFormat
+from repro.core.records import INT, RecordFormat
 from repro.engine.errors import SortError
 from repro.engine.block_io import (
     BlockWriter,
@@ -54,34 +61,11 @@ from repro.merge.kway import (
     validate_merge_params,
 )
 from repro.merge.merge_tree import DEFAULT_FAN_IN
-from repro.runs.base import RunGenerator
+from repro.runs.base import RunGenerator, RunGeneratorStats
 from repro.sort.external import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 
 #: Records decoded per read chunk of one run reader.
 DEFAULT_BUFFER_RECORDS = 4096
-
-
-def resolve_record_format(
-    record_format: Optional[RecordFormat],
-    encode: Optional[Callable[[Any], str]],
-    decode: Optional[Callable[[str], Any]],
-) -> RecordFormat:
-    """One format from either the new or the legacy constructor shape.
-
-    ``record_format`` wins; a legacy ``encode``/``decode`` pair (or a
-    single half, completed with the integer default for the other) is
-    wrapped in a :class:`CallableFormat`; neither means integers.
-    """
-    if record_format is not None:
-        if encode is not None or decode is not None:
-            raise ValueError(
-                "pass either record_format or encode/decode, not both"
-            )
-        return record_format
-    if encode is None and decode is None:
-        return INT
-    return CallableFormat(encode if encode is not None else str,
-                          decode if decode is not None else int)
 
 
 class SpillSession:
@@ -326,6 +310,28 @@ def merge_spilled_runs(
         strategy.close()
 
 
+def publish_instrumentation(
+    target: Any, session: SpillSession, report: Optional[SortReport]
+) -> None:
+    """Hand one sort's instrumentation to ``target`` (backend or engine).
+
+    Called from the sort's ``finally``, so an abandoned or faulted
+    merge still publishes: a truncating caller like top-k sees the
+    run-phase stats with ``merge_phase`` zeroed.  ``report`` (None when
+    run generation never finished) gains the session's spill bytes and
+    becomes ``target.report``; the merge-side counters are copied as
+    they stand.
+    """
+    if report is not None:
+        report.spill_raw_bytes += session.spill_raw_bytes
+        report.spill_disk_bytes += session.spill_disk_bytes
+        target.report = report
+    target.merge_passes = session.merge_passes
+    target.max_resident_records = session.max_resident_records
+    target.max_open_readers = session.max_open_readers
+    target.reading_stats = session.reading_stats
+
+
 class FileSpillSort:
     """Streaming external sort over real temporary files.
 
@@ -346,8 +352,7 @@ class FileSpillSort:
     record_format:
         Record <-> line serialisation and key extraction
         (:data:`~repro.core.records.INT` by default, matching the
-        CLI's historical key format).  The legacy ``encode`` /
-        ``decode`` callables are still accepted instead.
+        CLI's historical key format).
     reading:
         Merge reading strategy for the final pass (``naive`` /
         ``forecasting`` / ``double_buffering``; DESIGN.md §9).
@@ -373,9 +378,7 @@ class FileSpillSort:
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         tmp_dir: Optional[str] = None,
-        encode: Optional[Callable[[Any], str]] = None,
-        decode: Optional[Callable[[str], Any]] = None,
-        record_format: Optional[RecordFormat] = None,
+        record_format: RecordFormat = INT,
         reading: str = "naive",
         checksum: bool = False,
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
@@ -386,9 +389,7 @@ class FileSpillSort:
         self.fan_in = fan_in
         self.buffer_records = buffer_records
         self.tmp_dir = tmp_dir
-        self.record_format = resolve_record_format(
-            record_format, encode, decode
-        )
+        self.record_format = record_format
         self.reading = validate_reading(reading)
         self.checksum = checksum
         self.cpu_op_time = cpu_op_time
@@ -410,16 +411,6 @@ class FileSpillSort:
         #: Reading-strategy instrumentation of the last final merge.
         self.reading_stats: Optional[ReadingStats] = None
 
-    # -- legacy serialisation accessors ---------------------------------------
-
-    @property
-    def encode(self) -> Callable[[Any], str]:
-        return self.record_format.encode
-
-    @property
-    def decode(self) -> Callable[[str], Any]:
-        return self.record_format.decode
-
     # -- public API --------------------------------------------------------------
 
     def sort(self, records: Iterable[Any]) -> Iterator[Any]:
@@ -430,29 +421,22 @@ class FileSpillSort:
         phase timings once the iterator is exhausted.  Abandoning the
         iterator mid-sort still removes all temporary files.
         """
-        # Nothing between creating the temp directory and entering the
-        # try: every later failure — run generation raising mid-stream,
-        # a decode error during the merge, the caller abandoning the
-        # iterator — must reach the finally and remove the directory.
-        session = SpillSession(
-            tempfile.mkdtemp(prefix="repro-sort-", dir=self.tmp_dir),
-            checksum=self.checksum,
-            codec=self.spill_codec,
-        )
+        # Nothing between opening the session and entering the try:
+        # every later failure — run generation raising mid-stream, a
+        # decode error during the merge, the caller abandoning the
+        # iterator — must reach the finally and close the session.
+        session = self._open_session()
         report = None
+        completed = False
         try:
             counter = MergeCounter()
             started = time.perf_counter()
-            runs = [
-                self._spill_run(session, run)
-                for run in self.generator.generate_runs(records)
-            ]
+            runs, algorithm, stats = self._spill_runs(records, session)
             run_wall = time.perf_counter() - started
             # Snapshot now: a later sort() on the same generator resets
             # its stats while this sort's merge is still streaming.
-            stats = self.generator.stats
             report = SortReport(
-                algorithm=self.generator.name,
+                algorithm=algorithm,
                 records=stats.records_in,
                 runs=stats.runs_out,
                 run_lengths=list(stats.run_lengths),
@@ -472,30 +456,17 @@ class FileSpillSort:
                 self.fan_in,
                 self.buffer_records,
                 self.reading,
-                merge_group=lambda group: self._merge_to_file(
-                    session, group, counter
-                ),
+                merge_group=self._merge_group(session, counter),
             )
-            merge_wall = time.perf_counter() - started
-
             report.merge_phase = PhaseReport(
                 cpu_ops=counter.cpu_ops,
                 cpu_time=counter.cpu_ops * self.cpu_op_time,
-                wall_time=merge_wall,
+                wall_time=time.perf_counter() - started,
             )
+            completed = True
         finally:
-            # Published even when the consumer abandons (or a fault
-            # kills) the merge stream: a truncating caller like top-k
-            # still sees the run-phase stats, with merge_phase zeroed.
-            if report is not None:
-                report.spill_raw_bytes = session.spill_raw_bytes
-                report.spill_disk_bytes = session.spill_disk_bytes
-                self.report = report
-            self.reading_stats = session.reading_stats
-            self.merge_passes = session.merge_passes
-            self.max_resident_records = session.max_resident_records
-            self.max_open_readers = session.max_open_readers
-            session.cleanup()
+            publish_instrumentation(self, session, report)
+            self._close_session(session, completed)
 
     def sort_to_path(
         self,
@@ -535,20 +506,45 @@ class FileSpillSort:
             self.report.spill_disk_bytes += writer.disk_bytes
         return writer.written
 
-    # -- internals -----------------------------------------------------------------
+    # -- steps a durable subclass overrides ----------------------------------
 
-    def _spill_run(
-        self, session: SpillSession, run: Sequence[Any]
-    ) -> SpilledRun:
-        """Write one generated run to its own temp file, in blocks."""
-        path = session.spill_path()
-        write_sequence(
-            path, run, self.record_format, self.buffer_records,
-            checksum=self.checksum, codec=session.codec, session=session,
+    def _open_session(self) -> SpillSession:
+        """The per-sort spill session, over a fresh temp directory."""
+        return SpillSession(
+            tempfile.mkdtemp(prefix="repro-sort-", dir=self.tmp_dir),
+            checksum=self.checksum,
+            codec=self.spill_codec,
         )
-        return SpilledRun(
-            session, path, len(run), self.record_format, self.buffer_records
-        )
+
+    def _close_session(self, session: SpillSession, completed: bool) -> None:
+        """Remove the temp directory, whether or not the sort finished."""
+        session.cleanup()
+
+    def _spill_runs(
+        self, records: Iterable[Any], session: SpillSession
+    ) -> Tuple[List[SpilledRun], str, RunGeneratorStats]:
+        """Write each generated run to its own temp file, in blocks.
+
+        Returns the runs, the algorithm name and the run-phase stats.
+        """
+        runs: List[SpilledRun] = []
+        for run in self.generator.generate_runs(records):
+            path = session.spill_path()
+            write_sequence(
+                path, run, self.record_format, self.buffer_records,
+                checksum=self.checksum, codec=session.codec, session=session,
+            )
+            runs.append(SpilledRun(
+                session, path, len(run), self.record_format,
+                self.buffer_records,
+            ))
+        return runs, self.generator.name, self.generator.stats
+
+    def _merge_group(
+        self, session: SpillSession, counter: MergeCounter
+    ) -> Callable[[Sequence[SpilledRun]], SpilledRun]:
+        """The merge_group of this sort's intermediate passes."""
+        return lambda group: self._merge_to_file(session, group, counter)
 
     def _merge_to_file(
         self,

@@ -1,10 +1,11 @@
 """The store MANIFEST (DESIGN.md §17).
 
 The manifest is the store's single source of truth for which tables
-are live: an append-only JSONL file following the §11 journal rules —
-every append is flushed and fsynced, a torn trailing line (crash
-mid-append) is tolerated and repaired, a torn line anywhere *else*
-rejects the file.  Entry types:
+are live.  It is the §11 fsynced append-only JSONL log
+(:class:`~repro.engine.resilience.JsonlLog`): every append is flushed
+and fsynced, a torn trailing line (crash mid-append) is tolerated and
+repaired, a damaged line anywhere *else* rejects the file with a
+:class:`~repro.engine.errors.ManifestError`.  Entry types:
 
 * ``meta`` — first line; schema version + store fingerprint.
 * ``flush`` — a memtable became table ``file`` at level 0; carries
@@ -28,11 +29,10 @@ interrupted flushes/compactions and are deleted on open.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.engine.errors import ManifestError
+from repro.engine.resilience import JsonlLog
 
 __all__ = [
     "MANIFEST_NAME",
@@ -47,15 +47,11 @@ MANIFEST_NAME = "MANIFEST"
 MANIFEST_VERSION = 1
 
 
-class StoreManifest:
+class StoreManifest(JsonlLog):
     """Append-only manifest of one store directory."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.entries: List[Dict[str, Any]] = []
-        self._handle: Optional[Any] = None
-
-    # -- lifecycle -------------------------------------------------------------
+    error = ManifestError
+    label = "manifest"
 
     @classmethod
     def create(
@@ -79,7 +75,7 @@ class StoreManifest:
     ) -> "StoreManifest":
         """Open an existing manifest, validating version + fingerprint."""
         manifest = cls(path)
-        manifest.entries = cls._load(path)
+        manifest._read()
         meta = manifest.entries[0] if manifest.entries else {}
         if meta.get("type") != "meta" or "version" not in meta:
             raise ManifestError(
@@ -101,98 +97,23 @@ class StoreManifest:
         manifest._open_append()
         return manifest
 
-    @staticmethod
-    def _load(path: str) -> List[Dict[str, Any]]:
-        entries: List[Dict[str, Any]] = []
-        # repro: lint-waive R002 the manifest is the recovery mechanism; wrapping it in the fault seam it arbitrates would be circular
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # torn final append — the crash we planned for
-                raise ManifestError(
-                    f"manifest {path!r} is corrupt at line {index + 1}; "
-                    f"a store manifest only ever grows by appending, so "
-                    f"damage before the tail means the file cannot be "
-                    f"trusted"
-                ) from None
-            if not isinstance(entry, dict):
-                raise ManifestError(
-                    f"manifest {path!r} line {index + 1} is not an "
-                    f"object — the file is not a store manifest"
-                )
-            entries.append(entry)
-        return entries
-
-    def _open_append(self) -> None:
-        # Repair a torn final append before extending the file — same
-        # reasoning as SortJournal: appending after a partial line
-        # would fuse two entries into one unparseable mid-file line.
-        try:
-            # repro: lint-waive R002 binary in-place torn-tail repair; open_bytes has no rb+ mode and must not fault-inject the manifest
-            with open(self.path, "rb+") as repair:
-                data = repair.read()
-                if data and not data.endswith(b"\n"):
-                    repair.truncate(data.rfind(b"\n") + 1)
-        except FileNotFoundError:
-            pass
-        # repro: lint-waive R002 manifest appends must bypass the seam they make recoverable; close() owns this handle
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def append(self, entry: Dict[str, Any]) -> None:
-        """Durably record one entry (write + flush + fsync)."""
-        assert self._handle is not None, "manifest is not open for append"
-        self.entries.append(entry)
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
     def checkpoint(self) -> None:
         """Rewrite the log compactly: meta + one ``state`` entry.
 
-        This is the manifest *swap*: the replacement is written beside
-        the live file, fsynced, and published with ``os.replace`` — a
-        crash at any earlier point leaves the old (longer but valid)
-        manifest untouched.
+        This is the manifest *swap*: a crash before the atomic rewrite
+        publishes leaves the old (longer but valid) manifest untouched.
         """
-        assert self._handle is not None, "manifest is not open"
         tables, wal_floor, _ = replay_entries(self.path, self.entries)
-        compacted: List[Dict[str, Any]] = [
-            self.entries[0],
-            {
-                "type": "state",
-                "tables": [tables[name] for name in sorted(tables)],
-                "wal_floor": wal_floor,
-            },
-        ]
-        tmp = self.path + ".tmp"
-        # repro: lint-waive R002 manifest checkpoint is recovery metadata; injecting faults here would fake the commit point itself
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in compacted:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle.close()
-        self._handle = None
-        os.replace(tmp, self.path)
-        self.entries = compacted
-        self._open_append()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "StoreManifest":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        self.rewrite(
+            [
+                self.entries[0],
+                {
+                    "type": "state",
+                    "tables": [tables[name] for name in sorted(tables)],
+                    "wal_floor": wal_floor,
+                },
+            ]
+        )
 
 
 def replay_entries(

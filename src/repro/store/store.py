@@ -394,7 +394,7 @@ class Store:
             codec=self.codec,
             fsync=True,
         )
-        if not artifact_valid(table_path, info.records, info.crc32):
+        if not artifact_valid(table_path, info.crc32):
             _discard(table_path)
             raise StoreError(
                 f"flush of {table_path!r} failed read-back "
@@ -516,7 +516,7 @@ class Store:
                 codec=self.codec,
                 fsync=True,
             )
-            if not artifact_valid(path, group_info.records, group_info.crc32):
+            if not artifact_valid(path, group_info.crc32):
                 _discard(path)
                 raise StoreError(
                     f"intermediate compaction table {path!r} failed "
@@ -556,7 +556,7 @@ class Store:
                     codec=self.codec,
                     fsync=True,
                 )
-                if not artifact_valid(out_path, info.records, info.crc32):
+                if not artifact_valid(out_path, info.crc32):
                     _discard(out_path)
                     raise StoreError(
                         f"compaction output {out_path!r} failed "
@@ -626,7 +626,7 @@ class Store:
         for name in sorted(self._tables):
             record = self._tables[name]
             path = os.path.join(self.path, name)
-            if not artifact_valid(path, record["records"], record["crc32"]):
+            if not artifact_valid(path, record["crc32"]):
                 raise StoreError(
                     f"table {name!r} failed whole-file CRC verification "
                     f"against its manifest record — bytes changed on "

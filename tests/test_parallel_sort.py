@@ -7,6 +7,7 @@ import pytest
 from _helpers import files_under
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
+from repro.core.records import CallableFormat
 from repro.sort.parallel import (
     MIN_WORKER_MEMORY,
     PartitionedSort,
@@ -231,7 +232,7 @@ class TestCleanup:
             GeneratorSpec("lss", 50),
             workers=2,
             tmp_dir=str(tmp_path),
-            encode=failing_encode,
+            record_format=CallableFormat(failing_encode, int),
         )
         with pytest.raises(ValueError, match="poisoned"):
             list(sorter.sort(iter(data)))
@@ -244,7 +245,7 @@ class TestCleanup:
             GeneratorSpec("lss", 50),
             workers=2,
             tmp_dir=str(tmp_path),
-            decode=failing_decode,
+            record_format=CallableFormat(str, failing_decode),
         )
         with pytest.raises(ValueError, match="poisoned"):
             list(sorter.sort(iter(data)))

@@ -27,6 +27,7 @@ from repro.engine.resilience import (
     JOURNAL_NAME,
     ResumableSpillSort,
     SortJournal,
+    _ResumeState,
     artifact_valid,
     file_crc32,
     read_marker,
@@ -167,13 +168,37 @@ class TestSortJournal:
             ]
             assert journal.runs()[1]["records"] == 4
 
-    def test_mid_file_corruption_rejected(self, tmp_path):
+    def test_damaged_final_line_dropped_and_cut_off(self, tmp_path):
+        # A final line that is complete but not an entry object is
+        # treated like a torn append: dropped on load and cut off
+        # before the next append, so it never ends up mid-file.
+        work = str(tmp_path)
+        SortJournal.open_dir(work, FINGERPRINT, resume=False).close()
+        with open(tmp_path / JOURNAL_NAME, "ab") as handle:
+            handle.write(b"[1]\n")
+        with SortJournal.open_dir(work, FINGERPRINT, resume=True) as journal:
+            assert [e["type"] for e in journal.entries] == ["meta"]
+            journal.append({"type": "run", "id": 0, "file": "r0",
+                            "records": 3, "crc32": 1})
+        with SortJournal.open_dir(work, FINGERPRINT, resume=True) as journal:
+            assert [e["type"] for e in journal.entries] == ["meta", "run"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda line: b"garbage{{{",
+            lambda line: b"[1]",  # valid JSON, but not an entry object
+            lambda line: line[:10] + b"\xff" + line[11:],  # not UTF-8
+        ],
+        ids=["garbage", "non-object", "non-utf8"],
+    )
+    def test_mid_file_corruption_rejected(self, tmp_path, damage):
         work = str(tmp_path)
         with SortJournal.open_dir(work, FINGERPRINT, resume=False) as journal:
             journal.append({"type": "runs_done", "runs": 0, "records": 0})
-        text = (tmp_path / JOURNAL_NAME).read_text().splitlines()
-        text[0] = "garbage{{{"
-        (tmp_path / JOURNAL_NAME).write_text("\n".join(text) + "\n")
+        lines = (tmp_path / JOURNAL_NAME).read_bytes().splitlines()
+        lines[0] = damage(lines[0])
+        (tmp_path / JOURNAL_NAME).write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(JournalError):
             SortJournal._load(str(tmp_path / JOURNAL_NAME))
         # open_dir recovers by starting fresh instead of crashing.
@@ -197,9 +222,11 @@ class TestSortJournal:
                             "records": 3, "crc32": crc})
             journal.append({"type": "run", "id": 1, "file": "gone.txt",
                             "records": 3, "crc32": 0})
-            assert set(journal.valid_runs(work)) == {0}
+            state = _ResumeState(journal, work)
+            assert state.run_available(0)
+            assert not state.run_available(1)
             path.write_text("9\n9\n9\n")  # corrupt the survivor
-            assert journal.valid_runs(work) == {}
+            assert not _ResumeState(journal, work).run_available(0)
 
 
 class TestMarkers:
@@ -209,9 +236,9 @@ class TestMarkers:
         marker = str(data) + ".ok"
         write_marker(marker, {"records": 2, "crc32": crc})
         assert read_marker(marker) == {"records": 2, "crc32": crc}
-        assert artifact_valid(str(data), 2, crc)
+        assert artifact_valid(str(data), crc)
         data.write_text("tampered\n")
-        assert not artifact_valid(str(data), 2, crc)
+        assert not artifact_valid(str(data), crc)
 
     def test_unreadable_marker_is_none(self, tmp_path):
         path = tmp_path / "m.ok"

@@ -168,7 +168,7 @@ class TestSSTable:
         assert info.records == 100
         assert info.min_key == entries[0][0]
         assert info.max_key == entries[-1][0]
-        assert artifact_valid(path, info.records, info.crc32)
+        assert artifact_valid(path, info.crc32)
         with SSTableReader(path) as reader:
             assert reader.records == 100
             assert reader.codec == codec
@@ -339,14 +339,24 @@ class TestManifest:
         tables, _, _ = replay_entries(path, StoreManifest._load(path))
         assert set(tables) == {"sst-00000001.sst"}
 
-    def test_mid_file_corruption_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda line: line[:10] + b"\n",
+            lambda line: b"[1]\n",  # valid JSON, but not an entry object
+            lambda line: line[:10] + b"\xff" + line[11:],  # not UTF-8
+        ],
+        ids=["torn", "non-object", "non-utf8"],
+    )
+    def test_mid_file_corruption_rejected(self, tmp_path, damage):
         path = str(tmp_path / MANIFEST_NAME)
         manifest = StoreManifest.create(path, FP)
         manifest.append(table_record("sst-00000000.sst", 0))
         manifest.close()
-        lines = open(path, "r", encoding="utf-8").readlines()
-        lines[0] = lines[0][:10] + "\n"
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        lines[0] = damage(lines[0])
+        with open(path, "wb") as handle:
             handle.writelines(lines)
         with pytest.raises(ManifestError):
             StoreManifest.load(path, FP)

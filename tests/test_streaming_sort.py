@@ -6,6 +6,7 @@ import pytest
 from _helpers import files_under
 
 from repro.core.config import RECOMMENDED
+from repro.core.records import CallableFormat
 from repro.core.two_way import TwoWayReplacementSelection
 from repro.runs.load_sort_store import LoadSortStore
 from repro.runs.replacement_selection import ReplacementSelection
@@ -59,8 +60,7 @@ class TestCorrectness:
         sorter = FileSpillSort(
             ReplacementSelection(2),
             tmp_dir=str(tmp_path),
-            encode=repr,
-            decode=float,
+            record_format=CallableFormat(repr, float),
         )
         assert list(sorter.sort(iter(data))) == sorted(data)
 
@@ -72,8 +72,7 @@ class TestCorrectness:
         sorter = FileSpillSort(
             ReplacementSelection(2),
             tmp_dir=str(tmp_path),
-            encode=str,
-            decode=str,
+            record_format=CallableFormat(str, str),
         )
         assert list(sorter.sort(iter(data))) == sorted(data)
 
@@ -187,7 +186,7 @@ class TestCleanup:
         sorter = FileSpillSort(
             ReplacementSelection(50),
             tmp_dir=str(tmp_path),
-            decode=fragile_decode,
+            record_format=CallableFormat(str, fragile_decode),
         )
         with pytest.raises(ValueError, match="decode died"):
             list(sorter.sort(iter(data)))
