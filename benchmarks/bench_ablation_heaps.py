@@ -23,9 +23,7 @@ def _workload(seed: int):
 
 
 def _run_double_heap(values) -> float:
-    heaps: DoubleHeap[float] = DoubleHeap(
-        CAPACITY, lambda a, b: a > b, lambda a, b: a < b
-    )
+    heaps: DoubleHeap[float] = DoubleHeap(CAPACITY)
     total = 0.0
     for i, value in enumerate(values):
         side = heaps.bottom if value < 0.5 else heaps.top

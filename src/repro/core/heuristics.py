@@ -7,8 +7,11 @@ paper studies six input and five output heuristics (30 combinations,
 analysed in Chapter 5); all are implemented here and registered by the
 paper's names.
 
-Heuristics see the algorithm through the small :class:`HeuristicContext`
-facade so they stay decoupled from the 2WRS internals.
+Heuristics see the algorithm through the attributes documented on
+:class:`HeuristicContext`, so they stay decoupled from the 2WRS
+internals.  The run loop passes one reusable context that reads its live
+state (``core.two_way._LiveContext``); :class:`HeuristicContext` is the
+same view as a fixed snapshot, for tests and direct callers.
 """
 
 from __future__ import annotations
@@ -36,15 +39,14 @@ class Side(Enum):
 class HeuristicContext:
     """What a heuristic may observe about the running algorithm.
 
+    A snapshot: the sizes, counters and heads are fixed at construction.
     The distribution statistics (``input_mean`` / ``input_median`` /
     ``input_sample``) are *lazy*: when a ``stats`` provider is given
     (any object with ``mean()`` / ``median()`` / ``sample()``, normally
     the :class:`~repro.core.input_buffer.InputBuffer`), each statistic
     is fetched on first attribute access and cached for the lifetime of
-    the context.  A context lives for exactly one routing decision, so
-    heuristics that never look at a statistic never pay for it, and the
-    provider's own per-generation memoization keeps repeated lookups
-    cheap.  Passing the statistics as explicit keyword values still
+    the snapshot, so heuristics that never look at a statistic never pay
+    for it.  Passing the statistics as explicit keyword values still
     works and takes precedence over the provider.
 
     Attributes
@@ -136,9 +138,6 @@ class HeuristicContext:
             return self.top_outputs / max(1, self.top_size)
         return self.bottom_outputs / max(1, self.bottom_size)
 
-    def size(self, side: Side) -> int:
-        return self.top_size if side is Side.TOP else self.bottom_size
-
 
 class InputHeuristic(ABC):
     """Chooses the heap that stores an incoming record."""
@@ -202,9 +201,10 @@ class MeanInput(InputHeuristic):
     name = "mean"
 
     def choose(self, value: Any, ctx: HeuristicContext) -> Side:
-        if ctx.input_mean is None:
+        mean = ctx.input_mean
+        if mean is None:
             return Side.TOP if ctx.rng.random() < 0.5 else Side.BOTTOM
-        return Side.TOP if value > ctx.input_mean else Side.BOTTOM
+        return Side.TOP if value > mean else Side.BOTTOM
 
 
 class MedianInput(InputHeuristic):
@@ -213,9 +213,10 @@ class MedianInput(InputHeuristic):
     name = "median"
 
     def choose(self, value: Any, ctx: HeuristicContext) -> Side:
-        if ctx.input_median is None:
+        median = ctx.input_median
+        if median is None:
             return Side.TOP if ctx.rng.random() < 0.5 else Side.BOTTOM
-        return Side.TOP if value > ctx.input_median else Side.BOTTOM
+        return Side.TOP if value > median else Side.BOTTOM
 
 
 class UsefulInput(InputHeuristic):
@@ -299,15 +300,26 @@ class BalancingOutput(OutputHeuristic):
 
 
 class MinDistanceOutput(OutputHeuristic):
-    """Level l=4: pop the head closer (absolute value) to the run's first output."""
+    """Level l=4: pop the head closer (absolute value) to the run's first output.
+
+    Keys without subtraction (strings, csv tuples, binary key bytes) have
+    no distance; the heuristic then flips its coin, as the Mean input
+    heuristic does for keys without a mean.
+    """
 
     name = "min_distance"
 
     def choose(self, ctx: HeuristicContext) -> Side:
-        if ctx.first_output is None or ctx.top_head is None or ctx.bottom_head is None:
+        first = ctx.first_output
+        top_head = ctx.top_head
+        bottom_head = ctx.bottom_head
+        if first is None or top_head is None or bottom_head is None:
             return Side.TOP if ctx.rng.random() < 0.5 else Side.BOTTOM
-        top_distance = abs(ctx.top_head - ctx.first_output)
-        bottom_distance = abs(ctx.bottom_head - ctx.first_output)
+        try:
+            top_distance = abs(top_head - first)
+            bottom_distance = abs(bottom_head - first)
+        except TypeError:
+            return Side.TOP if ctx.rng.random() < 0.5 else Side.BOTTOM
         if top_distance == bottom_distance:
             return Side.TOP if ctx.rng.random() < 0.5 else Side.BOTTOM
         return Side.TOP if top_distance < bottom_distance else Side.BOTTOM

@@ -47,7 +47,7 @@ Appendix A backwards file format.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Iterator, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.config import TwoWayConfig
 from repro.core.heuristics import (
@@ -59,9 +59,16 @@ from repro.core.heuristics import (
 from repro.core.input_buffer import InputBuffer
 from repro.core.streams import RunStreams
 from repro.core.victim_buffer import VictimBuffer, VictimPhase
-from repro.heaps.double_heap import DoubleHeap, HeapSide
-from repro.heaps.run_heap import TaggedRecord, bottom_before, top_before
-from repro.runs.base import RunGenerator, log_cost
+from repro.heaps.double_heap import DoubleHeap
+from repro.runs.base import RunGenerator
+
+#: A heap entry: ``(run, key)`` in the TopHeap, ``(-run, key)`` in the
+#: BottomHeap.  Plain tuple order is then exactly the heaps' run-tagged
+#: order (``heaps.run_heap.top_before`` / ``bottom_before``): on both
+#: sides a current-run entry pops before every next-run entry, and
+#: within a run the min-heap top releases ascending keys while the
+#: max-heap bottom releases descending ones.
+Entry = Tuple[int, Any]
 
 
 class TwoWayReplacementSelection(RunGenerator):
@@ -111,26 +118,76 @@ class TwoWayReplacementSelection(RunGenerator):
         self.last_input_buffer = state.source
         yield from state.run()
 
-    # -- internals -------------------------------------------------------------------
 
-    def _rebalance(self, heaps: DoubleHeap[TaggedRecord]) -> None:
-        """Equalise heap sizes at a run boundary (Balancing heuristic).
+class _LiveContext:
+    """The heuristics' view of a running generation (Section 4.2).
 
-        At a boundary every record in memory belongs to the incoming
-        run, so records can migrate between the heaps freely.
-        """
-        while abs(len(heaps.top) - len(heaps.bottom)) > 1:
-            src, dst = (
-                (heaps.top, heaps.bottom)
-                if len(heaps.top) > len(heaps.bottom)
-                else (heaps.bottom, heaps.top)
-            )
-            self.stats.cpu_ops += log_cost(len(src)) + log_cost(len(dst) + 1)
-            dst.push(src.pop())
+    One instance serves every routing decision of a ``_RunState``: each
+    attribute reads the live state when a heuristic asks for it, so a
+    decision costs no allocation and heuristics that ignore a field
+    never compute it.  The distribution statistics come from the input
+    buffer, which memoizes them per generation.  It offers the same
+    attributes as :class:`~repro.core.heuristics.HeuristicContext`.
+    """
+
+    __slots__ = ("rng", "_state")
+
+    def __init__(self, state: "_RunState") -> None:
+        self.rng = state.rng
+        self._state = state
+
+    @property
+    def top_size(self) -> int:
+        return len(self._state.heaps.top)
+
+    @property
+    def bottom_size(self) -> int:
+        return len(self._state.heaps.bottom)
+
+    @property
+    def top_outputs(self) -> int:
+        return self._state.outputs_top
+
+    @property
+    def bottom_outputs(self) -> int:
+        return self._state.outputs_bottom
+
+    @property
+    def top_head(self) -> Optional[Any]:
+        top = self._state.heaps.top
+        return top.peek()[1] if top else None
+
+    @property
+    def bottom_head(self) -> Optional[Any]:
+        bottom = self._state.heaps.bottom
+        return bottom.peek()[1] if bottom else None
+
+    @property
+    def first_output(self) -> Optional[Any]:
+        return self._state.first_output
+
+    @property
+    def input_mean(self) -> Optional[float]:
+        return self._state.source.mean()
+
+    @property
+    def input_median(self) -> Optional[Any]:
+        return self._state.source.median()
+
+    @property
+    def input_sample(self) -> Optional[list]:
+        return self._state.source.sample()
+
+    usefulness = HeuristicContext.usefulness
 
 
 class _RunState:
-    """Mutable execution state of one ``generate_run_streams`` call."""
+    """Mutable execution state of one ``generate_run_streams`` call.
+
+    Every heap operation is charged ``runs.base.log_cost`` of the heap
+    size, computed inline as the exact integer ``(n - 1).bit_length()``
+    (at least 1).
+    """
 
     def __init__(
         self, algo: TwoWayReplacementSelection, records: Iterable[Any]
@@ -142,9 +199,8 @@ class _RunState:
         self.output_heuristic = make_output_heuristic(algo.config.output_heuristic)
         self.source = InputBuffer(records, algo.input_buffer_capacity)
         self.victim = VictimBuffer(algo.victim_buffer_capacity)
-        self.heaps: DoubleHeap[TaggedRecord] = DoubleHeap(
-            algo.heap_capacity, bottom_before, top_before
-        )
+        self.heaps: DoubleHeap[Entry] = DoubleHeap(algo.heap_capacity)
+        self.context = _LiveContext(self)
         self.current_run = 0
         self.streams = RunStreams(0)
         self._reset_run_state()
@@ -165,36 +221,35 @@ class _RunState:
 
     # -- helpers ---------------------------------------------------------------
 
-    def context(self) -> HeuristicContext:
-        # The distribution statistics are deliberately NOT computed here:
-        # the context holds a reference to the input buffer and fetches
-        # mean/median/sample lazily, only if the configured heuristic
-        # actually reads them (the buffer memoizes per generation).
-        heaps = self.heaps
-        return HeuristicContext(
-            rng=self.rng,
-            top_size=len(heaps.top),
-            bottom_size=len(heaps.bottom),
-            top_outputs=self.outputs_top,
-            bottom_outputs=self.outputs_bottom,
-            top_head=heaps.top.peek().key if heaps.top else None,
-            bottom_head=heaps.bottom.peek().key if heaps.bottom else None,
-            stats=self.source,
-            first_output=self.first_output,
-        )
+    def push(self, side: Side, run: int, value: Any) -> None:
+        """Store ``value`` for run ``run`` in the heap on ``side``."""
+        if side is Side.TOP:
+            heap, entry = self.heaps.top, (run, value)
+        else:
+            heap, entry = self.heaps.bottom, (-run, value)
+        self.stats.cpu_ops += len(heap).bit_length() or 1
+        heap.push(entry)
 
-    def side_of(self, side: Side) -> HeapSide[TaggedRecord]:
-        return self.heaps.top if side is Side.TOP else self.heaps.bottom
+    def pop(self, side: Side) -> Any:
+        """Remove the head of the heap on ``side`` and return its key."""
+        heap = self.heaps.top if side is Side.TOP else self.heaps.bottom
+        self.stats.cpu_ops += (len(heap) - 1).bit_length() or 1
+        return heap.pop()[1]
 
-    def push(self, side: Side, record: TaggedRecord) -> None:
-        heap_side = self.side_of(side)
-        self.stats.cpu_ops += log_cost(len(heap_side) + 1)
-        heap_side.push(record)
+    def rebalance(self) -> None:
+        """Equalise heap sizes at a run boundary (Balancing heuristic).
 
-    def pop(self, side: Side) -> TaggedRecord:
-        heap_side = self.side_of(side)
-        self.stats.cpu_ops += log_cost(len(heap_side))
-        return heap_side.pop()
+        At a boundary every record in memory belongs to the incoming
+        run, so records can migrate between the heaps freely; negating
+        the tag converts an entry between the two sides' forms.
+        """
+        top, bottom = self.heaps.top, self.heaps.bottom
+        while abs(len(top) - len(bottom)) > 1:
+            src, dst = (top, bottom) if len(top) > len(bottom) else (bottom, top)
+            self.stats.cpu_ops += (len(src) - 1).bit_length() or 1
+            self.stats.cpu_ops += len(dst).bit_length() or 1
+            tag, value = src.pop()
+            dst.push((-tag, value))
 
     def top_releasable(self, value: Any) -> bool:
         """Can ``value`` legally extend stream 1 right now?"""
@@ -246,13 +301,11 @@ class _RunState:
         # fill used them for run 0's contents.
         self.next_bottom_max = None
         self.next_top_min = None
-        heaps = self.heaps
-        while len(heaps) > 0:
-            top_ready = bool(heaps.top) and heaps.top.peek().run == self.current_run
-            bottom_ready = (
-                bool(heaps.bottom)
-                and heaps.bottom.peek().run == self.current_run
-            )
+        top, bottom = self.heaps.top, self.heaps.bottom
+        while top or bottom:
+            run = self.current_run
+            top_ready = bool(top) and top.peek()[0] == run
+            bottom_ready = bool(bottom) and bottom.peek()[0] == -run
 
             if not top_ready and not bottom_ready:
                 # doubleHeap.nextRun: everything in memory belongs to the
@@ -283,7 +336,7 @@ class _RunState:
         can_bottom = self.next_top_min is None or value <= self.next_top_min
         can_top = self.next_bottom_max is None or value >= self.next_bottom_max
         if can_bottom and can_top:
-            side = self.input_heuristic.choose(value, self.context())
+            side = self.input_heuristic.choose(value, self.context)
         elif can_bottom:
             side = Side.BOTTOM
         else:
@@ -303,7 +356,7 @@ class _RunState:
             if value is None:
                 break
             self.stats.records_in += 1
-            self.push(self._route_disjoint(value), TaggedRecord(0, value))
+            self.push(self._route_disjoint(value), 0, value)
 
     def _finish_run(self, final: bool = False) -> Optional[RunStreams]:
         """Flush the victim, emit the run, and reset per-run state."""
@@ -324,7 +377,7 @@ class _RunState:
         self.input_heuristic.on_run_start()
         self.output_heuristic.on_run_start()
         if self.input_heuristic.wants_rebalance:
-            self.algo._rebalance(self.heaps)
+            self.rebalance()
         return finished
 
     def _output_step(self, top_ready: bool, bottom_ready: bool) -> bool:
@@ -336,13 +389,12 @@ class _RunState:
         (migration or demotion).
         """
         if top_ready and bottom_ready:
-            out_side = self.output_heuristic.choose(self.context())
+            out_side = self.output_heuristic.choose(self.context)
         elif top_ready:
             out_side = Side.TOP
         else:
             out_side = Side.BOTTOM
-        record = self.pop(out_side)
-        value = record.key
+        value = self.pop(out_side)
         if self.first_output is None:
             self.first_output = value
 
@@ -377,7 +429,7 @@ class _RunState:
             else self.bottom_releasable(value)
         )
         if other_ok:
-            self.push(other, record)
+            self.push(other, self.current_run, value)
             return False
         # ...or capture it in the victim's gap...
         if self.victim.fits(value):
@@ -387,7 +439,7 @@ class _RunState:
                 self._commit_middle(to3, to2)
             return True
         # ...or concede it to the next run.
-        self.push(self._route_disjoint(value), TaggedRecord(self.current_run + 1, value))
+        self.push(self._route_disjoint(value), self.current_run + 1, value)
         return False
 
     def _read_step(self) -> None:
@@ -409,7 +461,7 @@ class _RunState:
         top_eligible = self.top_releasable(value)
         bottom_eligible = self.bottom_releasable(value)
         if top_eligible and bottom_eligible:
-            in_side = self.input_heuristic.choose(value, self.context())
+            in_side = self.input_heuristic.choose(value, self.context)
             run = self.current_run
         elif top_eligible:
             in_side = Side.TOP
@@ -421,4 +473,4 @@ class _RunState:
             # Fits neither heap nor victim: next run.
             in_side = self._route_disjoint(value)
             run = self.current_run + 1
-        self.push(in_side, TaggedRecord(run, value))
+        self.push(in_side, run, value)

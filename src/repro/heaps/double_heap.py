@@ -6,23 +6,24 @@ without dynamic allocation.  The bottom heap occupies positions
 ``0 .. len(bottom) - 1`` growing upward; the top heap occupies positions
 ``capacity - len(top) .. capacity - 1`` growing downward, stored in
 *reverse level order* (the top heap's logical node ``i`` lives at array
-index ``capacity - 1 - i``).
+index ``capacity - 1 - i``, which is Python's ``array[~i]``).
 
-:class:`DoubleHeap` exposes the combined structure; :class:`HeapSide`
-gives each heap the familiar push/pop/peek interface while sharing the
-backing array.
+:class:`DoubleHeap` exposes the combined structure; its ``bottom`` side
+is a max-heap and its ``top`` side a min-heap, both with the familiar
+push/pop/peek interface over the shared array.  As in
+:class:`~repro.heaps.binary_heap.MinHeap` / ``MaxHeap``, the sift loops
+use the native ``<`` / ``>`` operators and index the array directly, so
+a side costs no Python call per comparison or per array access.
+Callers that need another order encode it in the entries: 2WRS stores
+run-tagged tuples whose plain tuple order is its heap order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, List, Optional, TypeVar
+import operator
+from typing import Any, Callable, Generic, List, TypeVar
 
-from repro.heaps.binary_heap import (
-    HeapEmptyError,
-    HeapFullError,
-    left_child_index,
-    parent_index,
-)
+from repro.heaps.binary_heap import HeapEmptyError, HeapFullError
 
 T = TypeVar("T")
 
@@ -30,30 +31,23 @@ T = TypeVar("T")
 class HeapSide(Generic[T]):
     """One of the two heaps of a :class:`DoubleHeap`.
 
-    The side does not own storage: it reads and writes the shared array
-    through an index mapping supplied by the parent.
-
-    Parameters
-    ----------
-    owner:
-        The :class:`DoubleHeap` whose array this side shares.
-    before:
-        Ordering predicate; ``before(a, b)`` means ``a`` pops first.
-    physical:
-        Maps a logical node index (0 = root) to an index of the shared
-        array.
+    The side does not own storage: it reads and writes the array it
+    shares with ``other``, the opposite side, and both together may hold
+    at most ``capacity`` records.  Subclasses fix where logical node
+    ``i`` lives in the array and which order pops first.
     """
 
-    def __init__(
-        self,
-        owner: "DoubleHeap[T]",
-        before: Callable[[T, T], bool],
-        physical: Callable[[int], int],
-    ) -> None:
-        self._owner = owner
-        self._before = before
-        self._physical = physical
+    __slots__ = ("_array", "_capacity", "_size", "other")
+
+    #: ``_before(a, b)`` means ``a`` pops before ``b`` (checks only).
+    _before: Callable[[Any, Any], bool]
+
+    def __init__(self, array: List[Any]) -> None:
+        self._array = array
+        self._capacity = len(array)
         self._size = 0
+        #: The opposite side; :class:`DoubleHeap` pairs the two.
+        self.other: HeapSide[T] = self
 
     def __len__(self) -> int:
         return self._size
@@ -61,95 +55,175 @@ class HeapSide(Generic[T]):
     def __bool__(self) -> bool:
         return self._size > 0
 
-    # -- logical array access ------------------------------------------------
+    def _full(self) -> HeapFullError:
+        return HeapFullError(f"double heap is at capacity {self._capacity}")
 
-    def _get(self, i: int) -> T:
-        return self._owner._array[self._physical(i)]
+    def as_list(self) -> List[T]:
+        """Return this side's records in level order (a copy)."""
+        raise NotImplementedError
 
-    def _set(self, i: int, value: T) -> None:
-        self._owner._array[self._physical(i)] = value
+    def check_invariant(self) -> bool:
+        """True iff the heap property holds on this side (for tests)."""
+        nodes = self.as_list()
+        return not any(
+            self._before(nodes[i], nodes[(i - 1) // 2])
+            for i in range(1, len(nodes))
+        )
 
-    # -- heap operations -------------------------------------------------------
+
+class BottomSide(HeapSide[T]):
+    """The max-heap side: logical node ``i`` at array index ``i``."""
+
+    __slots__ = ()
+
+    _before = operator.gt
 
     def peek(self) -> T:
-        """Return this side's top record."""
-        if self._size == 0:
+        """Return the largest record."""
+        if not self._size:
             raise HeapEmptyError("peek from an empty heap side")
-        return self._get(0)
+        return self._array[0]
 
     def push(self, item: T) -> None:
         """Insert into this side; fails when the *shared* array is full."""
-        if self._owner.is_full:
-            raise HeapFullError(
-                f"double heap is at capacity {self._owner.capacity}"
-            )
         i = self._size
-        self._size += 1
-        self._set(i, item)
-        self._sift_up(i)
+        if i + self.other._size >= self._capacity:
+            raise self._full()
+        self._size = i + 1
+        array = self._array
+        while i > 0:
+            p = (i - 1) // 2
+            parent = array[p]
+            if item > parent:
+                array[i] = parent
+                i = p
+            else:
+                break
+        array[i] = item
 
     def pop(self) -> T:
-        """Remove and return this side's top record."""
-        if self._size == 0:
+        """Remove and return the largest record."""
+        n = self._size
+        if not n:
             raise HeapEmptyError("pop from an empty heap side")
-        top = self._get(0)
-        self._size -= 1
-        if self._size > 0:
-            self._set(0, self._get(self._size))
-            self._sift_down(0)
+        array = self._array
+        top = array[0]
+        n -= 1
+        self._size = n
+        if n:
+            self._sift_down(array[n])
         return top
 
     def replace(self, item: T) -> T:
         """Pop the top and push ``item`` with a single sift-down."""
-        if self._size == 0:
+        if not self._size:
             raise HeapEmptyError("replace on an empty heap side")
-        top = self._get(0)
-        self._set(0, item)
-        self._sift_down(0)
+        top = self._array[0]
+        self._sift_down(item)
         return top
 
     def as_list(self) -> List[T]:
-        """Return this side's records in level order (a copy)."""
-        return [self._get(i) for i in range(self._size)]
+        return self._array[: self._size]
 
-    def check_invariant(self) -> bool:
-        """True iff the heap property holds on this side (for tests)."""
-        for i in range(1, self._size):
-            if self._before(self._get(i), self._get(parent_index(i))):
-                return False
-        return True
-
-    # -- internals ---------------------------------------------------------------
-
-    def _sift_up(self, i: int) -> None:
-        item = self._get(i)
-        while i > 0:
-            p = parent_index(i)
-            parent = self._get(p)
-            if self._before(item, parent):
-                self._set(i, parent)
-                i = p
-            else:
-                break
-        self._set(i, item)
-
-    def _sift_down(self, i: int) -> None:
+    def _sift_down(self, item: T) -> None:
+        """Place ``item`` at the root and sift it down."""
+        array = self._array
         n = self._size
-        item = self._get(i)
+        i = 0
         while True:
-            child = left_child_index(i)
+            child = 2 * i + 1
             if child >= n:
                 break
             right = child + 1
-            if right < n and self._before(self._get(right), self._get(child)):
+            if right < n and array[right] > array[child]:
                 child = right
-            winner = self._get(child)
-            if self._before(winner, item):
-                self._set(i, winner)
+            winner = array[child]
+            if winner > item:
+                array[i] = winner
                 i = child
             else:
                 break
-        self._set(i, item)
+        array[i] = item
+
+
+class TopSide(HeapSide[T]):
+    """The min-heap side: logical node ``i`` at array index ``~i``.
+
+    ``array[~i]`` is ``array[capacity - 1 - i]``: the reverse level
+    order of Figure 4.3, with the root in the array's last slot.
+    """
+
+    __slots__ = ()
+
+    _before = operator.lt
+
+    def peek(self) -> T:
+        """Return the smallest record."""
+        if not self._size:
+            raise HeapEmptyError("peek from an empty heap side")
+        return self._array[-1]
+
+    def push(self, item: T) -> None:
+        """Insert into this side; fails when the *shared* array is full."""
+        i = self._size
+        if i + self.other._size >= self._capacity:
+            raise self._full()
+        self._size = i + 1
+        array = self._array
+        while i > 0:
+            p = (i - 1) // 2
+            parent = array[~p]
+            if item < parent:
+                array[~i] = parent
+                i = p
+            else:
+                break
+        array[~i] = item
+
+    def pop(self) -> T:
+        """Remove and return the smallest record."""
+        n = self._size
+        if not n:
+            raise HeapEmptyError("pop from an empty heap side")
+        array = self._array
+        top = array[-1]
+        n -= 1
+        self._size = n
+        if n:
+            self._sift_down(array[~n])
+        return top
+
+    def replace(self, item: T) -> T:
+        """Pop the top and push ``item`` with a single sift-down."""
+        if not self._size:
+            raise HeapEmptyError("replace on an empty heap side")
+        top = self._array[-1]
+        self._sift_down(item)
+        return top
+
+    def as_list(self) -> List[T]:
+        array = self._array
+        return [array[~i] for i in range(self._size)]
+
+    def _sift_down(self, item: T) -> None:
+        """Place ``item`` at the root and sift it down."""
+        array = self._array
+        n = self._size
+        i = 0
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            right = child + 1
+            if right < n and array[~right] < array[~child]:
+                child = right
+            winner = array[~child]
+            if winner < item:
+                array[~i] = winner
+                i = child
+            else:
+                break
+        array[~i] = item
 
 
 class DoubleHeap(Generic[T]):
@@ -159,30 +233,24 @@ class DoubleHeap(Generic[T]):
     ----------
     capacity:
         Total number of records both heaps may hold together.
-    bottom_before / top_before:
-        Ordering predicates for the bottom and top sides.
 
     Notes
     -----
-    ``bottom`` grows from index 0 upward; ``top`` grows from index
-    ``capacity - 1`` downward (reverse level order, as in Figure 4.3).
-    The structure is full when ``len(bottom) + len(top) == capacity``.
+    ``bottom`` is a max-heap growing from index 0 upward; ``top`` is a
+    min-heap growing from index ``capacity - 1`` downward (reverse
+    level order, as in Figure 4.3).  The structure is full when
+    ``len(bottom) + len(top) == capacity``.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        bottom_before: Callable[[T, T], bool],
-        top_before: Callable[[T, T], bool],
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self._capacity = capacity
         self._array: List[Any] = [None] * capacity
-        self.bottom: HeapSide[T] = HeapSide(self, bottom_before, lambda i: i)
-        self.top: HeapSide[T] = HeapSide(
-            self, top_before, lambda i: capacity - 1 - i
-        )
+        self.bottom: BottomSide[T] = BottomSide(self._array)
+        self.top: TopSide[T] = TopSide(self._array)
+        self.bottom.other = self.top
+        self.top.other = self.bottom
 
     def __len__(self) -> int:
         return len(self.bottom) + len(self.top)

@@ -16,17 +16,18 @@ time Python itself).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List
 
 
 def log_cost(n: int) -> int:
-    """Analytic cost of one traversal of a heap holding ``n`` records."""
-    if n <= 1:
-        return 1
-    return int(math.ceil(math.log2(n)))
+    """Analytic cost of one traversal of a heap holding ``n`` records.
+
+    ``ceil(log2(n))`` computed exactly on integers (the float form
+    rounds down just above large powers of two), and at least 1.
+    """
+    return (n - 1).bit_length() if n > 1 else 1
 
 
 @dataclass(slots=True)

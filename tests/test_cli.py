@@ -310,6 +310,45 @@ class TestRecordFormats:
         assert "strategy=double_buffering" in capsys.readouterr().err
 
 
+class TestMinDistanceNonNumericKeys:
+    """``--output-heuristic min_distance`` on keys without subtraction.
+
+    A csv key column and the binary spill's normalized key bytes have no
+    distance; the heuristic falls back to its coin flip instead of
+    raising a TypeError."""
+
+    def test_csv_key_column(self, tmp_path, capsys):
+        import random
+
+        rng = random.Random(5)
+        keys = rng.sample(range(100_000), 1_500)
+        lines = [f"k{key:06d},{i}" for i, key in enumerate(keys)]
+        src = tmp_path / "rows.csv"
+        src.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / "out.csv"
+        assert main(
+            ["sort", "--format", "csv", "--key", "0", "--memory", "100",
+             "--output-heuristic", "min_distance", str(src), "-o", str(out)]
+        ) == 0
+        assert out.read_text().splitlines() == sorted(lines)
+
+    def test_binary_spill(self, tmp_path, capsys):
+        import random
+
+        rng = random.Random(6)
+        values = [rng.randrange(-10**6, 10**6) for _ in range(1_500)]
+        src = tmp_path / "in.txt"
+        src.write_text("".join(f"{value}\n" for value in values))
+        out = tmp_path / "out.txt"
+        assert main(
+            ["sort", "--binary-spill", "--memory", "100",
+             "--output-heuristic", "min_distance", str(src), "-o", str(out)]
+        ) == 0
+        assert [int(line) for line in out.read_text().splitlines()] == sorted(
+            values
+        )
+
+
 class TestDatasetCommand:
     def test_emits_requested_records(self, capsys):
         assert main(["dataset", "sorted", "--records", "25"]) == 0

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from repro.heaps.binary_heap import HeapEmptyError, HeapFullError
 from repro.heaps.double_heap import DoubleHeap
+from repro.heaps.run_heap import TaggedRecord, bottom_before, top_before
 
 
 def make(capacity=16):
     """Bottom = max-heap, top = min-heap: the 2WRS arrangement."""
-    return DoubleHeap(capacity, lambda a, b: a > b, lambda a, b: a < b)
+    return DoubleHeap(capacity)
 
 
 class TestBasics:
@@ -169,3 +170,54 @@ def test_interleaved_push_pop_invariant(data):
         elif action == "pop_b" and heaps.bottom:
             heaps.bottom.pop()
         assert heaps.check_invariant()
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["top", "bottom"]),
+            st.integers(0, 2),
+            st.integers(-50, 50),
+        ),
+        max_size=60,
+    )
+)
+def test_run_tagged_entries_pop_in_run_order(operations):
+    """2WRS entries: ``(run, key)`` on top, ``(-run, key)`` at the bottom.
+
+    On both sides every entry of an earlier run pops before any entry of
+    a later one (next-run entries sink below current-run ones); within a
+    run the top releases ascending and the bottom descending keys.
+    """
+    heaps = make(capacity=100)
+    tops, bottoms = [], []
+    for side, run, key in operations:
+        if side == "top":
+            heaps.top.push((run, key))
+            tops.append((run, key))
+        else:
+            heaps.bottom.push((-run, key))
+            bottoms.append((run, key))
+    assert heaps.check_invariant()
+    got_top = [heaps.top.pop() for _ in range(len(heaps.top))]
+    got_bottom = [heaps.bottom.pop() for _ in range(len(heaps.bottom))]
+    assert got_top == sorted(tops)
+    assert [(-tag, key) for tag, key in got_bottom] == sorted(
+        bottoms, key=lambda entry: (entry[0], -entry[1])
+    )
+
+
+_KEYS = [-1.0, -0.0, 0.0, 1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("run_a", [0, 1])
+@pytest.mark.parametrize("run_b", [0, 1])
+def test_tuple_order_is_the_run_tagged_predicate_order(run_a, run_b):
+    """Plain tuple comparison of the entries decides exactly as the
+    ``top_before`` / ``bottom_before`` predicates, ties and NaN too."""
+    for key_a in _KEYS:
+        for key_b in _KEYS + [key_a]:  # the same NaN object as well
+            a, b = TaggedRecord(run_a, key_a), TaggedRecord(run_b, key_b)
+            assert ((run_a, key_a) < (run_b, key_b)) == top_before(a, b)
+            assert ((-run_a, key_a) > (-run_b, key_b)) == bottom_before(a, b)

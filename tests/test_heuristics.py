@@ -142,6 +142,27 @@ class TestOutputHeuristics:
         sides = {h.choose(ctx(rng=rng)) for _ in range(50)}
         assert sides == {Side.TOP, Side.BOTTOM}
 
+    @pytest.mark.parametrize(
+        "first,top,bottom",
+        [(("a", 1), ("b", 2), ("a", 0)), (b"m", b"z", b"a"), ("m", "z", "a")],
+        ids=["csv-tuple", "key-bytes", "str"],
+    )
+    def test_min_distance_without_subtraction_flips_the_coin(
+        self, first, top, bottom
+    ):
+        # Keys without ``-`` draw exactly one coin flip per decision, the
+        # same draw as the no-first-output case.
+        h = make_output_heuristic("min_distance")
+        rng, twin = random.Random(8), random.Random(8)
+        got = [
+            h.choose(ctx(rng=rng, first_output=first, top_head=top,
+                         bottom_head=bottom))
+            for _ in range(40)
+        ]
+        want = [h.choose(ctx(rng=twin)) for _ in range(40)]
+        assert got == want
+        assert rng.getstate() == twin.getstate()
+
 
 class CountingStats:
     """Fake statistics provider recording how often it is consulted."""

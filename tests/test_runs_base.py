@@ -1,5 +1,7 @@
 """Tests for the run-generator base API and analytic cost accounting."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,19 @@ class TestLogCost:
     @given(st.integers(1, 10**9))
     def test_monotone(self, n):
         assert log_cost(n) <= log_cost(n + 1)
+
+    def test_equals_ceil_log2(self):
+        # The exact integer form charges what ceil(log2(n)) charged, so
+        # no counter moves; n = 1 keeps its floor of one step.
+        for n in range(1, 2**16 + 1):
+            assert log_cost(n) == max(1, math.ceil(math.log2(n))), n
+
+    @pytest.mark.parametrize("k", [49, 53, 60, 100])
+    def test_exact_above_float_precision(self, k):
+        # log2(2**k + 1) rounds to exactly k in floating point for large
+        # k, so the float form under-charged by one step there.
+        assert log_cost(2**k + 1) == k + 1
+        assert log_cost(2**k) == k
 
 
 class TestStats:

@@ -322,3 +322,53 @@ class TestLazyStatistics:
         assert flat == sorted(data)
         for run in runs:
             assert run == sorted(run)
+
+
+class TestLiveContext:
+    """Every routing decision of a generation reads one context object
+    whose attributes are the running state at the time of the read."""
+
+    def test_one_context_reads_the_running_state(self):
+        from repro.core.heuristics import HeuristicContext, InputHeuristic, Side
+        from repro.core.two_way import _RunState
+
+        class Spy(InputHeuristic):
+            def __init__(self):
+                self.contexts = set()
+                self.decisions = 0
+
+            def choose(self, value, ctx):
+                heaps = state.heaps
+                snapshot = HeuristicContext(
+                    rng=state.rng,
+                    top_size=len(heaps.top),
+                    bottom_size=len(heaps.bottom),
+                    top_outputs=state.outputs_top,
+                    bottom_outputs=state.outputs_bottom,
+                    top_head=heaps.top.peek()[1] if heaps.top else None,
+                    bottom_head=heaps.bottom.peek()[1] if heaps.bottom else None,
+                    first_output=state.first_output,
+                    stats=state.source,
+                )
+                for name in (
+                    "rng", "top_size", "bottom_size", "top_outputs",
+                    "bottom_outputs", "top_head", "bottom_head",
+                    "first_output", "input_mean", "input_median",
+                    "input_sample",
+                ):
+                    assert getattr(ctx, name) == getattr(snapshot, name), name
+                for side in Side:
+                    assert ctx.usefulness(side) == snapshot.usefulness(side)
+                self.contexts.add(id(ctx))
+                self.decisions += 1
+                return Side.TOP if value > ctx.input_mean else Side.BOTTOM
+
+        algo = TwoWayReplacementSelection(100, TwoWayConfig(buffer_fraction=0.1))
+        state = _RunState(algo, mixed_balanced_input(2_000, seed=9))
+        state.input_heuristic = spy = Spy()
+        runs = [streams.assemble() for streams in state.run()]
+        assert sorted(r for run in runs for r in run) == sorted(
+            mixed_balanced_input(2_000, seed=9)
+        )
+        assert spy.decisions > 100
+        assert spy.contexts == {id(state.context)}
