@@ -17,6 +17,11 @@ for.  Heuristics that ignore the distribution therefore never pay for
 the statistics at all; the :attr:`mean_computations` /
 :attr:`median_computations` counters make that observable in tests and
 benchmarks.
+
+:meth:`InputBuffer.drain` is the victim buffer's block-wise reader: it
+consumes a whole stretch of in-range head records in one local loop,
+with exactly the bookkeeping the same number of :meth:`InputBuffer.next`
+calls would do (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -27,6 +32,26 @@ from typing import Any, Deque, Iterable, Iterator, List, Optional, Tuple
 
 #: Size of the shadow sample kept when the buffer capacity is zero.
 SHADOW_WINDOW = 16
+
+#: Returned by :meth:`InputBuffer.drain` when it moved ``limit`` records
+#: without meeting an out-of-range record or the end of the input.
+LIMIT_REACHED = object()
+
+
+def _discard(mirror: List[Any], head: Any) -> None:
+    """Remove the queue head ``head`` from the sorted mirror.
+
+    With totally ordered keys bisect lands on an entry equal to
+    ``head``.  A NaN anywhere in the mirror breaks the order bisect
+    relies on, so on a miss the exact entry is removed instead
+    (``list.remove`` matches by identity before equality, which is
+    what finds a NaN).
+    """
+    index = bisect_left(mirror, head)
+    if index < len(mirror) and mirror[index] == head:
+        del mirror[index]
+    else:
+        mirror.remove(head)
 
 
 class InputBuffer:
@@ -97,7 +122,7 @@ class InputBuffer:
         if self._queue:
             head = self._queue.popleft()
             if self._sorted_queue is not None:
-                del self._sorted_queue[bisect_left(self._sorted_queue, head)]
+                _discard(self._sorted_queue, head)
             if self._queue_sum is not None:
                 self._queue_sum -= head
             self.generation += 1
@@ -110,6 +135,80 @@ class InputBuffer:
                     self._queue_sum += refill
             return head
         return self._pull()
+
+    def drain(self, out: List[Any], low: Any, high: Any, limit: int) -> Any:
+        """Move consecutive head records with ``low <= r <= high`` to ``out``.
+
+        Stops after ``limit`` records have moved (returning
+        :data:`LIMIT_REACHED`), at the first record outside the range
+        (consumed and returned, not moved), or at the end of the input
+        (returning None).  The buffer ends in exactly the state the same
+        number of :meth:`next` calls would leave -- queue, running sum,
+        sorted mirror, shadow window, :attr:`generation` and
+        :attr:`records_read` -- updated in the same order, only without
+        a method call per record.
+        """
+        queue = self._queue
+        popleft = queue.popleft
+        enqueue = queue.append
+        mirror = self._sorted_queue
+        total = self._queue_sum
+        remember = self._shadow.append
+        pull = self._stream.__next__
+        move = out.append
+        generation = self.generation
+        read = self.records_read
+        exhausted = self._exhausted
+        result: Any = LIMIT_REACHED
+        try:
+            for _ in range(limit):
+                if queue:
+                    head = popleft()
+                    if mirror is not None:
+                        _discard(mirror, head)
+                    if total is not None:
+                        total -= head
+                    if exhausted:
+                        generation += 1
+                    else:
+                        try:
+                            refill = pull()
+                        except StopIteration:
+                            exhausted = True
+                            generation += 1
+                        else:
+                            read += 1
+                            remember(refill)
+                            generation += 2
+                            enqueue(refill)
+                            if mirror is not None:
+                                insort(mirror, refill)
+                            if total is not None:
+                                total += refill
+                else:
+                    if exhausted:
+                        result = None
+                        break
+                    try:
+                        head = pull()
+                    except StopIteration:
+                        exhausted = True
+                        result = None
+                        break
+                    read += 1
+                    remember(head)
+                    generation += 1
+                if low <= head <= high:
+                    move(head)
+                else:
+                    result = head
+                    break
+        finally:
+            self._queue_sum = total
+            self.generation = generation
+            self.records_read = read
+            self._exhausted = exhausted
+        return result
 
     def __bool__(self) -> bool:
         return bool(self._queue) or not self._exhausted

@@ -56,7 +56,7 @@ from repro.core.heuristics import (
     make_input_heuristic,
     make_output_heuristic,
 )
-from repro.core.input_buffer import InputBuffer
+from repro.core.input_buffer import LIMIT_REACHED, InputBuffer
 from repro.core.streams import RunStreams
 from repro.core.victim_buffer import VictimBuffer, VictimPhase
 from repro.heaps.double_heap import DoubleHeap
@@ -443,20 +443,36 @@ class _RunState:
         return False
 
     def _read_step(self) -> None:
-        """Read one input record, letting the victim drink its fill."""
-        value = self.source.next()
+        """Read one input record, letting the victim drink its fill.
+
+        The first record is tested against the victim's range inline;
+        only once one fits does the input buffer drain the following
+        in-range records straight into the victim, a block at a time
+        (``InputBuffer.drain``, exactly equivalent to reading them one
+        by one).  On random input the victim rarely takes a record, so
+        the common path costs one range test.
+        """
+        source, victim, stats = self.source, self.victim, self.stats
+        value = source.next()
         if value is None:
             return
-        self.stats.records_in += 1
-        while self.victim.fits(value):
-            self.victim.add(value)
-            if self.victim.is_full:
-                to3, to2 = self.victim.flush_full()
-                self._commit_middle(to3, to2)
-            value = self.source.next()
+        stats.records_in += 1
+        bounds = victim.valid_range
+        while bounds is not None and bounds[0] <= value <= bounds[1]:
+            held = victim.held
+            held.append(value)
+            before = len(held)
+            value = source.drain(
+                held, bounds[0], bounds[1], victim.capacity - before
+            )
+            stats.records_in += len(held) - before
+            if value is LIMIT_REACHED:
+                self._commit_middle(*victim.flush_full())
+                bounds = victim.valid_range
+                value = source.next()
             if value is None:
                 return
-            self.stats.records_in += 1
+            stats.records_in += 1
 
         top_eligible = self.top_releasable(value)
         bottom_eligible = self.bottom_releasable(value)

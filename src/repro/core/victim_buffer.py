@@ -66,8 +66,13 @@ class VictimBuffer:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.capacity = capacity
-        self._records: List[Any] = []
-        self._range: Optional[Tuple[Any, Any]] = None
+        #: Records captured since the last flush.  The 2WRS read step
+        #: appends to it directly through ``InputBuffer.drain``.
+        self.held: List[Any] = []
+        #: Current inclusive (low, high) acceptance range.  Set only in
+        #: the ACTIVE phase; None while no range is established (initial
+        #: fill, disabled, or a degenerate flush).
+        self.valid_range: Optional[Tuple[Any, Any]] = None
         self.phase = (
             VictimPhase.DISABLED if capacity == 0 else VictimPhase.INITIAL_FILL
         )
@@ -75,22 +80,17 @@ class VictimBuffer:
         self.cpu_ops = 0
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def valid_range(self) -> Optional[Tuple[Any, Any]]:
-        """Current inclusive (low, high) acceptance range, if established."""
-        return self._range
+        return len(self.held)
 
     @property
     def is_full(self) -> bool:
-        return self.capacity > 0 and len(self._records) >= self.capacity
+        return self.capacity > 0 and len(self.held) >= self.capacity
 
     def start_run(self) -> None:
         """Reset for a new run (records must have been flushed already)."""
-        if self._records:
+        if self.held:
             raise RuntimeError("victim buffer restarted while holding records")
-        self._range = None
+        self.valid_range = None
         if self.capacity > 0:
             self.phase = VictimPhase.INITIAL_FILL
 
@@ -100,7 +100,7 @@ class VictimBuffer:
         """Stash one of the run's first heap outputs."""
         if self.phase is not VictimPhase.INITIAL_FILL:
             raise RuntimeError(f"add_initial in phase {self.phase}")
-        self._records.append(value)
+        self.held.append(value)
 
     def flush_initial(self) -> Tuple[List[Any], List[Any]]:
         """Establish the valid range from the buffered first outputs.
@@ -115,37 +115,37 @@ class VictimBuffer:
         self.phase = VictimPhase.ACTIVE
         if len(records) < 2:
             # Degenerate: no gap to exploit; accept nothing until run end.
-            self._range = None
+            self.valid_range = None
             return records, []
         split, low, high = largest_gap(records)
-        self._range = (low, high)
+        self.valid_range = (low, high)
         return records[:split], list(reversed(records[split:]))
 
     # -- active phase -------------------------------------------------------------
 
     def fits(self, value: Any) -> bool:
         """True when ``value`` may be stored in the victim buffer now."""
-        if self.phase is not VictimPhase.ACTIVE or self._range is None:
+        if self.phase is not VictimPhase.ACTIVE or self.valid_range is None:
             return False
         if self.is_full:
             return False
-        low, high = self._range
+        low, high = self.valid_range
         return low <= value <= high
 
     def add(self, value: Any) -> None:
         """Store a record previously accepted by :meth:`fits`."""
         if self.phase is not VictimPhase.ACTIVE:
             raise RuntimeError(f"add in phase {self.phase}")
-        self._records.append(value)
+        self.held.append(value)
 
     def flush_full(self) -> Tuple[List[Any], List[Any]]:
         """Flush a full buffer, narrowing the valid range to its widest gap."""
         records = self._sorted_and_cleared()
         if len(records) < 2:
-            self._range = None
+            self.valid_range = None
             return records, []
         split, low, high = largest_gap(records)
-        self._range = (low, high)
+        self.valid_range = (low, high)
         return records[:split], list(reversed(records[split:]))
 
     def flush_run_end(self) -> List[Any]:
@@ -155,14 +155,14 @@ class VictimBuffer:
         slot between streams 3 and 2 of the finishing run.
         """
         records = self._sorted_and_cleared()
-        self._range = None
+        self.valid_range = None
         if self.capacity > 0:
             self.phase = VictimPhase.INITIAL_FILL
         return records
 
     def _sorted_and_cleared(self) -> List[Any]:
-        records = self._records
-        self._records = []
+        records = self.held
+        self.held = []
         if len(records) > 1:
             self.cpu_ops += int(len(records) * max(1.0, math.log2(len(records))))
             records.sort()

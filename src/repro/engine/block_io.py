@@ -801,16 +801,25 @@ class BlockWriter:
             self.flush()
 
     def write_all(self, records: Iterable[Any]) -> int:
-        """Write every record of a stream; returns how many."""
+        """Write every record of a stream; returns how many.
+
+        Each block is filled by one ``list.extend`` over a slice of the
+        source.  ``written`` stays exact when the source raises
+        part-way, because ``extend`` keeps the prefix it has appended.
+        """
         before = self.written
+        source = iter(records)
         pending = self._pending
         block_records = self._block_records
-        for record in records:
-            pending.append(record)
-            self.written += 1
-            if len(pending) >= block_records:
-                self.flush()
-        return self.written - before
+        while True:
+            start = len(pending)
+            try:
+                pending.extend(islice(source, block_records - start))
+            finally:
+                self.written += len(pending) - start
+            if len(pending) < block_records:
+                return self.written - before
+            self.flush()
 
     def flush(self) -> None:
         if not self._pending:

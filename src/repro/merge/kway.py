@@ -14,6 +14,26 @@ arithmetic and keeps the paper's array layout), this heap has no
 structural role, and the C implementation keeps the per-record cost at
 one native comparison: for binary spill records that comparison is a
 raw ``bytes`` memcmp, which is the point of the whole binary path.
+
+Three things keep Python work per record small (DESIGN.md §14):
+
+* **Galloping.**  After the top record of stream ``i`` is output, the
+  stream keeps yielding while its next record is strictly below both
+  children of the heap root, without touching the heap; the first
+  record that is not goes back through ``heapreplace``.  A strict
+  ``<`` on records implies the ``(record, index)`` tuple order, and
+  every tie (``-0.0`` against ``0.0`` included) falls through to
+  ``heapreplace``, which breaks it on the stream index as before — so
+  the output is exactly the ``(record, stream_index)`` order the
+  store's last-writer-wins compaction relies on.  Below the root, the
+  heap array ends exactly as the skipped ``heapreplace`` calls would
+  have left it.
+* **One stream left** is copied out in a plain loop.
+* **Hoisted cost charge.**  Output records are counted in a local and
+  ``log_cost`` of the heap width is charged per stretch of constant
+  width (it only changes when a stream ends); both reach the
+  :class:`MergeCounter` once, in a ``finally``, so an abandoned merge
+  still reports exactly the records it yielded.
 """
 
 from __future__ import annotations
@@ -85,6 +105,10 @@ def kway_merge(
     iterators: List[Iterator[Any]] = [iter(s) for s in streams]
     heap: List[tuple] = []
     exhausted: Iterator[Any] = iter(())
+    # ``cost`` is charged per stretch of constant heap width, from
+    # ``charged`` records on (module docstring).
+    records = charged = 0
+    cost = cpu_ops = 0
     try:
         for index, iterator in enumerate(iterators):
             try:
@@ -94,24 +118,47 @@ def kway_merge(
                 continue
             heap.append((head, index))
         heapify(heap)
+        width = len(heap)
+        cost = log_cost(width)
 
-        while heap:
+        while width > 1:
             key, index = heap[0]
-            if counter is not None:
-                counter.records += 1
-                counter.cpu_ops += log_cost(len(heap))
+            rival = heap[1][0]
+            records += 1
             yield key
-            try:
-                head = next(iterators[index])
-            except StopIteration:
+            for head in iterators[index]:
+                # Gallop: while the stream's next record is strictly
+                # below both children of the root, it is the minimum
+                # and stays on top without touching the heap.
+                if head < rival and (width == 2 or head < heap[2][0]):
+                    records += 1
+                    yield head
+                    continue
+                heapreplace(heap, (head, index))
+                break
+            else:
                 # Drop the reference so a file-backed reader (and any
                 # chunk it buffers) is freed as soon as its run is
                 # exhausted, not at the end of the whole merge.
                 iterators[index] = exhausted
                 heappop(heap)
-            else:
-                heapreplace(heap, (head, index))
+                cpu_ops += (records - charged) * cost
+                charged = records
+                width -= 1
+                cost = log_cost(width)
+
+        if heap:
+            # One stream left: copy it out.
+            key, index = heap[0]
+            records += 1
+            yield key
+            for key in iterators[index]:
+                records += 1
+                yield key
     finally:
+        if counter is not None:
+            counter.records += records
+            counter.cpu_ops += cpu_ops + (records - charged) * cost
         # One raising reader (or an abandoned merge) must not leak the
         # other streams' open file handles until garbage collection:
         # close every closeable reader still referenced.  Harmless for

@@ -243,12 +243,12 @@ class JobScheduler:
                 job_id=state.job_id,
             )
             state.outcome = outcome
-            self._finish(state, "done")
+            status = "done"
         except JobCancelled:
-            self._finish(state, "cancelled")
+            status = "cancelled"
         except (SortError, OSError, ValueError, RuntimeError) as exc:
             state.error = str(exc)
-            self._finish(state, "failed")
+            status = "failed"
         finally:
             self.broker.release_and_regrant(owner)
             with self._admission:
@@ -258,6 +258,10 @@ class JobScheduler:
                         self._tenant_used.get(tenant, 0) - granted
                     )
                 self._admission.notify_all()
+        # Published only after the grant and the tenant quota are back:
+        # a client that sees a terminal status also sees the memory
+        # returned to the pool.
+        self._finish(state, status)
 
     def _acquire(self, state: JobState, owner: str) -> int:
         """Block until the broker grants this job's budget.

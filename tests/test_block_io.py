@@ -76,6 +76,23 @@ class TestBlockWriter:
         assert sink.getvalue() == "1\n2\n3\n4\n5\n"
         assert writer.written == 5
 
+    @pytest.mark.parametrize("good", [0, 1, 3, 7])
+    def test_write_all_counts_exactly_when_the_source_raises(self, good):
+        def source():
+            yield from range(good)
+            raise RuntimeError("source failed")
+
+        sink = io.StringIO()
+        writer = BlockWriter(sink, INT, 3)
+        with pytest.raises(RuntimeError):
+            writer.write_all(source())
+        assert writer.written == good
+        full = good - good % 3
+        # Full blocks are on the sink; the tail is still pending.
+        assert sink.getvalue() == "".join(f"{i}\n" for i in range(full))
+        writer.flush()
+        assert sink.getvalue() == "".join(f"{i}\n" for i in range(good))
+
     def test_nothing_written_without_records(self):
         sink = io.StringIO()
         writer = BlockWriter(sink, INT, 2)

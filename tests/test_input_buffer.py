@@ -1,8 +1,13 @@
 """Tests for the FIFO input buffer (Section 4.2)."""
 
-import pytest
+import math
+import random
 
-from repro.core.input_buffer import SHADOW_WINDOW, InputBuffer
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.input_buffer import LIMIT_REACHED, SHADOW_WINDOW, InputBuffer
 
 
 class TestFifo:
@@ -123,3 +128,121 @@ class TestShadowWindow:
         assert buffer.mean() == pytest.approx(10.0)
         buffer.next()
         assert buffer.mean() == pytest.approx(15.0)
+
+
+class TestNaNKeys:
+    def test_median_mirror_tracks_the_queue_through_nan(self):
+        # A NaN in the sorted mirror used to make bisect delete the
+        # wrong entry, until an IndexError at step 98.
+        rng = random.Random(1)
+        values = [
+            math.nan if rng.random() < 0.05 else rng.random()
+            for _ in range(500)
+        ]
+        buffer = InputBuffer(values, 20)
+        buffer.median()
+        consumed = []
+        while True:
+            value = buffer.next()
+            if value is None:
+                break
+            consumed.append(value)
+            assert _multiset(buffer._sorted_queue) == _multiset(buffer._queue)
+            assert buffer.median() in buffer._queue or not buffer._queue
+        assert len(consumed) == 500
+
+    def test_drain_shares_the_nan_safe_removal(self):
+        values = [0.5, math.nan, 0.25, math.nan, 0.75, 0.1] * 20
+        buffer = InputBuffer(values, 8)
+        buffer.median()
+        taken = []
+        while buffer.drain(taken, 0.0, 1.0, 1000) is not None:
+            assert _multiset(buffer._sorted_queue) == _multiset(buffer._queue)
+        assert len(taken) == 80
+
+
+def _multiset(values):
+    return sorted(map(repr, values))
+
+
+def _next_n(buffer, low, high, limit):
+    """What ``drain`` must equal: up to ``limit`` plain ``next()`` calls."""
+    taken = []
+    for _ in range(limit):
+        value = buffer.next()
+        if value is None:
+            return taken, None
+        if not low <= value <= high:
+            return taken, value
+        taken.append(value)
+    return taken, LIMIT_REACHED
+
+
+_KEYS = st.one_of(
+    st.lists(st.integers(-20, 20), max_size=60),
+    st.lists(
+        st.sampled_from([-0.0, 0.0, -1.5, 1.5, 2.25, -3.0, 7.0]), max_size=60
+    ),
+    st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        max_size=60,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=_KEYS,
+    capacity=st.sampled_from([0, 1, 2, 3, 5, 8]),
+    before=st.integers(0, 10),
+    bounds=st.tuples(st.integers(-25, 25), st.integers(0, 30)),
+    limit=st.integers(0, 70),
+    use_mean=st.booleans(),
+    use_median=st.booleans(),
+)
+def test_drain_equals_repeated_next(
+    values, capacity, before, bounds, limit, use_mean, use_median
+):
+    low, width = bounds
+    high = low + width
+    # Float keys get a float range so -0.0/0.0 land on its edges too.
+    if values and isinstance(values[0], float):
+        low, high = float(low) / 4, float(high) / 4
+    drained = InputBuffer(values, capacity)
+    stepped = InputBuffer(values, capacity)
+    for buffer in (drained, stepped):
+        for _ in range(before):
+            buffer.next()
+        if use_mean:
+            buffer.mean()
+        if use_median:
+            buffer.median()
+
+    taken = []
+    result = drained.drain(taken, low, high, limit)
+    expected_taken, expected = _next_n(stepped, low, high, limit)
+
+    assert len(taken) == len(expected_taken)
+    assert all(a is b for a, b in zip(taken, expected_taken))
+    assert result is expected
+    assert drained.generation == stepped.generation
+    assert drained.records_read == stepped.records_read
+    assert repr(drained.mean()) == repr(stepped.mean())
+    assert repr(drained.median()) == repr(stepped.median())
+    assert drained.sample() == stepped.sample()
+    assert all(a is b for a, b in zip(drained.sample(), stepped.sample()))
+    if drained._sorted_queue is not None:
+        assert all(
+            a is b
+            for a, b in zip(drained._sorted_queue, stepped._sorted_queue)
+        )
+    # The rest of the stream comes out identically, and at the end the
+    # statistics fall back to identical shadow windows.
+    while True:
+        a, b = drained.next(), stepped.next()
+        assert a is b
+        if a is None:
+            break
+    assert all(a is b for a, b in zip(drained.sample(), stepped.sample()))
+    assert len(drained.sample()) == len(stepped.sample())
+    assert repr(drained.mean()) == repr(stepped.mean())

@@ -9,6 +9,7 @@ from repro.iosim.files import SimulatedFileSystem
 from repro.merge.kway import MergeCounter, kway_merge, merge_runs
 from repro.merge.merge_tree import MergeTree, merge_files
 from repro.merge.polyphase import polyphase_merge, polyphase_schedule
+from repro.runs.base import log_cost
 
 
 class TestKwayMerge:
@@ -164,3 +165,79 @@ def test_merge_tree_equals_sorted_concat(runs, fan_in):
     ]
     out = merge_files(fs, files, fan_in=fan_in, memory_capacity=32)
     assert out.read_all() == sorted(v for run in runs for v in run)
+
+
+# -- the galloping merge against a reference (record, index) merge ----------
+
+def _reference_merge(streams):
+    """Every record with its stream index, in ``(record, index)`` order."""
+    # sorted() is stable, so records that tie within one stream keep
+    # their stream order, as the merge must.
+    return sorted((r, i) for i, stream in enumerate(streams) for r in stream)
+
+
+def _charges(merged_pairs):
+    """Per output record: ``log_cost`` of the streams still live."""
+    last = {}
+    for position, (_, index) in enumerate(merged_pairs):
+        last[index] = position
+    return [
+        log_cost(sum(1 for end in last.values() if end >= position))
+        for position in range(len(merged_pairs))
+    ]
+
+
+@st.composite
+def _sorted_streams(draw):
+    kind = draw(st.sampled_from(["int", "float", "tuple"]))
+    record = {
+        "int": st.integers(0, 4),
+        "float": st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+        "tuple": st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    }[kind]
+    count = draw(st.integers(1, 12))
+    # Distinct float objects per record, so identity checks bite.
+    copy = (lambda r: float(repr(r))) if kind == "float" else (lambda r: r)
+    return [
+        sorted(copy(r) for r in draw(st.lists(record, max_size=25)))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_streams())
+def test_galloping_merge_is_the_reference_merge(streams):
+    expected = _reference_merge(streams)
+    counter = MergeCounter()
+    merged = list(kway_merge(streams, counter))
+    assert len(merged) == len(expected)
+    assert all(got is want for got, (want, _) in zip(merged, expected))
+    assert counter.records == len(expected)
+    assert counter.cpu_ops == sum(_charges(expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sorted_streams(), st.integers(1, 40))
+def test_abandoned_merge_closes_every_reader_and_counts_its_prefix(
+    streams, take
+):
+    # take >= 1: a generator that never started has nothing to close.
+    closed = []
+
+    def reader(index, records):
+        try:
+            yield from records
+        finally:
+            closed.append(index)
+
+    counter = MergeCounter()
+    merge = kway_merge(
+        [reader(i, stream) for i, stream in enumerate(streams)], counter
+    )
+    prefix = [record for _, record in zip(range(take), merge)]
+    merge.close()
+    assert sorted(closed) == list(range(len(streams)))
+    expected = _reference_merge(streams)
+    assert all(got is want for got, (want, _) in zip(prefix, expected))
+    assert counter.records == len(prefix)
+    assert counter.cpu_ops == sum(_charges(expected)[: len(prefix)])

@@ -165,6 +165,51 @@ class TestScheduler:
             release.set()
             scheduler.shutdown()
 
+    @pytest.mark.parametrize("ending", ["done", "failed", "cancelled"])
+    def test_memory_is_back_when_the_status_turns_terminal(
+        self, tmp_path, monkeypatch, ending
+    ):
+        """A client that sees a terminal status sees the grant returned."""
+        from repro.service import scheduler as scheduler_module
+        from repro.service.runner import JobOutcome
+
+        def quick_run_job(spec, *, memory, work_dir, result_path,
+                          cancel=None, job_id=""):
+            if ending == "failed":
+                raise ValueError("bad input")
+            if ending == "cancelled":
+                raise JobCancelled(f"job {job_id} cancelled")
+            return JobOutcome(records_out=0)
+
+        monkeypatch.setattr(scheduler_module, "run_job", quick_run_job)
+        _write_input(tmp_path / "in.txt", 10)
+        scheduler = JobScheduler(
+            str(tmp_path / "spool"), total_memory=100,
+            tenant_quotas={"t": 80},
+        )
+        seen = []
+        finish = scheduler._finish
+
+        def observed_finish(state, status):
+            seen.append(
+                (status, scheduler.broker.free,
+                 scheduler._tenant_used.get("t", 0))
+            )
+            finish(state, status)
+
+        scheduler._finish = observed_finish
+        try:
+            spec = JobSpec(
+                op="sort", input=str(tmp_path / "in.txt"), memory=64,
+                tenant="t",
+            )
+            payload = _wait_scheduler(scheduler, scheduler.submit(spec).job_id)
+            assert payload["status"] == ending
+            assert payload["granted"] == 64
+            assert seen == [(ending, 100, 0)]
+        finally:
+            scheduler.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # in-process server

@@ -350,6 +350,13 @@ class TestKillNine:
             proc.kill()  # SIGKILL: no atexit, no flush, no close
             proc.wait()
         assert acked + 1 == kill_after
+        # The child keeps running until the kill lands, so acks it
+        # wrote after the one that stopped the loop may still sit in
+        # the pipe or the reader's buffer: the last ack it sent is the
+        # last line it wrote.
+        for line in proc.stdout:
+            acked = int(line.split()[1])
+        proc.stdout.close()
         # Every acked op is applied; at most the one in-flight op
         # beyond the last ack may additionally have reached the WAL.
         with Store(path) as store:

@@ -59,6 +59,14 @@ class TestBasics:
         assert algo.stats.records_in == 1_000
         assert sum(algo.stats.run_lengths) == 1_000
 
+    def test_records_in_counts_victim_drained_records(self):
+        # At memory 500 the victim buffer drains most of this input in
+        # blocks; every record read must still be counted once.
+        algo = TwoWayReplacementSelection(500)
+        runs = list(algo.generate_runs(mixed_balanced_input(1_000, seed=1)))
+        assert algo.stats.records_in == 1_000
+        assert sum(map(len, runs)) == 1_000
+
     def test_memory_too_small_for_heaps(self):
         config = TwoWayConfig(buffer_fraction=0.0)
         algo = TwoWayReplacementSelection(1, config)  # 1-record heap
