@@ -50,14 +50,14 @@ def run_once(
 ) -> dict:
     """One full sort; returns wall time and an output digest.
 
-    With ``binary=True`` the shards spill the length-prefixed binary
-    block format (normalised key bytes compared with memcmp in every
+    With ``binary=True`` the shards spill blocks of length-prefixed
+    binary records (normalised key bytes compared with memcmp in every
     worker's run generation and merge); the input key normalisation is
     timed separately, mirroring the CLI's input decode stage.  The
     digest is over the encoded text either way, so the text and binary
     sweeps must hash identically.
     """
-    record_format = binary_format(INT) if binary else None
+    record_format = binary_format(INT) if binary else INT
     sorter = PartitionedSort(
         GeneratorSpec(algorithm, memory), workers=workers,
         partition=partition, record_format=record_format,

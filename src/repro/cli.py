@@ -19,10 +19,9 @@ Examples::
     # planner picks; see DESIGN.md §9)
     python -m repro.cli sort --reading double_buffering --report in.txt
 
-    # crash-safe sorting: checksummed spill blocks, journaled progress
-    # under out.txt.sortwork, restartable after any failure with the
-    # same command (DESIGN.md §11)
-    python -m repro.cli sort --resume --checksum in.txt -o out.txt
+    # crash-safe sorting: journaled progress under out.txt.sortwork,
+    # restartable after any failure with the same command (DESIGN.md §11)
+    python -m repro.cli sort --resume in.txt -o out.txt
 
     # relational operators on the sort engine (DESIGN.md §12):
     # dedup, group-by aggregation, sort-merge equi-join, top-k
@@ -55,8 +54,8 @@ All sorting routes through :class:`repro.engine.SortEngine`
 (DESIGN.md §9), which plans in-memory vs spill vs partitioned-parallel
 execution and moves records in blocks through the configured
 ``--format``; the operator subcommands stream over the engine
-(DESIGN.md §12) and share its memory bounds, checksums and ``--resume``
-work directories.
+(DESIGN.md §12) and share its memory bounds, checksummed spill blocks
+and ``--resume`` work directories.
 """
 
 from __future__ import annotations
@@ -222,7 +221,6 @@ def _engine_for(
         buffer_records=args.merge_buffer,
         block_records=args.block_records,
         reading=args.reading,
-        checksum=args.checksum,
         spill_codec=getattr(args, "spill_codec", "none"),
         work_dir=work_dir,
         input_fingerprint=fingerprint,
@@ -408,11 +406,11 @@ def _run_unary_operator(
             # boundaries stay plain text whatever the working format.
             records = iter_records(
                 handle, engine.record_format, args.block_records,
-                skip_blank=True, binary=False,
+                skip_blank=True, codec=None,
             )
             writer = BlockWriter(
                 out, output_format or engine.record_format,
-                args.block_records, binary=False,
+                args.block_records, codec=None,
             )
             writer.write_all(op.run(records, resume=args.resume))
             writer.flush()
@@ -491,13 +489,13 @@ def cmd_join(args: argparse.Namespace) -> int:
                 _open_output(args.output) as out:
             left_records = iter_records(
                 left_handle, left_engine.record_format, args.block_records,
-                skip_blank=True, binary=False,
+                skip_blank=True, codec=None,
             )
             right_records = iter_records(
                 right_handle, right_engine.record_format, args.block_records,
-                skip_blank=True, binary=False,
+                skip_blank=True, codec=None,
             )
-            writer = BlockWriter(out, STR, args.block_records, binary=False)
+            writer = BlockWriter(out, STR, args.block_records, codec=None)
             writer.write_all(
                 op.run(left_records, right_records, resume=args.resume)
             )
@@ -529,7 +527,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     try:
         with _open_output(args.output) as out:
             writer = BlockWriter(
-                out, engine.record_format, args.block_records, binary=False
+                out, engine.record_format, args.block_records, codec=None
             )
             if args.inputs:
                 writer.write_all(engine.merge_files(args.inputs))
@@ -563,7 +561,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
     with _open_input(args.input) as handle:
         data = list(
             iter_records(
-                handle, record_format, DEFAULT_BLOCK_RECORDS, skip_blank=True
+                handle, record_format, DEFAULT_BLOCK_RECORDS, skip_blank=True,
+                codec=None,
             )
         )
     header = f"{'algorithm':<10} {'runs':>6} {'avg length':>12} {'cpu ops':>12}"
@@ -697,7 +696,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 "format": args.format,
                 "binary_spill": args.binary_spill,
                 "spill_codec": args.spill_codec,
-                "checksum": args.checksum,
             }
             if args.input:
                 job["input"] = os.path.abspath(args.input)
@@ -1029,10 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "planner trade CPU for I/O from the input "
                             "size and memory budget (default none)")
         p.add_argument("--checksum", action="store_true",
-                       help="write per-block CRC-32 headers into every "
-                            "spill/shard file and verify them during the "
-                            "merge; corruption fails loudly with file + "
-                            "offset (DESIGN.md §11)")
+                       help="accepted for compatibility; spill blocks are "
+                            "always checksummed")
         if not durable:
             return
         p.add_argument("--resume", action="store_true",
@@ -1335,7 +1331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--spill-codec",
                           choices=(AUTO_CODEC,) + SPILL_CODECS,
                           default="none")
-    p_submit.add_argument("--checksum", action="store_true")
+    p_submit.add_argument("--checksum", action="store_true",
+                          help="accepted for compatibility; spill blocks "
+                               "are always checksummed")
     p_submit.add_argument("--wait", action="store_true",
                           help="block until the job reaches a terminal "
                                "state; exit 1 if it failed")

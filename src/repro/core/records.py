@@ -1,7 +1,8 @@
 """Pluggable record formats: typed keys and block-level serialisation.
 
 Every real-file backend (spill, parallel, engine merge) moves records
-through newline-delimited text files.  The seed code hard-wired one
+as lines of text — in the user's files, and inside the RBLC blocks of
+its own spill files.  The seed code hard-wired one
 record shape — one integer per line — and paid a Python-level
 ``decode(line)`` call per record in every hot loop.  A
 :class:`RecordFormat` replaces those scattered ``encode``/``decode``
@@ -664,10 +665,10 @@ class BinaryRecordFormat(RecordFormat):
       the way in and emits the stored payload untouched on the way
       out, so a binary engine is a drop-in behind the same text
       files;
-    * the *binary* side is handled by ``repro.engine.block_io``'s
-      length-prefixed ``RBLK`` framing (``spill_binary`` flags it),
-      which moves the tuples to and from spill files without any
-      re-encoding.
+    * the *binary* side is handled by ``repro.engine.block_io``:
+      ``spill_binary`` makes every spill block body length-prefixed
+      ``(key, payload)`` records, which move the tuples to and from
+      spill files without any re-encoding.
 
     ``numeric`` mirrors 2WRS behaviour, not record shape.  For a
     float base it is True — :class:`KeyOnlyRecord` answers the 2WRS
@@ -682,7 +683,7 @@ class BinaryRecordFormat(RecordFormat):
     """
 
     numeric = False
-    #: block_io routes files of this format through binary framing.
+    #: block_io writes this format's block bodies as binary records.
     spill_binary = True
 
     def __init__(self, base: RecordFormat) -> None:

@@ -2,7 +2,10 @@
 
 ``repro.engine`` is the layer every sort backend sits behind
 (DESIGN.md §9): :mod:`~repro.engine.block_io` moves blocks of records
-between files and memory, :mod:`~repro.engine.merge_reading` ports the
+between files and memory — plain lines for the files users hand in and
+get back, checksummed RBLC block streams (DESIGN.md §15) for every file
+the engine writes and reads back itself —
+:mod:`~repro.engine.merge_reading` ports the
 paper's §3.7.2 merge reading strategies to real file handles,
 :mod:`~repro.engine.planner` picks a backend (in-memory, spill,
 partitioned-parallel) and exposes the :class:`~repro.engine.planner.
@@ -14,6 +17,7 @@ crash-safe and resumable (DESIGN.md §11).
 from typing import Any
 
 from repro.engine.block_io import (
+    BLOCK_MAGIC,
     DEFAULT_BLOCK_RECORDS,
     BlockWriter,
     read_blocks,
@@ -37,6 +41,7 @@ def __getattr__(name: str) -> Any:
 
 
 __all__ = [
+    "BLOCK_MAGIC",
     "DEFAULT_BLOCK_RECORDS",
     "BlockWriter",
     "CorruptBlockError",

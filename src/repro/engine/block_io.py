@@ -1,4 +1,4 @@
-"""Batched block readers and writers over newline-delimited files.
+"""Batched block readers and writers, and the one spill framing.
 
 The seed's hot loops touched files one record at a time: an f-string
 ``write()`` per record on the way out, a ``decode(line)`` call per line
@@ -10,57 +10,42 @@ built-in formats decode a whole block with one C-level ``map``.
 ``benchmarks/bench_block_io.py`` measures the difference against the
 line-at-a-time baseline and records it in ``BENCH_blockio.json``.
 
-Two resilience hooks live here as well (DESIGN.md §11):
+Two kinds of file pass through here, chosen once at each call site by
+the ``codec`` argument:
 
-* **Per-block checksums** — with ``checksum=True`` every encoded block
-  is preceded by a one-line header carrying its record count and the
-  CRC-32 of its encoded bytes.  :func:`read_blocks` verifies each block
-  against its header and raises :class:`~repro.engine.errors.
-  CorruptBlockError` naming the file, block index and byte offset when
-  a block is torn, truncated or bit-flipped, instead of silently
-  merging garbage.
-* **The ``open_text``/``open_bytes`` seam** — every spill/shard/
-  partition file in the real-file backends is opened through
-  :func:`open_text` (or :func:`open_bytes` for binary spill files),
-  which routes the fresh handle through an installable wrapper.  The
-  deterministic fault-injection harness (:mod:`repro.testing.faults`)
-  uses it to place exceptions, short writes and bit flips at exact
-  block-I/O calls without patching any backend.
+* **Plain lines** (``codec=None``) — the files a user hands the
+  program or gets back from it: sort input and output, ``repro merge``
+  inputs, service results.  One encoded record per line, nothing else.
+* **RBLC block streams** (``codec="none"`` or a real codec from
+  :mod:`repro.engine.spill_codec`) — every file the program writes and
+  reads back itself: spill runs, intermediate merge outputs, partition
+  and shard files, the join's skew spill, SSTable data blocks
+  (DESIGN.md §15).  Each block is a 21-byte header — magic ``RBLC``,
+  codec id, record count, raw body length, stored body length, CRC-32
+  of the stored bytes — followed by the stored body.  The raw body is
+  the format's encoded text lines, or, for ``spill_binary`` formats,
+  length-prefixed ``(key, payload)`` records; codec ``none`` stores it
+  byte for byte.  Bodies are consumed by length and never scanned, so
+  a record that spells a header cannot be mistaken for one, and the
+  CRC is always verified: a torn, truncated or bit-flipped block
+  raises :class:`~repro.engine.errors.CorruptBlockError` naming the
+  file, block index and byte offset instead of merging garbage
+  (DESIGN.md §11).
 
-Two framing-safety rules keep corrupted files *detectable* instead of
-silently misread (ISSUE 7 satellite 3 and tentpole):
-
-* checksummed **text** blocks escape data lines that start with
-  ``#repro:`` (see :data:`ESCAPE_TOKEN`), so a reader that loses
-  framing can never resynchronise onto a record that merely looks
-  like a block header;
-* **binary** blocks (:class:`~repro.core.records.BinaryRecordFormat`
-  spill files) are length-framed end to end — an ``RBLK`` header
-  carries the record count, body length and body CRC-32, and each
-  record inside the body is length-prefixed (key bytes, then payload
-  bytes), so payload content can never collide with framing at all.
-
-A third framing carries *compressed* spill blocks (DESIGN.md §15): any
-codec other than ``"none"`` (see :mod:`repro.engine.spill_codec`)
-wraps each block in an ``RBLC`` header — magic, codec id, record
-count, raw body length, stored body length, CRC-32 of the stored
-bytes — followed by the codec-encoded body.  The raw body inside is
-exactly what the uncompressed path would have written (encoded text
-lines, or the RBLK-style length-prefixed records), so the same block
-parsers run after one block-at-a-time decode.  Unlike the text/RBLK
-framings, the RBLC CRC is *always* verified: a compressed body has no
-internal redundancy, so a single flipped bit would otherwise either
-explode in the decompressor with no file context or (front coding)
-silently rewrite records; one C-level ``crc32`` per block buys
-deterministic ``CorruptBlockError`` offsets instead.
+Every spill/shard/partition file is opened through :func:`open_run`,
+which routes the fresh handle through :func:`open_text` or
+:func:`open_bytes` and from there through an installable wrapper.  The
+deterministic fault-injection harness (:mod:`repro.testing.faults`)
+uses that seam to place exceptions, short writes and bit flips at
+exact block-I/O calls without patching any backend.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
-from collections.abc import Sequence
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional, TextIO, Tuple
 
@@ -79,69 +64,41 @@ from repro.engine.spill_codec import (
 #: merge read-buffer size (one buffer holds one block).
 DEFAULT_BLOCK_RECORDS = 4096
 
-#: Leading token of a per-block checksum header line.
-BLOCK_HEADER_PREFIX = "#repro:blk"
+#: Magic leading every block of a spill file (DESIGN.md §15).
+BLOCK_MAGIC = b"RBLC"
 
-#: Escape token for data lines that could be mistaken for metadata.
-#: In a checksummed file every line starting with ``#repro:`` is
-#: either a real block header or an escaped data line carrying this
-#: token — so a reader that loses framing (torn tail, short write) can
-#: never resynchronise onto a *data* line that merely looks like a
-#: header and silently yield wrong records (ISSUE 7 satellite 3).
-ESCAPE_TOKEN = "#repro:esc "
+#: The spill framing's name in resume fingerprints: a work directory
+#: journaled under another framing is wiped, never resumed.
+SPILL_FRAMING = "rblc"
 
-#: Magic leading every length-prefixed binary block (DESIGN.md §14).
-BINARY_BLOCK_MAGIC = b"RBLK"
-
-#: Binary block header: magic, record count, body length, body CRC-32.
-#: The CRC is always computed on write (it is one C call over bytes
-#: already in hand) but only *verified* when the reader asks for
-#: ``checksum=True`` — mirroring the text path, where corruption
-#: detection is an opt-in durability feature.
-_BINARY_HEADER = struct.Struct(f">{len(BINARY_BLOCK_MAGIC)}sIII")
+#: Block header: magic, codec id, record count, raw body length, stored
+#: body length, CRC-32 of the stored bytes.  The CRC sits in front of
+#: the decompressor and the record parser, so corruption is reported
+#: with file context before either touches the bytes.
+_HEADER = struct.Struct(f">{len(BLOCK_MAGIC)}sBIIII")
 
 #: Per-record length prefix inside a binary block body.
 _RECORD_LEN = struct.Struct(">I")
 
-#: Magic leading every compressed block (DESIGN.md §15).
-COMPRESSED_BLOCK_MAGIC = b"RBLC"
-
-#: Compressed block header: magic, codec id, record count, raw body
-#: length, stored body length, CRC-32 of the *stored* bytes.  The CRC
-#: sits in front of the decompressor on purpose — it is always
-#: verified (unlike the opt-in text/RBLK checksums), because corrupt
-#: compressed bytes would otherwise fail with no file context, or
-#: worse, front-decode to plausible garbage.
-_COMPRESSED_HEADER = struct.Struct(f">{len(COMPRESSED_BLOCK_MAGIC)}sBIIII")
-
 #: Installed by :func:`set_io_wrapper`; wraps every handle that
-#: :func:`open_text` returns.  ``None`` = no wrapping (production).
-_IO_WRAPPER: Optional[Callable[[TextIO, str, str], TextIO]] = None
+#: :func:`open_text` and :func:`open_bytes` return.  ``None`` = no
+#: wrapping (production).
+_IO_WRAPPER: Optional[Callable[[Any, str, str], Any]] = None
 
 
-def set_io_wrapper(
-    wrapper: Optional[Callable[[TextIO, str, str], TextIO]]
-) -> None:
+def set_io_wrapper(wrapper: Optional[Callable[[Any, str, str], Any]]) -> None:
     """Install (or clear, with None) the global block-I/O file wrapper.
 
     The wrapper receives ``(handle, path, mode)`` for every file opened
-    through :func:`open_text` and must return a file-like object.  Only
-    the fault-injection harness installs one; see
-    :func:`repro.testing.faults.activate`.
+    through :func:`open_text` or :func:`open_bytes` and must return a
+    file-like object.  Only the fault-injection harness installs one;
+    see :func:`repro.testing.faults.activate`.
     """
     global _IO_WRAPPER
     _IO_WRAPPER = wrapper
 
 
-def open_text(path: str, mode: str = "r") -> TextIO:
-    """Open a block-I/O file, routing through the installed wrapper.
-
-    Every real-file backend opens its spill runs, shard files and
-    partition files through this one seam, so a single installed
-    wrapper observes (and can fault) every block-level read and write
-    in the pipeline.
-    """
-    handle = open(path, mode, encoding="utf-8")
+def _wrapped(handle: Any, path: str, mode: str) -> Any:
     wrapper = _IO_WRAPPER
     if wrapper is None:
         return handle
@@ -152,56 +109,32 @@ def open_text(path: str, mode: str = "r") -> TextIO:
         raise
 
 
+def open_text(path: str, mode: str = "r") -> TextIO:
+    """Open a plain-line file through the block-I/O seam."""
+    return _wrapped(open(path, mode, encoding="utf-8"), path, mode)
+
+
 def open_bytes(path: str, mode: str = "r") -> Any:
     """The binary twin of :func:`open_text` — same fault seam.
 
     The installed wrapper sees the byte-mode string (``rb``/``wb``),
     so the fault harness can flip bytes instead of characters; reads
     and writes it observes are whole block headers and bodies (the
-    binary reader makes exactly two ``read()`` calls per block).
+    block reader makes exactly two ``read()`` calls per block).
     """
     byte_mode = mode if "b" in mode else mode + "b"
-    handle = open(path, byte_mode)
-    wrapper = _IO_WRAPPER
-    if wrapper is None:
-        return handle
-    try:
-        return wrapper(handle, path, byte_mode)
-    except BaseException:
-        handle.close()
-        raise
+    return _wrapped(open(path, byte_mode), path, byte_mode)
 
 
-def wants_binary(fmt: RecordFormat, binary: Optional[bool] = None) -> bool:
-    """Whether a spill file of ``fmt`` uses the binary block framing.
+def open_run(path: str, mode: str, codec: Optional[str] = "none") -> Any:
+    """Open a run/shard/partition file for ``codec``'s framing.
 
-    ``binary`` overrides per call site: the engine's input/output
-    boundaries and user-supplied merge inputs are always text, even
-    when the engine's working format is a
-    :class:`~repro.core.records.BinaryRecordFormat` (its text-side
-    codec handles those); ``None`` defers to the format.
+    ``codec=None`` opens a plain-line text file; any codec name opens
+    the file in byte mode for RBLC blocks.
     """
-    if binary is not None:
-        return binary
-    return getattr(fmt, "spill_binary", False)
-
-
-def open_run(
-    path: str,
-    mode: str,
-    fmt: RecordFormat,
-    binary: Optional[bool] = None,
-    codec: str = "none",
-) -> Any:
-    """Open a run/shard/partition file in ``fmt``'s framing mode.
-
-    Any codec other than ``"none"`` forces byte mode regardless of the
-    format: compressed blocks are RBLC-framed binary whatever the raw
-    body inside them looks like.
-    """
-    if codec != "none" or wants_binary(fmt, binary):
-        return open_bytes(path, mode)
-    return open_text(path, mode)
+    if codec is None:
+        return open_text(path, mode)
+    return open_bytes(path, mode)
 
 
 def validate_block_records(block_records: int) -> int:
@@ -213,101 +146,7 @@ def validate_block_records(block_records: int) -> int:
     return block_records
 
 
-def block_header(record_count: int, crc: int) -> str:
-    """The checksum header line preceding one encoded block."""
-    return f"{BLOCK_HEADER_PREFIX} {record_count} {crc:08x}\n"
-
-
-def _parse_block_header(
-    line: str, path: str, index: int, offset: int
-) -> Tuple[int, int]:
-    parts = line.split()
-    if (
-        len(parts) != 3
-        or parts[0] != BLOCK_HEADER_PREFIX
-        or not parts[1].isdigit()
-    ):
-        raise CorruptBlockError(
-            path, index, offset,
-            f"bad or missing block header {line.rstrip()!r} — file is "
-            f"torn or was not written with checksums",
-        )
-    try:
-        crc = int(parts[2], 16)
-    except ValueError:
-        raise CorruptBlockError(
-            path, index, offset,
-            f"unparseable block checksum {parts[2]!r}",
-        ) from None
-    return int(parts[1]), crc
-
-
-def _read_checksummed_blocks(
-    handle: TextIO, fmt: RecordFormat
-) -> Iterator[List[Any]]:
-    """Verify-and-decode loop over a checksummed block file.
-
-    Block sizes are self-describing (each header carries its record
-    count), so the caller's ``block_records`` does not apply: blocks
-    come back exactly as written.
-    """
-    path = getattr(handle, "name", "<stream>")
-    offset = 0
-    index = 0
-    while True:
-        header = next(handle, None)
-        if header is None:
-            return
-        declared, want_crc = _parse_block_header(header, path, index, offset)
-        lines = list(islice(handle, declared))
-        text = "".join(lines)
-        data = text.encode("utf-8")
-        if len(lines) < declared:
-            raise CorruptBlockError(
-                path, index, offset,
-                f"truncated block: header declares {declared} records, "
-                f"file ends after {len(lines)}",
-            )
-        got_crc = zlib.crc32(data)
-        if got_crc != want_crc:
-            raise CorruptBlockError(
-                path, index, offset,
-                f"checksum mismatch: header says {want_crc:08x}, block "
-                f"bytes hash to {got_crc:08x} — block was corrupted on "
-                f"disk or torn mid-write",
-            )
-        offset += len(header.encode("utf-8")) + len(data)
-        index += 1
-        if ESCAPE_TOKEN in text:
-            lines = [_unescape_line(line) for line in lines]
-        yield fmt.decode_block(lines)
-
-
-def _escape_block(text: str) -> str:
-    """Escape header-looking data lines in one encoded block.
-
-    Any data line starting with ``#repro:`` (a record that *is* a
-    block header, or one that already carries the escape token) gets
-    :data:`ESCAPE_TOKEN` prepended, so in a checksummed file a line
-    starting with :data:`BLOCK_HEADER_PREFIX` is unambiguously a real
-    header.  The CRC in the header covers the escaped bytes as
-    written.  Line count is unchanged, so count-based framing and the
-    self-describing headers still agree.
-    """
-    lines = text.split("\n")
-    for index, line in enumerate(lines):
-        if line.startswith("#repro:"):
-            lines[index] = ESCAPE_TOKEN + line
-    return "\n".join(lines)
-
-
-def _unescape_line(line: str) -> str:
-    if line.startswith(ESCAPE_TOKEN):
-        return line[len(ESCAPE_TOKEN):]
-    return line
-
-
-def _pack_binary_block(records: Sequence[Any]) -> bytes:
+def _pack_binary_body(records: List[Any]) -> bytes:
     """Length-prefix ``(key_bytes, payload_bytes)`` records into a body."""
     pack = _RECORD_LEN.pack
     parts: List[bytes] = []
@@ -320,13 +159,13 @@ def _pack_binary_block(records: Sequence[Any]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_binary_block(
+def _unpack_binary_body(
     body: bytes,
     count: int,
     path: str,
     index: int,
     offset: int,
-    factory: Optional[Any] = None,
+    factory: Optional[Any],
 ) -> List[Any]:
     size = len(body)
     unpack_from = _RECORD_LEN.unpack_from
@@ -356,7 +195,7 @@ def _unpack_binary_block(
         raise CorruptBlockError(
             path, index, offset,
             f"binary block body is malformed: record lengths overrun "
-            f"the {size}-byte body (block was corrupted or torn)",
+            f"the {size}-byte body",
         ) from None
     if pos != size:
         raise CorruptBlockError(
@@ -367,86 +206,6 @@ def _unpack_binary_block(
     return records
 
 
-def _read_binary_block_at(
-    handle: Any,
-    path: str,
-    index: int,
-    offset: int,
-    checksum: bool,
-    factory: Optional[Any],
-) -> Optional[Tuple[List[Any], int]]:
-    """One RBLK block at the handle's current position.
-
-    Returns ``(records, bytes_consumed)``, or ``None`` at a clean end
-    of input (no header bytes at all).  ``path``/``index``/``offset``
-    only label :class:`~repro.engine.errors.CorruptBlockError`s — the
-    handle's position is the single source of truth, which is what
-    lets the SSTable reader (DESIGN.md §17) seek to a sparse-index
-    offset and reuse exactly this parser for random block access.
-    """
-    header_size = _BINARY_HEADER.size
-    header = handle.read(header_size)
-    if not header:
-        return None
-    if len(header) < header_size:
-        raise CorruptBlockError(
-            path, index, offset,
-            f"truncated binary block header: {len(header)} of "
-            f"{header_size} bytes — file was torn mid-write",
-        )
-    magic, count, body_len, want_crc = _BINARY_HEADER.unpack(header)
-    if magic != BINARY_BLOCK_MAGIC:
-        raise CorruptBlockError(
-            path, index, offset,
-            f"bad binary block magic {magic!r} — file is torn or "
-            f"is not a binary spill file",
-        )
-    body = handle.read(body_len)
-    if len(body) < body_len:
-        raise CorruptBlockError(
-            path, index, offset,
-            f"truncated binary block: header declares {body_len} "
-            f"body bytes, file ends after {len(body)}",
-        )
-    if checksum:
-        got_crc = zlib.crc32(body)
-        if got_crc != want_crc:
-            raise CorruptBlockError(
-                path, index, offset,
-                f"checksum mismatch: header says {want_crc:08x}, "
-                f"block bytes hash to {got_crc:08x} — block was "
-                f"corrupted on disk or torn mid-write",
-            )
-    block = _unpack_binary_block(body, count, path, index, offset, factory)
-    return block, header_size + body_len
-
-
-def _read_binary_blocks(
-    handle: Any, checksum: bool, factory: Optional[Any] = None
-) -> Iterator[List[Any]]:
-    """Read length-prefixed binary blocks: two ``read()`` calls each.
-
-    Framing is self-describing (magic, record count, body length), so
-    the caller's ``block_records`` does not apply and a data payload
-    can never be mistaken for a header — the body is consumed by byte
-    length, never scanned.  The CRC in each header is verified only
-    when ``checksum`` is set, matching the text path's contract.
-    """
-    path = getattr(handle, "name", "<stream>")
-    offset = 0
-    index = 0
-    while True:
-        result = _read_binary_block_at(
-            handle, path, index, offset, checksum, factory
-        )
-        if result is None:
-            return
-        block, consumed = result
-        offset += consumed
-        index += 1
-        yield block
-
-
 def _decode_text_body(
     fmt: RecordFormat,
     body: bytes,
@@ -455,70 +214,64 @@ def _decode_text_body(
     index: int,
     offset: int,
 ) -> List[Any]:
-    """Parse a decompressed text body exactly like a text-mode read.
+    """Parse a text body into records, one per ``"\\n"``-ended line.
 
-    Lines are split on ``"\\n"`` only — ``str.splitlines`` would also
-    break on ``\\x85``/``\\u2028``-style boundaries that a text-mode
-    file read (universal newlines) treats as record content.
+    ``StringIO.readlines`` splits on ``"\\n"`` only, like a text-mode
+    file read; ``str.splitlines`` would also break records that
+    contain ``\\x85``, ``\\x0c`` or ``\\u2028``.
     """
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptBlockError(
-            path, index, offset,
-            f"decompressed block body is not valid UTF-8: {exc}",
+            path, index, offset, f"block body is not valid UTF-8: {exc}",
         ) from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    block = fmt.decode_block([line + "\n" for line in lines])
+    block = fmt.decode_block(io.StringIO(text).readlines())
     if len(block) != count:
         raise CorruptBlockError(
             path, index, offset,
-            f"decompressed block decodes to {len(block)} record(s), "
-            f"header promised {count}",
+            f"block body decodes to {len(block)} record(s), header "
+            f"promised {count}",
         )
     return block
 
 
-def _read_compressed_block_at(
+def _read_block_at(
     handle: Any,
     fmt: RecordFormat,
     codec: str,
-    binary: bool,
-    factory: Optional[Any],
     path: str,
     index: int,
     offset: int,
 ) -> Optional[Tuple[List[Any], int]]:
     """One RBLC block at the handle's current position.
 
-    Returns ``(records, bytes_consumed)`` or ``None`` at a clean end
-    of input; the stored-body CRC is always verified (see
-    :data:`_COMPRESSED_HEADER`).  Like :func:`_read_binary_block_at`,
-    position comes from the handle so seek-based readers can reuse it.
+    Returns ``(records, bytes_consumed)``, or ``None`` at a clean end
+    of input (no header bytes at all).  ``path``/``index``/``offset``
+    only label :class:`~repro.engine.errors.CorruptBlockError`s — the
+    handle's position is the single source of truth, which is what
+    lets the SSTable reader (DESIGN.md §17) seek to a sparse-index
+    offset and reuse exactly this parser for random block access.
     """
-    header_size = _COMPRESSED_HEADER.size
-    expected_id = CODEC_IDS[codec]
-    header = handle.read(header_size)
+    header = handle.read(_HEADER.size)
     if not header:
         return None
-    if len(header) < header_size:
+    if len(header) < _HEADER.size:
         raise CorruptBlockError(
             path, index, offset,
-            f"truncated compressed block header: {len(header)} of "
-            f"{header_size} bytes — file was torn mid-write",
+            f"truncated block header: {len(header)} of {_HEADER.size} "
+            f"bytes — file was torn mid-write",
         )
-    magic, codec_id, count, raw_len, stored_len, want_crc = (
-        _COMPRESSED_HEADER.unpack(header)
+    magic, codec_id, count, raw_len, stored_len, want_crc = _HEADER.unpack(
+        header
     )
-    if magic != COMPRESSED_BLOCK_MAGIC:
+    if magic != BLOCK_MAGIC:
         raise CorruptBlockError(
             path, index, offset,
-            f"bad compressed block magic {magic!r} — file is torn "
-            f"or is not a compressed spill file",
+            f"bad block header magic {magic!r} — file is torn or is not "
+            f"an RBLC spill file",
         )
-    if codec_id != expected_id:
+    if codec_id != CODEC_IDS[codec]:
         found = CODEC_NAMES.get(codec_id, f"unknown id {codec_id}")
         raise CorruptBlockError(
             path, index, offset,
@@ -530,9 +283,8 @@ def _read_compressed_block_at(
     if len(stored) < stored_len:
         raise CorruptBlockError(
             path, index, offset,
-            f"truncated compressed block: header declares "
-            f"{stored_len} stored bytes, file ends after "
-            f"{len(stored)}",
+            f"truncated block: header declares {stored_len} stored "
+            f"bytes, file ends after {len(stored)}",
         )
     got_crc = zlib.crc32(stored)
     if got_crc != want_crc:
@@ -546,43 +298,14 @@ def _read_compressed_block_at(
         body = decompress_body(codec, stored, raw_len, count)
     except SpillCodecError as exc:
         raise CorruptBlockError(path, index, offset, str(exc)) from None
-    if binary:
-        block = _unpack_binary_block(
-            body, count, path, index, offset, factory
+    if getattr(fmt, "spill_binary", False):
+        block = _unpack_binary_body(
+            body, count, path, index, offset,
+            getattr(fmt, "record_factory", None),
         )
     else:
         block = _decode_text_body(fmt, body, count, path, index, offset)
-    return block, header_size + stored_len
-
-
-def _read_compressed_blocks(
-    handle: Any,
-    fmt: RecordFormat,
-    codec: str,
-    binary: bool,
-    factory: Optional[Any] = None,
-) -> Iterator[List[Any]]:
-    """Read RBLC-framed compressed blocks: two ``read()`` calls each.
-
-    The stored-body CRC is always verified (see the header comment on
-    :data:`_COMPRESSED_HEADER`), so a bit flip anywhere inside a
-    compressed body raises :class:`~repro.engine.errors.
-    CorruptBlockError` with the file, block index and byte offset
-    before the decompressor ever sees the bytes.
-    """
-    path = getattr(handle, "name", "<stream>")
-    offset = 0
-    index = 0
-    while True:
-        result = _read_compressed_block_at(
-            handle, fmt, codec, binary, factory, path, index, offset
-        )
-        if result is None:
-            return
-        block, consumed = result
-        offset += consumed
-        index += 1
-        yield block
+    return block, _HEADER.size + stored_len
 
 
 def read_framed_block(
@@ -592,206 +315,136 @@ def read_framed_block(
     path: str = "<stream>",
     index: int = 0,
     offset: int = 0,
-    checksum: bool = True,
     codec: str = "none",
 ) -> Optional[Tuple[List[Any], int]]:
-    """Read one self-describing block at the handle's current position.
+    """Read one RBLC block at the handle's current position.
 
-    The random-access twin of :func:`read_blocks` for the two
-    length-framed layouts (RBLK binary, RBLC compressed): callers that
-    keep their own block offsets — the SSTable sparse index above all
-    — seek the handle and parse exactly one block through the same
+    The random-access twin of :func:`read_blocks`: callers that keep
+    their own block offsets — the SSTable sparse index above all —
+    seek the handle and parse exactly one block through the same
     corruption-checked code path the streaming readers use.  Returns
     ``(records, bytes_consumed)``, or ``None`` when the handle is at a
     clean end of input; ``path``/``index``/``offset`` label any
-    :class:`~repro.engine.errors.CorruptBlockError`.  Text framing has
-    no random-access layout (its headers are lines), so only binary
-    formats and codec-compressed files are supported.
+    :class:`~repro.engine.errors.CorruptBlockError`.
     """
     validate_codec(codec)
-    factory = getattr(fmt, "record_factory", None)
-    if codec != "none":
-        return _read_compressed_block_at(
-            handle, fmt, codec, wants_binary(fmt, None), factory,
-            path, index, offset,
-        )
-    return _read_binary_block_at(
-        handle, path, index, offset, checksum, factory
-    )
+    return _read_block_at(handle, fmt, codec, path, index, offset)
 
 
 def read_blocks(
-    handle: TextIO,
+    handle: Any,
     fmt: RecordFormat,
     block_records: int = DEFAULT_BLOCK_RECORDS,
-    checksum: bool = False,
     skip_blank: bool = False,
-    binary: Optional[bool] = None,
-    codec: str = "none",
+    codec: Optional[str] = "none",
 ) -> Iterator[List[Any]]:
-    """Yield decoded blocks of exactly ``block_records`` records (last
-    block may be short).
+    """Yield decoded blocks of a plain-line file or an RBLC stream.
 
-    Block boundaries are deterministic (``islice`` over lines), so
-    buffering instrumentation and tests see stable block sizes
-    regardless of record byte lengths.
-
+    With ``codec=None`` the handle is a plain-line text file, read in
+    blocks of exactly ``block_records`` records (the last may be
+    short); boundaries are deterministic (``islice`` over lines), so
+    buffering instrumentation and tests see stable block sizes.
     ``skip_blank=True`` drops whitespace-only lines before decoding —
     the CLI's historical blank-line tolerance for caller-provided
-    files (``repro merge`` inputs); the caller is responsible for only
-    requesting it when ``fmt.blank_input_skippable`` holds.
+    files; the caller is responsible for only requesting it when
+    ``fmt.blank_input_skippable`` holds.
 
-    With ``checksum=True`` the file must carry per-block headers
-    (written by a checksumming :class:`BlockWriter`); every block is
-    verified against its header and a corrupt, torn or truncated block
-    raises :class:`~repro.engine.errors.CorruptBlockError` with the
-    file, block index and byte offset.  Checksummed blocks come back
-    in their *written* sizes — the headers are authoritative, and
-    blank tolerance never applies (such files are machine-written).
-
-    ``binary`` selects the length-prefixed binary framing (handle must
-    come from :func:`open_bytes`); ``None`` defers to the format's
-    ``spill_binary`` flag.  Binary blocks are self-describing like
-    checksummed text blocks, so ``block_records`` and ``skip_blank``
-    do not apply.
-
-    A ``codec`` other than ``"none"`` reads the RBLC compressed
-    framing (handle must come from :func:`open_bytes`); block sizes
-    are self-describing and the stored-body CRC is always verified,
-    so ``block_records``, ``checksum`` and ``skip_blank`` do not
-    apply.  The codec must match the one the file was written with —
-    a mismatched block raises ``CorruptBlockError``.
+    Any codec name reads RBLC blocks from a byte handle
+    (:func:`open_run`): blocks come back in their written sizes and
+    every stored-body CRC is verified, so ``block_records`` and
+    ``skip_blank`` do not apply.  The codec must match the one the
+    file was written with — a mismatched block raises
+    ``CorruptBlockError``.
     """
     validate_block_records(block_records)
-    if codec != "none":
-        validate_codec(codec)
-        yield from _read_compressed_blocks(
-            handle, fmt, codec, wants_binary(fmt, binary),
-            getattr(fmt, "record_factory", None),
-        )
-        return
-    if wants_binary(fmt, binary):
-        yield from _read_binary_blocks(
-            handle, checksum, getattr(fmt, "record_factory", None)
-        )
-        return
-    if checksum:
-        yield from _read_checksummed_blocks(handle, fmt)
-        return
-    while True:
-        lines = list(islice(handle, block_records))
-        if not lines:
-            return
-        if skip_blank:
-            lines = [line for line in lines if line.strip()]
+    if codec is None:
+        while True:
+            lines = list(islice(handle, block_records))
             if not lines:
-                continue
-        yield fmt.decode_block(lines)
+                return
+            if skip_blank:
+                lines = [line for line in lines if line.strip()]
+                if not lines:
+                    continue
+            yield fmt.decode_block(lines)
+    validate_codec(codec)
+    path = getattr(handle, "name", "<stream>")
+    offset = 0
+    index = 0
+    while True:
+        result = _read_block_at(handle, fmt, codec, path, index, offset)
+        if result is None:
+            return
+        block, consumed = result
+        offset += consumed
+        index += 1
+        yield block
 
 
 def iter_records(
-    handle: TextIO,
+    handle: Any,
     fmt: RecordFormat,
     block_records: int = DEFAULT_BLOCK_RECORDS,
     skip_blank: bool = False,
-    checksum: bool = False,
-    binary: Optional[bool] = None,
-    codec: str = "none",
+    codec: Optional[str] = "none",
 ) -> Iterator[Any]:
     """Stream individual records, decoded block-at-a-time.
 
     ``skip_blank`` requests the CLI's historical input tolerance
     (trailing newlines, blank separator lines); it only takes effect
-    for formats whose records cannot be whitespace
+    for plain-line files of formats whose records cannot be whitespace
     (``fmt.blank_input_skippable`` — the numeric formats).  For text
     formats a blank or whitespace-only line *is* a record, so nothing
     is dropped and the output agrees with ``sort(1)`` line for line.
-    Spill and shard files, which the sort writes itself, never need
-    the tolerance.
-
-    ``checksum`` reads a per-block-checksummed file (see
-    :func:`read_blocks`); blank-line tolerance never applies there
-    because such files are always machine-written.  ``binary`` and
-    ``codec`` select the framing exactly as in :func:`read_blocks`.
+    ``codec`` selects the framing exactly as in :func:`read_blocks`.
     """
-    validate_block_records(block_records)
-    if codec != "none":
-        validate_codec(codec)
-        for block in _read_compressed_blocks(
-            handle, fmt, codec, wants_binary(fmt, binary),
-            getattr(fmt, "record_factory", None),
-        ):
-            yield from block
-        return
-    if wants_binary(fmt, binary):
-        for block in _read_binary_blocks(
-            handle, checksum, getattr(fmt, "record_factory", None)
-        ):
-            yield from block
-        return
-    if checksum:
-        for block in _read_checksummed_blocks(handle, fmt):
-            yield from block
-        return
     for block in read_blocks(
         handle, fmt, block_records,
         skip_blank=skip_blank and fmt.blank_input_skippable,
-        binary=False,
+        codec=codec,
     ):
         yield from block
 
 
 class BlockWriter:
-    """Buffered record writer: one ``write()`` per encoded block.
+    """Buffered record writer: one encode and write per block.
 
     Not a context manager on purpose — it never owns the handle; the
     caller must invoke :meth:`flush` before closing the file (or use
-    :func:`write_records`, which does).
+    :func:`write_block_file`, which does).
 
-    ``checksum=True`` prefixes every flushed block with a header line
-    carrying the block's record count and CRC-32, so readers can
-    detect torn and bit-flipped blocks (:func:`read_blocks` with
-    ``checksum=True``).  ``track_crc=True`` additionally maintains
-    :attr:`file_crc` — the running CRC-32 of every byte written so far
-    — which the resilience journal records per finished run so a
-    resumed sort can verify survivors without trusting them.  Both
-    default off: the extra UTF-8 encode per block is only paid when a
-    durability feature asks for it.
+    With ``codec=None`` each block is written as plain lines to a text
+    handle.  Any codec name writes one RBLC block (header, then stored
+    body) per flush to a byte handle and keeps :attr:`file_crc` — the
+    running CRC-32 of every byte written so far — which the resilience
+    journal records per finished run so a resumed sort can verify
+    survivors without trusting them.
     """
 
     def __init__(
         self,
-        handle: TextIO,
+        handle: Any,
         fmt: RecordFormat,
         block_records: int = DEFAULT_BLOCK_RECORDS,
-        checksum: bool = False,
-        track_crc: bool = False,
-        binary: Optional[bool] = None,
-        codec: str = "none",
+        codec: Optional[str] = "none",
     ) -> None:
         validate_block_records(block_records)
         self._handle = handle
         self._fmt = fmt
         self._block_records = block_records
-        self._checksum = checksum
-        self._track_crc = track_crc or checksum
-        #: Length-prefixed binary framing (handle from ``open_bytes``);
-        #: ``None`` defers to the format's ``spill_binary`` flag.
-        self._binary = wants_binary(fmt, binary)
-        #: Spill codec; anything but "none" writes RBLC-framed blocks
-        #: (handle must come from ``open_bytes``) whose raw body uses
-        #: the format's framing (text lines or binary records).
-        self._codec = validate_codec(codec)
+        self._codec = codec if codec is None else validate_codec(codec)
+        self._binary = getattr(fmt, "spill_binary", False)
+        #: Per-record byte strings are only needed by front coding.
+        self._front = codec in ("front", "front+zlib")
         self._pending: List[Any] = []
         #: Total records written (including still-buffered ones).
         self.written = 0
-        #: Running CRC-32 of all bytes written (when tracking is on).
+        #: Running CRC-32 of all bytes written (RBLC files only).
         self.file_crc = 0
-        #: Encoded record bytes before codec framing (what the
-        #: uncompressed path would have written; characters for the
-        #: plain-text path, where ASCII makes the two agree).
+        #: Encoded record bytes — block bodies before codec and
+        #: header (characters for plain-line files).
         self.raw_bytes = 0
-        #: Bytes actually written, framing included.
+        #: Bytes actually written, headers included.
         self.disk_bytes = 0
 
     def write(self, record: Any) -> None:
@@ -822,154 +475,43 @@ class BlockWriter:
             self.flush()
 
     def flush(self) -> None:
-        if not self._pending:
-            return
-        if self._codec != "none":
-            self._flush_compressed()
-            return
-        if self._binary:
-            body = _pack_binary_block(self._pending)
-            header = _BINARY_HEADER.pack(
-                BINARY_BLOCK_MAGIC, len(self._pending), len(body),
-                zlib.crc32(body),
-            )
-            self._handle.write(header)
-            self._handle.write(body)
-            if self._track_crc:
-                self.file_crc = zlib.crc32(
-                    body, zlib.crc32(header, self.file_crc)
-                )
-            self.raw_bytes += len(header) + len(body)
-            self.disk_bytes += len(header) + len(body)
-            self._pending.clear()
-            return
-        text = self._fmt.encode_block(self._pending)
-        if self._checksum and "#repro:" in text:
-            # Only checksummed files carry header lines, so only they
-            # need data lines disambiguated from headers (satellite 3).
-            text = _escape_block(text)
-        self.raw_bytes += len(text)
-        self.disk_bytes += len(text)
-        if self._track_crc:
-            data = text.encode("utf-8")
-            block_crc = zlib.crc32(data)
-            if self._checksum:
-                header = block_header(len(self._pending), block_crc)
-                self._handle.write(header)
-                self.file_crc = zlib.crc32(
-                    header.encode("utf-8"), self.file_crc
-                )
-                self.raw_bytes += len(header)
-                self.disk_bytes += len(header)
-            self.file_crc = zlib.crc32(data, self.file_crc)
-        self._handle.write(text)
-        # Cleared in place: write_all holds a local alias.
-        self._pending.clear()
-
-    def _flush_compressed(self) -> None:
-        """Write one RBLC-framed block under the configured codec."""
         pending = self._pending
-        parts: Sequence[bytes]
-        if self._binary:
+        if not pending:
+            return
+        codec = self._codec
+        if codec is None:
+            text = self._fmt.encode_block(pending)
+            self._handle.write(text)
+            self.raw_bytes += len(text)
+            self.disk_bytes += len(text)
+            # Cleared in place: write_all holds a local alias.
+            pending.clear()
+            return
+        parts: List[bytes] = []
+        if self._binary and self._front:
             pack = _RECORD_LEN.pack
             parts = [
                 pack(len(key)) + key + pack(len(payload)) + payload
                 for key, payload in pending
             ]
             body = b"".join(parts)
+        elif self._binary:
+            body = _pack_binary_body(pending)
         else:
             body = self._fmt.encode_block(pending).encode("utf-8")
-            # Per-record byte strings are only needed by front coding.
-            parts = (
-                body.splitlines(keepends=True)
-                if self._codec in ("front", "front+zlib")
-                else ()
-            )
-        stored = compress_body(self._codec, body, parts)
-        header = _COMPRESSED_HEADER.pack(
-            COMPRESSED_BLOCK_MAGIC, CODEC_IDS[self._codec], len(pending),
-            len(body), len(stored), zlib.crc32(stored),
+            if self._front:
+                parts = body.splitlines(keepends=True)
+        stored = compress_body(codec, body, parts)
+        header = _HEADER.pack(
+            BLOCK_MAGIC, CODEC_IDS[codec], len(pending), len(body),
+            len(stored), zlib.crc32(stored),
         )
         self._handle.write(header)
         self._handle.write(stored)
-        if self._track_crc:
-            self.file_crc = zlib.crc32(
-                stored, zlib.crc32(header, self.file_crc)
-            )
-        # ``raw`` is what the codec=none path would have written for
-        # this block — body plus, for binary framing, its RBLK header —
-        # so ratios compare like against like across codec settings.
+        self.file_crc = zlib.crc32(stored, zlib.crc32(header, self.file_crc))
         self.raw_bytes += len(body)
-        if self._binary:
-            self.raw_bytes += _BINARY_HEADER.size
         self.disk_bytes += len(header) + len(stored)
         pending.clear()
-
-
-def write_sequence(
-    path: str,
-    records: Iterable[Any],
-    fmt: RecordFormat,
-    block_records: int = DEFAULT_BLOCK_RECORDS,
-    checksum: bool = False,
-    codec: str = "none",
-    session: Optional[Any] = None,
-) -> int:
-    """Write a whole record source to ``path`` in blocks; returns length.
-
-    A materialised sequence (e.g. one generated run — the spill-file
-    fast path) is sliced directly into encode batches; any other
-    iterable (or any checksummed or codec-compressed write) streams
-    through a :class:`BlockWriter`.  Binary-spill formats take the
-    binary framing automatically (their headers always carry the CRC,
-    so the fast path applies to checksummed binary writes too).
-
-    ``session`` (a :class:`~repro.sort.spill.SpillSession` or anything
-    with a ``spilled(raw_bytes, disk_bytes)`` method) receives the
-    write's byte accounting, so spill-traffic totals survive even the
-    fast paths.
-    """
-    validate_block_records(block_records)
-    validate_codec(codec)
-    binary = wants_binary(fmt)
-    raw_bytes = 0
-    disk_bytes = 0
-    with open_run(path, "w", fmt, codec=codec) as handle:
-        if (
-            codec == "none"
-            and isinstance(records, Sequence)
-            and (binary or not checksum)
-        ):
-            if binary:
-                pack = _BINARY_HEADER.pack
-                header_size = _BINARY_HEADER.size
-                for start in range(0, len(records), block_records):
-                    chunk = records[start : start + block_records]
-                    body = _pack_binary_block(chunk)
-                    handle.write(pack(
-                        BINARY_BLOCK_MAGIC, len(chunk), len(body),
-                        zlib.crc32(body),
-                    ))
-                    handle.write(body)
-                    disk_bytes += header_size + len(body)
-            else:
-                encode_block = fmt.encode_block
-                for start in range(0, len(records), block_records):
-                    text = encode_block(records[start : start + block_records])
-                    handle.write(text)
-                    disk_bytes += len(text)
-            if session is not None:
-                session.spilled(disk_bytes, disk_bytes)
-            return len(records)
-        writer = BlockWriter(
-            handle, fmt, block_records, checksum=checksum, codec=codec
-        )
-        writer.write_all(records)
-        writer.flush()
-        raw_bytes, disk_bytes = writer.raw_bytes, writer.disk_bytes
-    if session is not None:
-        session.spilled(raw_bytes, disk_bytes)
-    return writer.written
 
 
 def write_block_file(
@@ -977,28 +519,25 @@ def write_block_file(
     records: Iterable[Any],
     fmt: RecordFormat,
     block_records: int = DEFAULT_BLOCK_RECORDS,
-    checksum: bool = False,
     fsync: bool = False,
-    codec: str = "none",
+    codec: Optional[str] = "none",
     session: Optional[Any] = None,
 ) -> Tuple[int, int]:
-    """Durable single-file write; returns ``(record_count, file_crc32)``.
+    """Write a whole record source as one RBLC (or, for ``codec=None``,
+    plain-line) file.
 
-    The resilience layer's write primitive: the CRC covers every byte
-    the writer produced (headers included) *before* the operating
-    system or an injected fault had a chance to mangle them, so the
-    journal entry describes the intended file and a later verification
-    pass catches any divergence.  ``fsync=True`` flushes the file to
-    stable storage before returning — a journaled run must never
-    outlive its data.  ``session`` receives byte accounting as in
-    :func:`write_sequence`.
+    Returns ``(record_count, file_crc32)``.  The CRC covers every byte
+    the writer produced *before* the operating system or an injected
+    fault had a chance to mangle them, so a journal entry describes
+    the intended file and a later verification pass catches any
+    divergence.  ``fsync=True`` flushes the file to stable storage
+    before returning — a journaled run must never outlive its data.
+    ``session`` (a :class:`~repro.sort.spill.SpillSession` or anything
+    with a ``spilled(raw_bytes, disk_bytes)`` method) receives the
+    write's byte accounting.
     """
-    validate_block_records(block_records)
-    with open_run(path, "w", fmt, codec=codec) as handle:
-        writer = BlockWriter(
-            handle, fmt, block_records, checksum=checksum, track_crc=True,
-            codec=codec,
-        )
+    with open_run(path, "w", codec) as handle:
+        writer = BlockWriter(handle, fmt, block_records, codec)
         writer.write_all(records)
         writer.flush()
         if fsync:
@@ -1007,3 +546,22 @@ def write_block_file(
     if session is not None:
         session.spilled(writer.raw_bytes, writer.disk_bytes)
     return writer.written, writer.file_crc
+
+
+def write_sequence(
+    path: str,
+    records: Iterable[Any],
+    fmt: RecordFormat,
+    block_records: int = DEFAULT_BLOCK_RECORDS,
+    codec: Optional[str] = "none",
+    session: Optional[Any] = None,
+) -> int:
+    """Write one spill run to ``path``; returns its length.
+
+    :func:`write_block_file` without the fsync, for runs whose loss
+    only costs the current sort.
+    """
+    count, _ = write_block_file(
+        path, records, fmt, block_records, codec=codec, session=session
+    )
+    return count

@@ -41,7 +41,7 @@ class CorruptBlockError(SortError):
     block_index:
         0-based index of the block within the file.
     offset:
-        Byte offset of the block's header line within the file.
+        Byte offset of the block's header within the file.
     """
 
     def __init__(

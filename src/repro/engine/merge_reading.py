@@ -26,12 +26,14 @@ The strategies deliberately speak the same instrumentation protocol as
 :class:`repro.sort.spill.SpillSession` (``buffer_grew`` /
 ``buffer_shrank`` / ``reader_opened`` / ``reader_closed``), so bounded
 -memory assertions keep working whichever strategy reads the files.
-In-flight prefetch buffers are charged to the session too — at their
-full ``block_records`` upper bound from the moment the read is issued
+In-flight prefetch buffers are charged to the session too — at an
+upper bound on the block's size from the moment the read is issued
 until the block is claimed — so ``max_resident_records`` bounds true
-peak memory, prefetching included.  All session accounting happens on
-the consumer thread (prefetches are issued and claimed there); worker
-threads only read and decode.
+peak memory, prefetching included.  Spill files are RBLC block streams
+whose blocks come back in the size they were written with, so that
+bound is the largest block read from the file so far.  All session
+accounting happens on the consumer thread (prefetches are issued and
+claimed there); worker threads only read and decode.
 """
 
 from __future__ import annotations
@@ -102,26 +104,26 @@ class _RunSource:
     the consumer thread.
     """
 
-    __slots__ = ("run", "fmt", "block_records", "checksum", "skip_blank",
-                 "binary", "codec", "handle", "finished", "delivered",
-                 "_blocks")
+    __slots__ = ("run", "fmt", "block_records", "skip_blank", "codec",
+                 "charge", "handle", "finished", "delivered", "_blocks")
 
     def __init__(self, run: Any, fmt: RecordFormat, block_records: int) -> None:
         self.run = run
         self.fmt = fmt
         self.block_records = block_records
-        #: Runs written under a checksumming session verify themselves
-        #: block-by-block as the merge reads them (DESIGN.md §11).
-        self.checksum = bool(getattr(run, "checksum", False))
         #: Caller-provided merge inputs tolerate blank separator lines.
         self.skip_blank = bool(getattr(run, "skip_blank", False))
-        #: ``None`` defers to the format's ``spill_binary`` flag;
-        #: :meth:`SortEngine.merge_files` pins ``False`` for user files.
-        self.binary = getattr(run, "binary", None)
-        #: Spill codec the run's file was written with (DESIGN.md §15);
-        #: decompression stays block-at-a-time, so prefetch threads
-        #: decode whole blocks exactly as in the uncompressed path.
+        #: The run file's framing (DESIGN.md §15): ``None`` for a
+        #: caller's plain-line file, else the RBLC codec it was written
+        #: with.  Every RBLC block is CRC-checked and decoded whole, so
+        #: prefetch threads verify and decode off the consumer thread.
         self.codec = getattr(run, "codec", "none")
+        #: Upper bound on the next block's records, charged to the
+        #: session while a prefetch is in flight.  RBLC blocks come back
+        #: in their written size, which may exceed ``block_records``;
+        #: every block of a file but the last has the same size, so the
+        #: largest block seen so far bounds the next one.
+        self.charge = block_records
         self.handle: Optional[IO[Any]] = None
         self.finished = False
         self.delivered = 0
@@ -131,18 +133,15 @@ class _RunSource:
         if self.finished:
             return []
         if self.handle is None:
-            self.handle = open_run(
-                self.run.path, "r", self.fmt, self.binary, codec=self.codec
-            )
+            self.handle = open_run(self.run.path, "r", self.codec)
             self._blocks = read_blocks(
                 self.handle, self.fmt, self.block_records,
-                checksum=self.checksum, skip_blank=self.skip_blank,
-                binary=self.binary, codec=self.codec,
+                skip_blank=self.skip_blank, codec=self.codec,
             )
         assert self._blocks is not None
         block = next(self._blocks, None)
         if block is None:
-            # Checksums vouch for present blocks only; a file that
+            # Block CRCs vouch for present blocks only; a file that
             # ends early lost whole blocks and must not merge quietly.
             expected = getattr(self.run, "length", 0)
             if expected and self.delivered != expected:
@@ -155,6 +154,8 @@ class _RunSource:
             self.close()
             return []
         self.delivered += len(block)
+        if len(block) > self.charge:
+            self.charge = len(block)
         return block
 
     def close(self) -> None:
@@ -346,9 +347,10 @@ class ForecastingReading(ReadingStrategy):
         if source.finished:
             return
         self.stats.prefetches += 1
-        self.session.buffer_grew(source.block_records)
+        charge = source.charge
+        self.session.buffer_grew(charge)
         future = self._executor.submit(source.read_block)
-        self._pending = (forecast_run, future, source.block_records)
+        self._pending = (forecast_run, future, charge)
 
 
 class DoubleBufferingReading(ReadingStrategy):
@@ -357,7 +359,10 @@ class DoubleBufferingReading(ReadingStrategy):
     Handing a block to the merge immediately schedules the refill of
     its twin, so every run (not just the forecast one) overlaps its
     reads with merging — at the price of halving the buffer, doubling
-    how often each run pays a read.
+    how often each run pays a read.  The halving only applies to files
+    whose reader picks the block size (plain-line files): RBLC spill
+    blocks come back in their written size, so each half holds one
+    written block and the session is charged accordingly.
     """
 
     name = "double_buffering"
@@ -387,10 +392,11 @@ class DoubleBufferingReading(ReadingStrategy):
             source = self.sources[index]
             if not source.finished:
                 self.stats.prefetches += 1
-                self.session.buffer_grew(source.block_records)
+                charge = source.charge
+                self.session.buffer_grew(charge)
                 self._pending[index] = (
                     self._executor.submit(source.read_block),
-                    source.block_records,
+                    charge,
                 )
         return block
 

@@ -295,7 +295,7 @@ class SortEngine:
         Wrap the format in :class:`~repro.core.records.
         BinaryRecordFormat`: records decode once into ``(normalized
         key bytes, payload bytes)`` pairs, every spill / shard /
-        partition file uses length-prefixed binary blocks, and every
+        partition block carries length-prefixed binary records, and every
         comparison from run generation to the final merge heap is one
         C-level ``bytes`` compare (DESIGN.md §14).  The engine's
         *boundaries* — ``sort_stream`` input and output,
@@ -314,10 +314,6 @@ class SortEngine:
     reading:
         Final-merge reading strategy, or ``"auto"`` to let the planner
         choose (see :func:`plan_sort`).
-    checksum:
-        Per-block CRC-32 headers on every spill, shard and partition
-        file (DESIGN.md §11): a torn or bit-flipped block fails the
-        merge loudly with file + offset instead of corrupting output.
     work_dir / input_fingerprint:
         Durable mode (DESIGN.md §11): spilling backends journal their
         progress under the stable ``work_dir`` (kept on failure,
@@ -350,7 +346,6 @@ class SortEngine:
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         block_records: int = DEFAULT_BLOCK_RECORDS,
         reading: str = AUTO_READING,
-        checksum: bool = False,
         spill_codec: str = "none",
         work_dir: Optional[str] = None,
         input_fingerprint: Optional[str] = None,
@@ -374,7 +369,6 @@ class SortEngine:
         self.buffer_records = buffer_records
         self.block_records = block_records
         self.reading = reading
-        self.checksum = checksum
         #: Spill codec (DESIGN.md §15); ``"auto"`` lets the planner
         #: choose per sort from input size and memory budget.
         self.spill_codec = validate_codec(spill_codec, allow_auto=True)
@@ -450,10 +444,10 @@ class SortEngine:
         """
         records = iter_records(
             source, self.record_format, self.block_records, skip_blank=True,
-            binary=False,
+            codec=None,
         )
         writer = BlockWriter(
-            sink, self.record_format, self.block_records, binary=False
+            sink, self.record_format, self.block_records, codec=None
         )
         writer.write_all(self.sort(records, resume=resume))
         writer.flush()
@@ -475,7 +469,6 @@ class SortEngine:
 
         session = SpillSession(
             tempfile.mkdtemp(prefix="repro-merge-", dir=self.tmp_dir),
-            checksum=self.checksum,
             # Caller files carry no size information, so "auto" falls
             # back to raw for the merge's intermediate spills; an
             # explicit codec is honoured.
@@ -486,18 +479,12 @@ class SortEngine:
         )
         reading = self._resolved_reading(len(paths))
         counter = MergeCounter()
-        # Input files are caller-provided plain text (no CLI path emits
-        # checksummed outputs), so never expect block headers in them —
-        # the session's own intermediate spills still checksum when the
-        # engine asks for it — and tolerate blank separator lines for
-        # formats whose records cannot be whitespace, the same `sort`
-        # input contract.
+        # Input files are caller-provided plain lines; only the merge's
+        # own intermediate spills are RBLC block streams.
         runs = [
             SpilledRun(
                 session, path, 0, self.record_format, self.buffer_records,
-                keep=True, checksum=False,
-                skip_blank=self.record_format.blank_input_skippable,
-                binary=False, codec="none",
+                keep=True, plain=True,
             )
             for path in paths
         ]
@@ -553,7 +540,6 @@ class SortEngine:
             buffer_records=self.buffer_records,
             block_records=self.block_records,
             reading=self.reading,
-            checksum=self.checksum,
             spill_codec=self.spill_codec,
             work_dir=work_dir,
             input_fingerprint=input_fingerprint,
@@ -725,8 +711,7 @@ class SortEngine:
                 buffer_records=self.buffer_records,
                 record_format=self.record_format,
                 reading=self.plan.reading,
-                checksum=self.checksum,
-                resume=self._resume,
+                    resume=self._resume,
                 input_fingerprint=self.input_fingerprint,
                 cpu_op_time=self.cpu_op_time,
                 spill_codec=self._plan_codec(),
@@ -742,7 +727,6 @@ class SortEngine:
             tmp_dir=self.tmp_dir,
             record_format=self.record_format,
             reading=self.plan.reading,
-            checksum=self.checksum,
             cpu_op_time=self.cpu_op_time,
             spill_codec=self._plan_codec(),
         )
@@ -766,7 +750,6 @@ class SortEngine:
             record_format=self.record_format,
             reading=self.plan.reading,
             total_memory=self.total_memory,
-            checksum=self.checksum,
             work_dir=self.work_dir,
             resume=self._resume,
             input_fingerprint=self.input_fingerprint,

@@ -72,6 +72,7 @@ from typing import (
 
 from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
+    SPILL_FRAMING,
     BlockWriter,
     open_run,
     open_text,
@@ -332,7 +333,7 @@ class SortJournal(JsonlLog):
     """The run manifest of one durable sort.
 
     The first entry is always ``meta`` carrying the sort's parameter
-    *fingerprint* (format, memory, fan-in, checksum flag, input
+    *fingerprint* (format, memory, fan-in, framing, codec, input
     identity…).  :meth:`open_dir` only resumes a journal whose
     fingerprint matches the current sort exactly; anything else — a
     different input file, a changed memory budget, a corrupt journal —
@@ -520,7 +521,6 @@ class ResumableSpillSort(FileSpillSort):
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         record_format: RecordFormat = INT,
         reading: str = "naive",
-        checksum: bool = False,
         resume: bool = False,
         input_fingerprint: Optional[str] = None,
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
@@ -535,7 +535,6 @@ class ResumableSpillSort(FileSpillSort):
             buffer_records=buffer_records,
             record_format=record_format,
             reading=reading,
-            checksum=checksum,
             cpu_op_time=cpu_op_time,
             spill_codec=spill_codec,
         )
@@ -554,9 +553,11 @@ class ResumableSpillSort(FileSpillSort):
             "memory": self.memory,
             "fan_in": self.fan_in,
             "buffer_records": self.buffer_records,
-            "checksum": self.checksum,
             "format": self.record_format.name,
-            # Binary and text run files are not mutually readable, so a
+            # Work dirs written before every run file became an RBLC
+            # block stream carry no framing key and are never resumed.
+            "framing": SPILL_FRAMING,
+            # Binary and text block bodies are not mutually readable, so a
             # resume across an encoding switch must wipe and start over.
             "encoding": (
                 "binary" if getattr(self.record_format, "spill_binary", False)
@@ -579,9 +580,7 @@ class ResumableSpillSort(FileSpillSort):
         self._resume_state = _ResumeState(self._journal, self.work_dir)
         self.runs_reused = 0
         self.merges_reused = 0
-        return SpillSession(
-            self.work_dir, checksum=self.checksum, codec=self.spill_codec
-        )
+        return SpillSession(self.work_dir, codec=self.spill_codec)
 
     def _close_session(self, session: SpillSession, completed: bool) -> None:
         """Keep every journaled artifact unless the sort completed."""
@@ -669,7 +668,6 @@ class ResumableSpillSort(FileSpillSort):
                     chunk,
                     self.record_format,
                     self.buffer_records,
-                    checksum=self.checksum,
                     fsync=True,
                     codec=self.spill_codec,
                     session=session,
@@ -727,16 +725,12 @@ class ResumableSpillSort(FileSpillSort):
                 )
             else:
                 path = self._merge_path(merge_id)
-                with open_run(
-                    path, "w", self.record_format, codec=self.spill_codec
-                ) as handle:
+                with open_run(path, "w", self.spill_codec) as handle:
                     writer = BlockWriter(
                         handle,
                         self.record_format,
                         self.buffer_records,
-                        checksum=self.checksum,
-                        track_crc=True,
-                        codec=self.spill_codec,
+                        self.spill_codec,
                     )
                     writer.write_all(
                         kway_merge([run.records() for run in group], counter)

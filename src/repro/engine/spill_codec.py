@@ -1,18 +1,20 @@
 """Per-block spill codecs: zlib, lzma, and front-coding (DESIGN.md §15).
 
-A codec transforms one block's *raw body* — the exact bytes the
-uncompressed spill path would have written for those records (encoded
-text lines, or length-prefixed binary ``(key, payload)`` records) —
-into a *stored body*, and back.  The framing around the stored body
-(the ``RBLC`` header carrying the codec id, record count, raw length,
-stored length, and a CRC-32 of the stored bytes) lives in
+A codec transforms one block's *raw body* — the format's encoded text
+lines, or length-prefixed binary ``(key, payload)`` records — into a
+*stored body*, and back.  The framing around the stored body (the
+``RBLC`` header carrying the codec id, record count, raw length, stored
+length, and a CRC-32 of the stored bytes) lives in
 :mod:`repro.engine.block_io`; this module knows nothing about files,
-which keeps every byte on the ``open_text``/``open_bytes`` fault seam
-and out of reach of the ``zlib``/``lzma`` file APIs that lint rule
+which keeps every byte on the ``open_bytes`` fault seam and out of
+reach of the ``zlib``/``lzma`` file APIs that lint rule
 R002 bans from the sort path.
 
 Codecs
 ------
+
+``none``
+    The raw body, byte for byte: framing and CRC without compression.
 
 ``zlib``
     ``zlib.compress(body, level=1)`` — the cheap codec: a fast
@@ -55,9 +57,9 @@ SPILL_CODECS: Tuple[str, ...] = ("none", "zlib", "lzma", "front", "front+zlib")
 #: Sentinel accepted by the planner: resolve from input size and memory.
 AUTO_CODEC = "auto"
 
-#: Wire ids for the RBLC block header (0 is reserved: "none" blocks are
-#: never RBLC-framed, they use the plain text / RBLK framings).
+#: Wire ids for the RBLC block header and the SSTable index.
 CODEC_IDS: Dict[str, int] = {
+    "none": 0,
     "zlib": 1,
     "lzma": 2,
     "front": 3,
@@ -180,6 +182,8 @@ def compress_body(codec: str, body: bytes, parts: Sequence[bytes]) -> bytes:
     ``parts`` are the per-record byte strings whose concatenation is
     ``body``; only the front-coding codecs look at them.
     """
+    if codec == "none":
+        return body
     if codec == "zlib":
         return zlib.compress(body, 1)
     if codec == "lzma":
@@ -198,7 +202,9 @@ def decompress_body(codec: str, stored: bytes, raw_len: int, count: int) -> byte
     the caller can attach file/block/offset context.
     """
     try:
-        if codec == "zlib":
+        if codec == "none":
+            raw = stored
+        elif codec == "zlib":
             raw = zlib.decompress(stored)
         elif codec == "lzma":
             raw = lzma.decompress(stored)

@@ -119,7 +119,7 @@ def run_real(
                 random_input(run_records, seed=seed * 10_000 + index)
             )
             path = os.path.join(work_dir, f"run-{index:03d}.txt")
-            write_sequence(path, records, INT)
+            write_sequence(path, records, INT, codec=None)
             paths.append(path)
         for fan_in in fan_ins:
             engine = SortEngine(

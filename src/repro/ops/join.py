@@ -107,8 +107,8 @@ class _RightGroup:
 
     The group is written once and re-iterated once per left row.  The
     first ``buffer_limit`` records stay in memory; the rest stream to
-    a spill file through the right engine's record format (block I/O,
-    so re-reads are batched).
+    an RBLC spill file through the right engine's record format, so
+    re-reads are batched and every block is CRC-checked.
     """
 
     def __init__(
@@ -119,15 +119,12 @@ class _RightGroup:
         buffer_records: int,
         tmp_dir: Optional[str],
         describe,
-        checksum: bool = False,
     ) -> None:
         self.buffered: List[Any] = []
         self.spill_path: Optional[str] = None
         self.spilled = 0
         self._fmt = fmt
         self._buffer_records = buffer_records
-        #: The engine's --checksum contract covers this spill file too.
-        self._checksum = checksum
         writer = None
         handle = None
         try:
@@ -140,10 +137,8 @@ class _RightGroup:
                         prefix="repro-join-skew-", suffix=".txt", dir=tmp_dir
                     )
                     os.close(fd)
-                    handle = open_run(self.spill_path, "w", fmt)
-                    writer = BlockWriter(
-                        handle, fmt, buffer_records, checksum=checksum
-                    )
+                    handle = open_run(self.spill_path, "w")
+                    writer = BlockWriter(handle, fmt, buffer_records)
                     print(
                         f"repro: join: key {describe(record)!r} exceeds "
                         f"the {buffer_limit}-record group buffer; "
@@ -169,10 +164,9 @@ class _RightGroup:
     def __iter__(self) -> Iterator[Any]:
         yield from self.buffered
         if self.spill_path is not None:
-            with open_run(self.spill_path, "r", self._fmt) as handle:
+            with open_run(self.spill_path, "r") as handle:
                 yield from iter_records(
-                    handle, self._fmt, self._buffer_records,
-                    checksum=self._checksum,
+                    handle, self._fmt, self._buffer_records
                 )
 
     def discard(self) -> None:
@@ -352,7 +346,6 @@ class SortMergeJoin:
                     right_engine.buffer_records,
                     self.tmp_dir,
                     self._describe_key,
-                    checksum=right_engine.checksum,
                 )
                 if group.spilled:
                     skew_spills += 1

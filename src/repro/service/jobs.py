@@ -5,7 +5,7 @@ the same work submitted twice — including after a server crash — maps
 to the same id, which is what makes re-attach work with no server-side
 registry surviving the crash.  Everything that changes the output
 (operator, inputs, format, keys, aggregates, k) or the durable work
-fingerprint (memory, fan-in, codec, checksum…) is part of the
+fingerprint (memory, fan-in, codec…) is part of the
 identity; purely ephemeral knobs (nothing today) would not be.
 """
 
@@ -91,7 +91,6 @@ class JobSpec:
     fan_in: int = 8
     binary_spill: bool = False
     spill_codec: str = "none"
-    checksum: bool = False
 
     def validate(self) -> None:
         if self.op not in JOB_OPS:
@@ -123,7 +122,11 @@ class JobSpec:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "JobSpec":
-        """A validated spec from a submit message's ``job`` object."""
+        """A validated spec from a submit message's ``job`` object.
+
+        ``checksum`` is accepted and ignored: spill blocks are always
+        checksummed, and older clients and ``job.json`` files send it.
+        """
         known = {
             "op", "input", "output", "right_input", "store", "tenant",
             "format", "key", "right_key", "by", "aggregates", "value",
@@ -175,7 +178,6 @@ class JobSpec:
             fan_in=int(payload.get("fan_in", 8)),
             binary_spill=bool(payload.get("binary_spill", False)),
             spill_codec=str(payload.get("spill_codec", "none")),
-            checksum=bool(payload.get("checksum", False)),
         )
         spec.validate()
         return spec
@@ -201,7 +203,6 @@ class JobSpec:
             "fan_in": self.fan_in,
             "binary_spill": self.binary_spill,
             "spill_codec": self.spill_codec,
-            "checksum": self.checksum,
         }
 
 

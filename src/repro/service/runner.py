@@ -121,7 +121,6 @@ def _engine(
         buffer_records=DEFAULT_BUFFER_RECORDS,
         block_records=DEFAULT_BLOCK_RECORDS,
         reading=AUTO_READING,
-        checksum=spec.checksum,
         spill_codec=spec.spill_codec,
         work_dir=work_dir,
         input_fingerprint=fingerprint,
@@ -171,7 +170,7 @@ def run_job(
         records = _cancellable(
             iter_records(
                 handle, engine.record_format, DEFAULT_BLOCK_RECORDS,
-                skip_blank=True, binary=False,
+                skip_blank=True, codec=None,
             ),
             cancel, job_id,
         )
@@ -179,7 +178,7 @@ def run_job(
             produced = engine.sort(records, resume=True)
             writer = BlockWriter(
                 out, engine.record_format, DEFAULT_BLOCK_RECORDS,
-                binary=False,
+                codec=None,
             )
             writer.write_all(_cancellable(produced, cancel, job_id))
             writer.flush()
@@ -201,7 +200,7 @@ def run_job(
         else:  # pragma: no cover - validate() rejects unknown ops
             raise ValueError(f"unknown op {spec.op!r}")
         writer = BlockWriter(
-            out, output_format, DEFAULT_BLOCK_RECORDS, binary=False
+            out, output_format, DEFAULT_BLOCK_RECORDS, codec=None
         )
         counted = CountingIterator(
             _cancellable(op.run(records, resume=True), cancel, job_id)
@@ -246,15 +245,15 @@ def _run_join(
         left_records = _cancellable(
             iter_records(
                 left_handle, left_engine.record_format,
-                DEFAULT_BLOCK_RECORDS, skip_blank=True, binary=False,
+                DEFAULT_BLOCK_RECORDS, skip_blank=True, codec=None,
             ),
             cancel, job_id,
         )
         right_records = iter_records(
             right_handle, right_engine.record_format,
-            DEFAULT_BLOCK_RECORDS, skip_blank=True, binary=False,
+            DEFAULT_BLOCK_RECORDS, skip_blank=True, codec=None,
         )
-        writer = BlockWriter(out, STR, DEFAULT_BLOCK_RECORDS, binary=False)
+        writer = BlockWriter(out, STR, DEFAULT_BLOCK_RECORDS, codec=None)
         counted = CountingIterator(
             _cancellable(
                 op.run(left_records, right_records, resume=True),

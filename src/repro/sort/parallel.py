@@ -38,7 +38,12 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 
 from repro.core.config import GeneratorSpec
 from repro.core.records import INT, KeyOnlyRecord, RecordFormat
-from repro.engine.block_io import BlockWriter, iter_records, open_run
+from repro.engine.block_io import (
+    SPILL_FRAMING,
+    BlockWriter,
+    iter_records,
+    open_run,
+)
 from repro.engine.errors import SortError
 from repro.engine.merge_reading import validate_reading
 from repro.engine.spill_codec import validate_codec
@@ -141,26 +146,21 @@ def _read_encoded(
     path: str,
     record_format: RecordFormat,
     buffer_records: int,
-    checksum: bool = False,
     codec: str = "none",
 ) -> Iterator[Any]:
-    """Stream the records of one newline-delimited partition file.
+    """Stream the records of one partition file.
 
     Decoding happens block-at-a-time through the record format, so the
-    worker's ingest loop pays one Python-level call per
-    ``buffer_records`` records instead of one per line.  ``checksum``
-    verifies the per-block headers the parent wrote (DESIGN.md §11),
+    worker's ingest loop pays one Python-level call per block instead
+    of one per record.  Every block's CRC is verified (DESIGN.md §15),
     so a partition file corrupted between parent and worker fails
-    loudly in the worker instead of poisoning its shard.
-
-    Under a binary working format the partition files themselves are
-    length-prefixed binary blocks (shard transfer never decodes), so
-    the opener and reader both defer to the format's framing.
+    loudly in the worker instead of poisoning its shard.  Under a
+    binary working format the blocks carry length-prefixed binary
+    records, so shard transfer never decodes.
     """
-    with open_run(path, "r", record_format, codec=codec) as handle:
+    with open_run(path, "r", codec) as handle:
         yield from iter_records(
-            handle, record_format, buffer_records, checksum=checksum,
-            codec=codec,
+            handle, record_format, buffer_records, codec=codec
         )
 
 
@@ -217,8 +217,6 @@ class ShardTask:
     cpu_op_time: float
     poll_interval: float
     acquire_timeout: float
-    #: Per-block checksums on partition, spill and shard files.
-    checksum: bool = False
     #: Spill codec on partition, spill and shard files (DESIGN.md §15).
     codec: str = "none"
     #: Durable mode: fsync the shard output and leave a ``.ok``
@@ -285,18 +283,15 @@ def sort_shard(args: Tuple[ShardTask, Any]) -> ShardResult:
             buffer_records=task.buffer_records,
             tmp_dir=task.work_dir,
             record_format=task.record_format,
-            checksum=task.checksum,
             cpu_op_time=task.cpu_op_time,
             spill_codec=task.codec,
         )
         length = sorter.sort_to_path(
             _read_encoded(
                 task.partition_path, task.record_format,
-                task.buffer_records, checksum=task.checksum,
-                codec=task.codec,
+                task.buffer_records, codec=task.codec,
             ),
             task.output_path,
-            track_crc=task.durable,
             fsync=task.durable,
         )
         if (
@@ -353,10 +348,6 @@ class PartitionedSort:
         one that is safe everywhere and matches production forkservers).
     sample_records:
         Head-of-stream records buffered to choose range cut points.
-    checksum:
-        Per-block CRC-32 headers on partition, spill and shard files
-        (DESIGN.md §11): corruption anywhere between parent and final
-        merge fails loudly with file + offset.
     work_dir / resume / input_fingerprint:
         Durable mode (DESIGN.md §11): shards are sorted under a stable
         ``work_dir`` with fsync + atomic ``.ok`` completion markers,
@@ -386,7 +377,6 @@ class PartitionedSort:
         total_memory: Optional[int] = None,
         mp_context: str = "spawn",
         sample_records: int = DEFAULT_SAMPLE_RECORDS,
-        checksum: bool = False,
         work_dir: Optional[str] = None,
         resume: bool = False,
         input_fingerprint: Optional[str] = None,
@@ -423,7 +413,6 @@ class PartitionedSort:
             )
         self.mp_context = mp_context
         self.sample_records = sample_records
-        self.checksum = checksum
         #: Spill codec (DESIGN.md §15) on partition, worker-spill and
         #: shard files; the parent's final merge reads it back.
         self.spill_codec = validate_codec(spill_codec)
@@ -502,9 +491,7 @@ class PartitionedSort:
             started = time.perf_counter()
             merge_dir = os.path.join(work_dir, "merge")
             os.makedirs(merge_dir, exist_ok=True)
-            session = SpillSession(
-                merge_dir, checksum=self.checksum, codec=self.spill_codec
-            )
+            session = SpillSession(merge_dir, codec=self.spill_codec)
             counter = MergeCounter()
             runs = [
                 SpilledRun(
@@ -556,9 +543,9 @@ class PartitionedSort:
             "total_memory": self.total_memory,
             "fan_in": self.fan_in,
             "buffer_records": self.buffer_records,
-            "checksum": self.checksum,
             "format": self.record_format.name,
-            # Binary and text spill files are not mutually readable, so
+            "framing": SPILL_FRAMING,
+            # Binary and text block bodies are not mutually readable, so
             # a resume across an encoding switch must start fresh even
             # though every other knob matches.
             "encoding": (
@@ -596,16 +583,11 @@ class PartitionedSort:
         handles: List[Any] = []
         try:
             for path in paths:
-                handles.append(
-                    open_run(
-                        path, "w", self.record_format,
-                        codec=self.spill_codec,
-                    )
-                )
+                handles.append(open_run(path, "w", self.spill_codec))
             writers = [
                 BlockWriter(
                     handle, self.record_format, block_records,
-                    checksum=self.checksum, codec=self.spill_codec,
+                    self.spill_codec,
                 )
                 for handle in handles
             ]
@@ -682,7 +664,6 @@ class PartitionedSort:
                 cpu_op_time=self.cpu_op_time,
                 poll_interval=self.poll_interval,
                 acquire_timeout=self.acquire_timeout,
-                checksum=self.checksum,
                 codec=self.spill_codec,
                 durable=durable,
                 expected_records=self._partition_counts[i],

@@ -2,16 +2,17 @@
 
 The simulated pipeline (:mod:`repro.sort.external`) charges I/O to an
 analytic disk clock; this module is its real-I/O twin for the CLI: runs
-are spilled to newline-delimited temporary files *as the generator
-produces them*, and the merge phase consumes them through lazy buffered
-readers, ``fan_in`` at a time.  Peak resident memory is therefore
+are spilled to temporary files *as the generator produces them*, and
+the merge phase consumes them through lazy buffered readers,
+``fan_in`` at a time.  Peak resident memory is therefore
 O(memory_capacity + fan_in * buffer_records) regardless of the input
 size — the whole point of external sorting — where the previous CLI
 path materialised every run and the merged output as Python lists.
 
 Serialisation is delegated to a :class:`~repro.core.records.
-RecordFormat` (DESIGN.md §9): spill files are written and read in
-*blocks* of records through :mod:`repro.engine.block_io`, and the final
+RecordFormat` (DESIGN.md §9): spill files are checksummed RBLC block
+streams written and read through :mod:`repro.engine.block_io` (every
+block's CRC is verified on read-back, DESIGN.md §15), and the final
 merge can read through any of the real-file reading strategies of
 :mod:`repro.engine.merge_reading` (``naive`` by default — identical
 behaviour to the seed).
@@ -76,13 +77,8 @@ class SpillSession:
     temp directory or cross-wire each other's instrumentation.
     """
 
-    def __init__(
-        self, work_dir: str, checksum: bool = False, codec: str = "none"
-    ) -> None:
+    def __init__(self, work_dir: str, codec: str = "none") -> None:
         self.work_dir = work_dir
-        #: Spill files written under this session carry per-block
-        #: checksum headers (DESIGN.md §11); readers verify them.
-        self.checksum = checksum
         #: Spill codec (DESIGN.md §15) for every run and intermediate
         #: merge file written under this session.
         self.codec = validate_codec(codec)
@@ -92,8 +88,8 @@ class SpillSession:
         self.open_readers = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        #: Spill traffic: encoded record bytes before codec framing vs
-        #: bytes actually written (equal when the codec is "none").
+        #: Spill traffic: encoded record bytes before codec and block
+        #: headers vs bytes actually written (headers included).
         self.spill_raw_bytes = 0
         self.spill_disk_bytes = 0
         #: Final-pass reading instrumentation (set by merge_spilled_runs).
@@ -134,10 +130,11 @@ class SpillSession:
 class SpilledRun:
     """One sorted run stored in a real temporary file.
 
-    Records are one per line in the owning sort's
-    :class:`RecordFormat`.  :meth:`records` is a lazy block-buffered
-    reader that holds at most ``buffer_records`` decoded records at a
-    time and deletes the file once it is fully consumed.
+    The file is an RBLC block stream under the session's codec, or,
+    for ``plain=True``, a caller's plain-line file (``repro merge``
+    inputs).  :meth:`records` is a lazy block-buffered reader that
+    holds at most one decoded block at a time and deletes the file
+    once it is fully consumed.
     """
 
     def __init__(
@@ -148,56 +145,29 @@ class SpilledRun:
         record_format: RecordFormat = INT,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         keep: bool = False,
-        checksum: Optional[bool] = None,
-        skip_blank: bool = False,
-        binary: Optional[bool] = None,
-        codec: Optional[str] = None,
+        plain: bool = False,
     ) -> None:
         self._session = session
         self.path = path
         self.length = length
         self.record_format = record_format
         self.buffer_records = buffer_records
-        #: Per-run framing override: caller-provided merge inputs are
-        #: text files even when the engine's working format spills
-        #: binary (its text-side codec decodes them); ``None`` defers
-        #: to the format's ``spill_binary`` flag.
-        self.binary = binary
         #: True for caller-owned files the merge must not delete
         #: (:meth:`SortEngine.merge_files` inputs) and for journaled
         #: durable runs, which only their resilience layer may delete.
         self.keep = keep
-        #: Per-run override of the session's checksum mode: caller-
-        #: provided merge inputs are plain files even when the session
-        #: checksums its own intermediate spills.
-        self._checksum = checksum
-        #: Tolerate blank separator lines (caller-provided merge
-        #: inputs, same contract as the CLI's input streams).  Spill
-        #: files the sort writes itself never need it.
-        self.skip_blank = skip_blank
-        #: Per-run override of the session's spill codec: caller-
-        #: provided merge inputs are uncompressed text even when the
-        #: session compresses its own intermediate spills.
-        self._codec = codec
-
-    @property
-    def checksum(self) -> bool:
-        """Whether this run's file carries per-block checksum headers."""
-        if self._checksum is not None:
-            return self._checksum
-        return self._session.checksum
-
-    @property
-    def codec(self) -> str:
-        """The spill codec this run's file was written with."""
-        if self._codec is not None:
-            return self._codec
-        return self._session.codec
+        #: The file's framing for :func:`~repro.engine.block_io.
+        #: read_blocks`: ``None`` for a caller's plain-line file, else
+        #: the session's spill codec.
+        self.codec: Optional[str] = None if plain else session.codec
+        #: Plain caller files tolerate blank separator lines, the same
+        #: contract as the CLI's input streams.
+        self.skip_blank = plain and record_format.blank_input_skippable
 
     def records(self) -> Iterator[Any]:
         """Yield the run's records in order, buffered and lazily.
 
-        A run whose file ends early — checksums can only vouch for the
+        A run whose file ends early — block CRCs can only vouch for the
         blocks that *are* there, not for silently missing ones — fails
         with a :class:`~repro.engine.errors.SortError` naming the file
         and both counts, instead of quietly merging a partial run.
@@ -206,14 +176,10 @@ class SpilledRun:
         delivered = 0
         session.reader_opened()
         try:
-            with open_run(
-                self.path, "r", self.record_format, self.binary,
-                codec=self.codec,
-            ) as handle:
+            with open_run(self.path, "r", self.codec) as handle:
                 for chunk in read_blocks(
                     handle, self.record_format, self.buffer_records,
-                    checksum=self.checksum, skip_blank=self.skip_blank,
-                    binary=self.binary, codec=self.codec,
+                    skip_blank=self.skip_blank, codec=self.codec,
                 ):
                     delivered += len(chunk)
                     session.buffer_grew(len(chunk))
@@ -256,11 +222,8 @@ def merge_group_to_file(
     the engine's file merge.
     """
     path = session.spill_path()
-    with open_run(path, "w", record_format, codec=session.codec) as out:
-        writer = BlockWriter(
-            out, record_format, buffer_records, checksum=session.checksum,
-            codec=session.codec,
-        )
+    with open_run(path, "w", session.codec) as out:
+        writer = BlockWriter(out, record_format, buffer_records, session.codec)
         writer.write_all(
             kway_merge([run.records() for run in group], counter)
         )
@@ -356,11 +319,6 @@ class FileSpillSort:
     reading:
         Merge reading strategy for the final pass (``naive`` /
         ``forecasting`` / ``double_buffering``; DESIGN.md §9).
-    checksum:
-        Write per-block CRC-32 headers into every spill file and
-        verify them on read-back (DESIGN.md §11), so a torn or
-        bit-flipped block fails the merge loudly with file + offset
-        instead of silently merging garbage.
     cpu_op_time:
         Simulated seconds per analytic CPU op, for the report's
         ``cpu_time`` alongside the measured wall times.
@@ -380,7 +338,6 @@ class FileSpillSort:
         tmp_dir: Optional[str] = None,
         record_format: RecordFormat = INT,
         reading: str = "naive",
-        checksum: bool = False,
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
         spill_codec: str = "none",
     ) -> None:
@@ -391,16 +348,14 @@ class FileSpillSort:
         self.tmp_dir = tmp_dir
         self.record_format = record_format
         self.reading = validate_reading(reading)
-        self.checksum = checksum
         self.cpu_op_time = cpu_op_time
         #: Spill codec (DESIGN.md §15) for runs, intermediate merges
         #: and shard output files.  The final ``sort()`` stream is
         #: unaffected — codecs only change bytes at rest.
         self.spill_codec = validate_codec(spill_codec)
         #: CRC-32 of the bytes the last :meth:`sort_to_path` intended
-        #: to write (set when ``track_crc=True``); shard completion
-        #: markers record it so resume verification catches any
-        #: divergence between intent and disk.
+        #: to write; shard completion markers record it so resume
+        #: verification catches any divergence between intent and disk.
         self.last_output_crc: Optional[int] = None
         #: Final :class:`SortReport`; set once a sort is fully consumed.
         self.report: Optional[SortReport] = None
@@ -472,33 +427,28 @@ class FileSpillSort:
         self,
         records: Iterable[Any],
         path: str,
-        track_crc: bool = False,
         fsync: bool = False,
     ) -> int:
         """Sort ``records`` into the file at ``path``; return the length.
 
         Streaming block-buffered write of the merged output — the
         parallel partitioned sort uses this inside worker processes to
-        leave one fully sorted file per shard behind.  ``track_crc``
-        records the output's CRC-32 in :attr:`last_output_crc` and
-        ``fsync`` forces the file to stable storage before returning —
-        both required before a durable completion marker may be
-        written for the file.
+        leave one fully sorted file per shard behind.  The output's
+        CRC-32 lands in :attr:`last_output_crc`; ``fsync`` forces the
+        file to stable storage before returning — required before a
+        durable completion marker may be written for the file.
         """
-        with open_run(
-            path, "w", self.record_format, codec=self.spill_codec
-        ) as out:
+        with open_run(path, "w", self.spill_codec) as out:
             writer = BlockWriter(
                 out, self.record_format, self.buffer_records,
-                checksum=self.checksum, track_crc=track_crc,
-                codec=self.spill_codec,
+                self.spill_codec,
             )
             writer.write_all(self.sort(records))
             writer.flush()
             if fsync:
                 out.flush()
                 os.fsync(out.fileno())
-        self.last_output_crc = writer.file_crc if track_crc else None
+        self.last_output_crc = writer.file_crc
         if self.report is not None:
             # The shard file is spill traffic too: the parent merge
             # reads it back exactly like a run.
@@ -512,7 +462,6 @@ class FileSpillSort:
         """The per-sort spill session, over a fresh temp directory."""
         return SpillSession(
             tempfile.mkdtemp(prefix="repro-sort-", dir=self.tmp_dir),
-            checksum=self.checksum,
             codec=self.spill_codec,
         )
 
@@ -532,7 +481,7 @@ class FileSpillSort:
             path = session.spill_path()
             write_sequence(
                 path, run, self.record_format, self.buffer_records,
-                checksum=self.checksum, codec=session.codec, session=session,
+                codec=session.codec, session=session,
             )
             runs.append(SpilledRun(
                 session, path, len(run), self.record_format,

@@ -92,10 +92,10 @@ def meta_value(meta: bytes) -> bytes:
 
 class StoreFormat(RecordFormat):
     """The store's entry shape for :class:`~repro.engine.block_io.
-    BlockWriter` and the RBLK/RBLC readers.
+    BlockWriter` and the RBLC block reader.
 
-    ``spill_binary = True`` routes every block through the
-    length-prefixed binary framing, whose writer and reader touch only
+    ``spill_binary = True`` makes every block body length-prefixed
+    binary records, whose writer and reader touch only
     ``entry[0]``/``entry[1]`` — they never call ``encode``/``decode``.
     The text-side methods are therefore deliberately left as the base
     class's ``NotImplementedError`` stubs: the store has no text
@@ -106,7 +106,7 @@ class StoreFormat(RecordFormat):
 
     name = "store"
     numeric = False
-    #: block_io routes files of this format through binary framing.
+    #: block_io writes this format's block bodies as binary records.
     spill_binary = True
     #: Plain tuples round-trip spill files unchanged — no factory.
     record_factory = None

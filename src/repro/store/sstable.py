@@ -1,10 +1,11 @@
 """SSTable writing and reading (DESIGN.md §17).
 
 An SSTable is a sorted run with a map.  The data region is exactly
-what the sort engine spills — RBLK (or codec-framed RBLC) blocks of
-``(key_bytes, meta_bytes)`` records written by
+what the sort engine spills — RBLC blocks (DESIGN.md §15) of
+length-prefixed ``(key_bytes, meta_bytes)`` records written by
 :class:`~repro.engine.block_io.BlockWriter` through the ``open_bytes``
-fault seam — followed by a *sparse index* (one ``(offset,
+fault seam, each carrying the CRC-32 of its stored bytes — followed by
+a *sparse index* (one ``(offset,
 first_key)`` pair per block, plus the table's key range, record count
 and max seqno) and a fixed 24-byte footer whose magic is the last
 thing written.  File layout::
@@ -44,7 +45,7 @@ from repro.engine.block_io import (
     read_framed_block,
 )
 from repro.engine.errors import StoreError
-from repro.engine.spill_codec import CODEC_IDS, validate_codec
+from repro.engine.spill_codec import CODEC_IDS, CODEC_NAMES, validate_codec
 from repro.store.format import STORE_FORMAT
 
 __all__ = [
@@ -60,7 +61,9 @@ __all__ = [
 SSTABLE_MAGIC = b"RSSTIDX1"
 
 #: Index schema version (bumped on incompatible layout changes).
-TABLE_VERSION = 1
+#: Version 2: codec ``none`` data blocks carry the RBLC header like
+#: every other codec's (version 1 used a separate uncompressed framing).
+TABLE_VERSION = 2
 
 #: index_offset, index_len, index_crc, magic.
 _FOOTER = struct.Struct(">QII8s")
@@ -71,11 +74,6 @@ _INDEX_FIXED = struct.Struct(">HQQBI")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
-#: Codec wire ids for the index header.  The RBLC ids are reused, with
-#: 0 (reserved there — "none" blocks are RBLK-framed, not RBLC) taken
-#: for the uncompressed layout, since the index must record it too.
-_CODEC_WIRE = {"none": 0, **CODEC_IDS}
-_CODEC_UNWIRE = {wire: name for name, wire in _CODEC_WIRE.items()}
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,7 @@ def write_table(
     last_key = b""
     handle = open_bytes(path, "w")
     try:
-        writer = BlockWriter(
-            handle, STORE_FORMAT, block_records, track_crc=True, codec=codec
-        )
+        writer = BlockWriter(handle, STORE_FORMAT, block_records, codec)
         count = 0
         for entry in entries:
             if count % block_records == 0:
@@ -144,7 +140,7 @@ def write_table(
         index_offset = writer.disk_bytes
         index_parts: List[bytes] = [
             _INDEX_FIXED.pack(
-                TABLE_VERSION, count, max_seqno, _CODEC_WIRE[codec],
+                TABLE_VERSION, count, max_seqno, CODEC_IDS[codec],
                 len(offsets),
             )
         ]
@@ -183,7 +179,7 @@ class SSTableReader:
 
     Opening parses and CRC-checks the footer + sparse index; anything
     structurally wrong raises :class:`StoreError` naming the file.
-    Data blocks are verified on every read (``checksum=True`` through
+    Every data block's CRC is verified on read (through
     :func:`read_framed_block`) — a point lookup that lands on a
     bit-flipped block fails loudly, never returns garbage.
     """
@@ -264,7 +260,7 @@ class SSTableReader:
                 f"sstable {path!r} has index version {version}, this "
                 f"build reads version {TABLE_VERSION}"
             )
-        codec = _CODEC_UNWIRE.get(codec_id)
+        codec = CODEC_NAMES.get(codec_id)
         if codec is None:
             raise StoreError(
                 f"sstable {path!r} was written with unknown codec id "
@@ -304,7 +300,7 @@ class SSTableReader:
         handle.seek(block_offset)
         result = read_framed_block(
             handle, STORE_FORMAT, path=self.path, index=index,
-            offset=block_offset, checksum=True, codec=self.codec,
+            offset=block_offset, codec=self.codec,
         )
         if result is None:
             raise StoreError(

@@ -17,8 +17,9 @@ Injection is *deterministic*: calls are counted per process in call
 order, filtered by operation (``open`` / ``read`` / ``write``) and an
 optional path substring, so a failing case reproduces from its plan
 alone.  Activation installs a wrapper on the single
-:func:`repro.engine.block_io.open_text` seam every backend opens its
-spill, shard and partition files through — no backend code is patched
+:mod:`repro.engine.block_io` seam (``open_bytes``/``open_text``) every
+backend opens its spill, shard and partition files through — no
+backend code is patched
 — and mirrors the plan into the ``REPRO_FAULT_PLAN`` environment
 variable so ``spawn`` worker processes of the parallel backend (and
 ``repro.cli`` subprocesses) inherit the same schedule and fault their
@@ -80,8 +81,10 @@ class FaultPlan:
     ----------
     op:
         Which block-I/O operation to count: ``"open"``, ``"read"``
-        (one line handed to a reader) or ``"write"`` (one buffered
-        block or header flushed).
+        (one ``read()`` of an RBLC block header or body — every spill,
+        shard and partition file is a byte stream — or one line handed
+        out of a plain-line file) or ``"write"`` (one block header,
+        block body or plain-line block flushed).
     nth:
         1-based index of the matching call that faults.
     kind:
@@ -195,12 +198,12 @@ class FaultyFile:
     """File proxy that applies the active plan to one file's calls.
 
     Wraps a real handle — text or binary, the seam passes both
-    through here.  Text reads are counted per line handed out
-    (``__next__``, which is how the text block readers consume files);
-    binary reads per ``read()`` call (the binary reader makes exactly
-    two per block: header, then body).  Writes are counted per
-    ``write()`` call (one buffered block, checksum header, or binary
-    header/body each).  Everything else is forwarded untouched.
+    through here.  Byte reads are counted per ``read()`` call (the
+    RBLC reader makes exactly two per block: header, then body); text
+    reads per line handed out (``__next__``, which is how plain-line
+    files such as ``repro merge`` inputs are consumed).  Writes are
+    counted per ``write()`` call (an RBLC block header or body, or one
+    plain-line block).  Everything else is forwarded untouched.
     """
 
     def __init__(self, handle: TextIO, path: str, state: FaultState) -> None:

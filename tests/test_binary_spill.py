@@ -10,11 +10,11 @@ Four families, each pinning a bug class the text path hides:
   field (``a,,c`` with ``--key 1``) is data and sorts as the empty
   text key; a missing column (``a`` with ``--key 1``) is malformed and
   raises the same ``ValueError`` on every backend, text or binary.
-* **Framing self-defence** (satellite 3) — payload lines that look
-  like ``#repro:blk`` headers survive checksummed text framing via
-  escaping; binary RBLK framing is length-driven so look-alike bytes
-  are inert; torn or corrupted binary blocks raise
-  :class:`CorruptBlockError` naming what broke.
+* **Framing self-defence** — RBLC framing is
+  length-driven, so records that spell block headers (of this or any
+  retired framing) or hold odd line-break characters round-trip
+  through text and binary bodies; torn or corrupted blocks raise
+  :class:`CorruptBlockError` naming file, block and offset.
 * **Hot-loop decode budget** (tentpole acceptance) — a counting format
   proves the spill+merge pipeline performs *zero* per-record
   ``decode``/``decode_block``/``key`` calls after input parsing, the
@@ -25,11 +25,13 @@ compatibility errors that keep raw-byte keys from silently comparing
 against decoded ones.
 """
 
+import io
 import math
 import os
 import shutil
 import struct
 import subprocess
+import zlib
 
 import pytest
 
@@ -46,11 +48,9 @@ from repro.core.records import (
     binary_format,
 )
 from repro.engine.block_io import (
-    BINARY_BLOCK_MAGIC,
-    ESCAPE_TOKEN,
+    BLOCK_MAGIC,
     BlockWriter,
     open_bytes,
-    open_text,
     read_blocks,
 )
 from repro.engine.errors import CorruptBlockError
@@ -282,57 +282,61 @@ class TestDelimitedEmptyVsMissing:
 HOSTILE_LINES = [
     "#repro:blk 3 deadbeef",       # a plausible forged header
     "#repro:blk 0 00000000",
-    "#repro:esc #repro:blk 1 11111111",  # an already-escaped look-alike
+    "#repro:esc #repro:blk 1 11111111",  # an escaped look-alike
+    "#repro:esc x",
     "#repro: anything",
     "plain data",
-    "RBLK not a header",
+    "RBLC",
+    "RBLK",
+    "RBLC not a header",
+    "next\x85line",                # NEL: str.splitlines would split here
+    "line\u2028separator",
+    "form\x0cfeed",
     "",
 ]
 
 
-class TestFramingSelfDefence:
-    def test_checksummed_text_escapes_header_lookalikes(self, tmp_path):
-        path = tmp_path / "hostile.txt"
-        with open_text(str(path), "w") as handle:
-            writer = BlockWriter(handle, STR, block_records=3,
-                                 checksum=True)
-            writer.write_all(iter(HOSTILE_LINES))
-            writer.flush()
-        raw = path.read_text()
-        assert ESCAPE_TOKEN in raw, "look-alike data lines must be escaped"
-        with open_text(str(path), "r") as handle:
-            got = [
-                record
-                for block in read_blocks(handle, STR, checksum=True)
-                for record in block
-            ]
-        assert got == HOSTILE_LINES
+def _hostile_text():
+    return "".join(line + "\n" for line in HOSTILE_LINES)
 
-    @pytest.mark.parametrize("checksum", [False, True])
+
+def _round_trip_hostile(tmp_path, fmt, codec):
+    """Write the hostile records as an RBLC file and read them back."""
+    records = fmt.decode_block(io.StringIO(_hostile_text()).readlines())
+    assert len(records) == len(HOSTILE_LINES)
+    path = tmp_path / "hostile.bin"
+    with open_bytes(str(path), "w") as handle:
+        writer = BlockWriter(handle, fmt, block_records=2, codec=codec)
+        writer.write_all(records)
+        writer.flush()
+    assert path.read_bytes().startswith(BLOCK_MAGIC)
+    with open_bytes(str(path), "r") as handle:
+        got = [
+            record
+            for block in read_blocks(handle, fmt, codec=codec)
+            for record in block
+        ]
+    assert got == records
+    assert fmt.encode_block(got) == _hostile_text()
+
+
+class TestFramingSelfDefence:
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_lookalike_records_round_trip(self, tmp_path, codec):
+        """Text bodies split on ``"\\n"`` only, so records spelling block
+        headers or holding other line-break characters round-trip byte
+        for byte."""
+        _round_trip_hostile(tmp_path, STR, codec)
+
+    @pytest.mark.parametrize("compressed", [False, True])
     def test_binary_framing_is_inert_to_lookalike_bytes(
-        self, tmp_path, checksum
+        self, tmp_path, compressed
     ):
-        """RBLK bodies are consumed by byte length, never scanned, so
-        payloads spelling ``RBLK`` or ``#repro:blk`` cannot confuse the
-        reader."""
-        fmt = binary_format(STR)
-        records = fmt.decode_block([line + "\n" for line in HOSTILE_LINES])
-        path = tmp_path / "hostile.bin"
-        with open_bytes(str(path), "w") as handle:
-            writer = BlockWriter(handle, fmt, block_records=2,
-                                 checksum=checksum)
-            writer.write_all(records)
-            writer.flush()
-        assert BINARY_BLOCK_MAGIC in path.read_bytes()
-        with open_bytes(str(path), "r") as handle:
-            got = [
-                record
-                for block in read_blocks(handle, fmt, checksum=checksum)
-                for record in block
-            ]
-        assert got == records
-        assert fmt.encode_block(got) == "".join(
-            line + "\n" for line in HOSTILE_LINES
+        """RBLC bodies are consumed by byte length, never scanned, so
+        payloads spelling ``RBLC``, ``RBLK`` or ``#repro:blk`` cannot
+        confuse the reader, compressed or not."""
+        _round_trip_hostile(
+            tmp_path, binary_format(STR), "zlib" if compressed else "none"
         )
 
     def test_cli_durable_sort_survives_hostile_payloads(self, tmp_path):
@@ -349,77 +353,88 @@ class TestFramingSelfDefence:
             )
             assert got == want, f"{name} mangled header-lookalike payloads"
 
-    # -- torn / corrupted binary files ------------------------------------
+    # -- torn / corrupted block files -------------------------------------
 
-    def _binary_file(self, tmp_path, checksum=True):
+    def _binary_file(self, tmp_path):
         fmt = binary_format(STR)
         path = tmp_path / "blocks.bin"
         with open_bytes(str(path), "w") as handle:
-            writer = BlockWriter(handle, fmt, block_records=4,
-                                 checksum=checksum)
+            writer = BlockWriter(handle, fmt, block_records=4)
             writer.write_all(fmt.decode(f"record-{i}") for i in range(8))
             writer.flush()
         return path, fmt
 
-    def _read_all(self, path, fmt, checksum=True):
+    def _read_all(self, path, fmt, codec="none"):
         with open_bytes(str(path), "r") as handle:
             return [
-                record for block in read_blocks(handle, fmt,
-                                                checksum=checksum)
+                record
+                for block in read_blocks(handle, fmt, codec=codec)
                 for record in block
             ]
+
+    def _corrupt(self, path, fmt, codec="none"):
+        """Read ``path`` expecting a located ``CorruptBlockError``."""
+        with pytest.raises(CorruptBlockError) as info:
+            self._read_all(path, fmt, codec)
+        err = info.value
+        assert err.path == str(path)
+        assert f"block #{err.block_index}" in str(err)
+        assert f"byte offset {err.offset}" in str(err)
+        return err
 
     def test_bad_magic_detected(self, tmp_path):
         path, fmt = self._binary_file(tmp_path)
         data = bytearray(path.read_bytes())
         data[:4] = b"JUNK"
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptBlockError, match="magic"):
-            self._read_all(path, fmt)
+        err = self._corrupt(path, fmt)
+        assert "magic" in err.reason
+        assert (err.block_index, err.offset) == (0, 0)
 
     def test_truncated_header_detected(self, tmp_path):
         path, fmt = self._binary_file(tmp_path)
         path.write_bytes(path.read_bytes()[:7])
-        with pytest.raises(CorruptBlockError, match="truncated.*header"):
-            self._read_all(path, fmt)
+        err = self._corrupt(path, fmt)
+        assert "truncated block header" in err.reason
 
     def test_truncated_body_detected(self, tmp_path):
         path, fmt = self._binary_file(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 5])
-        with pytest.raises(CorruptBlockError, match="truncated"):
-            self._read_all(path, fmt)
+        err = self._corrupt(path, fmt)
+        assert "truncated" in err.reason
+        assert err.block_index == 1 and err.offset > 0
 
     def test_flipped_payload_byte_fails_crc(self, tmp_path):
         path, fmt = self._binary_file(tmp_path)
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # last payload byte: lengths stay consistent
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptBlockError, match="checksum mismatch"):
-            self._read_all(path, fmt)
-
-    def test_unchecked_read_skips_crc_but_not_structure(self, tmp_path):
-        """Without ``checksum`` the CRC is not verified (contract match
-        with the text path) — but structural tears still raise."""
-        path, fmt = self._binary_file(tmp_path, checksum=False)
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        got = self._read_all(path, fmt, checksum=False)
-        assert len(got) == 8  # flipped byte read back as (wrong) data
-        path.write_bytes(bytes(data[:-3]))
-        with pytest.raises(CorruptBlockError):
-            self._read_all(path, fmt, checksum=False)
+        err = self._corrupt(path, fmt)
+        assert "checksum mismatch" in err.reason
+        assert err.block_index == 1
 
     def test_record_length_overrun_detected(self, tmp_path):
-        path, fmt = self._binary_file(tmp_path, checksum=False)
+        path, fmt = self._binary_file(tmp_path)
         data = bytearray(path.read_bytes())
-        header_size = struct.calcsize(">4sIII")
-        # First record's key length claims more bytes than the body has.
-        struct.pack_into(">I", data, header_size, 2 ** 20)
+        header = struct.Struct(">4sBIIII")
+        _, _, _, _, stored_len, _ = header.unpack_from(data, 0)
+        # First record's key length claims more bytes than the body
+        # has; the CRC is recomputed so only the record parser can
+        # catch it.
+        struct.pack_into(">I", data, header.size, 2 ** 20)
+        body = bytes(data[header.size : header.size + stored_len])
+        struct.pack_into(">I", data, header.size - 4, zlib.crc32(body))
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptBlockError, match="malformed|overrun"):
-            self._read_all(path, fmt, checksum=False)
+        err = self._corrupt(path, fmt)
+        assert "malformed" in err.reason
+        assert (err.block_index, err.offset) == (0, 0)
+
+    def test_codec_id_mismatch_detected(self, tmp_path):
+        path, fmt = self._binary_file(tmp_path)
+        err = self._corrupt(path, fmt, codec="zlib")
+        assert "codec 'none'" in err.reason
+        assert (err.block_index, err.offset) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ class TestMergeFiles:
             values = sorted(range(i, 1_000, 5))
             all_values.extend(values)
             path = str(tmp_path / f"sorted-{i}.txt")
-            write_sequence(path, values, INT)
+            write_sequence(path, values, INT, codec=None)
             paths.append(path)
         engine = SortEngine(GeneratorSpec("lss", 100), tmp_dir=str(tmp_path))
         got = list(engine.merge_files(paths))
@@ -250,7 +250,7 @@ class TestMergeFiles:
         paths = []
         for i in range(7):
             path = str(tmp_path / f"s{i}.txt")
-            write_sequence(path, sorted(range(i, 700, 7)), INT)
+            write_sequence(path, sorted(range(i, 700, 7)), INT, codec=None)
             paths.append(path)
         engine = SortEngine(
             GeneratorSpec("lss", 100), fan_in=3, tmp_dir=str(tmp_path)

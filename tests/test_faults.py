@@ -16,6 +16,8 @@ like the property sweep does from ``REPRO_PROPERTY_SEED``.
 
 import os
 import random
+import re
+import tempfile
 
 import pytest
 
@@ -473,9 +475,46 @@ class TestCleanFailureWithoutDurability:
         data = [((i * 409) % 700) for i in range(500)]
         sorter = FileSpillSort(
             GeneratorSpec(algorithm="rs", memory=32).build(),
-            fan_in=4, buffer_records=8, tmp_dir=str(tmp_path), checksum=True,
+            fan_in=4, buffer_records=8, tmp_dir=str(tmp_path),
         )
         with activate(plan):
             with pytest.raises(SortError):
                 list(sorter.sort(iter(data)))
         assert files_under(tmp_path) == []
+
+    @pytest.mark.parametrize("fmt, workers, substring", [
+        ("int", 1, "run-"),
+        ("str", 1, "run-"),
+        ("csv", 1, "run-"),
+        ("int", 2, "shard-000"),
+    ])
+    def test_default_cli_sort_rejects_bit_flipped_spill(
+        self, tmp_path, monkeypatch, capsys, fmt, workers, substring
+    ):
+        """A default sort — no --resume, no --checksum — must never
+        turn a flipped spill byte into wrong output: it exits 1 with a
+        located CorruptBlockError, publishes nothing, and removes its
+        temp directory."""
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        source = make_corpus(tmp_path, fmt, 600, workers)
+        out = tmp_path / "out.txt"
+        argv = ["sort", "--memory", "16", "--fan-in", "4",
+                "--merge-buffer", "8", *format_args(fmt)]
+        if workers > 1:
+            argv += ["--workers", str(workers)]
+        plan = FaultPlan(op="write", nth=5, kind="bit_flip",
+                         path_substring=substring)
+        with activate(plan) as state:
+            code = main(argv + [str(source), "-o", str(out)])
+        assert state.fired or workers > 1
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(
+            rf"corrupt spill block in '[^']*{substring}[^']*': "
+            rf"block #\d+ at byte offset \d+", err
+        ), err
+        assert not out.exists()
+        assert files_under(tmp_path) == [str(source)]
+        assert list(temp_root.iterdir()) == []

@@ -27,11 +27,17 @@ class _Run:
         self.path = path
 
 
-def _write_runs(tmp_path, runs, fmt=INT):
+def _write_runs(tmp_path, runs, block_records, fmt=INT):
+    """Spill ``runs`` as RBLC files of ``block_records``-record blocks.
+
+    RBLC blocks come back in their written size, so tests write them
+    at the size the strategy under test reads, as the spill backend
+    does.
+    """
     paths = []
     for index, run in enumerate(runs):
         path = str(tmp_path / f"run-{index:03d}.txt")
-        write_sequence(path, sorted(run), fmt)
+        write_sequence(path, sorted(run), fmt, block_records)
         paths.append(_Run(path))
     return paths
 
@@ -50,7 +56,7 @@ class TestByteIdenticalAcrossStrategies:
         data = list(make_input(distribution, 3_000, seed=11))
         chunk = 400
         runs = [data[i : i + chunk] for i in range(0, len(data), chunk)]
-        paths = _write_runs(tmp_path, runs)
+        paths = _write_runs(tmp_path, runs, 96)
         outputs = {}
         for reading in READING_STRATEGIES:
             merged, _ = _merge_with(reading, paths, buffer_records=96)
@@ -62,7 +68,7 @@ class TestByteIdenticalAcrossStrategies:
     def test_string_records(self, tmp_path):
         words = [f"w{i:05d}" for i in range(900)]
         runs = [words[0::3], words[1::3], words[2::3]]
-        paths = _write_runs(tmp_path, runs, STR)
+        paths = _write_runs(tmp_path, runs, 32, STR)
         for reading in READING_STRATEGIES:
             merged, _ = _merge_with(reading, paths, STR, buffer_records=32)
             assert merged == sorted(words)
@@ -90,7 +96,7 @@ class TestPrefetchCorrectness:
         # Tiny buffers force many refills, so every prefetched block
         # that lands out of sequence would corrupt the output order.
         runs = [list(range(i, 2_000, 7)) for i in range(7)]
-        paths = _write_runs(tmp_path, runs)
+        paths = _write_runs(tmp_path, runs, 8)
         merged, stats = _merge_with("forecasting", paths, buffer_records=8)
         assert merged == sorted(v for run in runs for v in run)
         assert stats.prefetches > 0
@@ -102,7 +108,7 @@ class TestPrefetchCorrectness:
         # Run 0's keys are all smaller than run 1's, so every forecast
         # must aim at run 0 until it is exhausted.
         runs = [list(range(0, 100)), list(range(1_000, 1_100))]
-        paths = _write_runs(tmp_path, runs)
+        paths = _write_runs(tmp_path, runs, 10)
         strategy = open_reading("forecasting", paths, INT, 10)
         targets = []
         original = ForecastingReading._forecast
@@ -123,7 +129,7 @@ class TestPrefetchCorrectness:
         assert set(targets[:5]) == {0}
 
     def test_double_buffering_halves_the_buffer(self, tmp_path):
-        paths = _write_runs(tmp_path, [list(range(100))])
+        paths = _write_runs(tmp_path, [list(range(100))], 25)
         strategy = open_reading("double_buffering", paths, INT, 50)
         try:
             assert strategy.sources[0].block_records == 25
@@ -135,7 +141,8 @@ class TestPrefetchCorrectness:
     def test_prefetched_blocks_count_toward_session_budget(self, tmp_path):
         session = SpillSession(str(tmp_path))
         runs = [list(range(i, 1_200, 3)) for i in range(3)]
-        paths = _write_runs(tmp_path, runs)
+        # Blocks of the half-buffer double buffering reads.
+        paths = _write_runs(tmp_path, runs, 32)
         strategy = open_reading(
             "double_buffering", paths, INT, 64, session
         )
@@ -153,9 +160,29 @@ class TestPrefetchCorrectness:
         assert session.open_readers == 0
         assert session.resident == 0
 
+    def test_prefetch_charge_covers_written_block_size(self, tmp_path):
+        """Blocks written larger than the half-buffer come back whole,
+        so each run holds two of them — and the session is charged
+        for both, never the smaller requested size."""
+        session = SpillSession(str(tmp_path))
+        runs = [list(range(i, 1_200, 3)) for i in range(3)]
+        paths = _write_runs(tmp_path, runs, 64)
+        strategy = open_reading(
+            "double_buffering", paths, INT, 64, session
+        )
+        try:
+            merged = list(kway_merge(strategy.streams()))
+        finally:
+            strategy.close()
+        assert merged == sorted(v for run in runs for v in run)
+        assert session.max_resident_records == 3 * 2 * 64
+        assert session.resident == 0
+
     def test_abandoned_prefetch_charge_released_on_close(self, tmp_path):
         session = SpillSession(str(tmp_path))
-        paths = _write_runs(tmp_path, [list(range(500)), list(range(500))])
+        paths = _write_runs(
+            tmp_path, [list(range(500)), list(range(500))], 16
+        )
         strategy = open_reading("forecasting", paths, INT, 16, session)
         streams = strategy.streams()
         for _ in range(40):  # enough to trigger a prefetch, then stop
@@ -167,7 +194,9 @@ class TestPrefetchCorrectness:
 
     def test_prefetch_threads_do_not_leak(self, tmp_path):
         before = threading.active_count()
-        paths = _write_runs(tmp_path, [list(range(500)), list(range(500))])
+        paths = _write_runs(
+            tmp_path, [list(range(500)), list(range(500))], 16
+        )
         for _ in range(3):
             merged, _ = _merge_with("forecasting", paths, buffer_records=16)
             assert len(merged) == 1_000
@@ -194,7 +223,7 @@ class TestLifecycle:
         assert os.path.exists(keep_path)
 
     def test_close_mid_merge_closes_handles(self, tmp_path):
-        paths = _write_runs(tmp_path, [list(range(1_000))])
+        paths = _write_runs(tmp_path, [list(range(1_000))], 10)
         strategy = open_reading("forecasting", paths, INT, 10)
         stream = strategy.streams()[0]
         for _ in range(25):

@@ -17,6 +17,7 @@ from _helpers import sha256_file
 from repro.core.records import INT, STR
 from repro.engine.block_io import (
     BlockWriter,
+    open_bytes,
     open_text,
     read_blocks,
     write_block_file,
@@ -43,12 +44,12 @@ from repro.testing.faults import FaultInjected, FaultPlan, activate
 
 
 class TestBlockChecksums:
-    def write(self, path, records, fmt=INT, block=4, checksum=True):
-        return write_block_file(str(path), records, fmt, block, checksum=checksum)
+    def write(self, path, records, fmt=INT, block=4):
+        return write_block_file(str(path), records, fmt, block)
 
     def read(self, path, fmt=INT, block=4):
-        with open_text(str(path)) as handle:
-            return list(read_blocks(handle, fmt, block, checksum=True))
+        with open_bytes(str(path)) as handle:
+            return list(read_blocks(handle, fmt, block))
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "blk.txt"
@@ -81,8 +82,7 @@ class TestBlockChecksums:
     def test_truncated_block_detected(self, tmp_path):
         path = tmp_path / "blk.txt"
         self.write(path, list(range(8)), block=4)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-2]))  # tear the last block
+        path.write_bytes(path.read_bytes()[:-4])  # tear the last block
         with pytest.raises(CorruptBlockError) as err:
             self.read(path)
         assert "truncated" in str(err.value)
@@ -96,16 +96,18 @@ class TestBlockChecksums:
         assert "header" in str(err.value)
 
     def test_unchecksummed_reader_still_works(self, tmp_path):
+        # Plain-line files (codec=None) are user data: no CRC to check.
         path = tmp_path / "blk.txt"
-        self.write(path, list(range(6)), checksum=False)
+        write_block_file(str(path), list(range(6)), INT, 4, codec=None)
+        assert path.read_text() == "".join(f"{i}\n" for i in range(6))
         with open_text(str(path)) as handle:
-            blocks = list(read_blocks(handle, INT, 4))
+            blocks = list(read_blocks(handle, INT, 4, codec=None))
         assert [r for b in blocks for r in b] == list(range(6))
 
     def test_writer_tracks_file_crc(self, tmp_path):
         path = tmp_path / "crc.txt"
-        with open_text(str(path), "w") as handle:
-            writer = BlockWriter(handle, INT, 3, track_crc=True)
+        with open_bytes(str(path), "w") as handle:
+            writer = BlockWriter(handle, INT, 3)
             writer.write_all(range(10))
             writer.flush()
         assert writer.file_crc == file_crc32(str(path))
@@ -257,7 +259,6 @@ class TestMarkers:
 def make_sorter(work, **kwargs):
     defaults = dict(
         memory=16, work_dir=str(work), fan_in=3, buffer_records=8,
-        checksum=True,
     )
     defaults.update(kwargs)
     return ResumableSpillSort(**defaults)
@@ -288,6 +289,32 @@ class TestResumableSpillSort:
         resumed = make_sorter(work, resume=True)
         assert list(resumed.sort(iter(DATA))) == sorted(DATA)
         assert resumed.runs_reused >= 1
+        assert not work.exists()
+
+    def test_work_dir_from_before_rblc_framing_sorted_fresh(self, tmp_path):
+        """A work dir journaled under the old fingerprint (a
+        ``checksum`` flag, no ``framing``) holds runs in a retired
+        framing: resume must wipe it and sort fresh, not reuse it."""
+        work = tmp_path / "wd"
+        plan = FaultPlan(op="write", nth=10, kind="raise", path_substring="run-")
+        with activate(plan):
+            with pytest.raises(FaultInjected):
+                list(make_sorter(work).sort(iter(DATA)))
+        journal_path = work / JOURNAL_NAME
+        entries = [json.loads(line) for line in
+                   journal_path.read_text().splitlines()]
+        fingerprint = entries[0]["fingerprint"]
+        assert fingerprint.pop("framing") == "rblc"
+        fingerprint["checksum"] = False
+        journal_path.write_text(
+            "".join(json.dumps(entry) + "\n" for entry in entries)
+        )
+        stale = [p for p in os.listdir(work) if p.startswith("run-")]
+        assert stale
+        resumed = make_sorter(work, resume=True)
+        assert list(resumed.sort(iter(DATA))) == sorted(DATA)
+        assert resumed.runs_reused == 0
+        assert resumed.merges_reused == 0
         assert not work.exists()
 
     def test_resume_skips_input_when_generation_finished(self, tmp_path):
@@ -386,7 +413,6 @@ class TestEngineResilience:
         engine = SortEngine(
             GeneratorSpec(algorithm="rs", memory=16),
             work_dir=str(tmp_path / "wd"),
-            checksum=True,
         )
         assert list(engine.sort(iter(DATA))) == sorted(DATA)
         assert engine.plan.mode == "spill"

@@ -59,6 +59,24 @@ def _wait_scheduler(scheduler, job_id, timeout=60.0):
 
 
 # ---------------------------------------------------------------------------
+# job specs
+# ---------------------------------------------------------------------------
+
+
+class TestJobSpecPayload:
+    def test_checksum_field_accepted_and_ignored(self, tmp_path):
+        """Spill blocks are always checksummed: the old ``checksum``
+        submit field still parses but changes neither the spec nor
+        the job id."""
+        base = {"op": "sort", "input": str(tmp_path / "in.txt")}
+        plain = JobSpec.from_payload(base)
+        flagged = JobSpec.from_payload({**base, "checksum": True})
+        assert flagged == plain
+        assert "checksum" not in flagged.to_payload()
+        assert job_id_for(flagged) == job_id_for(plain)
+
+
+# ---------------------------------------------------------------------------
 # scheduler-level
 # ---------------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import pytest
 from repro.core.config import GeneratorSpec
 from repro.core.records import INT, binary_format, resolve_format
 from repro.engine.block_io import (
-    COMPRESSED_BLOCK_MAGIC,
+    BLOCK_MAGIC,
     BlockWriter,
     iter_records,
     open_run,
@@ -143,7 +143,7 @@ class TestCompressBody:
 def roundtrip(tmp_path, fmt, records, codec, block_records=64):
     path = str(tmp_path / f"run-{codec.replace('+', '_')}.dat")
     write_sequence(path, records, fmt, block_records, codec=codec)
-    with open_run(path, "r", fmt, codec=codec) as handle:
+    with open_run(path, "r", codec) as handle:
         return path, list(
             iter_records(handle, fmt, block_records, codec=codec)
         )
@@ -188,7 +188,7 @@ class TestCompressedBlockIO:
 
     def test_mixed_codec_read_is_corrupt_not_garbage(self, tmp_path):
         path, _ = roundtrip(tmp_path, INT, list(range(100)), "zlib")
-        with open_run(path, "r", INT, codec="lzma") as handle:
+        with open_run(path, "r", "lzma") as handle:
             with pytest.raises(CorruptBlockError) as info:
                 list(read_blocks(handle, INT, 64, codec="lzma"))
         assert info.value.path == path
@@ -196,8 +196,8 @@ class TestCompressedBlockIO:
 
     def test_plain_reader_on_compressed_file_fails_loudly(self, tmp_path):
         path, _ = roundtrip(tmp_path, INT, list(range(100)), "zlib")
-        with open_run(path, "r", INT) as handle:
-            with pytest.raises(Exception):
+        with open_run(path, "r") as handle:
+            with pytest.raises(CorruptBlockError):
                 list(iter_records(handle, INT, 64))
 
 
@@ -210,7 +210,7 @@ class TestCompressedCorruption:
         mutate(data)
         with open(path, "wb") as handle:
             handle.write(bytes(data))
-        with open_run(path, "r", INT, codec=codec) as handle:
+        with open_run(path, "r", codec) as handle:
             with pytest.raises(CorruptBlockError) as info:
                 list(read_blocks(handle, INT, 64, codec=codec))
         return path, info.value
@@ -260,7 +260,10 @@ class TestCompressedCorruption:
         assert err.block_index == 0
 
     def test_magic_constant_is_distinct_from_binary_framing(self):
-        assert COMPRESSED_BLOCK_MAGIC == b"RBLC"
+        # b"RBLK" led the retired uncompressed binary framing: run
+        # files left by older builds must fail on magic, not misparse.
+        assert BLOCK_MAGIC == b"RBLC"
+        assert BLOCK_MAGIC != b"RBLK"
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +284,15 @@ class _Session:
 class TestByteAccounting:
     RECORDS = [(i * 7) % 1000 for i in range(3000)]
 
-    def test_none_codec_raw_equals_disk(self, tmp_path):
+    def test_none_codec_disk_is_raw_plus_headers(self, tmp_path):
         session = _Session()
         path = str(tmp_path / "plain.txt")
         write_sequence(path, self.RECORDS, INT, 256, session=session)
         import os
 
-        assert session.raw == session.disk == os.path.getsize(path)
+        blocks = -(-len(self.RECORDS) // 256)
+        assert session.disk == os.path.getsize(path)
+        assert session.disk - session.raw == _HEADER_SIZE * blocks
 
     @pytest.mark.parametrize("codec", ["zlib", "lzma", "front+zlib"])
     def test_compressed_disk_below_raw(self, tmp_path, codec):
@@ -326,7 +331,7 @@ class TestByteAccounting:
 
     def test_blockwriter_counters(self, tmp_path):
         path = str(tmp_path / "w.dat")
-        with open_run(path, "w", INT, codec="zlib") as handle:
+        with open_run(path, "w", "zlib") as handle:
             writer = BlockWriter(handle, INT, 128, codec="zlib")
             writer.write_all(iter(self.RECORDS))
             writer.flush()

@@ -9,6 +9,8 @@ modes and the single-writer lock.  Crash/fault scenarios live in
 """
 
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -37,7 +39,7 @@ from repro.store.oplog import (
     parse_op_line,
     unescape_bytes,
 )
-from repro.store.sstable import SSTableReader, write_table
+from repro.store.sstable import TABLE_VERSION, SSTableReader, write_table
 from repro.store.wal import WalWriter, replay_wal
 
 
@@ -232,6 +234,29 @@ class TestSSTable:
                 list(reader.entries())
         finally:
             reader.close()
+
+    def test_version_1_table_rejected(self, tmp_path):
+        """Version-1 tables framed codec-none blocks differently; a
+        table whose (intact, re-checksummed) index claims version 1 is
+        refused by name instead of misread."""
+        path = str(tmp_path / "t.sst")
+        write_table(path, build_entries(10), max_seqno=10)
+        data = bytearray(open(path, "rb").read())
+        footer = struct.Struct(">QII8s")
+        index_offset, index_len, _, magic = footer.unpack_from(
+            data, len(data) - footer.size
+        )
+        struct.pack_into(">H", data, index_offset, 1)
+        index_body = bytes(data[index_offset : index_offset + index_len])
+        footer.pack_into(
+            data, len(data) - footer.size, index_offset, index_len,
+            zlib.crc32(index_body), magic,
+        )
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        assert TABLE_VERSION == 2
+        with pytest.raises(StoreError, match="index version 1.*version 2"):
+            SSTableReader(path)
 
 
 # ---------------------------------------------------------------------------
