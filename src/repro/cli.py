@@ -100,7 +100,10 @@ from repro.store.oplog import (
     parse_op_line,
     unescape_bytes,
 )
-from repro.store.store import DEFAULT_MEMTABLE_RECORDS
+from repro.store.store import (
+    DEFAULT_MEMTABLE_RECORDS,
+    DEFAULT_TABLE_BLOCK_RECORDS,
+)
 from repro.workloads.generators import DISTRIBUTIONS, make_input
 
 
@@ -1169,10 +1172,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "flushes an SSTable "
                             f"(default {DEFAULT_MEMTABLE_RECORDS})")
         p.add_argument("--block-records", type=_positive_int,
-                       default=DEFAULT_BLOCK_RECORDS,
+                       default=DEFAULT_TABLE_BLOCK_RECORDS,
                        help="records per SSTable block — the unit of "
-                            "sparse indexing and point-lookup I/O "
-                            f"(default {DEFAULT_BLOCK_RECORDS})")
+                            "sparse indexing and of what a point lookup "
+                            "decodes "
+                            f"(default {DEFAULT_TABLE_BLOCK_RECORDS})")
         p.add_argument("--codec", choices=("none",) + SPILL_CODECS,
                        default="none",
                        help="per-block compression of SSTable data, "

@@ -5,13 +5,20 @@ what the sort engine spills — RBLC blocks (DESIGN.md §15) of
 length-prefixed ``(key_bytes, meta_bytes)`` records written by
 :class:`~repro.engine.block_io.BlockWriter` through the ``open_bytes``
 fault seam, each carrying the CRC-32 of its stored bytes — followed by
-a *sparse index* (one ``(offset,
-first_key)`` pair per block, plus the table's key range, record count
-and max seqno) and a fixed 24-byte footer whose magic is the last
-thing written.  File layout::
+a columnar *sparse index* and a fixed 24-byte footer whose magic is the
+last thing written.  File layout::
 
     [block 0][block 1]...[block N-1][index body][footer]
+    index  = version u16 | records u64 | max_seqno u64 | codec u8
+             | N u32 | N x offset u64 | N x key_end u32
+             | first keys, concatenated | min_key | max_key
     footer = index_offset u64 | index_len u32 | index_crc u32 | magic 8s
+
+``key_end`` is the cumulative end of each block's first key inside the
+concatenated keys, and each bound is ``len u32 | key``.  Tables hold
+:data:`DEFAULT_TABLE_BLOCK_RECORDS` records per block by default —
+far fewer than a sort spill's — because a point lookup decodes one
+whole block to find one key.
 
 A reader opens by parsing footer + index (CRC-checked) and then
 serves:
@@ -33,13 +40,16 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.block_io import (
-    DEFAULT_BLOCK_RECORDS,
     BlockWriter,
     open_bytes,
     read_framed_block,
@@ -49,6 +59,7 @@ from repro.engine.spill_codec import CODEC_IDS, CODEC_NAMES, validate_codec
 from repro.store.format import STORE_FORMAT
 
 __all__ = [
+    "DEFAULT_TABLE_BLOCK_RECORDS",
     "SSTABLE_MAGIC",
     "TABLE_VERSION",
     "TableInfo",
@@ -63,7 +74,14 @@ SSTABLE_MAGIC = b"RSSTIDX1"
 #: Index schema version (bumped on incompatible layout changes).
 #: Version 2: codec ``none`` data blocks carry the RBLC header like
 #: every other codec's (version 1 used a separate uncompressed framing).
-TABLE_VERSION = 2
+#: Version 3: the sparse index is columnar (offsets, key ends, keys)
+#: instead of interleaved ``offset | len | key`` entries.
+TABLE_VERSION = 3
+
+#: Records per SSTable data block.  A point lookup decodes its whole
+#: block, so tables use far smaller blocks than the sort engine's
+#: ``DEFAULT_BLOCK_RECORDS`` spills; DESIGN.md §17 has the sweep.
+DEFAULT_TABLE_BLOCK_RECORDS = 128
 
 #: index_offset, index_len, index_crc, magic.
 _FOOTER = struct.Struct(">QII8s")
@@ -72,9 +90,12 @@ _FOOTER = struct.Struct(">QII8s")
 _INDEX_FIXED = struct.Struct(">HQQBI")
 
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 
-
+#: Typecodes of the index's u64 offset and u32 key-end columns.
+_OFFSET_TYPE = "Q"
+_KEY_END_TYPE = "I"
+assert array(_OFFSET_TYPE).itemsize == 8
+assert array(_KEY_END_TYPE).itemsize == 4
 
 @dataclass(frozen=True)
 class TableInfo:
@@ -99,7 +120,7 @@ def write_table(
     entries: Iterable[Tuple[bytes, bytes]],
     *,
     max_seqno: int,
-    block_records: int = DEFAULT_BLOCK_RECORDS,
+    block_records: int = DEFAULT_TABLE_BLOCK_RECORDS,
     codec: str = "none",
     fsync: bool = True,
 ) -> TableInfo:
@@ -138,20 +159,19 @@ def write_table(
                 f"table has no key range; skip it instead"
             )
         index_offset = writer.disk_bytes
-        index_parts: List[bytes] = [
+        blocks = len(offsets)
+        index_body = b"".join([
             _INDEX_FIXED.pack(
-                TABLE_VERSION, count, max_seqno, CODEC_IDS[codec],
-                len(offsets),
-            )
-        ]
-        for block_offset, first_key in zip(offsets, first_keys):
-            index_parts.append(_U64.pack(block_offset))
-            index_parts.append(_U32.pack(len(first_key)))
-            index_parts.append(first_key)
-        for bound in (first_keys[0], last_key):
-            index_parts.append(_U32.pack(len(bound)))
-            index_parts.append(bound)
-        index_body = b"".join(index_parts)
+                TABLE_VERSION, count, max_seqno, CODEC_IDS[codec], blocks
+            ),
+            struct.pack(f">{blocks}Q", *offsets),
+            struct.pack(f">{blocks}I", *accumulate(map(len, first_keys))),
+            *first_keys,
+            _U32.pack(len(first_keys[0])),
+            first_keys[0],
+            _U32.pack(len(last_key)),
+            last_key,
+        ])
         footer = _FOOTER.pack(
             index_offset, len(index_body), zlib.crc32(index_body),
             SSTABLE_MAGIC,
@@ -233,27 +253,10 @@ class SSTableReader:
             version, records, max_seqno, codec_id, n_blocks = (
                 _INDEX_FIXED.unpack_from(body, 0)
             )
-            pos = _INDEX_FIXED.size
-            offsets: List[int] = []
-            first_keys: List[bytes] = []
-            for _ in range(n_blocks):
-                (block_offset,) = _U64.unpack_from(body, pos)
-                offsets.append(block_offset)
-                pos += 8
-                (key_len,) = _U32.unpack_from(body, pos)
-                pos += 4
-                first_keys.append(body[pos : pos + key_len])
-                pos += key_len
-            bounds: List[bytes] = []
-            for _ in range(2):
-                (key_len,) = _U32.unpack_from(body, pos)
-                pos += 4
-                bounds.append(body[pos : pos + key_len])
-                pos += key_len
         except struct.error:
             raise StoreError(
-                f"sstable {path!r} index body is malformed — truncated "
-                f"or mis-framed despite a matching checksum"
+                f"sstable {path!r} index body is {len(body)} bytes — too "
+                f"short for its fixed header"
             ) from None
         if version != TABLE_VERSION:
             raise StoreError(
@@ -266,6 +269,39 @@ class SSTableReader:
                 f"sstable {path!r} was written with unknown codec id "
                 f"{codec_id}"
             )
+        ends_at = _INDEX_FIXED.size + 8 * n_blocks
+        keys_at = ends_at + 4 * n_blocks
+        if n_blocks == 0 or keys_at > len(body):
+            raise StoreError(
+                f"sstable {path!r} index claims {n_blocks} block(s), "
+                f"which its {len(body)}-byte body cannot hold"
+            )
+        offsets = array(_OFFSET_TYPE, body[_INDEX_FIXED.size : ends_at])
+        key_ends = array(_KEY_END_TYPE, body[ends_at:keys_at])
+        if sys.byteorder == "little":
+            offsets.byteswap()
+            key_ends.byteswap()
+        ends = key_ends.tolist()
+        pos = keys_at + ends[-1]
+        if pos > len(body) or sorted(ends) != ends:
+            raise StoreError(
+                f"sstable {path!r} index key ends run backwards or past "
+                f"the {len(body) - keys_at}-byte key region"
+            )
+        self._keys = body[keys_at:pos]
+        self._key_ends = ends
+        bounds: List[bytes] = []
+        try:
+            for _ in range(2):
+                (key_len,) = _U32.unpack_from(body, pos)
+                pos += 4
+                bounds.append(body[pos : pos + key_len])
+                pos += key_len
+        except struct.error:
+            raise StoreError(
+                f"sstable {path!r} index body is malformed — truncated "
+                f"or mis-framed despite a matching checksum"
+            ) from None
         if pos != len(body):
             raise StoreError(
                 f"sstable {path!r} index has {len(body) - pos} trailing "
@@ -277,8 +313,16 @@ class SSTableReader:
         self.min_key = bounds[0]
         self.max_key = bounds[1]
         self.data_bytes = index_offset
-        self._first_keys = first_keys
         self._offsets = offsets
+
+    @cached_property
+    def _first_keys(self) -> List[bytes]:
+        """Each block's first key, sliced out of the index on first
+        use: an open that never seeks by key (a get that stopped at a
+        newer table, a full scan) skips the per-block work."""
+        keys = self._keys
+        ends = self._key_ends
+        return [keys[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
     def close(self) -> None:
         if self._handle is not None:

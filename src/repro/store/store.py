@@ -20,10 +20,14 @@ path means the crash path is exercised constantly, not only in fault
 tests.
 
 **Reads.**  ``get`` consults the memtable first (always newest), then
-every table whose key range covers the key; among candidates the
-smallest meta wins — the §17 inverted-seqno layout makes "newest"
-and "minimum" the same thing.  ``scan`` k-way-merges the memtable
-with every table through the same LWW machinery compaction uses.
+the tables newest-first by ``max_seqno``; among hits the smallest meta
+wins — the §17 inverted-seqno layout makes "newest" and "minimum" the
+same thing.  After a hit with seqno ``s`` the probe stops at the first
+table whose ``max_seqno < s``: that table and every later one hold
+nothing newer, whatever the compaction policy did.  A probe decodes
+one :data:`~repro.store.sstable.DEFAULT_TABLE_BLOCK_RECORDS`-record
+block.  ``scan`` k-way-merges the memtable with every table through
+the same LWW machinery compaction uses.
 
 **Compaction.**  When a level holds more than ``fan_in`` tables, all
 of them merge into one table at the next level (``kway_merge`` under
@@ -40,7 +44,6 @@ import re
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.block_io import DEFAULT_BLOCK_RECORDS
 from repro.engine.errors import StoreError
 from repro.engine.resilience import artifact_valid
 from repro.engine.spill_codec import validate_codec
@@ -54,6 +57,7 @@ from repro.store.format import (
     TOMBSTONE,
     TOMBSTONE_BYTE,
     meta_is_tombstone,
+    meta_seqno,
     meta_value,
 )
 from repro.store.manifest import (
@@ -63,6 +67,7 @@ from repro.store.manifest import (
 )
 from repro.store.memtable import Memtable
 from repro.store.sstable import (
+    DEFAULT_TABLE_BLOCK_RECORDS,
     TABLE_VERSION,
     SSTableReader,
     write_table,
@@ -76,6 +81,7 @@ except ImportError:  # pragma: no cover - non-posix platforms
 
 __all__ = [
     "DEFAULT_MEMTABLE_RECORDS",
+    "DEFAULT_TABLE_BLOCK_RECORDS",
     "LOCK_NAME",
     "Store",
 ]
@@ -108,7 +114,7 @@ class Store:
         path: str,
         *,
         memory: int = DEFAULT_MEMTABLE_RECORDS,
-        block_records: int = DEFAULT_BLOCK_RECORDS,
+        block_records: int = DEFAULT_TABLE_BLOCK_RECORDS,
         codec: str = "none",
         fan_in: int = DEFAULT_FAN_IN,
         sync: bool = True,
@@ -185,9 +191,10 @@ class Store:
         self._next_filenum = (
             max([manifest_max, wal_floor, *table_nums, *wal_nums]) + 1
         )
-        self._clean_orphans(table_nums, wal_nums)
+        wal_nums = self._clean_orphans(table_nums, wal_nums)
         for name in sorted(tables):
             self._readers[name] = self._open_reader(name)
+        self._order_readers()
         self._replay_wals(wal_nums)
         self._next_seqno = (
             max(
@@ -237,7 +244,7 @@ class Store:
 
     def _clean_orphans(
         self, table_nums: List[int], wal_nums: List[int]
-    ) -> None:
+    ) -> List[int]:
         """Sweep files a crash stranded outside the manifest.
 
         Any SSTable the manifest does not list is the output of a
@@ -245,18 +252,40 @@ class Store:
         WAL below the floor was superseded by a flush whose deletes
         did not finish; any ``.tmp`` is a torn checkpoint.  All are
         safe to delete *because* the manifest append is the single
-        commit point.
+        commit point.  A zero-byte WAL at or above the floor holds no
+        acknowledged record (every open creates one, so a session that
+        never writes leaves it behind); the directory lock rules out a
+        writer still filling it, so it goes too.  Returns the WAL
+        numbers left to replay.
         """
         for num in table_nums:
             name = os.path.basename(self._table_path(num))
             if name not in self._tables:
                 _discard(self._table_path(num))
+        live_wals: List[int] = []
         for num in wal_nums:
-            if num < self._wal_floor:
-                _discard(self._wal_path(num))
+            path = self._wal_path(num)
+            if num < self._wal_floor or os.path.getsize(path) == 0:
+                _discard(path)
+            else:
+                live_wals.append(num)
         for name in os.listdir(self.path):
             if name.endswith(".tmp"):
                 _discard(os.path.join(self.path, name))
+        return live_wals
+
+    def _order_readers(self) -> None:
+        """Keep ``_readers`` newest-first by ``max_seqno`` — the probe
+        order :meth:`get` relies on.  Names are no guide: a compaction
+        output takes a fresh, larger filenum than tables newer than
+        its inputs."""
+        self._readers = dict(
+            sorted(
+                self._readers.items(),
+                key=lambda item: item[1].max_seqno,
+                reverse=True,
+            )
+        )
 
     def _open_reader(self, name: str) -> SSTableReader:
         path = os.path.join(self.path, name)
@@ -272,8 +301,6 @@ class Store:
 
     def _replay_wals(self, wal_nums: List[int]) -> None:
         for num in sorted(wal_nums):
-            if num < self._wal_floor:
-                continue
             for op, seqno, key, value in replay_wal(self._wal_path(num)):
                 if op == PUT_BYTE:
                     self._memtable.apply(PUT, seqno, key, value)
@@ -334,10 +361,14 @@ class Store:
         self._check_open()
         meta = self._memtable.lookup(key)
         if meta is None:
+            newest = 0
             for reader in self._readers.values():
+                if reader.max_seqno < newest:
+                    break
                 found = reader.lookup(key)
                 if found is not None and (meta is None or found < meta):
                     meta = found
+                    newest = meta_seqno(found)
         if meta is None or meta_is_tombstone(meta):
             return None
         return meta_value(meta)
@@ -436,6 +467,7 @@ class Store:
             "max_seqno": info.max_seqno,
         }
         self._readers[name] = self._open_reader(name)
+        self._order_readers()
         self.flushed_tables += 1
         self.flushed_bytes += info.disk_bytes
         if self.auto_compact:
@@ -606,6 +638,7 @@ class Store:
                 "max_seqno": info.max_seqno,
             }
             self._readers[out_name] = self._open_reader(out_name)
+            self._order_readers()
             self.compacted_tables += 1
             self.compacted_bytes += info.disk_bytes
         return out_name

@@ -39,7 +39,12 @@ from repro.store.oplog import (
     parse_op_line,
     unescape_bytes,
 )
-from repro.store.sstable import TABLE_VERSION, SSTableReader, write_table
+from repro.store.sstable import (
+    DEFAULT_TABLE_BLOCK_RECORDS,
+    TABLE_VERSION,
+    SSTableReader,
+    write_table,
+)
 from repro.store.wal import WalWriter, replay_wal
 
 
@@ -235,18 +240,16 @@ class TestSSTable:
         finally:
             reader.close()
 
-    def test_version_1_table_rejected(self, tmp_path):
-        """Version-1 tables framed codec-none blocks differently; a
-        table whose (intact, re-checksummed) index claims version 1 is
-        refused by name instead of misread."""
-        path = str(tmp_path / "t.sst")
-        write_table(path, build_entries(10), max_seqno=10)
+    @staticmethod
+    def _rewrite_index(path, patch):
+        """Apply ``patch(data, index_offset)`` to a table's index body
+        and recompute the footer CRC, so only the structure is wrong."""
         data = bytearray(open(path, "rb").read())
         footer = struct.Struct(">QII8s")
         index_offset, index_len, _, magic = footer.unpack_from(
             data, len(data) - footer.size
         )
-        struct.pack_into(">H", data, index_offset, 1)
+        patch(data, index_offset)
         index_body = bytes(data[index_offset : index_offset + index_len])
         footer.pack_into(
             data, len(data) - footer.size, index_offset, index_len,
@@ -254,9 +257,57 @@ class TestSSTable:
         )
         with open(path, "wb") as handle:
             handle.write(bytes(data))
-        assert TABLE_VERSION == 2
-        with pytest.raises(StoreError, match="index version 1.*version 2"):
+
+    @pytest.mark.parametrize("old_version", [1, 2])
+    def test_older_table_version_rejected(self, tmp_path, old_version):
+        """Version 1 framed codec-none blocks differently and version 2
+        interleaved the sparse index; a table whose (intact,
+        re-checksummed) index claims an older version is refused by
+        name instead of misread."""
+        path = str(tmp_path / "t.sst")
+        write_table(path, build_entries(10), max_seqno=10)
+        self._rewrite_index(
+            path,
+            lambda data, at: struct.pack_into(">H", data, at, old_version),
+        )
+        assert TABLE_VERSION == 3
+        with pytest.raises(
+            StoreError, match=f"index version {old_version}.*version 3"
+        ):
             SSTableReader(path)
+
+    @pytest.mark.parametrize("bad_end", ["overrun", "backwards"])
+    def test_key_ends_checked(self, tmp_path, bad_end):
+        """The columnar index's cumulative key ends must stay inside the
+        key region and never decrease — a CRC-matching index that breaks
+        either is a StoreError, not an IndexError or silently wrong
+        first keys."""
+        path = str(tmp_path / "t.sst")
+        write_table(path, build_entries(40), max_seqno=40, block_records=8)
+        blocks = 5
+        # The fixed header, then one u64 offset per block.
+        ends_at = struct.calcsize(">HQQBI") + 8 * blocks
+
+        def patch(data, at):
+            ends = list(struct.unpack_from(f">{blocks}I", data, at + ends_at))
+            if bad_end == "overrun":
+                ends[-1] += 10_000
+            else:
+                ends[1] = ends[0] - 1
+            struct.pack_into(f">{blocks}I", data, at + ends_at, *ends)
+
+        self._rewrite_index(path, patch)
+        with pytest.raises(StoreError, match="key ends"):
+            SSTableReader(path)
+
+    def test_default_block_size(self, tmp_path):
+        path = str(tmp_path / "t.sst")
+        write_table(path, build_entries(1000), max_seqno=1000)
+        with SSTableReader(path) as reader:
+            blocks = -(-1000 // DEFAULT_TABLE_BLOCK_RECORDS)
+            assert len(reader._offsets) == blocks
+        with Store(str(tmp_path / "db"), sync=False) as store:
+            assert store.block_records == DEFAULT_TABLE_BLOCK_RECORDS
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +586,124 @@ class TestStoreFlushCompact:
             store.close()
 
 
+def count_probes(monkeypatch):
+    """Count :meth:`SSTableReader.lookup` calls (the store's probes)."""
+    calls = []
+    original = SSTableReader.lookup
+
+    def lookup(self, want):
+        calls.append(os.path.basename(self.path))
+        return original(self, want)
+
+    monkeypatch.setattr(SSTableReader, "lookup", lookup)
+    return calls
+
+
+def hand_built_store(path, tables):
+    """A store directory whose MANIFEST lists hand-written tables.
+
+    ``tables`` holds ``(filenum, max_seqno, entries)``, so file-name
+    order and seqno order can be made to disagree — something flushes
+    alone never produce.
+    """
+    os.makedirs(path)
+    manifest = StoreManifest.create(
+        os.path.join(path, MANIFEST_NAME), Store._fingerprint()
+    )
+    for filenum, max_seqno, entries in tables:
+        name = f"sst-{filenum:08d}.sst"
+        info = write_table(
+            os.path.join(path, name), entries, max_seqno=max_seqno
+        )
+        manifest.append({
+            "type": "flush",
+            "file": name,
+            "filenum": filenum,
+            "level": 0,
+            "records": info.records,
+            "crc32": info.crc32,
+            "min_key": info.min_key.hex(),
+            "max_key": info.max_key.hex(),
+            "max_seqno": max_seqno,
+            "wal_floor": 0,
+        })
+    manifest.close()
+
+
+class TestStoreProbes:
+    """``get`` probes tables newest-first by ``max_seqno`` and stops at
+    the first table whose ``max_seqno`` is below the best hit's seqno."""
+
+    @staticmethod
+    def three_flushes(path, *values):
+        store = Store(path, memory=1000, sync=False, auto_compact=False)
+        for value in values:
+            # The a/z brackets make every table's key range cover "k".
+            store.put(b"a", b"-")
+            if value is None:
+                store.delete(b"k")
+            else:
+                store.put(b"k", value)
+            store.put(b"z", b"-")
+            store.flush()
+        return store
+
+    def test_newest_put_and_tombstone_win(self, tmp_path):
+        with self.three_flushes(str(tmp_path / "a"), b"1", b"2", b"3") as store:
+            assert len(store.table_names()) == 3
+            assert store.get(b"k") == b"3"
+        with self.three_flushes(str(tmp_path / "b"), b"1", b"2", None) as store:
+            assert store.get(b"k") is None
+            store.put(b"k", b"4")
+            store.flush()
+            assert store.get(b"k") == b"4"
+
+    def test_newest_table_hit_costs_one_probe(self, tmp_path, monkeypatch):
+        store = self.three_flushes(str(tmp_path / "db"), b"1", b"2", b"3")
+        try:
+            calls = count_probes(monkeypatch)
+            assert store.get(b"k") == b"3"
+            assert calls == [store.table_names()[-1]]
+            calls.clear()
+            assert store.get(b"m") is None  # a miss inside every range
+            assert sorted(calls) == store.table_names()
+        finally:
+            store.close()
+
+    def test_probe_order_is_seqno_not_filenum(self, tmp_path, monkeypatch):
+        """Ascending names would stop at sst-1's hit (seqno 25) before
+        reaching sst-3; descending names would stop at sst-5's hit
+        (seqno 15).  Only max_seqno order finds seqno 45."""
+        path = str(tmp_path / "db")
+        filler = [entry(b"a", 1), entry(b"z", 2)]
+        hand_built_store(path, [
+            (1, 30, [entry(b"k", 25, b"mid")]),
+            (2, 10, filler),
+            (3, 50, [entry(b"k", 45, b"newest")]),
+            (4, 8, filler),
+            (5, 20, [entry(b"k", 15, b"old")]),
+        ])
+        with Store(path, sync=False) as store:
+            order = [reader.max_seqno for reader in store._readers.values()]
+            assert order == [50, 30, 20, 10, 8]
+            calls = count_probes(monkeypatch)
+            assert store.get(b"k") == b"newest"
+            assert calls == ["sst-00000003.sst"]
+            store.put(b"late", b"v")  # seqnos continue past every table
+            store.flush()
+            assert next(iter(store._readers.values())).max_seqno == 51
+
+    def test_order_kept_through_compaction(self, tmp_path):
+        path = str(tmp_path / "db")
+        with Store(path, memory=5, fan_in=2, sync=False) as store:
+            for index in range(200):
+                store.put(b"k%03d" % (index % 37), b"v%d" % index)
+                order = [r.max_seqno for r in store._readers.values()]
+                assert order == sorted(order, reverse=True)
+            for index in range(163, 200):
+                assert store.get(b"k%03d" % (index % 37)) == b"v%d" % index
+
+
 class TestStoreReopen:
     def test_wal_replay_is_the_normal_reopen(self, tmp_path):
         path = str(tmp_path / "db")
@@ -589,6 +758,41 @@ class TestStoreReopen:
             assert store.get(b"a") == b"1"
         assert not os.path.exists(orphan)
         assert not os.path.exists(tmp_file)
+
+    def test_idle_reopens_leave_no_wal_litter(self, tmp_path):
+        """Every open starts a fresh WAL; one that never receives a
+        record is swept by the next open, while the non-empty WAL
+        holding unflushed acknowledged writes is kept and replayed."""
+        path = str(tmp_path / "db")
+        with Store(path, memory=50, sync=False) as store:
+            for index in range(120):
+                store.put(b"k%03d" % index, b"v%d" % index)
+            store.delete(b"k007")
+        for _ in range(300):
+            Store(path, sync=False).close()
+        wals = [name for name in os.listdir(path) if name.startswith("wal-")]
+        empty = [
+            name for name in wals
+            if os.path.getsize(os.path.join(path, name)) == 0
+        ]
+        assert len(empty) <= 1
+        assert len(wals) - len(empty) == 1  # the unflushed tail
+        with Store(path, sync=False) as store:
+            for index in range(120):
+                want = None if index == 7 else b"v%d" % index
+                assert store.get(b"k%03d" % index) == want
+
+    def test_older_table_version_store_refused(self, tmp_path):
+        path = str(tmp_path / "db")
+        os.makedirs(path)
+        old = {"format": "repro-store", "table_version": 2}
+        StoreManifest.create(os.path.join(path, MANIFEST_NAME), old).close()
+        with pytest.raises(ManifestError) as refused:
+            Store(path, sync=False)
+        message = str(refused.value)
+        assert repr(old) in message
+        assert repr(Store._fingerprint()) in message
+        assert "'table_version': 3" in message
 
     def test_checkpoint_on_busy_reopen(self, tmp_path):
         path = str(tmp_path / "db")
