@@ -1,15 +1,21 @@
-"""Ablation: the shared-array DoubleHeap vs two independent heaps.
+"""Ablation: the paper's shared-array heap vs two heaps under one bound.
 
-DESIGN.md calls out the single-array layout (Section 4.1, Figure 4.3)
-as a design choice: it lets either heap grow at the other's expense
-without dynamic allocation.  This bench measures the Python-level
-throughput of the two layouts under the 2WRS access pattern (interleaved
-pushes and pops on both sides) to document the layout's overhead, and
-verifies they compute identical results.
+The paper keeps the 2WRS heaps in one array (Section 4.1, Figure 4.3)
+so that either heap grows at the other's expense.  Two growable lists
+whose combined size is bounded enforce the same rule; 2WRS itself now
+runs on two C ``heapq`` lists (DESIGN.md §4.1).  This bench measures
+three layouts under the 2WRS access pattern (interleaved pushes and
+pops on both sides) and verifies they compute identical results:
+
+* ``DoubleHeap``, the paper's one-array layout (the reference);
+* ``MinHeap`` / ``MaxHeap``, two Python-sift heaps;
+* the two ``heapq`` lists and max-heap helpers ``core.two_way`` uses.
 """
 
 import random
+from heapq import heappop, heappush
 
+from repro.core.two_way import _c_pop_max, _push_max
 from repro.heaps.binary_heap import MaxHeap, MinHeap
 from repro.heaps.double_heap import DoubleHeap
 
@@ -51,13 +57,35 @@ def _run_two_heaps(values) -> float:
     return total
 
 
+def _run_heapq_lists(values) -> float:
+    bottom: list = []
+    top: list = []
+    total = 0.0
+    for i, value in enumerate(values):
+        if len(bottom) + len(top) >= CAPACITY:
+            total += _c_pop_max(bottom) if bottom else heappop(top)
+        if value < 0.5:
+            _push_max(bottom, value)
+        else:
+            heappush(top, value)
+        if i % 3 == 0 and top:
+            total += heappop(top)
+    return total
+
+
 def test_bench_double_heap_layout(benchmark):
     values = _workload(42)
     result = benchmark(_run_double_heap, values)
-    assert result == _run_two_heaps(values)
+    assert result == _run_two_heaps(values) == _run_heapq_lists(values)
 
 
 def test_bench_two_heap_layout(benchmark):
     values = _workload(42)
     result = benchmark(_run_two_heaps, values)
-    assert result == _run_double_heap(values)
+    assert result == _run_double_heap(values) == _run_heapq_lists(values)
+
+
+def test_bench_heapq_list_layout(benchmark):
+    values = _workload(42)
+    result = benchmark(_run_heapq_lists, values)
+    assert result == _run_double_heap(values) == _run_two_heaps(values)

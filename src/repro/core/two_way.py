@@ -7,8 +7,9 @@ algorithm captures decreasing trends as well as increasing ones:
   like classic RS;
 * the **BottomHeap** (a max-heap) releases a decreasing stream, turning
   reverse-sorted input from RS's worst case into a single run;
-* both heaps share one fixed array (:class:`~repro.heaps.double_heap.
-  DoubleHeap`) so either may grow at the other's expense;
+* the two heaps together never hold more than the heap capacity, so
+  either may grow at the other's expense (the paper keeps them in one
+  array; here they are two ``heapq`` lists under one combined bound);
 * an **input buffer** samples the input for the routing heuristics;
 * a **victim buffer** captures records that fall in the value gap
   between the two released streams and would otherwise be pushed to the
@@ -38,6 +39,21 @@ run-length theorems (e.g. Theorem 6: each monotone section of the
 alternating dataset becomes its own run because the opposite stream's
 frontier blocks the turn-around records).
 
+Heaps and ties
+--------------
+The TopHeap is a ``heapq`` min-heap list of ``(run, key)`` entries and
+the BottomHeap a max-heap list of ``(-run, key)`` entries popped with
+C ``_heappop_max``.  A push past their combined bound raises
+:class:`~repro.heaps.binary_heap.HeapFullError`, exactly like the
+paper's shared array (:mod:`repro.heaps.double_heap` keeps that layout
+as a reference).  C ``heappop`` releases equal entries in another order
+than the textbook sift-down.  That order is invisible while every key
+has exact type ``int``, ``str`` or ``bytes``, whose equal values cannot
+be told apart.  On the first key of another type (a float, whose
+``-0.0`` and ``0.0`` compare equal, or a record object) the generation
+switches, one way, to textbook pops over the same lists, so its streams
+stay exactly those of the paper-layout heap.
+
 The class implements the common :class:`~repro.runs.base.RunGenerator`
 interface; :meth:`generate_run_streams` additionally exposes the four
 per-run streams for pipelines that persist decreasing streams in the
@@ -47,7 +63,8 @@ Appendix A backwards file format.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.config import TwoWayConfig
 from repro.core.heuristics import (
@@ -59,8 +76,29 @@ from repro.core.heuristics import (
 from repro.core.input_buffer import LIMIT_REACHED, InputBuffer
 from repro.core.streams import RunStreams
 from repro.core.victim_buffer import VictimBuffer, VictimPhase
-from repro.heaps.double_heap import DoubleHeap
+from repro.heaps.binary_heap import HeapFullError
 from repro.runs.base import RunGenerator
+
+try:  # Python 3.14+ names the max-heap functions publicly.
+    from heapq import heappop_max as _c_pop_max  # type: ignore[attr-defined]
+    from heapq import heappush_max as _push_max  # type: ignore[attr-defined]
+except ImportError:
+    from heapq import _heappop_max as _c_pop_max  # type: ignore[attr-defined]
+
+    def _push_max(heap: List[Any], item: Any) -> None:
+        """Append ``item`` to the max-heap list ``heap`` and sift it up."""
+        i = len(heap)
+        heap.append(item)
+        while i:
+            p = (i - 1) >> 1
+            parent = heap[p]
+            if item > parent:
+                heap[i] = parent
+                i = p
+            else:
+                break
+        heap[i] = item
+
 
 #: A heap entry: ``(run, key)`` in the TopHeap, ``(-run, key)`` in the
 #: BottomHeap.  Plain tuple order is then exactly the heaps' run-tagged
@@ -69,6 +107,60 @@ from repro.runs.base import RunGenerator
 #: within a run the min-heap top releases ascending keys while the
 #: max-heap bottom releases descending ones.
 Entry = Tuple[int, Any]
+
+#: Key types whose equal values cannot be told apart, so the order in
+#: which a heap releases equal entries never shows in the streams.
+TIE_BLIND_TYPES = frozenset({int, str, bytes})
+
+
+def _textbook_pop_min(heap: List[Entry]) -> Entry:
+    """Pop a min-heap list: last entry to the root, then sift it down.
+
+    Ties go as in the paper's heap: the left child wins an equal pair,
+    and an equal child never rises above the sifted entry.
+    """
+    last = heap.pop()
+    if not heap:
+        return last
+    head = heap[0]
+    n = len(heap)
+    i = 0
+    child = 1
+    while child < n:
+        right = child + 1
+        if right < n and heap[right] < heap[child]:
+            child = right
+        winner = heap[child]
+        if not winner < last:
+            break
+        heap[i] = winner
+        i = child
+        child = 2 * i + 1
+    heap[i] = last
+    return head
+
+
+def _textbook_pop_max(heap: List[Entry]) -> Entry:
+    """Pop a max-heap list with the paper's sift-down (see the min twin)."""
+    last = heap.pop()
+    if not heap:
+        return last
+    head = heap[0]
+    n = len(heap)
+    i = 0
+    child = 1
+    while child < n:
+        right = child + 1
+        if right < n and heap[right] > heap[child]:
+            child = right
+        winner = heap[child]
+        if not winner > last:
+            break
+        heap[i] = winner
+        i = child
+        child = 2 * i + 1
+    heap[i] = last
+    return head
 
 
 class TwoWayReplacementSelection(RunGenerator):
@@ -138,11 +230,11 @@ class _LiveContext:
 
     @property
     def top_size(self) -> int:
-        return len(self._state.heaps.top)
+        return len(self._state.top)
 
     @property
     def bottom_size(self) -> int:
-        return len(self._state.heaps.bottom)
+        return len(self._state.bottom)
 
     @property
     def top_outputs(self) -> int:
@@ -154,13 +246,13 @@ class _LiveContext:
 
     @property
     def top_head(self) -> Optional[Any]:
-        top = self._state.heaps.top
-        return top.peek()[1] if top else None
+        top = self._state.top
+        return top[0][1] if top else None
 
     @property
     def bottom_head(self) -> Optional[Any]:
-        bottom = self._state.heaps.bottom
-        return bottom.peek()[1] if bottom else None
+        bottom = self._state.bottom
+        return bottom[0][1] if bottom else None
 
     @property
     def first_output(self) -> Optional[Any]:
@@ -184,6 +276,9 @@ class _LiveContext:
 class _RunState:
     """Mutable execution state of one ``generate_run_streams`` call.
 
+    ``top`` and ``bottom`` are the two heap lists; together they hold at
+    most ``capacity`` entries.  ``pop_top`` / ``pop_bottom`` are the C
+    pops until a key whose ties show arrives (:meth:`see_key_type`).
     Every heap operation is charged ``runs.base.log_cost`` of the heap
     size, computed inline as the exact integer ``(n - 1).bit_length()``
     (at least 1).
@@ -199,7 +294,13 @@ class _RunState:
         self.output_heuristic = make_output_heuristic(algo.config.output_heuristic)
         self.source = InputBuffer(records, algo.input_buffer_capacity)
         self.victim = VictimBuffer(algo.victim_buffer_capacity)
-        self.heaps: DoubleHeap[Entry] = DoubleHeap(algo.heap_capacity)
+        self.capacity = algo.heap_capacity
+        self.top: List[Entry] = []
+        self.bottom: List[Entry] = []
+        self.pop_top: Callable[[List[Entry]], Entry] = heappop
+        self.pop_bottom: Callable[[List[Entry]], Entry] = _c_pop_max
+        #: Key types already read; a new one may switch the pops.
+        self.key_types = set(TIE_BLIND_TYPES)
         self.context = _LiveContext(self)
         self.current_run = 0
         self.streams = RunStreams(0)
@@ -221,20 +322,34 @@ class _RunState:
 
     # -- helpers ---------------------------------------------------------------
 
+    def see_key_type(self, value: Any) -> None:
+        """Note the type of a key about to enter a heap.
+
+        The first key that is not tie-blind switches both heaps to the
+        textbook pops for the rest of the generation.
+        """
+        self.key_types.add(type(value))
+        self.use_textbook_pops()
+
+    def use_textbook_pops(self) -> None:
+        """Pop both heaps with the paper's sift-down from now on.
+
+        The lists are valid heaps for either pop, so nothing is copied.
+        """
+        self.pop_top = _textbook_pop_min
+        self.pop_bottom = _textbook_pop_max
+
     def push(self, side: Side, run: int, value: Any) -> None:
         """Store ``value`` for run ``run`` in the heap on ``side``."""
+        top, bottom = self.top, self.bottom
+        if len(top) + len(bottom) >= self.capacity:
+            raise HeapFullError(f"2WRS heaps are at capacity {self.capacity}")
         if side is Side.TOP:
-            heap, entry = self.heaps.top, (run, value)
+            self.stats.cpu_ops += len(top).bit_length() or 1
+            heappush(top, (run, value))
         else:
-            heap, entry = self.heaps.bottom, (-run, value)
-        self.stats.cpu_ops += len(heap).bit_length() or 1
-        heap.push(entry)
-
-    def pop(self, side: Side) -> Any:
-        """Remove the head of the heap on ``side`` and return its key."""
-        heap = self.heaps.top if side is Side.TOP else self.heaps.bottom
-        self.stats.cpu_ops += (len(heap) - 1).bit_length() or 1
-        return heap.pop()[1]
+            self.stats.cpu_ops += len(bottom).bit_length() or 1
+            _push_max(bottom, (-run, value))
 
     def rebalance(self) -> None:
         """Equalise heap sizes at a run boundary (Balancing heuristic).
@@ -243,13 +358,16 @@ class _RunState:
         run, so records can migrate between the heaps freely; negating
         the tag converts an entry between the two sides' forms.
         """
-        top, bottom = self.heaps.top, self.heaps.bottom
+        top, bottom = self.top, self.bottom
         while abs(len(top) - len(bottom)) > 1:
-            src, dst = (top, bottom) if len(top) > len(bottom) else (bottom, top)
+            if len(top) > len(bottom):
+                src, pop, dst, push = top, self.pop_top, bottom, _push_max
+            else:
+                src, pop, dst, push = bottom, self.pop_bottom, top, heappush
             self.stats.cpu_ops += (len(src) - 1).bit_length() or 1
             self.stats.cpu_ops += len(dst).bit_length() or 1
-            tag, value = src.pop()
-            dst.push((-tag, value))
+            tag, value = pop(src)
+            push(dst, (-tag, value))
 
     def top_releasable(self, value: Any) -> bool:
         """Can ``value`` legally extend stream 1 right now?"""
@@ -301,11 +419,11 @@ class _RunState:
         # fill used them for run 0's contents.
         self.next_bottom_max = None
         self.next_top_min = None
-        top, bottom = self.heaps.top, self.heaps.bottom
+        top, bottom = self.top, self.bottom
         while top or bottom:
             run = self.current_run
-            top_ready = bool(top) and top.peek()[0] == run
-            bottom_ready = bool(bottom) and bottom.peek()[0] == -run
+            top_ready = bool(top) and top[0][0] == run
+            bottom_ready = bool(bottom) and bottom[0][0] == -run
 
             if not top_ready and not bottom_ready:
                 # doubleHeap.nextRun: everything in memory belongs to the
@@ -351,11 +469,14 @@ class _RunState:
 
     def _fill_heaps(self) -> None:
         """doubleHeap.fill: route the first records through the heuristic."""
-        while not self.heaps.is_full:
+        top, bottom = self.top, self.bottom
+        while len(top) + len(bottom) < self.capacity:
             value = self.source.next()
             if value is None:
                 break
             self.stats.records_in += 1
+            if type(value) not in self.key_types:
+                self.see_key_type(value)
             self.push(self._route_disjoint(value), 0, value)
 
     def _finish_run(self, final: bool = False) -> Optional[RunStreams]:
@@ -394,7 +515,12 @@ class _RunState:
             out_side = Side.TOP
         else:
             out_side = Side.BOTTOM
-        value = self.pop(out_side)
+        if out_side is Side.TOP:
+            heap, pop = self.top, self.pop_top
+        else:
+            heap, pop = self.bottom, self.pop_bottom
+        self.stats.cpu_ops += (len(heap) - 1).bit_length() or 1
+        value = pop(heap)[1]
         if self.first_output is None:
             self.first_output = value
 
@@ -474,6 +600,8 @@ class _RunState:
                 return
             stats.records_in += 1
 
+        if type(value) not in self.key_types:
+            self.see_key_type(value)
         top_eligible = self.top_releasable(value)
         bottom_eligible = self.bottom_releasable(value)
         if top_eligible and bottom_eligible:
@@ -489,4 +617,13 @@ class _RunState:
             # Fits neither heap nor victim: next run.
             in_side = self._route_disjoint(value)
             run = self.current_run + 1
-        self.push(in_side, run, value)
+        # self.push, inlined (one call less on every record read).
+        top, bottom = self.top, self.bottom
+        if len(top) + len(bottom) >= self.capacity:
+            raise HeapFullError(f"2WRS heaps are at capacity {self.capacity}")
+        if in_side is Side.TOP:
+            stats.cpu_ops += len(top).bit_length() or 1
+            heappush(top, (run, value))
+        else:
+            stats.cpu_ops += len(bottom).bit_length() or 1
+            _push_max(bottom, (-run, value))

@@ -111,15 +111,8 @@ class VictimBuffer:
         """
         if self.phase is not VictimPhase.INITIAL_FILL:
             raise RuntimeError(f"flush_initial in phase {self.phase}")
-        records = self._sorted_and_cleared()
         self.phase = VictimPhase.ACTIVE
-        if len(records) < 2:
-            # Degenerate: no gap to exploit; accept nothing until run end.
-            self.valid_range = None
-            return records, []
-        split, low, high = largest_gap(records)
-        self.valid_range = (low, high)
-        return records[:split], list(reversed(records[split:]))
+        return self._split(self._sorted_and_cleared())
 
     # -- active phase -------------------------------------------------------------
 
@@ -140,13 +133,7 @@ class VictimBuffer:
 
     def flush_full(self) -> Tuple[List[Any], List[Any]]:
         """Flush a full buffer, narrowing the valid range to its widest gap."""
-        records = self._sorted_and_cleared()
-        if len(records) < 2:
-            self.valid_range = None
-            return records, []
-        split, low, high = largest_gap(records)
-        self.valid_range = (low, high)
-        return records[:split], list(reversed(records[split:]))
+        return self._split(self._sorted_and_cleared())
 
     def flush_run_end(self) -> List[Any]:
         """Flush everything ascending at a run boundary.
@@ -159,6 +146,25 @@ class VictimBuffer:
         if self.capacity > 0:
             self.phase = VictimPhase.INITIAL_FILL
         return records
+
+    def _split(self, records: List[Any]) -> Tuple[List[Any], List[Any]]:
+        """Split sorted flushed records at their widest gap.
+
+        Degenerate flushes -- fewer than two records, or keys without
+        subtraction (str, bytes, tuples), which have no gap width --
+        set no valid range, so the buffer accepts nothing until the
+        run ends, and send every record ascending to stream 3.
+        """
+        if len(records) >= 2:
+            try:
+                split, low, high = largest_gap(records)
+            except TypeError:
+                pass
+            else:
+                self.valid_range = (low, high)
+                return records[:split], list(reversed(records[split:]))
+        self.valid_range = None
+        return records, []
 
     def _sorted_and_cleared(self) -> List[Any]:
         records = self.held

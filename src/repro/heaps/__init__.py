@@ -10,17 +10,14 @@ from repro.heaps.binary_heap import (
     parent_index,
     right_child_index,
 )
-from repro.heaps.double_heap import DoubleHeap, HeapSide
 from repro.heaps.heapsort import heapsort, heapsort_inplace
 from repro.heaps.run_heap import BottomRunHeap, TaggedRecord, TopRunHeap
 
 __all__ = [
     "BinaryHeap",
     "BottomRunHeap",
-    "DoubleHeap",
     "HeapEmptyError",
     "HeapFullError",
-    "HeapSide",
     "MaxHeap",
     "MinHeap",
     "TaggedRecord",

@@ -14,8 +14,14 @@ push/pop/peek interface over the shared array.  As in
 :class:`~repro.heaps.binary_heap.MinHeap` / ``MaxHeap``, the sift loops
 use the native ``<`` / ``>`` operators and index the array directly, so
 a side costs no Python call per comparison or per array access.
-Callers that need another order encode it in the entries: 2WRS stores
-run-tagged tuples whose plain tuple order is its heap order.
+
+This module is the paper-layout reference, not the production path.
+2WRS (:mod:`repro.core.two_way`) keeps the same rule -- both heaps
+together hold at most ``capacity`` records -- with two C ``heapq``
+lists under one combined bound; once a key's ties could show, it pops
+them with the same textbook sift-down as this module.
+``benchmarks/bench_ablation_heaps.py`` compares the layouts and
+``tests/test_double_heap.py`` checks this one.
 """
 
 from __future__ import annotations

@@ -346,15 +346,15 @@ class TestLiveContext:
                 self.decisions = 0
 
             def choose(self, value, ctx):
-                heaps = state.heaps
+                top, bottom = state.top, state.bottom
                 snapshot = HeuristicContext(
                     rng=state.rng,
-                    top_size=len(heaps.top),
-                    bottom_size=len(heaps.bottom),
+                    top_size=len(top),
+                    bottom_size=len(bottom),
                     top_outputs=state.outputs_top,
                     bottom_outputs=state.outputs_bottom,
-                    top_head=heaps.top.peek()[1] if heaps.top else None,
-                    bottom_head=heaps.bottom.peek()[1] if heaps.bottom else None,
+                    top_head=top[0][1] if top else None,
+                    bottom_head=bottom[0][1] if bottom else None,
                     first_output=state.first_output,
                     stats=state.source,
                 )
@@ -380,3 +380,116 @@ class TestLiveContext:
         )
         assert spy.decisions > 100
         assert spy.contexts == {id(state.context)}
+
+
+def _generate(memory, records, config, textbook):
+    """Run one generation through ``_RunState``, optionally forcing the
+    textbook pops from the start; return (runs, cpu_ops, state)."""
+    from repro.core.two_way import _RunState
+
+    algo = TwoWayReplacementSelection(memory, config)
+    state = _RunState(algo, records)
+    if textbook:
+        state.use_textbook_pops()
+    return list(state.run()), algo.stats.cpu_ops, state
+
+
+def _four_streams(runs):
+    return [(s.stream1, s.stream2, s.stream3, s.stream4) for s in runs]
+
+
+class TestHeapqPops:
+    """The heaps pop with C ``heapq`` while every key is tie-blind and
+    with the paper's sift-down once a key's ties could show."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 30), max_size=150),
+            st.lists(st.text("abc", max_size=3), max_size=150),
+            st.lists(st.binary(max_size=2), max_size=150),
+        ),
+        st.integers(2, 30),
+    )
+    def test_c_and_textbook_pops_agree_on_tie_blind_keys(self, data, memory):
+        import heapq
+
+        for input_h, output_h in itertools.product(
+            sorted(INPUT_HEURISTICS), sorted(OUTPUT_HEURISTICS)
+        ):
+            config = TwoWayConfig(
+                buffer_fraction=0.2,
+                input_heuristic=input_h,
+                output_heuristic=output_h,
+                seed=5,
+            )
+            c_runs, c_ops, c_state = _generate(memory, data, config, False)
+            t_runs, t_ops, _ = _generate(memory, data, config, True)
+            assert c_state.pop_top is heapq.heappop
+            assert _four_streams(c_runs) == _four_streams(t_runs), (
+                input_h, output_h)
+            assert list(map(len, c_runs)) == list(map(len, t_runs))
+            assert c_ops == t_ops, (input_h, output_h)
+
+    def test_ints_turning_to_float_records_keep_every_spelling(self):
+        import random
+
+        from repro.core.records import FloatRecord
+        from repro.core.two_way import _textbook_pop_min
+
+        rng = random.Random(4)
+        spellings = ["-0.0", "0.0", "0", "-0", "0e0", "1e3", "1000.0", "1000"]
+        ints = [rng.randrange(-2000, 2000) for _ in range(3_000)]
+        floats = [
+            FloatRecord(float(text), text)
+            for text in (rng.choice(spellings) for _ in range(3_000))
+        ]
+        generated, _, state = _generate(200, ints + floats, TwoWayConfig(), False)
+        assert state.pop_top is _textbook_pop_min
+        runs = [streams.assemble() for streams in generated]
+        for run in runs:
+            assert run == sorted(run)
+        out = [r for run in runs for r in run]
+        assert sorted(map(repr, ints)) == sorted(
+            repr(r) for r in out if type(r) is int
+        )
+        assert sorted(r.text for r in floats) == sorted(
+            r.text for r in out if isinstance(r, FloatRecord)
+        )
+
+    def test_push_past_the_combined_bound_raises(self):
+        from repro.core.heuristics import Side
+        from repro.core.two_way import _RunState
+        from repro.heaps.binary_heap import HeapFullError
+
+        algo = TwoWayReplacementSelection(10, TwoWayConfig(buffer_fraction=0.0))
+        state = _RunState(algo, [])
+        assert state.capacity == 10
+        for i in range(6):
+            state.push(Side.TOP, 0, i)
+        for i in range(4):
+            state.push(Side.BOTTOM, 0, -i)
+        for side in Side:
+            with pytest.raises(HeapFullError):
+                state.push(side, 0, 99)
+        assert len(state.top) + len(state.bottom) == 10
+
+
+@pytest.mark.parametrize(
+    "make_key", [str, lambda s: s.encode(), lambda s: (s, len(s))],
+    ids=["str", "bytes", "tuple"],
+)
+def test_keys_without_subtraction_take_the_degenerate_victim_flush(make_key):
+    """The victim cannot measure gaps between such keys; its flushes fall
+    back to no valid range instead of raising TypeError."""
+    import random
+
+    rng = random.Random(2)
+    records = [
+        make_key("".join(rng.choice("abcdefgh") for _ in range(5)))
+        for _ in range(25_000)
+    ]
+    runs = list(TwoWayReplacementSelection(10_000).generate_runs(records))
+    for run in runs:
+        assert run == sorted(run)
+    assert sorted(itertools.chain(*runs)) == sorted(records)
