@@ -1,11 +1,12 @@
 """Spill codec sweep: compressed + front-coded runs vs raw spill bytes.
 
 Sorts the same dataset through the real-file spill backend under every
-``--spill-codec`` setting, for both the text block format and the
-binary (order-preserving key bytes) spill format, at several memory
-budgets.  Each run records wall seconds, the engine's raw-vs-on-disk
-spill byte counters, and a sha256 digest of the sorted output — every
-codec must produce byte-identical output, compression is framing only.
+``--spill-codec`` setting, for both the int format (int64 block
+bodies) and the binary (order-preserving key bytes) spill format, at
+several memory budgets.  Each run records wall seconds, the engine's
+raw-vs-on-disk spill byte counters, and a sha256 digest of the sorted
+output — every codec must produce byte-identical output, compression
+is framing only.
 Results go to ``BENCH_spillio.json`` at the repo root.
 
 The quantity of interest is the CPU-vs-I/O tradeoff the planner's
@@ -42,6 +43,7 @@ from typing import List, Optional
 
 from repro.core.config import GeneratorSpec
 from repro.core.records import INT, binary_format
+from repro.engine.block_io import body_encoding
 from repro.engine.planner import SortEngine
 from repro.engine.spill_codec import SPILL_CODECS
 from repro.workloads.generators import random_input
@@ -87,7 +89,7 @@ def run_once(
     assert report is not None, "spilling sort must publish a SortReport"
     return {
         "codec": codec,
-        "format": "binary" if binary else "text",
+        "format": body_encoding(record_format),
         "memory": memory,
         "wall_seconds": round(wall, 3),
         "merge_passes": engine.merge_passes,
@@ -133,7 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for memory in args.memories:
         for binary in (False, True):
             for codec in args.codecs:
-                label = "binary" if binary else "text"
+                label = "binary" if binary else body_encoding(INT)
                 print(f"memory={memory} format={label} codec={codec} ...",
                       flush=True)
                 row = run_once(

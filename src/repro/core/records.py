@@ -2,7 +2,8 @@
 
 Every real-file backend (spill, parallel, engine merge) moves records
 as lines of text — in the user's files, and inside the RBLC blocks of
-its own spill files.  The seed code hard-wired one
+its own spill files (int blocks excepted: ``repro.engine.block_io``
+stores those as int64 arrays).  The seed code hard-wired one
 record shape — one integer per line — and paid a Python-level
 ``decode(line)`` call per record in every hot loop.  A
 :class:`RecordFormat` replaces those scattered ``encode``/``decode``

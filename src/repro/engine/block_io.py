@@ -21,13 +21,17 @@ the ``codec`` argument:
   reads back itself: spill runs, intermediate merge outputs, partition
   and shard files, the join's skew spill, SSTable data blocks
   (DESIGN.md §15).  Each block is a 21-byte header — magic ``RBLC``,
-  codec id, record count, raw body length, stored body length, CRC-32
-  of the stored bytes — followed by the stored body.  The raw body is
-  the format's encoded text lines, or, for ``spill_binary`` formats,
-  length-prefixed ``(key, payload)`` records; codec ``none`` stores it
-  byte for byte.  Bodies are consumed by length and never scanned, so
-  a record that spells a header cannot be mistaken for one, and the
-  CRC is always verified: a torn, truncated or bit-flipped block
+  codec byte, record count, raw body length, stored body length,
+  CRC-32 of the stored bytes — followed by the stored body.  The raw
+  body is one of three kinds: the format's encoded text lines; for
+  :class:`~repro.core.records.IntFormat` blocks whose records are all
+  exact ``int`` values within int64, a little-endian int64 array
+  (flagged by the codec byte's high bit, which also seeds the CRC);
+  or, for ``spill_binary`` formats, length-prefixed ``(key, payload)``
+  records.  Codec ``none`` stores the raw body byte for byte.  Bodies
+  are consumed by length and never scanned, so a record that spells a
+  header cannot be mistaken for one, and the CRC is always verified:
+  a torn, truncated or bit-flipped block
   raises :class:`~repro.engine.errors.CorruptBlockError` naming the
   file, block index and byte offset instead of merging garbage
   (DESIGN.md §11).
@@ -45,11 +49,13 @@ from __future__ import annotations
 import io
 import os
 import struct
+import sys
 import zlib
+from array import array
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from repro.core.records import RecordFormat
+from repro.core.records import IntFormat, RecordFormat
 from repro.engine.errors import CorruptBlockError
 from repro.engine.spill_codec import (
     CODEC_IDS,
@@ -79,6 +85,23 @@ _HEADER = struct.Struct(f">{len(BLOCK_MAGIC)}sBIIII")
 
 #: Per-record length prefix inside a binary block body.
 _RECORD_LEN = struct.Struct(">I")
+
+#: Body-kind flag on the header's codec byte (codec ids use the low
+#: seven bits).  Clear: the body is text lines or binary records, as
+#: the format says.  Set: the body is an int64 array.
+_KIND_INT64 = 0x80
+
+#: CRC seed of an int64 block: the CRC-32 of its kind byte.  Text and
+#: binary blocks keep the unseeded CRC, so a flipped kind bit reads as
+#: a checksum mismatch in either direction instead of reinterpreting a
+#: body of the right length.
+_INT64_CRC_SEED = zlib.crc32(bytes([_KIND_INT64]))
+
+#: Bytes per record of an int64 body.
+_INT64_SIZE = 8
+
+#: int64 bodies are little-endian on disk whatever the host order.
+_SWAP_INT64 = sys.byteorder != "little"
 
 #: Installed by :func:`set_io_wrapper`; wraps every handle that
 #: :func:`open_text` and :func:`open_bytes` return.  ``None`` = no
@@ -206,6 +229,68 @@ def _unpack_binary_body(
     return records
 
 
+def body_encoding(fmt: RecordFormat) -> str:
+    """The block-body kind of ``fmt``'s RBLC files, for resume identity.
+
+    ``"binary"`` for ``spill_binary`` formats, ``"int64"`` for
+    :class:`~repro.core.records.IntFormat` (int64 bodies, with a text
+    body for any block that does not fit), ``"text"`` otherwise.  The
+    kinds are not mutually readable, so a work directory journaled
+    under another kind is wiped, never resumed.
+    """
+    if getattr(fmt, "spill_binary", False):
+        return "binary"
+    if isinstance(fmt, IntFormat):
+        return "int64"
+    return "text"
+
+
+def _pack_int64_body(records: List[Any]) -> Optional[bytes]:
+    """``records`` as a little-endian int64 body, or None.
+
+    None unless every record is an exact ``int`` within int64: a
+    ``bool`` or ``IntEnum`` would come back as a plain int and change
+    the output bytes, and a wider int does not fit.  The type test is
+    one C-level ``map`` plus a ``list.count`` identity scan.
+    """
+    if list(map(type, records)).count(int) != len(records):
+        return None
+    try:
+        values = array("q", records)
+    except OverflowError:
+        return None
+    if _SWAP_INT64:
+        values.byteswap()
+    return values.tobytes()
+
+
+def _decode_int64_body(
+    fmt: RecordFormat,
+    body: bytes,
+    count: int,
+    path: str,
+    index: int,
+    offset: int,
+) -> List[Any]:
+    if body_encoding(fmt) != "int64":
+        raise CorruptBlockError(
+            path, index, offset,
+            f"block has an int64 body but is read as format "
+            f"{fmt.name!r}; only int records are spilled as int64",
+        )
+    if len(body) != _INT64_SIZE * count:
+        raise CorruptBlockError(
+            path, index, offset,
+            f"int64 body is {len(body)} bytes, header promised {count} "
+            f"record(s) of {_INT64_SIZE} bytes",
+        )
+    values = array("q")
+    values.frombytes(body)
+    if _SWAP_INT64:
+        values.byteswap()
+    return values.tolist()
+
+
 def _decode_text_body(
     fmt: RecordFormat,
     body: bytes,
@@ -262,9 +347,11 @@ def _read_block_at(
             f"truncated block header: {len(header)} of {_HEADER.size} "
             f"bytes — file was torn mid-write",
         )
-    magic, codec_id, count, raw_len, stored_len, want_crc = _HEADER.unpack(
+    magic, codec_byte, count, raw_len, stored_len, want_crc = _HEADER.unpack(
         header
     )
+    int64 = codec_byte & _KIND_INT64
+    codec_id = codec_byte & ~_KIND_INT64
     if magic != BLOCK_MAGIC:
         raise CorruptBlockError(
             path, index, offset,
@@ -286,7 +373,7 @@ def _read_block_at(
             f"truncated block: header declares {stored_len} stored "
             f"bytes, file ends after {len(stored)}",
         )
-    got_crc = zlib.crc32(stored)
+    got_crc = zlib.crc32(stored, _INT64_CRC_SEED if int64 else 0)
     if got_crc != want_crc:
         raise CorruptBlockError(
             path, index, offset,
@@ -298,7 +385,9 @@ def _read_block_at(
         body = decompress_body(codec, stored, raw_len, count)
     except SpillCodecError as exc:
         raise CorruptBlockError(path, index, offset, str(exc)) from None
-    if getattr(fmt, "spill_binary", False):
+    if int64:
+        block = _decode_int64_body(fmt, body, count, path, index, offset)
+    elif getattr(fmt, "spill_binary", False):
         block = _unpack_binary_body(
             body, count, path, index, offset,
             getattr(fmt, "record_factory", None),
@@ -415,10 +504,12 @@ class BlockWriter:
 
     With ``codec=None`` each block is written as plain lines to a text
     handle.  Any codec name writes one RBLC block (header, then stored
-    body) per flush to a byte handle and keeps :attr:`file_crc` — the
-    running CRC-32 of every byte written so far — which the resilience
-    journal records per finished run so a resumed sort can verify
-    survivors without trusting them.
+    body) per flush to a byte handle — an int64 body when the format is
+    :class:`~repro.core.records.IntFormat` and the block's records
+    allow it, else the format's text or binary body.  It keeps
+    :attr:`file_crc`, the running CRC-32 of every byte written so far,
+    which the resilience journal records per finished run so a resumed
+    sort can verify survivors without trusting them.
     """
 
     def __init__(
@@ -434,6 +525,7 @@ class BlockWriter:
         self._block_records = block_records
         self._codec = codec if codec is None else validate_codec(codec)
         self._binary = getattr(fmt, "spill_binary", False)
+        self._int64 = body_encoding(fmt) == "int64"
         #: Per-record byte strings are only needed by front coding.
         self._front = codec in ("front", "front+zlib")
         self._pending: List[Any] = []
@@ -488,7 +580,16 @@ class BlockWriter:
             pending.clear()
             return
         parts: List[bytes] = []
-        if self._binary and self._front:
+        kind = crc_seed = 0
+        body = _pack_int64_body(pending) if self._int64 else None
+        if body is not None:
+            kind, crc_seed = _KIND_INT64, _INT64_CRC_SEED
+            if self._front:
+                parts = [
+                    body[i : i + _INT64_SIZE]
+                    for i in range(0, len(body), _INT64_SIZE)
+                ]
+        elif self._binary and self._front:
             pack = _RECORD_LEN.pack
             parts = [
                 pack(len(key)) + key + pack(len(payload)) + payload
@@ -503,8 +604,8 @@ class BlockWriter:
                 parts = body.splitlines(keepends=True)
         stored = compress_body(codec, body, parts)
         header = _HEADER.pack(
-            BLOCK_MAGIC, CODEC_IDS[codec], len(pending), len(body),
-            len(stored), zlib.crc32(stored),
+            BLOCK_MAGIC, CODEC_IDS[codec] | kind, len(pending), len(body),
+            len(stored), zlib.crc32(stored, crc_seed),
         )
         self._handle.write(header)
         self._handle.write(stored)

@@ -74,6 +74,7 @@ from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
     SPILL_FRAMING,
     BlockWriter,
+    body_encoding,
     open_run,
     open_text,
     validate_block_records,
@@ -557,12 +558,9 @@ class ResumableSpillSort(FileSpillSort):
             # Work dirs written before every run file became an RBLC
             # block stream carry no framing key and are never resumed.
             "framing": SPILL_FRAMING,
-            # Binary and text block bodies are not mutually readable, so a
-            # resume across an encoding switch must wipe and start over.
-            "encoding": (
-                "binary" if getattr(self.record_format, "spill_binary", False)
-                else "text"
-            ),
+            # Body kinds are not mutually readable: a resume across
+            # a kind switch must wipe and start over.
+            "encoding": body_encoding(self.record_format),
             # Codec framings are not mutually readable either: a work
             # dir journaled under one codec must never be resumed under
             # another, so the codec is part of the resume identity.

@@ -41,6 +41,7 @@ from repro.core.records import INT, KeyOnlyRecord, RecordFormat
 from repro.engine.block_io import (
     SPILL_FRAMING,
     BlockWriter,
+    body_encoding,
     iter_records,
     open_run,
 )
@@ -545,13 +546,9 @@ class PartitionedSort:
             "buffer_records": self.buffer_records,
             "format": self.record_format.name,
             "framing": SPILL_FRAMING,
-            # Binary and text block bodies are not mutually readable, so
-            # a resume across an encoding switch must start fresh even
-            # though every other knob matches.
-            "encoding": (
-                "binary" if getattr(self.record_format, "spill_binary", False)
-                else "text"
-            ),
+            # Body kinds are not mutually readable: a resume across
+            # a kind switch must wipe and start over.
+            "encoding": body_encoding(self.record_format),
             # Same rule for codecs: shard files written under one codec
             # are unreadable under another, so the codec is part of the
             # resume identity (no mixed-codec work dirs).

@@ -4,10 +4,15 @@ The simulated pipeline (:mod:`repro.sort.external`) charges I/O to an
 analytic disk clock; this module is its real-I/O twin for the CLI: runs
 are spilled to temporary files *as the generator produces them*, and
 the merge phase consumes them through lazy buffered readers,
-``fan_in`` at a time.  Peak resident memory is therefore
-O(memory_capacity + fan_in * buffer_records) regardless of the input
-size — the whole point of external sorting — where the previous CLI
-path materialised every run and the merged output as Python lists.
+``fan_in`` at a time.  The merge therefore holds
+O(fan_in * buffer_records) records regardless of the input size, and
+run generation holds O(memory_capacity) plus the run it is yielding:
+a generator yields each run as one list, so the peak is bounded per
+run, not per input (DESIGN.md §6 caveat).  2WRS runs can be far
+longer than memory — its whole point — so its peak follows its
+longest run: 71 MB on a 1M-record mixed input that LSS sorts in
+27 MB.  The previous CLI path materialised every run and the merged
+output as Python lists.
 
 Serialisation is delegated to a :class:`~repro.core.records.
 RecordFormat` (DESIGN.md §9): spill files are checksummed RBLC block

@@ -528,8 +528,10 @@ class TestResumeFingerprint:
 
         text = fingerprint(INT)
         binary = fingerprint(binary_format(INT))
-        assert text["encoding"] == "text"
+        # Plain int runs carry int64 bodies (DESIGN.md §15).
+        assert text["encoding"] == "int64"
         assert binary["encoding"] == "binary"
+        assert fingerprint(STR)["encoding"] == "text"
         # Everything else being equal, the encodings must not resume
         # into each other: their run files are mutually unreadable.
         assert {k: v for k, v in text.items()

@@ -10,6 +10,7 @@ trusted.
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -68,9 +69,16 @@ class TestBlockChecksums:
         path = tmp_path / "blk.txt"
         self.write(path, list(range(100, 120)), block=8)
         raw = path.read_bytes()
-        # Corrupt a digit inside the *second* block's payload.
-        second = raw.index(b"108")
-        path.write_bytes(raw[:second] + b"903" + raw[second + 3 :])
+        # Corrupt three bytes inside the *second* block's payload; the
+        # second block starts after the first block's 21-byte header
+        # and the stored length that header declares.
+        header = struct.Struct(">4sBIIII")
+        first_stored = header.unpack_from(raw, 0)[4]
+        second = header.size + first_stored + header.size + 1
+        path.write_bytes(
+            raw[:second] + bytes(b ^ 0x5A for b in raw[second : second + 3])
+            + raw[second + 3 :]
+        )
         with pytest.raises(CorruptBlockError) as err:
             self.read(path, block=8)
         assert err.value.path == str(path)
@@ -314,6 +322,37 @@ class TestResumableSpillSort:
         resumed = make_sorter(work, resume=True)
         assert list(resumed.sort(iter(DATA))) == sorted(DATA)
         assert resumed.runs_reused == 0
+        assert resumed.merges_reused == 0
+        assert not work.exists()
+
+    @pytest.mark.parametrize("journaled_encoding", ["text", "int64"])
+    def test_work_dir_with_text_int_bodies_sorted_fresh(
+        self, tmp_path, journaled_encoding
+    ):
+        """A work dir journaled before int runs got int64 bodies
+        (``"encoding": "text"``) must be wiped and sorted fresh; the
+        control, journaled under today's ``"int64"``, resumes."""
+        work = tmp_path / "wd"
+        plan = FaultPlan(op="write", nth=10, kind="raise", path_substring="run-")
+        with activate(plan):
+            with pytest.raises(FaultInjected):
+                list(make_sorter(work).sort(iter(DATA)))
+        journal_path = work / JOURNAL_NAME
+        entries = [json.loads(line) for line in
+                   journal_path.read_text().splitlines()]
+        fingerprint = entries[0]["fingerprint"]
+        assert fingerprint["encoding"] == "int64"
+        fingerprint["encoding"] = journaled_encoding
+        journal_path.write_text(
+            "".join(json.dumps(entry) + "\n" for entry in entries)
+        )
+        assert [p for p in os.listdir(work) if p.startswith("run-")]
+        resumed = make_sorter(work, resume=True)
+        assert list(resumed.sort(iter(DATA))) == sorted(DATA)
+        if journaled_encoding == "text":
+            assert resumed.runs_reused == 0
+        else:
+            assert resumed.runs_reused > 0
         assert resumed.merges_reused == 0
         assert not work.exists()
 
