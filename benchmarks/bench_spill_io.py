@@ -1,18 +1,26 @@
-"""Spill codec sweep: compressed + front-coded runs vs raw spill bytes.
+"""Spill codec sweep: compressed runs vs raw spill bytes.
 
 Sorts the same dataset through the real-file spill backend under every
-``--spill-codec`` setting, for both the int format (int64 block
-bodies) and the binary (order-preserving key bytes) spill format, at
-several memory budgets.  Each run records wall seconds, the engine's
-raw-vs-on-disk spill byte counters, and a sha256 digest of the sorted
-output — every codec must produce byte-identical output, compression
-is framing only.
+``--spill-codec`` setting, for three block-body kinds, at several
+memory budgets:
+
+* ``int64`` — the int format's native int64 array bodies;
+* ``binary`` — order-preserving key bytes (``--binary-spill``);
+* ``str`` — text bodies, the default path for str and csv input.  Its
+  records spell the same keys zero-padded to a fixed width, so their
+  byte order is the int order and the cell sorts the same sequence.
+
+Each cell runs ``--repeats`` times and records the median, min and max
+wall seconds, the engine's raw-vs-on-disk spill byte counters, and a
+sha256 digest of the sorted keys (taken over their decimal value, so
+it is comparable across formats) — every codec and every format must
+produce the same digest; compression is framing only.
 Results go to ``BENCH_spillio.json`` at the repo root.
 
-The quantity of interest is the CPU-vs-I/O tradeoff the planner's
-``auto`` codec row encodes: how many spill bytes each codec saves
-(``ratio = raw / on_disk``) against how much wall time it costs on
-this machine's storage.  Wall times are honest — they include the
+The quantity of interest is the CPU-vs-I/O tradeoff behind the
+``auto`` codec (which means ``none``): how many spill bytes each codec
+saves (``ratio = raw / on_disk``) against how much wall time it costs
+on this machine's storage.  Wall times are honest — they include the
 compression work, and on fast local disks the compressed modes are
 usually *slower*; the ratio column is what transfers to bandwidth-
 starved spill devices.
@@ -20,13 +28,14 @@ starved spill devices.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_spill_io.py \
-        --records 500000 --memories 10000 50000
+        --records 500000 --memories 10000 50000 --repeats 3
 
     PYTHONPATH=src python benchmarks/bench_spill_io.py --smoke
 
-``--smoke`` shrinks the sweep (20k records, one memory budget) so CI
-can assert the digest invariant and the codec plumbing end to end in
-seconds; it writes to a temporary file unless --output is given.
+``--smoke`` shrinks the sweep (20k records, one memory budget, one
+repeat) so CI can assert the digest invariant and the codec plumbing
+end to end in seconds; it writes to a temporary file unless --output
+is given.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -42,13 +52,18 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import INT, binary_format
-from repro.engine.block_io import body_encoding
+from repro.core.records import INT, STR, binary_format
 from repro.engine.planner import SortEngine
 from repro.engine.spill_codec import SPILL_CODECS
-from repro.workloads.generators import random_input
+from repro.workloads.generators import DEFAULT_VALUE_SPAN, random_input
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_spillio.json"
+
+#: Swept body kinds, by the label the JSON rows carry.
+FORMATS = {"int64": INT, "binary": binary_format(INT), "str": STR}
+
+#: Digits that spell every key of the ``str`` cell at one width.
+_STR_WIDTH = len(str(DEFAULT_VALUE_SPAN - 1))
 
 
 def run_once(
@@ -58,11 +73,11 @@ def run_once(
     fan_in: int,
     block_records: int,
     codec: str,
-    binary: bool,
+    fmt: str,
     seed: int,
 ) -> dict:
     """One full spilling sort; returns wall, spill bytes, and a digest."""
-    record_format = binary_format(INT) if binary else INT
+    record_format = FORMATS[fmt]
     engine = SortEngine(
         GeneratorSpec(algorithm, memory),
         record_format=record_format,
@@ -73,15 +88,17 @@ def run_once(
         spill_codec=codec,
     )
     source = random_input(records, seed=seed)
-    if binary:
+    if fmt == "binary":
         decode = record_format.decode
         source = [decode(str(value)) for value in source]
+    elif fmt == "str":
+        source = [f"{value:0{_STR_WIDTH}d}" for value in source]
     encode = record_format.encode
     digest = hashlib.sha256()
     count = 0
     started = time.perf_counter()
     for value in engine.sort(source):
-        digest.update((encode(value) + "\n").encode("ascii"))
+        digest.update(b"%d\n" % int(encode(value)))
         count += 1
     wall = time.perf_counter() - started
     assert count == records, f"lost records: {count} != {records}"
@@ -89,7 +106,7 @@ def run_once(
     assert report is not None, "spilling sort must publish a SortReport"
     return {
         "codec": codec,
-        "format": body_encoding(record_format),
+        "format": fmt,
         "memory": memory,
         "wall_seconds": round(wall, 3),
         "merge_passes": engine.merge_passes,
@@ -98,6 +115,23 @@ def run_once(
         "spill_ratio": round(report.spill_ratio, 3),
         "sha256": digest.hexdigest(),
     }
+
+
+def run_cell(repeats: int, **kwargs) -> dict:
+    """``repeats`` runs of one cell: median/min/max wall, one digest."""
+    runs = [run_once(**kwargs) for _ in range(repeats)]
+    digests = {run["sha256"] for run in runs}
+    assert len(digests) == 1, f"repeats disagree: {sorted(digests)}"
+    walls = [run["wall_seconds"] for run in runs]
+    row = dict(runs[0])
+    del row["wall_seconds"]
+    row.update(
+        wall_median_s=round(statistics.median(walls), 3),
+        wall_min_s=min(walls),
+        wall_max_s=max(walls),
+        wall_runs_s=walls,
+    )
+    return row
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -111,16 +145,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--block-records", type=int, default=4096)
     parser.add_argument("--codecs", nargs="+", default=list(SPILL_CODECS),
                         choices=SPILL_CODECS)
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="runs per cell; the JSON keeps the median, "
+                             "min and max wall time (default 3)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=Path, default=None)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sweep for CI: 20k records, one memory "
-                             "budget, temporary output file")
+                             "budget, one repeat, temporary output file")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, got {args.repeats}")
 
     if args.smoke:
         args.records = 20_000
         args.memories = [2_000]
+        args.repeats = 1
     output = args.output
     if output is None:
         if args.smoke:
@@ -133,19 +173,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rows = []
     for memory in args.memories:
-        for binary in (False, True):
+        for fmt in FORMATS:
             for codec in args.codecs:
-                label = "binary" if binary else body_encoding(INT)
-                print(f"memory={memory} format={label} codec={codec} ...",
+                print(f"memory={memory} format={fmt} codec={codec} ...",
                       flush=True)
-                row = run_once(
+                row = run_cell(
+                    args.repeats,
                     records=args.records, memory=memory,
                     algorithm=args.algorithm, fan_in=args.fan_in,
                     block_records=args.block_records, codec=codec,
-                    binary=binary, seed=args.seed,
+                    fmt=fmt, seed=args.seed,
                 )
                 rows.append(row)
-                print(f"  wall={row['wall_seconds']}s "
+                print(f"  wall median={row['wall_median_s']}s "
+                      f"[{row['wall_min_s']}, {row['wall_max_s']}] "
                       f"raw={row['spill_raw_bytes']} "
                       f"disk={row['spill_disk_bytes']} "
                       f"(x{row['spill_ratio']})", flush=True)
@@ -159,6 +200,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         (r["memory"], r["format"]): r["spill_disk_bytes"]
         for r in rows if r["codec"] == "none"
     }
+    none_min = {
+        (r["memory"], r["format"]): r["wall_min_s"]
+        for r in rows if r["codec"] == "none"
+    }
     for row in rows:
         base = baselines.get((row["memory"], row["format"]))
         if base and row["spill_disk_bytes"]:
@@ -168,10 +213,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     best_reduction = max(
         (r.get("disk_reduction_vs_none", 1.0) for r in rows), default=1.0
     )
+    # The auto decision: a codec earns automatic use in a cell only if
+    # its slowest repeat beats the fastest repeat of codec=none.
+    beats_none = [
+        {"memory": r["memory"], "format": r["format"], "codec": r["codec"]}
+        for r in rows
+        if r["codec"] != "none"
+        and (r["memory"], r["format"]) in none_min
+        and r["wall_max_s"] < none_min[(r["memory"], r["format"])]
+    ]
 
     payload = {
         "benchmark": "spill codec sweep (codec x format x memory)",
         "records": args.records,
+        "repeats": args.repeats,
         "algorithm": args.algorithm,
         "fan_in": args.fan_in,
         "block_records": args.block_records,
@@ -185,6 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "memory": best["memory"], "ratio": best["spill_ratio"],
         },
         "best_disk_reduction_vs_none": best_reduction,
+        "codecs_beating_none_beyond_spread": beats_none,
         "sweep": rows,
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")

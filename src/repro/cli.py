@@ -1057,13 +1057,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        choices=(AUTO_CODEC,) + SPILL_CODECS,
                        default="none",
                        help="per-block compression of spill/shard files "
-                            "(DESIGN.md §15): 'zlib'/'lzma' are byte "
-                            "compressors, 'front' delta-codes shared "
-                            "record prefixes (near-free on sorted runs, "
-                            "strongest with --binary-spill keys), "
-                            "'front+zlib' stacks both; 'auto' lets the "
-                            "planner trade CPU for I/O from the input "
-                            "size and memory budget (default none)")
+                            "(DESIGN.md §15): 'zlib' is the cheap byte "
+                            "compressor, 'lzma' the heavy one; 'auto' "
+                            "means 'none', which was fastest in every "
+                            "cell of the measured sweep (default none)")
         p.add_argument("--checksum", action="store_true",
                        help="accepted for compatibility; spill blocks are "
                             "always checksummed")
@@ -1212,7 +1209,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                             "sparse indexing and of what a point lookup "
                             "decodes "
                             f"(default {DEFAULT_TABLE_BLOCK_RECORDS})")
-        p.add_argument("--codec", choices=("none",) + SPILL_CODECS,
+        p.add_argument("--codec", choices=SPILL_CODECS,
                        default="none",
                        help="per-block compression of SSTable data, "
                             "same codecs as --spill-codec "

@@ -382,7 +382,7 @@ def _read_block_at(
             f"disk or torn mid-write",
         )
     try:
-        body = decompress_body(codec, stored, raw_len, count)
+        body = decompress_body(codec, stored, raw_len)
     except SpillCodecError as exc:
         raise CorruptBlockError(path, index, offset, str(exc)) from None
     if int64:
@@ -416,7 +416,7 @@ def read_framed_block(
     clean end of input; ``path``/``index``/``offset`` label any
     :class:`~repro.engine.errors.CorruptBlockError`.
     """
-    validate_codec(codec)
+    codec = validate_codec(codec)
     return _read_block_at(handle, fmt, codec, path, index, offset)
 
 
@@ -456,7 +456,7 @@ def read_blocks(
                 if not lines:
                     continue
             yield fmt.decode_block(lines)
-    validate_codec(codec)
+    codec = validate_codec(codec)
     path = getattr(handle, "name", "<stream>")
     offset = 0
     index = 0
@@ -526,8 +526,6 @@ class BlockWriter:
         self._codec = codec if codec is None else validate_codec(codec)
         self._binary = getattr(fmt, "spill_binary", False)
         self._int64 = body_encoding(fmt) == "int64"
-        #: Per-record byte strings are only needed by front coding.
-        self._front = codec in ("front", "front+zlib")
         self._pending: List[Any] = []
         #: Total records written (including still-buffered ones).
         self.written = 0
@@ -579,30 +577,15 @@ class BlockWriter:
             # Cleared in place: write_all holds a local alias.
             pending.clear()
             return
-        parts: List[bytes] = []
         kind = crc_seed = 0
         body = _pack_int64_body(pending) if self._int64 else None
         if body is not None:
             kind, crc_seed = _KIND_INT64, _INT64_CRC_SEED
-            if self._front:
-                parts = [
-                    body[i : i + _INT64_SIZE]
-                    for i in range(0, len(body), _INT64_SIZE)
-                ]
-        elif self._binary and self._front:
-            pack = _RECORD_LEN.pack
-            parts = [
-                pack(len(key)) + key + pack(len(payload)) + payload
-                for key, payload in pending
-            ]
-            body = b"".join(parts)
         elif self._binary:
             body = _pack_binary_body(pending)
         else:
             body = self._fmt.encode_block(pending).encode("utf-8")
-            if self._front:
-                parts = body.splitlines(keepends=True)
-        stored = compress_body(codec, body, parts)
+        stored = compress_body(codec, body)
         header = _HEADER.pack(
             BLOCK_MAGIC, CODEC_IDS[codec] | kind, len(pending), len(body),
             len(stored), zlib.crc32(stored, crc_seed),

@@ -52,7 +52,7 @@ from repro.engine.block_io import (
     validate_block_records,
 )
 from repro.engine.merge_reading import validate_reading
-from repro.engine.spill_codec import AUTO_CODEC, validate_codec
+from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import MergeCounter, validate_merge_params
 from repro.merge.merge_tree import DEFAULT_FAN_IN
 from repro.runs.base import log_cost
@@ -69,29 +69,6 @@ SORT_MODES = ("in_memory", "spill", "parallel")
 
 #: ``reading="auto"`` resolves against this sentinel set.
 AUTO_READING = "auto"
-
-
-def _resolve_codec(
-    codec: str,
-    input_records: Optional[int],
-    memory: int,
-    fan_in: int,
-) -> str:
-    """The planner's codec row (DESIGN.md §15).
-
-    A single warm merge pass re-reads every spill byte exactly once,
-    so only the near-free front coding pays for itself; once the input
-    exceeds ``memory * fan_in`` (or is unknown) intermediate passes
-    multiply the I/O and the cheap byte compressor joins in.  The
-    heavy ``lzma`` codec is never chosen automatically — its CPU cost
-    only wins on storage this simulation does not model (network or
-    heavily contended disks), so it stays an explicit override.
-    """
-    if codec != AUTO_CODEC:
-        return codec
-    if input_records is not None and input_records <= memory * fan_in:
-        return "front"
-    return "front+zlib"
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +104,7 @@ def plan_sort(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if reading != AUTO_READING:
         validate_reading(reading)
-    validate_codec(codec, allow_auto=True)
+    codec = validate_codec(codec)
 
     if workers > 1:
         resolved = reading if reading != AUTO_READING else "forecasting"
@@ -138,7 +115,7 @@ def plan_sort(
             buffer_records=buffer_records,
             workers=workers,
             reason=f"workers={workers} requested",
-            codec=_resolve_codec(codec, input_records, memory, fan_in),
+            codec=codec,
         )
     if input_records is not None and input_records <= memory:
         return SortPlan(
@@ -168,7 +145,7 @@ def plan_sort(
         buffer_records=buffer_records,
         workers=1,
         reason=why,
-        codec=_resolve_codec(codec, input_records, memory, fan_in),
+        codec=codec,
     )
 
 
@@ -369,9 +346,8 @@ class SortEngine:
         self.buffer_records = buffer_records
         self.block_records = block_records
         self.reading = reading
-        #: Spill codec (DESIGN.md §15); ``"auto"`` lets the planner
-        #: choose per sort from input size and memory budget.
-        self.spill_codec = validate_codec(spill_codec, allow_auto=True)
+        #: Concrete spill codec (DESIGN.md §15): ``"auto"`` is ``"none"``.
+        self.spill_codec = validate_codec(spill_codec)
         self.work_dir = work_dir
         self.input_fingerprint = input_fingerprint
         self.tmp_dir = tmp_dir
@@ -469,13 +445,7 @@ class SortEngine:
 
         session = SpillSession(
             tempfile.mkdtemp(prefix="repro-merge-", dir=self.tmp_dir),
-            # Caller files carry no size information, so "auto" falls
-            # back to raw for the merge's intermediate spills; an
-            # explicit codec is honoured.
-            codec=(
-                "none" if self.spill_codec == AUTO_CODEC
-                else self.spill_codec
-            ),
+            codec=self.spill_codec,
         )
         reading = self._resolved_reading(len(paths))
         counter = MergeCounter()
@@ -658,13 +628,6 @@ class SortEngine:
             codec=self.spill_codec,
         )
 
-    def _plan_codec(self) -> str:
-        """The resolved codec of the current plan (backends need a
-        concrete name, never ``"auto"``)."""
-        if self.plan is not None and self.plan.codec is not None:
-            return self.plan.codec
-        return "none" if self.spill_codec == AUTO_CODEC else self.spill_codec
-
     def _resolved_reading(self, n_runs: int) -> str:
         if self.reading != AUTO_READING:
             return self.reading
@@ -714,7 +677,7 @@ class SortEngine:
                     resume=self._resume,
                 input_fingerprint=self.input_fingerprint,
                 cpu_op_time=self.cpu_op_time,
-                spill_codec=self._plan_codec(),
+                spill_codec=self.spill_codec,
             )
             self.backend = backend
             return self._finishing(backend, backend.sort(stream))
@@ -728,7 +691,7 @@ class SortEngine:
             record_format=self.record_format,
             reading=self.plan.reading,
             cpu_op_time=self.cpu_op_time,
-            spill_codec=self._plan_codec(),
+            spill_codec=self.spill_codec,
         )
         self.backend = backend
         return self._finishing(backend, backend.sort(stream))
@@ -754,7 +717,7 @@ class SortEngine:
             resume=self._resume,
             input_fingerprint=self.input_fingerprint,
             cpu_op_time=self.cpu_op_time,
-            spill_codec=self._plan_codec(),
+            spill_codec=self.spill_codec,
             **kwargs,
         )
         self.backend = backend

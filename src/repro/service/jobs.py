@@ -17,6 +17,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.core.config import ALGORITHMS
+from repro.core.records import FORMAT_NAMES
+from repro.engine.spill_codec import validate_codec
+
 __all__ = ["JOB_OPS", "STORE_OPS", "JobSpec", "job_id_for"]
 
 #: Operators a job may run: the CLI's file-to-file subcommands, plus
@@ -115,6 +119,16 @@ class JobSpec:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
         if self.fan_in < 2:
             raise ValueError(f"fan_in must be >= 2, got {self.fan_in}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
+            )
+        if self.fmt not in FORMAT_NAMES:
+            raise ValueError(
+                f"unknown record format {self.fmt!r}; known: "
+                f"{', '.join(FORMAT_NAMES)}"
+            )
+        validate_codec(self.spill_codec)
         if self.key is not None and self.fmt not in ("csv", "tsv"):
             raise ValueError(
                 f"key columns only apply to csv/tsv, not {self.fmt!r}"

@@ -145,8 +145,8 @@ class TestCostModelReconciliation:
         body = "".join(p + "\n" for p in payloads).encode()
         return {
             "none": 1.0,
-            "zlib": len(compress_body("zlib", body, ())) / len(body),
-            "lzma": len(compress_body("lzma", body, ())) / len(body),
+            "zlib": len(compress_body("zlib", body)) / len(body),
+            "lzma": len(compress_body("lzma", body)) / len(body),
         }
 
     def test_real_codec_ordering_none_zlib_lzma(self):

@@ -133,12 +133,11 @@ class TestRoundTrip:
         assert writer.raw_bytes == 8 * 100
 
 
-def test_front_coders_round_trip(tmp_path):
+def test_lzma_round_trip(tmp_path):
     records = sorted((i * 7919) % 4000 - 2000 for i in range(500))
-    for codec in ("front", "front+zlib", "lzma"):
-        path = tmp_path / f"{codec.replace('+', '_')}.dat"
-        write(path, records, 64, codec)
-        assert [v for b in read(path, codec) for v in b] == records
+    path = tmp_path / "lzma.dat"
+    write(path, records, 64, "lzma")
+    assert [v for b in read(path, "lzma") for v in b] == records
 
 
 @pytest.mark.parametrize("codec", CODECS)

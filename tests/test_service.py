@@ -76,6 +76,28 @@ class TestJobSpecPayload:
         assert job_id_for(flagged) == job_id_for(plain)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("spill_codec", "bogus", "unknown spill codec 'bogus'"),
+        ("spill_codec", "front", "unknown spill codec 'front'"),
+        ("algorithm", "bogus", "algorithm must be one of"),
+        ("format", "bogus", "unknown record format 'bogus'"),
+    ])
+    def test_unrunnable_fields_fail_validation(self, tmp_path, field, value,
+                                               message):
+        base = {"op": "sort", "input": str(tmp_path / "in.txt")}
+        with pytest.raises(ValueError, match=message):
+            JobSpec.from_payload({**base, field: value})
+
+    def test_auto_codec_is_kept_as_spelled(self, tmp_path):
+        """``auto`` is a valid spelling (it runs as ``none``); the spec
+        and so the job id keep it, like any persisted job.json."""
+        spec = JobSpec.from_payload({
+            "op": "sort", "input": str(tmp_path / "in.txt"),
+            "spill_codec": "auto",
+        })
+        assert spec.to_payload()["spill_codec"] == "auto"
+
+
 # ---------------------------------------------------------------------------
 # scheduler-level
 # ---------------------------------------------------------------------------
@@ -295,6 +317,26 @@ class TestLiveServer:
             sink = io.StringIO()
             client.result(job_id=payload["id"], sink=sink)
             assert sink.getvalue() == expected, job["op"]
+
+    def test_unrunnable_job_is_refused_at_submit(self, live_server):
+        """A spec the runner could never execute gets an error frame
+        from ``submit``: no job directory, no memory grant."""
+        client, tmp_path = live_server
+        from repro.service.client import ServiceError
+
+        path = tmp_path / "in.txt"
+        _write_input(path, 50)
+        for field, value in [("spill_codec", "bogus"),
+                             ("spill_codec", "front+zlib"),
+                             ("algorithm", "bogus"), ("format", "bogus")]:
+            with pytest.raises(ServiceError, match="bogus|front"):
+                client.submit({"op": "sort", "input": str(path),
+                               field: value})
+        assert os.listdir(tmp_path / "spool" / "jobs") == []
+        payload = client.wait(client.submit(
+            {"op": "sort", "input": str(path), "spill_codec": "auto"}
+        )["id"])
+        assert payload["status"] == "done", payload["error"]
 
     def test_result_refused_until_done(self, live_server):
         client, tmp_path = live_server

@@ -1,10 +1,11 @@
-"""Compressed + front-coded spill blocks (DESIGN.md §15).
+"""Compressed spill blocks (DESIGN.md §15).
 
-Codec-layer units (varint framing, front coding, compress/decompress
-round-trips), the RBLC block framing through ``BlockWriter`` /
-``read_blocks`` including every corruption class, the raw-vs-on-disk
-byte accounting that feeds ``SortReport``, the codec key in both
-resume fingerprints, and the planner's codec decision row.
+Codec-layer units (compress/decompress round-trips), the RBLC block
+framing through ``BlockWriter`` / ``read_blocks`` including every
+corruption class and the retired wire ids, the raw-vs-on-disk byte
+accounting that feeds ``SortReport``, the codec key in both resume
+fingerprints, the planner's codec row (``auto`` is ``none``), and
+``--spill-codec auto`` output against ``none`` through the CLI.
 """
 
 import struct
@@ -12,7 +13,8 @@ import struct
 import pytest
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import INT, binary_format, resolve_format
+from repro.cli import main
+from repro.core.records import INT, STR, binary_format, resolve_format
 from repro.engine.block_io import (
     BLOCK_MAGIC,
     BlockWriter,
@@ -23,11 +25,7 @@ from repro.engine.block_io import (
     write_sequence,
 )
 from repro.engine.errors import CorruptBlockError
-from repro.engine.planner import (
-    SortEngine,
-    _resolve_codec,
-    plan_sort,
-)
+from repro.engine.planner import SortEngine, plan_sort
 from repro.engine.resilience import ResumableSpillSort, SortJournal
 from repro.engine.spill_codec import (
     AUTO_CODEC,
@@ -35,8 +33,6 @@ from repro.engine.spill_codec import (
     SpillCodecError,
     compress_body,
     decompress_body,
-    front_decode,
-    front_encode,
     validate_codec,
 )
 from repro.ops.base import report_from_sort
@@ -63,76 +59,39 @@ class TestValidateCodec:
         with pytest.raises(ValueError):
             validate_codec("snappy")
 
-    def test_auto_is_opt_in(self):
-        with pytest.raises(ValueError):
-            validate_codec(AUTO_CODEC)
-        assert validate_codec(AUTO_CODEC, allow_auto=True) == AUTO_CODEC
+    def test_auto_resolves_to_none(self):
+        assert validate_codec(AUTO_CODEC) == "none"
 
-
-class TestFrontCoding:
-    def test_round_trip_sorted_lines(self):
-        parts = [f"key{i:06d},payload\n".encode() for i in range(500)]
-        encoded = front_encode(parts)
-        assert front_decode(encoded, len(parts)) == b"".join(parts)
-        # 500 lines sharing "key00..." prefixes must shrink.
-        assert len(encoded) < len(b"".join(parts))
-
-    def test_round_trip_unsorted_still_correct(self):
-        parts = [b"zebra\n", b"apple\n", b"zoo\n", b"ant\n"]
-        encoded = front_encode(parts)
-        assert front_decode(encoded, len(parts)) == b"".join(parts)
-
-    def test_empty_and_single(self):
-        assert front_decode(front_encode([]), 0) == b""
-        assert front_decode(front_encode([b"only\n"]), 1) == b"only\n"
-
-    def test_identical_parts_collapse(self):
-        parts = [b"same\n"] * 100
-        encoded = front_encode(parts)
-        # Each repeat costs two varints and zero suffix bytes.
-        assert len(encoded) < len(b"same\n") + 3 * 100
-
-    def test_truncated_stream_raises(self):
-        encoded = front_encode([b"abc\n", b"abd\n"])
-        with pytest.raises(SpillCodecError):
-            front_decode(encoded[:-2], 2)
-
-    def test_trailing_garbage_raises(self):
-        encoded = front_encode([b"abc\n"])
-        with pytest.raises(SpillCodecError):
-            front_decode(encoded + b"\x00", 1)
-
-    def test_count_mismatch_raises(self):
-        encoded = front_encode([b"abc\n", b"abd\n"])
-        with pytest.raises(SpillCodecError):
-            front_decode(encoded, 3)
+    def test_retired_front_codecs_are_unknown(self):
+        for codec in ("front", "front+zlib"):
+            with pytest.raises(ValueError, match="unknown spill codec"):
+                validate_codec(codec)
 
 
 class TestCompressBody:
     BODY = b"".join(f"{i:08d}\n".encode() for i in range(2000))
-    PARTS = tuple(f"{i:08d}\n".encode() for i in range(2000))
 
     @pytest.mark.parametrize("codec", REAL_CODECS)
     def test_round_trip(self, codec):
-        stored = compress_body(codec, self.BODY, self.PARTS)
-        raw = decompress_body(codec, stored, len(self.BODY), len(self.PARTS))
+        stored = compress_body(codec, self.BODY)
+        raw = decompress_body(codec, stored, len(self.BODY))
         assert raw == self.BODY
 
-    @pytest.mark.parametrize("codec", ["zlib", "lzma", "front+zlib"])
+    @pytest.mark.parametrize("codec", REAL_CODECS)
     def test_byte_compressors_shrink(self, codec):
-        stored = compress_body(codec, self.BODY, self.PARTS)
+        stored = compress_body(codec, self.BODY)
         assert len(stored) < len(self.BODY) // 2
 
     def test_corrupt_zlib_stream_raises_codec_error(self):
-        stored = bytearray(compress_body("zlib", self.BODY, ()))
+        stored = bytearray(compress_body("zlib", self.BODY))
         stored[4] ^= 0xFF
         with pytest.raises(SpillCodecError):
-            decompress_body("zlib", bytes(stored), len(self.BODY), 2000)
+            decompress_body("zlib", bytes(stored), len(self.BODY))
 
     def test_raw_length_mismatch_raises(self):
-        stored = compress_body("zlib", self.BODY, ())
+        stored = compress_body("zlib", self.BODY)
         with pytest.raises(SpillCodecError):
-            decompress_body("zlib", stored, len(self.BODY) + 1, 2000)
+            decompress_body("zlib", stored, len(self.BODY) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +100,7 @@ class TestCompressBody:
 
 
 def roundtrip(tmp_path, fmt, records, codec, block_records=64):
-    path = str(tmp_path / f"run-{codec.replace('+', '_')}.dat")
+    path = str(tmp_path / f"run-{codec}.dat")
     write_sequence(path, records, fmt, block_records, codec=codec)
     with open_run(path, "r", codec) as handle:
         return path, list(
@@ -169,22 +128,6 @@ class TestCompressedBlockIO:
         records = [fmt.decode(f"r{i},{i % 13},x") for i in range(300)]
         _, out = roundtrip(tmp_path, fmt, records, codec)
         assert out == records
-
-    def test_front_coding_shrinks_sorted_binary_runs(self, tmp_path):
-        """The tentpole's point: PR-7 order-preserving key bytes give
-        sorted runs long shared prefixes for front coding to delta."""
-        fmt = binary_format(INT)
-        records = sorted(
-            (fmt.decode(str(1_000_000 + i)) for i in range(4096)),
-            key=lambda r: r[0],
-        )
-        plain = str(tmp_path / "plain.dat")
-        write_sequence(plain, records, fmt, 512)
-        front = str(tmp_path / "front.dat")
-        write_sequence(front, records, fmt, 512, codec="front")
-        import os
-
-        assert os.path.getsize(front) < os.path.getsize(plain) * 0.75
 
     def test_mixed_codec_read_is_corrupt_not_garbage(self, tmp_path):
         path, _ = roundtrip(tmp_path, INT, list(range(100)), "zlib")
@@ -225,7 +168,7 @@ class TestCompressedCorruption:
         assert err.block_index == 0
         assert err.offset == 0
 
-    @pytest.mark.parametrize("codec", ["zlib", "front"])
+    @pytest.mark.parametrize("codec", REAL_CODECS)
     def test_bit_flip_in_later_block(self, tmp_path, codec):
         def flip(data):
             # Past block 0: stored_len lives at bytes 13..17 of the
@@ -256,8 +199,37 @@ class TestCompressedCorruption:
         def stomp(data):
             data[0:4] = b"XXXX"
 
-        _, err = self.corrupt(tmp_path, "front+zlib", stomp)
+        _, err = self.corrupt(tmp_path, "lzma", stomp)
         assert err.block_index == 0
+
+    @pytest.mark.parametrize(
+        "fmt, records, written, retired",
+        [
+            (STR, [str(i) for i in range(100)], 0x00, 3),
+            (INT, list(range(100)), 0x80, 0x80 | 4),
+        ],
+        ids=["text-id-3", "int64-id-4"],
+    )
+    def test_retired_front_ids_are_unknown(self, tmp_path, fmt, records,
+                                           written, retired):
+        """Ids 3 and 4 (the deleted front coders) fail as unknown ids
+        naming the file, block and offset, with or without the int64
+        body flag."""
+        path = str(tmp_path / "retired.dat")
+        write_sequence(path, records, fmt, 64, codec="none")
+        data = bytearray(open(path, "rb").read())
+        stored0 = struct.unpack(">I", data[13:17])[0]
+        second = _HEADER_SIZE + stored0
+        assert data[4] == data[second + 4] == written
+        data[second + 4] = retired
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        with open_run(path, "r", "none") as handle:
+            with pytest.raises(CorruptBlockError) as info:
+                list(read_blocks(handle, fmt, 64, codec="none"))
+        err = info.value
+        assert (err.path, err.block_index, err.offset) == (path, 1, second)
+        assert f"unknown id {retired & 0x7F}" in err.reason
 
     def test_magic_constant_is_distinct_from_binary_framing(self):
         # b"RBLK" led the retired uncompressed binary framing: run
@@ -294,7 +266,7 @@ class TestByteAccounting:
         assert session.disk == os.path.getsize(path)
         assert session.disk - session.raw == _HEADER_SIZE * blocks
 
-    @pytest.mark.parametrize("codec", ["zlib", "lzma", "front+zlib"])
+    @pytest.mark.parametrize("codec", REAL_CODECS)
     def test_compressed_disk_below_raw(self, tmp_path, codec):
         session = _Session()
         path = str(tmp_path / "packed.dat")
@@ -311,10 +283,10 @@ class TestByteAccounting:
         """raw counts what codec=none would write, so ratios compare
         like against like."""
         sizes = {}
-        for codec in ("none", "zlib", "front"):
+        for codec in SPILL_CODECS:
             session = _Session()
             write_sequence(
-                str(tmp_path / f"{codec.replace('+', '_')}.dat"),
+                str(tmp_path / f"{codec}.dat"),
                 self.RECORDS, INT, 256, codec=codec, session=session,
             )
             sizes[codec] = session.raw
@@ -358,7 +330,7 @@ class TestEngineSpillCodecs:
         assert list(engine.sort(iter(self.DATA))) == sorted(self.DATA)
         report = engine.report
         assert report.spill_disk_bytes > 0
-        if codec in ("zlib", "lzma", "front+zlib"):
+        if codec != "none":
             assert report.spill_disk_bytes < report.spill_raw_bytes
 
     def test_auto_codec_resolves_and_sorts(self):
@@ -366,6 +338,7 @@ class TestEngineSpillCodecs:
             GeneratorSpec("lss", 256), fan_in=4, buffer_records=64,
             block_records=64, spill_codec=AUTO_CODEC,
         )
+        assert engine.spill_codec == "none"
         assert list(engine.sort(iter(self.DATA))) == sorted(self.DATA)
 
     def test_in_memory_sort_reports_no_spill(self):
@@ -413,10 +386,10 @@ class TestResumeFingerprints:
 
     def test_codec_in_parallel_fingerprint(self, tmp_path):
         sorter = PartitionedSort(
-            GeneratorSpec("rs", 64), workers=2, spill_codec="front",
+            GeneratorSpec("rs", 64), workers=2, spill_codec="lzma",
             work_dir=str(tmp_path / "w"),
         )
-        assert sorter._fingerprint()["codec"] == "front"
+        assert sorter._fingerprint()["codec"] == "lzma"
 
     def test_mixed_codec_work_dir_is_wiped(self, tmp_path):
         """--resume must not merge runs written under another codec:
@@ -425,13 +398,13 @@ class TestResumeFingerprints:
         fp_zlib = ResumableSpillSort(
             memory=32, work_dir=work, spill_codec="zlib"
         ).fingerprint()
-        fp_front = ResumableSpillSort(
-            memory=32, work_dir=work, spill_codec="front"
+        fp_lzma = ResumableSpillSort(
+            memory=32, work_dir=work, spill_codec="lzma"
         ).fingerprint()
         SortJournal.open_dir(work, fp_zlib, resume=False).close()
         stale = tmp_path / "run-000.txt"
         stale.write_text("stale zlib run\n")
-        journal = SortJournal.open_dir(work, fp_front, resume=True)
+        journal = SortJournal.open_dir(work, fp_lzma, resume=True)
         journal.close()
         assert not stale.exists()
         assert [e["type"] for e in journal.entries] == ["meta"]
@@ -445,20 +418,29 @@ class TestResumeFingerprints:
 class TestPlannerCodecRow:
     def test_explicit_codec_passes_through(self):
         for codec in SPILL_CODECS:
-            assert _resolve_codec(codec, None, 100, 10) == codec
+            plan = plan_sort(memory=100, input_records=5000, codec=codec)
+            assert plan.codec == codec
 
-    def test_auto_single_pass_picks_front(self):
-        assert _resolve_codec(AUTO_CODEC, 500, 100, 10) == "front"
+    def test_auto_single_pass_picks_none(self):
+        for records in (101, 500, 1000):
+            plan = plan_sort(memory=100, input_records=records,
+                             codec=AUTO_CODEC)
+            assert plan.mode == "spill"
+            assert plan.codec == "none"
 
-    def test_auto_multi_pass_or_unknown_picks_front_zlib(self):
-        assert _resolve_codec(AUTO_CODEC, 5000, 100, 10) == "front+zlib"
-        assert _resolve_codec(AUTO_CODEC, None, 100, 10) == "front+zlib"
+    def test_auto_multi_pass_or_unknown_picks_none(self):
+        for records in (None, 5000, 10_000_000):
+            plan = plan_sort(memory=100, input_records=records,
+                             codec=AUTO_CODEC)
+            assert plan.mode == "spill"
+            assert plan.codec == "none"
 
     def test_lzma_never_chosen_automatically(self):
         for records in (None, 10, 10_000, 10_000_000):
             for memory in (1, 100, 100_000):
-                picked = _resolve_codec(AUTO_CODEC, records, memory, 10)
-                assert picked != "lzma"
+                plan = plan_sort(memory=memory, input_records=records,
+                                 codec=AUTO_CODEC)
+                assert plan.codec != "lzma"
 
     def test_plan_in_memory_has_no_codec(self):
         plan = plan_sort(memory=1000, input_records=10, codec=AUTO_CODEC)
@@ -468,8 +450,85 @@ class TestPlannerCodecRow:
     def test_plan_spill_resolves_auto(self):
         plan = plan_sort(memory=100, input_records=50_000, codec=AUTO_CODEC)
         assert plan.mode == "spill"
-        assert plan.codec == "front+zlib"
+        assert plan.codec == "none"
 
     def test_plan_rejects_unknown_codec(self):
         with pytest.raises(ValueError):
             plan_sort(memory=100, codec="brotli")
+
+
+# ---------------------------------------------------------------------------
+# CLI: ``auto`` is ``none``; retired names are argparse errors
+# ---------------------------------------------------------------------------
+
+
+def _cli_bytes(capsys, argv, out):
+    code = main(argv + ["-o", str(out)])
+    capsys.readouterr()
+    assert code == 0, argv
+    return out.read_bytes()
+
+
+class TestAutoCodecCli:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rows = [f"k{(i * 7919) % 997},{i % 13}" for i in range(1500)]
+        left = tmp_path / "left.csv"
+        left.write_text("\n".join(rows) + "\n")
+        right = tmp_path / "right.csv"
+        right.write_text(
+            "\n".join(f"k{i},r{i}" for i in range(0, 997, 3)) + "\n"
+        )
+        ints = tmp_path / "ints.txt"
+        ints.write_text(
+            "\n".join(str((i * 613) % 5000) for i in range(3000)) + "\n"
+        )
+        return ints, left, right
+
+    @pytest.mark.parametrize("case", [
+        "sort", "sort-workers", "sort-str", "distinct", "topk", "agg",
+        "join",
+    ])
+    def test_auto_output_is_identical_to_none(self, tmp_path, capsys,
+                                              files, case):
+        ints, left, right = files
+        csv = ["--format", "csv", "--key", "0"]
+        argv = {
+            "sort": ["sort", str(ints)],
+            "sort-workers": ["sort", "--workers", "2", str(ints)],
+            "sort-str": ["sort", "--format", "str", str(left)],
+            "distinct": ["distinct", str(ints)],
+            "topk": ["topk", "-k", "40", str(ints)],
+            "agg": ["agg", *csv, "--value", "1", "--agg", "count,sum",
+                    str(left)],
+            "join": ["join", *csv, str(left), str(right)],
+        }[case]
+        argv = argv[:1] + ["--memory", "50"] + argv[1:]
+        outputs = {
+            codec: _cli_bytes(
+                capsys, argv[:1] + ["--spill-codec", codec] + argv[1:],
+                tmp_path / f"{case}-{codec}.out",
+            )
+            for codec in ("none", AUTO_CODEC)
+        }
+        assert outputs["none"]
+        assert outputs[AUTO_CODEC] == outputs["none"]
+
+    @pytest.mark.parametrize("codec", ["front", "front+zlib"])
+    def test_retired_codec_is_an_argparse_error(self, tmp_path, capsys,
+                                                codec):
+        source = tmp_path / "in.txt"
+        source.write_text("2\n1\n")
+        with pytest.raises(SystemExit) as info:
+            main(["sort", "--spill-codec", codec, str(source)])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_store_codec_choices_have_no_duplicates(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["store", "get", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        start = out.index("--codec {") + len("--codec {")
+        choices = out[start : out.index("}", start)].split(",")
+        assert choices == list(SPILL_CODECS)

@@ -141,7 +141,7 @@ class TestMaintenance:
     def test_codec_and_tuning_flags(self, capsys, db):
         args = [
             "--memory", "4", "--block-records", "4",
-            "--codec", "front+zlib", "--fan-in", "2",
+            "--codec", "lzma", "--fan-in", "2",
         ]
         for index in range(20):
             assert (

@@ -135,7 +135,7 @@ class TestAgainstSqlite:
             stress_seed("store-diff", 3),
             400,
             memory=16,
-            codec="front+zlib",
+            codec="lzma",
         )
 
     @pytest.mark.stress
@@ -148,7 +148,7 @@ class TestAgainstSqlite:
             2000,
             memory=rng.choice((5, 16, 64)),
             fan_in=rng.choice((2, 4, 8)),
-            codec=rng.choice(("none", "zlib", "front+zlib")),
+            codec=rng.choice(("none", "zlib", "lzma")),
             block_records=rng.choice((4, 32, 128)),
         )
 
@@ -196,7 +196,7 @@ class TestOplogRebuildIdentity:
             tmp_path, "b", ops, memory=4, fan_in=2, block_records=4
         )
         assert baseline == replay(
-            tmp_path, "c", ops, memory=32, codec="front+zlib"
+            tmp_path, "c", ops, memory=32, codec="lzma"
         )
         assert baseline == replay(
             tmp_path, "d", ops, memory=16, fan_in=3, codec="zlib",
