@@ -37,9 +37,8 @@ from typing import List, Optional
 from repro.core.config import GeneratorSpec
 from repro.core.records import (
     INT,
-    BinaryRecordFormat,
     CallableFormat,
-    binary_format,
+    DelimitedFormat,
     resolve_format,
 )
 from repro.engine.planner import SortEngine
@@ -79,17 +78,6 @@ def run_once(
         reading=reading,
     )
     source = random_input(records, seed=seed)
-    normalize_wall = None
-    if isinstance(record_format, BinaryRecordFormat):
-        # The binary path sorts (key bytes, payload bytes) records.
-        # The text modes receive their decoded form (Python ints) for
-        # free, so the one-time key normalisation is timed separately
-        # rather than inside the sort, mirroring the CLI where both
-        # paths pay their own input decode stage.
-        decode = record_format.decode
-        started = time.perf_counter()
-        source = [decode(str(value)) for value in source]
-        normalize_wall = round(time.perf_counter() - started, 3)
     encode = record_format.encode
     digest = hashlib.sha256()
     count = 0
@@ -100,16 +88,13 @@ def run_once(
     wall = time.perf_counter() - started
     assert count == records, f"lost records: {count} != {records}"
     stats = engine.reading_stats
-    row = {
+    return {
         "wall_seconds": round(wall, 3),
         "merge_passes": engine.merge_passes,
         "block_reads": stats.block_reads if stats else 0,
         "prefetch_hits": stats.prefetch_hits if stats else 0,
         "sha256": digest.hexdigest(),
     }
-    if normalize_wall is not None:
-        row["normalize_seconds"] = normalize_wall
-    return row
 
 
 def delimited_once(
@@ -123,9 +108,7 @@ def delimited_once(
 ) -> dict:
     """One full sort of delimited rows keyed on a numeric column.
 
-    Integers compare natively either way, so the text-vs-binary gap on
-    the INT sweeps is mostly framing; delimited keys are where the
-    normalised bytes pay — the text path compares decoded
+    Delimited keys are where the normalised bytes pay — the text path compares decoded
     ``(rank, class, ...)`` component tuples per heap step while the
     binary path compares one flat ``bytes`` key with memcmp.  Both
     modes pay their own input decode stage, timed separately.
@@ -174,11 +157,8 @@ def merge_only(
 
     Isolates the hot merge loop (read blocks -> heap -> the consumer
     just hashes), where the block codecs replaced one decode call per
-    record and the binary keys replaced the Python-level comparison.
-    Runs are written and merged through the spill primitives directly
-    so every mode — including the binary framing, which
-    ``merge_files`` deliberately refuses for caller-owned text files —
-    exercises the same code path.
+    record.  Runs are written and merged through the spill primitives
+    directly so every mode exercises the same code path.
     """
     import tempfile
 
@@ -187,14 +167,11 @@ def merge_only(
     from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_runs
 
     run_records = records // fan_in
-    binary = isinstance(record_format, BinaryRecordFormat)
     with tempfile.TemporaryDirectory(prefix="repro-benchio-") as work_dir:
         session = SpillSession(work_dir)
         runs = []
         for index in range(fan_in):
             data = sorted(random_input(run_records, seed=seed * 100 + index))
-            if binary:
-                data = [record_format.decode(str(value)) for value in data]
             path = os.path.join(work_dir, f"run-{index:02d}.txt")
             write_sequence(path, data, record_format)
             runs.append(SpilledRun(
@@ -262,27 +239,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  wall={row['wall_seconds']}s "
               f"(x{row['speedup_vs_line_at_a_time']})", flush=True)
 
-    binary_rows = []
-    for block in args.blocks:
-        print(f"block_records={block}: binary-spill sort ...", flush=True)
-        row = run_once(
-            **common, block_records=block, reading="naive",
-            record_format=binary_format(INT),
-        )
-        row["mode"] = "binary"
-        row["block_records"] = block
-        row["speedup_vs_line_at_a_time"] = round(
-            baseline["wall_seconds"] / row["wall_seconds"], 3
-        )
-        binary_rows.append(row)
-        print(f"  wall={row['wall_seconds']}s "
-              f"(x{row['speedup_vs_line_at_a_time']})", flush=True)
-
-    csv_format = resolve_format("csv", key=0)
     delimited_rows = {}
     for label, fmt in (
-        ("text", csv_format),
-        ("binary", binary_format(csv_format)),
+        ("text", DelimitedFormat(",", 0)),
+        # What --format csv resolves to: key-byte rows.
+        ("binary", resolve_format("csv", key=0)),
     ):
         print(f"delimited ({label}): csv rows keyed on column 0 ...",
               flush=True)
@@ -310,45 +271,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         reading_rows.append(row)
         print(f"  wall={row['wall_seconds']}s", flush=True)
 
-    print("merge-only: line-at-a-time vs block vs binary decode ...",
-          flush=True)
+    print("merge-only: line-at-a-time vs block decode ...", flush=True)
     merge_line = merge_only(
         args.records, args.fan_in, 4096, LINE_AT_A_TIME, args.seed
     )
     merge_block = merge_only(args.records, args.fan_in, 4096, INT, args.seed)
-    merge_binary = merge_only(
-        args.records, args.fan_in, 4096, binary_format(INT), args.seed
-    )
     merge_speedup = round(
         merge_line["wall_seconds"] / merge_block["wall_seconds"], 3
     )
-    merge_binary_speedup = round(
-        merge_line["wall_seconds"] / merge_binary["wall_seconds"], 3
-    )
     print(
         f"  line={merge_line['wall_seconds']}s "
-        f"block={merge_block['wall_seconds']}s (x{merge_speedup}) "
-        f"binary={merge_binary['wall_seconds']}s "
-        f"(x{merge_binary_speedup})",
+        f"block={merge_block['wall_seconds']}s (x{merge_speedup})",
         flush=True,
     )
 
     digests = {
-        r["sha256"]
-        for r in [baseline, *block_rows, *binary_rows, *reading_rows]
+        r["sha256"] for r in [baseline, *block_rows, *reading_rows]
     }
     identical = (
         len(digests) == 1
         and merge_line["sha256"] == merge_block["sha256"]
-        == merge_binary["sha256"]
         and delimited_rows["text"]["sha256"]
         == delimited_rows["binary"]["sha256"]
     )
     best = max(
         r["speedup_vs_line_at_a_time"] for r in block_rows
-    )
-    best_binary = max(
-        r["speedup_vs_line_at_a_time"] for r in binary_rows
     )
 
     vs_pr3 = None
@@ -359,10 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 PR3_BLOCK_BASELINE_SECONDS
                 / min(r["wall_seconds"] for r in block_rows), 3
             ),
-            "binary_speedup_vs_pr3": round(
-                PR3_BLOCK_BASELINE_SECONDS
-                / min(r["wall_seconds"] for r in binary_rows), 3
-            ),
         }
 
     payload = {
@@ -372,20 +315,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "python": sys.version.split()[0],
         "output_identical_across_settings": identical,
         "best_block_speedup_vs_line_at_a_time": best,
-        "best_binary_speedup_vs_line_at_a_time": best_binary,
         "merge_only_speedup_vs_line_at_a_time": merge_speedup,
-        "merge_only_binary_speedup_vs_line_at_a_time": merge_binary_speedup,
         "delimited_binary_speedup_vs_text": delimited_speedup,
         "end_to_end_vs_pr3_block_batched": vs_pr3,
         "line_at_a_time_baseline": baseline,
         "block_sweep": block_rows,
-        "binary_sweep": binary_rows,
         "delimited": delimited_rows,
         "reading_sweep": reading_rows,
         "merge_only": {
             "line_at_a_time": merge_line,
             "block": merge_block,
-            "binary": merge_binary,
         },
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

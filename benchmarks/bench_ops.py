@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import DelimitedFormat, INT, binary_format
+from repro.core.records import BinaryRecordFormat, DelimitedFormat, INT
 from repro.engine.planner import SortEngine
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_ops.json"
@@ -144,16 +144,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     ints = int_corpus(args.records, args.seed + 2)
     k = min(1_000, args.memory)
 
-    # The same corpora under the binary spill encoding: identical row
-    # text, normalised key bytes.  Each operator's binary leg must hash
-    # identically to its text leg.
-    bin_csv_fmt = binary_format(csv_fmt)
-    bin_int_fmt = binary_format(INT)
+    # The same corpora as key-byte rows (what --format csv resolves
+    # to): identical row text, normalised key bytes.  Each operator's
+    # binary leg must hash identically to its text leg.
+    bin_csv_fmt = BinaryRecordFormat(csv_fmt)
     bin_csv_rows = [bin_csv_fmt.decode(csv_fmt.encode(r)) for r in csv_rows]
     bin_right_rows = [
         bin_csv_fmt.decode(csv_fmt.encode(r)) for r in right_rows
     ]
-    bin_ints = [bin_int_fmt.decode(str(v)) for v in ints]
 
     results = [
         sweep_operator(
@@ -219,11 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 lambda: e.topk(list(ints), k), INT.encode,
             ),
             args.memory, INT,
-            lambda e: timed(
-                "topk binary",
-                lambda: e.topk(list(bin_ints), k), bin_int_fmt.encode,
-            ),
-            bin_int_fmt,
         ),
     ]
 

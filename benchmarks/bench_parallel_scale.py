@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import INT, binary_format
+from repro.core.records import INT
 from repro.sort.parallel import PartitionedSort, usable_cpus
 from repro.workloads.generators import random_input
 
@@ -46,50 +46,28 @@ def run_once(
     partition: str,
     workers: int,
     seed: int,
-    binary: bool = False,
 ) -> dict:
-    """One full sort; returns wall time and an output digest.
-
-    With ``binary=True`` the shards spill blocks of length-prefixed
-    binary records (normalised key bytes compared with memcmp in every
-    worker's run generation and merge); the input key normalisation is
-    timed separately, mirroring the CLI's input decode stage.  The
-    digest is over the encoded text either way, so the text and binary
-    sweeps must hash identically.
-    """
-    record_format = binary_format(INT) if binary else INT
+    """One full sort; returns wall time and an output digest."""
     sorter = PartitionedSort(
         GeneratorSpec(algorithm, memory), workers=workers,
-        partition=partition, record_format=record_format,
+        partition=partition, record_format=INT,
     )
     source = random_input(records, seed=seed)
-    normalize_wall = None
-    if binary:
-        decode = record_format.decode
-        started = time.perf_counter()
-        source = [decode(str(value)) for value in source]
-        normalize_wall = round(time.perf_counter() - started, 3)
-        encode = record_format.encode
-    else:
-        encode = str
     digest = hashlib.sha256()
     count = 0
     started = time.perf_counter()
     for value in sorter.sort(source):
-        digest.update((encode(value) + "\n").encode("ascii"))
+        digest.update((str(value) + "\n").encode("ascii"))
         count += 1
     wall = time.perf_counter() - started
     assert count == records, f"lost records: {count} != {records}"
-    row = {
+    return {
         "workers": workers,
         "wall_seconds": round(wall, 3),
         "partition_seconds": round(sorter.partition_wall, 3),
         "runs": sorter.report.runs,
         "sha256": digest.hexdigest(),
     }
-    if normalize_wall is not None:
-        row["normalize_seconds"] = normalize_wall
-    return row
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -106,28 +84,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     results = []
-    binary_results = []
-    for binary, rows in ((False, results), (True, binary_results)):
-        label = "binary" if binary else "text"
-        for workers in args.workers:
-            print(f"workers={workers} ({label}): sorting {args.records} "
-                  f"records ...", flush=True)
-            row = run_once(
-                args.records, args.memory, args.algorithm, args.partition,
-                workers, args.seed, binary=binary,
-            )
-            rows.append(row)
-            print(f"  wall={row['wall_seconds']}s", flush=True)
-
-    for rows in (results, binary_results):
-        baseline = rows[0]["wall_seconds"]
-        for row in rows:
-            row["speedup"] = round(baseline / row["wall_seconds"], 3)
-    for text_row, binary_row in zip(results, binary_results):
-        binary_row["speedup_vs_text"] = round(
-            text_row["wall_seconds"] / binary_row["wall_seconds"], 3
+    for workers in args.workers:
+        print(f"workers={workers}: sorting {args.records} records ...",
+              flush=True)
+        row = run_once(
+            args.records, args.memory, args.algorithm, args.partition,
+            workers, args.seed,
         )
-    digests = {row["sha256"] for row in results + binary_results}
+        results.append(row)
+        print(f"  wall={row['wall_seconds']}s", flush=True)
+
+    baseline = results[0]["wall_seconds"]
+    for row in results:
+        row["speedup"] = round(baseline / row["wall_seconds"], 3)
+    digests = {row["sha256"] for row in results}
     identical = len(digests) == 1
 
     payload = {
@@ -142,7 +112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "python": sys.version.split()[0],
         "output_identical_across_worker_counts": identical,
         "results": results,
-        "binary_results": binary_results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")

@@ -5,15 +5,16 @@ Sorts the same dataset through the real-file spill backend under every
 memory budgets:
 
 * ``int64`` — the int format's native int64 array bodies;
-* ``binary`` — order-preserving key bytes (``--binary-spill``);
-* ``str`` — text bodies, the default path for str and csv input.  Its
+* ``binary`` — csv rows ``<key>,p<digit>`` keyed on column 0, which
+  spill as order-preserving key bytes (what ``--format csv`` does);
+* ``str`` — text bodies, the path for str and float input.  Its
   records spell the same keys zero-padded to a fixed width, so their
   byte order is the int order and the cell sorts the same sequence.
 
 Each cell runs ``--repeats`` times and records the median, min and max
 wall seconds, the engine's raw-vs-on-disk spill byte counters, and a
-sha256 digest of the sorted keys (taken over their decimal value, so
-it is comparable across formats) — every codec and every format must
+sha256 digest of the sorted keys (taken over the decimal value of each
+record's first field, so it is comparable across formats) — every codec and every format must
 produce the same digest; compression is framing only.
 Results go to ``BENCH_spillio.json`` at the repo root.
 
@@ -52,7 +53,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import INT, STR, binary_format
+from repro.core.records import INT, STR, resolve_format
 from repro.engine.planner import SortEngine
 from repro.engine.spill_codec import SPILL_CODECS
 from repro.workloads.generators import DEFAULT_VALUE_SPAN, random_input
@@ -60,7 +61,11 @@ from repro.workloads.generators import DEFAULT_VALUE_SPAN, random_input
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_spillio.json"
 
 #: Swept body kinds, by the label the JSON rows carry.
-FORMATS = {"int64": INT, "binary": binary_format(INT), "str": STR}
+FORMATS = {
+    "int64": INT,
+    "binary": resolve_format("csv", key=0),
+    "str": STR,
+}
 
 #: Digits that spell every key of the ``str`` cell at one width.
 _STR_WIDTH = len(str(DEFAULT_VALUE_SPAN - 1))
@@ -90,7 +95,7 @@ def run_once(
     source = random_input(records, seed=seed)
     if fmt == "binary":
         decode = record_format.decode
-        source = [decode(str(value)) for value in source]
+        source = [decode(f"{value},p{value % 10}") for value in source]
     elif fmt == "str":
         source = [f"{value:0{_STR_WIDTH}d}" for value in source]
     encode = record_format.encode
@@ -98,7 +103,7 @@ def run_once(
     count = 0
     started = time.perf_counter()
     for value in engine.sort(source):
-        digest.update(b"%d\n" % int(encode(value)))
+        digest.update(b"%d\n" % int(encode(value).split(",", 1)[0]))
         count += 1
     wall = time.perf_counter() - started
     assert count == records, f"lost records: {count} != {records}"

@@ -217,7 +217,6 @@ def _engine_for(
     return SortEngine(
         _make_spec(args),
         record_format=record_format,
-        binary_spill=getattr(args, "binary_spill", False),
         workers=getattr(args, "workers", 1),
         partition=getattr(args, "partition", "hash"),
         fan_in=args.fan_in,
@@ -402,17 +401,20 @@ def _run_unary_operator(
         op = make_op(engine)
     except ValueError as exc:
         raise SystemExit(f"repro: error: {exc}")
+    # TopK's heap scan reads csv/tsv rows as the base format's tuples.
+    input_format = (
+        op.input_format() if isinstance(op, TopK) else engine.record_format
+    )
     try:
         with _open_input(args.input) as handle, _open_output(args.output) as out:
-            # The operator consumes and emits records of the *engine's*
-            # format (the binary wrapper under --binary-spill); both CLI
-            # boundaries stay plain text whatever the working format.
+            # Both CLI boundaries stay plain text whatever the working
+            # format (csv/tsv rows carry key bytes in between).
             records = iter_records(
-                handle, engine.record_format, args.block_records,
+                handle, input_format, args.block_records,
                 skip_blank=True, codec=None,
             )
             writer = BlockWriter(
-                out, output_format or engine.record_format,
+                out, output_format or input_format,
                 args.block_records, codec=None,
             )
             writer.write_all(op.run(records, resume=args.resume))
@@ -697,7 +699,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 "algorithm": args.algorithm,
                 "fan_in": args.fan_in,
                 "format": args.format,
-                "binary_spill": args.binary_spill,
                 "spill_codec": args.spill_codec,
             }
             if args.input:
@@ -1048,11 +1049,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                                 "each worker a disjoint key band from "
                                 "sampled cut points (default hash)")
         p.add_argument("--binary-spill", action="store_true",
-                       help="spill runs/shards as length-prefixed binary "
-                            "blocks with order-preserving key bytes, so "
-                            "the merge heap compares raw bytes instead of "
-                            "decoded records; output is byte-identical to "
-                            "the text path (DESIGN.md §14)")
+                       help="accepted for compatibility; csv/tsv rows "
+                            "always spill as key bytes (DESIGN.md §14)")
         p.add_argument("--spill-codec",
                        choices=(AUTO_CODEC,) + SPILL_CODECS,
                        default="none",
@@ -1363,7 +1361,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                           default=("count",))
     p_submit.add_argument("--value", type=_non_negative_int, default=None)
     p_submit.add_argument("-k", type=_non_negative_int, default=0)
-    p_submit.add_argument("--binary-spill", action="store_true")
+    p_submit.add_argument("--binary-spill", action="store_true",
+                          help="accepted for compatibility; csv/tsv rows "
+                               "always spill as key bytes")
     p_submit.add_argument("--spill-codec",
                           choices=(AUTO_CODEC,) + SPILL_CODECS,
                           default="none")

@@ -3,7 +3,8 @@
 Every real-file backend (spill, parallel, engine merge) moves records
 as lines of text — in the user's files, and inside the RBLC blocks of
 its own spill files (int blocks excepted: ``repro.engine.block_io``
-stores those as int64 arrays).  The seed code hard-wired one
+stores those as int64 arrays; csv/tsv rows spill as key bytes, see
+:class:`BinaryRecordFormat`).  The seed code hard-wired one
 record shape — one integer per line — and paid a Python-level
 ``decode(line)`` call per record in every hot loop.  A
 :class:`RecordFormat` replaces those scattered ``encode``/``decode``
@@ -25,7 +26,7 @@ Records must be newline-free: one record is one line, always.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import keycodec
 
@@ -38,13 +39,11 @@ __all__ = [
     "DelimitedFormat",
     "CallableFormat",
     "BinaryRecordFormat",
-    "KeyOnlyRecord",
     "INT",
     "FLOAT",
     "STR",
     "FORMAT_NAMES",
     "resolve_format",
-    "binary_format",
     "normalize_key",
     "denormalize",
 ]
@@ -503,241 +502,74 @@ def denormalize(fmt: "RecordFormat", data: bytes) -> Any:
     return _key_denormalizer(fmt)(data)
 
 
-class KeyOnlyRecord:
-    """A binary float record whose payload is cargo, not identity.
-
-    Scalar floats are the one built-in format where records with
-    *equal* keys can carry different payloads (``-0.0`` vs ``0.0``,
-    ``1e3`` vs ``1000.0``) while the text path orders them *stably*:
-    equal values compare equal, so the stable in-memory sorts keep
-    input order and the merge heap falls through to its stream-index
-    tiebreak.  A plain ``(key, payload)`` tuple would tiebreak on the
-    payload bytes and diverge from that order, so float binary
-    records compare, hash and equate by their key bytes alone — the
-    payload rides along for the output stage, exactly like
-    :class:`FloatRecord`'s text.
-
-    The record also answers the numeric questions 2WRS asks of float
-    records (the Mean heuristic's running sum, the victim buffer's
-    gap subtraction, ``value > mean``) through :attr:`value` — the
-    float the key bytes encode — so the binary path runs the *same*
-    2WRS configuration and makes the *same* routing decisions as the
-    text path instead of degrading to the non-numeric coin flip.
-    ``value`` is carried from ``decode`` when available and otherwise
-    lazily recovered from the key bytes (one ``struct`` unpack, only
-    ever paid during run generation — the merge loop compares bytes).
-    """
-
-    __slots__ = ("key", "payload", "_value")
-
-    def __init__(
-        self, key: bytes, payload: bytes, value: Optional[float] = None
-    ) -> None:
-        self.key = key
-        self.payload = payload
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        v = self._value
-        if v is None:
-            v = self._value = keycodec.decode_float_key(self.key)
-        return v
-
-    def __iter__(self) -> Iterator[bytes]:
-        yield self.key
-        yield self.payload
-
-    def __getitem__(self, index: int) -> bytes:
-        return self.payload if index else self.key
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    # -- ordering: key bytes against peers, value against numbers -------------
-
-    def __lt__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.key < other.key
-        if isinstance(other, (int, float)):
-            return self.value < other
-        return NotImplemented
-
-    def __le__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.key <= other.key
-        if isinstance(other, (int, float)):
-            return self.value <= other
-        return NotImplemented
-
-    def __gt__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.key > other.key
-        if isinstance(other, (int, float)):
-            return self.value > other
-        return NotImplemented
-
-    def __ge__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.key >= other.key
-        if isinstance(other, (int, float)):
-            return self.value >= other
-        return NotImplemented
-
-    def __eq__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.key == other.key
-        if isinstance(other, (int, float)):
-            return self.value == other
-        return NotImplemented
-
-    def __ne__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.key != other.key
-        if isinstance(other, (int, float)):
-            return self.value != other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    # -- arithmetic for the 2WRS numeric machinery ----------------------------
-
-    def __add__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.value + other.value
-        if isinstance(other, (int, float)):
-            return self.value + other
-        return NotImplemented
-
-    def __radd__(self, other: Any) -> Any:
-        if isinstance(other, (int, float)):
-            return other + self.value
-        return NotImplemented
-
-    def __sub__(self, other: Any) -> Any:
-        if isinstance(other, KeyOnlyRecord):
-            return self.value - other.value
-        if isinstance(other, (int, float)):
-            return self.value - other
-        return NotImplemented
-
-    def __rsub__(self, other: Any) -> Any:
-        if isinstance(other, (int, float)):
-            return other - self.value
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KeyOnlyRecord({self.key!r}, {self.payload!r})"
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (KeyOnlyRecord, (self.key, self.payload, self._value))
-
-
 class BinaryRecordFormat(RecordFormat):
-    """Wraps a base format so records carry pre-normalised byte keys.
+    """Delimited rows that carry order-preserving key bytes.
 
-    A binary record is the pair ``(key_bytes, payload_bytes)``:
-    ``key_bytes`` is :func:`normalize_key` of the base sort key,
-    ``payload_bytes`` the base format's canonical encoded line as
-    UTF-8.  Python's tuple comparison then compares raw bytes — key
-    first, payload as the tie-break — which is exactly the text
-    path's ``(key, row text)`` order, so every downstream consumer
-    (run generation, the merge heap, shard cut points, the ops
-    operators) orders records with C-level ``bytes`` compares and
-    never decodes in a hot loop.
+    A record is the pair ``(key_bytes, payload_bytes)``: ``key_bytes``
+    is :func:`normalize_key` of the row's parsed key column(s),
+    ``payload_bytes`` the row itself as UTF-8.  Python's tuple
+    comparison then compares raw bytes — key first, the row as the
+    tie-break — which is exactly :class:`DelimitedFormat`'s ``(key,
+    row text)`` order, so run generation, the merge heap, shard cut
+    points and the ops operators order rows with C-level ``bytes``
+    compares and never re-parse a key in a hot loop.
 
-    Two record shapes, one comparison contract — *match the base
-    format's order exactly*:
-
-    * int / str / delimited records are plain tuples.  For the
-      scalars the payload is determined by the key, so the tuple
-      tiebreak is a no-op; for delimited rows the text path itself
-      tiebreaks on the full row text, which is what the payload
-      bytes compare as.
-    * float records are :class:`KeyOnlyRecord`s (``record_factory``),
-      because equal float values with different spellings must stay
-      *equal* — see that class's docstring.
+    :func:`resolve_format` gives ``csv`` and ``tsv`` this shape, and
+    only delimited rows take it: a scalar record *is* its key, so key
+    bytes would buy no cheaper comparison, and for ints they would
+    take away the arithmetic 2WRS's victim buffer and Mean heuristic
+    run on (DESIGN.md §14).
 
     The wrapper speaks both boundaries:
 
     * the *text* side (``decode``/``decode_block`` on input lines,
       ``encode``/``encode_block`` back to output lines) normalises on
-      the way in and emits the stored payload untouched on the way
-      out, so a binary engine is a drop-in behind the same text
-      files;
+      the way in and emits the stored row untouched on the way out,
+      so output bytes are the input rows, reordered;
     * the *binary* side is handled by ``repro.engine.block_io``:
       ``spill_binary`` makes every spill block body length-prefixed
       ``(key, payload)`` records, which move the tuples to and from
       spill files without any re-encoding.
 
-    ``numeric`` mirrors 2WRS behaviour, not record shape.  For a
-    float base it is True — :class:`KeyOnlyRecord` answers the 2WRS
-    numeric machinery through its ``value``, so the binary path runs
-    the same configuration (and produces the same runs) as the text
-    path; this matters because equal float keys carry *distinct*
-    payloads, making run composition visible in the output.  For an
-    int base it stays False: tuples have no arithmetic, the planner
-    downgrades 2WRS to the order-based setup, and the differing run
-    boundaries are invisible because equal int keys always carry
-    identical payload bytes.
+    ``fields``/``project`` split the stored row, so the operators'
+    output stage never parses a key a second time.
     """
 
     numeric = False
     #: block_io writes this format's block bodies as binary records.
     spill_binary = True
 
-    def __init__(self, base: RecordFormat) -> None:
-        if isinstance(base, BinaryRecordFormat):
-            base = base.base
+    def __init__(self, base: DelimitedFormat) -> None:
+        if not isinstance(base, DelimitedFormat):
+            raise TypeError(
+                f"binary key bytes are for delimited rows only; got "
+                f"{type(base).__name__}"
+            )
         self.base = base
-        self.name = f"bin[{base.name}]"
+        # The user-facing format is still csv/tsv; the body encoding
+        # is a spill detail (block_io.body_encoding names it).
+        self.name = base.name
         self.blank_input_skippable = base.blank_input_skippable
+        self.delimiter = base.delimiter
+        self.key_columns = base.key_columns
         self.key_arity = base.key_arity
         self._normalize = _key_normalizer(base)
         self._denormalize = _key_denormalizer(base)
-        #: ``(key, payload) -> record``; None means a plain tuple.
-        #: block_io's binary reader rebuilds records through this, so
-        #: a spill round trip preserves the comparison semantics.
-        self.record_factory = (
-            KeyOnlyRecord if isinstance(base, FloatFormat) else None
-        )
-        if self.record_factory is not None:
-            self.numeric = True
 
     # -- text side (input/output boundary) ------------------------------------
 
     def decode(self, text: str) -> Any:
-        base = self.base
-        record = base.decode(text)
-        value = base.key(record)
-        key = self._normalize(value)
-        payload = base.encode(record).encode("utf-8")
-        if self.record_factory is not None:
-            # Pass the decoded key along so run generation's numeric
-            # machinery never has to re-derive it from the key bytes.
-            return self.record_factory(key, payload, float(value))
-        return (key, payload)
+        key, row = self.base.decode(text)
+        return (self._normalize(key), row.encode("utf-8"))
 
     def encode(self, record: Any) -> str:
         return record[1].decode("utf-8")
 
     def decode_block(self, lines: Sequence[str]) -> List[Any]:
-        base = self.base
-        normalize, key, encode = self._normalize, base.key, base.encode
-        factory = self.record_factory
-        if factory is not None:
-            return [
-                factory(
-                    normalize(value := key(record)),
-                    encode(record).encode("utf-8"),
-                    float(value),
-                )
-                for record in base.decode_block(lines)
-            ]
+        normalize = self._normalize
         return [
-            (normalize(key(record)), encode(record).encode("utf-8"))
-            for record in base.decode_block(lines)
+            (normalize(key), row.encode("utf-8"))
+            for key, row in self.base.decode_block(lines)
         ]
 
     def encode_block(self, records: Sequence[Any]) -> str:
@@ -751,28 +583,13 @@ class BinaryRecordFormat(RecordFormat):
     def key(self, record: Any) -> bytes:
         return record[0]
 
-    def base_record(self, record: Any) -> Any:
-        """The base format's record, re-decoded from the payload.
-
-        Output-stage helper for the ops operators (value extraction,
-        field projection); never called in a merge loop.
-        """
-        return self.base.decode(record[1].decode("utf-8"))
-
     def fields(self, record: Any) -> List[str]:
-        return self.base.fields(self.base_record(record))
+        return record[1].decode("utf-8").split(self.delimiter)
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # Reconstruct through the constructor so spawn workers rebuild
         # the codec closures (they are not picklable themselves).
         return (BinaryRecordFormat, (self.base,))
-
-
-def binary_format(fmt: RecordFormat) -> BinaryRecordFormat:
-    """``fmt`` wrapped for binary spill (idempotent)."""
-    if isinstance(fmt, BinaryRecordFormat):
-        return fmt
-    return BinaryRecordFormat(fmt)
 
 
 #: Shared stateless instances (all formats are stateless and reusable).
@@ -794,6 +611,11 @@ def resolve_format(
     ``key`` — an int or a sequence of ints for multi-column keys — and
     ``delimiter`` (for exotic separators) only apply to the delimited
     formats; ``csv`` and ``tsv`` fix the separator.
+
+    The name decides the record shape, and with it the spill body:
+    ``csv``/``tsv`` rows carry order-preserving key bytes
+    (:class:`BinaryRecordFormat`, binary bodies), ints spill as int64
+    arrays, floats and strings as text.
     """
     if name == "int":
         return INT
@@ -802,9 +624,9 @@ def resolve_format(
     if name == "str":
         return STR
     if name == "csv":
-        return DelimitedFormat(delimiter or ",", key)
+        return BinaryRecordFormat(DelimitedFormat(delimiter or ",", key))
     if name == "tsv":
-        return DelimitedFormat(delimiter or "\t", key)
+        return BinaryRecordFormat(DelimitedFormat(delimiter or "\t", key))
     raise ValueError(
         f"unknown record format {name!r}; known: {', '.join(FORMAT_NAMES)}"
     )

@@ -188,13 +188,9 @@ def _unpack_binary_body(
     path: str,
     index: int,
     offset: int,
-    factory: Optional[Any],
 ) -> List[Any]:
     size = len(body)
     unpack_from = _RECORD_LEN.unpack_from
-    # The format's record_factory (when set) rebuilds records with the
-    # format's comparison semantics — float binary records must compare
-    # key-only after a spill round trip, not as plain tuples.
     records: List[Any] = []
     append = records.append
     pos = 0
@@ -207,12 +203,7 @@ def _unpack_binary_body(
             payload_end = key_end + 4 + payload_len
             if payload_end > size:
                 raise struct.error("record overruns block body")
-            if factory is None:
-                append((body[pos:key_end], body[key_end + 4 : payload_end]))
-            else:
-                append(
-                    factory(body[pos:key_end], body[key_end + 4 : payload_end])
-                )
+            append((body[pos:key_end], body[key_end + 4 : payload_end]))
             pos = payload_end
     except struct.error:
         raise CorruptBlockError(
@@ -388,10 +379,7 @@ def _read_block_at(
     if int64:
         block = _decode_int64_body(fmt, body, count, path, index, offset)
     elif getattr(fmt, "spill_binary", False):
-        block = _unpack_binary_body(
-            body, count, path, index, offset,
-            getattr(fmt, "record_factory", None),
-        )
+        block = _unpack_binary_body(body, count, path, index, offset)
     else:
         block = _decode_text_body(fmt, body, count, path, index, offset)
     return block, _HEADER.size + stored_len

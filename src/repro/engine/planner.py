@@ -44,7 +44,7 @@ from itertools import chain, islice
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, TextIO
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
-from repro.core.records import INT, RecordFormat, binary_format
+from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
     DEFAULT_BLOCK_RECORDS,
     BlockWriter,
@@ -267,20 +267,11 @@ class SortEngine:
         Generator recipe (algorithm + memory + 2WRS factors).
     record_format:
         Typed record serialisation and key extraction (integers by
-        default; see :mod:`repro.core.records`).
-    binary_spill:
-        Wrap the format in :class:`~repro.core.records.
-        BinaryRecordFormat`: records decode once into ``(normalized
-        key bytes, payload bytes)`` pairs, every spill / shard /
-        partition block carries length-prefixed binary records, and every
-        comparison from run generation to the final merge heap is one
-        C-level ``bytes`` compare (DESIGN.md §14).  The engine's
-        *boundaries* — ``sort_stream`` input and output,
-        ``merge_files`` inputs, the operator facades' text emission —
-        stay plain text, so output is byte-identical either way.
-        Records flowing through :meth:`sort` itself are the binary
-        pairs (:attr:`record_format` is the wrapper; use its
-        ``base_record`` to get the original record back).
+        default; see :mod:`repro.core.records`).  The format decides
+        the spill body: csv/tsv rows from
+        :func:`~repro.core.records.resolve_format` carry key bytes
+        and spill as binary records (DESIGN.md §14), ints as int64
+        arrays, everything else as text.
     workers / partition / sample_records:
         Parallel decomposition knobs (:class:`PartitionedSort`).
     fan_in / buffer_records:
@@ -315,7 +306,6 @@ class SortEngine:
         spec: GeneratorSpec,
         *,
         record_format: RecordFormat = INT,
-        binary_spill: bool = False,
         workers: int = 1,
         partition: str = "hash",
         sample_records: Optional[int] = None,
@@ -334,9 +324,6 @@ class SortEngine:
         validate_block_records(block_records)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if binary_spill:
-            record_format = binary_format(record_format)
-        self.binary_spill = binary_spill
         self.spec = spec_for_format(spec, record_format)
         self.record_format = record_format
         self.workers = workers
@@ -500,9 +487,6 @@ class SortEngine:
         return SortEngine(
             self.spec,
             record_format=record_format or self.record_format,
-            # binary_format() is idempotent, so an already-wrapped
-            # self.record_format round-trips unchanged.
-            binary_spill=self.binary_spill,
             workers=self.workers,
             partition=self.partition,
             sample_records=self.sample_records,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.records import DelimitedFormat, _parse_key
+from repro.core.records import BinaryRecordFormat, DelimitedFormat, _parse_key
 from repro.engine.planner import plan_operator
 from repro.merge.kway import grouped
 from repro.ops.base import (
@@ -71,16 +71,12 @@ class GroupByAggregate:
         # Hoisted out of _ranked_value/_key_text: they run once per
         # record in the fold loop, the operator's hottest path.
         fmt = engine.record_format
-        # Under --binary-spill the stream carries (key bytes, payload)
-        # pairs; grouping stays on the raw key bytes (equal keys encode
-        # identically), but value extraction and key text need the
-        # decoded base record, so unwrap here and convert per record at
-        # the fold's output edge.
-        self._to_base = getattr(fmt, "base_record", None)
-        if self._to_base is not None:
-            fmt = fmt.base
         self._fmt = fmt
-        self._delimited = isinstance(fmt, DelimitedFormat)
+        # csv/tsv rows arrive as (key bytes, row bytes) pairs; grouping
+        # runs on the key bytes and project() splits the stored row.
+        self._delimited = isinstance(
+            fmt, (DelimitedFormat, BinaryRecordFormat)
+        )
         needs_value = any(a != "count" for a in aggregates)
         if self._delimited:
             if needs_value and value_column is None:
@@ -107,8 +103,6 @@ class GroupByAggregate:
     def _ranked_value(self, record: Any) -> Tuple[Tuple[int, Any], str]:
         """``(type-ranked value, original text)`` of one record's value."""
         fmt = self._fmt
-        if self._to_base is not None:
-            record = self._to_base(record)
         if self._delimited:
             text = fmt.project(record, (self.value_column,))[0]
             return _parse_key(text), text
@@ -118,8 +112,6 @@ class GroupByAggregate:
 
     def _key_text(self, record: Any) -> str:
         fmt = self._fmt
-        if self._to_base is not None:
-            record = self._to_base(record)
         if self._delimited:
             return self._delimiter.join(fmt.project(record, fmt.key_columns))
         return fmt.encode(record)

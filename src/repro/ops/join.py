@@ -42,6 +42,9 @@ from repro.sort.external import PhaseReport, SortReport
 
 __all__ = ["SortMergeJoin"]
 
+#: Formats whose records are rows with fields and key columns.
+_DELIMITED = (DelimitedFormat, BinaryRecordFormat)
+
 
 def _check_key_compatibility(left: RecordFormat, right: RecordFormat) -> None:
     """Refuse side formats whose keys cannot be compared.
@@ -52,37 +55,23 @@ def _check_key_compatibility(left: RecordFormat, right: RecordFormat) -> None:
     text — an int key against a str key would ``TypeError`` deep
     inside the merge loop.
 
-    Binary working formats must match on both sides (the zip compares
+    Binary working formats must match on both sides: the zip compares
     keys *across* the streams, and raw key bytes only compare against
-    raw key bytes).  Binary delimited keys share one component layout,
-    so any delimiter pair works; binary *scalar* layouts differ per
-    format (int header bytes vs the IEEE-754 map), so scalar sides
-    must use the same base format — ``int`` joined with ``float``
-    needs the text path, which compares their keys numerically.
+    raw key bytes.  :func:`~repro.core.records.resolve_format` wraps
+    both csv/tsv sides, but library callers can still pass a bare
+    :class:`DelimitedFormat` for one of them.  Binary delimited keys
+    share one component layout, so any delimiter pair works.
     """
     left_binary = isinstance(left, BinaryRecordFormat)
     right_binary = isinstance(right, BinaryRecordFormat)
     if left_binary != right_binary:
         raise ValueError(
             f"cannot join {left.name!r} with {right.name!r}: one side "
-            f"compares raw key bytes, the other decoded keys — enable "
-            f"binary spilling on both sides or neither"
+            f"compares raw key bytes, the other decoded keys — wrap "
+            f"both sides or neither in BinaryRecordFormat"
         )
-    if left_binary:
-        left = left.base
-        right = right.base
-    left_delimited = isinstance(left, DelimitedFormat)
-    right_delimited = isinstance(right, DelimitedFormat)
-    if (
-        left_binary
-        and not (left_delimited and right_delimited)
-        and left.name != right.name
-    ):
-        raise ValueError(
-            f"cannot join binary {left.name!r} with binary "
-            f"{right.name!r}: scalar key byte layouts differ per "
-            f"format; use matching formats or the text path"
-        )
+    left_delimited = isinstance(left, _DELIMITED)
+    right_delimited = isinstance(right, _DELIMITED)
     if left_delimited != right_delimited:
         raise ValueError(
             f"cannot join {left.name!r} with {right.name!r}: one side "
@@ -222,21 +211,14 @@ class SortMergeJoin:
         self.buffer_limit = buffer_limit
         self.tmp_dir = tmp_dir
         # Hoisted out of _combine: it runs once per emitted pair, the
-        # operator's hottest loop.
+        # operator's hottest loop.  csv/tsv streams carry (key bytes,
+        # row bytes) pairs: the zip advances on the key bytes and
+        # fields() splits the stored row.
         left_fmt = left_engine.record_format
         right_fmt = right_engine.record_format
-        # Under --binary-spill the streams carry (key bytes, payload)
-        # pairs; the zip advances on raw key bytes, and output assembly
-        # decodes back to the base record at the emission edge.
-        self._left_to_base = getattr(left_fmt, "base_record", None)
-        self._right_to_base = getattr(right_fmt, "base_record", None)
-        if self._left_to_base is not None:
-            left_fmt = left_fmt.base
-        if self._right_to_base is not None:
-            right_fmt = right_fmt.base
         self._left_fmt = left_fmt
         self._right_fmt = right_fmt
-        self._delimited = isinstance(left_fmt, DelimitedFormat)
+        self._delimited = isinstance(left_fmt, _DELIMITED)
         if self._delimited:
             self._left_key_columns = left_fmt.key_columns
             self._left_key_set = frozenset(left_fmt.key_columns)
@@ -252,8 +234,6 @@ class SortMergeJoin:
 
     def _left_parts(self, left_record: Any) -> List[str]:
         """Output fields contributed by one left row (key first)."""
-        if self._left_to_base is not None:
-            left_record = self._left_to_base(left_record)
         if not self._delimited:
             return [self._left_fmt.encode(left_record)]
         left_fields = self._left_fmt.fields(left_record)
@@ -268,8 +248,6 @@ class SortMergeJoin:
     def _emit(self, left_parts: List[str], right_record: Any) -> str:
         if not self._delimited:
             return left_parts[0]
-        if self._right_to_base is not None:
-            right_record = self._right_to_base(right_record)
         out = left_parts + [
             field
             for index, field in enumerate(self._right_fmt.fields(right_record))
@@ -280,9 +258,7 @@ class SortMergeJoin:
     def _describe_key(self, right_record: Any) -> str:
         """The user-visible key text of a right record (skew warning)."""
         fmt = self._right_fmt
-        if self._right_to_base is not None:
-            right_record = self._right_to_base(right_record)
-        if isinstance(fmt, DelimitedFormat):
+        if isinstance(fmt, _DELIMITED):
             return fmt.delimiter.join(
                 fmt.project(right_record, fmt.key_columns)
             )

@@ -8,6 +8,11 @@ records; abandoning the sort stream early still releases every spill
 file through the engine's cleanup.  Both paths produce byte-identical
 output: equal records encode identically, so which duplicates survive
 the cut cannot change the bytes.
+
+The heap scan compares each row once and never sorts, so it gains
+nothing from order-preserving key bytes: for csv/tsv it reads the
+base format's ``(key, row)`` tuples, which are cheaper to build.
+Callers decode through :meth:`TopK.input_format` before the first row.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.engine.planner import plan_operator
+from repro.core.records import BinaryRecordFormat, RecordFormat
+from repro.engine.planner import OperatorPlan, plan_operator
 from repro.heaps.binary_heap import MaxHeap
 from repro.ops.base import (
     CountingIterator,
@@ -40,15 +46,9 @@ class TopK:
         self.report = None
         self.plan = None
 
-    def run(
-        self,
-        records: Iterable[Any],
-        input_records: Optional[int] = None,
-        resume: bool = False,
-    ) -> Iterator[Any]:
-        """Lazily yield the k smallest records, ascending."""
+    def _plan(self, input_records: Optional[int]) -> OperatorPlan:
         engine = self.engine
-        self.plan = plan_operator(
+        return plan_operator(
             operator="topk",
             memory=engine.spec.memory,
             workers=engine.workers,
@@ -58,6 +58,27 @@ class TopK:
             buffer_records=engine.buffer_records,
             reading=engine.reading,
         )
+
+    def input_format(self) -> RecordFormat:
+        """The format :meth:`run` takes and yields records in.
+
+        The engine's format, except that a heap-mode scan over key-byte
+        rows takes the base format's tuples.  The heap decision depends
+        only on k, memory and workers, so it is known before any row.
+        """
+        fmt = self.engine.record_format
+        if not isinstance(fmt, BinaryRecordFormat):
+            return fmt
+        return fmt.base if self._plan(None).mode == "heap" else fmt
+
+    def run(
+        self,
+        records: Iterable[Any],
+        input_records: Optional[int] = None,
+        resume: bool = False,
+    ) -> Iterator[Any]:
+        """Lazily yield the k smallest records, ascending."""
+        self.plan = self._plan(input_records)
         if self.plan.mode == "heap":
             return self._run_heap(records)
         return self._run_sorted(records, input_records, resume)

@@ -93,7 +93,6 @@ class JobSpec:
     memory: int = 10_000
     algorithm: str = "2wrs"
     fan_in: int = 8
-    binary_spill: bool = False
     spill_codec: str = "none"
 
     def validate(self) -> None:
@@ -138,8 +137,10 @@ class JobSpec:
     def from_payload(cls, payload: Dict[str, Any]) -> "JobSpec":
         """A validated spec from a submit message's ``job`` object.
 
-        ``checksum`` is accepted and ignored: spill blocks are always
-        checksummed, and older clients and ``job.json`` files send it.
+        ``checksum`` and ``binary_spill`` are accepted and ignored:
+        spill blocks are always checksummed, csv/tsv rows always spill
+        as key bytes, and older clients and ``job.json`` files send
+        both.
         """
         known = {
             "op", "input", "output", "right_input", "store", "tenant",
@@ -190,7 +191,6 @@ class JobSpec:
             memory=int(payload.get("memory", 10_000)),
             algorithm=str(payload.get("algorithm", "2wrs")),
             fan_in=int(payload.get("fan_in", 8)),
-            binary_spill=bool(payload.get("binary_spill", False)),
             spill_codec=str(payload.get("spill_codec", "none")),
         )
         spec.validate()
@@ -215,7 +215,6 @@ class JobSpec:
             "memory": self.memory,
             "algorithm": self.algorithm,
             "fan_in": self.fan_in,
-            "binary_spill": self.binary_spill,
             "spill_codec": self.spill_codec,
         }
 

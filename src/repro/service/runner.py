@@ -115,7 +115,6 @@ def _engine(
     return SortEngine(
         _generator_spec(spec, memory),
         record_format=record_format,
-        binary_spill=spec.binary_spill,
         workers=1,
         fan_in=spec.fan_in,
         buffer_records=DEFAULT_BUFFER_RECORDS,
@@ -163,45 +162,43 @@ def run_job(
         spec, memory, record_format,
         os.path.join(work_dir, "sort"), input_fingerprint(spec.input),
     )
+    op: Any = None
+    input_format = output_format = engine.record_format
+    if spec.op == "distinct":
+        op = Distinct(engine, by=spec.by)
+    elif spec.op == "agg":
+        op = GroupByAggregate(
+            engine, aggregates=spec.aggregates, value_column=spec.value
+        )
+        output_format = STR
+    elif spec.op == "topk":
+        op = TopK(engine, spec.k)
+        # The heap scan reads csv/tsv rows as the base format's tuples.
+        input_format = output_format = op.input_format()
+    elif spec.op != "sort":  # pragma: no cover - validate() rejects
+        raise ValueError(f"unknown op {spec.op!r}")
     outcome = JobOutcome()
     # repro: lint-waive R002 job input is user data at the service boundary (the CLI reads it the same way); spill I/O below it is seamed
     with open(spec.input, "r", encoding="utf-8") as handle, \
             atomic_output(result_path) as out:
         records = _cancellable(
             iter_records(
-                handle, engine.record_format, DEFAULT_BLOCK_RECORDS,
+                handle, input_format, DEFAULT_BLOCK_RECORDS,
                 skip_blank=True, codec=None,
             ),
             cancel, job_id,
         )
-        if spec.op == "sort":
+        writer = BlockWriter(
+            out, output_format, DEFAULT_BLOCK_RECORDS, codec=None
+        )
+        if op is None:
             produced = engine.sort(records, resume=True)
-            writer = BlockWriter(
-                out, engine.record_format, DEFAULT_BLOCK_RECORDS,
-                codec=None,
-            )
             writer.write_all(_cancellable(produced, cancel, job_id))
             writer.flush()
             outcome.records_out = engine.report.records if engine.report else 0
             outcome.report = report_as_dict(engine.report)
             _resume_counters(outcome, [engine])
             return outcome
-        op: Any
-        output_format = engine.record_format
-        if spec.op == "distinct":
-            op = Distinct(engine, by=spec.by)
-        elif spec.op == "agg":
-            op = GroupByAggregate(
-                engine, aggregates=spec.aggregates, value_column=spec.value
-            )
-            output_format = STR
-        elif spec.op == "topk":
-            op = TopK(engine, spec.k)
-        else:  # pragma: no cover - validate() rejects unknown ops
-            raise ValueError(f"unknown op {spec.op!r}")
-        writer = BlockWriter(
-            out, output_format, DEFAULT_BLOCK_RECORDS, codec=None
-        )
         counted = CountingIterator(
             _cancellable(op.run(records, resume=True), cancel, job_id)
         )

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -162,7 +163,10 @@ class JobScheduler:
                 "failed", "cancelled", "interrupted"
             ):
                 return state
-        spec = self._load_spec(job_id)
+        try:
+            spec = self._load_spec(job_id)
+        except ValueError:
+            return None
         if spec is None:
             return None
         return self.submit(spec)
@@ -331,13 +335,15 @@ class JobScheduler:
             pass
 
     def _load_spec(self, job_id: str) -> Optional[JobSpec]:
+        """The persisted spec of ``job_id``; None when none is on disk.
+
+        Raises ``ValueError`` when ``job.json`` holds a spec that no
+        longer validates (an option value a later version removed).
+        """
         payload = read_marker(os.path.join(self._job_dir(job_id), "job.json"))
         if payload is None or payload.get("id") != job_id:
             return None
-        try:
-            return JobSpec.from_payload(payload.get("job", {}))
-        except ValueError:
-            return None
+        return JobSpec.from_payload(payload.get("job", {}))
 
     def _set_status(self, state: JobState, status: str) -> None:
         with self._lock:
@@ -391,14 +397,25 @@ class JobScheduler:
         Jobs with a persisted terminal status answer ``status`` and
         ``result`` straight away; anything else found on disk — a spec
         whose run never finished — surfaces as ``interrupted`` and is
-        re-attachable by id.
+        re-attachable by id.  A ``job.json`` that no longer validates
+        is removed with its directory, with one line on stderr.
         """
         try:
             entries = sorted(os.listdir(self.jobs_dir))
         except OSError:
             return
         for job_id in entries:
-            spec = self._load_spec(job_id)
+            try:
+                spec = self._load_spec(job_id)
+            except ValueError as exc:
+                # No status or result could ever be served for it, so
+                # say why once and reclaim the spool directory.
+                print(
+                    f"repro serve: dropping spooled job {job_id}: {exc}",
+                    file=sys.stderr,
+                )
+                shutil.rmtree(self._job_dir(job_id), ignore_errors=True)
+                continue
             if spec is None:
                 continue
             state = JobState(spec=spec, job_id=job_id)

@@ -37,7 +37,7 @@ from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import GeneratorSpec
-from repro.core.records import INT, KeyOnlyRecord, RecordFormat
+from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
     SPILL_FRAMING,
     BlockWriter,
@@ -100,23 +100,15 @@ def hash_shard(
     Numeric records use ``hash()`` (seed-independent for numbers; the
     Fibonacci multiply scrambles the small-int identity mapping that
     would otherwise turn consecutive keys into ``key % workers``
-    patterns).  Key-only binary records (float spill) hash the float
-    their key encodes, which reproduces the text path's shard
-    assignment *record for record* — worker-local sorts are not
-    stable, so equal keys with distinct spellings (``1e3`` vs
-    ``1000.0``) only keep the text path's relative order if every
-    worker sees exactly the same shard either way.  Everything else —
-    strings, delimited-row tuples, tuple-shaped binary records —
-    hashes ``crc32`` of its *encoded* line instead, because ``hash()``
-    on text depends on ``PYTHONHASHSEED`` and would make shard sizes
-    (and the ``shards=[...]`` report) differ on every invocation.
-    (Tuple-shaped binary delimited records hash their payload — the
-    encoded line — so they, too, shard exactly like the text path.)
+    patterns).  Everything else — strings, delimited rows as text or
+    as key-byte pairs — hashes ``crc32`` of its *encoded* line
+    instead, because ``hash()`` on text depends on ``PYTHONHASHSEED``
+    and would make shard sizes (and the ``shards=[...]`` report)
+    differ on every invocation.  A key-byte row encodes to its stored
+    line, so it shards exactly like the same row as text.
     """
     if isinstance(record, (int, float)):
         h = hash(record)
-    elif isinstance(record, KeyOnlyRecord):
-        h = hash(record.value)
     else:
         h = zlib.crc32(encode(record).encode("utf-8"))
     return (((h * _FIB64) & _MASK64) >> 40) % workers

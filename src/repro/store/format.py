@@ -108,8 +108,6 @@ class StoreFormat(RecordFormat):
     numeric = False
     #: block_io writes this format's block bodies as binary records.
     spill_binary = True
-    #: Plain tuples round-trip spill files unchanged — no factory.
-    record_factory = None
 
     def fields(self, record: Any) -> List[str]:  # pragma: no cover
         raise NotImplementedError("store entries have no text fields")

@@ -20,14 +20,18 @@ Four families, each pinning a bug class the text path hides:
   ``decode``/``decode_block``/``key`` calls after input parsing, the
   invariant lint rule R007 guards statically.
 
-Plus the resume-fingerprint encoding rule and the join format
-compatibility errors that keep raw-byte keys from silently comparing
-against decoded ones.
+Plus the resume-fingerprint encoding rule, the rule that only
+delimited rows carry key bytes, and the join format compatibility
+errors that keep raw-byte keys from silently comparing against decoded
+ones.  ``--binary-spill`` is a no-op (csv/tsv rows always carry key
+bytes), so the CLI cases that pass it pin that the flag changes
+nothing.
 """
 
 import io
-import math
 import os
+import random
+import re
 import shutil
 import struct
 import subprocess
@@ -44,23 +48,30 @@ from repro.core.records import (
     STR,
     BinaryRecordFormat,
     DelimitedFormat,
-    KeyOnlyRecord,
-    binary_format,
+    resolve_format,
 )
+from repro.engine import block_io
 from repro.engine.block_io import (
     BLOCK_MAGIC,
     BlockWriter,
+    body_encoding,
     open_bytes,
     read_blocks,
 )
 from repro.engine.errors import CorruptBlockError
 from repro.engine.planner import SortEngine
 from repro.engine.resilience import ResumableSpillSort
+from repro.ops import TopK
 from repro.ops.join import _check_key_compatibility
+from repro.testing.faults import FaultPlan, activate
+from repro.workloads.generators import make_input
 
 GNU_SORT = shutil.which("sort")
 
 SPILL_MEMORY = 8  # records; small enough that every corpus here spills
+
+#: Key-byte rows: the shape ``--format csv`` resolves to.
+CSV = resolve_format("csv", key=0)
 
 
 def cli_sort(tmp_path, lines, *extra, name="out"):
@@ -249,7 +260,7 @@ class TestDelimitedEmptyVsMissing:
         with pytest.raises(ValueError, match=self.MISSING):
             fmt.decode("a")
         with pytest.raises(ValueError, match=self.MISSING):
-            binary_format(fmt).decode("a")
+            BinaryRecordFormat(fmt).decode("a")
 
     @pytest.mark.parametrize("flags", [[], ["--binary-spill"]],
                              ids=["text", "binary"])
@@ -336,7 +347,7 @@ class TestFramingSelfDefence:
         payloads spelling ``RBLC``, ``RBLK`` or ``#repro:blk`` cannot
         confuse the reader, compressed or not."""
         _round_trip_hostile(
-            tmp_path, binary_format(STR), "zlib" if compressed else "none"
+            tmp_path, CSV, "zlib" if compressed else "none"
         )
 
     def test_cli_durable_sort_survives_hostile_payloads(self, tmp_path):
@@ -356,7 +367,7 @@ class TestFramingSelfDefence:
     # -- torn / corrupted block files -------------------------------------
 
     def _binary_file(self, tmp_path):
-        fmt = binary_format(STR)
+        fmt = CSV
         path = tmp_path / "blocks.bin"
         with open_bytes(str(path), "w") as handle:
             writer = BlockWriter(handle, fmt, block_records=4)
@@ -474,11 +485,9 @@ class TestZeroDecodeHotLoop:
     runtime twin of lint rule R007's static guarantee."""
 
     @pytest.mark.parametrize("base,lines", [
-        (INT, [str((i * 7919) % 1000) for i in range(400)]),
-        (FLOAT, [repr(((i * 31) % 97) / 8.0) for i in range(400)]),
         (DelimitedFormat(",", key_column=1),
          [f"r{i},{(i * 613) % 500},t" for i in range(400)]),
-    ], ids=["int", "float", "csv"])
+    ], ids=["csv"])
     @pytest.mark.parametrize("reading", ["naive", "forecasting"])
     def test_spilling_sort_never_decodes_after_parse(
         self, tmp_path, base, lines, reading
@@ -526,19 +535,55 @@ class TestResumeFingerprint:
                 record_format=fmt,
             ).fingerprint()
 
-        text = fingerprint(INT)
-        binary = fingerprint(binary_format(INT))
+        text = fingerprint(DelimitedFormat(",", 0))
+        binary = fingerprint(CSV)
         # Plain int runs carry int64 bodies (DESIGN.md §15).
-        assert text["encoding"] == "int64"
+        assert fingerprint(INT)["encoding"] == "int64"
         assert binary["encoding"] == "binary"
+        assert text["encoding"] == "text"
         assert fingerprint(STR)["encoding"] == "text"
         # Everything else being equal, the encodings must not resume
         # into each other: their run files are mutually unreadable.
-        assert {k: v for k, v in text.items()
-                if k not in ("encoding", "format")} == \
-               {k: v for k, v in binary.items()
-                if k not in ("encoding", "format")}
+        assert {k: v for k, v in text.items() if k != "encoding"} == \
+               {k: v for k, v in binary.items() if k != "encoding"}
         assert text != binary
+
+
+# ---------------------------------------------------------------------------
+# the record format decides the shape: key bytes for delimited rows only
+# ---------------------------------------------------------------------------
+
+
+class TestKeyBytesAreForRows:
+    @pytest.mark.parametrize("name", ["csv", "tsv"])
+    def test_delimited_formats_resolve_to_key_bytes(self, name):
+        fmt = resolve_format(name, key=1)
+        assert isinstance(fmt, BinaryRecordFormat)
+        assert isinstance(fmt.base, DelimitedFormat)
+
+    @pytest.mark.parametrize("name", ["int", "float", "str"])
+    def test_scalar_formats_keep_their_own_records(self, name):
+        assert not isinstance(resolve_format(name), BinaryRecordFormat)
+
+    @pytest.mark.parametrize("base", [INT, FLOAT, STR, CSV])
+    def test_wrapper_refuses_anything_but_delimited_rows(self, base):
+        with pytest.raises(TypeError, match="delimited rows only"):
+            BinaryRecordFormat(base)
+
+    def test_topk_heap_scan_reads_base_rows(self):
+        def engine(memory):
+            return SortEngine(GeneratorSpec("lss", memory), record_format=CSV)
+
+        assert TopK(engine(100), 10).input_format() is CSV.base
+        assert TopK(engine(5), 10).input_format() is CSV
+
+    def test_fields_split_the_stored_row(self):
+        fmt = resolve_format("csv", key=1)
+        record = fmt.decode("a,2,x")
+        assert fmt.fields(record) == ["a", "2", "x"]
+        assert fmt.project(record, (2, 0)) == ["x", "a"]
+        with pytest.raises(ValueError, match="column\\(s\\) 5 do not"):
+            fmt.project(record, (5,))
 
 
 # ---------------------------------------------------------------------------
@@ -549,33 +594,104 @@ class TestResumeFingerprint:
 class TestJoinBinaryCompatibility:
     def test_mixed_binary_and_text_sides_rejected(self):
         with pytest.raises(ValueError, match="both sides or neither"):
-            _check_key_compatibility(binary_format(INT), INT)
+            _check_key_compatibility(CSV, DelimitedFormat(",", 0))
         with pytest.raises(ValueError, match="both sides or neither"):
-            _check_key_compatibility(FLOAT, binary_format(FLOAT))
-
-    def test_binary_scalar_layouts_must_match(self):
-        with pytest.raises(ValueError, match="byte layouts differ"):
-            _check_key_compatibility(
-                binary_format(INT), binary_format(FLOAT)
-            )
+            _check_key_compatibility(DelimitedFormat("\t", 1), CSV)
 
     def test_compatible_binary_pairs_accepted(self):
-        _check_key_compatibility(binary_format(INT), binary_format(INT))
         # Delimited keys share one component layout across delimiters.
         _check_key_compatibility(
-            binary_format(DelimitedFormat(",", key_column=1)),
-            binary_format(DelimitedFormat("\t", key_column=0)),
+            resolve_format("csv", key=1), resolve_format("tsv", key=0)
         )
 
-    def test_binary_float_records_stay_key_only(self):
-        """The join's grouped() equality must see equal floats as one
-        group even when their key bytes came from different spellings
-        — guaranteed because the codec maps equal values to equal
-        bytes and KeyOnlyRecord compares keys only."""
-        fmt = binary_format(FLOAT)
-        a = fmt.decode("1e3")
-        b = fmt.decode("1000.0")
-        assert isinstance(a, KeyOnlyRecord)
-        assert a == b and not (a < b) and not (b < a)
-        assert fmt.encode(a) == "1e3" and fmt.encode(b) == "1000.0"
-        assert math.isinf(fmt.decode("inf").value)
+
+# ---------------------------------------------------------------------------
+# the format picks the body; --binary-spill is a no-op
+# ---------------------------------------------------------------------------
+
+
+def _record_rblc_encodings(monkeypatch):
+    """Collect ``body_encoding`` of every RBLC block the program writes."""
+    seen = []
+    flush = BlockWriter.flush
+
+    def recording_flush(self):
+        if self._codec is not None and self._pending:
+            seen.append(body_encoding(self._fmt))
+        flush(self)
+
+    monkeypatch.setattr(block_io.BlockWriter, "flush", recording_flush)
+    return seen
+
+
+def _reused_runs(stderr):
+    match = re.search(r"runs_reused=(\d+)", stderr)
+    assert match, stderr
+    return int(match.group(1))
+
+
+class TestFormatPicksTheBody:
+    def test_default_csv_sort_spills_key_bytes(self, tmp_path, monkeypatch):
+        rng = random.Random(4)
+        lines = [f"k{rng.randint(0, 999)},{rng.randint(0, 99)}"
+                 for _ in range(600)]
+        encodings = _record_rblc_encodings(monkeypatch)
+        source = tmp_path / "rows.csv"
+        source.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "rows.out"
+        assert main(["sort", "--format", "csv", "--key", "0", "--memory",
+                     "50", str(source), "-o", str(out)]) == 0
+        assert encodings and set(encodings) == {"binary"}
+        assert out.read_bytes() == sorted_oracle(
+            lines, DelimitedFormat(",", 0)
+        )
+
+    @pytest.mark.parametrize("fmt", ["int", "csv"])
+    def test_flag_does_not_change_the_resume_identity(
+        self, tmp_path, fmt, capsys
+    ):
+        """A work dir journaled under ``--binary-spill`` resumes without
+        the flag: the flag no longer changes the fingerprint."""
+        rng = random.Random(5)
+        if fmt == "int":
+            lines = [str(rng.randint(-999, 999)) for _ in range(600)]
+            args = []
+        else:
+            lines = [f"r{rng.randint(0, 999)},{rng.randint(0, 99)}"
+                     for _ in range(600)]
+            args = ["--format", "csv", "--key", "1"]
+        source = tmp_path / "in.txt"
+        source.write_text("".join(line + "\n" for line in lines))
+        ref = tmp_path / "ref.txt"
+        assert main(["sort", "--memory", "16", *args, str(source),
+                     "-o", str(ref)]) == 0
+        out = tmp_path / "out.txt"
+        durable = ["sort", "--memory", "16", "--fan-in", "4", *args,
+                   "--work-dir", str(tmp_path / "wd"), "--resume",
+                   "--report", str(source), "-o", str(out)]
+        plan = FaultPlan(op="write", nth=12, kind="raise",
+                         path_substring="run-")
+        with activate(plan) as state:
+            assert main(durable + ["--binary-spill"]) == 1
+        assert state.fired
+        capsys.readouterr()
+        assert main(durable) == 0
+        assert _reused_runs(capsys.readouterr().err) > 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_flag_keeps_2wrs_arithmetic_on_mixed_ints(self, tmp_path, capsys):
+        """``--binary-spill`` used to turn int records into key-byte
+        pairs, which took away the victim buffer's arithmetic and cut
+        2WRS's runs down to about memory size."""
+        source = tmp_path / "mixed.txt"
+        source.write_text(
+            "".join(f"{v}\n" for v in make_input("mixed_balanced", 20_000,
+                                                 seed=1))
+        )
+        counts = []
+        for flags in ([], ["--binary-spill"]):
+            assert main(["sort", "--memory", "500", "--report", *flags,
+                         str(source), "-o", str(tmp_path / "out.txt")]) == 0
+            err = capsys.readouterr().err
+            counts.append(int(re.search(r"in (\d+) runs", err).group(1)))
+        assert counts[0] == counts[1] < 5

@@ -230,7 +230,7 @@ class TestGroupByAggregate:
     def test_all_aggregates_against_dict_oracle(self):
         fmt, records = csv_corpus()
         pairs = [
-            (r[1].split(",")[0], int(r[1].split(",")[1])) for r in records
+            (fmt.fields(r)[0], int(fmt.fields(r)[1])) for r in records
         ]
         engine = small_engine(fmt)
         got = list(engine.aggregate(records, AGGREGATES, value_column=1))

@@ -279,6 +279,25 @@ class TestJoinCommand:
 
 
 class TestTopkCommand:
+    def test_csv_heap_and_sorted_paths_agree(self, tmp_path, capsys):
+        """The heap scan reads csv rows as tuples, the sorted path as
+        key bytes; both give ``sort -t, -k1,1 | head`` bytes."""
+        rng = random.Random(5)
+        rows = [f"k{rng.randint(0, 300)},{rng.randint(0, 9)}"
+                for _ in range(1_000)]
+        source = write(tmp_path / "in.csv", rows)
+        want = sorted(rows, key=lambda row: (row.split(",")[0], row))[:20]
+        for memory in ("1000", "8"):
+            out = tmp_path / f"out-{memory}.csv"
+            code, _, err = run(
+                capsys,
+                ["topk", "-k", "20", "--memory", memory, "--format", "csv",
+                 "--key", "0", "--report", str(source), "-o", str(out)],
+            )
+            assert code == 0
+            assert out.read_text().splitlines() == want
+            assert ("HEAP" in err) == (memory == "1000")
+
     def test_heap_path(self, tmp_path, capsys):
         rng = random.Random(3)
         values = [rng.randint(0, 10_000) for _ in range(2_000)]

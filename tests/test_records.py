@@ -11,6 +11,7 @@ from repro.core.records import (
     STR,
     CallableFormat,
     DelimitedFormat,
+    denormalize,
     resolve_format,
 )
 
@@ -157,7 +158,9 @@ class TestDelimitedFormat:
     def test_tsv(self):
         fmt = resolve_format("tsv", key=1)
         record = fmt.decode("alpha\t9\tomega")
-        assert fmt.key(record) == (0, 9)
+        # tsv rows carry key bytes that decode back to the parsed key.
+        assert denormalize(fmt, fmt.key(record)) == (0, 9)
+        assert fmt.encode(record) == "alpha\t9\tomega"
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

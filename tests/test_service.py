@@ -75,6 +75,17 @@ class TestJobSpecPayload:
         assert "checksum" not in flagged.to_payload()
         assert job_id_for(flagged) == job_id_for(plain)
 
+    def test_binary_spill_field_accepted_and_ignored(self, tmp_path):
+        """csv/tsv rows always spill as key bytes: the old
+        ``binary_spill`` submit field still parses but changes neither
+        the spec nor the job id."""
+        base = {"op": "agg", "input": str(tmp_path / "in.csv"),
+                "format": "csv", "key": 0}
+        plain = JobSpec.from_payload(base)
+        flagged = JobSpec.from_payload({**base, "binary_spill": True})
+        assert flagged == plain
+        assert "binary_spill" not in flagged.to_payload()
+        assert job_id_for(flagged) == job_id_for(plain)
 
     @pytest.mark.parametrize("field, value, message", [
         ("spill_codec", "bogus", "unknown spill codec 'bogus'"),
@@ -101,6 +112,59 @@ class TestJobSpecPayload:
 # ---------------------------------------------------------------------------
 # scheduler-level
 # ---------------------------------------------------------------------------
+
+
+class TestSpoolReload:
+    """A restarted scheduler reloads every job its spool still holds."""
+
+    def _finished_job(self, tmp_path):
+        _write_input(tmp_path / "in.txt", 300)
+        spec = JobSpec(op="sort", input=str(tmp_path / "in.txt"), memory=64)
+        spool = str(tmp_path / "spool")
+        scheduler = JobScheduler(spool, total_memory=1000)
+        try:
+            job_id = scheduler.submit(spec).job_id
+            assert _wait_scheduler(scheduler, job_id)["status"] == "done"
+        finally:
+            scheduler.shutdown()
+        return spool, job_id
+
+    def _edit_job_json(self, spool, job_id, **fields):
+        path = os.path.join(spool, "jobs", job_id, "job.json")
+        with open(path, encoding="utf-8") as handle:
+            marker = json.load(handle)
+        marker["job"].update(fields)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(marker, handle)
+
+    def test_job_that_no_longer_validates_is_dropped_loudly(
+        self, tmp_path, capsys
+    ):
+        spool, job_id = self._finished_job(tmp_path)
+        self._edit_job_json(spool, job_id, spill_codec="front")
+        capsys.readouterr()
+        scheduler = JobScheduler(spool, total_memory=1000)
+        try:
+            assert scheduler.status(job_id) is None
+        finally:
+            scheduler.shutdown()
+        assert not os.path.exists(os.path.join(spool, "jobs", job_id))
+        err = capsys.readouterr().err
+        assert job_id in err
+        assert "unknown spill codec 'front'" in err
+
+    def test_job_json_with_binary_spill_still_loads(self, tmp_path):
+        spool, job_id = self._finished_job(tmp_path)
+        self._edit_job_json(spool, job_id, binary_spill=True)
+        scheduler = JobScheduler(spool, total_memory=1000)
+        try:
+            payload = scheduler.status(job_id)
+            assert payload is not None
+            assert payload["status"] == "done"
+            assert payload["records_out"] == 300
+        finally:
+            scheduler.shutdown()
+
 
 
 class TestScheduler:
@@ -311,6 +375,16 @@ class TestLiveServer:
             ({"op": "agg", "input": str(path), "memory": 64},
              "2,3\n4,2\n9,1\n"),
         ]
+        rows = tmp_path / "rows.csv"
+        rows.write_text("b,2\na,9\nc,1\na,3\n")
+        # k within memory takes the heap scan over tuple rows; k above
+        # it sorts key-byte rows.  Both must give the same bytes.
+        for memory in (64, 2):
+            cases.append((
+                {"op": "topk", "input": str(rows), "format": "csv",
+                 "key": 0, "k": 3, "memory": memory},
+                "a,3\na,9\nb,2\n",
+            ))
         for job, expected in cases:
             payload = client.wait(client.submit(job)["id"])
             assert payload["status"] == "done", payload["error"]

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import GeneratorSpec
 from repro.cli import main
-from repro.core.records import INT, STR, binary_format, resolve_format
+from repro.core.records import INT, STR, resolve_format
 from repro.engine.block_io import (
     BLOCK_MAGIC,
     BlockWriter,
@@ -117,7 +117,7 @@ class TestCompressedBlockIO:
 
     @pytest.mark.parametrize("codec", REAL_CODECS)
     def test_binary_round_trip(self, tmp_path, codec):
-        fmt = binary_format(INT)
+        fmt = resolve_format("csv", key=0)  # key-byte records
         records = [fmt.decode(str((i * 613) % 997)) for i in range(1000)]
         _, out = roundtrip(tmp_path, fmt, records, codec)
         assert out == records
