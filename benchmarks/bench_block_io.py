@@ -10,10 +10,6 @@ speedup vs the baseline, sha256 output digests — all settings must
 produce byte-identical output) go to ``BENCH_blockio.json`` at the
 repo root.
 
-A second sweep times the three real-file merge reading strategies
-(naive / forecasting / double_buffering) at the default block size, so
-the JSON records how prefetching behaves on this machine's storage.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_block_io.py \
@@ -64,7 +60,6 @@ def run_once(
     algorithm: str,
     fan_in: int,
     block_records: int,
-    reading: str,
     record_format,
     seed: int,
 ) -> dict:
@@ -75,7 +70,6 @@ def run_once(
         fan_in=fan_in,
         buffer_records=block_records,
         block_records=block_records,
-        reading=reading,
     )
     source = random_input(records, seed=seed)
     encode = record_format.encode
@@ -87,12 +81,9 @@ def run_once(
         count += 1
     wall = time.perf_counter() - started
     assert count == records, f"lost records: {count} != {records}"
-    stats = engine.reading_stats
     return {
         "wall_seconds": round(wall, 3),
         "merge_passes": engine.merge_passes,
-        "block_reads": stats.block_reads if stats else 0,
-        "prefetch_hits": stats.prefetch_hits if stats else 0,
         "sha256": digest.hexdigest(),
     }
 
@@ -119,7 +110,6 @@ def delimited_once(
         fan_in=fan_in,
         buffer_records=block_records,
         block_records=block_records,
-        reading="naive",
     )
     rows = [
         f"{value},p{index:07d}"
@@ -217,8 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"baseline: line-at-a-time decode/encode ...", flush=True)
     baseline = run_once(
-        **common, block_records=4096, reading="naive",
-        record_format=LINE_AT_A_TIME,
+        **common, block_records=4096, record_format=LINE_AT_A_TIME,
     )
     baseline["mode"] = "line_at_a_time"
     print(f"  wall={baseline['wall_seconds']}s", flush=True)
@@ -227,8 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for block in args.blocks:
         print(f"block_records={block}: block-batched sort ...", flush=True)
         row = run_once(
-            **common, block_records=block, reading="naive",
-            record_format=INT,
+            **common, block_records=block, record_format=INT,
         )
         row["mode"] = "block"
         row["block_records"] = block
@@ -260,17 +248,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  binary x{delimited_speedup} vs text on delimited keys",
           flush=True)
 
-    reading_rows = []
-    for reading in ("naive", "forecasting", "double_buffering"):
-        print(f"reading={reading}: merge strategy sweep ...", flush=True)
-        row = run_once(
-            **common, block_records=4096, reading=reading, record_format=INT,
-        )
-        row["mode"] = "reading"
-        row["reading"] = reading
-        reading_rows.append(row)
-        print(f"  wall={row['wall_seconds']}s", flush=True)
-
     print("merge-only: line-at-a-time vs block decode ...", flush=True)
     merge_line = merge_only(
         args.records, args.fan_in, 4096, LINE_AT_A_TIME, args.seed
@@ -286,7 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     digests = {
-        r["sha256"] for r in [baseline, *block_rows, *reading_rows]
+        r["sha256"] for r in [baseline, *block_rows]
     }
     identical = (
         len(digests) == 1
@@ -321,7 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "line_at_a_time_baseline": baseline,
         "block_sweep": block_rows,
         "delimited": delimited_rows,
-        "reading_sweep": reading_rows,
         "merge_only": {
             "line_at_a_time": merge_line,
             "block": merge_block,

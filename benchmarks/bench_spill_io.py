@@ -89,7 +89,6 @@ def run_once(
         fan_in=fan_in,
         buffer_records=block_records,
         block_records=block_records,
-        reading="naive",
         spill_codec=codec,
     )
     source = random_input(records, seed=seed)

@@ -15,10 +15,6 @@ Examples::
     python -m repro.cli sort --format str words.txt
     python -m repro.cli sort --format csv --key 2 events.csv -o by_time.csv
 
-    # choose how the final merge reads its run files (default: the
-    # planner picks; see DESIGN.md §9)
-    python -m repro.cli sort --reading double_buffering --report in.txt
-
     # crash-safe sorting: journaled progress under out.txt.sortwork,
     # restartable after any failure with the same command (DESIGN.md §11)
     python -m repro.cli sort --resume in.txt -o out.txt
@@ -61,6 +57,7 @@ and ``--resume`` work directories.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -77,9 +74,8 @@ from repro.engine.block_io import (
     iter_records,
 )
 from repro.engine.errors import SortError
-from repro.engine.merge_reading import READING_STRATEGIES
 from repro.engine.resilience import JOURNAL_NAME, atomic_output
-from repro.engine.planner import AUTO_READING, SortEngine, spec_for_format
+from repro.engine.planner import SortEngine, spec_for_format
 from repro.engine.spill_codec import AUTO_CODEC, SPILL_CODECS
 from repro.experiments import EXPERIMENTS
 from repro.merge.merge_tree import DEFAULT_FAN_IN
@@ -105,6 +101,11 @@ from repro.store.store import (
     DEFAULT_TABLE_BLOCK_RECORDS,
 )
 from repro.workloads.generators import DISTRIBUTIONS, make_input
+
+# Everything imported above lives as long as the process.  Frozen, it
+# leaves the collector's generations, so a short CLI run pays no
+# gen-1 pass over thousands of import-time objects.
+gc.freeze()
 
 
 def _make_spec(args: argparse.Namespace) -> GeneratorSpec:
@@ -222,7 +223,6 @@ def _engine_for(
         fan_in=args.fan_in,
         buffer_records=args.merge_buffer,
         block_records=args.block_records,
-        reading=args.reading,
         spill_codec=getattr(args, "spill_codec", "none"),
         work_dir=work_dir,
         input_fingerprint=fingerprint,
@@ -321,18 +321,10 @@ def _print_sort_report(engine: SortEngine, verbose: bool) -> None:
             f"shards_reused={engine.shards_reused}",
             file=sys.stderr,
         )
-    stats = engine.reading_stats
-    if stats is not None:
-        print(
-            f"  read   strategy={stats.strategy}  "
-            f"blocks={stats.block_reads}  "
-            f"prefetched={stats.prefetches}  hits={stats.prefetch_hits}",
-            file=sys.stderr,
-        )
 
 
 def _engine_detail_lines(engine: Optional[SortEngine], label: str) -> None:
-    """The spill/read instrumentation lines of one engine's last sort.
+    """The spill instrumentation line of one engine's last sort.
 
     In-memory sorts have no spill structure to show; ``merge_files``
     sets no plan at all but always merges, so a missing plan prints.
@@ -347,20 +339,12 @@ def _engine_detail_lines(engine: Optional[SortEngine], label: str) -> None:
         f"readers<={engine.max_open_readers}",
         file=sys.stderr,
     )
-    stats = engine.reading_stats
-    if stats is not None:
-        print(
-            f"  read   strategy={stats.strategy}  "
-            f"blocks={stats.block_reads}  "
-            f"prefetched={stats.prefetches}  hits={stats.prefetch_hits}",
-            file=sys.stderr,
-        )
 
 
 def _print_operator_report(op, engines, verbose: bool) -> None:
     """Unified ``--report`` rendering for the operator subcommands.
 
-    ``engines`` lists ``(label, engine)`` pairs whose spill/read
+    ``engines`` lists ``(label, engine)`` pairs whose spill
     instrumentation should print in verbose mode (empty for the
     top-k heap path, two entries for the join).
     """
@@ -1031,11 +1015,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                             "input and output streams "
                             f"(default {DEFAULT_BLOCK_RECORDS})")
         p.add_argument("--reading",
-                       choices=(AUTO_READING,) + READING_STRATEGIES,
-                       default=AUTO_READING,
-                       help="final-merge reading strategy over the run "
-                            "files; 'auto' lets the planner choose "
-                            "(default auto)")
+                       choices=("auto", "naive", "forecasting",
+                                "double_buffering"),
+                       default="auto",
+                       help="accepted for compatibility; the final merge "
+                            "reads its runs synchronously, one block per "
+                            "run at a time (DESIGN.md §9.3)")
         if parallel:
             p.add_argument("--workers", type=_positive_int, default=1,
                            help="partition the input and sort the shards "

@@ -5,8 +5,7 @@
 between files and memory — plain lines for the files users hand in and
 get back, checksummed RBLC block streams (DESIGN.md §15) for every file
 the engine writes and reads back itself —
-:mod:`~repro.engine.merge_reading` ports the
-paper's §3.7.2 merge reading strategies to real file handles,
+:mod:`~repro.engine.merge_reading` holds the final merge's run readers,
 :mod:`~repro.engine.planner` picks a backend (in-memory, spill,
 partitioned-parallel) and exposes the :class:`~repro.engine.planner.
 SortEngine` facade the CLI and experiments drive, and
@@ -24,7 +23,6 @@ from repro.engine.block_io import (
     write_sequence,
 )
 from repro.engine.errors import CorruptBlockError, JournalError, SortError
-from repro.engine.merge_reading import READING_STRATEGIES, open_reading
 
 #: Names resolved lazily: the planner imports the sort backends, which
 #: themselves import repro.engine.block_io — an eager import here would
@@ -49,8 +47,6 @@ __all__ = [
     "SortError",
     "read_blocks",
     "write_sequence",
-    "READING_STRATEGIES",
-    "open_reading",
     "SortEngine",
     "SortPlan",
     "plan_sort",

@@ -521,7 +521,6 @@ class ResumableSpillSort(FileSpillSort):
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         record_format: RecordFormat = INT,
-        reading: str = "naive",
         resume: bool = False,
         input_fingerprint: Optional[str] = None,
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
@@ -535,7 +534,6 @@ class ResumableSpillSort(FileSpillSort):
             fan_in=fan_in,
             buffer_records=buffer_records,
             record_format=record_format,
-            reading=reading,
             cpu_op_time=cpu_op_time,
             spill_codec=spill_codec,
         )

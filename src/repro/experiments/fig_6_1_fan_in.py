@@ -13,11 +13,10 @@ seeks take over).
 
 :func:`run_real` repeats the sweep on *real* run files through
 :meth:`repro.engine.SortEngine.merge_files` — the engine's
-block-batched readers and a §3.7.2 reading strategy against actual
-file handles — reporting measured wall time, merge passes, and block
-reads per fan-in.  Real-file wall times on a cached filesystem do not
-reproduce the paper's seek-driven right half of the U; the pass count
-(the left half) and the block-read totals do, which is what
+block-batched readers against actual file handles — reporting measured
+wall time and merge passes per fan-in.  Real-file wall times on a
+cached filesystem do not reproduce the paper's seek-driven right half
+of the U; the pass count (the left half) does, which is what
 ``main()`` prints next to the simulated curve.
 """
 
@@ -94,8 +93,6 @@ class RealFanInPoint:
     fan_in: int
     wall_time: float
     passes: int
-    block_reads: int
-    prefetch_hits: int
 
 
 def run_real(
@@ -103,7 +100,6 @@ def run_real(
     num_runs: int = DEFAULT_NUM_RUNS,
     run_records: int = DEFAULT_RUN_RECORDS,
     merge_memory: int = DEFAULT_MERGE_MEMORY,
-    reading: str = "forecasting",
     seed: int = 3,
 ) -> List[RealFanInPoint]:
     """Merge the same pre-sorted *files* at every fan-in via the engine.
@@ -126,19 +122,15 @@ def run_real(
                 GeneratorSpec("lss", merge_memory),
                 fan_in=fan_in,
                 buffer_records=max(1, merge_memory // (fan_in + 1)),
-                reading=reading,
                 tmp_dir=work_dir,
             )
             merged = sum(1 for _ in engine.merge_files(paths))
             assert merged == num_runs * run_records
-            stats = engine.reading_stats
             points.append(
                 RealFanInPoint(
                     fan_in=fan_in,
                     wall_time=engine.report.merge_phase.wall_time,
                     passes=engine.merge_passes,
-                    block_reads=stats.block_reads,
-                    prefetch_hits=stats.prefetch_hits,
                 )
             )
     return points
@@ -158,15 +150,11 @@ def main() -> None:
     real = run_real()
     print()
     print("Same sweep over real run files (SortEngine.merge_files)")
-    print(
-        f"{'fan-in':>7} {'wall (s)':>10} {'passes':>7} "
-        f"{'block reads':>12} {'prefetch hits':>14}"
-    )
+    print(f"{'fan-in':>7} {'wall (s)':>10} {'passes':>7}")
     for point in real:
         print(
             f"{point.fan_in:>7} {point.wall_time:>10.3f} "
-            f"{point.passes:>7} {point.block_reads:>12} "
-            f"{point.prefetch_hits:>14}"
+            f"{point.passes:>7}"
         )
 
 

@@ -10,14 +10,13 @@ cost the format was built to remove, and one that no test notices
 because the output is still correct.
 
 The rule therefore bans ``*.decode(...)`` and ``*.key(...)`` calls
-inside the merge hot-loop modules (:mod:`repro.merge.kway` and
-:mod:`repro.engine.merge_reading`) and the store's scan/compaction
-hot loops (:mod:`repro.store.sstable`, :mod:`repro.store.compaction`),
-whose §17 meta layout exists precisely so LWW dedup and tombstone
-checks stay tuple-and-slice work.  Work that is genuinely per-block
-rather than per-record (e.g. the forecasting reader's run-tail key)
-carries an explicit waiver naming that reason; anything per-record
-belongs either in ``block_io`` (where text formats decode
+inside the merge hot-loop modules (:mod:`repro.merge.kway`, the run
+readers of :mod:`repro.sort.spill` and :mod:`repro.engine.
+merge_reading`) and the store's scan/compaction hot loops
+(:mod:`repro.store.sstable`, :mod:`repro.store.compaction`), whose
+§17 meta layout exists precisely so LWW dedup and tombstone checks
+stay tuple-and-slice work.  None of them carries a waiver: anything
+per-record belongs either in ``block_io`` (where text formats decode
 block-at-a-time) or at the final output boundary.
 """
 
@@ -34,6 +33,7 @@ from repro.lint.registry import FileContext, rule
 _HOT_MODULES = (
     "repro/merge/kway.py",
     "repro/engine/merge_reading.py",
+    "repro/sort/spill.py",
     "repro/store/sstable.py",
     "repro/store/compaction.py",
 )

@@ -281,7 +281,6 @@ class SortMergeJoin:
             workers=left_engine.workers,
             fan_in=left_engine.fan_in,
             buffer_records=left_engine.buffer_records,
-            reading=left_engine.reading,
         )
         left_counted = CountingIterator(left_records)
         right_counted = CountingIterator(right_records)

@@ -46,7 +46,6 @@ from repro.engine.block_io import (
     open_run,
 )
 from repro.engine.errors import SortError
-from repro.engine.merge_reading import validate_reading
 from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import MergeCounter, validate_merge_params
 from repro.merge.merge_tree import DEFAULT_FAN_IN
@@ -329,11 +328,9 @@ class PartitionedSort:
     partition:
         "hash" (default; balanced for any distribution) or "range"
         (sampled cut points; shards cover disjoint key ranges).
-    fan_in / buffer_records / tmp_dir / record_format / reading /
-    cpu_op_time:
+    fan_in / buffer_records / tmp_dir / record_format / cpu_op_time:
         As in :class:`FileSpillSort`; the format must be picklable so
-        the spawn start method can ship it to workers.  ``reading``
-        selects the parent merge's real-file reading strategy.
+        the spawn start method can ship it to workers.
     total_memory:
         Broker pool size in records (defaults to ``spec.memory``).
     mp_context:
@@ -366,7 +363,6 @@ class PartitionedSort:
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         tmp_dir: Optional[str] = None,
         record_format: RecordFormat = INT,
-        reading: str = "naive",
         total_memory: Optional[int] = None,
         mp_context: str = "spawn",
         sample_records: int = DEFAULT_SAMPLE_RECORDS,
@@ -397,7 +393,6 @@ class PartitionedSort:
         self.buffer_records = buffer_records
         self.tmp_dir = tmp_dir
         self.record_format = record_format
-        self.reading = validate_reading(reading)
         self.total_memory = total_memory if total_memory is not None else spec.memory
         if self.total_memory < MIN_WORKER_MEMORY:
             raise ValueError(
@@ -429,8 +424,6 @@ class PartitionedSort:
         self.merge_passes = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        #: Reading-strategy instrumentation of the parent's final merge.
-        self.reading_stats = None
         #: Shards whose completion markers let a resume skip re-sorting.
         self.shards_reused = 0
         #: Records routed into each partition file by the last sort.
@@ -508,7 +501,6 @@ class PartitionedSort:
                     self.record_format,
                     self.fan_in,
                     self.buffer_records,
-                    self.reading,
                 )
                 merge_wall = time.perf_counter() - started
 

@@ -17,10 +17,10 @@ output as Python lists.
 Serialisation is delegated to a :class:`~repro.core.records.
 RecordFormat` (DESIGN.md §9): spill files are checksummed RBLC block
 streams written and read through :mod:`repro.engine.block_io` (every
-block's CRC is verified on read-back, DESIGN.md §15), and the final
-merge can read through any of the real-file reading strategies of
-:mod:`repro.engine.merge_reading` (``naive`` by default — identical
-behaviour to the seed).
+block's CRC is verified on read-back, DESIGN.md §15).  Every merge,
+intermediate or final, reads each run synchronously through
+:meth:`SpilledRun.records`, one decoded block at a time (DESIGN.md
+§9.3).
 
 The backend instruments its own laziness: :attr:`FileSpillSort.
 max_resident_records` tracks the largest number of records ever held in
@@ -55,11 +55,7 @@ from repro.engine.block_io import (
     write_sequence,
 )
 from repro.engine.spill_codec import validate_codec
-from repro.engine.merge_reading import (
-    ReadingStats,
-    open_reading,
-    validate_reading,
-)
+from repro.engine.merge_reading import open_reading
 from repro.merge.kway import (
     MergeCounter,
     kway_merge,
@@ -97,8 +93,6 @@ class SpillSession:
         #: headers vs bytes actually written (headers included).
         self.spill_raw_bytes = 0
         self.spill_disk_bytes = 0
-        #: Final-pass reading instrumentation (set by merge_spilled_runs).
-        self.reading_stats: Optional[ReadingStats] = None
 
     def spilled(self, raw_bytes: int, disk_bytes: int) -> None:
         """Record one spill write's byte accounting."""
@@ -246,17 +240,16 @@ def merge_spilled_runs(
     record_format: RecordFormat,
     fan_in: int,
     buffer_records: int,
-    reading: str = "naive",
     merge_group: Optional[Callable[[Sequence[SpilledRun]], SpilledRun]] = None,
 ) -> Iterator[Any]:
     """Reduce ``runs`` to ``fan_in`` and stream the final k-way merge.
 
     The shared merge tail of every real-file backend: intermediate
     passes (``merge_group``, :func:`merge_group_to_file` by default)
-    write new spill files; the final merge reads through the named
-    :mod:`~repro.engine.merge_reading` strategy.  ``session.
-    merge_passes`` and ``session.reading_stats`` describe what happened
-    once the stream is consumed.
+    write new spill files; the final merge reads the survivors through
+    :meth:`SpilledRun.records`, as the intermediate passes do.
+    ``session.merge_passes`` describes what happened once the stream
+    is consumed.
     """
     if merge_group is None:
         def merge_group(group: Sequence[SpilledRun]) -> SpilledRun:
@@ -265,17 +258,14 @@ def merge_spilled_runs(
             )
     runs, extra_passes = reduce_to_fan_in(runs, fan_in, merge_group)
     session.merge_passes = 1 + extra_passes
-    strategy = open_reading(
-        reading, runs, record_format, buffer_records, session
-    )
-    session.reading_stats = strategy.stats
+    readers = open_reading(runs)
     try:
         yield from kway_merge(
-            strategy.streams(), counter,
+            readers.streams(), counter,
             fan_in=fan_in, buffer_records=buffer_records,
         )
     finally:
-        strategy.close()
+        readers.close()
 
 
 def publish_instrumentation(
@@ -297,7 +287,6 @@ def publish_instrumentation(
     target.merge_passes = session.merge_passes
     target.max_resident_records = session.max_resident_records
     target.max_open_readers = session.max_open_readers
-    target.reading_stats = session.reading_stats
 
 
 class FileSpillSort:
@@ -321,16 +310,13 @@ class FileSpillSort:
         Record <-> line serialisation and key extraction
         (:data:`~repro.core.records.INT` by default, matching the
         CLI's historical key format).
-    reading:
-        Merge reading strategy for the final pass (``naive`` /
-        ``forecasting`` / ``double_buffering``; DESIGN.md §9).
     cpu_op_time:
         Simulated seconds per analytic CPU op, for the report's
         ``cpu_time`` alongside the measured wall times.
 
-    :attr:`report`, :attr:`merge_passes`, :attr:`max_resident_records`,
-    :attr:`max_open_readers` and :attr:`reading_stats` describe the
-    most recently *finished* sort (each ``sort()`` call keeps its own
+    :attr:`report`, :attr:`merge_passes`, :attr:`max_resident_records`
+    and :attr:`max_open_readers` describe the most recently *finished*
+    sort (each ``sort()`` call keeps its own
     private state while running, so overlapping sorts do not
     interfere).
     """
@@ -342,7 +328,6 @@ class FileSpillSort:
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         tmp_dir: Optional[str] = None,
         record_format: RecordFormat = INT,
-        reading: str = "naive",
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
         spill_codec: str = "none",
     ) -> None:
@@ -352,7 +337,6 @@ class FileSpillSort:
         self.buffer_records = buffer_records
         self.tmp_dir = tmp_dir
         self.record_format = record_format
-        self.reading = validate_reading(reading)
         self.cpu_op_time = cpu_op_time
         #: Spill codec (DESIGN.md §15) for runs, intermediate merges
         #: and shard output files.  The final ``sort()`` stream is
@@ -368,8 +352,6 @@ class FileSpillSort:
         self.merge_passes = 0
         self.max_resident_records = 0
         self.max_open_readers = 0
-        #: Reading-strategy instrumentation of the last final merge.
-        self.reading_stats: Optional[ReadingStats] = None
 
     # -- public API --------------------------------------------------------------
 
@@ -415,7 +397,6 @@ class FileSpillSort:
                 self.record_format,
                 self.fan_in,
                 self.buffer_records,
-                self.reading,
                 merge_group=self._merge_group(session, counter),
             )
             report.merge_phase = PhaseReport(

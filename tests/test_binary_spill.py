@@ -481,16 +481,16 @@ class CountingBinaryFormat(BinaryRecordFormat):
 class TestZeroDecodeHotLoop:
     """Once input text has become ``(key bytes, payload bytes)``
     records, the whole spill + merge pipeline runs on raw bytes: no
-    decode, no key extraction, per record or per block.  This is the
-    runtime twin of lint rule R007's static guarantee."""
+    decode, no key extraction, per record or per block, in every
+    merge pass.  This is the runtime twin of lint rule R007's static
+    guarantee."""
 
     @pytest.mark.parametrize("base,lines", [
         (DelimitedFormat(",", key_column=1),
          [f"r{i},{(i * 613) % 500},t" for i in range(400)]),
     ], ids=["csv"])
-    @pytest.mark.parametrize("reading", ["naive", "forecasting"])
     def test_spilling_sort_never_decodes_after_parse(
-        self, tmp_path, base, lines, reading
+        self, tmp_path, base, lines
     ):
         fmt = CountingBinaryFormat(base)
         records = fmt.decode_block([line + "\n" for line in lines])
@@ -501,7 +501,6 @@ class TestZeroDecodeHotLoop:
             GeneratorSpec("2wrs", 16, RECOMMENDED),
             record_format=fmt,
             fan_in=3,
-            reading=reading,
             tmp_dir=str(tmp_path),
         )
         got = list(engine.sort(records, input_records=len(records)))
@@ -510,16 +509,7 @@ class TestZeroDecodeHotLoop:
 
         assert fmt.decode_calls == 0, "spill/merge decoded a record"
         assert fmt.decode_block_calls == 0, "spill/merge decoded a block"
-        if reading == "naive":
-            assert fmt.key_calls == 0, "spill/merge re-extracted a key"
-        else:
-            # Forecasting probes one block *tail* key per buffer refill
-            # (the waived call in merge_reading); per-block, never
-            # per-record — a 50:1 bound is generous for both.
-            assert fmt.key_calls * 50 <= len(records), (
-                f"forecasting made {fmt.key_calls} key calls for "
-                f"{len(records)} records — per-record, not per-block"
-            )
+        assert fmt.key_calls == 0, "spill/merge re-extracted a key"
 
 
 # ---------------------------------------------------------------------------

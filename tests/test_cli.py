@@ -300,15 +300,6 @@ class TestRecordFormats:
         assert main(["sort", "--format", "str", str(src)]) == 0
         assert capsys.readouterr().out == "apple\nfig\npear\n"
 
-    def test_reading_strategy_shown_in_report(self, tmp_path, capsys):
-        src = tmp_path / "input.txt"
-        src.write_text("".join(f"{v}\n" for v in range(300, 0, -1)))
-        assert main(
-            ["sort", "--memory", "16", "--reading", "double_buffering",
-             "--report", str(src), "-o", str(tmp_path / "o.txt")]
-        ) == 0
-        assert "strategy=double_buffering" in capsys.readouterr().err
-
 
 class TestMinDistanceNonNumericKeys:
     """``--output-heuristic min_distance`` on keys without subtraction.

@@ -20,32 +20,23 @@ class TestPlanner:
     def test_parallel_wins_over_everything(self):
         plan = plan_sort(memory=1_000, workers=4, input_records=10)
         assert plan.mode == "parallel"
-        assert plan.reading == "forecasting"
         assert plan.workers == 4
 
     def test_small_inputs_stay_in_memory(self):
         plan = plan_sort(memory=1_000, input_records=1_000)
         assert plan.mode == "in_memory"
-        assert plan.reading is None
 
     def test_single_pass_spill_reads_naively(self):
         plan = plan_sort(memory=1_000, input_records=5_000, fan_in=10)
         assert plan.mode == "spill"
-        assert plan.reading == "naive"
 
     def test_large_spill_forecasts(self):
         plan = plan_sort(memory=1_000, input_records=1_000_000, fan_in=10)
-        assert (plan.mode, plan.reading) == ("spill", "forecasting")
+        assert plan.mode == "spill"
 
     def test_unknown_size_forecasts(self):
         plan = plan_sort(memory=1_000)
-        assert (plan.mode, plan.reading) == ("spill", "forecasting")
-
-    def test_explicit_reading_is_honoured(self):
-        plan = plan_sort(
-            memory=10, input_records=10_000, reading="double_buffering"
-        )
-        assert plan.reading == "double_buffering"
+        assert plan.mode == "spill"
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -56,8 +47,6 @@ class TestPlanner:
             plan_sort(memory=10, fan_in=1)
         with pytest.raises(ValueError):
             plan_sort(memory=10, buffer_records=0)
-        with pytest.raises(ValueError):
-            plan_sort(memory=10, reading="telepathic")
 
 
 class TestSpecForFormat:
@@ -102,8 +91,6 @@ class TestEngineModes:
         assert got == sorted(data)
         assert engine.plan.mode == "spill"
         assert engine.report.runs > 1
-        assert engine.reading_stats is not None
-        assert engine.reading_stats.strategy == engine.plan.reading
 
     def test_parallel_mode(self, tmp_path):
         data = list(random_input(4_000, seed=3))
@@ -140,9 +127,7 @@ class TestEngineModes:
         data = list(make_input("mixed_balanced", 4_000, seed=5))
         outputs = []
         for kwargs in (
-            {"reading": "naive"},
-            {"reading": "forecasting"},
-            {"reading": "double_buffering"},
+            {},
             {"workers": 2},
             {"workers": 3, "partition": "range"},
         ):
@@ -182,7 +167,7 @@ class TestEngineModes:
         stream.close()
         # Instrumentation mirrors the partial merge instead of staying
         # at its constructor zeros.
-        assert engine.reading_stats is not None
+        assert engine.max_open_readers >= 1
         assert engine.merge_passes >= 1
 
 

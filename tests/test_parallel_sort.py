@@ -79,11 +79,6 @@ class TestPartitioning:
         }
         assert len(outputs) == 1, outputs
 
-    def test_invalid_reading_rejected_at_construction(self):
-        spec = GeneratorSpec("lss", 100)
-        with pytest.raises(ValueError, match="unknown reading strategy"):
-            PartitionedSort(spec, workers=2, reading="forcasting")
-
     def test_range_cut_points_are_ascending_quantiles(self):
         sample = list(range(1000, 0, -1))
         cuts = range_cut_points(sample, 4)

@@ -12,7 +12,7 @@ records before deciding).
 import pytest
 
 from repro.core.config import GeneratorSpec
-from repro.engine.planner import AUTO_READING, SortEngine, plan_sort
+from repro.engine.planner import SortEngine, plan_sort
 
 
 def spec(memory=16):
@@ -23,47 +23,32 @@ class TestPlanSortEdges:
     def test_exactly_memory_sized_input_stays_in_memory(self):
         plan = plan_sort(memory=100, input_records=100)
         assert plan.mode == "in_memory"
-        assert plan.reading is None
 
     def test_one_over_memory_spills(self):
         plan = plan_sort(memory=100, input_records=101)
         assert plan.mode == "spill"
-        assert plan.reading == "naive"  # single warm merge pass
 
     def test_single_pass_boundary_naive_vs_forecasting(self):
         at = plan_sort(memory=100, fan_in=8, input_records=800)
         over = plan_sort(memory=100, fan_in=8, input_records=801)
-        assert (at.mode, at.reading) == ("spill", "naive")
-        assert (over.mode, over.reading) == ("spill", "forecasting")
+        assert (at.mode, over.mode) == ("spill", "spill")
+        assert "warm" in at.reason and "warm" not in over.reason
 
     def test_minimum_fan_in_two(self):
         at = plan_sort(memory=10, fan_in=2, input_records=20)
         over = plan_sort(memory=10, fan_in=2, input_records=21)
-        assert at.reading == "naive"
-        assert over.reading == "forecasting"
+        assert (at.mode, over.mode) == ("spill", "spill")
         with pytest.raises(ValueError):
             plan_sort(memory=10, fan_in=1, input_records=20)
 
     def test_unknown_size_defaults_to_forecasting_spill(self):
         plan = plan_sort(memory=100, input_records=None)
-        assert (plan.mode, plan.reading) == ("spill", "forecasting")
+        assert plan.mode == "spill"
 
     def test_workers_win_over_tiny_input(self):
         plan = plan_sort(memory=100, workers=4, input_records=5)
         assert plan.mode == "parallel"
         assert plan.workers == 4
-        assert plan.reading == "forecasting"
-
-    def test_explicit_reading_always_respected(self):
-        for input_records in (5, 100, 801, None):
-            plan = plan_sort(
-                memory=100, input_records=input_records,
-                reading="double_buffering",
-            )
-            if plan.mode != "in_memory":
-                assert plan.reading == "double_buffering"
-        parallel = plan_sort(memory=100, workers=2, reading="naive")
-        assert parallel.reading == "naive"
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -72,8 +57,6 @@ class TestPlanSortEdges:
             plan_sort(memory=10, workers=0)
         with pytest.raises(ValueError):
             plan_sort(memory=10, buffer_records=0)
-        with pytest.raises(ValueError):
-            plan_sort(memory=10, reading="bogus")
 
     def test_reason_strings_name_the_rule(self):
         assert "fit" in plan_sort(memory=10, input_records=10).reason

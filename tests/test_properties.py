@@ -191,7 +191,6 @@ class TestFormatProperties:
             GeneratorSpec(algorithm, memory),
             record_format=STR,
             fan_in=rng.choice((2, 4, 10)),
-            reading=rng.choice(("naive", "forecasting", "double_buffering")),
             tmp_dir=str(tmp_path),
         )
         got = list(engine.sort(iter(data)))

@@ -81,10 +81,6 @@ class TestCorrectness:
             FileSpillSort(ReplacementSelection(10), fan_in=1)
         with pytest.raises(ValueError):
             FileSpillSort(ReplacementSelection(10), buffer_records=0)
-        with pytest.raises(ValueError, match="unknown reading strategy"):
-            # A typo'd strategy must fail at construction, not after
-            # the whole run-generation phase has been spilled.
-            FileSpillSort(ReplacementSelection(10), reading="forcasting")
 
 
 class TestReport:
