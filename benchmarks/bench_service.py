@@ -2,8 +2,9 @@
 
 Starts a real server (in-process asyncio listener over a temp spool),
 then drives it at several client concurrency levels: each client
-thread submits spilling sort jobs and polls them to completion over
-the TCP protocol, exactly as ``repro submit --wait`` would.  Per-level
+thread submits spilling sort jobs and waits for each over the TCP
+protocol (a server-side ``wait`` that answers once the job is done),
+exactly as ``repro submit --wait`` would.  Per-level
 throughput (jobs/s) and latency quantiles (p50/p99, submit → done)
 land in ``BENCH_service.json`` at the repo root.
 

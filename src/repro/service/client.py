@@ -106,16 +106,21 @@ class ServiceClient:
     def shutdown(self) -> Dict[str, Any]:
         return self._request({"cmd": "shutdown"})
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 300.0,
-        poll: float = 0.05,
-    ) -> Dict[str, Any]:
-        """Poll ``status`` until the job reaches a terminal state."""
+    def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
+        """Block until the job reaches a terminal state.
+
+        Each ``wait`` request parks on the server until the job turns
+        terminal or the server's window runs out; this re-sends it
+        until ``timeout`` seconds have passed, then raises
+        ``TimeoutError``.  A window never exceeds half the socket
+        timeout, so a parked request cannot time the socket out.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            payload = self.status(job_id)
+            window = min(deadline - time.monotonic(), self.timeout / 2)
+            payload = self._request(
+                {"cmd": "wait", "id": job_id, "timeout": max(0.0, window)}
+            )
             if payload.get("status") in _TERMINAL:
                 return payload
             if time.monotonic() >= deadline:
@@ -123,7 +128,6 @@ class ServiceClient:
                     f"job {job_id} still {payload.get('status')!r} "
                     f"after {timeout:.0f}s"
                 )
-            time.sleep(poll)
 
     def result(self, job_id: str, sink: TextIO) -> Dict[str, Any]:
         """Stream a finished job's output into ``sink``.

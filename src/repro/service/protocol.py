@@ -54,7 +54,9 @@ def encode_message(payload: Dict[str, Any]) -> bytes:
 def _decode_body(body: bytes) -> Dict[str, Any]:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # UnicodeDecodeError, JSONDecodeError, and the int-digit limit
+        # on an over-long integer literal are all ValueErrors.
         raise ProtocolError(f"undecodable message body: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(

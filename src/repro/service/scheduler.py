@@ -35,9 +35,10 @@ import shutil
 import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.errors import SortError
 from repro.engine.resilience import read_marker, write_marker
@@ -94,6 +95,11 @@ class JobScheduler:
     tenant_quotas:
         Per-tenant memory caps in records; tenants not listed get
         ``default_quota`` (the whole pool when that is None too).
+    on_finish:
+        Called with a job's id, on the thread that finished it, each
+        time the job's terminal status is published — the server's
+        completion push.  An exception it raises is printed to stderr
+        and otherwise ignored.
     """
 
     def __init__(
@@ -103,6 +109,7 @@ class JobScheduler:
         job_workers: int = 8,
         tenant_quotas: Optional[Dict[str, int]] = None,
         default_quota: Optional[int] = None,
+        on_finish: Optional[Callable[[str], None]] = None,
     ) -> None:
         if total_memory < 1:
             raise ValueError(f"total_memory must be >= 1, got {total_memory}")
@@ -121,6 +128,7 @@ class JobScheduler:
             max_workers=job_workers, thread_name_prefix="repro-job"
         )
         self._shut_down = False
+        self._on_finish = on_finish
         self._scan_spool()
 
     # -- submission and queries ------------------------------------------------
@@ -213,7 +221,11 @@ class JobScheduler:
             return self._result_path_for(state.spec, state.job_id)
 
     def shutdown(self) -> None:
-        """Cancel everything still moving and reap the worker threads."""
+        """Cancel everything still moving and reap the worker threads.
+
+        Jobs still queued for a worker thread never run: they are
+        published ``cancelled`` like the ones cancelled mid-run.
+        """
         with self._lock:
             if self._shut_down:
                 return
@@ -225,6 +237,11 @@ class JobScheduler:
         with self._admission:
             self._admission.notify_all()
         self._executor.shutdown(wait=True, cancel_futures=True)
+        for state in states:
+            # Every started run has reached _finish by now, so a job
+            # still queued had its run dropped from the executor queue.
+            if state.status == "queued":
+                self._finish(state, "cancelled")
 
     # -- the worker-thread body ------------------------------------------------
 
@@ -354,9 +371,19 @@ class JobScheduler:
             state.status = status
             state.finished_m = time.monotonic()
             payload = self._status_payload(state)
-        write_marker(
-            os.path.join(self._job_dir(state.job_id), "status.json"), payload
-        )
+        try:
+            write_marker(
+                os.path.join(self._job_dir(state.job_id), "status.json"),
+                payload,
+            )
+        finally:
+            # The status is terminal in memory either way: wake its
+            # waiters even when persisting it failed.
+            if self._on_finish is not None:
+                try:
+                    self._on_finish(state.job_id)
+                except Exception:  # a broken hook must not stop _finish
+                    traceback.print_exc(file=sys.stderr)
 
     def _status_payload(self, state: JobState) -> Dict[str, Any]:
         outcome = state.outcome

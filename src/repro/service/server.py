@@ -11,13 +11,19 @@ Commands (one request object per frame)::
     {"cmd": "submit", "job": {...}}        # spec → stable id
     {"cmd": "submit", "id": "..."}         # re-attach after a crash
     {"cmd": "status", "id": "..."}
+    {"cmd": "wait", "id": "...", "timeout": s}  # status, once terminal
     {"cmd": "result", "id": "..."}         # header, chunk*, end frames
     {"cmd": "cancel", "id": "..."}
     {"cmd": "jobs"}
     {"cmd": "shutdown"}
 
+``wait`` answers with the ``status`` payload as soon as the job turns
+terminal, or with its current status once ``timeout`` seconds (at most
+:data:`WAIT_CAP_S`) run out.  The scheduler pushes each completion to
+the loop, so a waiting client learns of it without polling.
+
 Every response carries ``ok``; failures carry ``error`` and never
-close the connection — a client can keep a session open and poll.
+close the connection — a client can keep a session open.
 
 Timestamps use the event loop's own monotonic clock (``loop.time()``,
 the sanctioned R006 carve-out) — the service never reads the wall
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.engine.resilience import write_marker
 from repro.service.jobs import JobSpec
@@ -37,12 +43,20 @@ from repro.service.protocol import (
     read_message,
     write_message,
 )
-from repro.service.scheduler import JobScheduler
+from repro.service.scheduler import TERMINAL_STATES, JobScheduler
 
 __all__ = ["SortService"]
 
 #: Bytes of result text per streamed chunk frame.
 _RESULT_CHUNK_BYTES = 256 * 1024
+
+#: Longest one ``wait`` request parks, in seconds.  Well below the
+#: client's 30 s socket timeout, so a parked wait never looks like a
+#: dead server; a client that wants longer sends ``wait`` again.
+WAIT_CAP_S = 10.0
+
+#: Seconds shutdown gives answered waits to write their replies.
+_SHUTDOWN_REPLY_S = 1.0
 
 
 class SortService:
@@ -64,16 +78,25 @@ class SortService:
             job_workers=job_workers,
             tenant_quotas=tenant_quotas,
             default_quota=default_quota,
+            on_finish=self._job_finished,
         )
         self.host = host
         self.port = port
         self.bound: Optional[Tuple[str, int]] = None
         self._stop = asyncio.Event()
         self._started_at = 0.0
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # Job id -> futures of the ``wait`` requests parked on it.
+        # Touched only on the loop thread; each request removes its own
+        # future once its reply is written.
+        self._waiters: Dict[str, Set["asyncio.Future[None]"]] = {}
+        self._no_waiters = asyncio.Event()
+        self._no_waiters.set()
 
     async def run(self, endpoint_file: Optional[str] = None) -> None:
         """Serve until a ``shutdown`` command arrives."""
         loop = asyncio.get_running_loop()
+        self._loop = loop
         server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -94,7 +117,36 @@ class SortService:
         )
         async with server:
             await self._stop.wait()
-        self.scheduler.shutdown()
+            # Leaving the block waits for open connections (3.12+), and
+            # a parked ``wait`` holds one open: stop accepting, cancel
+            # the jobs, and answer every wait before that.
+            server.close()
+            await loop.run_in_executor(None, self.scheduler.shutdown)
+            for job_id in list(self._waiters):
+                self._wake(job_id)
+            try:
+                await asyncio.wait_for(
+                    self._no_waiters.wait(), _SHUTDOWN_REPLY_S
+                )
+            except asyncio.TimeoutError:
+                pass
+
+    # -- completion push -------------------------------------------------------
+
+    def _job_finished(self, job_id: str) -> None:
+        """Scheduler hook, on a worker thread: wake ``job_id``'s waits."""
+        loop = self._loop
+        if loop is None:
+            return
+        try:
+            loop.call_soon_threadsafe(self._wake, job_id)
+        except RuntimeError:
+            pass  # the loop has closed: nobody is left waiting
+
+    def _wake(self, job_id: str) -> None:
+        for woken in self._waiters.get(job_id, ()):
+            if not woken.done():
+                woken.set_result(None)
 
     # -- connection handling ---------------------------------------------------
 
@@ -143,6 +195,8 @@ class SortService:
                 await write_message(writer, self._submit(request))
             elif cmd == "status":
                 await write_message(writer, self._status(request))
+            elif cmd == "wait":
+                await self._wait(request, writer)
             elif cmd == "cancel":
                 job_id = str(request.get("id", ""))
                 cancelled = self.scheduler.cancel(job_id)
@@ -191,6 +245,36 @@ class SortService:
             return {"ok": False, "error": f"unknown job id {job_id!r}"}
         return {"ok": True, **payload}
 
+    async def _wait(
+        self, request: Dict[str, Any], writer: asyncio.StreamWriter
+    ) -> None:
+        timeout = _wait_timeout(request)
+        job_id = str(request.get("id", ""))
+        # Register before reading the status: a job that finishes in
+        # between wakes this future instead of being missed.
+        woken: "asyncio.Future[None]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._waiters.setdefault(job_id, set()).add(woken)
+        self._no_waiters.clear()
+        try:
+            reply = self._status(request)
+            if (
+                reply["ok"]
+                and reply["status"] not in TERMINAL_STATES
+                and not self._stop.is_set()
+            ):
+                await asyncio.wait({woken}, timeout=timeout)
+                reply = self._status(request)
+            await write_message(writer, reply)
+        finally:
+            waiters = self._waiters[job_id]
+            waiters.discard(woken)
+            if not waiters:
+                del self._waiters[job_id]
+                if not self._waiters:
+                    self._no_waiters.set()
+
     async def _stream_result(
         self, request: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
@@ -238,3 +322,19 @@ class SortService:
                     break
                 await write_message(writer, {"type": "chunk", "data": chunk})
         await write_message(writer, {"type": "end"})
+
+
+def _wait_timeout(request: Dict[str, Any]) -> float:
+    """A ``wait`` request's timeout in seconds, capped at WAIT_CAP_S."""
+    value = request.get("timeout", WAIT_CAP_S)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or value != value  # NaN
+        or value < 0
+    ):
+        raise ValueError(
+            f"wait timeout must be a non-negative number of seconds, "
+            f"got {value!r}"
+        )
+    return float(min(value, WAIT_CAP_S))

@@ -58,6 +58,34 @@ def _wait_scheduler(scheduler, job_id, timeout=60.0):
     raise AssertionError(f"job {job_id} never finished: {payload}")
 
 
+def _wait_status(scheduler, job_id, status, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while scheduler.status(job_id)["status"] != status:
+        assert time.monotonic() < deadline, f"job {job_id} never {status}"
+        time.sleep(0.01)
+
+
+def _wait_until(condition, what, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def _gated_run_job(gate):
+    """A stand-in for ``run_job`` that runs until ``gate`` is set."""
+    from repro.service.runner import JobOutcome
+
+    def run_job(spec, *, memory, work_dir, result_path, cancel=None,
+                job_id=""):
+        while not gate.wait(0.01):
+            if cancel.is_set():
+                raise JobCancelled(f"job {job_id} cancelled")
+        return JobOutcome(records_out=0)
+
+    return run_job
+
+
 # ---------------------------------------------------------------------------
 # job specs
 # ---------------------------------------------------------------------------
@@ -314,14 +342,81 @@ class TestScheduler:
         finally:
             scheduler.shutdown()
 
+    def test_jobs_dropped_from_the_queue_are_published_cancelled(
+        self, tmp_path, monkeypatch
+    ):
+        """``shutdown`` drops queued runs from the executor; those jobs
+        still turn terminal through ``_finish`` and its hook."""
+        from repro.service import scheduler as scheduler_module
+
+        monkeypatch.setattr(
+            scheduler_module, "run_job", _gated_run_job(threading.Event())
+        )
+        _write_input(tmp_path / "in.txt", 10)
+        finished = []
+        scheduler = JobScheduler(
+            str(tmp_path / "spool"), total_memory=100, job_workers=1,
+            on_finish=finished.append,
+        )
+        running = scheduler.submit(
+            JobSpec(op="sort", input=str(tmp_path / "in.txt"), memory=10)
+        )
+        _wait_status(scheduler, running.job_id, "running")
+        queued = scheduler.submit(JobSpec(
+            op="sort", input=str(tmp_path / "in.txt"), memory=10, fan_in=4
+        ))
+        scheduler.shutdown()
+        assert scheduler.status(running.job_id)["status"] == "cancelled"
+        assert scheduler.status(queued.job_id)["status"] == "cancelled"
+        assert sorted(finished) == sorted([running.job_id, queued.job_id])
+        # Published like any terminal status: a restart reloads it.
+        reloaded = JobScheduler(str(tmp_path / "spool"), total_memory=100)
+        try:
+            assert reloaded.status(queued.job_id)["status"] == "cancelled"
+        finally:
+            reloaded.shutdown()
+
+    def test_failing_finish_hook_does_not_stop_finish(
+        self, tmp_path, capsys
+    ):
+        def broken_hook(job_id):
+            raise RuntimeError(f"hook broke on {job_id}")
+
+        _write_input(tmp_path / "in.txt", 50)
+        scheduler = JobScheduler(
+            str(tmp_path / "spool"), total_memory=1000, job_workers=1,
+            on_finish=broken_hook,
+        )
+        returned = []
+        finish = scheduler._finish
+
+        def observed_finish(state, status):
+            finish(state, status)
+            returned.append(status)
+
+        scheduler._finish = observed_finish
+        try:
+            for fan_in in (4, 5):
+                job_id = scheduler.submit(JobSpec(
+                    op="sort", input=str(tmp_path / "in.txt"), memory=64,
+                    fan_in=fan_in,
+                )).job_id
+                payload = _wait_scheduler(scheduler, job_id)
+                assert payload["status"] == "done"
+        finally:
+            scheduler.shutdown()
+        assert returned == ["done", "done"]
+        err = capsys.readouterr().err
+        assert err.count("RuntimeError: hook broke on") == 2
+
 
 # ---------------------------------------------------------------------------
 # in-process server
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def live_server(tmp_path):
+def _start_service(tmp_path):
+    """A real server on an asyncio loop in a daemon thread."""
     service = SortService(
         str(tmp_path / "spool"), total_memory=2000, job_workers=4
     )
@@ -333,13 +428,25 @@ def live_server(tmp_path):
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     client = ServiceClient(read_endpoint(str(endpoint), timeout=30.0))
-    yield client, tmp_path
+    return service, thread, client
+
+
+@pytest.fixture()
+def live_service(tmp_path):
+    service, thread, client = _start_service(tmp_path)
+    yield service, client, tmp_path
     try:
         client.shutdown()
     except (ConnectionError, OSError):
         pass
     thread.join(timeout=30.0)
     assert not thread.is_alive()
+
+
+@pytest.fixture()
+def live_server(live_service):
+    _, client, tmp_path = live_service
+    yield client, tmp_path
 
 
 class TestLiveServer:
@@ -421,6 +528,240 @@ class TestLiveServer:
         with pytest.raises(ServiceError, match="unknown job id"):
             sink = io.StringIO()
             client.result("no-such-job", sink)
+
+
+class TestWait:
+    """The server-side ``wait``: completion is pushed, not polled."""
+
+    def _gated_job(self, service, client, tmp_path, monkeypatch):
+        from repro.service import scheduler as scheduler_module
+
+        gate = threading.Event()
+        monkeypatch.setattr(scheduler_module, "run_job", _gated_run_job(gate))
+        _write_input(tmp_path / "in.txt", 10)
+        job_id = client.submit(
+            {"op": "sort", "input": str(tmp_path / "in.txt"), "memory": 10}
+        )["id"]
+        _wait_status(service.scheduler, job_id, "running")
+        return job_id, gate
+
+    def _raw(self, client):
+        from repro.service.protocol import recv_message, send_message
+
+        sock = client._connect()
+
+        def ask(payload):
+            send_message(sock, payload)
+            return recv_message(sock)
+
+        return sock, ask
+
+    def test_completion_wakes_a_parked_wait(
+        self, live_service, monkeypatch
+    ):
+        service, client, tmp_path = live_service
+        job_id, gate = self._gated_job(service, client, tmp_path, monkeypatch)
+        outcome = {}
+
+        def waiter():
+            outcome["payload"] = client.wait(job_id, timeout=60.0)
+            outcome["woke"] = time.monotonic()
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        _wait_until(lambda: job_id in service._waiters, "a parked wait")
+        released = time.monotonic()
+        gate.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert outcome["payload"]["status"] == "done"
+        assert outcome["payload"] == client.status(job_id)
+        # Pushed, not found at the end of a 10 s window.
+        assert outcome["woke"] - released < 2.0
+
+    def test_timeout_on_a_running_job_raises(
+        self, live_service, monkeypatch
+    ):
+        service, client, tmp_path = live_service
+        job_id, gate = self._gated_job(service, client, tmp_path, monkeypatch)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="still 'running'"):
+            client.wait(job_id, timeout=0.3)
+        assert time.monotonic() - started < 1.5
+        gate.set()
+
+    def test_job_outlasting_a_server_window_returns_done(
+        self, live_service, monkeypatch
+    ):
+        from repro.service import scheduler as scheduler_module
+        from repro.service import server as server_module
+        from repro.service.runner import JobOutcome
+
+        service, client, tmp_path = live_service
+        monkeypatch.setattr(server_module, "WAIT_CAP_S", 0.2)
+
+        def one_second_job(spec, *, memory, work_dir, result_path,
+                           cancel=None, job_id=""):
+            if cancel.wait(1.0):
+                raise JobCancelled(f"job {job_id} cancelled")
+            return JobOutcome(records_out=0)
+
+        monkeypatch.setattr(scheduler_module, "run_job", one_second_job)
+        _write_input(tmp_path / "in.txt", 10)
+        requests = []
+        request = client._request
+
+        def counted(payload):
+            requests.append(payload["cmd"])
+            return request(payload)
+
+        monkeypatch.setattr(client, "_request", counted)
+        job_id = client.submit(
+            {"op": "sort", "input": str(tmp_path / "in.txt"), "memory": 10}
+        )["id"]
+        payload = client.wait(job_id, timeout=30.0)
+        assert payload["status"] == "done"
+        assert requests.count("wait") >= 3
+        assert "status" not in requests
+
+    def test_hostile_wait_frames_keep_the_connection_usable(
+        self, live_service, monkeypatch
+    ):
+        from repro.service import server as server_module
+
+        service, client, tmp_path = live_service
+        job_id, gate = self._gated_job(service, client, tmp_path, monkeypatch)
+        monkeypatch.setattr(server_module, "WAIT_CAP_S", 0.2)
+        sock, ask = self._raw(client)
+        with sock:
+            for frame in ({"cmd": "wait"},
+                          {"cmd": "wait", "id": "no-such-job"},
+                          {"cmd": "wait", "id": ["not", "an", "id"]}):
+                reply = ask(frame)
+                assert reply["ok"] is False
+                assert "unknown job id" in reply["error"]
+            for timeout in ("5", True, None, [1], -1, float("nan")):
+                reply = ask({"cmd": "wait", "id": job_id,
+                             "timeout": timeout})
+                assert reply["ok"] is False, timeout
+                assert "wait timeout" in reply["error"]
+            # Infinite and huge windows are clamped to the server cap.
+            for timeout in (float("inf"), 1e308, 10 ** 30):
+                started = time.monotonic()
+                reply = ask({"cmd": "wait", "id": job_id,
+                             "timeout": timeout})
+                assert reply["ok"] is True
+                assert reply["status"] == "running"
+                assert time.monotonic() - started < 2.0
+            assert ask({"cmd": "ping"})["ok"] is True
+        # An integer literal too long for int() is refused as an
+        # undecodable frame, not a dropped connection.
+        from repro.service.protocol import recv_message
+
+        body = (b'{"cmd": "wait", "id": "%s", "timeout": %s}'
+                % (job_id.encode(), b"1" * 5000))
+        with client._connect() as sock:
+            sock.sendall(len(body).to_bytes(4, "big") + body)
+            reply = recv_message(sock)
+        assert reply["ok"] is False
+        assert "undecodable message body" in reply["error"]
+        assert client.ping()["ok"] is True
+        gate.set()
+        assert client.wait(job_id, timeout=30.0)["status"] == "done"
+
+    def test_client_gone_mid_wait_leaves_no_waiter(
+        self, live_service, monkeypatch
+    ):
+        service, client, tmp_path = live_service
+        job_id, gate = self._gated_job(service, client, tmp_path, monkeypatch)
+        sock, ask = self._raw(client)
+        with sock:
+            from repro.service.protocol import send_message
+
+            send_message(sock, {"cmd": "wait", "id": job_id})
+            _wait_until(lambda: job_id in service._waiters, "a parked wait")
+        gate.set()
+        assert client.wait(job_id, timeout=30.0)["status"] == "done"
+        _wait_until(lambda: not service._waiters, "the waiter to leave")
+        assert client.ping()["ok"] is True
+
+    def test_failing_completion_hook_keeps_the_server_answering(
+        self, live_service, monkeypatch, capsys
+    ):
+        from repro.service import server as server_module
+
+        service, client, tmp_path = live_service
+        monkeypatch.setattr(server_module, "WAIT_CAP_S", 0.2)
+
+        def broken_hook(job_id):
+            raise RuntimeError(f"hook broke on {job_id}")
+
+        monkeypatch.setattr(service.scheduler, "_on_finish", broken_hook)
+        _write_input(tmp_path / "in.txt", 50)
+        job_id = client.submit(
+            {"op": "sort", "input": str(tmp_path / "in.txt"), "memory": 64}
+        )["id"]
+        # No push arrives, so the wait ends with a window's re-read.
+        assert client.wait(job_id, timeout=30.0)["status"] == "done"
+        assert client.ping()["ok"] is True
+        assert f"hook broke on {job_id}" in capsys.readouterr().err
+
+    def test_submit_wait_cli_prints_the_status_payload(
+        self, live_service, capsys
+    ):
+        from repro.cli import main
+
+        service, client, tmp_path = live_service
+        _write_input(tmp_path / "in.txt", 300)
+        capsys.readouterr()
+        code = main(["submit", "--endpoint-file",
+                     str(tmp_path / "endpoint.json"), "--memory", "64",
+                     "--wait", str(tmp_path / "in.txt")])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["status"] == "done"
+        assert printed == client.status(printed["id"])
+
+    def test_shutdown_answers_a_pending_wait(self, tmp_path):
+        """A parked ``wait`` must neither hold the listener open nor
+        keep its job running: shutdown cancels and answers it."""
+        from repro.service.client import ServiceError
+
+        service, serving, client = _start_service(tmp_path)
+        waiter = None
+        try:
+            _write_input(tmp_path / "big.txt", 600_000, stride=31)
+            job_id = client.submit(
+                {"op": "sort", "input": str(tmp_path / "big.txt"),
+                 "memory": 300}
+            )["id"]
+            _wait_status(service.scheduler, job_id, "running")
+            outcome = {}
+
+            def wait_for_job():
+                try:
+                    outcome["payload"] = client.wait(job_id, timeout=60.0)
+                except (ConnectionError, ServiceError) as exc:
+                    outcome["error"] = exc
+
+            waiter = threading.Thread(target=wait_for_job)
+            waiter.start()
+            _wait_until(lambda: job_id in service._waiters, "a parked wait")
+            started = time.monotonic()
+            client.shutdown()
+            serving.join(timeout=2.0)
+            assert not serving.is_alive()
+            assert time.monotonic() - started < 2.0
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+            assert outcome, "the waiter neither returned nor raised"
+            if "payload" in outcome:
+                assert outcome["payload"]["status"] == "cancelled"
+        finally:
+            if serving.is_alive():
+                service.scheduler.shutdown()
+            if waiter is not None:
+                waiter.join(timeout=30.0)
 
 
 # ---------------------------------------------------------------------------
