@@ -1,13 +1,11 @@
 """Tour of the Section 3.7 / 7.1 extensions built into the library.
 
 The paper's related-work chapter surveys techniques that compose with
-RS/2WRS; all of them are implemented here:
+RS/2WRS.  This tour runs the ones the library implements:
 
 * batched replacement selection (miniruns, Section 3.7.1),
-* reading strategies for the merge phase (Section 3.7.2),
+* reading strategies for the merge phase (Section 3.7.2, simulated),
 * dynamic memory adjustment for concurrent sorts (Section 3.7.3),
-* hierarchical-data sorting (Section 3.7.4),
-* record compression during run generation (Section 3.7.5),
 * the adaptive input heuristic (Section 7.1, future work).
 
 Run with::
@@ -15,14 +13,11 @@ Run with::
     python examples/related_work_extensions.py
 """
 
-import random
-
 from repro import BatchedReplacementSelection, ReplacementSelection
 from repro.core import TwoWayConfig
 from repro.core.two_way import TwoWayReplacementSelection
 from repro.merge import ReadingSimulator
-from repro.runs import CompressedReplacementSelection, SubstringCodec
-from repro.sort import ConcurrentSortSimulator, HierarchicalSorter, SortJob, TreeNode
+from repro.sort import ConcurrentSortSimulator, SortJob
 from repro.workloads import alternating_input, random_input
 
 
@@ -58,33 +53,6 @@ def dynamic_memory():
           f"vs {max(static.values()):.3f}s static")
 
 
-def hierarchical():
-    rng = random.Random(0)
-    root = TreeNode("catalog")
-    for _ in range(3_000):
-        item = root.add(TreeNode(rng.randrange(10**6)))
-        item.add(TreeNode(rng.randrange(100)))
-    sorter = HierarchicalSorter(memory_capacity=256)
-    out = sorter.sort(root)
-    print(f"hierarchical:    {out.descendant_count()} nodes sorted, "
-          f"{sorter.external_sorts} sibling list(s) went external")
-
-
-def compression():
-    rng = random.Random(2)
-    cities = ["Barcelona", "Tarragona", "Girona", "Lleida"]
-    records = [
-        (rng.randrange(10**6), f"customer-{rng.choice(cities)}-{rng.randint(1, 99)}")
-        for _ in range(5_000)
-    ]
-    codec = SubstringCodec((p for _, p in records[:300]), max_codes=32)
-    plain = len(list(CompressedReplacementSelection(4_000).generate_runs(records)))
-    packed = len(list(CompressedReplacementSelection(4_000, codec).generate_runs(records)))
-    ratio = codec.ratio(p for _, p in records[:500])
-    print(f"compression:     payloads at {ratio:.0%} of original size -> "
-          f"{packed} runs vs {plain} uncompressed")
-
-
 def adaptive():
     data = list(alternating_input(40_000, sections=8, seed=1, noise=100))
     fixed = TwoWayReplacementSelection(500, TwoWayConfig(input_heuristic="mean"))
@@ -97,8 +65,6 @@ def main():
     batched_rs()
     reading_strategies()
     dynamic_memory()
-    hierarchical()
-    compression()
     adaptive()
 
 

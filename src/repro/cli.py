@@ -653,8 +653,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(service.run(endpoint_file=args.endpoint_file))
     except KeyboardInterrupt:
-        # A Ctrl-C'd server is the crash-recovery story working as
-        # designed: jobs re-attach by id on the next serve.
+        # Ctrl-C ran the same teardown as a ``shutdown`` request: the
+        # running jobs were cancelled, not waited for, and re-attach by
+        # id on the next serve.
         return 130
     return 0
 

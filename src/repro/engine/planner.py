@@ -47,16 +47,12 @@ from repro.engine.block_io import (
     iter_records,
     validate_block_records,
 )
+from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import MergeCounter, validate_merge_params
 from repro.merge.merge_tree import DEFAULT_FAN_IN
 from repro.runs.base import log_cost
-from repro.sort.external import (
-    DEFAULT_CPU_OP_TIME,
-    ExternalSort,
-    PhaseReport,
-    SortReport,
-)
+from repro.sort.external import ExternalSort
 from repro.sort.spill import DEFAULT_BUFFER_RECORDS
 
 #: Execution modes a plan can select.

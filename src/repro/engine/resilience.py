@@ -81,11 +81,11 @@ from repro.engine.block_io import (
     write_block_file,
 )
 from repro.engine.errors import JournalError, SortError
+from repro.engine.report import DEFAULT_CPU_OP_TIME
 from repro.merge.kway import MergeCounter, kway_merge
 from repro.merge.merge_tree import DEFAULT_FAN_IN
 from repro.runs.base import RunGeneratorStats, log_cost
 from repro.runs.load_sort_store import LoadSortStore
-from repro.sort.external import DEFAULT_CPU_OP_TIME
 from repro.sort.spill import (
     DEFAULT_BUFFER_RECORDS,
     FileSpillSort,

@@ -19,10 +19,11 @@ from typing import Any, List, Optional, Sequence
 
 from repro.core.config import RECOMMENDED, TwoWayConfig
 from repro.core.two_way import TwoWayReplacementSelection
+from repro.engine.report import SortReport
 from repro.iosim.disk import DiskGeometry, DiskModel
 from repro.iosim.files import SimulatedFileSystem
 from repro.runs.replacement_selection import ReplacementSelection
-from repro.sort.external import ExternalSort, SortReport
+from repro.sort.external import ExternalSort
 from repro.workloads.generators import make_input
 
 #: Records per simulated page in the timing experiments (smaller than

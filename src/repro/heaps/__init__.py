@@ -10,20 +10,16 @@ from repro.heaps.binary_heap import (
     parent_index,
     right_child_index,
 )
-from repro.heaps.heapsort import heapsort, heapsort_inplace
-from repro.heaps.run_heap import BottomRunHeap, TaggedRecord, TopRunHeap
+from repro.heaps.run_heap import TaggedRecord, TopRunHeap
 
 __all__ = [
     "BinaryHeap",
-    "BottomRunHeap",
     "HeapEmptyError",
     "HeapFullError",
     "MaxHeap",
     "MinHeap",
     "TaggedRecord",
     "TopRunHeap",
-    "heapsort",
-    "heapsort_inplace",
     "left_child_index",
     "parent_index",
     "right_child_index",

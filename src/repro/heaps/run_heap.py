@@ -6,9 +6,9 @@ records of the *current* run so that "top record belongs to the next run"
 is equivalent to "every record in memory belongs to the next run".
 
 :class:`TaggedRecord` is an immutable (run, key, payload) triple.
-:class:`TopRunHeap` orders by (run asc, key asc)   — the RS / TopHeap order.
-:class:`BottomRunHeap` orders by (run asc, key desc) — the 2WRS BottomHeap
-order: within the current run the *largest* key pops first.
+:class:`TopRunHeap` orders by (run asc, key asc) — the RS / TopHeap order.
+:func:`bottom_before` is the 2WRS BottomHeap order (run asc, key desc):
+within the current run the *largest* key pops first.
 """
 
 from __future__ import annotations
@@ -61,19 +61,3 @@ class TopRunHeap(BinaryHeap[TaggedRecord]):
         capacity: Optional[int] = None,
     ) -> None:
         super().__init__(top_before, items=items, capacity=capacity)
-
-
-class BottomRunHeap(BinaryHeap[TaggedRecord]):
-    """Max-by-key heap over (run, key): the 2WRS BottomHeap.
-
-    Records of the current run pop in *descending* key order, so the heap
-    releases a decreasing stream; records marked for the next run still
-    sink below every current-run record.
-    """
-
-    def __init__(
-        self,
-        items: Optional[Iterable[TaggedRecord]] = None,
-        capacity: Optional[int] = None,
-    ) -> None:
-        super().__init__(bottom_before, items=items, capacity=capacity)

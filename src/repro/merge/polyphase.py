@@ -3,7 +3,9 @@
 Polyphase merge starts with ``T`` tapes, one empty; each *step* performs
 k-way merges (k = T - 1) writing to the empty tape until some input tape
 runs out of runs; the emptied tape becomes the next output tape.  The
-process repeats until a single run remains.
+process repeats until a single run remains.  Once fewer than two tapes
+besides the output hold runs, one last step merges every remaining run
+into one on the output tape.
 
 Two entry points:
 
@@ -49,22 +51,21 @@ def polyphase_schedule(initial_counts: Sequence[int]) -> List[PolyphaseStep]:
         )
     output = empties[0]
     steps = [PolyphaseStep(step=0, counts=tuple(counts), output_tape=output)]
-    step = 0
     while sum(counts) > 1:
         inputs = [i for i in range(len(counts)) if i != output and counts[i] > 0]
-        if not inputs:
-            break
-        merges = min(counts[i] for i in inputs)
-        for i in inputs:
-            counts[i] -= merges
-        counts[output] += merges
-        step += 1
+        if len(inputs) < 2:
+            # No k-way step is left to take: merge every remaining run
+            # into one on the output tape.
+            counts = [0] * len(counts)
+            counts[output] = 1
+        else:
+            merges = min(counts[i] for i in inputs)
+            for i in inputs:
+                counts[i] -= merges
+            counts[output] += merges
+        steps.append(PolyphaseStep(step=len(steps), counts=tuple(counts), output_tape=output))
         # The tape emptied by this step becomes the next output tape.
-        next_output_candidates = [i for i in inputs if counts[i] == 0]
-        steps.append(PolyphaseStep(step=step, counts=tuple(counts), output_tape=output))
-        if sum(counts) <= 1:
-            break
-        output = next_output_candidates[0]
+        output = next((i for i in inputs if counts[i] == 0), output)
     return steps
 
 
@@ -92,21 +93,19 @@ class PolyphaseMerger:
         output = empties[0]
         while sum(len(t) for t in tapes) > 1:
             inputs = [i for i in range(len(tapes)) if i != output and tapes[i]]
-            if not inputs:
-                # Only the output tape holds runs; merge them pairwise
-                # onto another tape (degenerate start distribution).
-                runs = tapes[output]
-                merged = list(kway_merge(runs, self.counter))
-                tapes[output] = [merged]
+            if len(inputs) < 2:
+                # No k-way step is left to take: merge every remaining
+                # run into one on the output tape.
+                runs = [run for tape in tapes for run in tape]
+                for tape in tapes:
+                    tape.clear()
+                tapes[output].append(list(kway_merge(runs, self.counter)))
                 break
             merges = min(len(tapes[i]) for i in inputs)
             for _ in range(merges):
                 batch = [tapes[i].pop(0) for i in inputs]
                 tapes[output].append(list(kway_merge(batch, self.counter)))
-            emptied = [i for i in inputs if not tapes[i]]
-            if sum(len(t) for t in tapes) <= 1:
-                break
-            output = emptied[0]
+            output = next(i for i in inputs if not tapes[i])
         for tape in tapes:
             if tape:
                 return tape[0]

@@ -6,7 +6,7 @@ Every operator in :mod:`repro.ops` streams its input through a
 the sort's own ``memory + fan_in * buffer_records`` bound.  Once an
 operator's output stream is fully consumed, its ``report`` attribute
 holds an :class:`OperatorReport` — the engine's
-:class:`~repro.sort.external.SortReport` extended with relational
+:class:`~repro.engine.report.SortReport` extended with relational
 row accounting (rows in/out, groups, join matches, skew spills).
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.sort.external import SortReport
+from repro.engine.report import SortReport
 
 __all__ = [
     "OperatorReport",
@@ -118,7 +118,7 @@ def report_as_dict(report: Optional[SortReport]) -> Optional[dict]:
 
     The resident service streams per-job reports over its JSON
     protocol; this is the one serialisation both
-    :class:`~repro.sort.external.SortReport` and
+    :class:`~repro.engine.report.SortReport` and
     :class:`OperatorReport` share, so every job — plain sort or
     relational operator — reports through the same shape.  Wall times
     are included (they are measurements *about* the job, not contents

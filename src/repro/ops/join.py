@@ -31,6 +31,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 from repro.core.records import BinaryRecordFormat, DelimitedFormat, RecordFormat
 from repro.engine.block_io import BlockWriter, iter_records, open_run
 from repro.engine.planner import plan_operator
+from repro.engine.report import PhaseReport, SortReport
 from repro.merge.kway import grouped
 from repro.ops.base import (
     CountingIterator,
@@ -38,7 +39,6 @@ from repro.ops.base import (
     executed_plan,
     report_from_sort,
 )
-from repro.sort.external import PhaseReport, SortReport
 
 __all__ = ["SortMergeJoin"]
 

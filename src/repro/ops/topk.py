@@ -22,6 +22,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.records import BinaryRecordFormat, RecordFormat
 from repro.engine.planner import OperatorPlan, plan_operator
+from repro.engine.report import PhaseReport, SortReport
 from repro.heaps.binary_heap import MaxHeap
 from repro.ops.base import (
     CountingIterator,
@@ -30,7 +31,6 @@ from repro.ops.base import (
     report_from_sort,
 )
 from repro.runs.base import log_cost
-from repro.sort.external import PhaseReport, SortReport
 
 __all__ = ["TopK"]
 

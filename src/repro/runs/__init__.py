@@ -2,17 +2,11 @@
 
 from repro.runs.base import RunGenerator, RunGeneratorStats, log_cost
 from repro.runs.batched import BatchedReplacementSelection
-from repro.runs.compression import (
-    CompressedReplacementSelection,
-    SubstringCodec,
-)
 from repro.runs.load_sort_store import LoadSortStore
 from repro.runs.replacement_selection import ReplacementSelection
 
 __all__ = [
     "BatchedReplacementSelection",
-    "CompressedReplacementSelection",
-    "SubstringCodec",
     "LoadSortStore",
     "ReplacementSelection",
     "RunGenerator",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Iterable, Iterator, List
 
-from repro.heaps.heapsort import heapsort
 from repro.runs.base import RunGenerator, log_cost
 
 
@@ -21,25 +20,11 @@ class LoadSortStore(RunGenerator):
     Parameters
     ----------
     memory_capacity:
-        Chunk size in records.
-    use_heapsort:
-        Sort chunks with the paper's Section 3.2 heapsort when True
-        (the didactic variant, for studying the algorithm), or with the
-        optimised library sort when False (the default — the paper
-        itself reaches for an optimised library sort where speed
-        matters, e.g. the victim buffer in Section 6.3).  Section
-        2.1.1's LSS contract — every run is exactly one memory-load,
-        internally sorted — is identical either way, and the two
-        variants produce the same runs (``test_timsort_variant``); the
-        library sort keeps each comparison a single native operation,
-        which is what lets binary spill records sort at memcmp speed.
+        Chunk size in records.  Chunks are sorted with the library sort,
+        which keeps each comparison a single native operation.
     """
 
     name = "LSS"
-
-    def __init__(self, memory_capacity: int, use_heapsort: bool = False) -> None:
-        super().__init__(memory_capacity)
-        self.use_heapsort = use_heapsort
 
     def generate_runs(self, records: Iterable[Any]) -> Iterator[List[Any]]:
         self.stats.reset()
@@ -50,6 +35,6 @@ class LoadSortStore(RunGenerator):
                 return
             self.stats.records_in += len(chunk)
             self.stats.cpu_ops += len(chunk) * log_cost(len(chunk))
-            run = heapsort(chunk) if self.use_heapsort else sorted(chunk)
+            run = sorted(chunk)
             self.stats.note_run(len(run))
             yield run

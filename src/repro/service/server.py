@@ -94,7 +94,7 @@ class SortService:
         self._no_waiters.set()
 
     async def run(self, endpoint_file: Optional[str] = None) -> None:
-        """Serve until a ``shutdown`` command arrives."""
+        """Serve until a ``shutdown`` command or Ctrl-C arrives."""
         loop = asyncio.get_running_loop()
         self._loop = loop
         server = await asyncio.start_server(
@@ -116,20 +116,24 @@ class SortService:
             flush=True,
         )
         async with server:
-            await self._stop.wait()
-            # Leaving the block waits for open connections (3.12+), and
-            # a parked ``wait`` holds one open: stop accepting, cancel
-            # the jobs, and answer every wait before that.
-            server.close()
-            await loop.run_in_executor(None, self.scheduler.shutdown)
-            for job_id in list(self._waiters):
-                self._wake(job_id)
             try:
-                await asyncio.wait_for(
-                    self._no_waiters.wait(), _SHUTDOWN_REPLY_S
-                )
-            except asyncio.TimeoutError:
-                pass
+                await self._stop.wait()
+            finally:
+                # A ``shutdown`` request and Ctrl-C (which cancels this
+                # task) tear down alike.  Leaving the block waits for
+                # open connections (3.12+), and a parked ``wait`` holds
+                # one open: stop accepting, cancel the jobs, and answer
+                # every wait before that.
+                server.close()
+                await loop.run_in_executor(None, self.scheduler.shutdown)
+                for job_id in list(self._waiters):
+                    self._wake(job_id)
+                try:
+                    await asyncio.wait_for(
+                        self._no_waiters.wait(), _SHUTDOWN_REPLY_S
+                    )
+                except asyncio.TimeoutError:
+                    pass
 
     # -- completion push -------------------------------------------------------
 

@@ -1,17 +1,6 @@
-"""External sorting pipelines: mergesort (Ch. 2, 6) and distribution sort."""
+"""External sorting pipelines: mergesort (Ch. 2, 6), simulated and real."""
 
-from repro.sort.distribution import (
-    ExternalDistributionSort,
-    bucket_index,
-    bucket_sort,
-    uniform_bucket_ranges,
-)
-from repro.sort.hierarchical import (
-    HierarchicalSorter,
-    TreeNode,
-    parse,
-    serialize,
-)
+from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.sort.memory_broker import (
     ConcurrentSortSimulator,
     MemoryBroker,
@@ -26,35 +15,22 @@ from repro.sort.parallel import (
     range_cut_points,
 )
 from repro.sort.spill import FileSpillSort, SpilledRun
-from repro.sort.external import (
-    DEFAULT_CPU_OP_TIME,
-    ExternalSort,
-    PhaseReport,
-    SortReport,
-)
+from repro.sort.external import ExternalSort
 
 __all__ = [
     "ConcurrentSortSimulator",
     "DEFAULT_CPU_OP_TIME",
     "FileSpillSort",
-    "HierarchicalSorter",
     "MemoryBroker",
     "PARTITION_STRATEGIES",
     "PartitionedSort",
     "SharedMemoryBroker",
     "SortJob",
     "SpilledRun",
-    "TreeNode",
     "WaitSituation",
     "hash_shard",
-    "parse",
     "range_cut_points",
-    "serialize",
-    "ExternalDistributionSort",
     "ExternalSort",
     "PhaseReport",
     "SortReport",
-    "bucket_index",
-    "bucket_sort",
-    "uniform_bucket_ranges",
 ]

@@ -46,10 +46,10 @@ from repro.engine.block_io import (
     open_run,
 )
 from repro.engine.errors import SortError
+from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import MergeCounter, validate_merge_params
 from repro.merge.merge_tree import DEFAULT_FAN_IN
-from repro.sort.external import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.sort.memory_broker import (
     MemoryBroker,
     SharedMemoryBroker,

@@ -54,6 +54,7 @@ from repro.engine.block_io import (
     read_blocks,
     write_sequence,
 )
+from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.engine.spill_codec import validate_codec
 from repro.engine.merge_reading import open_reading
 from repro.merge.kway import (
@@ -64,7 +65,6 @@ from repro.merge.kway import (
 )
 from repro.merge.merge_tree import DEFAULT_FAN_IN
 from repro.runs.base import RunGenerator, RunGeneratorStats
-from repro.sort.external import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 
 #: Records decoded per read chunk of one run reader.
 DEFAULT_BUFFER_RECORDS = 4096

@@ -25,12 +25,6 @@ class TestLoadSortStore:
         runs = list(LoadSortStore(10).generate_runs(range(100)))
         assert len(runs) == 10
 
-    def test_timsort_variant(self):
-        data = [5, 3, 8, 1]
-        a = list(LoadSortStore(4, use_heapsort=True).generate_runs(data))
-        b = list(LoadSortStore(4, use_heapsort=False).generate_runs(data))
-        assert a == b
-
     def test_stats(self):
         lss = LoadSortStore(10)
         list(lss.generate_runs(range(25)))

@@ -81,6 +81,34 @@ class TestPolyphaseMerge:
     def test_empty_everything(self):
         assert polyphase_merge([[], [[1]], []]) == [1]
 
+    def test_single_input_tape_finishes(self):
+        assert polyphase_merge([[[0], [1], [2], [3]], [], []]) == [0, 1, 2, 3]
+
+
+@st.composite
+def polyphase_counts(draw):
+    """3-6 tapes, exactly one empty, the others holding 1-40 runs."""
+    tapes = draw(st.integers(3, 6))
+    counts = draw(st.lists(st.integers(1, 40), min_size=tapes, max_size=tapes))
+    counts[draw(st.integers(0, tapes - 1))] = 0
+    return tuple(counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polyphase_counts(), st.randoms(use_true_random=False))
+def test_polyphase_terminates_on_any_distribution(counts, rng):
+    steps = polyphase_schedule(counts)
+    assert sum(steps[-1].counts) == 1
+    assert len(steps) - 1 <= sum(counts)
+
+    tapes = [
+        [sorted(rng.randrange(1000) for _ in range(rng.randrange(4)))
+         for _ in range(count)]
+        for count in counts
+    ]
+    records = [value for tape in tapes for run in tape for value in run]
+    assert polyphase_merge(tapes) == sorted(records)
+
 
 def small_fs(page_records=8):
     return SimulatedFileSystem(

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.heaps.run_heap import (
-    BottomRunHeap,
     TaggedRecord,
     TopRunHeap,
     bottom_before,
@@ -61,18 +60,6 @@ class TestTopRunHeap:
         assert all(r.run == 1 for r in heap)
 
 
-class TestBottomRunHeap:
-    def test_current_run_pops_descending(self):
-        heap = BottomRunHeap(TaggedRecord(0, k) for k in (5, 1, 3))
-        assert [heap.pop().key for _ in range(3)] == [5, 3, 1]
-
-    def test_next_run_stays_below(self):
-        heap = BottomRunHeap()
-        heap.push(TaggedRecord(1, 10**9))
-        heap.push(TaggedRecord(0, -5))
-        assert heap.pop() == TaggedRecord(0, -5)
-
-
 @settings(max_examples=150)
 @given(
     st.lists(
@@ -84,14 +71,3 @@ def test_top_run_heap_total_order(pairs):
     popped = [heap.pop() for _ in range(len(pairs))]
     assert popped == sorted(popped, key=lambda t: (t.run, t.key))
 
-
-@settings(max_examples=150)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 2), st.integers(-1000, 1000)), min_size=1
-    )
-)
-def test_bottom_run_heap_total_order(pairs):
-    heap = BottomRunHeap(TaggedRecord(r, k) for r, k in pairs)
-    popped = [heap.pop() for _ in range(len(pairs))]
-    assert popped == sorted(popped, key=lambda t: (t.run, -t.key))

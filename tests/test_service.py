@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from repro.service.scheduler import JobScheduler, TERMINAL_STATES
 from repro.service.server import SortService
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+GNU_SORT = shutil.which("sort")
 
 
 def _write_input(path, n, stride=7):
@@ -769,13 +771,19 @@ class TestWait:
 # ---------------------------------------------------------------------------
 
 
-def _spawn_server(tmp_path, *extra_args, env_extra=None, endpoint="ep.json"):
-    endpoint_path = tmp_path / endpoint
-    if endpoint_path.exists():
-        endpoint_path.unlink()  # never read a dead server's address
+def _cli_env(env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env.update(env_extra or {})
+    return env
+
+
+def _spawn_server(tmp_path, *extra_args, env_extra=None, endpoint="ep.json",
+                  **popen_args):
+    endpoint_path = tmp_path / endpoint
+    if endpoint_path.exists():
+        endpoint_path.unlink()  # never read a dead server's address
+    env = _cli_env(env_extra)
     log = open(tmp_path / "serve.log", "ab")
     process = subprocess.Popen(
         [
@@ -785,7 +793,7 @@ def _spawn_server(tmp_path, *extra_args, env_extra=None, endpoint="ep.json"):
             "--memory", "2000",
         ]
         + list(extra_args),
-        stdout=log, stderr=log, env=env,
+        stdout=log, stderr=log, env=env, **popen_args,
     )
     try:
         address = read_endpoint(str(endpoint_path), timeout=30.0)
@@ -848,6 +856,60 @@ class TestCrashReattach:
         except BaseException:
             process.kill()
             raise
+
+
+@pytest.mark.skipif(GNU_SORT is None, reason="GNU sort not installed")
+class TestInterrupt:
+    def test_sigint_cancels_running_jobs_then_reattach_matches_sort(
+        self, tmp_path
+    ):
+        # A sort of several seconds at this memory, so a server that
+        # waited for it would miss the 2 s exit bound by far.
+        _write_input(tmp_path / "in.txt", 600_000, stride=7919)
+        job = {"op": "sort", "input": str(tmp_path / "in.txt"), "memory": 2000}
+        # SIGINT at its default disposition, so the child installs
+        # Python's KeyboardInterrupt handler even when this test runs
+        # in a background job that ignores SIGINT.
+        process, client = _spawn_server(
+            tmp_path,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            job_id = client.submit(job)["id"]
+            _wait_until(
+                lambda: client.status(job_id)["status"] == "running",
+                "the job to run", timeout=30.0,
+            )
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=2.0) == 130
+        except BaseException:
+            process.kill()
+            raise
+        process, client = _spawn_server(tmp_path)
+        try:
+            assert client.status(job_id)["status"] != "done"
+            out = tmp_path / "out.txt"
+            for argv in (
+                ["submit", "--id", job_id, "--wait"],
+                ["result", job_id, "-o", str(out)],
+            ):
+                subprocess.run(
+                    [sys.executable, "-m", "repro.cli", *argv,
+                     "--endpoint-file", str(tmp_path / "ep.json")],
+                    check=True, timeout=120.0, stdout=subprocess.DEVNULL,
+                    env=_cli_env(),
+                )
+            client.shutdown()
+            process.wait(timeout=30.0)
+        except BaseException:
+            process.kill()
+            raise
+        expected = subprocess.run(
+            [GNU_SORT, "-n", str(tmp_path / "in.txt")],
+            check=True, capture_output=True,
+            env=dict(os.environ, LC_ALL="C"),
+        ).stdout
+        assert out.read_bytes() == expected
 
 
 class TestServiceFaultInjection:

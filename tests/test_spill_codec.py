@@ -8,6 +8,7 @@ fingerprints, the planner's codec row (``auto`` is ``none``), and
 ``--spill-codec auto`` output against ``none`` through the CLI.
 """
 
+import random
 import struct
 
 import pytest
@@ -26,6 +27,7 @@ from repro.engine.block_io import (
 )
 from repro.engine.errors import CorruptBlockError
 from repro.engine.planner import SortEngine, plan_sort
+from repro.engine.report import SortReport
 from repro.engine.resilience import ResumableSpillSort, SortJournal
 from repro.engine.spill_codec import (
     AUTO_CODEC,
@@ -36,7 +38,6 @@ from repro.engine.spill_codec import (
     validate_codec,
 )
 from repro.ops.base import report_from_sort
-from repro.sort.external import SortReport
 from repro.sort.parallel import PartitionedSort
 from repro.sort.spill import FileSpillSort
 
@@ -92,6 +93,20 @@ class TestCompressBody:
         stored = compress_body("zlib", self.BODY)
         with pytest.raises(SpillCodecError):
             decompress_body("zlib", stored, len(self.BODY) + 1)
+
+    def test_real_codec_ordering_none_zlib_lzma(self):
+        # On text bodies lzma beats zlib beats none on ratio (DESIGN.md
+        # §15), which is why the planner leaves lzma to explicit opt-in:
+        # the better ratio costs CPU.
+        rng = random.Random(77)
+        cities = ["Barcelona", "Tarragona", "Girona", "Lleida", "Manresa"]
+        body = "".join(
+            f"customer-{rng.choice(cities)}-{rng.randint(1, 999)}\n"
+            for _ in range(4_000)
+        ).encode()
+        zlib_size = len(compress_body("zlib", body))
+        lzma_size = len(compress_body("lzma", body))
+        assert lzma_size < zlib_size < len(body)
 
 
 # ---------------------------------------------------------------------------
