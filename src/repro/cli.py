@@ -265,6 +265,10 @@ def cmd_sort(args: argparse.Namespace) -> int:
             # merge reads them back lazily, so no list of all runs (or
             # of the merged output) is ever materialised.
             engine.sort_stream(handle, out, resume=args.resume)
+    except ValueError as exc:
+        # Data-level failure: an undecodable record in the input.
+        print(f"repro: sort failed: {exc}", file=sys.stderr)
+        return 1
     except (SortError, OSError) as exc:
         return _sort_failure("sort", exc, work_dir)
     _print_sort_report(engine, args.report)
@@ -547,13 +551,18 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 def cmd_runs(args: argparse.Namespace) -> int:
     record_format = _record_format(args)
-    with _open_input(args.input) as handle:
-        data = list(
-            iter_records(
-                handle, record_format, DEFAULT_BLOCK_RECORDS, skip_blank=True,
-                codec=None,
+    try:
+        with _open_input(args.input) as handle:
+            data = list(
+                iter_records(
+                    handle, record_format, DEFAULT_BLOCK_RECORDS,
+                    skip_blank=True, codec=None,
+                )
             )
-        )
+    except (ValueError, OSError) as exc:
+        # An undecodable record or an unreadable input file.
+        print(f"repro: runs failed: {exc}", file=sys.stderr)
+        return 1
     header = f"{'algorithm':<10} {'runs':>6} {'avg length':>12} {'cpu ops':>12}"
     if args.report:
         header += f" {'run time':>10} {'total time':>11}"

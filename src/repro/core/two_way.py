@@ -44,15 +44,13 @@ Heaps and ties
 The TopHeap is a ``heapq`` min-heap list of ``(run, key)`` entries and
 the BottomHeap a max-heap list of ``(-run, key)`` entries popped with
 C ``_heappop_max``.  A push past their combined bound raises
-:class:`~repro.heaps.binary_heap.HeapFullError`, exactly like the
-paper's shared array (:mod:`repro.heaps.double_heap` keeps that layout
-as a reference).  C ``heappop`` releases equal entries in another order
-than the textbook sift-down.  That order is invisible while every key
-has exact type ``int``, ``str`` or ``bytes``, whose equal values cannot
-be told apart.  On the first key of another type (a float, whose
-``-0.0`` and ``0.0`` compare equal, or a record object) the generation
-switches, one way, to textbook pops over the same lists, so its streams
-stay exactly those of the paper-layout heap.
+:class:`~repro.heaps.HeapFullError`, exactly like the paper's shared
+array.  The tie rule is the one RS, batched RS and top-k share
+(:mod:`repro.heaps`): C pops while every key is tie-blind, and on the
+first key of another type (a float, whose ``-0.0`` and ``0.0`` compare
+equal, or a record object) the generation switches, one way, to
+textbook pops over the same lists, so its streams stay exactly those of
+the paper's heap.
 
 The class implements the common :class:`~repro.runs.base.RunGenerator`
 interface; :meth:`generate_run_streams` additionally exposes the four
@@ -76,91 +74,22 @@ from repro.core.heuristics import (
 from repro.core.input_buffer import LIMIT_REACHED, InputBuffer
 from repro.core.streams import RunStreams
 from repro.core.victim_buffer import VictimBuffer, VictimPhase
-from repro.heaps.binary_heap import HeapFullError
+from repro.heaps import (
+    TIE_BLIND_TYPES,
+    HeapFullError,
+    _c_pop_max,
+    _push_max,
+    _textbook_pop_max,
+    _textbook_pop_min,
+)
 from repro.runs.base import RunGenerator
 
-try:  # Python 3.14+ names the max-heap functions publicly.
-    from heapq import heappop_max as _c_pop_max  # type: ignore[attr-defined]
-    from heapq import heappush_max as _push_max  # type: ignore[attr-defined]
-except ImportError:
-    from heapq import _heappop_max as _c_pop_max  # type: ignore[attr-defined]
-
-    def _push_max(heap: List[Any], item: Any) -> None:
-        """Append ``item`` to the max-heap list ``heap`` and sift it up."""
-        i = len(heap)
-        heap.append(item)
-        while i:
-            p = (i - 1) >> 1
-            parent = heap[p]
-            if item > parent:
-                heap[i] = parent
-                i = p
-            else:
-                break
-        heap[i] = item
-
-
 #: A heap entry: ``(run, key)`` in the TopHeap, ``(-run, key)`` in the
-#: BottomHeap.  Plain tuple order is then exactly the heaps' run-tagged
-#: order (``heaps.run_heap.top_before`` / ``bottom_before``): on both
-#: sides a current-run entry pops before every next-run entry, and
-#: within a run the min-heap top releases ascending keys while the
-#: max-heap bottom releases descending ones.
+#: BottomHeap.  Plain tuple order is then exactly the paper's run-tagged
+#: order: on both sides a current-run entry pops before every next-run
+#: entry, and within a run the min-heap top releases ascending keys
+#: while the max-heap bottom releases descending ones.
 Entry = Tuple[int, Any]
-
-#: Key types whose equal values cannot be told apart, so the order in
-#: which a heap releases equal entries never shows in the streams.
-TIE_BLIND_TYPES = frozenset({int, str, bytes})
-
-
-def _textbook_pop_min(heap: List[Entry]) -> Entry:
-    """Pop a min-heap list: last entry to the root, then sift it down.
-
-    Ties go as in the paper's heap: the left child wins an equal pair,
-    and an equal child never rises above the sifted entry.
-    """
-    last = heap.pop()
-    if not heap:
-        return last
-    head = heap[0]
-    n = len(heap)
-    i = 0
-    child = 1
-    while child < n:
-        right = child + 1
-        if right < n and heap[right] < heap[child]:
-            child = right
-        winner = heap[child]
-        if not winner < last:
-            break
-        heap[i] = winner
-        i = child
-        child = 2 * i + 1
-    heap[i] = last
-    return head
-
-
-def _textbook_pop_max(heap: List[Entry]) -> Entry:
-    """Pop a max-heap list with the paper's sift-down (see the min twin)."""
-    last = heap.pop()
-    if not heap:
-        return last
-    head = heap[0]
-    n = len(heap)
-    i = 0
-    child = 1
-    while child < n:
-        right = child + 1
-        if right < n and heap[right] > heap[child]:
-            child = right
-        winner = heap[child]
-        if not winner > last:
-            break
-        heap[i] = winner
-        i = child
-        child = 2 * i + 1
-    heap[i] = last
-    return head
 
 
 class TwoWayReplacementSelection(RunGenerator):

@@ -8,12 +8,12 @@ exactly as in the paper's worked example (Figures 2.1-2.3).
 The merge heap is :mod:`heapq` over ``(record, stream_index)`` entries
 — tuple comparison orders by record and breaks ties on the stream
 index, the same total order the explicit array heap used to compute
-through a Python ``before`` predicate.  Unlike the 2WRS
-:class:`~repro.heaps.double_heap.DoubleHeap` (which needs direct index
-arithmetic and keeps the paper's array layout), this heap has no
-structural role, and the C implementation keeps the per-record cost at
-one native comparison: for binary spill records that comparison is a
-raw ``bytes`` memcmp, which is the point of the whole binary path.
+through a Python ``before`` predicate.  The stream index makes every
+entry unique, so unlike the run-generation heaps (:mod:`repro.heaps`)
+no tie can show and the C functions serve every key type; they keep the
+per-record cost at one native comparison: for binary spill records that
+comparison is a raw ``bytes`` memcmp, which is the point of the whole
+binary path.
 
 Three things keep Python work per record small (DESIGN.md §14):
 

@@ -18,12 +18,12 @@ Callers decode through :meth:`TopK.input_format` before the first row.
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.records import BinaryRecordFormat, RecordFormat
 from repro.engine.planner import OperatorPlan, plan_operator
 from repro.engine.report import PhaseReport, SortReport
-from repro.heaps.binary_heap import MaxHeap
+from repro.heaps import _c_replace_max, _push_max
 from repro.ops.base import (
     CountingIterator,
     close_stream,
@@ -91,26 +91,27 @@ class TopK:
         tie-break makes both eviction and the final ordering *stable*
         for records that compare equal but encode differently (e.g.
         ``0.0`` vs ``-0.0``), so this path stays byte-identical to the
-        stable-sort fallback.
+        stable-sort fallback.  It also makes every entry unique, so no
+        tie can show and the C max-heap functions serve every key type.
         """
         started = time.perf_counter()
         counted = CountingIterator(records)
-        heap: MaxHeap = MaxHeap(capacity=self.k)
+        heap: List[Tuple[Any, int]] = []
         cpu_ops = 0
         k = self.k
         if k:
             for index, record in enumerate(counted):
                 entry = (record, index)
                 if len(heap) < k:
-                    heap.push(entry)
+                    _push_max(heap, entry)
                     cpu_ops += log_cost(len(heap))
-                elif entry < heap.peek():
-                    heap.replace(entry)
+                elif entry < heap[0]:
+                    _c_replace_max(heap, entry)
                     cpu_ops += log_cost(k)
         else:
             for _record in counted:  # still count rows_in
                 pass
-        entries = sorted(heap.as_list())
+        entries = sorted(heap)
         result = [record for record, _index in entries]
         wall = time.perf_counter() - started
         base = SortReport(

@@ -16,10 +16,11 @@ records even if some of them could still join the current run.
 
 from __future__ import annotations
 
+from heapq import heappush
 from itertools import islice
-from typing import Any, Iterable, Iterator, List
+from typing import Any, Iterable, Iterator, List, Tuple
 
-from repro.heaps.binary_heap import BinaryHeap
+from repro.heaps import _textbook_pop_min, _textbook_replace_min
 from repro.runs.base import RunGenerator, log_cost
 
 #: Larson's experiments output records in batches of 1000; miniruns are
@@ -29,13 +30,22 @@ DEFAULT_MINIRUN_LENGTH = 64
 
 
 class _Minirun:
-    """A sorted buffer consumed front to back."""
+    """A sorted buffer consumed front to back.
+
+    Heap entries are ``(run, head, minirun)``.  No minirun orders before
+    another, so two entries that tie on ``(run, head)`` compare equal:
+    the heap order is the run-tagged key order alone, with no slot
+    breaking ties.
+    """
 
     __slots__ = ("records", "position")
 
     def __init__(self, records: List[Any]) -> None:
         self.records = records
         self.position = 0
+
+    def __lt__(self, other: "_Minirun") -> bool:
+        return False
 
     def peek(self) -> Any:
         return self.records[self.position]
@@ -48,13 +58,14 @@ class _Minirun:
         return self.position >= len(self.records)
 
 
-def _entry_before(a: tuple, b: tuple) -> bool:
-    """Order heap entries by (run, key); the minirun slot breaks ties."""
-    return a[:2] < b[:2]
-
-
 class BatchedReplacementSelection(RunGenerator):
     """Replacement selection over minirun head records.
+
+    The heap is a ``heapq`` list, popped and replaced with the textbook
+    sift-down for every key type (:mod:`repro.heaps`).  Unlike RS, the
+    order in which equal heads pop shows even for tie-blind keys: once
+    the input ends, it decides which minirun runs dry first and so the
+    heap size each later output is charged at (``cpu_ops``).
 
     Parameters
     ----------
@@ -90,41 +101,35 @@ class BatchedReplacementSelection(RunGenerator):
         stats = self.stats
         stream = iter(records)
 
-        heap: BinaryHeap[tuple] = BinaryHeap(_entry_before)
-        miniruns: List[_Minirun] = []
-        for slot in range(self.num_miniruns):
+        heap: List[Tuple[int, Any, _Minirun]] = []
+        for _ in range(self.num_miniruns):
             minirun = self._load_minirun(stream)
             if minirun is None:
                 break
-            miniruns.append(minirun)
-            heap.push((0, minirun.peek(), slot))
+            heappush(heap, (0, minirun.peek(), minirun))
             stats.cpu_ops += log_cost(len(heap))
 
         current_run = 0
-        last_output: Any = None
         out: List[Any] = []
         while heap:
-            run, key, slot = heap.peek()
+            run, key, minirun = heap[0]
             if run != current_run:
                 yield out
                 stats.note_run(len(out))
                 out = []
                 current_run = run
-                last_output = None
             out.append(key)
-            last_output = key
-            minirun = miniruns[slot]
             minirun.advance()
             stats.cpu_ops += log_cost(len(heap))
             if minirun.exhausted:
                 refill = self._load_minirun(stream)
                 if refill is None:
-                    heap.pop()
+                    _textbook_pop_min(heap)
                     continue
-                miniruns[slot] = minirun = refill
+                minirun = refill
             head = minirun.peek()
-            tag = current_run + 1 if last_output is not None and head < last_output else current_run
-            heap.replace((tag, head, slot))
+            tag = current_run + 1 if head < key else current_run
+            _textbook_replace_min(heap, (tag, head, minirun))
         if out:
             yield out
             stats.note_run(len(out))

@@ -14,14 +14,20 @@ on reverse-sorted input runs of exactly the memory size (Theorems 1, 3).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Iterable, Iterator, List, Tuple
 
-from repro.heaps.run_heap import TaggedRecord, TopRunHeap
+from repro.heaps import TIE_BLIND_TYPES, _textbook_pop_min, _textbook_replace_min
 from repro.runs.base import RunGenerator, log_cost
 
 
 class ReplacementSelection(RunGenerator):
     """Replacement selection over a single min-heap.
+
+    The heap is a ``heapq`` list of ``(run, key)`` entries, popped and
+    replaced with the C functions while every key is tie-blind and
+    with the textbook sift-down from the first key that is not
+    (:mod:`repro.heaps`).
 
     Parameters
     ----------
@@ -35,37 +41,45 @@ class ReplacementSelection(RunGenerator):
         self.stats.reset()
         stats = self.stats
         stream = iter(records)
+        key_types = set(TIE_BLIND_TYPES)
+        pop, replace = heappop, heapreplace
 
-        heap: TopRunHeap = TopRunHeap(capacity=self.memory_capacity)
+        heap: List[Tuple[int, Any]] = []
+        capacity = self.memory_capacity
         for value in stream:
             stats.records_in += 1
+            if type(value) not in key_types:
+                key_types.add(type(value))
+                pop, replace = _textbook_pop_min, _textbook_replace_min
             stats.cpu_ops += log_cost(len(heap) + 1)
-            heap.push(TaggedRecord(0, value))
-            if heap.is_full:
+            heappush(heap, (0, value))
+            if len(heap) >= capacity:
                 break
 
         current_run = 0
         out: List[Any] = []
         while heap:
-            top = heap.peek()
-            if top.run != current_run:
+            run, next_output = heap[0]
+            if run != current_run:
                 # Top belongs to the next run => all of memory does.
                 yield out
                 stats.note_run(len(out))
                 out = []
-                current_run = top.run
-            next_output = top.key
+                current_run = run
             out.append(next_output)
             stats.cpu_ops += log_cost(len(heap))
             try:
                 value = next(stream)
             except StopIteration:
-                heap.pop()
+                pop(heap)
                 continue
             stats.records_in += 1
+            if type(value) not in key_types:
+                key_types.add(type(value))
+                pop, replace = _textbook_pop_min, _textbook_replace_min
             run = current_run + 1 if value < next_output else current_run
-            # pop + insert fused into a single sift-down (heap.replace).
-            heap.replace(TaggedRecord(run, value))
+            # pop + insert fused into a single sift-down.
+            replace(heap, (run, value))
         if out:
             yield out
             stats.note_run(len(out))

@@ -1,184 +1,122 @@
-"""Unit and property tests for the array-backed binary heaps."""
+"""Unit and property tests for the binary heaps kept as ``heapq`` lists.
+
+The C ``heapq`` functions are the stdlib's; these tests pin the
+textbook pops and replace of :mod:`repro.heaps` (the paper's
+sift-down, Section 3.1.1) and the max-heap shims, alone and mixed with
+the C functions over the same lists.
+"""
+
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.heaps.binary_heap import (
-    HeapEmptyError,
-    HeapFullError,
-    MaxHeap,
-    MinHeap,
-    left_child_index,
-    parent_index,
-    right_child_index,
+from repro.core.records import FloatRecord
+from repro.heaps import (
+    _c_pop_max,
+    _push_max,
+    _textbook_pop_max,
+    _textbook_pop_min,
+    _textbook_replace_min,
 )
 
 
-class TestIndexArithmetic:
-    def test_root_has_no_parent(self):
-        with pytest.raises(ValueError):
-            parent_index(0)
+def min_heap(values):
+    heap = []
+    for value in values:
+        heappush(heap, value)
+    return heap
 
-    def test_parent_of_children(self):
-        for i in range(1, 100):
-            assert parent_index(left_child_index(i)) == i
-            assert parent_index(right_child_index(i)) == i
 
-    def test_children_are_distinct(self):
-        for i in range(100):
-            assert left_child_index(i) + 1 == right_child_index(i)
+def max_heap(values):
+    heap = []
+    for value in values:
+        _push_max(heap, value)
+    return heap
 
-    def test_paper_example_labels(self):
-        # Section 3.1.2: node i has parent (i-1)//2, children 2i+1, 2i+2.
-        assert parent_index(5) == 2
-        assert left_child_index(2) == 5
-        assert right_child_index(2) == 6
+
+def is_min_heap(heap):
+    return all(not heap[i] < heap[(i - 1) // 2] for i in range(1, len(heap)))
+
+
+def is_max_heap(heap):
+    return all(not heap[i] > heap[(i - 1) // 2] for i in range(1, len(heap)))
+
+
+def drain(heap, pop):
+    return [pop(heap) for _ in range(len(heap))]
 
 
 class TestMinHeapBasics:
-    def test_empty_heap_is_falsy(self):
-        assert not MinHeap()
-
-    def test_len_tracks_pushes(self):
-        heap = MinHeap()
-        for i in range(10):
-            heap.push(i)
-            assert len(heap) == i + 1
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(HeapEmptyError):
-            MinHeap().peek()
-
     def test_pop_empty_raises(self):
-        with pytest.raises(HeapEmptyError):
-            MinHeap().pop()
+        with pytest.raises(IndexError):
+            _textbook_pop_min([])
 
     def test_replace_empty_raises(self):
-        with pytest.raises(HeapEmptyError):
-            MinHeap().replace(1)
-
-    def test_peek_returns_min_without_removal(self):
-        heap = MinHeap([5, 3, 8])
-        assert heap.peek() == 3
-        assert len(heap) == 3
+        with pytest.raises(IndexError):
+            _textbook_replace_min([], 1)
 
     def test_pop_returns_ascending(self):
-        heap = MinHeap([5, 1, 4, 2, 3])
-        assert [heap.pop() for _ in range(5)] == [1, 2, 3, 4, 5]
-
-    def test_drain_sorted(self):
-        heap = MinHeap([9, 7, 8])
-        assert list(heap.drain_sorted()) == [7, 8, 9]
-        assert not heap
+        heap = min_heap([5, 1, 4, 2, 3])
+        assert drain(heap, _textbook_pop_min) == [1, 2, 3, 4, 5]
 
     def test_replace_pops_old_top(self):
-        heap = MinHeap([1, 5, 10])
-        assert heap.replace(7) == 1
-        assert sorted(heap.as_list()) == [5, 7, 10]
-
-    def test_pushpop_short_circuits_smaller_item(self):
-        heap = MinHeap([5, 10])
-        assert heap.pushpop(1) == 1
-        assert len(heap) == 2
-
-    def test_pushpop_on_empty(self):
-        heap = MinHeap()
-        assert heap.pushpop(3) == 3
-        assert not heap
+        heap = min_heap([1, 5, 10])
+        assert _textbook_replace_min(heap, 7) == 1
+        assert sorted(heap) == [5, 7, 10]
+        assert is_min_heap(heap)
 
     def test_duplicates_preserved(self):
-        heap = MinHeap([2, 2, 1, 1])
-        assert list(heap.drain_sorted()) == [1, 1, 2, 2]
+        heap = min_heap([2, 2, 1, 1])
+        assert drain(heap, _textbook_pop_min) == [1, 1, 2, 2]
 
-    def test_contains(self):
-        heap = MinHeap([1, 2, 3])
-        assert 2 in heap
-        assert 9 not in heap
-
-    def test_clear(self):
-        heap = MinHeap([1, 2])
-        heap.clear()
-        assert len(heap) == 0
+    def test_equal_children_never_rise_above_the_sifted_entry(self):
+        # The paper's sift-down stops at the first child that is not
+        # strictly smaller; C heappop sifts the hole to a leaf first and
+        # so releases equal entries in another order.
+        a, b, c = (FloatRecord(v, t) for v, t in ((0.0, "a"), (-0.0, "b"), (0.0, "c")))
+        textbook = [a, b, c]
+        assert [r.text for r in drain(textbook, _textbook_pop_min)] == ["a", "c", "b"]
+        c_heap = [a, b, c]
+        assert [r.text for r in drain(c_heap, heappop)] == ["a", "b", "c"]
 
 
 class TestMaxHeap:
     def test_pop_returns_descending(self):
-        heap = MaxHeap([5, 1, 4, 2, 3])
-        assert [heap.pop() for _ in range(5)] == [5, 4, 3, 2, 1]
-
-    def test_peek_is_max(self):
-        heap = MaxHeap([93, 88, 82, 66, 20, 42, 7])
-        assert heap.peek() == 93
+        for pop in (_textbook_pop_max, _c_pop_max):
+            heap = max_heap([5, 1, 4, 2, 3])
+            assert drain(heap, pop) == [5, 4, 3, 2, 1]
 
     def test_paper_figure_3_3_insert(self):
         # Figure 3.3: adding 91 to the example max heap; 91 sifts to
         # position 1 (child of the root 93).
-        heap = MaxHeap([93, 88, 82, 66, 20, 42, 7])
-        heap.push(91)
-        layout = heap.as_list()
-        assert layout[0] == 93
-        assert layout[1] == 91
-        assert heap.check_invariant()
+        heap = [93, 88, 82, 66, 20, 42, 7]
+        assert is_max_heap(heap)
+        _push_max(heap, 91)
+        assert heap == [93, 91, 82, 88, 20, 42, 7, 66]
 
     def test_paper_figure_3_4_delete(self):
         # Figure 3.4: deleting the top of the Figure 3.3(c) heap yields
         # 91 at the root and a valid heap.
-        heap = MaxHeap([93, 91, 82, 88, 20, 42, 7, 66])
-        assert heap.pop() == 93
-        assert heap.peek() == 91
-        assert heap.check_invariant()
-
-
-class TestCapacity:
-    def test_push_beyond_capacity_raises(self):
-        heap = MinHeap(capacity=2)
-        heap.push(1)
-        heap.push(2)
-        with pytest.raises(HeapFullError):
-            heap.push(3)
-
-    def test_initial_items_over_capacity_raise(self):
-        with pytest.raises(HeapFullError):
-            MinHeap([1, 2, 3], capacity=2)
-
-    def test_is_full(self):
-        heap = MinHeap([1], capacity=1)
-        assert heap.is_full
-
-    def test_unbounded_is_never_full(self):
-        heap = MinHeap(range(100))
-        assert not heap.is_full
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            MinHeap(capacity=-1)
-
-    def test_replace_works_at_capacity(self):
-        heap = MinHeap([1, 2], capacity=2)
-        assert heap.replace(5) == 1
-        assert heap.is_full
+        heap = [93, 91, 82, 88, 20, 42, 7, 66]
+        assert _textbook_pop_max(heap) == 93
+        assert heap[0] == 91
+        assert is_max_heap(heap)
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers()))
 def test_minheap_pop_order_is_sorted(values):
-    heap = MinHeap(values)
-    assert list(heap.drain_sorted()) == sorted(values)
+    assert drain(min_heap(values), _textbook_pop_min) == sorted(values)
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers()))
 def test_maxheap_pop_order_is_reverse_sorted(values):
-    heap = MaxHeap(values)
-    assert list(heap.drain_sorted()) == sorted(values, reverse=True)
-
-
-@settings(max_examples=100)
-@given(st.lists(st.integers(), min_size=1))
-def test_heapify_establishes_invariant(values):
-    assert MinHeap(values).check_invariant()
-    assert MaxHeap(values).check_invariant()
+    want = sorted(values, reverse=True)
+    assert drain(max_heap(values), _textbook_pop_max) == want
+    assert drain(max_heap(values), _c_pop_max) == want
 
 
 @settings(max_examples=100)
@@ -187,20 +125,24 @@ def test_heapify_establishes_invariant(values):
     st.lists(st.integers(), min_size=1, max_size=20),
 )
 def test_interleaved_push_pop_keeps_invariant(initial, pushes):
-    heap = MinHeap(initial)
+    low, high = min_heap(initial), max_heap(initial)
     for value in pushes:
-        heap.push(value)
-        heap.pop()
-        assert heap.check_invariant()
+        heappush(low, value)
+        _textbook_pop_min(low)
+        _push_max(high, value)
+        _textbook_pop_max(high)
+        assert is_min_heap(low)
+        assert is_max_heap(high)
 
 
 @settings(max_examples=100)
 @given(st.lists(st.integers(), min_size=1), st.integers())
 def test_replace_equals_pop_then_push(values, new):
-    a = MinHeap(values)
-    b = MinHeap(values)
-    popped_a = a.replace(new)
-    popped_b = b.pop()
-    b.push(new)
+    a = min_heap(values)
+    b = min_heap(values)
+    popped_a = _textbook_replace_min(a, new)
+    popped_b = _textbook_pop_min(b)
+    heappush(b, new)
     assert popped_a == popped_b
-    assert sorted(a.as_list()) == sorted(b.as_list())
+    assert sorted(a) == sorted(b)
+    assert is_min_heap(a)

@@ -264,12 +264,15 @@ class TestDelimitedEmptyVsMissing:
 
     @pytest.mark.parametrize("flags", [[], ["--binary-spill"]],
                              ids=["text", "binary"])
-    def test_missing_column_raises_in_cli_sort(self, tmp_path, flags):
+    def test_missing_column_raises_in_cli_sort(self, tmp_path, flags, capsys):
         source = tmp_path / "missing.in"
         source.write_text("a\nb,2,x\n")
-        with pytest.raises(ValueError, match=self.MISSING):
-            main(["sort", "--format", "csv", "--key", "1", *flags,
-                  str(source), "-o", str(tmp_path / "missing.out")])
+        code = main(["sort", "--format", "csv", "--key", "1", *flags,
+                     str(source), "-o", str(tmp_path / "missing.out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "row has 1 column(s), key column 1 does not exist" in err
+        assert not (tmp_path / "missing.out").exists()
 
     @pytest.mark.parametrize("flags", [[], ["--binary-spill"]],
                              ids=["text", "binary"])

@@ -124,6 +124,33 @@ class TestRunsCommand:
             assert name in out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["sort"], ["sort", "--work-dir", "WORK"], ["sort", "--workers", "2"], ["runs"]],
+    ids=["sort", "sort-work-dir", "sort-workers", "runs"],
+)
+@pytest.mark.parametrize(
+    "fmt,bad", [("int", "abc"), ("float", "nan")], ids=["int-abc", "float-nan"]
+)
+def test_undecodable_line_fails_cleanly(tmp_path, capsys, command, fmt, bad):
+    """An undecodable input line is a data error: a one-line message,
+    exit 1 and no output file, as for merge and the operators."""
+    path = tmp_path / "input.txt"
+    path.write_text("".join(f"{v}\n" for v in range(40, 0, -1)) + bad + "\n7\n")
+    out = tmp_path / "out.txt"
+    argv = [arg.replace("WORK", str(tmp_path / "work")) for arg in command]
+    argv += ["--memory", "4", "--format", fmt, str(path)]
+    if argv[0] == "sort":
+        argv += ["-o", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: {argv[0]} failed: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name != "work") == [
+        "input.txt"
+    ]
+
+
 class TestExperimentCommand:
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "fig_9_9"]) == 2
@@ -287,12 +314,13 @@ class TestRecordFormats:
         with pytest.raises(SystemExit, match="--key only applies"):
             main(["sort", "--format", "str", "--key", "2", str(src)])
 
-    def test_float_nan_rejected_loudly(self, tmp_path):
+    def test_float_nan_rejected_loudly(self, tmp_path, capsys):
         src = tmp_path / "vals.txt"
         src.write_text("2.0\nnan\n1.0\n")
-        with pytest.raises(ValueError, match="NaN"):
-            main(["sort", "--format", "float", str(src),
-                  "-o", str(tmp_path / "out.txt")])
+        assert main(["sort", "--format", "float", str(src),
+                     "-o", str(tmp_path / "out.txt")]) == 1
+        assert "NaN records are unorderable" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
     def test_str_format_sorts_words(self, tmp_path, capsys):
         src = tmp_path / "words.txt"

@@ -1,63 +1,70 @@
-"""Tests for run-tagged records and heaps (Section 3.3)."""
+"""Tests for run-tagged heap entries (Section 3.3).
+
+During run generation every record in memory is tagged with the run it
+belongs to, and records of the *next* run must sink below all records of
+the *current* run.  RS and the 2WRS TopHeap keep ``(run, key)`` entries
+in a ``heapq`` min-heap list; the 2WRS BottomHeap keeps ``(-run, key)``
+entries in a max-heap list, so plain tuple order is the run-tagged
+order on both sides.
+"""
+
+from heapq import heappop, heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.heaps.run_heap import (
-    TaggedRecord,
-    TopRunHeap,
-    bottom_before,
-    top_before,
-)
+from repro.heaps import _push_max, _textbook_pop_max, _textbook_pop_min
 
 
-class TestTaggedRecord:
-    def test_payload_ignored_by_equality(self):
-        assert TaggedRecord(0, 5, "a") == TaggedRecord(0, 5, "b")
+def top_heap(entries):
+    heap = []
+    for entry in entries:
+        heappush(heap, entry)
+    return heap
 
-    def test_is_frozen(self):
-        import pytest
 
-        with pytest.raises(Exception):
-            TaggedRecord(0, 5).key = 7
+def bottom_heap(entries):
+    heap = []
+    for run, key in entries:
+        _push_max(heap, (-run, key))
+    return heap
 
 
 class TestOrderingPredicates:
     def test_top_orders_by_run_first(self):
-        assert top_before(TaggedRecord(0, 100), TaggedRecord(1, 1))
-        assert not top_before(TaggedRecord(1, 1), TaggedRecord(0, 100))
+        heap = top_heap([(1, 1), (0, 100)])
+        assert _textbook_pop_min(heap) == (0, 100)
 
     def test_top_orders_by_key_within_run(self):
-        assert top_before(TaggedRecord(0, 1), TaggedRecord(0, 2))
+        heap = top_heap([(0, 2), (0, 1)])
+        assert _textbook_pop_min(heap) == (0, 1)
 
     def test_bottom_orders_by_run_first(self):
         # Next-run records sink below current ones even with large keys.
-        assert bottom_before(TaggedRecord(0, 1), TaggedRecord(1, 100))
+        heap = bottom_heap([(1, 100), (0, 1)])
+        assert _textbook_pop_max(heap) == (0, 1)
 
     def test_bottom_orders_descending_within_run(self):
-        assert bottom_before(TaggedRecord(0, 9), TaggedRecord(0, 3))
+        heap = bottom_heap([(0, 3), (0, 9)])
+        assert _textbook_pop_max(heap) == (0, 9)
 
 
 class TestTopRunHeap:
     def test_current_run_pops_ascending(self):
-        heap = TopRunHeap(TaggedRecord(0, k) for k in (5, 1, 3))
-        assert [heap.pop().key for _ in range(3)] == [1, 3, 5]
+        heap = top_heap((0, k) for k in (5, 1, 3))
+        assert [_textbook_pop_min(heap)[1] for _ in range(3)] == [1, 3, 5]
 
     def test_next_run_stays_below(self):
-        heap = TopRunHeap()
-        heap.push(TaggedRecord(1, 0))  # next run, tiny key
-        heap.push(TaggedRecord(0, 1000))  # current run, large key
-        assert heap.pop() == TaggedRecord(0, 1000)
-        assert heap.pop() == TaggedRecord(1, 0)
+        heap = top_heap([(1, 0), (0, 1000)])  # next run tiny, current large
+        assert _textbook_pop_min(heap) == (0, 1000)
+        assert _textbook_pop_min(heap) == (1, 0)
 
     def test_top_of_next_run_means_memory_flushed(self):
         # Section 3.3's argument: if the top belongs to the next run,
         # every record does.
-        heap = TopRunHeap()
-        for key in (4, 7, 2):
-            heap.push(TaggedRecord(1, key))
-        assert heap.peek().run == 1
-        assert all(r.run == 1 for r in heap)
+        heap = top_heap([(1, 4), (1, 7), (1, 2)])
+        assert heap[0][0] == 1
+        assert all(run == 1 for run, _key in heap)
 
 
 @settings(max_examples=150)
@@ -67,7 +74,6 @@ class TestTopRunHeap:
     )
 )
 def test_top_run_heap_total_order(pairs):
-    heap = TopRunHeap(TaggedRecord(r, k) for r, k in pairs)
-    popped = [heap.pop() for _ in range(len(pairs))]
-    assert popped == sorted(popped, key=lambda t: (t.run, t.key))
-
+    for pop in (_textbook_pop_min, heappop):
+        heap = top_heap(pairs)
+        assert [pop(heap) for _ in range(len(pairs))] == sorted(pairs)

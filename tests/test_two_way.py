@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import heaps
 from repro.core.config import TABLE_5_13_CONFIGS, TwoWayConfig
 from repro.core.heuristics import INPUT_HEURISTICS, OUTPUT_HEURISTICS
 from repro.core.two_way import TwoWayReplacementSelection
+from repro.runs.batched import BatchedReplacementSelection
 from repro.runs.replacement_selection import ReplacementSelection
 from repro.workloads.generators import (
     alternating_input,
@@ -398,9 +400,25 @@ def _four_streams(runs):
     return [(s.stream1, s.stream2, s.stream3, s.stream4) for s in runs]
 
 
+def _generate_rs(memory, records, textbook):
+    """Run RS, optionally with no key type counted tie-blind so the
+    textbook pop and replace serve from the first key; return
+    (runs, cpu_ops)."""
+    from unittest import mock
+
+    from repro.runs import replacement_selection
+
+    algo = ReplacementSelection(memory)
+    blind = frozenset() if textbook else heaps.TIE_BLIND_TYPES
+    with mock.patch.object(replacement_selection, "TIE_BLIND_TYPES", blind):
+        runs = list(algo.generate_runs(records))
+    return runs, algo.stats.cpu_ops
+
+
 class TestHeapqPops:
     """The heaps pop with C ``heapq`` while every key is tie-blind and
-    with the paper's sift-down once a key's ties could show."""
+    with the paper's sift-down once a key's ties could show, in 2WRS and
+    RS alike."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -430,6 +448,32 @@ class TestHeapqPops:
                 input_h, output_h)
             assert list(map(len, c_runs)) == list(map(len, t_runs))
             assert c_ops == t_ops, (input_h, output_h)
+        c_runs, c_ops = _generate_rs(memory, data, False)
+        t_runs, t_ops = _generate_rs(memory, data, True)
+        assert c_runs == t_runs
+        assert c_ops == t_ops
+
+    def test_batched_rs_cost_shows_the_tie_order(self):
+        """Why batched RS keeps the textbook sift for tie-blind keys too:
+        once the input ends, the order equal minirun heads pop in
+        decides which minirun runs dry first, and with it the heap size
+        later outputs are charged at."""
+        from heapq import heappop, heapreplace
+        from unittest import mock
+
+        from repro.runs import batched
+
+        def generate():
+            algo = BatchedReplacementSelection(9, minirun_length=3)
+            return list(algo.generate_runs([0] * 7)), algo.stats.cpu_ops
+
+        t_runs, t_ops = generate()
+        with mock.patch.multiple(
+            batched, _textbook_pop_min=heappop, _textbook_replace_min=heapreplace
+        ):
+            c_runs, c_ops = generate()
+        assert c_runs == t_runs == [[0] * 7]
+        assert c_ops != t_ops
 
     def test_ints_turning_to_float_records_keep_every_spelling(self):
         import random
@@ -460,7 +504,7 @@ class TestHeapqPops:
     def test_push_past_the_combined_bound_raises(self):
         from repro.core.heuristics import Side
         from repro.core.two_way import _RunState
-        from repro.heaps.binary_heap import HeapFullError
+        from repro.heaps import HeapFullError
 
         algo = TwoWayReplacementSelection(10, TwoWayConfig(buffer_fraction=0.0))
         state = _RunState(algo, [])
