@@ -5,24 +5,12 @@ run depends only on the code and the seed, and no deadline, so a slow
 machine cannot fail a test on timing alone.  Each test keeps its own
 ``max_examples``.
 
-Set ``REPRO_HYPOTHESIS_SEED`` to an integer to fix the seed of every
-hypothesis test (the same as pytest's ``--hypothesis-seed``); a failure
-then replays with the same value.
+To fix the seed of every hypothesis test, pass hypothesis's own
+``--hypothesis-seed=N`` to pytest; a failure then replays with the same
+value.
 """
 
-import os
-
-import pytest
 from hypothesis import settings
 
 settings.register_profile("repro", database=None, deadline=None)
 settings.load_profile("repro")
-
-
-@pytest.hookimpl(tryfirst=True)
-def pytest_configure(config):
-    # Runs before hypothesis's own pytest_configure, which reads the
-    # option and forces the seed.
-    seed = os.environ.get("REPRO_HYPOTHESIS_SEED")
-    if seed and config.getoption("hypothesis_seed") is None:
-        config.option.hypothesis_seed = seed
