@@ -61,6 +61,7 @@ import gc
 import importlib
 import json
 import os
+import shutil
 import sys
 from contextlib import nullcontext
 from typing import Any, ContextManager, List, Optional, TextIO
@@ -74,7 +75,7 @@ from repro.engine.block_io import (
     iter_records,
 )
 from repro.engine.errors import SortError
-from repro.engine.resilience import JOURNAL_NAME, atomic_output
+from repro.engine.resilience import JOURNAL_NAME, atomic_output, wipe_directory
 from repro.engine.planner import SortEngine, spec_for_format
 from repro.engine.spill_codec import AUTO_CODEC, SPILL_CODECS
 from repro.experiments import EXPERIMENTS
@@ -250,6 +251,33 @@ def _sort_failure(command: str, exc: Exception, *work_dirs) -> int:
     return 1
 
 
+def _discard_work(derived: bool, *attempts) -> None:
+    """Remove what a durable attempt wrote before a data error stopped it.
+
+    A data error (an undecodable line, a non-numeric value under
+    ``sum``) recurs at the same record on every attempt, and a journal
+    resumes only the unchanged input file, so no ``--resume`` can use
+    the work.  ``attempts`` are ``(engine, work_dir)`` pairs; only a
+    work directory whose engine got past planning is touched, because
+    an error while probing the input comes before the journal opens,
+    and the directory may still hold another attempt's work.  A
+    derived directory (``OUT.sortwork``, a join's side directory) is
+    removed; a user's ``--work-dir`` is emptied.
+    """
+    for engine, work_dir in attempts:
+        if engine.backend is None or not work_dir or not os.path.isdir(work_dir):
+            continue
+        if derived:
+            shutil.rmtree(work_dir, ignore_errors=True)
+        else:
+            wipe_directory(work_dir)
+        print(
+            f"repro: removed the work in {work_dir!r}: the same record "
+            f"fails every attempt, so there is nothing to resume",
+            file=sys.stderr,
+        )
+
+
 def cmd_sort(args: argparse.Namespace) -> int:
     work_dir = _durable_work_dir(args)
     engine = _engine_for(
@@ -268,6 +296,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # Data-level failure: an undecodable record in the input.
         print(f"repro: sort failed: {exc}", file=sys.stderr)
+        _discard_work(args.work_dir is None, (engine, work_dir))
         return 1
     except (SortError, OSError) as exc:
         return _sort_failure("sort", exc, work_dir)
@@ -411,6 +440,7 @@ def _run_unary_operator(
         # Data-level failure: non-numeric value under sum/avg, ragged
         # rows, undecodable records.
         print(f"repro: {command} failed: {exc}", file=sys.stderr)
+        _discard_work(args.work_dir is None, (engine, work_dir))
         return 1
     except (SortError, OSError) as exc:
         return _sort_failure(command, exc, work_dir)
@@ -496,6 +526,14 @@ def cmd_join(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # Data-level failure: undecodable rows, missing key columns.
         print(f"repro: join failed: {exc}", file=sys.stderr)
+        _discard_work(
+            True, (left_engine, left_work), (right_engine, right_work)
+        )
+        if left_work is not None and args.work_dir is None:
+            try:
+                os.rmdir(os.path.dirname(left_work))
+            except OSError:
+                pass
         return 1
     except (SortError, OSError) as exc:
         return _sort_failure("join", exc, left_work, right_work)

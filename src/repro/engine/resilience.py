@@ -102,6 +102,7 @@ __all__ = [
     "atomic_output",
     "file_crc32",
     "read_marker",
+    "wipe_directory",
     "write_marker",
 ]
 
@@ -205,7 +206,7 @@ def read_marker(path: str) -> Optional[Dict[str, Any]]:
     return payload if isinstance(payload, dict) else None
 
 
-def _wipe_directory(work_dir: str) -> None:
+def wipe_directory(work_dir: str) -> None:
     """Remove every entry inside ``work_dir`` (but keep the directory)."""
     for name in os.listdir(work_dir):
         target = os.path.join(work_dir, name)
@@ -378,7 +379,7 @@ class SortJournal(JsonlLog):
                 f"sort journal; refusing to wipe it — pass an empty or "
                 f"dedicated directory"
             )
-        _wipe_directory(work_dir)
+        wipe_directory(work_dir)
         journal = cls(path)
         journal._open_append()
         journal.append(

@@ -151,6 +151,54 @@ def test_undecodable_line_fails_cleanly(tmp_path, capsys, command, fmt, bad):
     ]
 
 
+@pytest.mark.parametrize(
+    "command,work",
+    [
+        (["sort", "--resume"], "out.txt.sortwork"),
+        (["sort", "--work-dir", "WORK"], None),
+        (["distinct", "--resume"], "out.txt.sortwork"),
+        (["join", "--resume", "IN"], "out.txt.joinwork"),
+    ],
+    ids=["sort-resume", "sort-work-dir", "distinct-resume", "join-resume"],
+)
+def test_data_error_discards_durable_work(tmp_path, capsys, command, work):
+    """A durable attempt stopped by an undecodable line removes what it
+    wrote: the line fails every attempt, so nothing could resume it.  A
+    derived work directory goes; a --work-dir is emptied, not removed."""
+    path = tmp_path / "in.txt"
+    path.write_text("".join(f"{v}\n" for v in range(3000, 0, -1)) + "abc\n")
+    user_work = tmp_path / "work"
+    user_work.mkdir()
+    argv = [
+        arg.replace("WORK", str(user_work)).replace("IN", str(path))
+        for arg in command
+    ]
+    argv += ["--memory", "100", "--block-records", "256", str(path),
+             "-o", str(tmp_path / "out.txt")]
+    for _ in range(2):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: {argv[0]} failed: ")
+        assert "removed the work in" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "work"]
+        assert list(user_work.iterdir()) == []
+
+
+def test_data_error_while_probing_keeps_other_work(tmp_path, capsys):
+    """An error among the records the planner probes comes before this
+    attempt opens its journal, so a work directory there is left alone."""
+    path = tmp_path / "in.txt"
+    path.write_text("5\nabc\n" + "".join(f"{v}\n" for v in range(3000)))
+    work = tmp_path / "out.txt.sortwork"
+    work.mkdir()
+    (work / "sort.journal").write_text("{}\n")
+    argv = ["sort", "--resume", "--memory", "100", "--block-records", "256",
+            str(path), "-o", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    assert "removed the work" not in capsys.readouterr().err
+    assert [p.name for p in work.iterdir()] == ["sort.journal"]
+
+
 class TestExperimentCommand:
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "fig_9_9"]) == 2
