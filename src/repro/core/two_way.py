@@ -61,6 +61,7 @@ Appendix A backwards file format.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -71,7 +72,7 @@ from repro.core.heuristics import (
     make_input_heuristic,
     make_output_heuristic,
 )
-from repro.core.input_buffer import LIMIT_REACHED, InputBuffer
+from repro.core.input_buffer import LIMIT_REACHED, InputBuffer, _discard
 from repro.core.streams import RunStreams
 from repro.core.victim_buffer import VictimBuffer, VictimPhase
 from repro.heaps import (
@@ -144,11 +145,14 @@ class _LiveContext:
     """The heuristics' view of a running generation (Section 4.2).
 
     One instance serves every routing decision of a ``_RunState``: each
-    attribute reads the live state when a heuristic asks for it, so a
+    attribute reads the state when a heuristic asks for it, so a
     decision costs no allocation and heuristics that ignore a field
-    never compute it.  The distribution statistics come from the input
-    buffer, which memoizes them per generation.  It offers the same
-    attributes as :class:`~repro.core.heuristics.HeuristicContext`.
+    never compute it.  Heap sizes and heads come straight from the heap
+    lists; the output counters, the first output and the input buffer's
+    position are what :meth:`_RunState.run` stored before the decision.
+    The distribution statistics come from the input buffer, which
+    memoizes them per generation.  It offers the same attributes as
+    :class:`~repro.core.heuristics.HeuristicContext`.
     """
 
     __slots__ = ("rng", "_state")
@@ -211,6 +215,11 @@ class _RunState:
     Every heap operation is charged ``runs.base.log_cost`` of the heap
     size, computed inline as the exact integer ``(n - 1).bit_length()``
     (at least 1).
+
+    While :meth:`run` loops, the per-run state lives in its locals; the
+    attributes here hold what a heuristic can read through the context
+    (``outputs_top``, ``outputs_bottom``, ``first_output``), which the
+    loop stores before every decision.
     """
 
     def __init__(
@@ -236,18 +245,9 @@ class _RunState:
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
-        self.last_top: Optional[Any] = None
-        self.last_bottom: Optional[Any] = None
         self.first_output: Optional[Any] = None
         self.outputs_top = 0
         self.outputs_bottom = 0
-        self.bottom_ceiling: Optional[Any] = None  # None = +inf
-        self.top_floor: Optional[Any] = None  # None = -inf
-        # Range trackers for records already routed to the *next* run:
-        # keeping next-run bottom records below next-run top records is
-        # what lets the following run start from a clean frontier.
-        self.next_bottom_max: Optional[Any] = None
-        self.next_top_min: Optional[Any] = None
 
     # -- helpers ---------------------------------------------------------------
 
@@ -298,115 +298,41 @@ class _RunState:
             tag, value = pop(src)
             push(dst, (-tag, value))
 
-    def top_releasable(self, value: Any) -> bool:
-        """Can ``value`` legally extend stream 1 right now?"""
-        if self.last_top is not None and value < self.last_top:
-            return False
-        return self.top_floor is None or value >= self.top_floor
-
-    def bottom_releasable(self, value: Any) -> bool:
-        """Can ``value`` legally extend stream 4 right now?"""
-        if self.last_bottom is not None and value > self.last_bottom:
-            return False
-        return self.bottom_ceiling is None or value <= self.bottom_ceiling
-
-    def _commit_middle(self, to3: List[Any], to2: List[Any]) -> None:
-        """Route a victim flush to streams 3 and 2, updating frontiers."""
-        self.streams.stream3.extend(to3)
-        self.streams.stream2.extend(to2)
-        committed = to3 + to2
-        if not committed:
-            return
-        low = min(committed)
-        high = max(committed)
-        if self.bottom_ceiling is None or low < self.bottom_ceiling:
-            self.bottom_ceiling = low
-        if self.top_floor is None or high > self.top_floor:
-            self.top_floor = high
-        self.stats.cpu_ops += self.victim.cpu_ops
-        self.victim.cpu_ops = 0
-
-    def release_top(self, value: Any) -> None:
-        self.streams.stream1.append(value)
-        self.last_top = value
-        self.outputs_top += 1
-        if self.bottom_ceiling is None or value < self.bottom_ceiling:
-            self.bottom_ceiling = value
-
-    def release_bottom(self, value: Any) -> None:
-        self.streams.stream4.append(value)
-        self.last_bottom = value
-        self.outputs_bottom += 1
-        if self.top_floor is None or value > self.top_floor:
-            self.top_floor = value
-
-    # -- main loop --------------------------------------------------------------
-
-    def run(self) -> Iterator[RunStreams]:
-        self._fill_heaps()
-        # From here on the trackers describe run 1 (the next run); the
-        # fill used them for run 0's contents.
-        self.next_bottom_max = None
-        self.next_top_min = None
-        top, bottom = self.top, self.bottom
-        while top or bottom:
-            run = self.current_run
-            top_ready = bool(top) and top[0][0] == run
-            bottom_ready = bool(bottom) and bottom[0][0] == -run
-
-            if not top_ready and not bottom_ready:
-                # doubleHeap.nextRun: everything in memory belongs to the
-                # next run; close out the current one.
-                finished = self._finish_run()
-                if finished is not None:
-                    yield finished
-                continue
-
-            released = self._output_step(top_ready, bottom_ready)
-            if released:
-                self._read_step()
-
-        finished = self._finish_run(final=True)
-        if finished is not None:
-            yield finished
-
-    def _route_disjoint(self, value: Any) -> Side:
-        """Pick a heap for a record without an output-order constraint.
-
-        Used while filling the heaps and when demoting records to the
-        next run.  A record may be placed in either heap only while that
-        keeps the BottomHeap's range below the TopHeap's (Section 4.1:
-        the four stream ranges "do not overlap pairwise"); the input
-        heuristic decides inside the gap between the heaps, exactly the
-        "can be inserted into both heaps" case of Section 4.2.
-        """
-        can_bottom = self.next_top_min is None or value <= self.next_top_min
-        can_top = self.next_bottom_max is None or value >= self.next_bottom_max
-        if can_bottom and can_top:
-            side = self.input_heuristic.choose(value, self.context)
-        elif can_bottom:
-            side = Side.BOTTOM
-        else:
-            side = Side.TOP
-        if side is Side.BOTTOM:
-            if self.next_bottom_max is None or value > self.next_bottom_max:
-                self.next_bottom_max = value
-        else:
-            if self.next_top_min is None or value < self.next_top_min:
-                self.next_top_min = value
-        return side
-
     def _fill_heaps(self) -> None:
-        """doubleHeap.fill: route the first records through the heuristic."""
-        top, bottom = self.top, self.bottom
+        """doubleHeap.fill: route the first records through the heuristic.
+
+        A record may go to either heap only while that keeps the
+        BottomHeap's range below the TopHeap's (Section 4.1: the four
+        stream ranges "do not overlap pairwise"); the input heuristic
+        decides inside the gap between the heaps, exactly the "can be
+        inserted into both heaps" case of Section 4.2.  :meth:`run`
+        routes records it demotes to the next run by the same rule.
+        """
+        top, bottom, source = self.top, self.bottom, self.source
+        choose = self.input_heuristic.choose
+        bottom_max: Optional[Any] = None
+        top_min: Optional[Any] = None
         while len(top) + len(bottom) < self.capacity:
-            value = self.source.next()
+            value = source.next()
             if value is None:
                 break
             self.stats.records_in += 1
             if type(value) not in self.key_types:
                 self.see_key_type(value)
-            self.push(self._route_disjoint(value), 0, value)
+            can_bottom = top_min is None or value <= top_min
+            can_top = bottom_max is None or value >= bottom_max
+            if can_bottom and can_top:
+                side = choose(value, self.context)
+            elif can_bottom:
+                side = Side.BOTTOM
+            else:
+                side = Side.TOP
+            if side is Side.BOTTOM:
+                if bottom_max is None or value > bottom_max:
+                    bottom_max = value
+            elif top_min is None or value < top_min:
+                top_min = value
+            self.push(side, 0, value)
 
     def _finish_run(self, final: bool = False) -> Optional[RunStreams]:
         """Flush the victim, emit the run, and reset per-run state."""
@@ -430,129 +356,325 @@ class _RunState:
             self.rebalance()
         return finished
 
-    def _output_step(self, top_ready: bool, bottom_ready: bool) -> bool:
-        """Pop one record and place it somewhere.
+    # -- main loop --------------------------------------------------------------
 
-        Returns True when the pop freed memory (stream release, victim
-        initial fill, or victim capture) so the caller reads one input
-        record; False when the record merely moved between heaps
-        (migration or demotion).
+    def run(self) -> Iterator[RunStreams]:
+        """Algorithm 2: pop a heap, place the record, read one, route it.
+
+        Each turn of the loop pops the current-run record of one heap
+        (the output heuristic picks when both hold one) and places it:
+
+        * during the victim's initial fill, into the victim;
+        * on its own heap's stream when it extends it;
+        * into the other heap when that side can still release it
+          (a migration: nothing is freed, so nothing is read);
+        * into the victim when it falls inside the victim's gap;
+        * otherwise into the next run (a demotion, which reads nothing
+          either).
+
+        Whenever the pop freed memory, one input record is read: the
+        victim takes it, and the block of in-range records behind it
+        (``InputBuffer.drain``), when it falls inside the gap; the
+        current run takes it in a heap that can release it, the input
+        heuristic choosing when both can; otherwise it is demoted.
+
+        "Releasable" is judged against the frontiers of the module
+        docstring (``bottom_ceiling``, ``top_floor``) and the stream's
+        last release.  ``next_bottom_max`` / ``next_top_min`` track the
+        records already demoted, keeping the next run's bottom records
+        below its top records so it starts from a clean frontier.
+
+        All of this state, the input buffer's included, lives in locals;
+        the queue advances exactly as ``InputBuffer.next`` would advance
+        it.  Before each heuristic decision the loop stores what the
+        context reads (the output counters, the first output, the input
+        buffer's generation and running sum) and afterwards reloads what
+        the statistics may have started (the running sum and the sorted
+        mirror).  The rare events -- a victim flush, the drain and a run
+        end -- store the locals they touch and reload them after.
         """
-        if top_ready and bottom_ready:
-            out_side = self.output_heuristic.choose(self.context)
-        elif top_ready:
-            out_side = Side.TOP
-        else:
-            out_side = Side.BOTTOM
-        if out_side is Side.TOP:
-            heap, pop = self.top, self.pop_top
-        else:
-            heap, pop = self.bottom, self.pop_bottom
-        self.stats.cpu_ops += (len(heap) - 1).bit_length() or 1
-        value = pop(heap)[1]
-        if self.first_output is None:
-            self.first_output = value
-
-        if self.victim.phase is VictimPhase.INITIAL_FILL:
-            # The run's first outputs establish the victim's range; any
-            # record is welcome here because the flush sorts and splits.
-            if out_side is Side.TOP:
-                self.last_top = value
-                self.outputs_top += 1
-            else:
-                self.last_bottom = value
-                self.outputs_bottom += 1
-            self.victim.add_initial(value)
-            if len(self.victim) >= self.victim.capacity:
-                to3, to2 = self.victim.flush_initial()
-                self._commit_middle(to3, to2)
-            return True
-
-        if out_side is Side.TOP and self.top_releasable(value):
-            self.release_top(value)
-            return True
-        if out_side is Side.BOTTOM and self.bottom_releasable(value):
-            self.release_bottom(value)
-            return True
-
-        # The record cannot extend its own stream: migrate it to the
-        # other heap when that side can still release it...
-        other = out_side.other
-        other_ok = (
-            self.top_releasable(value)
-            if other is Side.TOP
-            else self.bottom_releasable(value)
-        )
-        if other_ok:
-            self.push(other, self.current_run, value)
-            return False
-        # ...or capture it in the victim's gap...
-        if self.victim.fits(value):
-            self.victim.add(value)
-            if self.victim.is_full:
-                to3, to2 = self.victim.flush_full()
-                self._commit_middle(to3, to2)
-            return True
-        # ...or concede it to the next run.
-        self.push(self._route_disjoint(value), self.current_run + 1, value)
-        return False
-
-    def _read_step(self) -> None:
-        """Read one input record, letting the victim drink its fill.
-
-        The first record is tested against the victim's range inline;
-        only once one fits does the input buffer drain the following
-        in-range records straight into the victim, a block at a time
-        (``InputBuffer.drain``, exactly equivalent to reading them one
-        by one).  On random input the victim rarely takes a record, so
-        the common path costs one range test.
-        """
-        source, victim, stats = self.source, self.victim, self.stats
-        value = source.next()
-        if value is None:
-            return
-        stats.records_in += 1
-        bounds = victim.valid_range
-        while bounds is not None and bounds[0] <= value <= bounds[1]:
-            held = victim.held
-            held.append(value)
-            before = len(held)
-            value = source.drain(
-                held, bounds[0], bounds[1], victim.capacity - before
-            )
-            stats.records_in += len(held) - before
-            if value is LIMIT_REACHED:
-                self._commit_middle(*victim.flush_full())
-                bounds = victim.valid_range
-                value = source.next()
-            if value is None:
-                return
-            stats.records_in += 1
-
-        if type(value) not in self.key_types:
-            self.see_key_type(value)
-        top_eligible = self.top_releasable(value)
-        bottom_eligible = self.bottom_releasable(value)
-        if top_eligible and bottom_eligible:
-            in_side = self.input_heuristic.choose(value, self.context)
-            run = self.current_run
-        elif top_eligible:
-            in_side = Side.TOP
-            run = self.current_run
-        elif bottom_eligible:
-            in_side = Side.BOTTOM
-            run = self.current_run
-        else:
-            # Fits neither heap nor victim: next run.
-            in_side = self._route_disjoint(value)
-            run = self.current_run + 1
-        # self.push, inlined (one call less on every record read).
+        self._fill_heaps()
         top, bottom = self.top, self.bottom
-        if len(top) + len(bottom) >= self.capacity:
-            raise HeapFullError(f"2WRS heaps are at capacity {self.capacity}")
-        if in_side is Side.TOP:
-            stats.cpu_ops += len(top).bit_length() or 1
-            heappush(top, (run, value))
-        else:
-            stats.cpu_ops += len(bottom).bit_length() or 1
-            _push_max(bottom, (-run, value))
+        pop_top, pop_bottom = self.pop_top, self.pop_bottom
+        key_types = self.key_types
+        stats, source, victim = self.stats, self.source, self.victim
+        context = self.context
+        choose_input = self.input_heuristic.choose
+        choose_output = self.output_heuristic.choose
+        TOP = Side.TOP
+        cpu_ops, records_in = stats.cpu_ops, stats.records_in
+
+        queue = source._queue
+        popleft, enqueue = queue.popleft, queue.append
+        pull = source._stream.__next__
+        remember = source._shadow.append
+        mirror, total = source._sorted_queue, source._queue_sum
+        generation, read = source.generation, source.records_read
+        exhausted = source._exhausted
+
+        victim_capacity = victim.capacity
+        held = victim.held
+        filling = victim.phase is VictimPhase.INITIAL_FILL
+        flush = False
+        bounds = victim.valid_range
+        low = high = None
+
+        run = self.current_run
+        streams = self.streams
+        stream1, stream2 = streams.stream1, streams.stream2
+        stream3, stream4 = streams.stream3, streams.stream4
+        last_top: Optional[Any] = None
+        last_bottom: Optional[Any] = None
+        first_output: Optional[Any] = None
+        outputs_top = outputs_bottom = 0
+        bottom_ceiling: Optional[Any] = None
+        top_floor: Optional[Any] = None
+        next_bottom_max: Optional[Any] = None
+        next_top_min: Optional[Any] = None
+        demoted = False
+
+        while True:
+            # -- output step: pop a current-run record.
+            if top and top[0][0] == run:
+                if bottom and bottom[0][0] == -run:
+                    self.outputs_top, self.outputs_bottom = outputs_top, outputs_bottom
+                    self.first_output = first_output
+                    source.generation, source._queue_sum = generation, total
+                    out_top = choose_output(context) is TOP
+                    mirror, total = source._sorted_queue, source._queue_sum
+                else:
+                    out_top = True
+            elif bottom and bottom[0][0] == -run:
+                out_top = False
+            elif top or bottom:
+                # doubleHeap.nextRun: everything in memory belongs to
+                # the next run; close out the current one.
+                stats.cpu_ops, stats.records_in = cpu_ops, records_in
+                source.generation, source.records_read = generation, read
+                source._queue_sum, source._exhausted = total, exhausted
+                finished = self._finish_run()
+                cpu_ops = stats.cpu_ops
+                run = self.current_run
+                streams = self.streams
+                stream1, stream2 = streams.stream1, streams.stream2
+                stream3, stream4 = streams.stream3, streams.stream4
+                held = victim.held
+                filling = victim.phase is VictimPhase.INITIAL_FILL
+                bounds = victim.valid_range
+                last_top = last_bottom = first_output = None
+                outputs_top = outputs_bottom = 0
+                bottom_ceiling = top_floor = None
+                next_bottom_max = next_top_min = None
+                if finished is not None:
+                    yield finished
+                continue
+            else:
+                break
+            if out_top:
+                cpu_ops += (len(top) - 1).bit_length() or 1
+                value = pop_top(top)[1]
+            else:
+                cpu_ops += (len(bottom) - 1).bit_length() or 1
+                value = pop_bottom(bottom)[1]
+            if first_output is None:
+                first_output = value
+
+            # -- place the popped record.
+            if filling:
+                # The run's first outputs establish the victim's range;
+                # any record is welcome here because the flush sorts
+                # and splits.
+                if out_top:
+                    last_top = value
+                    outputs_top += 1
+                else:
+                    last_bottom = value
+                    outputs_bottom += 1
+                held.append(value)
+                flush = len(held) >= victim_capacity
+            elif (
+                out_top
+                and (last_top is None or not value < last_top)
+                and (top_floor is None or value >= top_floor)
+            ):
+                stream1.append(value)
+                last_top = value
+                outputs_top += 1
+                if bottom_ceiling is None or value < bottom_ceiling:
+                    bottom_ceiling = value
+            elif (
+                not out_top
+                and (last_bottom is None or not value > last_bottom)
+                and (bottom_ceiling is None or value <= bottom_ceiling)
+            ):
+                stream4.append(value)
+                last_bottom = value
+                outputs_bottom += 1
+                if top_floor is None or value > top_floor:
+                    top_floor = value
+            # The record cannot extend its own stream: migrate it to the
+            # other heap when that side can still release it...
+            elif out_top and (
+                (last_bottom is None or not value > last_bottom)
+                and (bottom_ceiling is None or value <= bottom_ceiling)
+            ):
+                cpu_ops += len(bottom).bit_length() or 1
+                _push_max(bottom, (-run, value))
+                continue
+            elif not out_top and (
+                (last_top is None or not value < last_top)
+                and (top_floor is None or value >= top_floor)
+            ):
+                cpu_ops += len(top).bit_length() or 1
+                heappush(top, (run, value))
+                continue
+            # ...or capture it in the victim's gap...
+            elif bounds is not None and low <= value <= high:
+                held.append(value)
+                flush = len(held) >= victim_capacity
+            # ...or concede it to the next run.  A migration or a
+            # demotion frees no memory, so neither reads a record.
+            else:
+                demoted = True
+
+            if not demoted:
+                # -- read step: the victim flushes first when full, then
+                # takes the record read and the in-range records behind
+                # it; the first record it does not take is routed.
+                while True:
+                    if flush:
+                        flush = False
+                        if filling:
+                            filling = False
+                            to3, to2 = victim.flush_initial()
+                        else:
+                            to3, to2 = victim.flush_full()
+                        stream3.extend(to3)
+                        stream2.extend(to2)
+                        committed = to3 + to2
+                        if committed:
+                            least, most = min(committed), max(committed)
+                            if bottom_ceiling is None or least < bottom_ceiling:
+                                bottom_ceiling = least
+                            if top_floor is None or most > top_floor:
+                                top_floor = most
+                            cpu_ops += victim.cpu_ops
+                            victim.cpu_ops = 0
+                        held = victim.held
+                        bounds = victim.valid_range
+                        if bounds is not None:
+                            low, high = bounds
+                    # InputBuffer.next
+                    if queue:
+                        value = popleft()
+                        if mirror is not None:
+                            _discard(mirror, value)
+                        if total is not None:
+                            total -= value
+                        if exhausted:
+                            generation += 1
+                        else:
+                            try:
+                                refill = pull()
+                            except StopIteration:
+                                exhausted = True
+                                generation += 1
+                            else:
+                                read += 1
+                                remember(refill)
+                                generation += 2
+                                enqueue(refill)
+                                if mirror is not None:
+                                    insort(mirror, refill)
+                                if total is not None:
+                                    total += refill
+                    elif exhausted:
+                        value = None
+                        break
+                    else:
+                        try:
+                            value = pull()
+                        except StopIteration:
+                            exhausted = True
+                            value = None
+                            break
+                        read += 1
+                        remember(value)
+                        generation += 1
+                    records_in += 1
+                    if bounds is not None and low <= value <= high:
+                        held.append(value)
+                        before = len(held)
+                        source.generation, source.records_read = generation, read
+                        source._queue_sum, source._exhausted = total, exhausted
+                        value = source.drain(
+                            held, low, high, victim_capacity - before
+                        )
+                        generation, read = source.generation, source.records_read
+                        total, exhausted = source._queue_sum, source._exhausted
+                        records_in += len(held) - before
+                        if value is LIMIT_REACHED:
+                            flush = True
+                            continue
+                        if value is not None:
+                            records_in += 1
+                    break
+                if value is None:
+                    continue
+
+                if type(value) not in key_types:
+                    self.see_key_type(value)
+                    pop_top, pop_bottom = self.pop_top, self.pop_bottom
+                to_top = (last_top is None or not value < last_top) and (
+                    top_floor is None or value >= top_floor
+                )
+                to_bottom = (last_bottom is None or not value > last_bottom) and (
+                    bottom_ceiling is None or value <= bottom_ceiling
+                )
+                if to_top or to_bottom:
+                    if to_top and to_bottom:
+                        self.outputs_top = outputs_top
+                        self.outputs_bottom = outputs_bottom
+                        self.first_output = first_output
+                        source.generation, source._queue_sum = generation, total
+                        to_top = choose_input(value, context) is TOP
+                        mirror, total = source._sorted_queue, source._queue_sum
+                    if to_top:
+                        cpu_ops += len(top).bit_length() or 1
+                        heappush(top, (run, value))
+                    else:
+                        cpu_ops += len(bottom).bit_length() or 1
+                        _push_max(bottom, (-run, value))
+                    continue
+                # Fits neither heap nor victim: next run.
+
+            # -- demotion: route the record to the next run (the rule of
+            # _fill_heaps), from the output step or the read step.
+            demoted = False
+            can_bottom = next_top_min is None or value <= next_top_min
+            can_top = next_bottom_max is None or value >= next_bottom_max
+            if can_bottom and can_top:
+                self.outputs_top, self.outputs_bottom = outputs_top, outputs_bottom
+                self.first_output = first_output
+                source.generation, source._queue_sum = generation, total
+                to_top = choose_input(value, context) is TOP
+                mirror, total = source._sorted_queue, source._queue_sum
+            else:
+                to_top = not can_bottom
+            if to_top:
+                if next_top_min is None or value < next_top_min:
+                    next_top_min = value
+                cpu_ops += len(top).bit_length() or 1
+                heappush(top, (run + 1, value))
+            else:
+                if next_bottom_max is None or value > next_bottom_max:
+                    next_bottom_max = value
+                cpu_ops += len(bottom).bit_length() or 1
+                _push_max(bottom, (-run - 1, value))
+
+        stats.cpu_ops, stats.records_in = cpu_ops, records_in
+        source.generation, source.records_read = generation, read
+        source._queue_sum, source._exhausted = total, exhausted
+        finished = self._finish_run(final=True)
+        if finished is not None:
+            yield finished
