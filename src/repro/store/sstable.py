@@ -5,15 +5,19 @@ what the sort engine spills — RBLC blocks (DESIGN.md §15) of
 length-prefixed ``(key_bytes, meta_bytes)`` records written by
 :class:`~repro.engine.block_io.BlockWriter` through the ``open_bytes``
 fault seam, each carrying the CRC-32 of its stored bytes — followed by
-a columnar *sparse index* and a fixed 24-byte footer whose magic is the
-last thing written.  File layout::
+a *key filter*, a columnar *sparse index* and a fixed 24-byte footer
+whose magic is the last thing written.  File layout::
 
-    [block 0][block 1]...[block N-1][index body][footer]
+    [block 0][block 1]...[block N-1][filter][index body][footer]
+    filter = records x fingerprint u16, in key order
     index  = version u16 | records u64 | max_seqno u64 | codec u8
-             | N u32 | N x offset u64 | N x key_end u32
+             | block_records u32 | filter_offset u64 | filter_count u64
+             | filter_crc u32 | N u32 | N x offset u64 | N x key_end u32
              | first keys, concatenated | min_key | max_key
     footer = index_offset u64 | index_len u32 | index_crc u32 | magic 8s
 
+A key's fingerprint is the low 16 bits of its CRC-32, so block ``i``'s
+fingerprints are ``filter[i * block_records : (i + 1) * block_records]``.
 ``key_end`` is the cumulative end of each block's first key inside the
 concatenated keys, and each bound is ``len u32 | key``.  Tables hold
 :data:`DEFAULT_TABLE_BLOCK_RECORDS` records per block by default —
@@ -23,10 +27,13 @@ whole block to find one key.
 A reader opens by parsing footer + index (CRC-checked) and then
 serves:
 
-* ``lookup(key)`` — binary search the block first-keys, seek, read
-  *one* block through the same corruption-checked parser the merge
-  path uses (:func:`~repro.engine.block_io.read_framed_block`), binary
-  search inside it.  Two reads per point lookup, both block-aligned.
+* ``lookup(key)`` — binary search the block first-keys, then test the
+  key's fingerprint against that block's slice of the filter (loaded
+  and CRC-checked on the first lookup, never at open).  A key whose
+  fingerprint is absent is absent; only otherwise is *one* block read
+  through the same corruption-checked parser the merge path uses
+  (:func:`~repro.engine.block_io.read_framed_block`) and binary
+  searched.
 * ``entries(start, end)`` — block-at-a-time ordered scan from the
   first covering block.  The yielded tuples go straight into
   ``kway_merge`` heaps and LWW grouping without any per-record decode
@@ -46,7 +53,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.block_io import (
@@ -64,6 +72,7 @@ __all__ = [
     "TABLE_VERSION",
     "TableInfo",
     "SSTableReader",
+    "fingerprint",
     "write_table",
 ]
 
@@ -76,7 +85,9 @@ SSTABLE_MAGIC = b"RSSTIDX1"
 #: every other codec's (version 1 used a separate uncompressed framing).
 #: Version 3: the sparse index is columnar (offsets, key ends, keys)
 #: instead of interleaved ``offset | len | key`` entries.
-TABLE_VERSION = 3
+#: Version 4: a key-fingerprint filter sits between the data blocks and
+#: the index, and the index records where it is and the block size.
+TABLE_VERSION = 4
 
 #: Records per SSTable data block.  A point lookup decodes its whole
 #: block, so tables use far smaller blocks than the sort engine's
@@ -86,8 +97,9 @@ DEFAULT_TABLE_BLOCK_RECORDS = 128
 #: index_offset, index_len, index_crc, magic.
 _FOOTER = struct.Struct(">QII8s")
 
-#: version, record count, max seqno, codec id, block count.
-_INDEX_FIXED = struct.Struct(">HQQBI")
+#: version, record count, max seqno, codec id, records per block,
+#: filter offset, filter count, filter CRC, block count.
+_INDEX_FIXED = struct.Struct(">HQQBIQQII")
 
 _U32 = struct.Struct(">I")
 
@@ -96,6 +108,30 @@ _OFFSET_TYPE = "Q"
 _KEY_END_TYPE = "I"
 assert array(_OFFSET_TYPE).itemsize == 8
 assert array(_KEY_END_TYPE).itemsize == 4
+
+#: Typecodes of a block's CRC-32s and of the filter's fingerprints.
+_CRC_TYPE = "I"
+_FINGERPRINT_TYPE = "H"
+assert array(_CRC_TYPE).itemsize == 4
+assert array(_FINGERPRINT_TYPE).itemsize == 2
+
+#: Where the low half of each native u32 sits when its bytes are read
+#: as two u16s: the fingerprints of a block are every other u16.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+
+
+def fingerprint(key: bytes) -> int:
+    """The key filter's fingerprint of ``key``: the low 16 bits of its
+    CRC-32."""
+    return zlib.crc32(key) & 0xFFFF
+
+
+def _block_fingerprints(keys: Iterable[bytes]) -> array:
+    """The fingerprints of one block's keys, with no per-key Python
+    code: C ``crc32`` over the keys, then the low half of each u32."""
+    crcs = array(_CRC_TYPE, map(zlib.crc32, keys))
+    return array(_FINGERPRINT_TYPE, crcs.tobytes())[_LOW_HALF::2]
+
 
 @dataclass(frozen=True)
 class TableInfo:
@@ -128,41 +164,54 @@ def write_table(
 
     The caller guarantees order and key uniqueness (the memtable is a
     dict; compaction dedups) — this function only *samples* the stream
-    for the sparse index, it never inspects entry contents beyond
-    ``entry[0]``.  Raises :class:`ValueError` on an empty stream:
-    empty tables have no key range and callers must skip them instead
+    for the sparse index and fingerprints every key for the filter, it
+    never inspects entry contents beyond ``entry[0]``.  Raises
+    :class:`ValueError` on an empty stream: empty tables have no key
+    range and callers must skip them instead
     (a compaction in which every record annihilates appends a
     manifest entry with no output file).
     """
     codec = validate_codec(codec)
     offsets: List[int] = []
     first_keys: List[bytes] = []
+    fingerprints = array(_FINGERPRINT_TYPE)
     last_key = b""
+    count = 0
+    source = iter(entries)
     handle = open_bytes(path, "w")
     try:
         writer = BlockWriter(handle, STORE_FORMAT, block_records, codec)
-        count = 0
-        for entry in entries:
-            if count % block_records == 0:
-                # BlockWriter auto-flushes exactly at block_records, so
-                # disk_bytes here is the byte offset this block starts
-                # at — the sparse index costs no extra buffering.
-                offsets.append(writer.disk_bytes)
-                first_keys.append(entry[0])
-            writer.write(entry)
-            last_key = entry[0]
-            count += 1
+        while True:
+            block = list(islice(source, block_records))
+            if not block:
+                break
+            # BlockWriter flushes exactly at block_records, so
+            # disk_bytes here is the byte offset this block starts at.
+            offsets.append(writer.disk_bytes)
+            first_keys.append(block[0][0])
+            last_key = block[-1][0]
+            fingerprints.extend(
+                _block_fingerprints(map(itemgetter(0), block))
+            )
+            writer.write_all(block)
+            count += len(block)
         writer.flush()
         if count == 0:
             raise ValueError(
                 f"refusing to write empty sstable {path!r}: an empty "
                 f"table has no key range; skip it instead"
             )
-        index_offset = writer.disk_bytes
+        filter_offset = writer.disk_bytes
+        if sys.byteorder == "little":
+            fingerprints.byteswap()
+        filter_body = fingerprints.tobytes()
+        filter_crc = zlib.crc32(filter_body)
+        index_offset = filter_offset + len(filter_body)
         blocks = len(offsets)
         index_body = b"".join([
             _INDEX_FIXED.pack(
-                TABLE_VERSION, count, max_seqno, CODEC_IDS[codec], blocks
+                TABLE_VERSION, count, max_seqno, CODEC_IDS[codec],
+                block_records, filter_offset, count, filter_crc, blocks,
             ),
             struct.pack(f">{blocks}Q", *offsets),
             struct.pack(f">{blocks}I", *accumulate(map(len, first_keys))),
@@ -176,6 +225,7 @@ def write_table(
             index_offset, len(index_body), zlib.crc32(index_body),
             SSTABLE_MAGIC,
         )
+        handle.write(filter_body)
         handle.write(index_body)
         handle.write(footer)
         handle.flush()
@@ -183,10 +233,11 @@ def write_table(
             os.fsync(handle.fileno())
     finally:
         handle.close()
+    file_crc = zlib.crc32(filter_body, writer.file_crc)
     return TableInfo(
         path=path,
         records=count,
-        crc32=zlib.crc32(footer, zlib.crc32(index_body, writer.file_crc)),
+        crc32=zlib.crc32(footer, zlib.crc32(index_body, file_crc)),
         min_key=first_keys[0],
         max_key=last_key,
         max_seqno=max_seqno,
@@ -200,8 +251,9 @@ class SSTableReader:
     Opening parses and CRC-checks the footer + sparse index; anything
     structurally wrong raises :class:`StoreError` naming the file.
     Every data block's CRC is verified on read (through
-    :func:`read_framed_block`) — a point lookup that lands on a
-    bit-flipped block fails loudly, never returns garbage.
+    :func:`read_framed_block`) and the key filter's on its first load —
+    a point lookup that lands on a bit-flipped block or filter fails
+    loudly, never returns garbage or a false "absent".
     """
 
     def __init__(self, path: str) -> None:
@@ -249,20 +301,25 @@ class SSTableReader:
                 f"says {want_crc:08x}, bytes hash to {got_crc:08x}) — "
                 f"the index was corrupted on disk"
             )
+        # The version comes first on its own: an older table's fixed
+        # header is shorter than this version's.
+        if len(body) >= 2:
+            (version,) = struct.unpack_from(">H", body)
+            if version != TABLE_VERSION:
+                raise StoreError(
+                    f"sstable {path!r} has index version {version}, this "
+                    f"build reads version {TABLE_VERSION}"
+                )
         try:
-            version, records, max_seqno, codec_id, n_blocks = (
-                _INDEX_FIXED.unpack_from(body, 0)
-            )
+            (
+                _, records, max_seqno, codec_id, block_records,
+                filter_offset, filter_count, filter_crc, n_blocks,
+            ) = _INDEX_FIXED.unpack_from(body, 0)
         except struct.error:
             raise StoreError(
                 f"sstable {path!r} index body is {len(body)} bytes — too "
                 f"short for its fixed header"
             ) from None
-        if version != TABLE_VERSION:
-            raise StoreError(
-                f"sstable {path!r} has index version {version}, this "
-                f"build reads version {TABLE_VERSION}"
-            )
         codec = CODEC_NAMES.get(codec_id)
         if codec is None:
             raise StoreError(
@@ -275,6 +332,22 @@ class SSTableReader:
             raise StoreError(
                 f"sstable {path!r} index claims {n_blocks} block(s), "
                 f"which its {len(body)}-byte body cannot hold"
+            )
+        # A lookup slices block i's fingerprints at i * block_records:
+        # a filter that does not line up with the blocks would answer
+        # "absent" for keys that are there.
+        if (
+            block_records < 1
+            or n_blocks != -(-records // block_records)
+            or filter_count != records
+            or filter_offset + 2 * filter_count != index_offset
+        ):
+            raise StoreError(
+                f"sstable {path!r} key filter does not line up with the "
+                f"table: {filter_count} fingerprint(s) at "
+                f"{filter_offset} before the index at {index_offset}, "
+                f"for {records} record(s) in {n_blocks} block(s) of "
+                f"{block_records}"
             )
         offsets = array(_OFFSET_TYPE, body[_INDEX_FIXED.size : ends_at])
         key_ends = array(_KEY_END_TYPE, body[ends_at:keys_at])
@@ -312,8 +385,10 @@ class SSTableReader:
         self.codec = codec
         self.min_key = bounds[0]
         self.max_key = bounds[1]
-        self.data_bytes = index_offset
+        self.data_bytes = filter_offset
         self._offsets = offsets
+        self._block_records = block_records
+        self._filter_crc = filter_crc
 
     @cached_property
     def _first_keys(self) -> List[bytes]:
@@ -323,6 +398,32 @@ class SSTableReader:
         keys = self._keys
         ends = self._key_ends
         return [keys[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+    @cached_property
+    def fingerprints(self) -> array:
+        """Every key's fingerprint, in key order, read and CRC-checked
+        on first use: opening a table never reads its filter."""
+        handle = self._handle
+        assert handle is not None, "reader is closed"
+        size = 2 * self.records
+        handle.seek(self.data_bytes)
+        body = handle.read(size)
+        if len(body) != size:
+            raise StoreError(
+                f"sstable {self.path!r} key filter is truncated: "
+                f"{len(body)} of {size} bytes at offset {self.data_bytes}"
+            )
+        got_crc = zlib.crc32(body)
+        if got_crc != self._filter_crc:
+            raise StoreError(
+                f"sstable {self.path!r} key filter failed its checksum "
+                f"(index says {self._filter_crc:08x}, bytes hash to "
+                f"{got_crc:08x}) — the filter was corrupted on disk"
+            )
+        fingerprints = array(_FINGERPRINT_TYPE, body)
+        if sys.byteorder == "little":
+            fingerprints.byteswap()
+        return fingerprints
 
     def close(self) -> None:
         if self._handle is not None:
@@ -364,6 +465,11 @@ class SSTableReader:
             return None
         index = bisect_right(self._first_keys, want) - 1
         if index < 0:
+            return None
+        start = index * self._block_records
+        if fingerprint(want) not in self.fingerprints[
+            start : start + self._block_records
+        ]:
             return None
         block = self._block_at(index)
         # ``(want,)`` compares less than ``(want, meta)`` — bisect finds

@@ -70,6 +70,7 @@ from repro.store.sstable import (
     DEFAULT_TABLE_BLOCK_RECORDS,
     TABLE_VERSION,
     SSTableReader,
+    fingerprint,
     write_table,
 )
 from repro.store.wal import WalWriter, replay_wal
@@ -651,7 +652,8 @@ class Store:
         Re-hashes each table's bytes against the manifest CRC
         (:func:`artifact_valid` — the same check a resumed sort runs on
         survivors), then walks every block checking framing CRCs, key
-        order, uniqueness and record counts.  Raises
+        order, uniqueness, record counts and that the key filter holds
+        each key's fingerprint.  Raises
         :class:`StoreError` on the first discrepancy.
         """
         self._check_open()
@@ -666,6 +668,7 @@ class Store:
                     f"disk since the flush/compaction that wrote it"
                 )
             reader = self._readers[name]
+            fingerprints = reader.fingerprints
             count = 0
             previous: Optional[bytes] = None
             for entry in reader.entries():
@@ -673,6 +676,14 @@ class Store:
                     raise StoreError(
                         f"table {name!r} keys are not strictly "
                         f"increasing at record {count}"
+                    )
+                if (
+                    count >= len(fingerprints)
+                    or fingerprint(entry[0]) != fingerprints[count]
+                ):
+                    raise StoreError(
+                        f"table {name!r} key filter disagrees with its "
+                        f"keys at record {count}"
                     )
                 previous = entry[0]
                 count += 1

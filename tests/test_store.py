@@ -11,12 +11,13 @@ modes and the single-writer lock.  Crash/fault scenarios live in
 import os
 import struct
 import zlib
+from bisect import bisect_right
 
 import pytest
 
 from repro.engine.errors import ManifestError, SortError, StoreError
 from repro.engine.resilience import artifact_valid
-from repro.store import Store
+from repro.store import Store, sstable
 from repro.store.format import (
     META_PREFIX,
     PUT,
@@ -258,21 +259,21 @@ class TestSSTable:
         with open(path, "wb") as handle:
             handle.write(bytes(data))
 
-    @pytest.mark.parametrize("old_version", [1, 2])
+    @pytest.mark.parametrize("old_version", [1, 2, 3])
     def test_older_table_version_rejected(self, tmp_path, old_version):
-        """Version 1 framed codec-none blocks differently and version 2
-        interleaved the sparse index; a table whose (intact,
-        re-checksummed) index claims an older version is refused by
-        name instead of misread."""
+        """Version 1 framed codec-none blocks differently, version 2
+        interleaved the sparse index and version 3 had no key filter; a
+        table whose (intact, re-checksummed) index claims an older
+        version is refused by name instead of misread."""
         path = str(tmp_path / "t.sst")
         write_table(path, build_entries(10), max_seqno=10)
         self._rewrite_index(
             path,
             lambda data, at: struct.pack_into(">H", data, at, old_version),
         )
-        assert TABLE_VERSION == 3
+        assert TABLE_VERSION == 4
         with pytest.raises(
-            StoreError, match=f"index version {old_version}.*version 3"
+            StoreError, match=f"index version {old_version}.*version 4"
         ):
             SSTableReader(path)
 
@@ -305,8 +306,10 @@ class TestSSTable:
         path = str(tmp_path / "t.sst")
         write_table(path, build_entries(40), max_seqno=40, block_records=8)
         blocks = 5
-        # The fixed header, then one u64 offset per block.
-        ends_at = struct.calcsize(">HQQBI") + 8 * blocks
+        # The fixed header (version, records, max seqno, codec, block
+        # records, filter offset, count and CRC, block count), then one
+        # u64 offset per block.
+        ends_at = struct.calcsize(">HQQBIQQII") + 8 * blocks
 
         def patch(data, at):
             ends = list(struct.unpack_from(f">{blocks}I", data, at + ends_at))
@@ -724,6 +727,181 @@ class TestStoreProbes:
                 assert store.get(b"k%03d" % (index % 37)) == b"v%d" % index
 
 
+def fingerprint(key):
+    """The filter's fingerprint, spelled out: the low 16 bits of the
+    key's CRC-32 (the on-disk format)."""
+    return zlib.crc32(key) & 0xFFFF
+
+
+def count_block_reads(monkeypatch):
+    """Count data-block reads: every one goes through the module-level
+    ``sstable.read_framed_block``."""
+    calls = []
+    original = sstable.read_framed_block
+
+    def read_framed_block(*args, **kwargs):
+        calls.append(kwargs["path"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sstable, "read_framed_block", read_framed_block)
+    return calls
+
+
+class TestKeyFilter:
+    """Each table stores a 16-bit fingerprint per key; a lookup reads a
+    block only when the key's fingerprint is in that block's slice."""
+
+    def test_fingerprints_cover_every_key_in_order(self, tmp_path):
+        path = str(tmp_path / "t.sst")
+        entries = build_entries(50)
+        entries[7] = entry(entries[7][0], 8, op=TOMBSTONE)
+        write_table(path, entries, max_seqno=50, block_records=7)
+        with SSTableReader(path) as reader:
+            assert reader.fingerprints.tolist() == [
+                fingerprint(key) for key, _ in entries
+            ]
+
+    def test_open_never_reads_the_filter(self, tmp_path):
+        path = str(tmp_path / "t.sst")
+        write_table(path, build_entries(50), max_seqno=50, block_records=7)
+        with SSTableReader(path) as reader:
+            assert "fingerprints" not in vars(reader)
+            assert reader.lookup(b"zzz") is None  # outside the key range
+            assert "fingerprints" not in vars(reader)
+            assert reader.lookup(b"key000010") is not None
+            assert "fingerprints" in vars(reader)
+
+    def test_block_size_comes_from_the_index(self, tmp_path):
+        """10 records in 2 blocks fit block sizes 5 to 9: a reader that
+        derived the size from the counts would slice the wrong
+        fingerprints and call present keys absent."""
+        entries = build_entries(10)
+        for block_records in (5, 6, 9):
+            path = str(tmp_path / f"t{block_records}.sst")
+            write_table(
+                path, entries, max_seqno=10, block_records=block_records
+            )
+            with SSTableReader(path) as reader:
+                assert len(reader._offsets) == 2
+                for key, meta in entries:
+                    assert reader.lookup(key) == meta
+
+    def test_absent_key_reads_no_block(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "t.sst")
+        entries = build_entries(64)
+        write_table(path, entries, max_seqno=64, block_records=8)
+        reads = count_block_reads(monkeypatch)
+        with SSTableReader(path) as reader:
+            probes = [key + b"x" for key, _ in entries[:-1]]
+            colliding = 0
+            for want in probes:
+                at = bisect_right([key for key, _ in entries], want) - 1
+                block = entries[at - at % 8 : at - at % 8 + 8]
+                colliding += fingerprint(want) in {
+                    fingerprint(key) for key, _ in block
+                }
+                assert reader.lookup(want) is None
+            assert len(reads) == colliding
+            assert colliding < len(probes) // 20
+
+
+class TestFilterBlockReads:
+    """Data blocks read per ``get`` on a store of four tables whose key
+    ranges interleave, so every table's range covers every key."""
+
+    TABLES = 4
+    KEYS = 400
+    BLOCK_RECORDS = 8
+
+    def build(self, path):
+        store = Store(
+            path, memory=10_000, block_records=self.BLOCK_RECORDS,
+            sync=False, auto_compact=False,
+        )
+        for table in range(self.TABLES):
+            for number in range(table, self.KEYS, self.TABLES):
+                store.put(b"k%05d" % number, b"v%d" % number)
+            store.flush()
+        return store
+
+    def false_positives(self, want, tables):
+        """Blocks of ``tables`` (each a list of keys) that the filter
+        cannot rule out for ``want``, computed from the keys alone."""
+        hits = 0
+        for keys in tables:
+            at = bisect_right(keys, want) - 1
+            if at < 0 or want > keys[-1]:
+                continue
+            start = at - at % self.BLOCK_RECORDS
+            block = keys[start : start + self.BLOCK_RECORDS]
+            hits += want not in block and fingerprint(want) in {
+                fingerprint(key) for key in block
+            }
+        return hits
+
+    def table_keys(self, table):
+        return [
+            b"k%05d" % number
+            for number in range(table, self.KEYS, self.TABLES)
+        ]
+
+    def test_absent_key_in_range_reads_no_block(self, tmp_path, monkeypatch):
+        store = self.build(str(tmp_path / "db"))
+        try:
+            assert len(store.table_names()) == self.TABLES
+            tables = [self.table_keys(t) for t in range(self.TABLES)]
+            probes = count_probes(monkeypatch)
+            reads = count_block_reads(monkeypatch)
+            clean = 0
+            for number in range(self.KEYS - 1):
+                want = b"k%05dx" % number
+                probes.clear()
+                reads.clear()
+                assert store.get(want) is None
+                assert len(probes) == self.TABLES
+                expected = self.false_positives(want, tables)
+                assert len(reads) == expected
+                clean += expected == 0
+            assert clean >= (self.KEYS - 1) * 0.95
+        finally:
+            store.close()
+
+    def test_present_key_reads_one_block_per_table_up_to_the_hit(
+        self, tmp_path, monkeypatch
+    ):
+        """Tables are probed newest first; the hit's table is the only
+        one whose block is read, and the seqno early exit skips every
+        table older than it."""
+        store = self.build(str(tmp_path / "db"))
+        try:
+            tables = [self.table_keys(t) for t in range(self.TABLES)]
+            probes = count_probes(monkeypatch)
+            reads = count_block_reads(monkeypatch)
+            for number in range(self.KEYS):
+                want = b"k%05d" % number
+                table = number % self.TABLES
+                probes.clear()
+                reads.clear()
+                assert store.get(want) == b"v%d" % number
+                assert len(probes) == self.TABLES - table
+                newer = tables[table + 1 :]
+                assert len(reads) == 1 + self.false_positives(want, newer)
+        finally:
+            store.close()
+
+    def test_tombstone_in_newer_table_is_read(self, tmp_path, monkeypatch):
+        store = self.build(str(tmp_path / "db"))
+        try:
+            store.delete(b"k00001")
+            store.flush()
+            reads = count_block_reads(monkeypatch)
+            assert store.get(b"k00001") is None
+            assert len(reads) == 1
+            assert os.path.basename(reads[0]) == store.table_names()[-1]
+        finally:
+            store.close()
+
+
 class TestStoreReopen:
     def test_wal_replay_is_the_normal_reopen(self, tmp_path):
         path = str(tmp_path / "db")
@@ -803,16 +981,18 @@ class TestStoreReopen:
                 assert store.get(b"k%03d" % index) == want
 
     def test_older_table_version_store_refused(self, tmp_path):
-        path = str(tmp_path / "db")
-        os.makedirs(path)
-        old = {"format": "repro-store", "table_version": 2}
-        StoreManifest.create(os.path.join(path, MANIFEST_NAME), old).close()
-        with pytest.raises(ManifestError) as refused:
-            Store(path, sync=False)
-        message = str(refused.value)
-        assert repr(old) in message
-        assert repr(Store._fingerprint()) in message
-        assert "'table_version': 3" in message
+        for old_version in (2, 3):
+            path = str(tmp_path / f"db{old_version}")
+            os.makedirs(path)
+            old = {"format": "repro-store", "table_version": old_version}
+            manifest = os.path.join(path, MANIFEST_NAME)
+            StoreManifest.create(manifest, old).close()
+            with pytest.raises(ManifestError) as refused:
+                Store(path, sync=False)
+            message = str(refused.value)
+            assert repr(old) in message
+            assert repr(Store._fingerprint()) in message
+            assert "'table_version': 4" in message
 
     def test_checkpoint_on_busy_reopen(self, tmp_path):
         path = str(tmp_path / "db")

@@ -27,16 +27,20 @@ scans never call one.
 
 import os
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
+import zlib
 
 import pytest
 
+from repro.cli import main
 from repro.engine.errors import ManifestError, StoreError
 from repro.store import Store
-from repro.store.format import StoreFormat
+from repro.store.format import PUT, StoreFormat, encode_meta
 from repro.store.manifest import MANIFEST_NAME
+from repro.store.sstable import SSTableReader, write_table
 from repro.testing.faults import FaultInjected, FaultPlan, activate
 
 
@@ -281,6 +285,158 @@ class TestManifestFaults:
         # over data.
         with pytest.raises(StoreError):
             Store(path, sync=False)
+
+
+# ---------------------------------------------------------------------------
+# Key-filter damage: a loud StoreError, never a false "absent"
+# ---------------------------------------------------------------------------
+
+
+_FOOTER = struct.Struct(">QII8s")
+#: version, records, max seqno, codec, block records, filter offset,
+#: filter count, filter CRC, block count.
+_INDEX_FIXED = struct.Struct(">HQQBIQQII")
+
+
+def filter_span(data):
+    """``(offset, length)`` of a table's key filter, read from its
+    index."""
+    index_offset = _FOOTER.unpack_from(data, len(data) - _FOOTER.size)[0]
+    fields = _INDEX_FIXED.unpack_from(data, index_offset)
+    return fields[5], 2 * fields[6]
+
+
+class TestKeyFilterCorruption:
+    ENTRIES = [
+        (b"k%04d" % number, encode_meta(number + 1, PUT, b"v"))
+        for number in range(0, 80, 2)
+    ]
+
+    def write(self, path):
+        write_table(path, self.ENTRIES, max_seqno=80, block_records=8)
+        return bytearray(open(path, "rb").read())
+
+    def test_every_flipped_bit_fails_the_first_lookup(self, tmp_path):
+        path = str(tmp_path / "t.sst")
+        clean = self.write(path)
+        offset, length = filter_span(clean)
+        assert length == 2 * len(self.ENTRIES)
+        present, absent = self.ENTRIES[5][0], b"k0011"
+        for bit in range(8 * length):
+            data = bytearray(clean)
+            data[offset + bit // 8] ^= 1 << bit % 8
+            with open(path, "wb") as handle:
+                handle.write(data)
+            with SSTableReader(path) as reader:  # open never reads it
+                for want in (absent, present, absent):
+                    with pytest.raises(StoreError) as failed:
+                        reader.lookup(want)
+                    message = str(failed.value)
+                    assert repr(path) in message
+                    assert "key filter failed its checksum" in message
+
+    def test_region_truncated_under_an_open_reader(self, tmp_path):
+        path = str(tmp_path / "t.sst")
+        clean = self.write(path)
+        offset, length = filter_span(clean)
+        with SSTableReader(path) as reader:
+            os.truncate(path, offset + length - 3)
+            with pytest.raises(StoreError, match="key filter is truncated"):
+                reader.lookup(b"k0011")
+            with pytest.raises(StoreError, match=repr(path)):
+                reader.lookup(self.ENTRIES[0][0])
+
+    @pytest.mark.parametrize("recount", [False, True])
+    def test_shortened_region_refused_at_open(self, tmp_path, recount):
+        """Cut the last fingerprints out and re-point the footer (and,
+        with ``recount``, the filter count and CRC) so every checksum
+        matches: the index no longer lines up with the table."""
+        path = str(tmp_path / "t.sst")
+        data = self.write(path)
+        offset, length = filter_span(data)
+        cut = 6
+        index_offset, index_len, _, magic = _FOOTER.unpack_from(
+            data, len(data) - _FOOTER.size
+        )
+        index = bytearray(data[index_offset : index_offset + index_len])
+        if recount:
+            fields = list(_INDEX_FIXED.unpack_from(index))
+            fields[6] -= cut // 2
+            fields[7] = zlib.crc32(
+                bytes(data[offset : offset + length - cut])
+            )
+            _INDEX_FIXED.pack_into(index, 0, *fields)
+        shortened = (
+            bytes(data[: offset + length - cut]) + bytes(index)
+            + _FOOTER.pack(
+                index_offset - cut, index_len, zlib.crc32(index), magic
+            )
+        )
+        with open(path, "wb") as handle:
+            handle.write(shortened)
+        with pytest.raises(StoreError, match="key filter does not line up"):
+            SSTableReader(path)
+
+    def test_store_get_and_verify_flag_the_damaged_table(
+        self, tmp_path, capsys
+    ):
+        path = str(tmp_path / "db")
+        with Store(path, memory=50, sync=False, auto_compact=False) as store:
+            fill(store, 200)
+            names = store.table_names()
+        assert len(names) == 4
+        damaged = os.path.join(path, names[1])
+        data = bytearray(open(damaged, "rb").read())
+        offset, length = filter_span(data)
+        data[offset + length // 2] ^= 0x10
+        with open(damaged, "wb") as handle:
+            handle.write(data)
+        with Store(path, sync=False) as store:
+            # A get that stops before the damaged table, or whose key
+            # lies outside its range, never loads its filter; every key
+            # inside the range fails, present or absent.
+            assert store.get(b"k000199") == b"v199"
+            assert store.get(b"k000010") == b"v10"
+            for want in (b"k000060", b"k000060x", b"k000050", b"k000099"):
+                with pytest.raises(StoreError, match=names[1]):
+                    store.get(want)
+            with pytest.raises(StoreError, match=names[1]):
+                store.verify()
+        assert main(["store", "verify", path]) == 1
+        err = capsys.readouterr().err
+        assert names[1] in err
+
+    def test_verify_catches_a_filter_that_disagrees_with_its_keys(
+        self, tmp_path
+    ):
+        """A filter rewritten with a valid CRC but wrong contents (a
+        writer bug, not disk damage) fails ``verify`` by record."""
+        path = str(tmp_path / "db")
+        with Store(path, memory=50, sync=False, auto_compact=False) as store:
+            fill(store, 50)
+            (name,) = store.table_names()
+        table = os.path.join(path, name)
+        data = bytearray(open(table, "rb").read())
+        offset, length = filter_span(data)
+        data[offset + 6] ^= 0x01  # record 3's fingerprint
+        index_offset, index_len, _, magic = _FOOTER.unpack_from(
+            data, len(data) - _FOOTER.size
+        )
+        fields = list(_INDEX_FIXED.unpack_from(data, index_offset))
+        fields[7] = zlib.crc32(bytes(data[offset : offset + length]))
+        _INDEX_FIXED.pack_into(data, index_offset, *fields)
+        index = bytes(data[index_offset : index_offset + index_len])
+        _FOOTER.pack_into(
+            data, len(data) - _FOOTER.size, index_offset, index_len,
+            zlib.crc32(index), magic,
+        )
+        with open(table, "wb") as handle:
+            handle.write(data)
+        with Store(path, sync=False) as store:
+            # As if the manifest had recorded the bad file's CRC.
+            store._tables[name]["crc32"] = zlib.crc32(bytes(data))
+            with pytest.raises(StoreError, match="disagrees .* record 3"):
+                store.verify()
 
 
 # ---------------------------------------------------------------------------
