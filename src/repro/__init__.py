@@ -17,12 +17,30 @@ Quickstart::
     print(len(list(twrs.generate_runs(data))))  # 1 run
 """
 
-from repro.core.config import RECOMMENDED, TABLE_5_13_CONFIGS, TwoWayConfig
-from repro.core.two_way import TwoWayReplacementSelection
-from repro.runs.base import RunGenerator, RunGeneratorStats
-from repro.runs.batched import BatchedReplacementSelection
-from repro.runs.load_sort_store import LoadSortStore
-from repro.runs.replacement_selection import ReplacementSelection
+from typing import Any
+
+#: Public names and the modules that define them, imported on first
+#: use: ``import repro.cli`` must not pay for every run generator.
+_LAZY = {
+    "RECOMMENDED": "repro.core.config",
+    "TABLE_5_13_CONFIGS": "repro.core.config",
+    "TwoWayConfig": "repro.core.config",
+    "TwoWayReplacementSelection": "repro.core.two_way",
+    "RunGenerator": "repro.runs.base",
+    "RunGeneratorStats": "repro.runs.base",
+    "BatchedReplacementSelection": "repro.runs.batched",
+    "LoadSortStore": "repro.runs.load_sort_store",
+    "ReplacementSelection": "repro.runs.replacement_selection",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "1.0.0"
 

@@ -60,11 +60,14 @@ import argparse
 import gc
 import importlib
 import json
+# argparse translates its messages through gettext, which imports
+# locale when the first parser is built; load it with this module.
+import locale  # noqa: F401
 import os
 import shutil
 import sys
 from contextlib import nullcontext
-from typing import Any, ContextManager, List, Optional, TextIO
+from typing import TYPE_CHECKING, Any, ContextManager, List, Optional, TextIO
 
 from repro.core.config import ALGORITHMS, GeneratorSpec, RECOMMENDED, TwoWayConfig
 from repro.core.heuristics import INPUT_HEURISTICS, OUTPUT_HEURISTICS
@@ -76,32 +79,25 @@ from repro.engine.block_io import (
 )
 from repro.engine.errors import SortError
 from repro.engine.resilience import JOURNAL_NAME, atomic_output, wipe_directory
-from repro.engine.planner import SortEngine, spec_for_format
+from repro.engine.planner import (
+    PARTITION_STRATEGIES,
+    SortEngine,
+    spec_for_format,
+)
 from repro.engine.spill_codec import AUTO_CODEC, SPILL_CODECS
-from repro.experiments import EXPERIMENTS
-from repro.merge.merge_tree import DEFAULT_FAN_IN
-from repro.ops import (
-    AGGREGATES,
-    DISTINCT_MODES,
-    Distinct,
-    GroupByAggregate,
-    SortMergeJoin,
-    TopK,
-)
-from repro.sort.parallel import PARTITION_STRATEGIES
+from repro.merge.kway import DEFAULT_FAN_IN
 from repro.sort.spill import DEFAULT_BUFFER_RECORDS
-from repro.store import Store
-from repro.store.oplog import (
-    escape_bytes,
-    format_item,
-    parse_op_line,
-    unescape_bytes,
-)
-from repro.store.store import (
-    DEFAULT_MEMTABLE_RECORDS,
-    DEFAULT_TABLE_BLOCK_RECORDS,
-)
-from repro.workloads.generators import DISTRIBUTIONS, make_input
+
+# The modules above are the whole sort path except the default run
+# generator, which GeneratorSpec.build imports on first use; loading it
+# here keeps ``main`` free of import work.  Every other subcommand
+# imports its own backend (operators, store, service, experiments)
+# when it runs, and the simulator loads only for ``runs --report``
+# and the experiments (DESIGN.md §2).
+import repro.core.two_way  # noqa: F401
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.store import Store
 
 # Everything imported above lives as long as the process.  Frozen, it
 # leaves the collector's generations, so a short CLI run pays no
@@ -420,7 +416,8 @@ def _run_unary_operator(
         raise SystemExit(f"repro: error: {exc}")
     # TopK's heap scan reads csv/tsv rows as the base format's tuples.
     input_format = (
-        op.input_format() if isinstance(op, TopK) else engine.record_format
+        op.input_format() if hasattr(op, "input_format")
+        else engine.record_format
     )
     try:
         with _open_input(args.input) as handle, _open_output(args.output) as out:
@@ -450,12 +447,16 @@ def _run_unary_operator(
 
 
 def cmd_distinct(args: argparse.Namespace) -> int:
+    from repro.ops.distinct import Distinct
+
     return _run_unary_operator(
         args, "distinct", lambda engine: Distinct(engine, by=args.by)
     )
 
 
 def cmd_agg(args: argparse.Namespace) -> int:
+    from repro.ops.aggregate import GroupByAggregate
+
     return _run_unary_operator(
         args, "agg",
         lambda engine: GroupByAggregate(
@@ -467,6 +468,8 @@ def cmd_agg(args: argparse.Namespace) -> int:
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
+    from repro.ops.topk import TopK
+
     return _run_unary_operator(
         args, "topk", lambda engine: TopK(engine, args.k)
     )
@@ -483,6 +486,8 @@ def _join_work_dirs(args: argparse.Namespace):
 
 
 def cmd_join(args: argparse.Namespace) -> int:
+    from repro.ops.join import SortMergeJoin
+
     if args.left == "-" and args.right == "-":
         raise SystemExit(
             "repro: error: at most one join input may be stdin ('-')"
@@ -633,6 +638,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     if args.name not in EXPERIMENTS:
         known = "\n  ".join(EXPERIMENTS)
         print(f"unknown experiment {args.name!r}; known:\n  {known}", file=sys.stderr)
@@ -643,6 +650,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
+    from repro.workloads.generators import make_input
+
     records = make_input(args.name, args.records, seed=args.seed)
     for value in records:
         sys.stdout.write(f"{value}\n")
@@ -680,6 +689,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.server import SortService
 
+    # The server's modules (operators, store, broker, asyncio) live as
+    # long as the process too; frozen like the sort path's, they stay
+    # out of every collection the long-running server makes.
+    gc.freeze()
     quotas = {}
     for item in args.tenant_quota or ():
         tenant, sep, limit = item.partition("=")
@@ -806,6 +819,8 @@ def cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def _store_open(args: argparse.Namespace) -> Store:
+    from repro.store import Store
+
     return Store(
         args.dir,
         memory=args.memory,
@@ -818,11 +833,15 @@ def _store_open(args: argparse.Namespace) -> Store:
 
 
 def _store_put(store: Store, args: argparse.Namespace) -> int:
+    from repro.store.oplog import unescape_bytes
+
     store.put(unescape_bytes(args.key), unescape_bytes(args.value))
     return 0
 
 
 def _store_get(store: Store, args: argparse.Namespace) -> int:
+    from repro.store.oplog import escape_bytes, unescape_bytes
+
     key = unescape_bytes(args.key)
     value = store.get(key)
     if value is None:
@@ -838,11 +857,15 @@ def _store_get(store: Store, args: argparse.Namespace) -> int:
 
 
 def _store_delete(store: Store, args: argparse.Namespace) -> int:
+    from repro.store.oplog import unescape_bytes
+
     store.delete(unescape_bytes(args.key))
     return 0
 
 
 def _store_scan(store: Store, args: argparse.Namespace) -> int:
+    from repro.store.oplog import format_item, unescape_bytes
+
     start = unescape_bytes(args.start) if args.start is not None else None
     end = unescape_bytes(args.end) if args.end is not None else None
     count = 0
@@ -855,6 +878,8 @@ def _store_scan(store: Store, args: argparse.Namespace) -> int:
 
 
 def _store_ingest(store: Store, args: argparse.Namespace) -> int:
+    from repro.store.oplog import parse_op_line
+
     applied = 0
     with _open_input(args.input) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -908,7 +933,18 @@ _STORE_ACTIONS = {
 
 
 def cmd_store(args: argparse.Namespace) -> int:
+    from repro.store.manifest import MANIFEST_NAME
+
     command = f"store {args.store_cmd}"
+    if args.store_cmd in ("get", "scan", "verify") and not os.path.isfile(
+        os.path.join(args.dir, MANIFEST_NAME)
+    ):
+        # Every store holds a MANIFEST from its first open on.  Opening
+        # a path without one would initialise a store there; a read
+        # creates nothing.
+        print(f"repro: {command} failed: no store at {args.dir}",
+              file=sys.stderr)
+        return 1
     try:
         with _store_open(args) as store:
             return _STORE_ACTIONS[args.store_cmd](store, args)
@@ -944,6 +980,17 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    """``--buffer-fraction`` value: a share of memory in [0, 1)."""
+    value = float(text)
+    # Written so that nan fails too.
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction in [0, 1), got {text}"
+        )
+    return value
+
+
 def _key_columns(text: str):
     """``--key`` value: one column (``2``) or several (``0,2``)."""
     try:
@@ -962,6 +1009,8 @@ def _key_columns(text: str):
 
 def _aggregate_list(text: str):
     """``--agg`` value: comma-separated aggregate names."""
+    from repro.ops.base import AGGREGATES
+
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     unknown = [name for name in names if name not in AGGREGATES]
     if not names or unknown:
@@ -972,172 +1021,149 @@ def _aggregate_list(text: str):
     return names
 
 
-class _SkippedParser:
-    """Absorbs the builder calls of a subcommand that is not being built."""
-
-    def __getattr__(self, name: str) -> Any:
-        return self._absorb
-
-    def _absorb(self, *args: Any, **kwargs: Any) -> "_SkippedParser":
-        return self
+# -- argument parser ------------------------------------------------------------
+#
+# One function per subcommand adds that subcommand's parser.  Each
+# imports whatever its options need, so building the parser of one
+# subcommand (what ``main`` does) loads no other subcommand's backend.
 
 
-class _OneCommand:
-    """Subparsers stand-in that builds only the parser of ``command``."""
+def _add_generator_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--memory", type=_positive_int, default=10_000,
+                   help="working memory in records (default 10000)")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="2wrs")
+    p.add_argument("--buffer-setup", choices=("input", "both", "victim"),
+                   default=RECOMMENDED.buffer_setup)
+    p.add_argument("--buffer-fraction", type=_fraction,
+                   default=RECOMMENDED.buffer_fraction)
+    p.add_argument("--input-heuristic", choices=sorted(INPUT_HEURISTICS),
+                   default=RECOMMENDED.input_heuristic)
+    p.add_argument("--output-heuristic", choices=sorted(OUTPUT_HEURISTICS),
+                   default=RECOMMENDED.output_heuristic)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fan-in", type=_fan_in, default=DEFAULT_FAN_IN,
+                   help=f"merge fan-in (default {DEFAULT_FAN_IN})")
+    p.add_argument("--format", choices=FORMAT_NAMES, default="int",
+                   help="record type: one int/float/str per line, or "
+                        "csv/tsv rows sorted by --key (default int)")
+    p.add_argument("--key", type=_key_columns, default=None,
+                   help="0-based key column (or comma-separated "
+                        "columns, compared left to right), only valid "
+                        "with --format csv/tsv (default 0); e.g. "
+                        "--format csv --key 2 sorts rows by their "
+                        "third field")
+    p.add_argument("--report", action="store_true",
+                   help="print phase timings (SortReport) to stderr")
 
-    def __init__(self, sub: Any, command: str) -> None:
-        self._sub = sub
-        self._command = command
-        self.found = False
 
-    def add_parser(self, name: str, **kwargs: Any) -> Any:
-        if name != self._command:
-            return _SkippedParser()
-        self.found = True
-        return self._sub.add_parser(name, **kwargs)
+def _add_engine_options(
+    p: argparse.ArgumentParser,
+    durable: bool = True,
+    parallel: bool = True,
+) -> None:
+    """Execution knobs shared by sort and the operator subcommands.
 
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``repro`` argument parser.
-
-    With ``command`` set to a subcommand name, only that subcommand's
-    parser is built: it parses its own argv exactly as the full parser
-    does, and building all of them costs about 12 ms, most of a small
-    sort's fixed overhead.  An unknown ``command`` builds the full
-    parser, which reports it.
+    ``merge`` opts out of the knobs it cannot honour: it never
+    partitions (``parallel=False``) and never journals
+    (``durable=False``) — accepting those flags and silently
+    ignoring them would mislead.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Two-way replacement selection: external sorting toolkit",
-    )
-    sub: Any = parser.add_subparsers(dest="command", required=True)
-    if command is not None:
-        sub = _OneCommand(sub, command)
+    p.add_argument("--merge-buffer", type=_positive_int,
+                   default=DEFAULT_BUFFER_RECORDS,
+                   help="records buffered per run reader during the "
+                        f"merge (default {DEFAULT_BUFFER_RECORDS})")
+    p.add_argument("--block-records", type=_positive_int,
+                   default=DEFAULT_BLOCK_RECORDS,
+                   help="records encoded/decoded per block on the "
+                        "input and output streams "
+                        f"(default {DEFAULT_BLOCK_RECORDS})")
+    p.add_argument("--reading",
+                   choices=("auto", "naive", "forecasting",
+                            "double_buffering"),
+                   default="auto",
+                   help="accepted for compatibility; the final merge "
+                        "reads its runs synchronously, one block per "
+                        "run at a time (DESIGN.md §9.3)")
+    if parallel:
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="partition the input and sort the shards "
+                            "in this many worker processes; they "
+                            "share the --memory budget through the "
+                            "memory broker (default 1 = serial)")
+        p.add_argument("--partition", choices=PARTITION_STRATEGIES,
+                       default="hash",
+                       help="how records map to workers: 'hash' "
+                            "balances any distribution, 'range' gives "
+                            "each worker a disjoint key band from "
+                            "sampled cut points (default hash)")
+    p.add_argument("--binary-spill", action="store_true",
+                   help="accepted for compatibility; csv/tsv rows "
+                        "always spill as key bytes (DESIGN.md §14)")
+    p.add_argument("--spill-codec",
+                   choices=(AUTO_CODEC,) + SPILL_CODECS,
+                   default="none",
+                   help="per-block compression of spill/shard files "
+                        "(DESIGN.md §15): 'zlib' is the cheap byte "
+                        "compressor, 'lzma' the heavy one; 'auto' "
+                        "means 'none', which was fastest in every "
+                        "cell of the measured sweep (default none)")
+    p.add_argument("--checksum", action="store_true",
+                   help="accepted for compatibility; spill blocks are "
+                        "always checksummed")
+    if not durable:
+        return
+    p.add_argument("--resume", action="store_true",
+                   help="run durably under a stable work directory "
+                        "(journaled runs, shard completion markers) "
+                        "and resume any compatible previous attempt "
+                        "found there; output is byte-identical to an "
+                        "uninterrupted run")
+    p.add_argument("--work-dir", default=None,
+                   help="stable directory for the durable sort "
+                        "journal and spill files (default: derived "
+                        "from the output path as OUTPUT.sortwork)")
 
-    def add_generator_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--memory", type=int, default=10_000,
-                       help="working memory in records (default 10000)")
-        p.add_argument("--algorithm", choices=ALGORITHMS, default="2wrs")
-        p.add_argument("--buffer-setup", choices=("input", "both", "victim"),
-                       default=RECOMMENDED.buffer_setup)
-        p.add_argument("--buffer-fraction", type=float,
-                       default=RECOMMENDED.buffer_fraction)
-        p.add_argument("--input-heuristic", choices=sorted(INPUT_HEURISTICS),
-                       default=RECOMMENDED.input_heuristic)
-        p.add_argument("--output-heuristic", choices=sorted(OUTPUT_HEURISTICS),
-                       default=RECOMMENDED.output_heuristic)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--fan-in", type=_fan_in, default=DEFAULT_FAN_IN,
-                       help=f"merge fan-in (default {DEFAULT_FAN_IN})")
-        p.add_argument("--format", choices=FORMAT_NAMES, default="int",
-                       help="record type: one int/float/str per line, or "
-                            "csv/tsv rows sorted by --key (default int)")
-        p.add_argument("--key", type=_key_columns, default=None,
-                       help="0-based key column (or comma-separated "
-                            "columns, compared left to right), only valid "
-                            "with --format csv/tsv (default 0); e.g. "
-                            "--format csv --key 2 sorts rows by their "
-                            "third field")
-        p.add_argument("--report", action="store_true",
-                       help="print phase timings (SortReport) to stderr")
 
-    def add_engine_options(
-        p: argparse.ArgumentParser,
-        durable: bool = True,
-        parallel: bool = True,
-    ) -> None:
-        """Execution knobs shared by sort and the operator subcommands.
+def _add_io_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", nargs="?", help="input file ('-' = stdin)")
+    p.add_argument("-o", "--output",
+                   help="output file (default stdout)")
 
-        ``merge`` opts out of the knobs it cannot honour: it never
-        partitions (``parallel=False``) and never journals
-        (``durable=False``) — accepting those flags and silently
-        ignoring them would mislead.
-        """
-        p.add_argument("--merge-buffer", type=_positive_int,
-                       default=DEFAULT_BUFFER_RECORDS,
-                       help="records buffered per run reader during the "
-                            f"merge (default {DEFAULT_BUFFER_RECORDS})")
-        p.add_argument("--block-records", type=_positive_int,
-                       default=DEFAULT_BLOCK_RECORDS,
-                       help="records encoded/decoded per block on the "
-                            "input and output streams "
-                            f"(default {DEFAULT_BLOCK_RECORDS})")
-        p.add_argument("--reading",
-                       choices=("auto", "naive", "forecasting",
-                                "double_buffering"),
-                       default="auto",
-                       help="accepted for compatibility; the final merge "
-                            "reads its runs synchronously, one block per "
-                            "run at a time (DESIGN.md §9.3)")
-        if parallel:
-            p.add_argument("--workers", type=_positive_int, default=1,
-                           help="partition the input and sort the shards "
-                                "in this many worker processes; they "
-                                "share the --memory budget through the "
-                                "memory broker (default 1 = serial)")
-            p.add_argument("--partition", choices=PARTITION_STRATEGIES,
-                           default="hash",
-                           help="how records map to workers: 'hash' "
-                                "balances any distribution, 'range' gives "
-                                "each worker a disjoint key band from "
-                                "sampled cut points (default hash)")
-        p.add_argument("--binary-spill", action="store_true",
-                       help="accepted for compatibility; csv/tsv rows "
-                            "always spill as key bytes (DESIGN.md §14)")
-        p.add_argument("--spill-codec",
-                       choices=(AUTO_CODEC,) + SPILL_CODECS,
-                       default="none",
-                       help="per-block compression of spill/shard files "
-                            "(DESIGN.md §15): 'zlib' is the cheap byte "
-                            "compressor, 'lzma' the heavy one; 'auto' "
-                            "means 'none', which was fastest in every "
-                            "cell of the measured sweep (default none)")
-        p.add_argument("--checksum", action="store_true",
-                       help="accepted for compatibility; spill blocks are "
-                            "always checksummed")
-        if not durable:
-            return
-        p.add_argument("--resume", action="store_true",
-                       help="run durably under a stable work directory "
-                            "(journaled runs, shard completion markers) "
-                            "and resume any compatible previous attempt "
-                            "found there; output is byte-identical to an "
-                            "uninterrupted run")
-        p.add_argument("--work-dir", default=None,
-                       help="stable directory for the durable sort "
-                            "journal and spill files (default: derived "
-                            "from the output path as OUTPUT.sortwork)")
 
-    def add_io_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("input", nargs="?", help="input file ('-' = stdin)")
-        p.add_argument("-o", "--output",
-                       help="output file (default stdout)")
-
+def _add_sort(sub: Any) -> None:
     p_sort = sub.add_parser("sort", help="externally sort typed records")
-    add_generator_options(p_sort)
-    add_engine_options(p_sort)
-    add_io_arguments(p_sort)
+    _add_generator_options(p_sort)
+    _add_engine_options(p_sort)
+    _add_io_arguments(p_sort)
     p_sort.set_defaults(func=cmd_sort)
+
+
+def _add_distinct(sub: Any) -> None:
+    from repro.ops.base import DISTINCT_MODES
 
     p_distinct = sub.add_parser(
         "distinct",
         help="drop duplicate records via an external sort (like sort -u)",
     )
-    add_generator_options(p_distinct)
-    add_engine_options(p_distinct)
+    _add_generator_options(p_distinct)
+    _add_engine_options(p_distinct)
     p_distinct.add_argument(
         "--by", choices=DISTINCT_MODES, default="record",
         help="what counts as a duplicate: the whole record, or just its "
              "sort key (first record per key wins; default record)")
-    add_io_arguments(p_distinct)
+    _add_io_arguments(p_distinct)
     p_distinct.set_defaults(func=cmd_distinct)
+
+
+def _add_agg(sub: Any) -> None:
+    from repro.ops.base import AGGREGATES
 
     p_agg = sub.add_parser(
         "agg",
         help="group records by key and aggregate a value column",
     )
-    add_generator_options(p_agg)
-    add_engine_options(p_agg)
+    _add_generator_options(p_agg)
+    _add_engine_options(p_agg)
     p_agg.add_argument(
         "--agg", type=_aggregate_list, default=("count",),
         help="comma-separated aggregates per key group: "
@@ -1146,15 +1172,17 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         "--value", type=_non_negative_int, default=None,
         help="0-based column holding the aggregated value (required for "
              "sum/min/max/avg over delimited rows)")
-    add_io_arguments(p_agg)
+    _add_io_arguments(p_agg)
     p_agg.set_defaults(func=cmd_agg)
 
+
+def _add_join(sub: Any) -> None:
     p_join = sub.add_parser(
         "join",
         help="sort-merge equi-join of two inputs on their key columns",
     )
-    add_generator_options(p_join)
-    add_engine_options(p_join)
+    _add_generator_options(p_join)
+    _add_engine_options(p_join)
     p_join.add_argument(
         "--right-key", type=_key_columns, default=None,
         help="0-based key column(s) of the RIGHT input when they differ "
@@ -1169,25 +1197,29 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                         help="output file (default stdout)")
     p_join.set_defaults(func=cmd_join)
 
+
+def _add_topk(sub: Any) -> None:
     p_topk = sub.add_parser(
         "topk",
         help="the k smallest records, ascending (like sort | head -k)",
     )
-    add_generator_options(p_topk)
-    add_engine_options(p_topk)
+    _add_generator_options(p_topk)
+    _add_engine_options(p_topk)
     p_topk.add_argument(
         "-k", type=_non_negative_int, required=True,
         help="how many records to keep; k <= --memory short-circuits to "
              "a bounded heap scan with no sort at all")
-    add_io_arguments(p_topk)
+    _add_io_arguments(p_topk)
     p_topk.set_defaults(func=cmd_topk)
 
+
+def _add_merge(sub: Any) -> None:
     p_merge = sub.add_parser(
         "merge",
         help="merge already-sorted files without re-sorting (like sort -m)",
     )
-    add_generator_options(p_merge)
-    add_engine_options(p_merge, durable=False, parallel=False)
+    _add_generator_options(p_merge)
+    _add_engine_options(p_merge, durable=False, parallel=False)
     p_merge.add_argument("inputs", nargs="*",
                          help="pre-sorted input files (empty = empty "
                               "output, exit 0)")
@@ -1195,14 +1227,24 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                          help="output file (default stdout)")
     p_merge.set_defaults(func=cmd_merge)
 
-    p_runs = sub.add_parser("runs", help="compare run generation across algorithms")
-    add_generator_options(p_runs)
+
+def _add_runs(sub: Any) -> None:
+    p_runs = sub.add_parser(
+        "runs", help="compare run generation across algorithms"
+    )
+    _add_generator_options(p_runs)
     p_runs.add_argument("input", nargs="?", help="input file ('-' = stdin)")
     p_runs.set_defaults(func=cmd_runs)
 
+
+def _add_experiment(sub: Any) -> None:
     p_exp = sub.add_parser("experiment", help="regenerate a paper experiment")
     p_exp.add_argument("name", help="experiment module name")
     p_exp.set_defaults(func=cmd_experiment)
+
+
+def _add_dataset(sub: Any) -> None:
+    from repro.workloads.generators import DISTRIBUTIONS
 
     p_data = sub.add_parser("dataset", help="emit one of the paper's datasets")
     p_data.add_argument("name", choices=sorted(DISTRIBUTIONS))
@@ -1210,6 +1252,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     p_data.add_argument("--seed", type=int, default=0)
     p_data.set_defaults(func=cmd_dataset)
 
+
+def _add_lint(sub: Any) -> None:
     p_lint = sub.add_parser(
         "lint",
         help="run the project-invariant linter (same as python -m repro.lint)",
@@ -1217,6 +1261,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories (default: src/ tests/)")
     p_lint.set_defaults(func=cmd_lint)
+
+
+def _add_store(sub: Any) -> None:
+    from repro.store.store import (
+        DEFAULT_MEMTABLE_RECORDS,
+        DEFAULT_TABLE_BLOCK_RECORDS,
+    )
 
     p_store = sub.add_parser(
         "store",
@@ -1324,14 +1375,17 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     add_store_options(p_s_verify)
     p_s_verify.set_defaults(func=cmd_store)
 
-    def add_server_address(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--server", default=None, metavar="HOST:PORT",
-                       help="address of a running repro serve instance")
-        p.add_argument("--endpoint-file", default="repro-service.json",
-                       help="endpoint file written by `repro serve`; used "
-                            "when --server is not given (default "
-                            "repro-service.json)")
 
+def _add_server_address(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--server", default=None, metavar="HOST:PORT",
+                   help="address of a running repro serve instance")
+    p.add_argument("--endpoint-file", default="repro-service.json",
+                   help="endpoint file written by `repro serve`; used "
+                        "when --server is not given (default "
+                        "repro-service.json)")
+
+
+def _add_serve(sub: Any) -> None:
     p_serve = sub.add_parser(
         "serve",
         help="run the resident sort service (DESIGN.md §16)",
@@ -1361,11 +1415,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                               "atomically (default repro-service.json)")
     p_serve.set_defaults(func=cmd_serve)
 
+
+def _add_submit(sub: Any) -> None:
+    from repro.ops.base import DISTINCT_MODES
+
     p_submit = sub.add_parser(
         "submit",
         help="submit a job to a running service; prints its status JSON",
     )
-    add_server_address(p_submit)
+    _add_server_address(p_submit)
     p_submit.add_argument("--id", default=None,
                           help="re-attach to a persisted job by id "
                                "instead of sending a spec (crash "
@@ -1413,35 +1471,80 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                                "job's spool directory)")
     p_submit.set_defaults(func=cmd_submit)
 
+
+def _add_status(sub: Any) -> None:
     p_status = sub.add_parser(
         "status",
         help="status of one job (or all jobs) on a running service",
     )
-    add_server_address(p_status)
+    _add_server_address(p_status)
     p_status.add_argument("id", nargs="?", default=None,
                           help="job id (omit to list every job)")
     p_status.set_defaults(func=cmd_status)
 
+
+def _add_result(sub: Any) -> None:
     p_result = sub.add_parser(
         "result",
         help="stream a finished job's output from a running service",
     )
-    add_server_address(p_result)
+    _add_server_address(p_result)
     p_result.add_argument("id", help="job id")
     p_result.add_argument("-o", "--output", default=None,
                           help="local file (default stdout); published "
                                "atomically")
     p_result.set_defaults(func=cmd_result)
 
+
+def _add_cancel(sub: Any) -> None:
     p_cancel = sub.add_parser(
         "cancel", help="cancel a queued or running job",
     )
-    add_server_address(p_cancel)
+    _add_server_address(p_cancel)
     p_cancel.add_argument("id", help="job id")
     p_cancel.set_defaults(func=cmd_cancel)
 
-    if isinstance(sub, _OneCommand) and not sub.found:
-        return build_parser()
+
+#: Subcommand name -> the function that adds its parser, in help order.
+_SUBCOMMANDS = {
+    "sort": _add_sort,
+    "distinct": _add_distinct,
+    "agg": _add_agg,
+    "join": _add_join,
+    "topk": _add_topk,
+    "merge": _add_merge,
+    "runs": _add_runs,
+    "experiment": _add_experiment,
+    "dataset": _add_dataset,
+    "lint": _add_lint,
+    "store": _add_store,
+    "serve": _add_serve,
+    "submit": _add_submit,
+    "status": _add_status,
+    "result": _add_result,
+    "cancel": _add_cancel,
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    With ``command`` set to a subcommand name, only that subcommand's
+    parser is built: it parses its own argv exactly as the full parser
+    does, and building all of them costs about 12 ms and imports every
+    backend, most of a small sort's fixed overhead.  An unknown
+    ``command`` builds the full parser, which reports it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Two-way replacement selection: external sorting toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _SUBCOMMANDS:
+        _SUBCOMMANDS[command](sub)
+    else:
+        for add_parser in _SUBCOMMANDS.values():
+            add_parser(sub)
     return parser
 
 

@@ -124,18 +124,22 @@ class GeneratorSpec:
 
     def build(self) -> "RunGenerator":
         """Instantiate a fresh generator described by this spec."""
-        # Imported here: the generator modules import this module.
-        from repro.core.two_way import TwoWayReplacementSelection
-        from repro.runs.batched import BatchedReplacementSelection
-        from repro.runs.load_sort_store import LoadSortStore
-        from repro.runs.replacement_selection import ReplacementSelection
-
+        # Imported here, and only the one asked for: the generator
+        # modules import this module.
         if self.algorithm == "rs":
+            from repro.runs.replacement_selection import ReplacementSelection
+
             return ReplacementSelection(self.memory)
         if self.algorithm == "lss":
+            from repro.runs.load_sort_store import LoadSortStore
+
             return LoadSortStore(self.memory)
         if self.algorithm == "brs":
+            from repro.runs.batched import BatchedReplacementSelection
+
             return BatchedReplacementSelection(self.memory)
+        from repro.core.two_way import TwoWayReplacementSelection
+
         return TwoWayReplacementSelection(self.memory, self.two_way)
 
 

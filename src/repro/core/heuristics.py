@@ -368,3 +368,10 @@ def _make(registry: Dict[str, type], name: str, kind: str):
         known = ", ".join(sorted(registry))
         raise ValueError(f"unknown {kind} heuristic {name!r}; known: {known}") from None
     return cls()
+
+
+# The Section 7.1 adaptive heuristic belongs in INPUT_HEURISTICS like
+# the paper's six.  Its module builds on the classes above and registers
+# it on import, so it is imported here, last: every caller of the
+# registry (the CLI's choices, make_input_heuristic) sees it.
+import repro.core.adaptive  # noqa: E402,F401

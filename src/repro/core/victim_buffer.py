@@ -66,8 +66,8 @@ class VictimBuffer:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.capacity = capacity
-        #: Records captured since the last flush.  The 2WRS read step
-        #: appends to it directly through ``InputBuffer.drain``.
+        #: Records captured since the last flush.  The 2WRS generation
+        #: loop appends to it directly, and through ``InputBuffer.drain``.
         self.held: List[Any] = []
         #: Current inclusive (low, high) acceptance range.  Set only in
         #: the ACTIVE phase; None while no range is established (initial
@@ -82,10 +82,6 @@ class VictimBuffer:
     def __len__(self) -> int:
         return len(self.held)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity > 0 and len(self.held) >= self.capacity
-
     def start_run(self) -> None:
         """Reset for a new run (records must have been flushed already)."""
         if self.held:
@@ -95,12 +91,6 @@ class VictimBuffer:
             self.phase = VictimPhase.INITIAL_FILL
 
     # -- initial fill (first heap outputs of the run) --------------------------
-
-    def add_initial(self, value: Any) -> None:
-        """Stash one of the run's first heap outputs."""
-        if self.phase is not VictimPhase.INITIAL_FILL:
-            raise RuntimeError(f"add_initial in phase {self.phase}")
-        self.held.append(value)
 
     def flush_initial(self) -> Tuple[List[Any], List[Any]]:
         """Establish the valid range from the buffered first outputs.
@@ -115,21 +105,6 @@ class VictimBuffer:
         return self._split(self._sorted_and_cleared())
 
     # -- active phase -------------------------------------------------------------
-
-    def fits(self, value: Any) -> bool:
-        """True when ``value`` may be stored in the victim buffer now."""
-        if self.phase is not VictimPhase.ACTIVE or self.valid_range is None:
-            return False
-        if self.is_full:
-            return False
-        low, high = self.valid_range
-        return low <= value <= high
-
-    def add(self, value: Any) -> None:
-        """Store a record previously accepted by :meth:`fits`."""
-        if self.phase is not VictimPhase.ACTIVE:
-            raise RuntimeError(f"add in phase {self.phase}")
-        self.held.append(value)
 
     def flush_full(self) -> Tuple[List[Any], List[Any]]:
         """Flush a full buffer, narrowing the valid range to its widest gap."""

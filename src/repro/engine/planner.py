@@ -49,14 +49,19 @@ from repro.engine.block_io import (
 )
 from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.engine.spill_codec import validate_codec
-from repro.merge.kway import MergeCounter, validate_merge_params
-from repro.merge.merge_tree import DEFAULT_FAN_IN
+from repro.merge.kway import (
+    DEFAULT_FAN_IN,
+    MergeCounter,
+    validate_merge_params,
+)
 from repro.runs.base import log_cost
-from repro.sort.external import ExternalSort
 from repro.sort.spill import DEFAULT_BUFFER_RECORDS
 
 #: Execution modes a plan can select.
 SORT_MODES = ("in_memory", "spill", "parallel")
+
+#: How a parallel plan maps records to workers (``partition=``).
+PARTITION_STRATEGIES = ("hash", "range")
 
 
 @dataclass(frozen=True, slots=True)
@@ -557,6 +562,9 @@ class SortEngine:
         disk timings for experiment harnesses and ``repro runs
         --report``.
         """
+        # The simulator (and its disk model) loads only for this call.
+        from repro.sort.external import ExternalSort
+
         generator = spec.build()
         pipeline = ExternalSort(generator, fan_in=fan_in)
         _, report = pipeline.sort(iter(records))

@@ -82,8 +82,7 @@ from repro.engine.block_io import (
 )
 from repro.engine.errors import JournalError, SortError
 from repro.engine.report import DEFAULT_CPU_OP_TIME
-from repro.merge.kway import MergeCounter, kway_merge
-from repro.merge.merge_tree import DEFAULT_FAN_IN
+from repro.merge.kway import DEFAULT_FAN_IN, MergeCounter, kway_merge
 from repro.runs.base import RunGeneratorStats, log_cost
 from repro.runs.load_sort_store import LoadSortStore
 from repro.sort.spill import (

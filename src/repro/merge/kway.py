@@ -44,6 +44,9 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 
 from repro.runs.base import log_cost
 
+#: Paper default fan-in (the measured optimum of Section 6.1.1).
+DEFAULT_FAN_IN = 10
+
 
 class MergeCounter:
     """Optional cost accumulator threaded through merges."""

@@ -21,10 +21,7 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Sequence
 
 from repro.iosim.files import SimulatedFile, SimulatedFileSystem
-from repro.merge.kway import MergeCounter, kway_merge
-
-#: Paper default fan-in (the measured optimum of Section 6.1.1).
-DEFAULT_FAN_IN = 10
+from repro.merge.kway import DEFAULT_FAN_IN, MergeCounter, kway_merge
 
 
 def _stream_of(source: Any, buffer_pages: int) -> Iterator[Any]:

@@ -22,11 +22,28 @@ The :class:`SortEngine` exposes one facade per operator
 ``topk`` subcommands.
 """
 
-from repro.ops.aggregate import AGGREGATES, GroupByAggregate
-from repro.ops.base import OperatorReport
-from repro.ops.distinct import DISTINCT_MODES, Distinct
-from repro.ops.join import SortMergeJoin
-from repro.ops.topk import TopK
+from typing import Any
+
+#: Public names and the modules that define them, imported on first
+#: use (see :mod:`repro.engine`).
+_LAZY = {
+    "AGGREGATES": "repro.ops.base",
+    "GroupByAggregate": "repro.ops.aggregate",
+    "OperatorReport": "repro.ops.base",
+    "DISTINCT_MODES": "repro.ops.base",
+    "Distinct": "repro.ops.distinct",
+    "SortMergeJoin": "repro.ops.join",
+    "TopK": "repro.ops.topk",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AGGREGATES",

@@ -17,6 +17,7 @@ from repro.core.records import BinaryRecordFormat, DelimitedFormat, _parse_key
 from repro.engine.planner import plan_operator
 from repro.merge.kway import grouped
 from repro.ops.base import (
+    AGGREGATES,
     CountingIterator,
     close_stream,
     executed_plan,
@@ -24,9 +25,6 @@ from repro.ops.base import (
 )
 
 __all__ = ["GroupByAggregate", "AGGREGATES"]
-
-#: Supported aggregate functions, in canonical order.
-AGGREGATES = ("count", "sum", "min", "max", "avg")
 
 
 def _render_number(value: Any) -> str:

@@ -18,12 +18,20 @@ from typing import Any, Iterable, Iterator, Optional
 from repro.engine.report import SortReport
 
 __all__ = [
+    "AGGREGATES",
+    "DISTINCT_MODES",
     "OperatorReport",
     "CountingIterator",
     "report_as_dict",
     "report_from_sort",
     "close_stream",
 ]
+
+#: Supported aggregate functions, in canonical order.
+AGGREGATES = ("count", "sum", "min", "max", "avg")
+
+#: What "duplicate" means: the whole record, or just its sort key.
+DISTINCT_MODES = ("record", "key")
 
 
 @dataclass(slots=True)

@@ -13,6 +13,7 @@ from typing import Any, Iterable, Iterator, Optional
 from repro.engine.planner import plan_operator
 from repro.merge.kway import grouped
 from repro.ops.base import (
+    DISTINCT_MODES,
     CountingIterator,
     close_stream,
     executed_plan,
@@ -20,9 +21,6 @@ from repro.ops.base import (
 )
 
 __all__ = ["Distinct", "DISTINCT_MODES"]
-
-#: What "duplicate" means: the whole record, or just its sort key.
-DISTINCT_MODES = ("record", "key")
 
 
 class Distinct:

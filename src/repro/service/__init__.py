@@ -14,10 +14,27 @@ directory and resumes from its §11 sort journal instead of starting
 over.
 """
 
-from repro.service.client import ServiceClient, read_endpoint
-from repro.service.jobs import JobSpec, job_id_for
-from repro.service.scheduler import JobScheduler
-from repro.service.server import SortService
+from typing import Any
+
+#: Public names and the modules that define them, imported on first
+#: use (see :mod:`repro.engine`).
+_LAZY = {
+    "ServiceClient": "repro.service.client",
+    "read_endpoint": "repro.service.client",
+    "JobSpec": "repro.service.jobs",
+    "job_id_for": "repro.service.jobs",
+    "JobScheduler": "repro.service.scheduler",
+    "SortService": "repro.service.server",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "JobScheduler",

@@ -33,7 +33,6 @@ import time
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import GeneratorSpec
@@ -46,14 +45,13 @@ from repro.engine.block_io import (
     open_run,
 )
 from repro.engine.errors import SortError
+from repro.engine.planner import PARTITION_STRATEGIES
 from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.engine.spill_codec import validate_codec
-from repro.merge.kway import MergeCounter, validate_merge_params
-from repro.merge.merge_tree import DEFAULT_FAN_IN
-from repro.sort.memory_broker import (
-    MemoryBroker,
-    SharedMemoryBroker,
-    WaitSituation,
+from repro.merge.kway import (
+    DEFAULT_FAN_IN,
+    MergeCounter,
+    validate_merge_params,
 )
 from repro.sort.spill import (
     DEFAULT_BUFFER_RECORDS,
@@ -63,9 +61,6 @@ from repro.sort.spill import (
     merge_spilled_runs,
     publish_instrumentation,
 )
-
-#: Supported partitioning strategies.
-PARTITION_STRATEGIES = ("hash", "range")
 
 #: Smallest memory grant a worker will sort with.
 MIN_WORKER_MEMORY = 2
@@ -172,6 +167,8 @@ def _acquire_memory(
     siblings is not mistaken for a dead one — only a pool where nothing
     moves for ``timeout`` seconds fails.
     """
+    from repro.sort.memory_broker import WaitSituation
+
     granted = broker.request_or_enqueue(
         owner, want, WaitSituation.ABOUT_TO_START, maximum=want
     )
@@ -651,6 +648,12 @@ class PartitionedSort:
             )
             for i, path in enumerate(partition_paths)
         ]
+        # The broker (a multiprocessing manager) and the process pool
+        # load only for a partitioned sort, not with this module.
+        from multiprocessing import get_context
+
+        from repro.sort.memory_broker import MemoryBroker, SharedMemoryBroker
+
         results: List[ShardResult] = []
         pending = tasks
         if durable:

@@ -58,12 +58,12 @@ from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
 from repro.engine.spill_codec import validate_codec
 from repro.engine.merge_reading import open_reading
 from repro.merge.kway import (
+    DEFAULT_FAN_IN,
     MergeCounter,
     kway_merge,
     reduce_to_fan_in,
     validate_merge_params,
 )
-from repro.merge.merge_tree import DEFAULT_FAN_IN
 from repro.runs.base import RunGenerator, RunGeneratorStats
 
 #: Records decoded per read chunk of one run reader.

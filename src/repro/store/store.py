@@ -47,8 +47,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.engine.errors import StoreError
 from repro.engine.resilience import artifact_valid
 from repro.engine.spill_codec import validate_codec
-from repro.merge.kway import reduce_to_fan_in
-from repro.merge.merge_tree import DEFAULT_FAN_IN
+from repro.merge.kway import DEFAULT_FAN_IN, reduce_to_fan_in
 from repro.store.compaction import merge_streams, visible_items
 from repro.store.format import (
     PUT,

@@ -427,3 +427,35 @@ class TestDatasetCommand:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
             main(["dataset", "zipf"])
+
+
+def _generator_argv(command, option, value, path):
+    """argv of ``command`` with one generator option and its inputs."""
+    if command == "join":
+        return [command, option, value, path, path]
+    if command == "topk":
+        return [command, "-k", "3", option, value, path]
+    return [command, option, value, path]
+
+
+@pytest.mark.parametrize(
+    "command", ["sort", "runs", "distinct", "agg", "topk", "join", "merge"]
+)
+@pytest.mark.parametrize(
+    "option,value",
+    [("--memory", "0"), ("--memory", "-3"),
+     ("--buffer-fraction", "2"), ("--buffer-fraction", "1"),
+     ("--buffer-fraction", "-0.5"), ("--buffer-fraction", "nan")],
+)
+def test_out_of_range_generator_option_is_a_usage_error(
+    input_file, capsys, command, option, value
+):
+    """Exit 2 with an argparse message, as for --block-records 0, not a
+    traceback out of GeneratorSpec or TwoWayConfig."""
+    path, _ = input_file
+    with pytest.raises(SystemExit) as info:
+        main(_generator_argv(command, option, value, str(path)))
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}" in err
+    assert "Traceback" not in err

@@ -157,6 +157,30 @@ class TestMaintenance:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("command", [["get", "k"], ["scan"], ["verify"]])
+    def test_read_of_a_missing_store_creates_nothing(
+        self, capsys, tmp_path, command
+    ):
+        path = str(tmp_path / "no" / "such" / "dir")
+        code, out, err = run(
+            capsys, ["store", command[0], path] + command[1:]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"repro: store {command[0]} failed: no store at {path}\n"
+        assert not os.path.exists(tmp_path / "no")
+
+    def test_read_of_an_empty_directory_creates_nothing(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["store", "get", str(tmp_path), "k"])
+        assert code == 1
+        assert err == f"repro: store get failed: no store at {tmp_path}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_put_still_creates_the_store(self, capsys, tmp_path):
+        path = tmp_path / "fresh"
+        assert run(capsys, ["store", "put", str(path), "k", "v"])[0] == 0
+        assert run(capsys, ["store", "get", str(path), "k"])[:2] == (0, "v\n")
+
     def test_lock_contention(self, capsys, db):
         with Store(db, sync=False):
             code, _, err = run(capsys, ["store", "get", db, "k"])

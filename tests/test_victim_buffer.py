@@ -31,47 +31,26 @@ class TestPhases:
     def test_disabled_when_capacity_zero(self):
         victim = VictimBuffer(0)
         assert victim.phase is VictimPhase.DISABLED
-        assert not victim.fits(5)
+        assert victim.valid_range is None
 
     def test_initial_fill_then_active(self):
         victim = VictimBuffer(4)
         assert victim.phase is VictimPhase.INITIAL_FILL
-        for value in (39, 40, 50, 51):
-            victim.add_initial(value)
+        victim.held.extend((39, 40, 50, 51))
         to3, to2 = victim.flush_initial()
         assert victim.phase is VictimPhase.ACTIVE
         assert to3 == [39, 40]
         assert to2 == [51, 50]  # descending for stream 2
         assert victim.valid_range == (40, 50)
 
-    def test_fits_only_inside_range(self):
-        victim = VictimBuffer(4)
-        for value in (39, 40, 50, 51):
-            victim.add_initial(value)
-        victim.flush_initial()
-        assert victim.fits(44)
-        assert victim.fits(40)  # inclusive bounds
-        assert victim.fits(50)
-        assert not victim.fits(39)
-        assert not victim.fits(51)
-
     def test_no_fit_during_initial_fill(self):
         victim = VictimBuffer(4)
-        victim.add_initial(5)
-        assert not victim.fits(5)
-
-    def test_add_initial_in_active_phase_raises(self):
-        victim = VictimBuffer(2)
-        victim.add_initial(1)
-        victim.add_initial(2)
-        victim.flush_initial()
-        with pytest.raises(RuntimeError):
-            victim.add_initial(3)
+        victim.held.append(5)
+        assert victim.valid_range is None
 
     def test_start_run_resets(self):
         victim = VictimBuffer(2)
-        victim.add_initial(1)
-        victim.add_initial(9)
+        victim.held.extend((1, 9))
         victim.flush_initial()
         victim.flush_run_end()
         victim.start_run()
@@ -80,7 +59,7 @@ class TestPhases:
 
     def test_start_run_with_records_raises(self):
         victim = VictimBuffer(2)
-        victim.add_initial(1)
+        victim.held.append(1)
         with pytest.raises(RuntimeError):
             victim.start_run()
 
@@ -88,16 +67,13 @@ class TestPhases:
 class TestFlushes:
     def _active_victim(self):
         victim = VictimBuffer(4)
-        for value in (0, 1, 99, 100):
-            victim.add_initial(value)
+        victim.held.extend((0, 1, 99, 100))
         victim.flush_initial()  # range (1, 99)
         return victim
 
     def test_flush_full_narrows_range(self):
         victim = self._active_victim()
-        for value in (10, 20, 60, 70):
-            assert victim.fits(value)
-            victim.add(value)
+        victim.held.extend((10, 20, 60, 70))
         to3, to2 = victim.flush_full()
         assert to3 == [10, 20]
         assert to2 == [70, 60]
@@ -105,24 +81,21 @@ class TestFlushes:
 
     def test_flush_run_end_returns_ascending(self):
         victim = self._active_victim()
-        victim.add(50)
-        victim.add(30)
+        victim.held.extend((50, 30))
         assert victim.flush_run_end() == [30, 50]
         assert len(victim) == 0
 
     def test_single_record_initial_flush(self):
         victim = VictimBuffer(1)
-        victim.add_initial(7)
+        victim.held.append(7)
         to3, to2 = victim.flush_initial()
         assert to3 == [7]
         assert to2 == []
         assert victim.valid_range is None
-        assert not victim.fits(7)
 
     def test_degenerate_no_gap(self):
         victim = VictimBuffer(3)
-        for _ in range(3):
-            victim.add_initial(5)
+        victim.held.extend((5, 5, 5))
         to3, to2 = victim.flush_initial()
         assert to3 + list(reversed(to2)) == [5, 5, 5]
 
@@ -139,8 +112,7 @@ class TestFlushes:
 @given(st.lists(st.integers(), min_size=2, max_size=50))
 def test_flush_parts_straddle_the_gap(values):
     victim = VictimBuffer(len(values))
-    for value in values:
-        victim.add_initial(value)
+    victim.held.extend(values)
     to3, to2 = victim.flush_initial()
     assert to3 == sorted(to3)
     assert to2 == sorted(to2, reverse=True)
@@ -150,26 +122,3 @@ def test_flush_parts_straddle_the_gap(values):
         low, high = victim.valid_range
         assert (low, high) == (max(to3), min(to2))
 
-
-@settings(max_examples=100)
-@given(
-    st.lists(st.integers(0, 1000), min_size=2, max_size=20),
-    st.lists(st.integers(0, 1000), max_size=40),
-)
-def test_active_phase_accepts_only_in_range(fill, probes):
-    victim = VictimBuffer(max(len(fill), 4))
-    for value in fill:
-        victim.add_initial(value)
-    for _ in range(victim.capacity - len(fill)):
-        victim.add_initial(fill[-1])
-    victim.flush_initial()
-    if victim.valid_range is None:
-        return
-    low, high = victim.valid_range
-    for probe in probes:
-        if victim.fits(probe):
-            assert low <= probe <= high
-            victim.add(probe)
-            if victim.is_full:
-                to3, to2 = victim.flush_full()
-                assert all(low <= v <= high for v in to3 + to2)
