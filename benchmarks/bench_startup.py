@@ -74,6 +74,7 @@ DENY_LISTS: Dict[str, Tuple[str, ...]] = {
     "sort": ("repro.store", "repro.service", "repro.ops"),
     "store get": ("repro.service", "repro.ops"),
     "submit": (
+        "asyncio",
         "repro.store",
         "repro.service.server",
         "repro.service.scheduler",

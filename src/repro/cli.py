@@ -332,7 +332,7 @@ def _print_sort_report(engine: SortEngine, verbose: bool) -> None:
             print(
                 f"  worker {i}: {worker.records} records in "
                 f"{worker.runs} runs  "
-                f"memory={backend.granted_memories[i]}  "
+                f"memory={backend.worker_memories[i]}  "
                 f"run_wall={worker.run_phase.wall_time:.3f}s  "
                 f"merge_wall={worker.merge_phase.wall_time:.3f}s",
                 file=sys.stderr,

@@ -262,7 +262,7 @@ class SortEngine:
         every run or shard that survived a previous attempt.
         ``input_fingerprint`` ties the journal to one input; the CLI
         passes path + size + mtime.
-    tmp_dir / total_memory / cpu_op_time:
+    tmp_dir / cpu_op_time:
         Passed through to the chosen backend.
 
     After a sort is fully consumed, :attr:`report` holds the unified
@@ -289,7 +289,6 @@ class SortEngine:
         work_dir: Optional[str] = None,
         input_fingerprint: Optional[str] = None,
         tmp_dir: Optional[str] = None,
-        total_memory: Optional[int] = None,
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
     ) -> None:
         validate_merge_params(fan_in, buffer_records)
@@ -309,7 +308,6 @@ class SortEngine:
         self.work_dir = work_dir
         self.input_fingerprint = input_fingerprint
         self.tmp_dir = tmp_dir
-        self.total_memory = total_memory
         self.cpu_op_time = cpu_op_time
         self._resume = False
         # -- filled in by sort() / merge_files() --
@@ -466,7 +464,6 @@ class SortEngine:
             work_dir=work_dir,
             input_fingerprint=input_fingerprint,
             tmp_dir=self.tmp_dir,
-            total_memory=self.total_memory,
             cpu_op_time=self.cpu_op_time,
         )
 
@@ -655,7 +652,6 @@ class SortEngine:
             buffer_records=self.buffer_records,
             tmp_dir=self.tmp_dir,
             record_format=self.record_format,
-            total_memory=self.total_memory,
             work_dir=self.work_dir,
             resume=self._resume,
             input_fingerprint=self.input_fingerprint,

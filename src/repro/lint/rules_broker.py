@@ -1,11 +1,11 @@
 """R004 — MemoryBroker request/release pairing.
 
-PR 1's over-allocation and livelock bugs were both unpaired-broker
-bugs: memory requested and never released (or released twice) drifts
-the shared pool until concurrent sorts starve.  PR 2 then added the
-harder variant — a worker that dies *between* request and release
-leaks its grant forever, which is why ``sort_shard`` releases in a
-``finally`` and on the acquisition error path.
+Unpaired requests and releases are how a broker pool drifts:
+memory requested and never released (or released twice) shrinks the
+shared pool until concurrent sorts starve.  The harder variant is a
+job that fails *between* request and release: it leaks its grant
+forever unless the release sits on the error path too, which is why
+the service scheduler's ``_acquire`` unwinds with ``cancel_owner``.
 
 The rule checks every function (outside the broker module itself)
 that calls ``request`` / ``request_or_enqueue`` / ``try_allocate`` on
@@ -17,8 +17,8 @@ some receiver:
   inside a ``finally`` block or ``except`` handler — a straight-line
   release never runs when the sorting work in between raises; or
 * the granted amount must escape via ``return`` (an acquisition
-  helper like ``_acquire_memory`` transfers the pairing obligation to
-  its caller, which is then linted itself).
+  helper like the scheduler's ``_acquire`` transfers the pairing
+  obligation to its caller, which is then linted itself).
 
 Scoped to ``src/repro`` (tests hammer brokers in deliberately
 unpaired ways to prove the accounting).

@@ -6,30 +6,33 @@ stream self-delimiting over plain TCP with zero dependencies, and the
 JSON body keeps the protocol inspectable — ``nc`` plus a hand-built
 header is a usable debugging client.
 
-Both async (server-side ``asyncio`` streams) and sync (client-side
-``socket``) helpers live here so the two ends can never drift apart on
-framing.
+The framing itself (:func:`encode_message`, the body and length
+checks) lives here, with the blocking-socket helpers the client uses;
+the server's ``asyncio`` stream helpers in :mod:`repro.service.server`
+build on the same pieces, so the two ends can never drift apart on
+framing, and the client never imports ``asyncio``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
 from typing import Any, Dict, Optional
 
 __all__ = [
+    "HEADER",
     "MAX_MESSAGE_BYTES",
     "ProtocolError",
+    "check_length",
+    "decode_body",
     "encode_message",
-    "read_message",
     "recv_message",
     "send_message",
-    "write_message",
 ]
 
-_HEADER = struct.Struct("!I")
+#: The 4-byte big-endian length prefix of every frame.
+HEADER = struct.Struct("!I")
 
 #: Upper bound on one frame; a length above this is a framing bug (or
 #: a stray client speaking another protocol), not a real message.
@@ -48,10 +51,11 @@ def encode_message(payload: Dict[str, Any]) -> bytes:
             f"message of {len(body)} bytes exceeds the "
             f"{MAX_MESSAGE_BYTES}-byte frame limit"
         )
-    return _HEADER.pack(len(body)) + body
+    return HEADER.pack(len(body)) + body
 
 
-def _decode_body(body: bytes) -> Dict[str, Any]:
+def decode_body(body: bytes) -> Dict[str, Any]:
+    """The JSON object a frame body carries; ProtocolError otherwise."""
     try:
         payload = json.loads(body.decode("utf-8"))
     except ValueError as exc:
@@ -65,39 +69,13 @@ def _decode_body(body: bytes) -> Dict[str, Any]:
     return payload
 
 
-def _check_length(length: int) -> None:
+def check_length(length: int) -> None:
+    """Refuse a frame header announcing more than the frame limit."""
     if length > MAX_MESSAGE_BYTES:
         raise ProtocolError(
             f"frame length {length} exceeds the "
             f"{MAX_MESSAGE_BYTES}-byte limit"
         )
-
-
-async def read_message(
-    reader: asyncio.StreamReader,
-) -> Optional[Dict[str, Any]]:
-    """Next message from an asyncio stream; None on clean EOF."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise ProtocolError("connection closed mid-header") from None
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid-message") from None
-    return _decode_body(body)
-
-
-async def write_message(
-    writer: asyncio.StreamWriter, payload: Dict[str, Any]
-) -> None:
-    """Send one message over an asyncio stream and drain the buffer."""
-    writer.write(encode_message(payload))
-    await writer.drain()
 
 
 def send_message(sock: socket.socket, payload: Dict[str, Any]) -> None:
@@ -119,14 +97,14 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes:
 
 def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     """Next message from a blocking socket; None on clean EOF."""
-    header = _recv_exactly(sock, _HEADER.size)
+    header = _recv_exactly(sock, HEADER.size)
     if not header:
         return None
-    if len(header) < _HEADER.size:
+    if len(header) < HEADER.size:
         raise ProtocolError("connection closed mid-header")
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
+    (length,) = HEADER.unpack(header)
+    check_length(length)
     body = _recv_exactly(sock, length)
     if len(body) < length:
         raise ProtocolError("connection closed mid-message")
-    return _decode_body(body)
+    return decode_body(body)

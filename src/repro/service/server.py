@@ -39,9 +39,11 @@ from typing import Any, Dict, Optional, Set, Tuple
 from repro.engine.resilience import write_marker
 from repro.service.jobs import JobSpec
 from repro.service.protocol import (
+    HEADER,
     ProtocolError,
-    read_message,
-    write_message,
+    check_length,
+    decode_body,
+    encode_message,
 )
 from repro.service.scheduler import TERMINAL_STATES, JobScheduler
 
@@ -57,6 +59,33 @@ WAIT_CAP_S = 10.0
 
 #: Seconds shutdown gives answered waits to write their replies.
 _SHUTDOWN_REPLY_S = 1.0
+
+
+async def read_message(
+    reader: asyncio.StreamReader,
+) -> Optional[Dict[str, Any]]:
+    """Next message from an asyncio stream; None on clean EOF."""
+    try:
+        header = await reader.readexactly(HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None  # clean EOF between frames
+        raise ProtocolError("connection closed mid-header") from None
+    (length,) = HEADER.unpack(header)
+    check_length(length)
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError:
+        raise ProtocolError("connection closed mid-message") from None
+    return decode_body(body)
+
+
+async def write_message(
+    writer: asyncio.StreamWriter, payload: Dict[str, Any]
+) -> None:
+    """Send one message over an asyncio stream and drain the buffer."""
+    writer.write(encode_message(payload))
+    await writer.drain()
 
 
 class SortService:

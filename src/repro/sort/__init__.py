@@ -10,7 +10,6 @@ _LAZY = {
     "SortReport": "repro.engine.report",
     "ConcurrentSortSimulator": "repro.sort.memory_broker",
     "MemoryBroker": "repro.sort.memory_broker",
-    "SharedMemoryBroker": "repro.sort.memory_broker",
     "SortJob": "repro.sort.memory_broker",
     "WaitSituation": "repro.sort.memory_broker",
     "PARTITION_STRATEGIES": "repro.engine.planner",
@@ -38,7 +37,6 @@ __all__ = [
     "MemoryBroker",
     "PARTITION_STRATEGIES",
     "PartitionedSort",
-    "SharedMemoryBroker",
     "SortJob",
     "SpilledRun",
     "WaitSituation",

@@ -15,16 +15,18 @@ This module implements the broker and a cooperative round-robin
 simulation of concurrent external sorts over the simulated disk, so the
 paper's claim — dynamic adjustment beats static partitioning on
 throughput — can be measured (see ``benchmarks/bench_ablation_memory.py``).
+The resident service's scheduler admits independent jobs through the
+same broker, one thread per job.  The shards of one partitioned sort do
+not compete this way: each gets a fixed share under a concurrency cap
+(DESIGN.md §8), so nothing here crosses a process boundary.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
-from multiprocessing.managers import BaseManager
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runs.base import log_cost
@@ -54,10 +56,8 @@ class MemoryBroker:
     """A shared memory pool with prioritised waiting.
 
     All mutating methods are serialised behind an internal lock, so the
-    accounting stays exact when the broker is hosted in a manager
-    process (:class:`SharedMemoryBroker`) and hammered concurrently
-    from several worker processes, each proxy call running in its own
-    server thread.
+    accounting stays exact when several threads (the service's job
+    workers) request and release concurrently.
 
     Parameters
     ----------
@@ -71,9 +71,6 @@ class MemoryBroker:
         self.total = total
         self.allocated: Dict[Any, int] = {}
         self.peak_allocated = 0
-        #: Bumped on every successful grant or release — lets waiters
-        #: distinguish a busy pool from a dead one (see activity_count).
-        self.activity = 0
         # (situation, order, owner, amount, maximum) — one entry per owner.
         self._waiting: List[tuple] = []
         self._order = 0
@@ -87,10 +84,8 @@ class MemoryBroker:
     def free(self) -> int:
         return self.total - sum(self.allocated.values())
 
-    # Method twins of the properties: manager proxies expose only
-    # callables, so remote callers cannot read ``free``/``allocated``.
     def free_records(self) -> int:
-        """Unallocated records (proxy-callable twin of :attr:`free`)."""
+        """Unallocated records (locked twin of :attr:`free`)."""
         with self._lock:
             return self.free
 
@@ -103,11 +98,6 @@ class MemoryBroker:
         """Largest total allocation ever observed (never > ``total``)."""
         with self._lock:
             return self.peak_allocated
-
-    def activity_count(self) -> int:
-        """Grants + releases so far — a liveness signal for waiters."""
-        with self._lock:
-            return self.activity
 
     def try_allocate(self, owner: Any, amount: int) -> bool:
         """Grant ``amount`` more records to ``owner`` if available.
@@ -123,7 +113,6 @@ class MemoryBroker:
             if amount > self.free:
                 return False
             self.allocated[owner] = self.allocated.get(owner, 0) + amount
-            self.activity += 1
             in_use = self.total - self.free
             if in_use > self.peak_allocated:
                 self.peak_allocated = in_use
@@ -134,8 +123,6 @@ class MemoryBroker:
         with self._lock:
             held = self.allocated.get(owner, 0)
             release = held if amount is None else min(amount, held)
-            if release:
-                self.activity += 1
             remaining = held - release
             if remaining:
                 self.allocated[owner] = remaining
@@ -204,7 +191,7 @@ class MemoryBroker:
             self._waiting = remaining
             return granted
 
-    # -- atomic compound operations (one proxy round-trip each) ----------------
+    # -- atomic compound operations (one lock hold each) -----------------------
 
     def request_or_enqueue(
         self,
@@ -217,9 +204,8 @@ class MemoryBroker:
 
         Returns the records granted (0 when the owner was enqueued
         instead, or was already at its cap).  Check-then-enqueue must be
-        one atomic step for cross-process callers: split over two proxy
-        calls, a release landing in between would be missed by
-        everybody.  ``maximum`` caps the owner's *total* allocation,
+        one atomic step for concurrent callers: split over two calls, a
+        release landing in between would be missed by everybody.  ``maximum`` caps the owner's *total* allocation,
         exactly as at :meth:`grant_waiting` time — the immediate-grant
         path must clamp against what the owner already holds or a
         re-requesting owner could be pushed past its cap.  A cancelled
@@ -244,14 +230,13 @@ class MemoryBroker:
         """Release ``owner``'s memory and serve the wait queue with it.
 
         Returns the owners granted memory by the freed records.  Waiting
-        workers poll :meth:`allocated_to`, so the release and the regrant
+        jobs poll :meth:`allocated_to`, so the release and the regrant
         must be one atomic step or a concurrent ``request_or_enqueue``
         could snatch the freed memory out of priority order.
 
         The owner is done with the pool, so any wait-queue entry of its
-        own is cancelled first: a worker that gave up waiting (acquire
-        timeout) must never be granted memory posthumously — nobody
-        would ever release it.
+        own is cancelled first: a job that gave up waiting must never
+        be granted memory posthumously — nobody would ever release it.
         """
         with self._lock:
             self._waiting = [
@@ -291,69 +276,6 @@ class MemoryBroker:
     def waiting(self) -> List[Any]:
         with self._lock:
             return [owner for (_, _, owner, _, _) in self._waiting]
-
-
-class _BrokerManager(BaseManager):
-    """Manager subclass hosting :class:`MemoryBroker` instances."""
-
-
-_BrokerManager.register("MemoryBroker", MemoryBroker)
-
-
-class SharedMemoryBroker:
-    """A :class:`MemoryBroker` shared across worker processes.
-
-    The broker object lives in a dedicated manager process; this class
-    hands out picklable proxies whose method calls execute remotely,
-    one server thread per client.  Combined with the broker's internal
-    lock this gives process-safe grant accounting: the pool can never
-    be over-allocated no matter how many workers race, which
-    ``tests/test_memory_broker.py`` asserts by hammering one pool from
-    several processes and checking :meth:`MemoryBroker.peak`.
-
-    Use as a context manager so the manager process is always reaped::
-
-        with SharedMemoryBroker(total=10_000) as broker:
-            pool.map(worker, [(broker.proxy, ...) for ...])
-
-    Parameters
-    ----------
-    total:
-        Pool size in records.
-    mp_context:
-        Start-method name for the manager process ("spawn" by default,
-        matching the parallel sort's workers).
-    """
-
-    def __init__(self, total: int, mp_context: str = "spawn") -> None:
-        if total < 1:
-            raise ValueError(f"total must be >= 1, got {total}")
-        self._manager: Optional[_BrokerManager] = None
-        manager = _BrokerManager(ctx=multiprocessing.get_context(mp_context))
-        manager.start()
-        self._manager = manager
-        try:
-            #: Picklable proxy; pass it to worker processes.
-            self.proxy = self._manager.MemoryBroker(total)
-        except BaseException:
-            # A failure between manager start and __enter__ (proxy
-            # creation, a caller raising before its with-block) must
-            # not orphan the manager process.
-            self.shutdown()
-            raise
-
-    def shutdown(self) -> None:
-        """Stop the manager process (idempotent; safe to call twice)."""
-        manager, self._manager = self._manager, None
-        if manager is None:
-            return
-        manager.shutdown()
-
-    def __enter__(self) -> "SharedMemoryBroker":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
 
 
 @dataclass(slots=True)

@@ -11,17 +11,19 @@ itself sorted, the final merge is correct for any partitioning, and for
 integer keys the merged stream is byte-identical to a serial sort of
 the same input.
 
-Memory is arbitrated, not multiplied: the workers share one
-:class:`~repro.sort.memory_broker.MemoryBroker` budget hosted in a
-manager process (:class:`~repro.sort.memory_broker.SharedMemoryBroker`),
-so ``--workers 8 --memory 10000`` still uses ~10 000 records of sorting
-memory in total.  Workers that cannot be granted their share
-immediately wait in the broker's five-situation queue and are served
-when a finishing worker releases.
+Memory is divided, not multiplied: each shard sorts with a fixed share
+``memory_per_worker = max(2, memory // workers)``, and the parent runs
+at most ``memory // memory_per_worker`` shards at once, so
+``--workers 8 --memory 10000`` still uses ~10 000 records of sorting
+memory in total.  The shards run on a
+:class:`concurrent.futures.ProcessPoolExecutor`; a worker that dies
+(OOM kill, signal) breaks the pool, and the sort fails with a
+:class:`~repro.engine.errors.SortError` naming the unfinished shards
+instead of waiting for them.
 
 Workers are spawn-safe: the only things crossing the process boundary
-are a picklable :class:`~repro.core.config.GeneratorSpec`, file paths,
-a picklable record format, and a broker proxy.
+are a picklable :class:`~repro.core.config.GeneratorSpec`, file paths
+and a picklable record format.
 """
 
 from __future__ import annotations
@@ -151,45 +153,6 @@ def _read_encoded(
         )
 
 
-def _acquire_memory(
-    broker: Any, owner: str, want: int, poll: float, timeout: float
-) -> int:
-    """Block until the shared broker grants ``want`` records to ``owner``.
-
-    The first attempt is one atomic grant-or-enqueue round-trip; after
-    that the worker polls its own allocation, which the broker fills in
-    priority order as finishing workers release their grants.  The
-    ``timeout`` bounds the wait: if a sibling dies while holding its
-    grant (OOM kill, signal) its release never runs, and an unbounded
-    poll would hang the whole sort silently instead of failing.  The
-    deadline restarts whenever the broker shows activity (a grant or
-    release anywhere in the pool), so a busy pool with slow-but-alive
-    siblings is not mistaken for a dead one — only a pool where nothing
-    moves for ``timeout`` seconds fails.
-    """
-    from repro.sort.memory_broker import WaitSituation
-
-    granted = broker.request_or_enqueue(
-        owner, want, WaitSituation.ABOUT_TO_START, maximum=want
-    )
-    deadline = time.monotonic() + timeout
-    last_activity = broker.activity_count()
-    while not granted:
-        if time.monotonic() > deadline:
-            raise RuntimeError(
-                f"{owner}: no memory grant of {want} records within "
-                f"{timeout:.0f}s of broker inactivity — a sibling worker "
-                f"may have died while holding its grant"
-            )
-        time.sleep(poll)
-        activity = broker.activity_count()
-        if activity != last_activity:
-            last_activity = activity
-            deadline = time.monotonic() + timeout
-        granted = broker.allocated_to(owner)
-    return granted
-
-
 @dataclass(frozen=True, slots=True)
 class ShardTask:
     """Everything one worker process needs, in picklable form."""
@@ -201,11 +164,10 @@ class ShardTask:
     fan_in: int
     buffer_records: int
     work_dir: str
-    memory_request: int
+    #: Records of sorting memory: the shard's fixed share.
+    memory: int
     record_format: RecordFormat
     cpu_op_time: float
-    poll_interval: float
-    acquire_timeout: float
     #: Spill codec on partition, spill and shard files (DESIGN.md §15).
     codec: str = "none"
     #: Durable mode: fsync the shard output and leave a ``.ok``
@@ -223,19 +185,18 @@ class ShardResult:
     index: int
     output_path: str
     records: int
-    granted_memory: int
-    wait_time: float
+    #: Memory the shard sorted with (0 for a shard reused on resume).
+    memory: int
     report: SortReport
 
 
-def sort_shard(args: Tuple[ShardTask, Any]) -> ShardResult:
+def sort_shard(task: ShardTask) -> ShardResult:
     """Worker entry point: fully sort one partition file.
 
     Top-level so the spawn start method can pickle it.  The worker
-    acquires its memory grant from the shared broker, builds a private
-    generator from the spec sized to that grant, streams the partition
-    file through a :class:`FileSpillSort` into one sorted output file,
-    and always releases its grant (re-granting waiters atomically).
+    builds a private generator from the spec sized to its share and
+    streams the partition file through a :class:`FileSpillSort` into
+    one sorted output file.
 
     In durable mode the shard file is fsynced and a ``.ok`` completion
     marker (record count + CRC-32 of the intended bytes) is committed
@@ -248,66 +209,78 @@ def sort_shard(args: Tuple[ShardTask, Any]) -> ShardResult:
         from repro.testing.faults import activate_from_env
 
         activate_from_env()
-    task, broker = args
-    owner = f"shard-{task.index}"
-    waited = time.perf_counter()
-    try:
-        granted = _acquire_memory(
-            broker, owner, task.memory_request, task.poll_interval,
-            task.acquire_timeout,
+    generator = task.spec.with_memory(task.memory).build()
+    sorter = FileSpillSort(
+        generator,
+        fan_in=task.fan_in,
+        buffer_records=task.buffer_records,
+        tmp_dir=task.work_dir,
+        record_format=task.record_format,
+        cpu_op_time=task.cpu_op_time,
+        spill_codec=task.codec,
+    )
+    length = sorter.sort_to_path(
+        _read_encoded(
+            task.partition_path, task.record_format,
+            task.buffer_records, codec=task.codec,
+        ),
+        task.output_path,
+        fsync=task.durable,
+    )
+    if task.expected_records is not None and length != task.expected_records:
+        raise SortError(
+            f"shard {task.index}: partition file "
+            f"{task.partition_path!r} carried {task.expected_records} "
+            f"records but {length} were sorted — partition data was "
+            f"lost or corrupted in transit"
         )
-    except BaseException:
-        # Sign off the broker even when the wait fails: the queued
-        # request must be cancelled (and any grant that raced in
-        # between the last poll and the raise released), or the pool
-        # leaks memory to a worker that is about to exit.
-        broker.release_and_regrant(owner)
-        raise
-    waited = time.perf_counter() - waited
-    try:
-        generator = task.spec.with_memory(granted).build()
-        sorter = FileSpillSort(
-            generator,
-            fan_in=task.fan_in,
-            buffer_records=task.buffer_records,
-            tmp_dir=task.work_dir,
-            record_format=task.record_format,
-            cpu_op_time=task.cpu_op_time,
-            spill_codec=task.codec,
-        )
-        length = sorter.sort_to_path(
-            _read_encoded(
-                task.partition_path, task.record_format,
-                task.buffer_records, codec=task.codec,
-            ),
-            task.output_path,
-            fsync=task.durable,
-        )
-        if (
-            task.expected_records is not None
-            and length != task.expected_records
-        ):
-            raise SortError(
-                f"shard {task.index}: partition file "
-                f"{task.partition_path!r} carried {task.expected_records} "
-                f"records but {length} were sorted — partition data was "
-                f"lost or corrupted in transit"
-            )
-        if task.durable:
-            from repro.engine.resilience import MARKER_SUFFIX, write_marker
+    if task.durable:
+        from repro.engine.resilience import MARKER_SUFFIX, write_marker
 
-            write_marker(
-                task.output_path + MARKER_SUFFIX,
-                {"records": length, "crc32": sorter.last_output_crc},
-            )
-        # The partition file is fully consumed; free its disk before
-        # the parent merge doubles the footprint.
-        os.remove(task.partition_path)
-        return ShardResult(
-            task.index, task.output_path, length, granted, waited, sorter.report
+        write_marker(
+            task.output_path + MARKER_SUFFIX,
+            {"records": length, "crc32": sorter.last_output_crc},
         )
-    finally:
-        broker.release_and_regrant(owner)
+    # The partition file is fully consumed; free its disk before
+    # the parent merge doubles the footprint.
+    os.remove(task.partition_path)
+    return ShardResult(
+        task.index, task.output_path, length, task.memory, sorter.report
+    )
+
+
+def _sort_in_pool(tasks: List[ShardTask], processes: int) -> List[ShardResult]:
+    """Sort ``tasks`` on at most ``processes`` spawned workers at once.
+
+    A worker that dies without reporting back (OOM kill, signal) breaks
+    the pool: every shard it had not finished fails at once, and the
+    sort raises a :class:`SortError` naming them instead of waiting for
+    results that never come.  Any other worker error propagates as
+    raised, after the shards not yet started are cancelled.
+    """
+    # The process pool loads only for a partitioned sort, not with
+    # this module.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(processes, get_context("spawn")) as pool:
+        futures = [pool.submit(sort_shard, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            lost = [
+                task.index
+                for task, future in zip(tasks, futures)
+                if not future.done() or future.exception() is not None
+            ]
+            raise SortError(
+                f"a shard worker process died (killed by a signal or out "
+                f"of memory); shard(s) {lost} did not finish"
+            ) from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 class PartitionedSort:
@@ -317,22 +290,18 @@ class PartitionedSort:
     ----------
     spec:
         Recipe for each worker's run generator.  ``spec.memory`` is the
-        *shared* budget for the whole sort unless ``total_memory``
-        overrides it; each worker asks the broker for an equal share.
+        budget of the whole sort; each shard sorts with an equal share,
+        :attr:`memory_per_worker`.
     workers:
-        Number of shard processes (1 = serial in-process fallback that
-        still goes through partitioning, for byte-identical plumbing).
+        Number of shards (1 = serial in-process fallback that still goes
+        through partitioning, for byte-identical plumbing).  At most
+        :attr:`max_running_shards` of them run at once.
     partition:
         "hash" (default; balanced for any distribution) or "range"
         (sampled cut points; shards cover disjoint key ranges).
     fan_in / buffer_records / tmp_dir / record_format / cpu_op_time:
         As in :class:`FileSpillSort`; the format must be picklable so
         the spawn start method can ship it to workers.
-    total_memory:
-        Broker pool size in records (defaults to ``spec.memory``).
-    mp_context:
-        Multiprocessing start method ("spawn" by default — the only
-        one that is safe everywhere and matches production forkservers).
     sample_records:
         Head-of-stream records buffered to choose range cut points.
     work_dir / resume / input_fingerprint:
@@ -360,19 +329,19 @@ class PartitionedSort:
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
         tmp_dir: Optional[str] = None,
         record_format: RecordFormat = INT,
-        total_memory: Optional[int] = None,
-        mp_context: str = "spawn",
         sample_records: int = DEFAULT_SAMPLE_RECORDS,
         work_dir: Optional[str] = None,
         resume: bool = False,
         input_fingerprint: Optional[str] = None,
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
-        poll_interval: float = 0.005,
-        acquire_timeout: float = 600.0,
         spill_codec: str = "none",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if spec.memory < MIN_WORKER_MEMORY:
+            raise ValueError(
+                f"memory must be >= {MIN_WORKER_MEMORY}, got {spec.memory}"
+            )
         if partition not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"partition must be one of {PARTITION_STRATEGIES}, "
@@ -390,13 +359,6 @@ class PartitionedSort:
         self.buffer_records = buffer_records
         self.tmp_dir = tmp_dir
         self.record_format = record_format
-        self.total_memory = total_memory if total_memory is not None else spec.memory
-        if self.total_memory < MIN_WORKER_MEMORY:
-            raise ValueError(
-                f"total_memory must be >= {MIN_WORKER_MEMORY}, "
-                f"got {self.total_memory}"
-            )
-        self.mp_context = mp_context
         self.sample_records = sample_records
         #: Spill codec (DESIGN.md §15) on partition, worker-spill and
         #: shard files; the parent's final merge reads it back.
@@ -405,17 +367,19 @@ class PartitionedSort:
         self.resume = resume
         self.input_fingerprint = input_fingerprint
         self.cpu_op_time = cpu_op_time
-        self.poll_interval = poll_interval
-        self.acquire_timeout = acquire_timeout
-        #: Equal broker share each worker requests (all-or-nothing).
-        self.memory_per_worker = max(
-            MIN_WORKER_MEMORY, self.total_memory // workers
+        #: Fixed share of ``spec.memory`` each shard sorts with.
+        self.memory_per_worker = max(MIN_WORKER_MEMORY, spec.memory // workers)
+        #: Shards running at once: their shares never sum past
+        #: ``spec.memory`` (>= 1, since ``memory_per_worker <= memory``).
+        self.max_running_shards = min(
+            workers, spec.memory // self.memory_per_worker
         )
         # -- filled in once a sort() is fully consumed --
         self.report: Optional[SortReport] = None
         self.worker_reports: List[SortReport] = []
         self.shard_records: List[int] = []
-        self.granted_memories: List[int] = []
+        #: Memory each shard sorted with, in shard order.
+        self.worker_memories: List[int] = []
         self.cut_points: List[Any] = []
         self.partition_wall = 0.0
         self.merge_passes = 0
@@ -522,7 +486,6 @@ class PartitionedSort:
             "workers": self.workers,
             "partition": self.partition,
             "memory": self.spec.memory,
-            "total_memory": self.total_memory,
             "fan_in": self.fan_in,
             "buffer_records": self.buffer_records,
             "format": self.record_format.name,
@@ -545,7 +508,7 @@ class PartitionedSort:
         This loop is the sort's sequential bottleneck, so it does no
         accounting — per-shard record counts come back from the workers.
         Writes are batched per shard, but the batches together never
-        hold more than ``total_memory`` records: the parent's
+        hold more than ``spec.memory`` records: the parent's
         partitioning residency stays inside the same budget the
         workers share, instead of adding ``workers * buffer_records``
         of unaccounted memory on top.
@@ -555,7 +518,7 @@ class PartitionedSort:
             for i in range(self.workers)
         ]
         block_records = max(
-            1, min(self.buffer_records, self.total_memory // self.workers)
+            1, min(self.buffer_records, self.spec.memory // self.workers)
         )
         shard_of, stream = self._shard_function(iter(records))
         handles: List[Any] = []
@@ -637,23 +600,15 @@ class PartitionedSort:
                 fan_in=self.fan_in,
                 buffer_records=self.buffer_records,
                 work_dir=work_dir,
-                memory_request=self.memory_per_worker,
+                memory=self.memory_per_worker,
                 record_format=self.record_format,
                 cpu_op_time=self.cpu_op_time,
-                poll_interval=self.poll_interval,
-                acquire_timeout=self.acquire_timeout,
                 codec=self.spill_codec,
                 durable=durable,
                 expected_records=self._partition_counts[i],
             )
             for i, path in enumerate(partition_paths)
         ]
-        # The broker (a multiprocessing manager) and the process pool
-        # load only for a partitioned sort, not with this module.
-        from multiprocessing import get_context
-
-        from repro.sort.memory_broker import MemoryBroker, SharedMemoryBroker
-
         results: List[ShardResult] = []
         pending = tasks
         if durable:
@@ -682,8 +637,7 @@ class PartitionedSort:
                             index=task.index,
                             output_path=task.output_path,
                             records=marker["records"],
-                            granted_memory=0,
-                            wait_time=0.0,
+                            memory=0,
                             report=SortReport(
                                 algorithm="REUSED",
                                 records=marker["records"],
@@ -693,31 +647,16 @@ class PartitionedSort:
                 else:
                     pending.append(task)
             self.shards_reused = len(results)
-        if not pending:
-            pass
-        elif self.workers == 1 or len(pending) == 1:
-            # Serial fallback: same worker code path, but against a
-            # plain in-process broker — no manager process, no proxies.
-            broker = MemoryBroker(self.total_memory)
-            results.extend(sort_shard((task, broker)) for task in pending)
+        running = min(self.max_running_shards, len(pending))
+        if running > 1:
+            results.extend(_sort_in_pool(pending, running))
         else:
-            with SharedMemoryBroker(
-                self.total_memory, self.mp_context
-            ) as broker:
-                ctx = get_context(self.mp_context)
-                with ctx.Pool(
-                    processes=min(self.workers, len(pending))
-                ) as pool:
-                    results.extend(
-                        pool.map(
-                            sort_shard,
-                            [(task, broker.proxy) for task in pending],
-                        )
-                    )
+            # Serial fallback: the same worker code path, in process.
+            results.extend(sort_shard(task) for task in pending)
         results.sort(key=lambda result: result.index)
         self.worker_reports = [result.report for result in results]
         self.shard_records = [result.records for result in results]
-        self.granted_memories = [result.granted_memory for result in results]
+        self.worker_memories = [result.memory for result in results]
         return results
 
     def _combine_reports(self, results: List[ShardResult]) -> SortReport:

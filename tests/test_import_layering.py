@@ -3,8 +3,7 @@
 The package ``__init__`` modules resolve their public names on first
 use, so ``import repro.cli`` loads the sort path and nothing else:
 not the simulator, the experiments, the statistics, the memory
-broker's multiprocessing manager, the operators, the store or the
-service.  The deny-lists and the child that reports ``sys.modules``
+broker, the operators, the store or the service.  The deny-lists and the child that reports ``sys.modules``
 live in ``benchmarks/bench_startup.py``, whose ``--smoke`` runs the
 same check.
 """
@@ -82,6 +81,20 @@ def test_importing_the_packages_loads_no_submodule():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout.split() == sorted(LAZY_PACKAGES[:-1])
+
+
+def test_memory_broker_loads_no_multiprocessing():
+    # ``repro serve`` admits jobs through the broker; the broker is
+    # thread-safe in process and needs no multiprocessing machinery.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.sort.memory_broker; "
+         "print(' '.join(m for m in sys.modules "
+         "if m.split('.')[0] == 'multiprocessing'))"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.split() == []
 
 
 def test_registries_are_complete_in_a_fresh_interpreter():

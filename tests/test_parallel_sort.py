@@ -1,6 +1,11 @@
 """Tests for the parallel partitioned sort (DESIGN.md §8)."""
 
+import glob
+import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -35,6 +40,30 @@ def failing_decode(line: str) -> int:
     value = int(line)
     if value == 13:
         raise ValueError("poisoned record")
+    return value
+
+
+#: The record on which :func:`killing_decode` kills its worker.
+KILL_SENTINEL = -13
+
+#: Environment variable naming the work dir :func:`killing_decode`
+#: watches for another shard's completion marker.
+KILL_AFTER_MARKER_IN = "REPRO_TEST_KILL_AFTER_MARKER_IN"
+
+
+def killing_decode(line: str) -> int:
+    """Top-level decoder that SIGKILLs its own worker on the sentinel.
+
+    Before dying it waits (boundedly) for another shard's ``.ok``
+    completion marker, so a resumed sort has a finished shard to reuse.
+    """
+    value = int(line)
+    if value == KILL_SENTINEL:
+        pattern = os.path.join(os.environ[KILL_AFTER_MARKER_IN], "*.ok")
+        deadline = time.monotonic() + 30.0
+        while not glob.glob(pattern) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
     return value
 
 
@@ -185,33 +214,45 @@ class TestBrokerSharing:
             GeneratorSpec("lss", 1_000), workers=2, tmp_dir=str(tmp_path)
         )
         list(sorter.sort(iter(data)))
-        assert sorter.granted_memories == [500, 500]
-        assert sum(sorter.granted_memories) <= sorter.total_memory
+        assert sorter.memory_per_worker == 500
+        assert sorter.worker_memories == [sorter.memory_per_worker] * 2
 
-    def test_contended_pool_serialises_but_completes(self, tmp_path):
-        # 3 workers each requesting max(MIN, 4 // 3) = MIN_WORKER_MEMORY
-        # records from a 4-record pool: the grants cannot all coexist,
-        # so the broker queues the overflow worker until a release.
+    def test_running_shares_never_exceed_the_memory(self):
+        for memory in (2, 3, 4, 5, 7, 8, 100, 1_000, 1_001):
+            for workers in (1, 2, 3, 4, 5, 8, 16):
+                sorter = PartitionedSort(
+                    GeneratorSpec("lss", memory), workers=workers
+                )
+                cap = sorter.max_running_shards
+                assert cap >= 1, (memory, workers)
+                assert cap * sorter.memory_per_worker <= memory, (
+                    memory, workers
+                )
+
+    def test_contended_pool_serialises_but_completes(
+        self, tmp_path, monkeypatch
+    ):
+        # 3 shards of max(MIN, 4 // 3) = MIN_WORKER_MEMORY records each
+        # in a 4-record budget: only two shares fit at once, so at most
+        # two shards run at a time.
+        from repro.sort import parallel
+
+        pool_sizes = []
+        sort_in_pool = parallel._sort_in_pool
+
+        def recording(tasks, processes):
+            pool_sizes.append(processes)
+            return sort_in_pool(tasks, processes)
+
+        monkeypatch.setattr(parallel, "_sort_in_pool", recording)
         data = list(random_input(600, seed=7))
         sorter = PartitionedSort(
-            GeneratorSpec("lss", 1_000),
-            workers=3,
-            total_memory=4,
-            tmp_dir=str(tmp_path),
+            GeneratorSpec("lss", 4), workers=3, tmp_dir=str(tmp_path)
         )
         assert list(sorter.sort(iter(data))) == sorted(data)
-        assert sorter.granted_memories == [MIN_WORKER_MEMORY] * 3
-
-    def test_total_memory_overrides_spec_budget(self, tmp_path):
-        data = list(random_input(2_000, seed=8))
-        sorter = PartitionedSort(
-            GeneratorSpec("lss", 100),
-            workers=2,
-            total_memory=800,
-            tmp_dir=str(tmp_path),
-        )
-        assert list(sorter.sort(iter(data))) == sorted(data)
-        assert sorter.granted_memories == [400, 400]
+        assert sorter.max_running_shards == 2
+        assert pool_sizes == [2]
+        assert sorter.worker_memories == [MIN_WORKER_MEMORY] * 3
 
 
 class TestCleanup:
@@ -240,6 +281,63 @@ class TestCleanup:
         assert files_under(tmp_path) == []
         assert os.listdir(tmp_path) == []
 
+    def test_killed_worker_fails_and_resume_reuses_finished_shards(
+        self, tmp_path
+    ):
+        # A worker that dies without reporting back must fail the sort,
+        # not leave it waiting.  The sort runs in a child interpreter so
+        # a hang fails this test at the timeout instead of stalling the
+        # suite.
+        work_dir = str(tmp_path / "work")
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        data = list(random_input(4_000, seed=14)) + [KILL_SENTINEL]
+        child = (
+            "import json, sys\n"
+            "from repro.core.config import GeneratorSpec\n"
+            "from repro.core.records import CallableFormat\n"
+            "from repro.engine.errors import SortError\n"
+            "from repro.sort.parallel import PartitionedSort\n"
+            "from test_parallel_sort import killing_decode\n"
+            "data = json.loads(sys.stdin.read())\n"
+            "sorter = PartitionedSort(\n"
+            "    GeneratorSpec('lss', 200), workers=2,\n"
+            "    work_dir=sys.argv[1],\n"
+            "    record_format=CallableFormat(str, killing_decode),\n"
+            ")\n"
+            "try:\n"
+            "    list(sorter.sort(iter(data)))\n"
+            "except SortError as exc:\n"
+            "    print(json.dumps(['SortError', str(exc)]))\n"
+            "else:\n"
+            "    print(json.dumps(['completed', '']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child, work_dir],
+            input=json.dumps(data), capture_output=True, text=True,
+            timeout=120,
+            env=dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join([src_dir, tests_dir]),
+                **{KILL_AFTER_MARKER_IN: work_dir},
+            ),
+        )
+        assert done.returncode == 0, done.stderr
+        kind, message = json.loads(done.stdout.splitlines()[-1])
+        assert kind == "SortError", message
+        assert "did not finish" in message
+        assert os.path.isdir(work_dir)  # durable work is kept
+
+        resumed = PartitionedSort(
+            GeneratorSpec("lss", 200),
+            workers=2,
+            work_dir=work_dir,
+            resume=True,
+            record_format=CallableFormat(str, int),
+        )
+        assert list(resumed.sort(iter(data))) == sorted(data)
+        assert resumed.shards_reused >= 1
+
     def test_worker_failure_removes_work_dir(self, tmp_path):
         data = list(range(100))  # contains the poisoned record 13
         sorter = PartitionedSort(
@@ -264,7 +362,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             PartitionedSort(spec, workers=2, fan_in=1)
         with pytest.raises(ValueError):
-            PartitionedSort(spec, workers=2, total_memory=1)
+            PartitionedSort(GeneratorSpec("lss", 1), workers=2)
         with pytest.raises(ValueError):
             PartitionedSort(spec, workers=2, sample_records=0)
 
