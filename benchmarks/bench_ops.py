@@ -27,11 +27,12 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.config import GeneratorSpec
 from repro.core.records import BinaryRecordFormat, DelimitedFormat, INT
 from repro.engine.planner import SortEngine
+from repro.ops import Distinct, GroupByAggregate, SortMergeJoin, TopK
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_ops.json"
 
@@ -84,34 +85,42 @@ def timed(label: str, make_stream, encode) -> dict:
 
 def sweep_operator(
     name: str,
-    runner,
+    make_op,
     memory: int,
-    record_format,
-    binary_runner=None,
-    binary_format_=None,
+    text_leg: Tuple,
+    binary_leg: Optional[Tuple] = None,
 ) -> dict:
     """One operator, serial and workers=2; assert identical digests.
 
-    When a binary runner is given, the operator also runs serially over
-    the binary spill encoding of the same corpus, and its output digest
-    must match the text path's byte for byte.
+    ``make_op(engine)`` builds the operator.  A leg is a
+    ``(record_format, encode, inputs)`` triple: ``op.run(*inputs)``
+    feeds one record list per operator input, and ``encode`` renders
+    the output records for hashing.  When a binary leg is given, the
+    operator also runs serially over the binary spill encoding of the
+    same corpus, and its output digest must match the text path's byte
+    for byte.
     """
     print(f"{name}:", flush=True)
-    rows = {}
-    for label, workers in (("serial", 1), ("workers_2", 2)):
-        engine = engine_for(memory, workers, record_format)
-        row = runner(engine)
-        report = engine.operator_report
-        row["rows_in"] = report.rows_in
-        row["groups"] = report.groups
-        rows[label] = row
+
+    def measure(label: str, workers: int, leg: Tuple) -> dict:
+        fmt, encode, inputs = leg
+        op = make_op(engine_for(memory, workers, fmt))
+        row = timed(
+            f"{name} {label}",
+            lambda: op.run(*(list(records) for records in inputs)),
+            encode,
+        )
+        row["rows_in"] = op.report.rows_in
+        row["groups"] = op.report.groups
+        return row
+
+    rows = {
+        label: measure(label, workers, text_leg)
+        for label, workers in (("serial", 1), ("workers_2", 2))
+    }
     identical = rows["serial"]["sha256"] == rows["workers_2"]["sha256"]
-    if binary_runner is not None:
-        engine = engine_for(memory, 1, binary_format_)
-        row = binary_runner(engine)
-        report = engine.operator_report
-        row["rows_in"] = report.rows_in
-        row["groups"] = report.groups
+    if binary_leg is not None:
+        row = measure("binary", 1, binary_leg)
         row["identical_to_text"] = (
             row["sha256"] == rows["serial"]["sha256"]
         )
@@ -121,6 +130,12 @@ def sweep_operator(
         rows["serial_binary"] = row
         identical = identical and row["identical_to_text"]
     return {"operator": name, "identical_across_workers": identical, **rows}
+
+
+def join_with_twin(engine: SortEngine) -> SortMergeJoin:
+    """A join whose right side sorts through a copy of ``engine``."""
+    right = engine_for(engine.spec.memory, engine.workers, engine.record_format)
+    return SortMergeJoin(engine, right)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -153,79 +168,37 @@ def main(argv: Optional[List[str]] = None) -> int:
         bin_csv_fmt.decode(csv_fmt.encode(r)) for r in right_rows
     ]
 
+    aggregates = ("count", "sum", "min", "max", "avg")
     results = [
         sweep_operator(
-            "distinct",
-            lambda e: timed(
-                f"distinct workers={e.workers}",
-                lambda: e.distinct(list(csv_rows)), csv_fmt.encode,
-            ),
-            args.memory, csv_fmt,
-            lambda e: timed(
-                "distinct binary",
-                lambda: e.distinct(list(bin_csv_rows)), bin_csv_fmt.encode,
-            ),
-            bin_csv_fmt,
+            "distinct", Distinct, args.memory,
+            (csv_fmt, csv_fmt.encode, (csv_rows,)),
+            (bin_csv_fmt, bin_csv_fmt.encode, (bin_csv_rows,)),
         ),
         sweep_operator(
             "aggregate",
-            lambda e: timed(
-                f"agg workers={e.workers}",
-                lambda: e.aggregate(
-                    list(csv_rows), ("count", "sum", "min", "max", "avg"),
-                    value_column=1,
-                ),
-                str,
-            ),
-            args.memory, csv_fmt,
-            lambda e: timed(
-                "agg binary",
-                lambda: e.aggregate(
-                    list(bin_csv_rows),
-                    ("count", "sum", "min", "max", "avg"),
-                    value_column=1,
-                ),
-                str,
-            ),
-            bin_csv_fmt,
+            lambda e: GroupByAggregate(e, aggregates, value_column=1),
+            args.memory,
+            (csv_fmt, str, (csv_rows,)),
+            (bin_csv_fmt, str, (bin_csv_rows,)),
         ),
         sweep_operator(
-            "join",
-            lambda e: timed(
-                f"join workers={e.workers}",
-                lambda: e.join(
-                    list(csv_rows), list(right_rows),
-                    right_format=DelimitedFormat(",", 0),
-                ),
-                str,
-            ),
-            args.memory, csv_fmt,
-            lambda e: timed(
-                "join binary",
-                lambda: e.join(
-                    list(bin_csv_rows), list(bin_right_rows),
-                    right_format=bin_csv_fmt,
-                ),
-                str,
-            ),
-            bin_csv_fmt,
+            "join", join_with_twin, args.memory,
+            (csv_fmt, str, (csv_rows, right_rows)),
+            (bin_csv_fmt, str, (bin_csv_rows, bin_right_rows)),
         ),
         sweep_operator(
-            "topk",
-            lambda e: timed(
-                f"topk workers={e.workers}",
-                lambda: e.topk(list(ints), k), INT.encode,
-            ),
-            args.memory, INT,
+            "topk", lambda e: TopK(e, k), args.memory,
+            (INT, INT.encode, (ints,)),
         ),
     ]
 
     # The serial top-k above took the heap path (k <= memory); time the
     # external-sort fallback too by shrinking the budget below k.
     print("topk sorted-path (memory < k):", flush=True)
-    small = engine_for(max(2, k // 4), 1, INT)
+    small = TopK(engine_for(max(2, k // 4), 1, INT), k)
     sorted_path = timed(
-        "topk sorted", lambda: small.topk(list(ints), k), INT.encode
+        "topk sorted", lambda: small.run(list(ints)), INT.encode
     )
     heap_sha = next(r for r in results if r["operator"] == "topk")
     sorted_path["identical_to_heap_path"] = (

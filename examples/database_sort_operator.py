@@ -26,6 +26,7 @@ import random
 from repro.core.config import GeneratorSpec
 from repro.core.records import DelimitedFormat
 from repro.engine import SortEngine
+from repro.ops import GroupByAggregate
 
 MEMORY_QUANTUM = 2_000  # records the DBMS grants each operator
 TABLE_ROWS = 100_000
@@ -75,13 +76,14 @@ def group_by_region():
         GeneratorSpec("2wrs", MEMORY_QUANTUM), record_format=fmt
     )
     rows = (fmt.decode(line) for line in orders_table(TABLE_ROWS))
+    op = GroupByAggregate(
+        engine, aggregates=("count", "sum", "avg"), value_column=3
+    )
     print("region  orders  revenue  avg")
-    for row in engine.aggregate(
-        rows, aggregates=("count", "sum", "avg"), value_column=3
-    ):
+    for row in op.run(rows):
         region, count, total, avg = row.split(",")
         print(f"{region:<7} {count:>6}  {total:>7}  {float(avg):6.1f}")
-    report = engine.operator_report
+    report = op.report
     print(
         f"({report.rows_in} rows in, {report.groups} groups, "
         f"peak buffered {engine.max_resident_records} records)"

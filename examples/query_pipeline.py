@@ -25,6 +25,7 @@ import random
 from repro.core.config import GeneratorSpec
 from repro.core.records import DelimitedFormat
 from repro.engine import SortEngine
+from repro.ops import Distinct, SortMergeJoin, TopK
 
 MEMORY = 1_000
 EVENTS = 50_000
@@ -56,48 +57,44 @@ def users_table(seed=4):
 def main():
     # Stage 1: DISTINCT over events, keyed (and sorted) by user_id.
     events_fmt = DelimitedFormat(",", key_column=0)
-    distinct_engine = SortEngine(
-        GeneratorSpec("2wrs", MEMORY), record_format=events_fmt
+    distinct = Distinct(
+        SortEngine(GeneratorSpec("2wrs", MEMORY), record_format=events_fmt)
     )
-    distinct_rows = distinct_engine.distinct(
+    distinct_rows = distinct.run(
         events_fmt.decode(line) for line in events_table(EVENTS)
     )
 
     # Stage 2: JOIN the dedup'd events with users on user_id.  The
-    # left stream is stage 1's iterator — no intermediate file.
+    # left stream is stage 1's iterator — no intermediate file.  Each
+    # side sorts through its own engine.
     users_fmt = DelimitedFormat(",", key_column=0)
-    join_engine = SortEngine(
-        GeneratorSpec("2wrs", MEMORY), record_format=events_fmt
+    join = SortMergeJoin(
+        SortEngine(GeneratorSpec("2wrs", MEMORY), record_format=events_fmt),
+        SortEngine(GeneratorSpec("2wrs", MEMORY), record_format=users_fmt),
     )
-    joined_rows = join_engine.join(
+    joined_rows = join.run(
         distinct_rows,
         (users_fmt.decode(line) for line in users_table()),
-        right_format=users_fmt,
     )
 
     # Stage 3: TOP 10 by latency.  Join output rows are csv text
     # ``user_id,page,latency_ms,name``; re-key them on the latency
-    # column.  k=10 <= memory, so the planner short-circuits to a
-    # bounded heap — this stage does no sorting and no disk I/O.
+    # column.  k=10 <= memory, so top-k short-circuits to a bounded
+    # heap — this stage does no sorting and no disk I/O.
     out_fmt = DelimitedFormat(",", key_column=2)
-    topk_engine = SortEngine(
-        GeneratorSpec("2wrs", MEMORY), record_format=out_fmt
+    topk = TopK(
+        SortEngine(GeneratorSpec("2wrs", MEMORY), record_format=out_fmt),
+        k=10,
     )
-    fastest = topk_engine.topk(
-        (out_fmt.decode(row) for row in joined_rows), k=10
-    )
+    fastest = topk.run(out_fmt.decode(row) for row in joined_rows)
 
     print("fastest 10 joined page views (user, page, latency, name):")
     for record in fastest:
         print("  " + out_fmt.encode(record))
 
     print()
-    for label, engine in (
-        ("distinct", distinct_engine),
-        ("join", join_engine),
-        ("topk", topk_engine),
-    ):
-        report = engine.operator_report
+    for label, op in (("distinct", distinct), ("join", join), ("topk", topk)):
+        report = op.report
         print(
             f"{label:<9} rows_in={report.rows_in:>6}  "
             f"rows_out={report.rows_out:>6}  groups={report.groups:>5}  "

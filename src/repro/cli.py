@@ -5,8 +5,8 @@ Examples::
     # external-sort newline-separated integers
     python -m repro.cli sort --algorithm 2wrs --memory 1000 in.txt -o out.txt
 
-    # same sort, partitioned across 4 worker processes sharing the
-    # 1000-record memory budget through the memory broker
+    # same sort, partitioned across 4 worker processes; each shard
+    # sorts with a fixed 1000 // 4 share of the memory budget
     python -m repro.cli sort --memory 1000 --workers 4 in.txt -o out.txt
 
     # typed records: floats, opaque strings, or delimited rows sorted
@@ -78,7 +78,12 @@ from repro.engine.block_io import (
     iter_records,
 )
 from repro.engine.errors import SortError
-from repro.engine.resilience import JOURNAL_NAME, atomic_output, wipe_directory
+from repro.engine.resilience import (
+    JOURNAL_NAME,
+    atomic_output,
+    input_fingerprint,
+    wipe_directory,
+)
 from repro.engine.planner import (
     PARTITION_STRATEGIES,
     SortEngine,
@@ -190,17 +195,6 @@ def _durable_work_dir(
     return args.output + suffix
 
 
-def _input_fingerprint(path: Optional[str]) -> Optional[str]:
-    """Identity of the input file, tying a journal to one input."""
-    if path in (None, "-"):
-        return None
-    try:
-        stat = os.stat(path)
-    except OSError:
-        return None
-    return f"{os.path.abspath(path)}:{stat.st_size}:{stat.st_mtime_ns}"
-
-
 def _engine_for(
     args: argparse.Namespace,
     record_format,
@@ -280,7 +274,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
         args,
         _record_format(args),
         work_dir,
-        _input_fingerprint(args.input) if work_dir else None,
+        input_fingerprint(args.input) if work_dir else None,
     )
     try:
         with _open_input(args.input) as handle, _open_output(args.output) as out:
@@ -408,7 +402,7 @@ def _run_unary_operator(
     work_dir = _durable_work_dir(args)
     engine = _engine_for(
         args, record_format, work_dir,
-        _input_fingerprint(args.input) if work_dir else None,
+        input_fingerprint(args.input) if work_dir else None,
     )
     try:
         op = make_op(engine)
@@ -499,11 +493,11 @@ def cmd_join(args: argparse.Namespace) -> int:
     left_work, right_work = _join_work_dirs(args)
     left_engine = _engine_for(
         args, left_format, left_work,
-        _input_fingerprint(args.left) if left_work else None,
+        input_fingerprint(args.left) if left_work else None,
     )
     right_engine = _engine_for(
         args, right_format, right_work,
-        _input_fingerprint(args.right) if right_work else None,
+        input_fingerprint(args.right) if right_work else None,
     )
     try:
         op = SortMergeJoin(
@@ -609,16 +603,19 @@ def cmd_runs(args: argparse.Namespace) -> int:
     header = f"{'algorithm':<10} {'runs':>6} {'avg length':>12} {'cpu ops':>12}"
     if args.report:
         header += f" {'run time':>10} {'total time':>11}"
+        # The simulator (and its disk model) loads only for --report.
+        from repro.sort.external import ExternalSort
     print(header)
     for name in ALGORITHMS:
         namespace = argparse.Namespace(**vars(args))
         namespace.algorithm = name
         spec = spec_for_format(_make_spec(namespace), record_format)
         if args.report:
-            # Full simulated pipeline (the engine's fourth backend), so
-            # the paper's two headline timings (run phase, run+merge)
-            # appear per algorithm.
-            report = SortEngine.simulate(spec, data, fan_in=args.fan_in)
+            # Full simulated pipeline (analytic CPU + simulated disk),
+            # so the paper's two headline timings (run phase,
+            # run+merge) appear per algorithm.
+            pipeline = ExternalSort(spec.build(), fan_in=args.fan_in)
+            _, report = pipeline.sort(iter(data))
             print(
                 f"{report.algorithm:<10} {report.runs:>6} "
                 f"{report.average_run_length:>12.1f} "
@@ -1087,9 +1084,10 @@ def _add_engine_options(
     if parallel:
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="partition the input and sort the shards "
-                            "in this many worker processes; they "
-                            "share the --memory budget through the "
-                            "memory broker (default 1 = serial)")
+                            "in this many worker processes; each shard "
+                            "sorts with a fixed memory // workers share "
+                            "and at most memory // share shards run at "
+                            "once (default 1 = serial)")
         p.add_argument("--partition", choices=PARTITION_STRATEGIES,
                        default="hash",
                        help="how records map to workers: 'hash' "

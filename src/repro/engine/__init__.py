@@ -8,7 +8,8 @@ the engine writes and reads back itself —
 :mod:`~repro.engine.merge_reading` holds the final merge's run readers,
 :mod:`~repro.engine.planner` picks a backend (in-memory, spill,
 partitioned-parallel) and exposes the :class:`~repro.engine.planner.
-SortEngine` facade the CLI and experiments drive, and
+SortEngine` facade that the CLI, the operators of :mod:`repro.ops`,
+the service and the experiments drive, and
 :mod:`~repro.engine.resilience` makes the spilling backends
 crash-safe and resumable (DESIGN.md §11).
 """
@@ -27,7 +28,7 @@ from repro.engine.errors import CorruptBlockError, JournalError, SortError
 #: Names resolved lazily: the planner imports the sort backends, which
 #: themselves import repro.engine.block_io — an eager import here would
 #: cycle during ``repro.sort`` initialisation.
-_LAZY = ("SortEngine", "SortPlan", "plan_sort", "OperatorPlan", "plan_operator")
+_LAZY = ("SortEngine", "SortPlan", "plan_sort")
 
 
 def __getattr__(name: str) -> Any:
@@ -50,6 +51,4 @@ __all__ = [
     "SortEngine",
     "SortPlan",
     "plan_sort",
-    "OperatorPlan",
-    "plan_operator",
 ]

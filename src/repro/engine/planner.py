@@ -37,7 +37,7 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
 from repro.core.records import INT, RecordFormat
@@ -124,94 +124,6 @@ def plan_sort(
         workers=1,
         reason=why,
         codec=codec,
-    )
-
-
-#: Operators :func:`plan_operator` knows how to place.
-OPERATORS = ("distinct", "aggregate", "join", "topk", "merge")
-
-
-@dataclass(frozen=True, slots=True)
-class OperatorPlan:
-    """The planner's decision for one relational operator.
-
-    ``mode`` is ``"heap"`` for the top-k bounded-heap short-circuit
-    (no sort happens at all), ``"in_memory"`` when the underlying sort
-    fits the memory budget, and ``"sort"`` when the operator streams
-    over an external (spilling or parallel) sort.  ``sort_plan`` is the
-    delegated :class:`SortPlan` for the non-heap modes.
-    """
-
-    operator: str
-    mode: str
-    k: Optional[int]
-    sort_plan: Optional[SortPlan]
-    reason: str
-
-
-def plan_operator(
-    *,
-    operator: str,
-    memory: int,
-    workers: int = 1,
-    input_records: Optional[int] = None,
-    k: Optional[int] = None,
-    fan_in: int = DEFAULT_FAN_IN,
-    buffer_records: int = DEFAULT_BUFFER_RECORDS,
-    codec: str = "none",
-) -> OperatorPlan:
-    """Decision table for the sort-based operators (DESIGN.md §12).
-
-    ==============================  ==========  =======================
-    condition                       mode        executed as
-    ==============================  ==========  =======================
-    ``topk`` and ``k <= memory``    heap        bounded max-heap scan,
-                                                no sort, no spill
-    sort plan says ``in_memory``    in_memory   ``sorted()`` + stream
-    otherwise                       sort        external sort, operator
-                                                folds the final merge
-    ==============================  ==========  =======================
-
-    Everything below the first row delegates to :func:`plan_sort`, so
-    the probe logic (buffer ``memory + 1`` records when the input size
-    is unknown) is exactly the sort planner's.  The heap short-circuit
-    only applies serially: a parallel top-k still routes through the
-    partitioned sort so its output is produced by the same machinery
-    it is compared against.
-    """
-    if operator not in OPERATORS:
-        raise ValueError(
-            f"unknown operator {operator!r}; known: {', '.join(OPERATORS)}"
-        )
-    if operator == "topk":
-        if k is None or k < 0:
-            raise ValueError(f"topk needs k >= 0, got {k}")
-        if k <= memory and workers == 1:
-            return OperatorPlan(
-                operator="topk",
-                mode="heap",
-                k=k,
-                sort_plan=None,
-                reason=(
-                    f"k={k} fits the {memory}-record budget; bounded "
-                    f"heap scan, no sort"
-                ),
-            )
-    sort_plan = plan_sort(
-        memory=memory,
-        workers=workers,
-        input_records=input_records,
-        fan_in=fan_in,
-        buffer_records=buffer_records,
-        codec=codec,
-    )
-    mode = "in_memory" if sort_plan.mode == "in_memory" else "sort"
-    return OperatorPlan(
-        operator=operator,
-        mode=mode,
-        k=k,
-        sort_plan=sort_plan,
-        reason=sort_plan.reason,
     )
 
 
@@ -431,141 +343,6 @@ class SortEngine:
         finally:
             publish_instrumentation(self, session, report)
             session.cleanup()
-
-    # -- relational operator facades (repro.ops; DESIGN.md §12) ----------------
-
-    def sibling(
-        self,
-        record_format: Optional[RecordFormat] = None,
-        work_dir_suffix: Optional[str] = None,
-        input_fingerprint: Optional[str] = None,
-    ) -> "SortEngine":
-        """A fresh engine sharing this engine's knobs.
-
-        Two-input operators (the sort-merge join) need one engine per
-        input: each ``sort()`` owns per-engine report and backend
-        state.  A durable engine's sibling gets its own work directory
-        (``work_dir + work_dir_suffix``) so the two journals never
-        collide.
-        """
-        work_dir = self.work_dir
-        if work_dir is not None and work_dir_suffix:
-            work_dir = work_dir + work_dir_suffix
-        return SortEngine(
-            self.spec,
-            record_format=record_format or self.record_format,
-            workers=self.workers,
-            partition=self.partition,
-            sample_records=self.sample_records,
-            fan_in=self.fan_in,
-            buffer_records=self.buffer_records,
-            block_records=self.block_records,
-            spill_codec=self.spill_codec,
-            work_dir=work_dir,
-            input_fingerprint=input_fingerprint,
-            tmp_dir=self.tmp_dir,
-            cpu_op_time=self.cpu_op_time,
-        )
-
-    def _run_operator(self, op: Any, *args: Any, **kwargs: Any) -> Iterator[Any]:
-        self._last_operator = op
-        return op.run(*args, **kwargs)
-
-    @property
-    def operator_report(self) -> Optional[Any]:
-        """The :class:`~repro.ops.OperatorReport` of the last facade
-        operator, once its stream is fully consumed (None before)."""
-        op = getattr(self, "_last_operator", None)
-        return op.report if op is not None else None
-
-    def distinct(
-        self,
-        records: Iterable[Any],
-        by: str = "record",
-        input_records: Optional[int] = None,
-        resume: bool = False,
-    ) -> Iterator[Any]:
-        """Lazily yield the distinct records (or keys) in sorted order."""
-        from repro.ops.distinct import Distinct
-
-        return self._run_operator(
-            Distinct(self, by=by), records,
-            input_records=input_records, resume=resume,
-        )
-
-    def aggregate(
-        self,
-        records: Iterable[Any],
-        aggregates: Sequence[str] = ("count",),
-        value_column: Optional[int] = None,
-        input_records: Optional[int] = None,
-        resume: bool = False,
-    ) -> Iterator[str]:
-        """Group by the format's key; yield one aggregate row per group."""
-        from repro.ops.aggregate import GroupByAggregate
-
-        return self._run_operator(
-            GroupByAggregate(
-                self, aggregates=aggregates, value_column=value_column
-            ),
-            records, input_records=input_records, resume=resume,
-        )
-
-    def join(
-        self,
-        left_records: Iterable[Any],
-        right_records: Iterable[Any],
-        right_engine: Optional["SortEngine"] = None,
-        right_format: Optional[RecordFormat] = None,
-        buffer_limit: Optional[int] = None,
-        resume: bool = False,
-    ) -> Iterator[str]:
-        """Sort-merge equi-join; yields combined output rows."""
-        from repro.ops.join import SortMergeJoin
-
-        if right_engine is None:
-            right_engine = self.sibling(
-                record_format=right_format, work_dir_suffix="-right"
-            )
-        return self._run_operator(
-            SortMergeJoin(self, right_engine, buffer_limit=buffer_limit),
-            left_records, right_records, resume=resume,
-        )
-
-    def topk(
-        self,
-        records: Iterable[Any],
-        k: int,
-        input_records: Optional[int] = None,
-        resume: bool = False,
-    ) -> Iterator[Any]:
-        """The ``k`` smallest records, ascending (``sort | head -k``)."""
-        from repro.ops.topk import TopK
-
-        return self._run_operator(
-            TopK(self, k), records,
-            input_records=input_records, resume=resume,
-        )
-
-    @staticmethod
-    def simulate(
-        spec: GeneratorSpec,
-        records: Iterable[Any],
-        fan_in: int = DEFAULT_FAN_IN,
-    ) -> SortReport:
-        """Run the *simulated* pipeline (:class:`ExternalSort`) once.
-
-        The fourth backend behind the facade: analytic CPU + simulated
-        disk timings for experiment harnesses and ``repro runs
-        --report``.
-        """
-        # The simulator (and its disk model) loads only for this call.
-        from repro.sort.external import ExternalSort
-
-        generator = spec.build()
-        pipeline = ExternalSort(generator, fan_in=fan_in)
-        _, report = pipeline.sort(iter(records))
-        return report
 
     # -- internals -----------------------------------------------------------------
 

@@ -100,6 +100,7 @@ __all__ = [
     "SortJournal",
     "atomic_output",
     "file_crc32",
+    "input_fingerprint",
     "read_marker",
     "wipe_directory",
     "write_marker",
@@ -135,6 +136,22 @@ def artifact_valid(path: str, crc: int) -> bool:
         return file_crc32(path) == crc
     except OSError:
         return False
+
+
+def input_fingerprint(path: Optional[str]) -> Optional[str]:
+    """Identity of an input file, tying a journal to one input.
+
+    ``abspath:size:mtime_ns``; None for stdin (``None`` or ``"-"``) and
+    for a file that cannot be stat-ed.  Journals record this string, so
+    it must stay byte-identical for old work dirs to resume.
+    """
+    if path in (None, "-"):
+        return None
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return f"{os.path.abspath(path)}:{stat.st_size}:{stat.st_mtime_ns}"
 
 
 def _publish_text(path: str, text: str) -> None:

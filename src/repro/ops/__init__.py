@@ -16,10 +16,12 @@ spilling:
 Every operator streams: peak memory stays within the engine's
 ``memory + fan_in * buffer_records`` sort bound plus O(1) operator
 state (the join adds its own bounded, spill-backed group buffer).
-The :class:`SortEngine` exposes one facade per operator
-(``engine.distinct(...)``, ``.aggregate(...)``, ``.join(...)``,
-``.topk(...)``); the CLI adds ``distinct`` / ``agg`` / ``join`` /
-``topk`` subcommands.
+Each operator takes the engine(s) it sorts with, e.g.
+``Distinct(engine).run(records)``; the join takes one engine per
+input.  Every operator plans once, after ``engine.sort()`` has probed
+its input; only :class:`TopK`'s heap short-circuit is decided before
+any row.  The CLI adds ``distinct`` / ``agg`` / ``join`` / ``topk``
+subcommands.
 """
 
 from typing import Any

@@ -14,14 +14,13 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.records import BinaryRecordFormat, DelimitedFormat, _parse_key
-from repro.engine.planner import plan_operator
 from repro.merge.kway import grouped
 from repro.ops.base import (
     AGGREGATES,
     CountingIterator,
     close_stream,
-    executed_plan,
     report_from_sort,
+    sorted_plan,
 )
 
 __all__ = ["GroupByAggregate", "AGGREGATES"]
@@ -124,19 +123,11 @@ class GroupByAggregate:
     ) -> Iterator[str]:
         """Yield one delimited aggregate row per key group, key-ascending."""
         engine = self.engine
-        self.plan = plan_operator(
-            operator="aggregate",
-            memory=engine.spec.memory,
-            workers=engine.workers,
-            input_records=input_records,
-            fan_in=engine.fan_in,
-            buffer_records=engine.buffer_records,
-        )
         counted = CountingIterator(records)
         stream = engine.sort(
             counted, input_records=input_records, resume=resume
         )
-        self.plan = executed_plan(self.plan, engine)
+        self.plan = sorted_plan(engine)
         needs_value = any(a != "count" for a in self.aggregates)
         self._groups = 0
         try:

@@ -1,4 +1,4 @@
-"""Shared operator plumbing: the report type and stream accounting.
+"""Shared operator plumbing: the plan and report types, stream accounting.
 
 Every operator in :mod:`repro.ops` streams its input through a
 :class:`~repro.engine.planner.SortEngine` and folds the engine's
@@ -7,23 +7,31 @@ the sort's own ``memory + fan_in * buffer_records`` bound.  Once an
 operator's output stream is fully consumed, its ``report`` attribute
 holds an :class:`OperatorReport` — the engine's
 :class:`~repro.engine.report.SortReport` extended with relational
-row accounting (rows in/out, groups, join matches, skew spills).
+row accounting (rows in/out, groups, join matches, skew spills) —
+and its ``plan`` attribute the :class:`OperatorPlan` it executed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from repro.engine.report import SortReport
+
+if TYPE_CHECKING:
+    # Annotation only: the parsers of client subcommands read this
+    # module's constants without loading the sort backends.
+    from repro.engine.planner import SortPlan
 
 __all__ = [
     "AGGREGATES",
     "DISTINCT_MODES",
+    "OperatorPlan",
     "OperatorReport",
     "CountingIterator",
     "report_as_dict",
     "report_from_sort",
+    "sorted_plan",
     "close_stream",
 ]
 
@@ -158,25 +166,33 @@ def report_as_dict(report: Optional[SortReport]) -> Optional[dict]:
     return data
 
 
-def executed_plan(initial_plan: Any, engine: Any) -> Any:
-    """Replace a pre-sort :class:`OperatorPlan` with the executed one.
+@dataclass(frozen=True, slots=True)
+class OperatorPlan:
+    """How one relational operator executed (DESIGN.md §12).
 
-    ``plan_operator`` decides before the input size is known; the
-    engine's own probe may then pick in-memory execution for a small
-    input.  Once ``engine.sort()`` has run (it plans eagerly, before
-    its stream is consumed), ``engine.plan`` is the decision that was
-    *executed* — reports must show that one, not the advisory guess.
-    The heap short-circuit never sorts, so it keeps its initial plan.
+    ``mode`` is ``"heap"`` for the top-k bounded-heap short-circuit
+    (no sort happens at all), ``"in_memory"`` when the underlying sort
+    fit the memory budget, and ``"sort"`` when the operator streamed
+    over an external (spilling or parallel) sort.  ``sort_plan`` is the
+    engine's executed :class:`~repro.engine.planner.SortPlan` for the
+    non-heap modes.
     """
-    from repro.engine.planner import OperatorPlan
 
+    mode: str
+    sort_plan: Optional[SortPlan]
+    reason: str
+
+
+def sorted_plan(engine: Any) -> OperatorPlan:
+    """The operator plan of a sort ``engine.sort()`` has just planned.
+
+    The engine plans eagerly, before its stream is consumed (probing
+    the input when its size is unknown), so ``engine.plan`` is the
+    decision that is actually executed.
+    """
     sort_plan = engine.plan
-    if initial_plan.mode == "heap" or sort_plan is None:
-        return initial_plan
     return OperatorPlan(
-        operator=initial_plan.operator,
         mode="in_memory" if sort_plan.mode == "in_memory" else "sort",
-        k=initial_plan.k,
         sort_plan=sort_plan,
         reason=sort_plan.reason,
     )

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.engine.planner import plan_operator
 from repro.merge.kway import grouped
 from repro.ops.base import (
     DISTINCT_MODES,
     CountingIterator,
     close_stream,
-    executed_plan,
     report_from_sort,
+    sorted_plan,
 )
 
 __all__ = ["Distinct", "DISTINCT_MODES"]
@@ -55,19 +54,11 @@ class Distinct:
     ) -> Iterator[Any]:
         """Lazily yield the distinct records in ascending order."""
         engine = self.engine
-        self.plan = plan_operator(
-            operator="distinct",
-            memory=engine.spec.memory,
-            workers=engine.workers,
-            input_records=input_records,
-            fan_in=engine.fan_in,
-            buffer_records=engine.buffer_records,
-        )
         counted = CountingIterator(records)
         stream = engine.sort(
             counted, input_records=input_records, resume=resume
         )
-        self.plan = executed_plan(self.plan, engine)
+        self.plan = sorted_plan(engine)
         rows_out = 0
         try:
             if self.by == "key":

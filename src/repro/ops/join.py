@@ -30,14 +30,13 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.records import BinaryRecordFormat, DelimitedFormat, RecordFormat
 from repro.engine.block_io import BlockWriter, iter_records, open_run
-from repro.engine.planner import plan_operator
 from repro.engine.report import PhaseReport, SortReport
 from repro.merge.kway import grouped
 from repro.ops.base import (
     CountingIterator,
     close_stream,
-    executed_plan,
     report_from_sort,
+    sorted_plan,
 )
 
 __all__ = ["SortMergeJoin"]
@@ -195,7 +194,8 @@ class SortMergeJoin:
         if left_engine is right_engine:
             raise ValueError(
                 "left and right need separate engines (each sort owns "
-                "per-engine report state); use engine.sibling()"
+                "per-engine report state); build a second SortEngine "
+                "for the right side"
             )
         _check_key_compatibility(
             left_engine.record_format, right_engine.record_format
@@ -275,23 +275,16 @@ class SortMergeJoin:
         """Lazily yield joined output rows, key-ascending."""
         left_engine = self.left_engine
         right_engine = self.right_engine
-        self.plan = plan_operator(
-            operator="join",
-            memory=left_engine.spec.memory,
-            workers=left_engine.workers,
-            fan_in=left_engine.fan_in,
-            buffer_records=left_engine.buffer_records,
-        )
         left_counted = CountingIterator(left_records)
         right_counted = CountingIterator(right_records)
         left_stream = left_engine.sort(left_counted, resume=resume)
         right_stream = right_engine.sort(right_counted, resume=resume)
         # Both probes have run; report the *wider* executed mode — a
         # join is only in-memory when both sides were.
-        left_plan = executed_plan(self.plan, left_engine)
-        right_plan = executed_plan(self.plan, right_engine)
+        right_plan = sorted_plan(right_engine)
         self.plan = (
-            left_plan if right_plan.mode == "in_memory" else right_plan
+            sorted_plan(left_engine) if right_plan.mode == "in_memory"
+            else right_plan
         )
         left_key = left_engine.record_format.key
         right_key = right_engine.record_format.key

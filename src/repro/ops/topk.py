@@ -1,6 +1,6 @@
 """Bounded top-k: the k smallest records (``sort | head -k``).
 
-When ``k`` fits the memory budget the planner short-circuits the sort
+When ``k`` fits the memory budget the operator short-circuits the sort
 entirely: a bounded max-heap of k records scans the input in one pass
 (O(n log k) comparisons, zero disk I/O).  Larger k — or a parallel
 run — falls back to the engine's external sort, truncated after k
@@ -21,14 +21,14 @@ import time
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.records import BinaryRecordFormat, RecordFormat
-from repro.engine.planner import OperatorPlan, plan_operator
 from repro.engine.report import PhaseReport, SortReport
 from repro.heaps import _c_replace_max, _push_max
 from repro.ops.base import (
     CountingIterator,
+    OperatorPlan,
     close_stream,
-    executed_plan,
     report_from_sort,
+    sorted_plan,
 )
 from repro.runs.base import log_cost
 
@@ -46,29 +46,37 @@ class TopK:
         self.report = None
         self.plan = None
 
-    def _plan(self, input_records: Optional[int]) -> OperatorPlan:
+    def _heap_plan(self) -> Optional[OperatorPlan]:
+        """The heap short-circuit's plan, or None when top-k must sort.
+
+        A parallel top-k never takes it, so ``--workers N`` output
+        comes from the same partitioned machinery it is compared
+        against.  The rule reads only k, memory and workers, so it is
+        known before any row.
+        """
         engine = self.engine
-        return plan_operator(
-            operator="topk",
-            memory=engine.spec.memory,
-            workers=engine.workers,
-            input_records=input_records,
-            k=self.k,
-            fan_in=engine.fan_in,
-            buffer_records=engine.buffer_records,
+        memory = engine.spec.memory
+        if self.k > memory or engine.workers != 1:
+            return None
+        return OperatorPlan(
+            mode="heap",
+            sort_plan=None,
+            reason=(
+                f"k={self.k} fits the {memory}-record budget; bounded "
+                f"heap scan, no sort"
+            ),
         )
 
     def input_format(self) -> RecordFormat:
         """The format :meth:`run` takes and yields records in.
 
         The engine's format, except that a heap-mode scan over key-byte
-        rows takes the base format's tuples.  The heap decision depends
-        only on k, memory and workers, so it is known before any row.
+        rows takes the base format's tuples.
         """
         fmt = self.engine.record_format
         if not isinstance(fmt, BinaryRecordFormat):
             return fmt
-        return fmt.base if self._plan(None).mode == "heap" else fmt
+        return fmt.base if self._heap_plan() is not None else fmt
 
     def run(
         self,
@@ -77,8 +85,8 @@ class TopK:
         resume: bool = False,
     ) -> Iterator[Any]:
         """Lazily yield the k smallest records, ascending."""
-        self.plan = self._plan(input_records)
-        if self.plan.mode == "heap":
+        self.plan = self._heap_plan()
+        if self.plan is not None:
             return self._run_heap(records)
         return self._run_sorted(records, input_records, resume)
 
@@ -144,7 +152,7 @@ class TopK:
         stream = engine.sort(
             counted, input_records=input_records, resume=resume
         )
-        self.plan = executed_plan(self.plan, engine)
+        self.plan = sorted_plan(engine)
         rows_out = 0
         try:
             for record in stream:

@@ -31,7 +31,7 @@ from repro.engine.block_io import (
     iter_records,
 )
 from repro.engine.planner import SortEngine
-from repro.engine.resilience import atomic_output
+from repro.engine.resilience import atomic_output, input_fingerprint
 from repro.ops import Distinct, GroupByAggregate, SortMergeJoin, TopK
 from repro.ops.base import CountingIterator, report_as_dict
 from repro.service.jobs import STORE_OPS, JobSpec
@@ -58,15 +58,6 @@ class JobOutcome:
     runs_reused: int = 0
     merges_reused: int = 0
     shards_reused: int = 0
-
-
-def input_fingerprint(path: str) -> Optional[str]:
-    """Identity of an input file, tying the job's journal to it."""
-    try:
-        stat = os.stat(path)
-    except OSError:
-        return None
-    return f"{os.path.abspath(path)}:{stat.st_size}:{stat.st_mtime_ns}"
 
 
 def _cancellable(

@@ -466,17 +466,3 @@ class JobScheduler:
             else:
                 state.status = "interrupted"
             self._jobs[job_id] = state
-
-    # -- maintenance -----------------------------------------------------------
-
-    def remove_job(self, job_id: str) -> bool:
-        """Drop a terminal job's record and spool directory (tests)."""
-        with self._lock:
-            state = self._jobs.get(job_id)
-            if state is None or state.status not in (
-                *TERMINAL_STATES, "interrupted"
-            ):
-                return False
-            del self._jobs[job_id]
-        shutil.rmtree(self._job_dir(job_id), ignore_errors=True)
-        return True

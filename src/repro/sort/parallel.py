@@ -57,6 +57,7 @@ from repro.merge.kway import (
 )
 from repro.sort.spill import (
     DEFAULT_BUFFER_RECORDS,
+    SPILL_DIR_PREFIX,
     FileSpillSort,
     SpilledRun,
     SpillSession,
@@ -419,6 +420,14 @@ class PartitionedSort:
                 self.work_dir, self._fingerprint(), self.resume
             ).close()
             work_dir = self.work_dir
+            # A shard worker killed mid-sort leaves its private spill
+            # directory behind.  Nothing journals it, so nothing can
+            # reuse it: remove it before this attempt's workers start.
+            for name in os.listdir(work_dir):
+                if name.startswith(SPILL_DIR_PREFIX):
+                    shutil.rmtree(
+                        os.path.join(work_dir, name), ignore_errors=True
+                    )
         else:
             work_dir = tempfile.mkdtemp(prefix="repro-psort-", dir=self.tmp_dir)
         self.shards_reused = 0

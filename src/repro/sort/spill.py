@@ -69,6 +69,9 @@ from repro.runs.base import RunGenerator, RunGeneratorStats
 #: Records decoded per read chunk of one run reader.
 DEFAULT_BUFFER_RECORDS = 4096
 
+#: Name prefix of each :class:`FileSpillSort`'s private temp directory.
+SPILL_DIR_PREFIX = "repro-sort-"
+
 
 class SpillSession:
     """Per-``sort()`` state: temp directory and laziness accounting.
@@ -447,7 +450,7 @@ class FileSpillSort:
     def _open_session(self) -> SpillSession:
         """The per-sort spill session, over a fresh temp directory."""
         return SpillSession(
-            tempfile.mkdtemp(prefix="repro-sort-", dir=self.tmp_dir),
+            tempfile.mkdtemp(prefix=SPILL_DIR_PREFIX, dir=self.tmp_dir),
             codec=self.spill_codec,
         )
 

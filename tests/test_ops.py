@@ -16,11 +16,7 @@ import pytest
 
 from repro.core.config import GeneratorSpec
 from repro.core.records import INT, STR, resolve_format
-from repro.engine.planner import (
-    OperatorPlan,
-    SortEngine,
-    plan_operator,
-)
+from repro.engine.planner import SortEngine
 from repro.merge.kway import grouped, kway_merge
 from repro.ops import (
     AGGREGATES,
@@ -29,6 +25,7 @@ from repro.ops import (
     SortMergeJoin,
     TopK,
 )
+from repro.ops.base import OperatorPlan
 
 MEMORY = 64
 
@@ -62,38 +59,39 @@ def csv_corpus(n=2_000, keys=40, seed=13):
 
 
 class TestPlanOperator:
+    """Each operator plans once; the plan shows the executed mode."""
+
     def test_topk_heap_short_circuit(self):
-        plan = plan_operator(operator="topk", memory=100, k=10)
-        assert plan.mode == "heap"
-        assert plan.sort_plan is None
+        op = TopK(small_engine(memory=100), 10)
+        list(op.run(int_corpus(500)))
+        assert op.plan.mode == "heap"
+        assert op.plan.sort_plan is None
 
     def test_topk_large_k_delegates_to_sort(self):
-        plan = plan_operator(operator="topk", memory=100, k=1_000)
-        assert plan.mode == "sort"
-        assert plan.sort_plan is not None
+        op = TopK(small_engine(memory=100), 1_000)
+        list(op.run(int_corpus(500)))
+        assert op.plan.mode == "sort"
+        assert op.plan.sort_plan is not None
 
     def test_topk_parallel_never_heap(self):
-        plan = plan_operator(operator="topk", memory=100, k=10, workers=2)
-        assert plan.mode == "sort"
-        assert plan.sort_plan.mode == "parallel"
+        op = TopK(small_engine(memory=100, workers=2), 10)
+        list(op.run(int_corpus(500)))
+        assert op.plan.mode == "sort"
+        assert op.plan.sort_plan.mode == "parallel"
 
     def test_small_known_input_is_in_memory(self):
-        plan = plan_operator(
-            operator="distinct", memory=100, input_records=50
-        )
-        assert plan.mode == "in_memory"
+        op = Distinct(small_engine(memory=100))
+        list(op.run(int_corpus(50), input_records=50))
+        assert op.plan.mode == "in_memory"
 
     def test_unknown_input_sorts(self):
-        plan = plan_operator(operator="aggregate", memory=100)
-        assert plan.mode == "sort"
-
-    def test_unknown_operator_rejected(self):
-        with pytest.raises(ValueError, match="unknown operator"):
-            plan_operator(operator="cartesian", memory=10)
+        op = GroupByAggregate(small_engine(memory=100))
+        list(op.run(iter(int_corpus(500))))
+        assert op.plan.mode == "sort"
 
     def test_topk_needs_k(self):
-        with pytest.raises(ValueError, match="k >= 0"):
-            plan_operator(operator="topk", memory=10)
+        with pytest.raises(TypeError):
+            TopK(small_engine())
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +127,13 @@ class TestGroupedMerge:
 class TestDistinct:
     def test_matches_sorted_set(self):
         data = int_corpus()
-        assert list(small_engine().distinct(data)) == sorted(set(data))
+        assert list(Distinct(small_engine()).run(data)) == sorted(set(data))
 
     def test_report_counts(self):
         data = [3, 1, 3, 3, 2]
-        engine = small_engine()
-        out = list(engine.distinct(data))
-        report = engine.operator_report
+        op = Distinct(small_engine())
+        out = list(op.run(data))
+        report = op.report
         assert out == [1, 2, 3]
         assert (report.rows_in, report.rows_out, report.groups) == (5, 3, 3)
         assert report.operator == "distinct"
@@ -143,16 +141,16 @@ class TestDistinct:
     def test_by_key_keeps_first_row_per_key(self):
         fmt = resolve_format("csv", key=0)
         rows = ["a,2", "a,1", "b,9"]
-        engine = small_engine(fmt)
-        out = list(engine.distinct([fmt.decode(r) for r in rows], by="key"))
+        op = Distinct(small_engine(fmt), by="key")
+        out = list(op.run([fmt.decode(r) for r in rows]))
         # First record in (key, row) order: "a,1" beats "a,2".
         assert [fmt.encode(r) for r in out] == ["a,1", "b,9"]
 
     def test_by_record_keeps_distinct_rows_sharing_a_key(self):
         fmt = resolve_format("csv", key=0)
         rows = ["a,2", "a,1", "a,1"]
-        engine = small_engine(fmt)
-        out = list(engine.distinct([fmt.decode(r) for r in rows]))
+        op = Distinct(small_engine(fmt))
+        out = list(op.run([fmt.decode(r) for r in rows]))
         assert [fmt.encode(r) for r in out] == ["a,1", "a,2"]
 
     def test_rejects_unknown_mode(self):
@@ -161,29 +159,31 @@ class TestDistinct:
 
     def test_in_memory_vs_spilled_identical(self):
         data = int_corpus()
-        spilled = list(small_engine(memory=16).distinct(list(data)))
-        in_memory = list(small_engine(memory=100_000).distinct(list(data)))
+        spilled = list(Distinct(small_engine(memory=16)).run(list(data)))
+        in_memory = list(
+            Distinct(small_engine(memory=100_000)).run(list(data))
+        )
         assert spilled == in_memory
 
     def test_serial_vs_parallel_identical(self):
         data = int_corpus(600)
-        serial = list(small_engine().distinct(list(data)))
-        parallel = list(small_engine(workers=2).distinct(list(data)))
+        serial = list(Distinct(small_engine()).run(list(data)))
+        parallel = list(Distinct(small_engine(workers=2)).run(list(data)))
         assert serial == parallel
 
     def test_empty_input(self):
-        engine = small_engine()
-        assert list(engine.distinct([])) == []
-        assert engine.operator_report.rows_in == 0
+        op = Distinct(small_engine())
+        assert list(op.run([])) == []
+        assert op.report.rows_in == 0
 
     def test_abandoned_stream_cleans_up_and_reports(self, tmp_path):
-        engine = SortEngine(
-            GeneratorSpec("lss", 16), tmp_dir=str(tmp_path)
+        op = Distinct(
+            SortEngine(GeneratorSpec("lss", 16), tmp_dir=str(tmp_path))
         )
-        stream = engine.distinct(iter(int_corpus(500)))
+        stream = op.run(iter(int_corpus(500)))
         next(stream)
         stream.close()
-        report = engine.operator_report
+        report = op.report
         assert report.rows_in == 500
         assert report.rows_out == 1
         # The engine's spill directory is gone despite early abandon.
@@ -232,36 +232,32 @@ class TestGroupByAggregate:
         pairs = [
             (fmt.fields(r)[0], int(fmt.fields(r)[1])) for r in records
         ]
-        engine = small_engine(fmt)
-        got = list(engine.aggregate(records, AGGREGATES, value_column=1))
+        op = GroupByAggregate(
+            small_engine(fmt), AGGREGATES, value_column=1
+        )
+        got = list(op.run(records))
         assert got == dict_aggregate(pairs, AGGREGATES)
 
     def test_scalar_format_aggregates_itself(self):
-        engine = small_engine()
-        got = list(engine.aggregate([5, 5, 2, 5], ("count", "sum")))
+        op = GroupByAggregate(small_engine(), ("count", "sum"))
+        got = list(op.run([5, 5, 2, 5]))
         assert got == ["2,1,2", "5,3,15"]
 
     def test_min_max_survive_mixed_numeric_text_values(self):
         fmt = resolve_format("csv", key=0)
         rows = ["a,5", "a,xyz", "a,-3", "a,abc"]
-        engine = small_engine(fmt)
-        got = list(
-            engine.aggregate(
-                [fmt.decode(r) for r in rows], ("min", "max"), value_column=1
-            )
+        op = GroupByAggregate(
+            small_engine(fmt), ("min", "max"), value_column=1
         )
+        got = list(op.run([fmt.decode(r) for r in rows]))
         # Numbers rank before text: min is -3, max is the largest text.
         assert got == ["a,-3,xyz"]
 
     def test_sum_over_text_value_raises(self):
         fmt = resolve_format("csv", key=0)
-        engine = small_engine(fmt)
+        op = GroupByAggregate(small_engine(fmt), ("sum",), value_column=1)
         with pytest.raises(ValueError, match="needs numeric values"):
-            list(
-                engine.aggregate(
-                    [fmt.decode("a,oops")], ("sum",), value_column=1
-                )
-            )
+            list(op.run([fmt.decode("a,oops")]))
 
     def test_value_column_required_for_delimited_sum(self):
         fmt = resolve_format("csv", key=0)
@@ -278,13 +274,9 @@ class TestGroupByAggregate:
 
     def test_missing_value_column_raises_cleanly(self):
         fmt = resolve_format("csv", key=0)
-        engine = small_engine(fmt)
+        op = GroupByAggregate(small_engine(fmt), ("sum",), value_column=7)
         with pytest.raises(ValueError, match="do not exist"):
-            list(
-                engine.aggregate(
-                    [fmt.decode("a,1")], ("sum",), value_column=7
-                )
-            )
+            list(op.run([fmt.decode("a,1")]))
 
     def test_groups_never_materialise(self):
         """Peak buffered records stay within memory + fan_in * buffer."""
@@ -292,32 +284,37 @@ class TestGroupByAggregate:
         engine = small_engine(
             fmt, memory=64, fan_in=4, buffer_records=32
         )
-        out = list(engine.aggregate(records, ("count", "sum"), value_column=1))
+        op = GroupByAggregate(engine, ("count", "sum"), value_column=1)
+        out = list(op.run(records))
         assert len(out) <= 4
         assert engine.plan.mode == "spill"
         assert engine.max_resident_records <= 64 + 4 * 32
 
     def test_in_memory_vs_spilled_identical(self):
         fmt, records = csv_corpus()
-        spilled = small_engine(fmt, memory=16)
-        in_memory = small_engine(fmt, memory=100_000)
-        args = (("count", "sum", "avg"),)
-        assert list(
-            spilled.aggregate(list(records), *args, value_column=1)
-        ) == list(in_memory.aggregate(list(records), *args, value_column=1))
+        aggregates = ("count", "sum", "avg")
+        spilled, in_memory = (
+            GroupByAggregate(
+                small_engine(fmt, memory=memory), aggregates, value_column=1
+            )
+            for memory in (16, 100_000)
+        )
+        assert list(spilled.run(list(records))) == list(
+            in_memory.run(list(records))
+        )
 
     def test_serial_vs_parallel_identical(self):
         fmt, records = csv_corpus(800)
-        serial = small_engine(fmt)
-        parallel = small_engine(fmt, workers=2)
-        assert list(
-            serial.aggregate(list(records), ("count",))
-        ) == list(parallel.aggregate(list(records), ("count",)))
+        serial = GroupByAggregate(small_engine(fmt))
+        parallel = GroupByAggregate(small_engine(fmt, workers=2))
+        assert list(serial.run(list(records))) == list(
+            parallel.run(list(records))
+        )
 
     def test_empty_input(self):
         fmt = resolve_format("csv", key=0)
-        engine = small_engine(fmt)
-        assert list(engine.aggregate([], ("count",))) == []
+        op = GroupByAggregate(small_engine(fmt))
+        assert list(op.run([])) == []
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +352,22 @@ def join_corpus(n=400, keys=30, seed=17):
 
 
 class TestSortMergeJoin:
-    def run_join(self, left_rows, right_rows, memory=MEMORY, **kwargs):
+    def run_join(
+        self, left_rows, right_rows, memory=MEMORY, workers=1, **kwargs
+    ):
         fmt = resolve_format("csv", key=0)
-        engine = small_engine(fmt, memory=memory)
+        op = SortMergeJoin(
+            small_engine(fmt, memory=memory, workers=workers),
+            small_engine(fmt, memory=memory, workers=workers),
+            **kwargs,
+        )
         out = list(
-            engine.join(
+            op.run(
                 [fmt.decode(r) for r in left_rows],
                 [fmt.decode(r) for r in right_rows],
-                **kwargs,
             )
         )
-        return out, engine
+        return out, op
 
     def test_matches_nested_loop_oracle(self):
         left, right = join_corpus()
@@ -373,14 +375,12 @@ class TestSortMergeJoin:
         assert got == join_oracle(left, right)
 
     def test_duplicate_keys_cross_product(self):
-        got, engine = self.run_join(
-            ["a,1", "a,2"], ["a,x", "a,y", "a,z"]
-        )
+        got, op = self.run_join(["a,1", "a,2"], ["a,x", "a,y", "a,z"])
         assert got == [
             "a,1,x", "a,1,y", "a,1,z",
             "a,2,x", "a,2,y", "a,2,z",
         ]
-        report = engine.operator_report
+        report = op.report
         assert report.matches == 6
         assert report.groups == 1
         assert report.rows_in == 5
@@ -388,41 +388,43 @@ class TestSortMergeJoin:
     def test_skew_fallback_spills_loudly(self, capsys):
         left = ["hot,%d" % i for i in range(4)] + ["cold,0"]
         right = ["hot,r%03d" % i for i in range(50)] + ["cold,r0"]
-        got, engine = self.run_join(left, right, buffer_limit=8)
+        got, op = self.run_join(left, right, buffer_limit=8)
         assert got == join_oracle(left, right)
-        report = engine.operator_report
-        assert report.skew_spills == 1
+        assert op.report.skew_spills == 1
         assert "spilling" in capsys.readouterr().err
 
     def test_checksummed_skew_spill_round_trips(self):
         # The join's own skew spill file is a checksummed block stream.
         fmt = resolve_format("csv", key=0)
-        left_engine = SortEngine(
-            GeneratorSpec("lss", MEMORY), record_format=fmt
+        op = SortMergeJoin(
+            SortEngine(GeneratorSpec("lss", MEMORY), record_format=fmt),
+            SortEngine(
+                GeneratorSpec("lss", MEMORY),
+                record_format=resolve_format("csv", key=0),
+            ),
+            buffer_limit=8,
         )
         left = ["k,%d" % i for i in range(3)]
         right = ["k,r%03d" % i for i in range(50)]
         got = list(
-            left_engine.join(
+            op.run(
                 [fmt.decode(r) for r in left],
                 [fmt.decode(r) for r in right],
-                right_format=resolve_format("csv", key=0),
-                buffer_limit=8,
             )
         )
-        assert left_engine.operator_report.skew_spills == 1
+        assert op.report.skew_spills == 1
         assert got == join_oracle(left, right)
 
     def test_skewed_output_identical_to_unspilled(self):
         left, right = join_corpus(200, keys=2)  # massive duplicate groups
-        spilled, engine = self.run_join(left, right, buffer_limit=4)
-        assert engine.operator_report.skew_spills > 0
+        spilled, op = self.run_join(left, right, buffer_limit=4)
+        assert op.report.skew_spills > 0
         plain, _ = self.run_join(left, right)
         assert spilled == plain
 
     def test_scalar_join_is_intersection_with_multiplicity(self):
-        engine = small_engine()
-        got = list(engine.join([3, 1, 3, 9], [3, 2, 9, 9]))
+        op = SortMergeJoin(small_engine(), small_engine())
+        got = list(op.run([3, 1, 3, 9], [3, 2, 9, 9]))
         assert got == ["3", "3", "9", "9"]
 
     def test_mismatched_key_kinds_rejected(self):
@@ -443,13 +445,9 @@ class TestSortMergeJoin:
     def test_differing_key_columns_per_side(self):
         left_fmt = resolve_format("csv", key=0)
         right_fmt = resolve_format("csv", key=1)
-        engine = small_engine(left_fmt)
+        op = SortMergeJoin(small_engine(left_fmt), small_engine(right_fmt))
         got = list(
-            engine.join(
-                [left_fmt.decode("a,1")],
-                [right_fmt.decode("zzz,a")],
-                right_format=right_fmt,
-            )
+            op.run([left_fmt.decode("a,1")], [right_fmt.decode("zzz,a")])
         )
         assert got == ["a,1,zzz"]
 
@@ -462,20 +460,13 @@ class TestSortMergeJoin:
     def test_serial_vs_parallel_identical(self):
         left, right = join_corpus()
         serial, _ = self.run_join(left, right)
-        fmt = resolve_format("csv", key=0)
-        parallel_engine = small_engine(fmt, workers=2)
-        parallel = list(
-            parallel_engine.join(
-                [fmt.decode(r) for r in left],
-                [fmt.decode(r) for r in right],
-            )
-        )
+        parallel, _ = self.run_join(left, right, workers=2)
         assert serial == parallel
 
     def test_disjoint_keys_join_empty(self):
-        got, engine = self.run_join(["a,1"], ["b,2"])
+        got, op = self.run_join(["a,1"], ["b,2"])
         assert got == []
-        assert engine.operator_report.matches == 0
+        assert op.report.matches == 0
 
     def test_empty_sides(self):
         assert self.run_join([], ["a,1"])[0] == []
@@ -487,9 +478,8 @@ class TestSortMergeJoin:
         # the whole join ran in memory.
         left = ["a,1"]
         right = [f"k{i:04d},{i}" for i in range(2_000)] + ["a,x"]
-        got, engine = self.run_join(left, right, memory=100)
+        got, op = self.run_join(left, right, memory=100)
         assert got == ["a,1,x"]
-        op = engine._last_operator
         assert op.plan.mode == "sort"
 
 
@@ -501,8 +491,8 @@ class TestSortMergeJoin:
 class TestTopK:
     def test_matches_sorted_head(self):
         data = int_corpus()
-        engine = small_engine(memory=1_000)
-        assert list(engine.topk(data, 25)) == sorted(data)[:25]
+        op = TopK(small_engine(memory=1_000), 25)
+        assert list(op.run(data)) == sorted(data)[:25]
 
     def test_heap_short_circuit_is_planned(self):
         engine = small_engine(memory=1_000)
@@ -514,38 +504,36 @@ class TestTopK:
 
     def test_heap_vs_sorted_path_identical(self):
         data = int_corpus()
-        heap_engine = small_engine(memory=1_000)
-        sort_engine = small_engine(memory=16)
         k = 200
-        heap_out = list(heap_engine.topk(list(data), k))
-        sort_out = list(sort_engine.topk(list(data), k))
+        heap_out = list(TopK(small_engine(memory=1_000), k).run(list(data)))
+        sort_out = list(TopK(small_engine(memory=16), k).run(list(data)))
         assert heap_out == sort_out == sorted(data)[:k]
 
     def test_serial_vs_parallel_identical(self):
         data = int_corpus(800)
-        serial = list(small_engine(memory=32).topk(list(data), 100))
+        serial = list(TopK(small_engine(memory=32), 100).run(list(data)))
         parallel = list(
-            small_engine(memory=32, workers=2).topk(list(data), 100)
+            TopK(small_engine(memory=32, workers=2), 100).run(list(data))
         )
         assert serial == parallel
 
     def test_k_larger_than_input(self):
         data = [3, 1, 2]
-        assert list(small_engine().topk(data, 100)) == [1, 2, 3]
+        assert list(TopK(small_engine(), 100).run(data)) == [1, 2, 3]
 
     def test_k_zero(self):
-        engine = small_engine()
-        assert list(engine.topk([5, 1], 0)) == []
-        assert engine.operator_report.rows_in == 2
+        op = TopK(small_engine(), 0)
+        assert list(op.run([5, 1])) == []
+        assert op.report.rows_in == 2
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             TopK(small_engine(), -1)
 
     def test_sorted_path_reports_rows(self):
-        engine = small_engine(memory=16)
-        out = list(engine.topk(int_corpus(500), 40))
-        report = engine.operator_report
+        op = TopK(small_engine(memory=16), 40)
+        out = list(op.run(int_corpus(500)))
+        report = op.report
         assert len(out) == 40
         assert report.rows_in == 500
         assert report.rows_out == 40
@@ -567,8 +555,8 @@ class TestTopK:
         from repro.core.records import FLOAT
 
         data = [0.0, -0.0, 1.0, -0.0, 0.0]
-        heap_out = list(small_engine(FLOAT, memory=100).topk(list(data), 4))
-        sort_out = list(small_engine(FLOAT, memory=2).topk(list(data), 4))
+        heap_out = list(TopK(small_engine(FLOAT, memory=100), 4).run(data))
+        sort_out = list(TopK(small_engine(FLOAT, memory=2), 4).run(data))
         want = sorted(data)[:4]
         assert [repr(v) for v in heap_out] == [repr(v) for v in want]
         assert [repr(v) for v in sort_out] == [repr(v) for v in want]

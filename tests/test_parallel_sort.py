@@ -67,6 +67,48 @@ def killing_decode(line: str) -> int:
     return value
 
 
+def run_killed_attempt(work_dir: str, data) -> None:
+    """One resumed durable sort, in a child interpreter, whose shard
+    worker :func:`killing_decode` kills.
+
+    The child may end with a ``SortError`` (a pooled worker died) or be
+    killed itself (the one pending shard ran in process); either way
+    the attempt leaves ``work_dir`` behind.
+    """
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    child = (
+        "import json, sys\n"
+        "from repro.core.config import GeneratorSpec\n"
+        "from repro.core.records import CallableFormat\n"
+        "from repro.engine.errors import SortError\n"
+        "from repro.sort.parallel import PartitionedSort\n"
+        "from test_parallel_sort import killing_decode\n"
+        "data = json.loads(sys.stdin.read())\n"
+        "sorter = PartitionedSort(\n"
+        "    GeneratorSpec('lss', 200), workers=2,\n"
+        "    work_dir=sys.argv[1], resume=True,\n"
+        "    record_format=CallableFormat(str, killing_decode),\n"
+        ")\n"
+        "try:\n"
+        "    list(sorter.sort(iter(data)))\n"
+        "except SortError:\n"
+        "    pass\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, work_dir],
+        input=json.dumps(data), capture_output=True, text=True,
+        timeout=120,
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src_dir, tests_dir]),
+            **{KILL_AFTER_MARKER_IN: work_dir},
+        ),
+    )
+    assert done.returncode in (0, -signal.SIGKILL), done.stderr
+    assert os.path.isdir(work_dir)
+
+
 class TestPartitioning:
     def test_hash_shard_deterministic_and_in_range(self):
         for value in list(range(100)) + [10**9, -5]:
@@ -337,6 +379,21 @@ class TestCleanup:
         )
         assert list(resumed.sort(iter(data))) == sorted(data)
         assert resumed.shards_reused >= 1
+
+    def test_resumed_attempt_removes_killed_workers_spill_dirs(
+        self, tmp_path
+    ):
+        # A killed worker's private spill directory is journaled by
+        # nothing; the next resumed attempt must remove it instead of
+        # letting every killed attempt leave one more behind.
+        work_dir = str(tmp_path / "work")
+        data = list(random_input(4_000, seed=14)) + [KILL_SENTINEL]
+        spill_dirs = os.path.join(work_dir, "repro-sort-*")
+        run_killed_attempt(work_dir, data)
+        first = set(glob.glob(spill_dirs))
+        assert first  # the killed worker's spill directory
+        run_killed_attempt(work_dir, data)
+        assert not first & set(glob.glob(spill_dirs))
 
     def test_worker_failure_removes_work_dir(self, tmp_path):
         data = list(range(100))  # contains the poisoned record 13

@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import GeneratorSpec
 from repro.core.records import DelimitedFormat, INT, STR, resolve_format
 from repro.engine.planner import SortEngine
+from repro.ops import Distinct, GroupByAggregate, SortMergeJoin
 
 
 def engine_for(fmt, memory=16):
@@ -31,10 +32,10 @@ class TestMissingKeyColumn:
 
     def test_operator_surfaces_the_error(self):
         fmt = DelimitedFormat(",", 2)
-        engine = engine_for(fmt)
+        op = Distinct(engine_for(fmt))
         rows = ["a,b,c", "x,y"]  # second row lacks the key column
         with pytest.raises(ValueError, match="does not exist"):
-            list(engine.distinct(fmt.decode(row) for row in rows))
+            list(op.run(fmt.decode(row) for row in rows))
 
 
 class TestHeaderLikeRows:
@@ -44,10 +45,9 @@ class TestHeaderLikeRows:
     def test_duplicate_headers_dedup_to_one(self):
         fmt = DelimitedFormat(",", 0)
         rows = ["id,name", "3,carol", "id,name", "1,alice", "id,name"]
-        engine = engine_for(fmt)
+        op = Distinct(engine_for(fmt))
         out = [
-            fmt.encode(r)
-            for r in engine.distinct([fmt.decode(row) for row in rows])
+            fmt.encode(r) for r in op.run([fmt.decode(row) for row in rows])
         ]
         # Numeric ids rank before the text header key "id".
         assert out == ["1,alice", "3,carol", "id,name"]
@@ -91,21 +91,18 @@ class TestMultiColumnKeys:
     def test_multi_column_group_by(self):
         fmt = DelimitedFormat(",", (0, 1))
         rows = ["us,web,1", "us,app,2", "us,web,3", "de,web,4"]
-        engine = engine_for(fmt)
-        out = list(
-            engine.aggregate(
-                [fmt.decode(r) for r in rows], ("count", "sum"),
-                value_column=2,
-            )
+        op = GroupByAggregate(
+            engine_for(fmt), ("count", "sum"), value_column=2
         )
+        out = list(op.run([fmt.decode(r) for r in rows]))
         assert out == ["de,web,1,4", "us,app,1,2", "us,web,2,4"]
 
     def test_multi_column_join(self):
         fmt = DelimitedFormat(",", (0, 1))
         left = [fmt.decode("us,web,1"), fmt.decode("us,app,2")]
         right = [fmt.decode("us,web,hit"), fmt.decode("de,web,miss")]
-        engine = engine_for(fmt)
-        out = list(engine.join(left, right, right_format=fmt))
+        op = SortMergeJoin(engine_for(fmt), engine_for(fmt))
+        out = list(op.run(left, right))
         assert out == ["us,web,1,hit"]
 
 
@@ -146,29 +143,26 @@ class TestRankedKeysThroughOperators:
 
     def test_group_by_mixed_keys(self):
         fmt = self.fmt()
-        engine = engine_for(fmt, memory=2)
-        out = list(
-            engine.aggregate([fmt.decode(r) for r in self.ROWS], ("count",))
-        )
+        op = GroupByAggregate(engine_for(fmt, memory=2), ("count",))
+        out = list(op.run([fmt.decode(r) for r in self.ROWS]))
         # Numbers ascend first, then text lexicographically.
         assert out == ["2,2", "10,1", "10.5,1", "alpha,1", "beta,1"]
 
     def test_join_mixed_keys(self):
         fmt = self.fmt()
-        engine = engine_for(fmt, memory=2)
+        op = SortMergeJoin(
+            engine_for(fmt, memory=2), engine_for(self.fmt(), memory=2)
+        )
         left = [fmt.decode(r) for r in self.ROWS]
         right = [fmt.decode("10,x"), fmt.decode("alpha,y")]
-        out = list(engine.join(left, right, right_format=self.fmt()))
+        out = list(op.run(left, right))
         assert out == ["10,a,x", "alpha,e,y"]
 
     def test_distinct_by_key_mixed(self):
         fmt = self.fmt()
-        engine = engine_for(fmt, memory=2)
+        op = Distinct(engine_for(fmt, memory=2), by="key")
         out = [
-            fmt.encode(r)
-            for r in engine.distinct(
-                [fmt.decode(r) for r in self.ROWS], by="key"
-            )
+            fmt.encode(r) for r in op.run([fmt.decode(r) for r in self.ROWS])
         ]
         assert out == ["2,c", "10,a", "10.5,d", "alpha,e", "beta,b"]
 
@@ -176,9 +170,7 @@ class TestRankedKeysThroughOperators:
         # "2" and "2.0" parse to equal ranked keys; group-by must fold
         # them into one group keyed by the first row in sorted order.
         fmt = self.fmt()
-        engine = engine_for(fmt)
+        op = GroupByAggregate(engine_for(fmt), ("count",))
         rows = ["2.0,a", "2,b"]
-        out = list(
-            engine.aggregate([fmt.decode(r) for r in rows], ("count",))
-        )
+        out = list(op.run([fmt.decode(r) for r in rows]))
         assert out == ["2,2"]
