@@ -162,7 +162,7 @@ def main(argv: List[str] | None = None) -> int:
                         default=[1, 4, 8],
                         help="client concurrency levels (default 1 4 8)")
     parser.add_argument("--total-memory", type=int, default=20_000,
-                        help="server broker pool in records")
+                        help="server memory pool in records")
     parser.add_argument("--job-workers", type=int, default=8,
                         help="server job threads (default 8)")
     parser.add_argument("--no-verify", action="store_true",

@@ -680,24 +680,24 @@ def _print_json(payload) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    quotas = {}
+    for item in args.tenant_quota or ():
+        tenant, sep, limit = item.partition("=")
+        if not sep or not tenant or not limit.isdigit() or int(limit) < 1:
+            raise SystemExit(
+                f"--tenant-quota expects TENANT=RECORDS, got {item!r}"
+            )
+        quotas[tenant] = int(limit)
     # Deferred import: asyncio/service machinery only loads for the
     # service subcommands, not for plain sorts.
     import asyncio
 
     from repro.service.server import SortService
 
-    # The server's modules (operators, store, broker, asyncio) live as
-    # long as the process too; frozen like the sort path's, they stay
-    # out of every collection the long-running server makes.
+    # The server's modules (operators, store, asyncio) live as long as
+    # the process too; frozen like the sort path's, they stay out of
+    # every collection the long-running server makes.
     gc.freeze()
-    quotas = {}
-    for item in args.tenant_quota or ():
-        tenant, sep, limit = item.partition("=")
-        if not sep or not tenant or not limit.isdigit():
-            raise SystemExit(
-                f"--tenant-quota expects TENANT=RECORDS, got {item!r}"
-            )
-        quotas[tenant] = int(limit)
     service = SortService(
         args.spool,
         host=args.host,
@@ -1397,7 +1397,7 @@ def _add_serve(sub: Any) -> None:
                          help="TCP port (default 0 = pick a free one and "
                               "publish it in --endpoint-file)")
     p_serve.add_argument("--memory", type=_positive_int, default=100_000,
-                         help="total broker memory in records, shared by "
+                         help="total memory pool in records, shared by "
                               "all running jobs (default 100000)")
     p_serve.add_argument("--job-workers", type=_positive_int, default=8,
                          help="concurrent job threads (default 8)")

@@ -4,24 +4,26 @@ Unpaired requests and releases are how a broker pool drifts:
 memory requested and never released (or released twice) shrinks the
 shared pool until concurrent sorts starve.  The harder variant is a
 job that fails *between* request and release: it leaks its grant
-forever unless the release sits on the error path too, which is why
-the service scheduler's ``_acquire`` unwinds with ``cancel_owner``.
+forever unless the release sits on the error path too.
 
 The rule checks every function (outside the broker module itself)
 that calls ``request`` / ``request_or_enqueue`` / ``try_allocate`` on
 some receiver:
 
 * the function must also call ``release`` / ``release_and_regrant``
-  / ``cancel_owner`` (the job-cancellation path releases *and*
-  retires the owner) on the *same* receiver, and at least one must sit
+  / ``cancel_owner`` on the *same* receiver, and at least one must sit
   inside a ``finally`` block or ``except`` handler — a straight-line
   release never runs when the sorting work in between raises; or
 * the granted amount must escape via ``return`` (an acquisition
-  helper like the scheduler's ``_acquire`` transfers the pairing
-  obligation to its caller, which is then linted itself).
+  helper transfers the pairing obligation to its caller, which is
+  then linted itself).
 
-Scoped to ``src/repro`` (tests hammer brokers in deliberately
-unpaired ways to prove the accounting).
+No ``src/`` code outside the broker module calls these methods today:
+the simulator lives in that module, and the service scheduler keeps
+its own pool counters.  ``request_or_enqueue``, ``release_and_regrant``
+and ``cancel_owner`` are no longer broker methods either; the names
+stay so that the rule and its corpus are unchanged.  Scoped to ``src/repro`` (tests hammer brokers in
+deliberately unpaired ways to prove the accounting).
 """
 
 from __future__ import annotations

@@ -2,11 +2,9 @@
 
 One long-running asyncio process accepts sort/distinct/agg/join/topk
 jobs over a small length-prefixed JSON protocol, runs each through the
-existing :class:`~repro.engine.planner.SortEngine`, and multiplexes all
-job memory through one :class:`~repro.sort.memory_broker.MemoryBroker`
-— the paper's dynamic-memory policy promoted from simulation
-(``ConcurrentSortSimulator``) to production admission control with
-per-tenant quotas.
+existing :class:`~repro.engine.planner.SortEngine`, and admits each job
+to one shared memory pool with per-tenant quotas: a job runs once its
+whole ask fits both the pool and its tenant's quota.
 
 Jobs have stable content-derived ids: resubmitting the same spec (or
 just the id) after a crash re-attaches to the job's durable work

@@ -25,7 +25,7 @@ __all__ = ["JOB_OPS", "STORE_OPS", "JobSpec", "job_id_for"]
 
 #: Operators a job may run: the CLI's file-to-file subcommands, plus
 #: the store jobs (DESIGN.md §17) that run against a server-side store
-#: directory under the same broker-granted memory budget.
+#: directory under the same pool-granted memory budget.
 JOB_OPS = (
     "sort", "distinct", "agg", "topk", "join",
     "store_ingest", "store_scan", "store_compact",

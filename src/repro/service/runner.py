@@ -11,8 +11,8 @@ spec (same id) is submitted again.
 Cancellation is cooperative: the input and output record streams check
 a :class:`threading.Event` once per batch and raise
 :class:`JobCancelled`, which unwinds through the engine generators'
-``finally`` blocks (temp cleanup, broker release happens in the
-scheduler's own ``finally``).
+``finally`` blocks (temp cleanup; the memory grant goes back to the
+pool in the scheduler's own ``finally``).
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def run_job(
 ) -> JobOutcome:
     """Run ``spec`` with a granted ``memory`` budget; publish atomically.
 
-    ``memory`` is what the broker actually granted (the spec's ask
+    ``memory`` is what the scheduler actually granted (the spec's ask
     clamped by the tenant quota); the sorted *output* is identical for
     any budget, so clamping never changes results, only run counts.
     """
@@ -265,7 +265,7 @@ def _run_store(
 ) -> JobOutcome:
     """Run one store job against the spec's server-side directory.
 
-    The broker grant *is* the memtable budget, so store jobs share the
+    The job's grant *is* the memtable budget, so store jobs share the
     service's memory pool exactly like sorts do.  Ingest runs with
     ``sync=False`` — per-operation WAL fsyncs would make bulk loads
     I/O-bound for no benefit, because the service acknowledges the

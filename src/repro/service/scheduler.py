@@ -1,20 +1,18 @@
-"""Job scheduling over the shared memory broker (DESIGN.md §16).
+"""Job scheduling under one shared memory pool (DESIGN.md §16).
 
-The scheduler is the production promotion of the paper's
-``ConcurrentSortSimulator``: instead of simulated round-robin slices,
-real jobs run in a thread pool and compete for one
-:class:`~repro.sort.memory_broker.MemoryBroker` pool using the same
-five-situation policy — every admission request enters the queue as
-``ABOUT_TO_START`` (the policy's highest priority: give jobs a chance
-to start, so tiny sorts finish while a huge one spills), grants are
-all-or-nothing so a waiting job can never deadlock holding a partial
-budget, and releases regrant atomically in priority order.
+Real jobs run in a thread pool and compete for one pool of records,
+the service-wide analogue of the CLI's ``--memory``.  One condition
+variable guards the pool counter, the per-tenant counters and the
+waiters in arrival order.  A waiter admits itself only when its whole
+ask fits both the pool and its tenant's quota, first-fit over the
+waiters in arrival order; grants are all-or-nothing, so a waiting job
+never sits on a partial budget.  Only a waiter's own thread ever takes
+memory for it, so a cancelled waiter cannot be handed a grant.
 
-Per-tenant quotas sit *above* the broker: a tenant's jobs never hold
-more than its quota in total, so one tenant's spill storm cannot
-starve the rest of the pool (the quota also clamps a single job's ask
-— the sorted output is identical for any memory budget, only run
-counts change).
+Per-tenant quotas keep one tenant's jobs from holding more than the
+quota in total, so its spill storm cannot starve the rest of the pool
+(the quota also clamps a single job's ask — the sorted output is
+identical for any memory budget, only run counts change).
 
 Job lifecycle::
 
@@ -38,19 +36,14 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.errors import SortError
 from repro.engine.resilience import read_marker, write_marker
 from repro.service.jobs import JobSpec, job_id_for
 from repro.service.runner import JobCancelled, JobOutcome, run_job
-from repro.sort.memory_broker import MemoryBroker, WaitSituation
 
 __all__ = ["JobScheduler", "JobState"]
-
-#: Seconds between admission re-checks while a job waits for memory
-#: (wakeups also arrive on every release, this is only the backstop).
-_ADMISSION_POLL_S = 0.05
 
 #: Job states that will never change again.
 TERMINAL_STATES = ("done", "failed", "cancelled")
@@ -72,11 +65,6 @@ class JobState:
     started_m: float = 0.0
     finished_m: float = 0.0
 
-    def owner(self) -> str:
-        """Broker owner key — unique per attempt, so a cancelled
-        attempt's retirement never blocks a later resubmission."""
-        return f"{self.job_id}#{self.attempt}"
-
 
 class JobScheduler:
     """Run jobs through the engine under one shared memory pool.
@@ -93,8 +81,9 @@ class JobScheduler:
         Worker threads; also the bound on jobs *admitted or waiting*
         at once (queued jobs wait for a thread first).
     tenant_quotas:
-        Per-tenant memory caps in records; tenants not listed get
-        ``default_quota`` (the whole pool when that is None too).
+        Per-tenant memory caps in records, each at least 1; tenants not
+        listed get ``default_quota`` (the whole pool when that is None
+        too).
     on_finish:
         Called with a job's id, on the thread that finished it, each
         time the job's terminal status is published — the server's
@@ -113,14 +102,26 @@ class JobScheduler:
     ) -> None:
         if total_memory < 1:
             raise ValueError(f"total_memory must be >= 1, got {total_memory}")
+        quotas = dict(tenant_quotas or {})
+        for tenant, quota in quotas.items():
+            if quota < 1:
+                raise ValueError(
+                    f"quota of tenant {tenant!r} must be >= 1, got {quota}"
+                )
+        if default_quota is not None and default_quota < 1:
+            raise ValueError(f"default_quota must be >= 1, got {default_quota}")
         self.spool = os.path.abspath(spool)
         self.jobs_dir = os.path.join(self.spool, "jobs")
         os.makedirs(self.jobs_dir, exist_ok=True)
         self.total_memory = total_memory
-        self.broker = MemoryBroker(total_memory)
-        self.tenant_quotas = dict(tenant_quotas or {})
+        self.tenant_quotas = quotas
         self.default_quota = default_quota
+        #: Records granted to admitted jobs, in total and per tenant.
+        self.pool_used = 0
         self._tenant_used: Dict[str, int] = {}
+        #: (job, tenant, ask) of every job waiting for memory, in
+        #: arrival order; guarded by ``_admission`` like the counters.
+        self._waiters: List[Tuple[JobState, str, int]] = []
         self._jobs: Dict[str, JobState] = {}
         self._admission = threading.Condition()
         self._lock = threading.RLock()
@@ -246,11 +247,10 @@ class JobScheduler:
     # -- the worker-thread body ------------------------------------------------
 
     def _run(self, state: JobState) -> None:
-        owner = state.owner()
         granted = 0
         try:
             self._set_status(state, "waiting")
-            granted = self._acquire(state, owner)
+            granted = self._acquire(state)
             state.granted = granted
             state.started_m = time.monotonic()
             self._set_status(state, "running")
@@ -271,64 +271,68 @@ class JobScheduler:
             state.error = str(exc)
             status = "failed"
         finally:
-            self.broker.release_and_regrant(owner)
-            with self._admission:
-                if granted:
-                    tenant = state.spec.tenant
-                    self._tenant_used[tenant] = (
-                        self._tenant_used.get(tenant, 0) - granted
-                    )
-                self._admission.notify_all()
+            if granted:
+                tenant = state.spec.tenant
+                with self._admission:
+                    self.pool_used -= granted
+                    self._tenant_used[tenant] -= granted
+                    self._admission.notify_all()
         # Published only after the grant and the tenant quota are back:
         # a client that sees a terminal status also sees the memory
         # returned to the pool.
         self._finish(state, status)
 
-    def _acquire(self, state: JobState, owner: str) -> int:
-        """Block until the broker grants this job's budget.
+    def _acquire(self, state: JobState) -> int:
+        """Block until this job's whole budget fits; return it.
 
-        All-or-nothing: the ask is the spec's memory clamped by the
-        tenant quota and pool size, requested as ``ABOUT_TO_START``
-        with ``maximum`` equal to the ask so a re-request can never
-        overshoot.  On cancellation the owner is *retired* via
-        ``cancel_owner`` — the one atomic step that drops the queue
-        entry, returns anything already granted, and guarantees no
-        posthumous grant can leak pool budget.
+        The ask is the spec's memory clamped by the tenant quota and
+        the pool size.  The waiter takes the memory itself, under the
+        admission lock, so a job cancelled while waiting leaves the
+        queue holding nothing.
         """
         tenant = state.spec.tenant
-        quota = self._quota(tenant)
-        amount = max(1, min(state.spec.memory, quota, self.total_memory))
-        try:
-            while True:
-                if state.cancel.is_set():
-                    raise JobCancelled(f"job {state.job_id} cancelled")
-                with self._admission:
-                    used = self._tenant_used.get(tenant, 0)
-                    granted = 0
-                    if used + amount <= quota:
-                        granted = self.broker.allocated_to(owner)
-                        if granted < amount:
-                            granted += self.broker.request_or_enqueue(
-                                owner,
-                                amount - granted,
-                                WaitSituation.ABOUT_TO_START,
-                                maximum=amount,
-                            )
-                    if granted >= amount:
-                        self._tenant_used[tenant] = used + granted
-                        return granted
-                    self._admission.wait(timeout=_ADMISSION_POLL_S)
-        except JobCancelled:
-            # Retire the owner atomically: releases any racing grant
-            # and blocks every later one (the posthumous-grant fix).
-            self.broker.cancel_owner(owner)
-            raise
+        ask = min(state.spec.memory, self._quota(tenant))
+        entry = (state, tenant, ask)
+        with self._admission:
+            self._waiters.append(entry)
+            try:
+                while not state.cancel.is_set():
+                    if self._admits(entry):
+                        self.pool_used += ask
+                        self._tenant_used[tenant] = (
+                            self._tenant_used.get(tenant, 0) + ask
+                        )
+                        return ask
+                    self._admission.wait()
+            finally:
+                self._waiters = [w for w in self._waiters if w is not entry]
+            # Waiters behind this one may have stood back for its ask.
+            self._admission.notify_all()
+        raise JobCancelled(f"job {state.job_id} cancelled")
+
+    def _admits(self, entry: Tuple[JobState, str, int]) -> bool:
+        """Would a first-fit pass over the waiters, in arrival order,
+        admit ``entry`` now?  Caller holds ``_admission``."""
+        pool = self.pool_used
+        used = dict(self._tenant_used)
+        for waiter in self._waiters:
+            _, tenant, ask = waiter
+            fits = (
+                pool + ask <= self.total_memory
+                and used.get(tenant, 0) + ask <= self._quota(tenant)
+            )
+            if waiter is entry:
+                return fits
+            if fits:
+                pool += ask
+                used[tenant] = used.get(tenant, 0) + ask
+        return False
 
     def _quota(self, tenant: str) -> int:
         quota = self.tenant_quotas.get(tenant, self.default_quota)
         if quota is None:
             quota = self.total_memory
-        return max(1, min(quota, self.total_memory))
+        return min(quota, self.total_memory)
 
     # -- persistence -----------------------------------------------------------
 

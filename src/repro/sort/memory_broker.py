@@ -15,16 +15,16 @@ This module implements the broker and a cooperative round-robin
 simulation of concurrent external sorts over the simulated disk, so the
 paper's claim — dynamic adjustment beats static partitioning on
 throughput — can be measured (see ``benchmarks/bench_ablation_memory.py``).
-The resident service's scheduler admits independent jobs through the
-same broker, one thread per job.  The shards of one partitioned sort do
-not compete this way: each gets a fixed share under a concurrency cap
-(DESIGN.md §8), so nothing here crosses a process boundary.
+The simulator is the broker's only user and is single-threaded, so the
+broker takes no lock.  The resident service admits its jobs with a
+lock of its own (``repro.service.scheduler``), and the shards of one
+partitioned sort get fixed shares under a concurrency cap (DESIGN.md
+§8).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Dict, List, Optional, Sequence
@@ -53,11 +53,7 @@ PRIORITY_ORDER = (
 
 
 class MemoryBroker:
-    """A shared memory pool with prioritised waiting.
-
-    All mutating methods are serialised behind an internal lock, so the
-    accounting stays exact when several threads (the service's job
-    workers) request and release concurrently.
+    """A shared memory pool with prioritised waiting (not thread-safe).
 
     Parameters
     ----------
@@ -74,60 +70,36 @@ class MemoryBroker:
         # (situation, order, owner, amount, maximum) — one entry per owner.
         self._waiting: List[tuple] = []
         self._order = 0
-        #: Owners retired by cancel_owner(); they can never be granted
-        #: again — a cancelled waiter has nobody left to release what
-        #: it would be granted (the posthumous-grant budget leak).
-        self._cancelled: set = set()
-        self._lock = threading.RLock()
 
     @property
     def free(self) -> int:
         return self.total - sum(self.allocated.values())
 
-    def free_records(self) -> int:
-        """Unallocated records (locked twin of :attr:`free`)."""
-        with self._lock:
-            return self.free
-
-    def allocated_to(self, owner: Any) -> int:
-        """Records currently granted to ``owner``."""
-        with self._lock:
-            return self.allocated.get(owner, 0)
-
     def peak(self) -> int:
         """Largest total allocation ever observed (never > ``total``)."""
-        with self._lock:
-            return self.peak_allocated
+        return self.peak_allocated
 
     def try_allocate(self, owner: Any, amount: int) -> bool:
-        """Grant ``amount`` more records to ``owner`` if available.
-
-        A cancelled owner is always refused: granting it would leak the
-        records forever, because the canceller already walked away.
-        """
+        """Grant ``amount`` more records to ``owner`` if available."""
         if amount < 0:
             raise ValueError(f"amount must be non-negative, got {amount}")
-        with self._lock:
-            if owner in self._cancelled:
-                return False
-            if amount > self.free:
-                return False
-            self.allocated[owner] = self.allocated.get(owner, 0) + amount
-            in_use = self.total - self.free
-            if in_use > self.peak_allocated:
-                self.peak_allocated = in_use
-            return True
+        if amount > self.free:
+            return False
+        self.allocated[owner] = self.allocated.get(owner, 0) + amount
+        in_use = self.total - self.free
+        if in_use > self.peak_allocated:
+            self.peak_allocated = in_use
+        return True
 
     def release(self, owner: Any, amount: Optional[int] = None) -> None:
         """Return memory to the pool (all of it when amount is None)."""
-        with self._lock:
-            held = self.allocated.get(owner, 0)
-            release = held if amount is None else min(amount, held)
-            remaining = held - release
-            if remaining:
-                self.allocated[owner] = remaining
-            else:
-                self.allocated.pop(owner, None)
+        held = self.allocated.get(owner, 0)
+        release = held if amount is None else min(amount, held)
+        remaining = held - release
+        if remaining:
+            self.allocated[owner] = remaining
+        else:
+            self.allocated.pop(owner, None)
 
     def enqueue(
         self,
@@ -144,138 +116,37 @@ class MemoryBroker:
         quantum cannot stack requests and be granted several times
         over.  ``maximum`` caps the owner's *total* allocation — at
         grant time the request is clamped to ``maximum - allocated``
-        and dropped when the owner is already at its cap.  Cancelled
-        owners are never (re-)enqueued.
+        and dropped when the owner is already at its cap.
         """
-        with self._lock:
-            if owner in self._cancelled:
+        for i, (_, order, pending_owner, _, _) in enumerate(self._waiting):
+            if pending_owner == owner:
+                self._waiting[i] = (situation, order, owner, amount, maximum)
                 return
-            for i, (_, order, pending_owner, _, _) in enumerate(self._waiting):
-                if pending_owner == owner:
-                    self._waiting[i] = (situation, order, owner, amount, maximum)
-                    return
-            self._order += 1
-            self._waiting.append(
-                (situation, self._order, owner, amount, maximum)
-            )
+        self._order += 1
+        self._waiting.append((situation, self._order, owner, amount, maximum))
 
     def grant_waiting(self) -> List[Any]:
-        """Serve waiting processes in priority order; return the granted.
-
-        Entries whose owner was cancelled while enqueued are dropped,
-        never granted: the cancelled job's thread is gone, so a
-        posthumous grant could not be released by anyone and would
-        shrink the pool for every later job.
-        """
+        """Serve waiting processes in priority order; return the granted."""
         granted: List[Any] = []
         remaining: List[tuple] = []
-        with self._lock:
-            # Priority: the PRIORITY_ORDER rank, then FIFO within a rank.
-            rank = {situation: i for i, situation in enumerate(PRIORITY_ORDER)}
-            self._waiting.sort(key=lambda w: (rank[w[0]], w[1]))
-            for situation, order, owner, amount, maximum in self._waiting:
-                if owner in self._cancelled:
-                    continue  # retired while waiting; drop the request
-                if maximum is not None:
-                    amount = min(
-                        amount, maximum - self.allocated.get(owner, 0)
-                    )
-                    if amount <= 0:
-                        continue  # already at its cap; drop the request
-                if self.try_allocate(owner, amount):
-                    granted.append(owner)
-                else:
-                    remaining.append(
-                        (situation, order, owner, amount, maximum)
-                    )
-            self._waiting = remaining
-            return granted
-
-    # -- atomic compound operations (one lock hold each) -----------------------
-
-    def request_or_enqueue(
-        self,
-        owner: Any,
-        amount: int,
-        situation: WaitSituation = WaitSituation.ABOUT_TO_START,
-        maximum: Optional[int] = None,
-    ) -> int:
-        """Grant ``amount`` now, or register ``owner`` as waiting.
-
-        Returns the records granted (0 when the owner was enqueued
-        instead, or was already at its cap).  Check-then-enqueue must be
-        one atomic step for concurrent callers: split over two calls, a
-        release landing in between would be missed by everybody.  ``maximum`` caps the owner's *total* allocation,
-        exactly as at :meth:`grant_waiting` time — the immediate-grant
-        path must clamp against what the owner already holds or a
-        re-requesting owner could be pushed past its cap.  A cancelled
-        owner gets 0 and is not enqueued — the caller observed the
-        cancellation race and must stop waiting.
-        """
-        with self._lock:
-            if owner in self._cancelled:
-                return 0
+        # Priority: the PRIORITY_ORDER rank, then FIFO within a rank.
+        rank = {situation: i for i, situation in enumerate(PRIORITY_ORDER)}
+        self._waiting.sort(key=lambda w: (rank[w[0]], w[1]))
+        for situation, order, owner, amount, maximum in self._waiting:
             if maximum is not None:
                 amount = min(amount, maximum - self.allocated.get(owner, 0))
                 if amount <= 0:
-                    return 0  # already at its cap; nothing to wait for
+                    continue  # already at its cap; drop the request
             if self.try_allocate(owner, amount):
-                return amount
-            self.enqueue(owner, amount, situation, maximum)
-            return 0
-
-    def release_and_regrant(
-        self, owner: Any, amount: Optional[int] = None
-    ) -> List[Any]:
-        """Release ``owner``'s memory and serve the wait queue with it.
-
-        Returns the owners granted memory by the freed records.  Waiting
-        jobs poll :meth:`allocated_to`, so the release and the regrant
-        must be one atomic step or a concurrent ``request_or_enqueue``
-        could snatch the freed memory out of priority order.
-
-        The owner is done with the pool, so any wait-queue entry of its
-        own is cancelled first: a job that gave up waiting must never
-        be granted memory posthumously — nobody would ever release it.
-        """
-        with self._lock:
-            self._waiting = [
-                entry for entry in self._waiting if entry[2] != owner
-            ]
-            self.release(owner, amount)
-            return self.grant_waiting()
-
-    def cancel_owner(self, owner: Any) -> int:
-        """Retire ``owner`` for good and recycle whatever it held.
-
-        One atomic step: mark the owner cancelled (every later
-        ``try_allocate``/``enqueue``/``request_or_enqueue`` refuses it),
-        drop its wait-queue entry, release any records it already held,
-        and regrant them to the survivors.  This is the job-cancellation
-        path of the resident service: the cancelling thread races the
-        grant path, and without the cancelled mark a release landing in
-        between could still grant the dead waiter — leaking that budget
-        until the broker dies.  Returns the records released.
-        """
-        with self._lock:
-            self._cancelled.add(owner)
-            self._waiting = [
-                entry for entry in self._waiting if entry[2] != owner
-            ]
-            released = self.allocated.get(owner, 0)
-            self.release(owner)
-            self.grant_waiting()
-            return released
-
-    def is_cancelled(self, owner: Any) -> bool:
-        """True when ``owner`` was retired by :meth:`cancel_owner`."""
-        with self._lock:
-            return owner in self._cancelled
+                granted.append(owner)
+            else:
+                remaining.append((situation, order, owner, amount, maximum))
+        self._waiting = remaining
+        return granted
 
     @property
     def waiting(self) -> List[Any]:
-        with self._lock:
-            return [owner for (_, _, owner, _, _) in self._waiting]
+        return [owner for (_, _, owner, _, _) in self._waiting]
 
 
 @dataclass(slots=True)

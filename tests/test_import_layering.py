@@ -84,8 +84,8 @@ def test_importing_the_packages_loads_no_submodule():
 
 
 def test_memory_broker_loads_no_multiprocessing():
-    # ``repro serve`` admits jobs through the broker; the broker is
-    # thread-safe in process and needs no multiprocessing machinery.
+    # The broker serves only the single-threaded simulator; nothing in
+    # it crosses a process boundary, so it needs no multiprocessing.
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, repro.sort.memory_broker; "

@@ -68,48 +68,6 @@ class TestMemoryBroker:
         assert broker.peak() == 90
         assert broker.peak() <= broker.total
 
-    def test_request_or_enqueue_grants_or_queues_atomically(self):
-        broker = MemoryBroker(100)
-        assert broker.request_or_enqueue("a", 80) == 80
-        assert broker.request_or_enqueue("b", 80) == 0
-        assert broker.waiting == ["b"]
-        # maximum clamps the request before the grant attempt.
-        assert broker.request_or_enqueue("c", 80, maximum=20) == 20
-
-    def test_request_or_enqueue_caps_total_allocation(self):
-        # The immediate-grant path clamps against what the owner
-        # already holds, matching grant_waiting's cap semantics: a
-        # re-requesting owner can never be pushed past its maximum.
-        broker = MemoryBroker(200)
-        broker.try_allocate("w", 50)
-        assert broker.request_or_enqueue("w", 60, maximum=60) == 10
-        assert broker.allocated_to("w") == 60
-        # Already at the cap: nothing granted, nothing queued.
-        assert broker.request_or_enqueue("w", 60, maximum=60) == 0
-        assert broker.waiting == []
-
-    def test_release_and_regrant_serves_waiters(self):
-        broker = MemoryBroker(100)
-        broker.request_or_enqueue("a", 100)
-        broker.request_or_enqueue("b", 60)
-        assert broker.release_and_regrant("a") == ["b"]
-        assert broker.allocated_to("b") == 60
-        assert broker.free_records() == 40
-
-    def test_release_and_regrant_cancels_own_pending_request(self):
-        # Regression: a job that gives up waiting signs off with
-        # release_and_regrant; its queued request must die with it, or
-        # a later release would grant memory to a job that already
-        # exited — leaked forever.
-        broker = MemoryBroker(100)
-        broker.request_or_enqueue("holder", 100)
-        broker.request_or_enqueue("quitter", 60)
-        broker.request_or_enqueue("patient", 60)
-        assert broker.release_and_regrant("quitter") == []  # signs off
-        assert broker.waiting == ["patient"]
-        assert broker.release_and_regrant("holder") == ["patient"]
-        assert broker.allocated_to("quitter") == 0
-
     def test_fifo_within_same_situation(self):
         broker = MemoryBroker(60)
         broker.try_allocate("holder", 60)
@@ -332,85 +290,3 @@ class TestTinyPoolTermination:
         outcome = self._run_guarded(sim)
         assert "error" not in outcome
         assert all(t is not None for t in outcome["result"].values())
-
-
-class TestCancelledOwners:
-    """Posthumous-grant regressions: a cancelled owner never holds memory.
-
-    The resident service cancels jobs that may be anywhere in the
-    broker lifecycle — enqueued, mid-grant, or holding memory.  Before
-    ``cancel_owner`` existed, a waiter cancelled between ``enqueue``
-    and the next ``grant_waiting`` would still be granted memory that
-    nobody would ever release (the worker had already unwound).
-    """
-
-    def test_cancel_owner_releases_and_retires(self):
-        broker = MemoryBroker(100)
-        assert broker.try_allocate("job", 60)
-        released = broker.cancel_owner("job")
-        assert released == 60
-        assert broker.allocated_to("job") == 0
-        assert broker.free == 100
-        assert broker.is_cancelled("job")
-        # Retired for good: every grant path refuses it from now on.
-        assert not broker.try_allocate("job", 1)
-        assert broker.request_or_enqueue("job", 1) == 0
-        broker.enqueue("job", 1, WaitSituation.ABOUT_TO_START)
-        assert broker.waiting == []
-
-    def test_no_posthumous_grant_via_release_and_regrant(self):
-        broker = MemoryBroker(100)
-        assert broker.try_allocate("holder", 100)
-        assert broker.request_or_enqueue("victim", 50) == 0  # enqueued
-        broker.cancel_owner("victim")
-        # The release that would have granted the victim its memory.
-        broker.release_and_regrant("holder")
-        assert broker.allocated_to("victim") == 0
-        assert broker.free == 100
-        assert broker.waiting == []
-
-    def test_grant_waiting_skips_cancelled_entry_atomically(self):
-        broker = MemoryBroker(100)
-        assert broker.try_allocate("holder", 100)
-        assert broker.request_or_enqueue("dead", 40) == 0
-        assert broker.request_or_enqueue("alive", 40) == 0
-        # Cancel after both are queued: the grant must skip the dead
-        # owner and still serve the live one behind it.
-        broker.cancel_owner("dead")
-        broker.release_and_regrant("holder")
-        assert broker.allocated_to("dead") == 0
-        assert broker.allocated_to("alive") == 40
-
-    @pytest.mark.parametrize("rounds", [200])
-    def test_cancel_while_enqueued_hammer(self, rounds):
-        """Race cancel against the regrant path; no grant may survive.
-
-        One holder thread churns the full pool (its every release
-        triggers ``grant_waiting``); victims enqueue and are cancelled
-        concurrently.  Any interleaving that lets a cancelled victim
-        keep memory leaks it forever — the test asserts the pool comes
-        back whole.
-        """
-        broker = MemoryBroker(100)
-        stop = threading.Event()
-
-        def churn():
-            while not stop.is_set():
-                if broker.try_allocate("holder", 100):
-                    broker.release_and_regrant("holder")
-
-        churner = threading.Thread(target=churn)
-        churner.start()
-        try:
-            for round_no in range(rounds):
-                victim = f"victim-{round_no}"
-                broker.request_or_enqueue(victim, 100)
-                broker.cancel_owner(victim)
-                assert broker.allocated_to(victim) == 0, victim
-        finally:
-            stop.set()
-            churner.join(timeout=10.0)
-        assert not churner.is_alive()
-        broker.release("holder")
-        assert broker.free == 100
-        assert broker.waiting == []

@@ -17,6 +17,7 @@ Three layers, cheapest first:
 import asyncio
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -86,6 +87,51 @@ def _gated_run_job(gate):
         return JobOutcome(records_out=0)
 
     return run_job
+
+
+class _PerJobGates:
+    """A ``run_job`` stand-in holding each job until its own gate opens.
+
+    ``ran`` lists the ids of the jobs that reached ``run_job``.
+    """
+
+    def __init__(self):
+        self.gates = {}
+        self.ran = []
+
+    def open(self, job_id):
+        self.gates.setdefault(job_id, threading.Event()).set()
+
+    def __call__(self, spec, *, memory, work_dir, result_path, cancel=None,
+                 job_id=""):
+        from repro.service.runner import JobOutcome
+
+        self.ran.append(job_id)
+        gate = self.gates.setdefault(job_id, threading.Event())
+        while not gate.wait(0.01):
+            if cancel.is_set():
+                raise JobCancelled(f"job {job_id} cancelled")
+        return JobOutcome(records_out=0)
+
+
+def _gated_scheduler(tmp_path, monkeypatch, **kwargs):
+    """A scheduler whose jobs run under :class:`_PerJobGates`, plus a
+    factory of distinct sort specs over one tiny input."""
+    from repro.service import scheduler as scheduler_module
+
+    gates = _PerJobGates()
+    monkeypatch.setattr(scheduler_module, "run_job", gates)
+    _write_input(tmp_path / "in.txt", 10)
+    scheduler = JobScheduler(str(tmp_path / "spool"), **kwargs)
+    fan_ins = itertools.count(2)  # a fresh fan-in per spec keeps ids apart
+
+    def spec(memory, tenant="default"):
+        return JobSpec(
+            op="sort", input=str(tmp_path / "in.txt"), memory=memory,
+            tenant=tenant, fan_in=next(fan_ins),
+        )
+
+    return scheduler, gates, spec
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +292,7 @@ class TestScheduler:
             # The unquota'd tenant was not starved by the greedy one —
             # it got its full ask once the pool drained.
             assert payload["granted"] == 1000
-            assert scheduler.broker.free == 1000
+            assert scheduler.pool_used == 0
         finally:
             scheduler.shutdown()
 
@@ -294,7 +340,7 @@ class TestScheduler:
             payload = _wait_scheduler(scheduler, waiter_state.job_id)
             assert payload["status"] == "done"
             assert payload["granted"] == 100
-            assert scheduler.broker.free == 100
+            assert scheduler.pool_used == 0
         finally:
             release.set()
             scheduler.shutdown()
@@ -326,7 +372,7 @@ class TestScheduler:
 
         def observed_finish(state, status):
             seen.append(
-                (status, scheduler.broker.free,
+                (status, scheduler.pool_used,
                  scheduler._tenant_used.get("t", 0))
             )
             finish(state, status)
@@ -340,9 +386,161 @@ class TestScheduler:
             payload = _wait_scheduler(scheduler, scheduler.submit(spec).job_id)
             assert payload["status"] == ending
             assert payload["granted"] == 64
-            assert seen == [(ending, 100, 0)]
+            assert seen == [(ending, 0, 0)]
         finally:
             scheduler.shutdown()
+
+    def test_waiter_over_its_quota_does_not_block_a_job_that_fits(
+        self, tmp_path, monkeypatch
+    ):
+        """A waiter its tenant's quota holds back takes no pool memory,
+        so another tenant's job that fits runs past it."""
+        scheduler, gates, spec = _gated_scheduler(
+            tmp_path, monkeypatch, total_memory=100, job_workers=4,
+            tenant_quotas={"a": 50},
+        )
+        try:
+            x = scheduler.submit(spec(60, tenant="b"))
+            _wait_status(scheduler, x.job_id, "running")
+            a = scheduler.submit(spec(50, tenant="a"))
+            _wait_status(scheduler, a.job_id, "waiting")
+            time.sleep(0.1)  # let A queue for the pool before C arrives
+            c = scheduler.submit(spec(40, tenant="a"))
+            _wait_status(scheduler, c.job_id, "running")
+            gates.open(x.job_id)
+            assert _wait_scheduler(scheduler, x.job_id)["status"] == "done"
+            # The pool could hold A now, but tenant a is at 40 of 50.
+            d = scheduler.submit(spec(20, tenant="b"))
+            _wait_status(scheduler, d.job_id, "running", timeout=5.0)
+            assert scheduler.status(a.job_id)["status"] == "waiting"
+            assert scheduler.status(a.job_id)["granted"] == 0
+            assert scheduler.pool_used == 40 + 20
+            gates.open(c.job_id)
+            _wait_status(scheduler, a.job_id, "running")
+            for job in (a, d):
+                gates.open(job.job_id)
+                assert _wait_scheduler(scheduler, job.job_id)["status"] == "done"
+            assert scheduler.pool_used == 0
+        finally:
+            for gate in list(gates.gates.values()):
+                gate.set()
+            scheduler.shutdown()
+
+    def test_job_cancelled_while_waiting_never_runs(
+        self, tmp_path, monkeypatch
+    ):
+        scheduler, gates, spec = _gated_scheduler(
+            tmp_path, monkeypatch, total_memory=100, job_workers=3,
+        )
+        try:
+            holder = scheduler.submit(spec(100))
+            _wait_status(scheduler, holder.job_id, "running")
+            victim = scheduler.submit(spec(100))
+            _wait_status(scheduler, victim.job_id, "waiting")
+            assert scheduler.cancel(victim.job_id)
+            payload = _wait_scheduler(scheduler, victim.job_id)
+            assert payload["status"] == "cancelled"
+            assert payload["granted"] == 0
+            patient = scheduler.submit(spec(100))
+            _wait_status(scheduler, patient.job_id, "waiting")
+            gates.open(holder.job_id)
+            gates.open(patient.job_id)
+            payload = _wait_scheduler(scheduler, patient.job_id)
+            assert payload["status"] == "done"
+            assert payload["granted"] == 100
+            assert victim.job_id not in gates.ran
+            assert scheduler.pool_used == 0
+        finally:
+            for gate in list(gates.gates.values()):
+                gate.set()
+            scheduler.shutdown()
+
+    @pytest.mark.parametrize("rounds", [40])
+    def test_cancel_churn_leaves_the_pool_whole(
+        self, tmp_path, monkeypatch, rounds
+    ):
+        """Waiters cancelled while full-pool holders come and go: no
+        interleaving may leave memory behind."""
+        scheduler, gates, spec = _gated_scheduler(
+            tmp_path, monkeypatch, total_memory=100, job_workers=4,
+        )
+        states = []
+        try:
+            for round_no in range(rounds):
+                holder = scheduler.submit(spec(100))
+                gates.open(holder.job_id)
+                victim = scheduler.submit(spec(100))
+                if round_no % 2:
+                    time.sleep(0.002)
+                scheduler.cancel(victim.job_id)
+                states += [holder, victim]
+            for state in states:
+                payload = _wait_scheduler(scheduler, state.job_id)
+                assert payload["status"] in ("done", "cancelled")
+            assert scheduler.pool_used == 0
+            assert not any(scheduler._tenant_used.values())
+            assert scheduler._waiters == []
+        finally:
+            for gate in list(gates.gates.values()):
+                gate.set()
+            scheduler.shutdown()
+
+    def test_admission_is_first_fit_in_arrival_order(
+        self, tmp_path, monkeypatch
+    ):
+        scheduler, gates, spec = _gated_scheduler(
+            tmp_path, monkeypatch, total_memory=100, job_workers=4,
+        )
+        try:
+            holder = scheduler.submit(spec(100))
+            _wait_status(scheduler, holder.job_id, "running")
+            waiters = {}
+            for memory in (70, 50, 30):
+                waiters[memory] = scheduler.submit(spec(memory))
+                _wait_until(
+                    lambda: len(scheduler._waiters) == len(waiters),
+                    f"the {memory}-record job to queue",
+                )
+            gates.open(holder.job_id)
+            _wait_status(scheduler, waiters[70].job_id, "running")
+            _wait_status(scheduler, waiters[30].job_id, "running")
+            assert scheduler.status(waiters[50].job_id)["status"] == "waiting"
+            assert scheduler.pool_used == 100
+            for state in waiters.values():
+                gates.open(state.job_id)
+                assert _wait_scheduler(scheduler, state.job_id)["status"] == "done"
+            assert scheduler.pool_used == 0
+        finally:
+            for gate in list(gates.gates.values()):
+                gate.set()
+            scheduler.shutdown()
+
+    @pytest.mark.parametrize("quotas", [
+        {"tenant_quotas": {"a": 0}},
+        {"tenant_quotas": {"a": 10, "b": -1}},
+        {"default_quota": 0},
+    ])
+    def test_quota_below_one_is_rejected(self, tmp_path, quotas):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            JobScheduler(str(tmp_path / "spool"), **quotas)
+
+    @pytest.mark.parametrize("item", ["a=0", "a="])
+    def test_serve_refuses_a_bad_tenant_quota_before_starting(
+        self, tmp_path, item
+    ):
+        endpoint = tmp_path / "ep.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--spool", str(tmp_path / "spool"),
+             "--endpoint-file", str(endpoint), "--tenant-quota", item],
+            capture_output=True, text=True, timeout=60.0, env=_cli_env(),
+        )
+        assert done.returncode != 0
+        assert f"--tenant-quota expects TENANT=RECORDS, got {item!r}" in (
+            done.stderr
+        )
+        assert not endpoint.exists()
+        assert not (tmp_path / "spool").exists()
 
     def test_jobs_dropped_from_the_queue_are_published_cancelled(
         self, tmp_path, monkeypatch

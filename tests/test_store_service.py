@@ -2,8 +2,8 @@
 
 Three layers, mirroring ``test_service.py``: spec-level (validation
 and canonical payloads), runner-level (``run_job`` called directly
-with an explicit grant), and scheduler-level (jobs queued through the
-broker like any sort).  Plus the pin promised in ``repro/cli.py``: the
+with an explicit grant), and scheduler-level (jobs admitted to the
+shared memory pool like any sort).  Plus the pin promised in ``repro/cli.py``: the
 submit parser's ``--op`` choices are a literal to keep the CLI import
 cheap, and this test holds that literal equal to
 ``service.jobs.JOB_OPS``.
@@ -149,7 +149,7 @@ class TestRunStoreJobs:
         assert outcome.records_out == puts + deletes
         report = json.loads(open(result).read())
         assert report["applied"] == puts + deletes
-        # memory=32 is the broker grant *and* the memtable budget —
+        # memory=32 is the job's grant *and* the memtable budget —
         # the ingest must have spilled tables, not ballooned in RAM.
         assert report["flushed_tables"] > 0
 
@@ -213,7 +213,7 @@ class TestStoreThroughScheduler:
             assert payload["status"] == "done", payload["error"]
             assert payload["granted"] == 64
             assert payload["records_out"] == 500
-            assert scheduler.broker.free == 100
+            assert scheduler.pool_used == 0
 
             scan = JobSpec(op="store_scan", input="", store=db, memory=16)
             payload = _wait(scheduler, scheduler.submit(scan).job_id)
@@ -242,6 +242,6 @@ class TestStoreThroughScheduler:
             payload = _wait(scheduler, scheduler.submit(spec).job_id)
             assert payload["status"] == "failed"
             assert "line 1" in payload["error"]
-            assert scheduler.broker.free == 100
+            assert scheduler.pool_used == 0
         finally:
             scheduler.shutdown()
