@@ -19,15 +19,16 @@ the statistics at all; the :attr:`mean_computations` /
 benchmarks.
 
 :meth:`InputBuffer.drain` is the victim buffer's block-wise reader: it
-consumes a whole stretch of in-range head records in one local loop,
-with exactly the bookkeeping the same number of :meth:`InputBuffer.next`
-calls would do (DESIGN.md §5).
+consumes in-range head records a queue-sized slice at a time, ending in
+exactly the state the same number of :meth:`InputBuffer.next` calls
+would leave (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from itertools import islice, zip_longest
 from typing import Any, Deque, Iterable, Iterator, List, Optional, Tuple
 
 #: Size of the shadow sample kept when the buffer capacity is zero.
@@ -143,72 +144,79 @@ class InputBuffer:
         :data:`LIMIT_REACHED`), at the first record outside the range
         (consumed and returned, not moved), or at the end of the input
         (returning None).  The buffer ends in exactly the state the same
-        number of :meth:`next` calls would leave -- queue, running sum,
+        number of :meth:`next` calls would leave: queue, running sum,
         sorted mirror, shadow window, :attr:`generation` and
-        :attr:`records_read` -- updated in the same order, only without
-        a method call per record.
+        :attr:`records_read`.
+
+        The work goes in rounds of at most ``len(queue)`` heads.  A round
+        range-tests a copy of the queue, moves the in-range prefix and
+        reads exactly as many refills as heads it consumed, so nothing
+        is read ahead of what ``next`` would have read.  The queue is
+        refilled in place, the counters and the shadow window advance
+        by arithmetic, and the running sum by two slice sums when it
+        and both sums are exact ints.  A float sum rounds differently
+        in another order, so it, the sorted mirror and the
+        pass-through of a capacity-0 buffer are updated one record at
+        a time, in :meth:`next`'s order (DESIGN.md §5).
         """
         queue = self._queue
-        popleft = queue.popleft
-        enqueue = queue.append
-        mirror = self._sorted_queue
-        total = self._queue_sum
-        remember = self._shadow.append
-        pull = self._stream.__next__
-        move = out.append
-        generation = self.generation
-        read = self.records_read
-        exhausted = self._exhausted
-        result: Any = LIMIT_REACHED
-        try:
-            for _ in range(limit):
-                if queue:
-                    head = popleft()
-                    if mirror is not None:
-                        _discard(mirror, head)
-                    if total is not None:
-                        total -= head
-                    if exhausted:
-                        generation += 1
-                    else:
-                        try:
-                            refill = pull()
-                        except StopIteration:
-                            exhausted = True
-                            generation += 1
-                        else:
-                            read += 1
-                            remember(refill)
-                            generation += 2
-                            enqueue(refill)
-                            if mirror is not None:
-                                insort(mirror, refill)
-                            if total is not None:
-                                total += refill
-                else:
-                    if exhausted:
-                        result = None
-                        break
-                    try:
-                        head = pull()
-                    except StopIteration:
-                        exhausted = True
-                        result = None
-                        break
-                    read += 1
-                    remember(head)
-                    generation += 1
-                if low <= head <= high:
-                    move(head)
-                else:
-                    result = head
+        while limit > 0 and queue:
+            heads = list(queue)
+            window = heads if len(heads) <= limit else heads[:limit]
+            moved = len(window)
+            result: Any = LIMIT_REACHED
+            for index, head in enumerate(window):
+                if not low <= head <= high:
+                    moved, result = index, head
                     break
-        finally:
-            self._queue_sum = total
-            self.generation = generation
-            self.records_read = read
-            self._exhausted = exhausted
-        return result
+            consumed = moved + (result is not LIMIT_REACHED)
+            refills: List[Any] = []
+            if not self._exhausted:
+                refills = list(islice(self._stream, consumed))
+            if len(refills) < consumed:
+                self._exhausted = True
+            self._advance(heads[:consumed], refills)
+            queue.clear()
+            queue.extend(heads[consumed:])
+            queue.extend(refills)
+            out.extend(window[:moved])
+            if result is not LIMIT_REACHED:
+                return result
+            limit -= moved
+        # An empty queue is a capacity-0 pass-through or the end of the
+        # input: nothing can be looked at before it is read.
+        for _ in range(limit):
+            head = self._pull()
+            if head is None or not low <= head <= high:
+                return head
+            out.append(head)
+        return LIMIT_REACHED
+
+    def _advance(self, heads: List[Any], refills: List[Any]) -> None:
+        """Account for popping ``heads`` and appending ``refills``.
+
+        There are never more refills than heads: a head without one was
+        popped at the end of the input.
+        """
+        self.generation += len(heads) + len(refills)
+        self.records_read += len(refills)
+        self._shadow.extend(refills[-SHADOW_WINDOW:])
+        mirror, total = self._sorted_queue, self._queue_sum
+        if total is not None:
+            gone, came = sum(heads), sum(refills)
+            if type(total) is int and type(gone) is int and type(came) is int:
+                self._queue_sum = total - gone + came
+            else:
+                for head, refill in zip_longest(heads, refills):
+                    total -= head
+                    if refill is not None:
+                        total += refill
+                self._queue_sum = total
+        if mirror is not None:
+            for head, refill in zip_longest(heads, refills):
+                _discard(mirror, head)
+                if refill is not None:
+                    insort(mirror, refill)
 
     def __bool__(self) -> bool:
         return bool(self._queue) or not self._exhausted

@@ -551,9 +551,11 @@ class _RunState:
                             to3, to2 = victim.flush_full()
                         stream3.extend(to3)
                         stream2.extend(to2)
-                        committed = to3 + to2
-                        if committed:
-                            least, most = min(committed), max(committed)
+                        if to3:
+                            # to3 ascends and to2 descends from the top,
+                            # so the extremes sit at their ends.
+                            least = to3[0]
+                            most = to2[0] if to2 else to3[-1]
                             if bottom_ceiling is None or least < bottom_ceiling:
                                 bottom_ceiling = least
                             if top_floor is None or most > top_floor:

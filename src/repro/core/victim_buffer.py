@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import sub
 from typing import Any, List, Optional, Tuple
 
 
@@ -35,17 +36,16 @@ def largest_gap(sorted_values: List[Any]) -> Tuple[int, Any, Any]:
 
     Returns ``(split_index, low, high)`` where values ``[:split_index]``
     lie at or below the gap and values ``[split_index:]`` at or above it.
-    Requires at least two values.
+    Equal widths go to the first.  Requires at least two values; keys
+    without subtraction raise ``TypeError``.
     """
     if len(sorted_values) < 2:
         raise ValueError("need at least two values to find a gap")
-    best_index = 1
-    best_width = sorted_values[1] - sorted_values[0]
-    for i in range(2, len(sorted_values)):
-        width = sorted_values[i] - sorted_values[i - 1]
-        if width > best_width:
-            best_width = width
-            best_index = i
+    widths = list(map(sub, sorted_values[1:], sorted_values))
+    # max() replaces its pick only on a strictly greater width, as a
+    # scan with ``>`` would, so it returns the first widest gap; no
+    # earlier width equals it, so index() lands on that same one.
+    best_index = widths.index(max(widths)) + 1
     return best_index, sorted_values[best_index - 1], sorted_values[best_index]
 
 
@@ -137,7 +137,8 @@ class VictimBuffer:
                 pass
             else:
                 self.valid_range = (low, high)
-                return records[:split], list(reversed(records[split:]))
+                # split >= 1, so the reversed slice stops just above it.
+                return records[:split], records[: split - 1 : -1]
         self.valid_range = None
         return records, []
 

@@ -10,9 +10,10 @@ run generation holds O(memory_capacity) plus the run it is yielding:
 a generator yields each run as one list, so the peak is bounded per
 run, not per input (DESIGN.md §6 caveat).  2WRS runs can be far
 longer than memory — its whole point — so its peak follows its
-longest run: 71 MB on a 1M-record mixed input that LSS sorts in
-27 MB.  The previous CLI path materialised every run and the merged
-output as Python lists.
+longest run: a default ``repro sort`` child peaks at 63.5 MB RSS on
+the 1M-record ``mixed_balanced`` input that LSS sorts in 18.6 MB
+(read with ``os.wait4`` from a small parent).  The previous CLI path
+materialised every run and the merged output as Python lists.
 
 Serialisation is delegated to a :class:`~repro.core.records.
 RecordFormat` (DESIGN.md §9): spill files are checksummed RBLC block

@@ -187,27 +187,68 @@ _KEYS = st.one_of(
         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
         max_size=60,
     ),
+    # Ints past 2**53, where a sum taken in floats would round.
+    st.lists(
+        st.sampled_from([2**60, -(2**60), 2**53 + 1, 2**63 - 1, 1, -1, 3]),
+        max_size=60,
+    ),
+    # int, bool and float keys in one stream: the running sum turns
+    # float part way through.
+    st.lists(
+        st.one_of(
+            st.integers(-20, 20),
+            st.booleans(),
+            st.sampled_from([-0.0, 0.0, 0.1, -2.25, 1e16]),
+        ),
+        max_size=60,
+    ),
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(
     values=_KEYS,
     capacity=st.sampled_from([0, 1, 2, 3, 5, 8]),
     before=st.integers(0, 10),
     bounds=st.tuples(st.integers(-25, 25), st.integers(0, 30)),
     limit=st.integers(0, 70),
+    rounds=st.sampled_from([None, 1, 2, 3]),
+    span_all=st.booleans(),
     use_mean=st.booleans(),
     use_median=st.booleans(),
 )
 def test_drain_equals_repeated_next(
-    values, capacity, before, bounds, limit, use_mean, use_median
+    values, capacity, before, bounds, limit, rounds, span_all, use_mean, use_median
 ):
     low, width = bounds
     high = low + width
     # Float keys get a float range so -0.0/0.0 land on its edges too.
     if values and isinstance(values[0], float):
         low, high = float(low) / 4, float(high) / 4
+    # A range over every key lets the drain run until its limit or the
+    # end of the input; a limit of up to 3x capacity takes several rounds.
+    if span_all and values:
+        low, high = min(values), max(values)
+    if rounds is not None:
+        limit = rounds * capacity
+    _assert_drain_equals_next(
+        values, capacity, before, low, high, limit, use_mean, use_median
+    )
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 4])
+@pytest.mark.parametrize("use_mean", [False, True])
+@pytest.mark.parametrize("use_median", [False, True])
+def test_drain_reaches_the_end_over_several_rounds(capacity, use_mean, use_median):
+    values = [2**60, 1, 0.5, True, -(2**60), 3, 0.25] * 3
+    _assert_drain_equals_next(
+        values, capacity, 2, -(2**61), 2**61, 10 * len(values), use_mean, use_median
+    )
+
+
+def _assert_drain_equals_next(
+    values, capacity, before, low, high, limit, use_mean, use_median
+):
     drained = InputBuffer(values, capacity)
     stepped = InputBuffer(values, capacity)
     for buffer in (drained, stepped):
@@ -227,6 +268,7 @@ def test_drain_equals_repeated_next(
     assert result is expected
     assert drained.generation == stepped.generation
     assert drained.records_read == stepped.records_read
+    assert repr(drained._queue_sum) == repr(stepped._queue_sum)
     assert repr(drained.mean()) == repr(stepped.mean())
     assert repr(drained.median()) == repr(stepped.median())
     assert drained.sample() == stepped.sample()

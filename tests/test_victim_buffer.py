@@ -1,5 +1,7 @@
 """Tests for the victim buffer (Section 4.3)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,3 +124,62 @@ def test_flush_parts_straddle_the_gap(values):
         low, high = victim.valid_range
         assert (low, high) == (max(to3), min(to2))
 
+
+
+def _largest_gap_by_scan(sorted_values):
+    """The widest-gap scan ``largest_gap`` replaced, kept as its oracle."""
+    best_index = 1
+    best_width = sorted_values[1] - sorted_values[0]
+    for i in range(2, len(sorted_values)):
+        width = sorted_values[i] - sorted_values[i - 1]
+        if width > best_width:
+            best_width = width
+            best_index = i
+    return best_index, sorted_values[best_index - 1], sorted_values[best_index]
+
+
+_GAP_KEYS = st.one_of(
+    st.lists(st.integers(), min_size=2, max_size=40),
+    # Few distinct steps: many equal widths, where the first must win.
+    st.lists(st.integers(0, 4).map(lambda k: 10 * k), min_size=2, max_size=40),
+    # -0.0/0.0 widths, and NaN widths from inf - inf and NaN keys.
+    st.lists(
+        st.sampled_from(
+            [-0.0, 0.0, 1.0, -1.5, 2.5, math.inf, -math.inf, math.nan]
+        ),
+        min_size=2,
+        max_size=40,
+    ),
+    st.lists(st.floats(), min_size=2, max_size=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GAP_KEYS)
+def test_largest_gap_equals_the_scan(values):
+    records = sorted(values)
+    split, low, high = largest_gap(records)
+    expected_split, expected_low, expected_high = _largest_gap_by_scan(records)
+    assert split == expected_split
+    assert low is expected_low
+    assert high is expected_high
+
+    victim = VictimBuffer(len(values))
+    victim.held.extend(values)
+    to3, to2 = victim.flush_full()
+    assert to3 == records[:split]
+    assert to2 == list(reversed(records[split:]))
+    assert all(a is b for a, b in zip(to2, reversed(records[split:])))
+
+
+@given(st.lists(st.text(max_size=3), min_size=2, max_size=20))
+def test_largest_gap_raises_type_error_for_str_keys(values):
+    records = sorted(values)
+    with pytest.raises(TypeError):
+        largest_gap(records)
+    with pytest.raises(TypeError):
+        _largest_gap_by_scan(records)
+    victim = VictimBuffer(len(values))
+    victim.held.extend(values)
+    assert victim.flush_full() == (records, [])
+    assert victim.valid_range is None
