@@ -37,7 +37,7 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, TextIO
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
 from repro.core.records import INT, RecordFormat
@@ -382,36 +382,30 @@ class SortEngine:
         return iter(data)
 
     def _sort_spill(self, stream: Iterable[Any]) -> Iterator[Any]:
-        if self.work_dir is not None:
-            # Durable serial sorting swaps the run generator for the
-            # journaled chunk-aligned one (DESIGN.md §11): exact resume
-            # needs run boundaries that map back to input positions.
-            from repro.engine.resilience import ResumableSpillSort
-
-            backend = ResumableSpillSort(
-                memory=self.spec.memory,
-                work_dir=self.work_dir,
-                fan_in=self.fan_in,
-                buffer_records=self.buffer_records,
-                record_format=self.record_format,
-                resume=self._resume,
-                input_fingerprint=self.input_fingerprint,
-                cpu_op_time=self.cpu_op_time,
-                spill_codec=self.spill_codec,
-            )
-            self.backend = backend
-            return self._finishing(backend, backend.sort(stream))
-        from repro.sort.spill import FileSpillSort
-
-        backend = FileSpillSort(
-            self.spec.build(),
+        common: Dict[str, Any] = dict(
             fan_in=self.fan_in,
             buffer_records=self.buffer_records,
-            tmp_dir=self.tmp_dir,
             record_format=self.record_format,
             cpu_op_time=self.cpu_op_time,
             spill_codec=self.spill_codec,
         )
+        if self.work_dir is None:
+            from repro.sort.spill import FileSpillSort
+
+            backend = FileSpillSort(
+                self.spec.build(), tmp_dir=self.tmp_dir, **common
+            )
+        else:
+            from repro.engine.resilience import ResumableSpillSort
+
+            # Durable sorts run LSS, the cheapest per job (DESIGN.md §11).
+            backend = ResumableSpillSort(
+                GeneratorSpec("lss", self.spec.memory),
+                work_dir=self.work_dir,
+                resume=self._resume,
+                input_fingerprint=self.input_fingerprint,
+                **common,
+            )
         self.backend = backend
         return self._finishing(backend, backend.sort(stream))
 

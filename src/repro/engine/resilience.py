@@ -18,17 +18,15 @@ module adds the durable variant:
   CRC-32 as soon as it is durable (``fsync`` before journal append),
   so the manifest never claims data that does not exist.
 * :class:`ResumableSpillSort` — the journaled
-  :class:`~repro.sort.spill.FileSpillSort` whose run boundaries are
-  aligned to the input: run *i* is the sorted ``i``-th chunk of
-  ``memory`` consecutive input records (Load-Sort-Store, §2.1.1).  That
-  alignment is what makes exact resume possible with bounded memory: a
-  journaled run tells the resumed sort precisely which input records it
-  covers, so generation replays the input, *skips the sorting and
-  writing* of every surviving valid run, regenerates any missing or
-  corrupt one from its chunk, and restarts the merge from the surviving
-  intermediate merge outputs.  (Replacement selection produces longer
-  runs but scatters a run's records across an unbounded input window —
-  the classic durability/run-length trade, see DESIGN.md §11.)
+  :class:`~repro.sort.spill.FileSpillSort`: it runs the generator its
+  :class:`~repro.core.config.GeneratorSpec` builds through the base
+  class's one generation loop and adds only the journal.  Every
+  generator is deterministic given its spec (for 2WRS, its seed) and
+  its input, so a resumed sort replays generation from the start of
+  the input, *skips writing* every journaled run that still verifies,
+  writes any missing or corrupt one again, and restarts the merge from
+  the surviving intermediate merge outputs.  A reused run costs its
+  generation CPU, not its I/O.
 * Shard **completion markers** — the parallel backend's equivalent:
   each worker, after fsyncing its sorted shard file, atomically writes
   a ``<shard>.ok`` sidecar with the shard's record count and CRC-32.
@@ -54,7 +52,7 @@ import os
 import shutil
 import zlib
 from contextlib import contextmanager
-from itertools import islice
+from dataclasses import asdict
 from typing import (
     Any,
     Callable,
@@ -70,6 +68,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.core.config import GeneratorSpec
 from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
     SPILL_FRAMING,
@@ -83,8 +82,7 @@ from repro.engine.block_io import (
 from repro.engine.errors import JournalError, SortError
 from repro.engine.report import DEFAULT_CPU_OP_TIME
 from repro.merge.kway import DEFAULT_FAN_IN, MergeCounter, kway_merge
-from repro.runs.base import RunGeneratorStats, log_cost
-from repro.runs.load_sort_store import LoadSortStore
+from repro.runs.base import RunGeneratorStats
 from repro.sort.spill import (
     DEFAULT_BUFFER_RECORDS,
     FileSpillSort,
@@ -351,10 +349,10 @@ class SortJournal(JsonlLog):
     """The run manifest of one durable sort.
 
     The first entry is always ``meta`` carrying the sort's parameter
-    *fingerprint* (format, memory, fan-in, framing, codec, input
-    identity…).  :meth:`open_dir` only resumes a journal whose
+    *fingerprint* (generator spec, format, fan-in, framing, codec,
+    input identity…).  :meth:`open_dir` only resumes a journal whose
     fingerprint matches the current sort exactly; anything else — a
-    different input file, a changed memory budget, a corrupt journal —
+    different input file, another generator spec, a corrupt journal —
     wipes the work directory and starts fresh, because mixing runs
     from two configurations would merge silently wrong data.
     """
@@ -507,23 +505,25 @@ class ResumableSpillSort(FileSpillSort):
     """:class:`~repro.sort.spill.FileSpillSort` with a durable,
     restartable work directory.
 
-    It shares the base class's ``sort()`` — report, merge and
-    instrumentation — and overrides only the journal-specific steps:
+    It runs the generator ``spec`` builds through the base class's
+    ``sort()`` — one generation loop, report, merge and
+    instrumentation — and adds only the journal:
 
-    * **Chunk-aligned run generation** — run *i* is ``sorted()`` over
-      input records ``[i*memory, (i+1)*memory)``, Load-Sort-Store's run
-      *i*; deterministic and exactly resumable (module docstring).
-      Reported algorithm name: ``CKPT``.
-    * **Journaled progress** — every run and intermediate merge is
-      fsynced, CRC-recorded and journaled when complete; consumed
-      inputs are only deleted *after* their merge output is journaled.
+    * **Journaled runs** — each generated run is written with
+      ``fsync`` and journaled with its record count and CRC-32; a
+      resumed sort replays generation (deterministic for a given spec,
+      seed and input) and adopts every run the journal proves intact
+      instead of writing it again.
+    * **Journaled merges** — every intermediate merge is fsynced,
+      CRC-recorded and journaled when complete; consumed inputs are
+      only deleted *after* their merge output is journaled.
     * **Failure keeps the work directory** — only a fully consumed
       sort removes it; anything else leaves runs + journal behind for
       ``resume=True`` (or ``repro sort --resume``) to pick up.
 
-    ``resume=True`` with a compatible journal skips the sort+write of
-    every surviving run (:attr:`runs_reused` / :attr:`merges_reused`
-    count the savings); an incompatible or corrupt journal wipes the
+    ``resume=True`` with a compatible journal skips the write of every
+    surviving run (:attr:`runs_reused` / :attr:`merges_reused` count
+    the savings); an incompatible or corrupt journal wipes the
     directory and starts fresh.  ``input_fingerprint`` ties the
     journal to one input (the CLI passes path+size+mtime); API callers
     that omit it promise the input stream is unchanged between
@@ -532,8 +532,8 @@ class ResumableSpillSort(FileSpillSort):
 
     def __init__(
         self,
+        spec: GeneratorSpec,
         *,
-        memory: int,
         work_dir: str,
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
@@ -543,18 +543,25 @@ class ResumableSpillSort(FileSpillSort):
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
         spill_codec: str = "none",
     ) -> None:
+        if (
+            spec.algorithm == "2wrs"
+            and spec.two_way is not None
+            and spec.two_way.seed is None
+        ):
+            raise ValueError(
+                "a durable sort replays run generation on resume, so its "
+                "2WRS spec needs a seed, got seed=None"
+            )
         validate_block_records(buffer_records)
-        # The generator documents the run boundaries; _spill_runs
-        # chunks inline so a resume can skip sorting surviving runs.
         super().__init__(
-            LoadSortStore(memory),
+            spec.build(),
             fan_in=fan_in,
             buffer_records=buffer_records,
             record_format=record_format,
             cpu_op_time=cpu_op_time,
             spill_codec=spill_codec,
         )
-        self.memory = memory
+        self.spec = spec
         self.work_dir = work_dir
         self.resume = resume
         self.input_fingerprint = input_fingerprint
@@ -565,8 +572,9 @@ class ResumableSpillSort(FileSpillSort):
     def fingerprint(self) -> Dict[str, Any]:
         """Parameters that must match for a journal to be resumable."""
         return {
-            "mode": "spill-ckpt",
-            "memory": self.memory,
+            # Replay reproduces the journaled runs only under the spec
+            # (algorithm, memory, 2WRS factors and seed) that made them.
+            "generator": asdict(self.spec),
             "fan_in": self.fan_in,
             "buffer_records": self.buffer_records,
             "format": self.record_format.name,
@@ -626,82 +634,69 @@ class ResumableSpillSort(FileSpillSort):
     def _spill_runs(
         self, records: Iterable[Any], session: SpillSession
     ) -> Tuple[List[SpilledRun], str, RunGeneratorStats]:
-        """Chunk, sort and spill the input — reusing journaled runs.
+        """Generate and spill the runs, then journal ``runs_done``.
 
-        A journaled run counts as reusable when its file verifies on
-        disk *or* a surviving merge already consumed it
-        (:class:`_ResumeState`); when a previous attempt finished
-        generation and every run is reusable, the input stream is not
-        touched at all (the mid-merge-crash fast path).  Only the runs
-        sorted here count toward the CPU ops.
+        When a previous attempt finished generation and every run is
+        still reusable (:class:`_ResumeState`), the input stream is not
+        touched at all: the mid-merge-crash fast path.
         """
-        journal = self._journal
         state = self._resume_state
-        runs: List[SpilledRun] = []
-        stats = RunGeneratorStats()
-        done = journal.runs_done()
+        done = self._journal.runs_done()
         if done is not None and all(
             state.run_available(run_id) for run_id in range(done["runs"])
         ):
+            runs: List[SpilledRun] = []
+            stats = RunGeneratorStats(records_in=done["records"])
             for run_id in range(done["runs"]):
                 entry = state.run_entries[run_id]
-                runs.append(
-                    self._adopt(
-                        session,
-                        os.path.join(self.work_dir, entry["file"]),
-                        entry["records"],
-                        run_id,
-                    )
-                )
+                runs.append(self._adopt(
+                    session, os.path.join(self.work_dir, entry["file"]),
+                    entry["records"], run_id,
+                ))
                 stats.note_run(entry["records"])
-            stats.records_in = done["records"]
             self.runs_reused = len(runs)
-            return runs, "CKPT", stats
+            return runs, self.generator.name, stats
+        runs, algorithm, stats = super()._spill_runs(records, session)
+        self._journal.append({
+            "type": "runs_done", "runs": len(runs),
+            "records": stats.records_in,
+        })
+        return runs, algorithm, stats
 
-        stream = iter(records)
-        run_id = 0
-        while True:
-            chunk = list(islice(stream, self.memory))
-            if not chunk:
-                break
-            stats.records_in += len(chunk)
-            entry = state.run_entries.get(run_id)
-            path = self._run_path(run_id)
-            if (
-                entry is not None
-                and entry["records"] == len(chunk)
-                and state.run_available(run_id)
-            ):
-                runs.append(self._adopt(session, path, len(chunk), run_id))
-                self.runs_reused += 1
-            else:
-                chunk.sort()
-                count, crc = write_block_file(
-                    path,
-                    chunk,
-                    self.record_format,
-                    self.buffer_records,
-                    fsync=True,
-                    codec=self.spill_codec,
-                    session=session,
-                )
-                journal.append(
-                    {
-                        "type": "run",
-                        "id": run_id,
-                        "file": os.path.basename(path),
-                        "records": count,
-                        "crc32": crc,
-                    }
-                )
-                runs.append(self._adopt(session, path, count, run_id))
-                stats.cpu_ops += count * log_cost(count)
-            stats.note_run(len(chunk))
-            run_id += 1
-        journal.append(
-            {"type": "runs_done", "runs": run_id, "records": stats.records_in}
-        )
-        return runs, "CKPT", stats
+    def _spill_run(
+        self, session: SpillSession, run_id: int, run: List[Any]
+    ) -> SpilledRun:
+        """Adopt the journaled run ``run_id`` if it is still reusable,
+        else write it durably and journal it."""
+        state = self._resume_state
+        path = self._run_path(run_id)
+        entry = state.run_entries.get(run_id)
+        if (
+            entry is not None
+            and entry["records"] == len(run)
+            and state.run_available(run_id)
+        ):
+            self.runs_reused += 1
+        else:
+            count, crc = write_block_file(
+                path,
+                run,
+                self.record_format,
+                self.buffer_records,
+                fsync=True,
+                codec=self.spill_codec,
+                session=session,
+            )
+            self._journal.append(
+                {
+                    "type": "run",
+                    "id": run_id,
+                    "file": os.path.basename(path),
+                    "records": count,
+                    "crc32": crc,
+                }
+            )
+        return self._adopt(session, path, len(run), run_id)
 
     def _journaled_merge_group(
         self,

@@ -462,22 +462,29 @@ class FileSpillSort:
     def _spill_runs(
         self, records: Iterable[Any], session: SpillSession
     ) -> Tuple[List[SpilledRun], str, RunGeneratorStats]:
-        """Write each generated run to its own temp file, in blocks.
+        """Hand each generated run to :meth:`_spill_run`, in order.
 
         Returns the runs, the algorithm name and the run-phase stats.
         """
-        runs: List[SpilledRun] = []
-        for run in self.generator.generate_runs(records):
-            path = session.spill_path()
-            write_sequence(
-                path, run, self.record_format, self.buffer_records,
-                codec=session.codec, session=session,
-            )
-            runs.append(SpilledRun(
-                session, path, len(run), self.record_format,
-                self.buffer_records,
-            ))
+        runs = [
+            self._spill_run(session, run_id, run)
+            for run_id, run in enumerate(self.generator.generate_runs(records))
+        ]
         return runs, self.generator.name, self.generator.stats
+
+    def _spill_run(
+        self, session: SpillSession, run_id: int, run: List[Any]
+    ) -> SpilledRun:
+        """Write run ``run_id`` (its place in generation order) to its
+        own temp file, in blocks."""
+        path = session.spill_path()
+        write_sequence(
+            path, run, self.record_format, self.buffer_records,
+            codec=session.codec, session=session,
+        )
+        return SpilledRun(
+            session, path, len(run), self.record_format, self.buffer_records
+        )
 
     def _merge_group(
         self, session: SpillSession, counter: MergeCounter
