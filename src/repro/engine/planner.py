@@ -37,7 +37,7 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
 from repro.core.records import INT, RecordFormat
@@ -55,7 +55,7 @@ from repro.merge.kway import (
     validate_merge_params,
 )
 from repro.runs.base import log_cost
-from repro.sort.spill import DEFAULT_BUFFER_RECORDS
+from repro.sort.spill import DEFAULT_BUFFER_RECORDS, FileSpillSort
 
 #: Execution modes a plan can select.
 SORT_MODES = ("in_memory", "spill", "parallel")
@@ -382,29 +382,31 @@ class SortEngine:
         return iter(data)
 
     def _sort_spill(self, stream: Iterable[Any]) -> Iterator[Any]:
-        common: Dict[str, Any] = dict(
-            fan_in=self.fan_in,
-            buffer_records=self.buffer_records,
-            record_format=self.record_format,
-            cpu_op_time=self.cpu_op_time,
-            spill_codec=self.spill_codec,
-        )
+        backend: FileSpillSort
         if self.work_dir is None:
-            from repro.sort.spill import FileSpillSort
-
             backend = FileSpillSort(
-                self.spec.build(), tmp_dir=self.tmp_dir, **common
+                self.spec.build(),
+                fan_in=self.fan_in,
+                buffer_records=self.buffer_records,
+                tmp_dir=self.tmp_dir,
+                record_format=self.record_format,
+                cpu_op_time=self.cpu_op_time,
+                spill_codec=self.spill_codec,
             )
         else:
             from repro.engine.resilience import ResumableSpillSort
 
             # Durable sorts run LSS, the cheapest per job (DESIGN.md §11).
             backend = ResumableSpillSort(
-                GeneratorSpec("lss", self.spec.memory),
+                memory=self.spec.memory,
                 work_dir=self.work_dir,
+                fan_in=self.fan_in,
+                buffer_records=self.buffer_records,
+                record_format=self.record_format,
                 resume=self._resume,
                 input_fingerprint=self.input_fingerprint,
-                **common,
+                cpu_op_time=self.cpu_op_time,
+                spill_codec=self.spill_codec,
             )
         self.backend = backend
         return self._finishing(backend, backend.sort(stream))

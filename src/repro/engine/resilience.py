@@ -18,15 +18,14 @@ module adds the durable variant:
   CRC-32 as soon as it is durable (``fsync`` before journal append),
   so the manifest never claims data that does not exist.
 * :class:`ResumableSpillSort` — the journaled
-  :class:`~repro.sort.spill.FileSpillSort`: it runs the generator its
-  :class:`~repro.core.config.GeneratorSpec` builds through the base
-  class's one generation loop and adds only the journal.  Every
-  generator is deterministic given its spec (for 2WRS, its seed) and
-  its input, so a resumed sort replays generation from the start of
-  the input, *skips writing* every journaled run that still verifies,
-  writes any missing or corrupt one again, and restarts the merge from
-  the surviving intermediate merge outputs.  A reused run costs its
-  generation CPU, not its I/O.
+  :class:`~repro.sort.spill.FileSpillSort`: it runs Load-Sort-Store
+  (§2.1.1) through the base class's one generation loop and adds only
+  the journal.  Run generation is deterministic given its input, so a
+  resumed sort replays generation from the start of the input, *skips
+  writing* every journaled run that still verifies, writes any missing
+  or corrupt one again, and restarts the merge from the surviving
+  intermediate merge outputs.  A reused run costs its generation CPU,
+  not its I/O.
 * Shard **completion markers** — the parallel backend's equivalent:
   each worker, after fsyncing its sorted shard file, atomically writes
   a ``<shard>.ok`` sidecar with the shard's record count and CRC-32.
@@ -52,7 +51,6 @@ import os
 import shutil
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict
 from typing import (
     Any,
     Callable,
@@ -68,7 +66,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.core.config import GeneratorSpec
 from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
     SPILL_FRAMING,
@@ -83,6 +80,7 @@ from repro.engine.errors import JournalError, SortError
 from repro.engine.report import DEFAULT_CPU_OP_TIME
 from repro.merge.kway import DEFAULT_FAN_IN, MergeCounter, kway_merge
 from repro.runs.base import RunGeneratorStats
+from repro.runs.load_sort_store import LoadSortStore
 from repro.sort.spill import (
     DEFAULT_BUFFER_RECORDS,
     FileSpillSort,
@@ -349,10 +347,10 @@ class SortJournal(JsonlLog):
     """The run manifest of one durable sort.
 
     The first entry is always ``meta`` carrying the sort's parameter
-    *fingerprint* (generator spec, format, fan-in, framing, codec,
+    *fingerprint* (generator, memory, format, fan-in, framing, codec,
     input identity…).  :meth:`open_dir` only resumes a journal whose
     fingerprint matches the current sort exactly; anything else — a
-    different input file, another generator spec, a corrupt journal —
+    different input file, a changed memory budget, a corrupt journal —
     wipes the work directory and starts fresh, because mixing runs
     from two configurations would merge silently wrong data.
     """
@@ -505,14 +503,14 @@ class ResumableSpillSort(FileSpillSort):
     """:class:`~repro.sort.spill.FileSpillSort` with a durable,
     restartable work directory.
 
-    It runs the generator ``spec`` builds through the base class's
-    ``sort()`` — one generation loop, report, merge and
+    It runs Load-Sort-Store runs of ``memory`` records through the
+    base class's ``sort()`` — one generation loop, report, merge and
     instrumentation — and adds only the journal:
 
     * **Journaled runs** — each generated run is written with
       ``fsync`` and journaled with its record count and CRC-32; a
-      resumed sort replays generation (deterministic for a given spec,
-      seed and input) and adopts every run the journal proves intact
+      resumed sort replays generation (deterministic for a given
+      memory and input) and adopts every run the journal proves intact
       instead of writing it again.
     * **Journaled merges** — every intermediate merge is fsynced,
       CRC-recorded and journaled when complete; consumed inputs are
@@ -532,8 +530,8 @@ class ResumableSpillSort(FileSpillSort):
 
     def __init__(
         self,
-        spec: GeneratorSpec,
         *,
+        memory: int,
         work_dir: str,
         fan_in: int = DEFAULT_FAN_IN,
         buffer_records: int = DEFAULT_BUFFER_RECORDS,
@@ -543,25 +541,16 @@ class ResumableSpillSort(FileSpillSort):
         cpu_op_time: float = DEFAULT_CPU_OP_TIME,
         spill_codec: str = "none",
     ) -> None:
-        if (
-            spec.algorithm == "2wrs"
-            and spec.two_way is not None
-            and spec.two_way.seed is None
-        ):
-            raise ValueError(
-                "a durable sort replays run generation on resume, so its "
-                "2WRS spec needs a seed, got seed=None"
-            )
         validate_block_records(buffer_records)
         super().__init__(
-            spec.build(),
+            LoadSortStore(memory),
             fan_in=fan_in,
             buffer_records=buffer_records,
             record_format=record_format,
             cpu_op_time=cpu_op_time,
             spill_codec=spill_codec,
         )
-        self.spec = spec
+        self.memory = memory
         self.work_dir = work_dir
         self.resume = resume
         self.input_fingerprint = input_fingerprint
@@ -572,9 +561,10 @@ class ResumableSpillSort(FileSpillSort):
     def fingerprint(self) -> Dict[str, Any]:
         """Parameters that must match for a journal to be resumable."""
         return {
-            # Replay reproduces the journaled runs only under the spec
-            # (algorithm, memory, 2WRS factors and seed) that made them.
-            "generator": asdict(self.spec),
+            # Work dirs journaled by the former inline chunk loop carry
+            # "mode": "spill-ckpt" instead and are wiped, not resumed.
+            "generator": "lss",
+            "memory": self.memory,
             "fan_in": self.fan_in,
             "buffer_records": self.buffer_records,
             "format": self.record_format.name,

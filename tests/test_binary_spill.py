@@ -524,7 +524,7 @@ class TestResumeFingerprint:
     def test_encoding_field_separates_binary_from_text(self, tmp_path):
         def fingerprint(fmt):
             return ResumableSpillSort(
-                GeneratorSpec("lss", 16), work_dir=str(tmp_path / "wd"),
+                memory=16, work_dir=str(tmp_path / "wd"),
                 record_format=fmt,
             ).fingerprint()
 

@@ -11,7 +11,6 @@ trusted.
 import json
 import os
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -36,7 +35,7 @@ from repro.engine.resilience import (
     read_marker,
     write_marker,
 )
-from repro.core.config import RECOMMENDED, GeneratorSpec
+from repro.core.config import GeneratorSpec
 from repro.testing.faults import FaultInjected, FaultPlan, activate
 
 
@@ -265,24 +264,15 @@ class TestMarkers:
 # ---------------------------------------------------------------------------
 
 
-LSS_16 = GeneratorSpec("lss", 16)
-
-
-def make_sorter(work, spec=LSS_16, **kwargs):
-    defaults = dict(work_dir=str(work), fan_in=3, buffer_records=8)
+def make_sorter(work, **kwargs):
+    defaults = dict(
+        memory=16, work_dir=str(work), fan_in=3, buffer_records=8,
+    )
     defaults.update(kwargs)
-    return ResumableSpillSort(spec, **defaults)
+    return ResumableSpillSort(**defaults)
 
 
 DATA = [((i * 7919) % 400) - 200 for i in range(300)]
-
-#: One spec per run generator; replay must reproduce each one's runs.
-GENERATOR_SPECS = {
-    "2wrs": GeneratorSpec("2wrs", 16, replace(RECOMMENDED, seed=3)),
-    "rs": GeneratorSpec("rs", 16),
-    "brs": GeneratorSpec("brs", 16),
-    "lss": LSS_16,
-}
 
 
 def journaled_runs(work):
@@ -295,16 +285,11 @@ def journaled_runs(work):
     }
 
 
-def fault_sort(work, plan, spec=LSS_16):
+def fault_sort(work, plan):
     """Run one durable attempt that ``plan`` kills."""
     with activate(plan):
         with pytest.raises(FaultInjected):
-            list(make_sorter(work, spec).sort(iter(DATA)))
-
-
-def no_input():
-    raise AssertionError("input must not be read on mid-merge resume")
-    yield  # pragma: no cover
+            list(make_sorter(work).sort(iter(DATA)))
 
 
 class TestResumableSpillSort:
@@ -449,8 +434,7 @@ class TestResumableSpillSort:
         with activate(plan):
             with pytest.raises(FaultInjected):
                 list(make_sorter(work).sort(iter(DATA)))
-        # changed budget
-        resumed = make_sorter(work, GeneratorSpec("lss", 32), resume=True)
+        resumed = make_sorter(work, resume=True, memory=32)  # changed budget
         assert list(resumed.sort(iter(DATA))) == sorted(DATA)
         assert resumed.runs_reused == 0
 
@@ -463,90 +447,36 @@ class TestResumableSpillSort:
 
     def test_validates_parameters(self, tmp_path):
         with pytest.raises(ValueError):
-            make_sorter(tmp_path / "wd", GeneratorSpec("lss", 0))
+            make_sorter(tmp_path / "wd", memory=0)
         with pytest.raises(ValueError):
             make_sorter(tmp_path / "wd", fan_in=1)
-        with pytest.raises(ValueError, match="seed"):
-            # An unseeded 2WRS could not replay its journaled runs.
-            make_sorter(
-                tmp_path / "wd",
-                GeneratorSpec("2wrs", 16, replace(RECOMMENDED, seed=None)),
-            )
 
-
-class TestResumeEveryGenerator:
-    """Resume replays whichever generator the sort was given."""
-
-    @pytest.mark.parametrize("name", sorted(GENERATOR_SPECS))
-    def test_faulted_run_write_resumes_to_the_reference_runs(
-        self, tmp_path, name
-    ):
-        spec = GENERATOR_SPECS[name]
+    def test_faulted_run_write_resumes_to_the_reference_runs(self, tmp_path):
+        """Resume replays generation and journals the same runs (id,
+        records, crc32) as an attempt that finished generation."""
         reference = tmp_path / "ref"
         fault_sort(reference, FaultPlan(
-            op="write", nth=1, kind="raise", path_substring="merge-"), spec)
+            op="write", nth=1, kind="raise", path_substring="merge-"))
         expected = journaled_runs(reference)
-        assert len(expected) > 3
+        assert len(expected) == 19  # ceil(300 / 16)
 
         work = tmp_path / "wd"
         fault_sort(work, FaultPlan(
-            op="write", nth=10, kind="raise", path_substring="run-"), spec)
+            op="write", nth=10, kind="raise", path_substring="run-"))
         assert 1 <= len(journaled_runs(work)) < len(expected)
-        resumed = make_sorter(work, spec, resume=True)
+        resumed = make_sorter(work, resume=True)
         stream = resumed.sort(iter(DATA))
         first = next(stream)  # generation and intermediate merges done
         assert journaled_runs(work) == expected
         assert [first, *stream] == sorted(DATA)
         assert resumed.runs_reused >= 1
-        assert resumed.report.algorithm == spec.build().name
         assert resumed.report.runs == len(expected)
         assert not work.exists()
 
-    def test_two_way_mid_merge_resume_skips_input(self, tmp_path):
-        spec = GENERATOR_SPECS["2wrs"]
-        work = tmp_path / "wd"
-        fault_sort(work, FaultPlan(
-            op="write", nth=1, kind="short_write", path_substring="merge-"),
-            spec)
-        runs = len(journaled_runs(work))
-        resumed = make_sorter(work, spec, resume=True)
-        assert list(resumed.sort(no_input())) == sorted(DATA)
-        assert resumed.runs_reused == runs
-        assert resumed.report.algorithm == "2WRS"
-
-
-class TestFingerprintNamesTheSpec:
-    TWO_WAY_SEED_0 = GeneratorSpec("2wrs", 16, replace(RECOMMENDED, seed=0))
-
-    def faulted_work_dir(self, tmp_path):
-        work = tmp_path / "wd"
-        fault_sort(work, FaultPlan(
-            op="write", nth=10, kind="raise", path_substring="run-"),
-            self.TWO_WAY_SEED_0)
-        assert journaled_runs(work)
-        return work
-
-    @pytest.mark.parametrize("spec", [
-        GeneratorSpec("2wrs", 16, replace(RECOMMENDED, seed=1)),
-        GeneratorSpec("rs", 16),
-    ], ids=["2wrs-seed-1", "rs"])
-    def test_another_spec_wipes_the_work_dir(self, tmp_path, spec):
-        work = self.faulted_work_dir(tmp_path)
-        resumed = make_sorter(work, spec, resume=True)
-        assert list(resumed.sort(iter(DATA))) == sorted(DATA)
-        assert resumed.runs_reused == 0
-        assert resumed.merges_reused == 0
-
-    def test_the_same_spec_resumes(self, tmp_path):
-        work = self.faulted_work_dir(tmp_path)
-        resumed = make_sorter(work, self.TWO_WAY_SEED_0, resume=True)
-        assert list(resumed.sort(iter(DATA))) == sorted(DATA)
-        assert resumed.runs_reused >= 1
-
-    def test_chunk_aligned_work_dir_sorted_fresh(self, tmp_path):
-        """A work dir journaled by the retired chunk-aligned sort
-        (``"mode": "spill-ckpt"`` and a ``memory`` key, no generator
-        spec) is wiped and sorted fresh, never resumed."""
+    def test_chunk_loop_work_dir_sorted_fresh(self, tmp_path):
+        """A work dir journaled by the former inline chunk loop
+        (``"mode": "spill-ckpt"`` and a ``memory`` key, no
+        ``generator`` key) is wiped and sorted fresh, never resumed."""
         work = tmp_path / "wd"
         fault_sort(work, FaultPlan(
             op="write", nth=10, kind="raise", path_substring="run-"))
@@ -554,10 +484,8 @@ class TestFingerprintNamesTheSpec:
         entries = [json.loads(line) for line in
                    journal_path.read_text().splitlines()]
         fingerprint = entries[0]["fingerprint"]
-        assert fingerprint.pop("generator") == {
-            "algorithm": "lss", "memory": 16, "two_way": None,
-        }
-        fingerprint.update(mode="spill-ckpt", memory=16)
+        assert fingerprint.pop("generator") == "lss"
+        fingerprint["mode"] = "spill-ckpt"
         journal_path.write_text(
             "".join(json.dumps(entry) + "\n" for entry in entries)
         )

@@ -392,7 +392,7 @@ class TestResumeFingerprints:
     def test_codec_in_serial_fingerprint(self, tmp_path):
         def fp(codec):
             return ResumableSpillSort(
-                GeneratorSpec("lss", 32), work_dir=str(tmp_path / codec),
+                memory=32, work_dir=str(tmp_path / codec),
                 spill_codec=codec,
             ).fingerprint()
 
@@ -411,10 +411,10 @@ class TestResumeFingerprints:
         a codec change invalidates the journal and starts fresh."""
         work = str(tmp_path)
         fp_zlib = ResumableSpillSort(
-            GeneratorSpec("lss", 32), work_dir=work, spill_codec="zlib"
+            memory=32, work_dir=work, spill_codec="zlib"
         ).fingerprint()
         fp_lzma = ResumableSpillSort(
-            GeneratorSpec("lss", 32), work_dir=work, spill_codec="lzma"
+            memory=32, work_dir=work, spill_codec="lzma"
         ).fingerprint()
         SortJournal.open_dir(work, fp_zlib, resume=False).close()
         stale = tmp_path / "run-000.txt"
