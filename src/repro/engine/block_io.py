@@ -52,8 +52,18 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, List, Optional, TextIO, Tuple
+from itertools import chain, islice
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+)
 
 from repro.core.records import IntFormat, RecordFormat
 from repro.engine.errors import CorruptBlockError
@@ -421,10 +431,10 @@ def read_blocks(
     blocks of exactly ``block_records`` records (the last may be
     short); boundaries are deterministic (``islice`` over lines), so
     buffering instrumentation and tests see stable block sizes.
-    ``skip_blank=True`` drops whitespace-only lines before decoding —
-    the CLI's historical blank-line tolerance for caller-provided
-    files; the caller is responsible for only requesting it when
-    ``fmt.blank_input_skippable`` holds.
+    ``skip_blank=True`` drops whitespace-only lines
+    (:func:`_decode_skipping_blank`) — the CLI's historical blank-line
+    tolerance for caller-provided files; the caller is responsible for
+    only requesting it when ``fmt.blank_input_skippable`` holds.
 
     Any codec name reads RBLC blocks from a byte handle
     (:func:`open_run`): blocks come back in their written sizes and
@@ -439,11 +449,12 @@ def read_blocks(
             lines = list(islice(handle, block_records))
             if not lines:
                 return
-            if skip_blank:
-                lines = [line for line in lines if line.strip()]
-                if not lines:
-                    continue
-            yield fmt.decode_block(lines)
+            if not skip_blank:
+                yield fmt.decode_block(lines)
+                continue
+            block = _decode_skipping_blank(fmt, lines)
+            if block:
+                yield block
     codec = validate_codec(codec)
     path = getattr(handle, "name", "<stream>")
     offset = 0
@@ -456,6 +467,26 @@ def read_blocks(
         offset += consumed
         index += 1
         yield block
+
+
+def _decode_skipping_blank(fmt: RecordFormat, lines: List[str]) -> List[Any]:
+    """Decode ``lines`` without their whitespace-only lines.
+
+    No numeric record is whitespace, so a numeric block is decoded as
+    it stands and filtered only when that raises: the second decode
+    then fails on the first bad line that is not blank, the error a
+    filter-first decode gives.  Other formats may decode a blank line
+    (a csv row keyed on column 0), so they filter first whenever one
+    C-level scan finds a blank line.
+    """
+    if fmt.numeric:
+        try:
+            return fmt.decode_block(lines)
+        except ValueError:
+            pass
+    elif not any(map(str.isspace, lines)):
+        return fmt.decode_block(lines)
+    return fmt.decode_block([line for line in lines if line.strip()])
 
 
 def iter_records(
@@ -475,12 +506,11 @@ def iter_records(
     is dropped and the output agrees with ``sort(1)`` line for line.
     ``codec`` selects the framing exactly as in :func:`read_blocks`.
     """
-    for block in read_blocks(
+    return chain.from_iterable(read_blocks(
         handle, fmt, block_records,
         skip_blank=skip_blank and fmt.blank_input_skippable,
         codec=codec,
-    ):
-        yield from block
+    ))
 
 
 class BlockWriter:
@@ -551,6 +581,30 @@ class BlockWriter:
             if len(pending) < block_records:
                 return self.written - before
             self.flush()
+
+    def write_blocks(self, blocks: Iterable[Sequence[Any]]) -> int:
+        """Write every record of a stream of blocks; returns how many.
+
+        The records land in the same blocks :meth:`write_all` would
+        give them — every ``block_records`` records, whatever the sizes
+        of the incoming lists — and every block goes through
+        :meth:`flush`.
+        """
+        before = self.written
+        pending = self._pending
+        block_records = self._block_records
+        for block in blocks:
+            self.written += len(block)
+            start = 0
+            while True:
+                room = block_records - len(pending)
+                if len(block) - start < room:
+                    pending += block[start:] if start else block
+                    break
+                pending += block[start:start + room]
+                start += room
+                self.flush()
+        return self.written - before
 
     def flush(self) -> None:
         pending = self._pending

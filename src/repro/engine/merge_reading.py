@@ -2,7 +2,7 @@
 
 Every merge over spilled runs — intermediate passes and the final one
 alike — reads each run synchronously through
-:meth:`repro.sort.spill.SpilledRun.records`: one decoded block per run
+:meth:`repro.sort.spill.SpilledRun.blocks`: one decoded block per run
 at a time, charged to the sort's session while it is buffered.  The
 paper's §3.7.2 reading strategies (Knuth's forecasting, Salzberg's
 double buffering) hide disk seeks in a read-bound merge; here the
@@ -25,7 +25,7 @@ from repro.engine.block_io import read_blocks  # noqa: F401
 
 
 class RunReaders:
-    """One record stream per run, for ``kway_merge``.
+    """One block stream per run, for ``merge_blocks``.
 
     :meth:`close` (idempotent) closes every stream, so an abandoned
     merge releases its file handles and buffered blocks at once.
@@ -34,7 +34,7 @@ class RunReaders:
     def __init__(self, runs: Sequence[Any]) -> None:
         self.stats = SimpleNamespace(prefetches=0, prefetch_hits=0)
         self._streams: List[Generator[Any, None, None]] = [
-            run.records() for run in runs
+            run.blocks() for run in runs
         ]
 
     def streams(self) -> List[Generator[Any, None, None]]:

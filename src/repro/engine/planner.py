@@ -37,7 +37,7 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, TextIO
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
 from repro.core.records import INT, RecordFormat
@@ -52,6 +52,7 @@ from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import (
     DEFAULT_FAN_IN,
     MergeCounter,
+    records_of,
     validate_merge_params,
 )
 from repro.runs.base import log_cost
@@ -254,7 +255,21 @@ class SortEngine:
         runs / shards are verified and skipped, and the output is
         byte-identical to an uninterrupted sort.  Inputs small enough
         to sort in memory never have anything to resume.
+
+        The per-record view of :meth:`sort_blocks`; the plan is made
+        before this returns.
         """
+        return records_of(self.sort_blocks(records, input_records, resume))
+
+    def sort_blocks(
+        self,
+        records: Iterable[Any],
+        input_records: Optional[int] = None,
+        resume: bool = False,
+    ) -> Iterator[List[Any]]:
+        """Plan and start a sort as :meth:`sort` does, yielding the
+        output as lists of records (each at most
+        ``max(block_records, 2 * buffer_records)`` long)."""
         if resume and self.work_dir is None:
             raise ValueError("resume=True requires a work_dir")
         self._resume = resume
@@ -282,7 +297,8 @@ class SortEngine:
         """Decode ``source``, sort, encode into ``sink``; return length.
 
         Both directions move in blocks of :attr:`block_records`
-        records; blank input lines are tolerated (the CLI's historical
+        records, and the merge hands the writer lists, not records;
+        blank input lines are tolerated (the CLI's historical
         contract).  ``resume`` is forwarded to :meth:`sort`.
         """
         records = iter_records(
@@ -292,7 +308,7 @@ class SortEngine:
         writer = BlockWriter(
             sink, self.record_format, self.block_records, codec=None
         )
-        writer.write_all(self.sort(records, resume=resume))
+        writer.write_blocks(self.sort_blocks(records, resume=resume))
         writer.flush()
         return writer.written
 
@@ -306,7 +322,7 @@ class SortEngine:
         from repro.sort.spill import (
             SpilledRun,
             SpillSession,
-            merge_spilled_runs,
+            merge_spilled_blocks,
             publish_instrumentation,
         )
 
@@ -328,12 +344,12 @@ class SortEngine:
         try:
             started = time.perf_counter()
             count = 0
-            for record in merge_spilled_runs(
+            for block in merge_spilled_blocks(
                 session, runs, counter, self.record_format,
                 self.fan_in, self.buffer_records,
             ):
-                count += 1
-                yield record
+                count += len(block)
+                yield from block
             report.records = count
             report.merge_phase = PhaseReport(
                 cpu_ops=counter.cpu_ops,
@@ -356,7 +372,7 @@ class SortEngine:
             codec=self.spill_codec,
         )
 
-    def _sort_in_memory(self, stream: Iterable[Any]) -> Iterator[Any]:
+    def _sort_in_memory(self, stream: Iterable[Any]) -> Iterator[List[Any]]:
         started = time.perf_counter()
         data = sorted(stream)
         n = len(data)
@@ -379,9 +395,10 @@ class SortEngine:
         self.max_resident_records = 0
         self.max_open_readers = 0
         self.report = report
-        return iter(data)
+        size = self.block_records
+        return (data[start:start + size] for start in range(0, n, size))
 
-    def _sort_spill(self, stream: Iterable[Any]) -> Iterator[Any]:
+    def _sort_spill(self, stream: Iterable[Any]) -> Iterator[List[Any]]:
         backend: FileSpillSort
         if self.work_dir is None:
             backend = FileSpillSort(
@@ -409,9 +426,9 @@ class SortEngine:
                 spill_codec=self.spill_codec,
             )
         self.backend = backend
-        return self._finishing(backend, backend.sort(stream))
+        return self._finishing(backend, backend.sort_blocks(stream))
 
-    def _sort_parallel(self, stream: Iterable[Any]) -> Iterator[Any]:
+    def _sort_parallel(self, stream: Iterable[Any]) -> Iterator[List[Any]]:
         from repro.sort.parallel import PartitionedSort
 
         kwargs = {}
@@ -433,9 +450,11 @@ class SortEngine:
             **kwargs,
         )
         self.backend = backend
-        return self._finishing(backend, backend.sort(stream))
+        return self._finishing(backend, backend.sort_blocks(stream))
 
-    def _finishing(self, backend: Any, merged: Iterator[Any]) -> Iterator[Any]:
+    def _finishing(
+        self, backend: Any, merged: Iterator[List[Any]]
+    ) -> Iterator[List[Any]]:
         """Stream a backend's output, then mirror its instrumentation."""
         try:
             yield from merged

@@ -78,7 +78,7 @@ from repro.engine.block_io import (
 )
 from repro.engine.errors import JournalError, SortError
 from repro.engine.report import DEFAULT_CPU_OP_TIME
-from repro.merge.kway import DEFAULT_FAN_IN, MergeCounter, kway_merge
+from repro.merge.kway import DEFAULT_FAN_IN, MergeCounter, merge_blocks
 from repro.runs.base import RunGeneratorStats
 from repro.runs.load_sort_store import LoadSortStore
 from repro.sort.spill import (
@@ -694,7 +694,7 @@ class ResumableSpillSort(FileSpillSort):
         session: SpillSession,
         counter: MergeCounter,
     ) -> Callable[[Sequence["SpilledRun"]], "SpilledRun"]:
-        """Build the journaling merge_group for ``merge_spilled_runs``.
+        """Build the journaling merge_group for ``merge_spilled_blocks``.
 
         Each intermediate pass node gets a deterministic id (call
         order over the deterministic pass structure of
@@ -730,9 +730,10 @@ class ResumableSpillSort(FileSpillSort):
                         self.buffer_records,
                         self.spill_codec,
                     )
-                    writer.write_all(
-                        kway_merge([run.records() for run in group], counter)
-                    )
+                    writer.write_blocks(merge_blocks(
+                        [run.blocks() for run in group], counter,
+                        block_records=self.buffer_records,
+                    ))
                     writer.flush()
                     handle.flush()
                     os.fsync(handle.fileno())

@@ -15,38 +15,69 @@ per-record cost at one native comparison: for binary spill records that
 comparison is a raw ``bytes`` memcmp, which is the point of the whole
 binary path.
 
-Three things keep Python work per record small (DESIGN.md §14):
+There is one merge loop, :func:`merge_blocks`: it takes one iterator
+of blocks (lists of records) per stream and yields output lists of
+about ``block_records`` records (never more than twice that), so the
+readers and the writer around it move blocks, not records
+(DESIGN.md §6).  :func:`kway_merge` is its per-record view, for
+callers that consume records (``grouped``, the operators, store
+compaction, the simulated merges).  Four things keep Python work per
+record small (DESIGN.md §14):
 
 * **Galloping.**  After the top record of stream ``i`` is output, the
-  stream keeps yielding while its next record is strictly below both
+  stream keeps appending while its next record is strictly below both
   children of the heap root, without touching the heap; the first
   record that is not goes back through ``heapreplace``.  A strict
   ``<`` on records implies the ``(record, index)`` tuple order, and
   every tie (``-0.0`` against ``0.0`` included) falls through to
-  ``heapreplace``, which breaks it on the stream index as before — so
-  the output is exactly the ``(record, stream_index)`` order the
-  store's last-writer-wins compaction relies on.  Below the root, the
-  heap array ends exactly as the skipped ``heapreplace`` calls would
-  have left it.
-* **One stream left** is copied out in a plain loop.
-* **Hoisted cost charge.**  Output records are counted in a local and
-  ``log_cost`` of the heap width is charged per stretch of constant
-  width (it only changes when a stream ends); both reach the
-  :class:`MergeCounter` once, in a ``finally``, so an abandoned merge
-  still reports exactly the records it yielded.
+  ``heapreplace``, which breaks it on the stream index.
+* **Slices after a streak.**  Once one stream has supplied
+  :data:`MIN_GALLOP` records in a row (timsort's idea), the merge
+  bisects that stream's current block for the smallest rival head and
+  emits the whole slice below it with one ``extend``.  The bisect side
+  follows the stream index — ``bisect_right`` when the stream wins
+  ties against the rival, ``bisect_left`` when it loses them — so the
+  output is exactly the ``(record, stream_index)`` order the store's
+  last-writer-wins compaction relies on.  A short slice drops the
+  merge back to per-record steps, so fully interleaved streams pay
+  for no bisects.
+* **One stream left** is copied out a slice at a time.
+* **Hoisted cost charge.**  ``log_cost`` of the heap width is charged
+  per stretch of constant width (it only changes when a stream ends,
+  which is at a block boundary); the stretches reach the
+  :class:`MergeCounter` once, in a ``finally``, charged for exactly
+  the records delivered, so an abandoned merge — block or record view
+  — reports just the prefix its consumer took.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
-from itertools import groupby
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import groupby, islice
+from operator import length_hint
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.runs.base import log_cost
 
 #: Paper default fan-in (the measured optimum of Section 6.1.1).
 DEFAULT_FAN_IN = 10
 
+#: Records one stream must supply in a row before the merge bisects
+#: its block instead of stepping record by record (timsort's value).
+MIN_GALLOP = 7
+
+#: Size of the lists :func:`kway_merge` takes from the merge loop.
+VIEW_BLOCK_RECORDS = 256
 
 class MergeCounter:
     """Optional cost accumulator threaded through merges."""
@@ -74,6 +105,221 @@ def validate_merge_params(
         )
 
 
+def _check_streams(
+    streams: Sequence[Any],
+    fan_in: Optional[int],
+    buffer_records: Optional[int],
+) -> None:
+    validate_merge_params(fan_in, buffer_records)
+    if fan_in is not None and len(streams) > fan_in:
+        raise ValueError(
+            f"{len(streams)} streams exceed the declared fan_in {fan_in}"
+        )
+
+
+def _charge(
+    counter: Optional[MergeCounter],
+    stretches: List[Tuple[int, int]],
+    records: int,
+) -> None:
+    """Charge ``counter`` for the first ``records`` output records.
+
+    ``stretches`` holds ``(first_record, cost)`` per stretch of
+    constant heap width, in output order.
+    """
+    if counter is None:
+        return
+    cpu_ops = 0
+    ends = [start for start, _ in stretches[1:]] + [records]
+    for (start, cost), end in zip(stretches, ends):
+        if start >= records:
+            break
+        cpu_ops += (min(end, records) - start) * cost
+    counter.records += records
+    counter.cpu_ops += cpu_ops
+
+
+def _next_block(source: Iterator[Sequence[Any]]) -> Optional[Sequence[Any]]:
+    """The source's next non-empty block, or None at its end."""
+    for block in source:
+        if block:
+            return block
+    return None
+
+
+def _merge(
+    sources: List[Iterator[Sequence[Any]]],
+    block_records: int,
+    stretches: List[Tuple[int, int]],
+) -> Iterator[List[Any]]:
+    """The merge loop behind :func:`merge_blocks` (module docstring).
+
+    Each stream is its current block plus a list iterator over it; the
+    heap holds each stream's head.  ``stretches`` receives the cost
+    stretches as streams end.  The loop delivers what it holds before
+    it asks any source for another block, so a source cut into
+    one-record blocks is read exactly as a record-at-a-time merge
+    reads it.  Every source is closed on the way out.
+    """
+    count = len(sources)
+    blocks: List[Any] = [None] * count
+    iterators: List[Any] = [None] * count
+    heap: List[Tuple[Any, int]] = []
+    try:
+        for index, source in enumerate(sources):
+            block = _next_block(source)
+            if block is not None:
+                blocks[index] = block
+                iterator = iterators[index] = iter(block)
+                heap.append((next(iterator), index))
+        heapify(heap)
+        width = len(heap)
+        stretches.append((0, log_cost(width)))
+        delivered = 0
+        out: List[Any] = []
+        append = out.append
+        # The stream that supplied the last record, and how many it
+        # supplied in a row; at ``limit`` the merge bisects.  The limit
+        # never exceeds block_records, which bounds each list at twice
+        # block_records.
+        last = -1
+        streak = 0
+        limit = min(MIN_GALLOP, block_records)
+        while width > 1:
+            key, index = heap[0]
+            append(key)
+            iterator = iterators[index]
+            if index != last:
+                last = index
+                streak = 0
+            else:
+                streak += 1
+                if streak >= limit:
+                    block = blocks[index]
+                    size = len(block)
+                    position = size - length_hint(iterator)
+                    bound, rival_index = heap[1]
+                    if width > 2 and heap[2] < heap[1]:
+                        bound, rival_index = heap[2]
+                    cap = min(size, position + block_records - len(out))
+                    if index < rival_index:
+                        end = bisect_right(block, bound, position, cap)
+                    else:
+                        end = bisect_left(block, bound, position, cap)
+                    out += block[position:end]
+                    if end < cap and end - position < limit:
+                        streak = 0
+                    # Skip the iterator past the slice (list iterators
+                    # keep their position as pickle state).
+                    iterator.__setstate__(end)
+            rival = heap[1][0]
+            for head in iterator:
+                if head < rival and (width == 2 or head < heap[2][0]):
+                    if streak < limit:
+                        append(head)
+                        streak += 1
+                        continue
+                heapreplace(heap, (head, index))
+                break
+            else:
+                if out:
+                    delivered += len(out)
+                    yield out
+                    out = []
+                    append = out.append
+                block = _next_block(sources[index])
+                if block is None:
+                    # The reader has finished; free its last block now,
+                    # not at the end of the whole merge.
+                    blocks[index] = iterators[index] = None
+                    heappop(heap)
+                    width -= 1
+                    stretches.append((delivered + len(out), log_cost(width)))
+                else:
+                    blocks[index] = block
+                    iterator = iterators[index] = iter(block)
+                    heapreplace(heap, (next(iterator), index))
+            if len(out) >= block_records:
+                delivered += len(out)
+                yield out
+                out = []
+                append = out.append
+
+        if heap:
+            # One stream left: copy it out, head included.
+            index = heap[0][1]
+            remaining: Optional[Sequence[Any]] = blocks[index]
+            position = len(blocks[index]) - length_hint(iterators[index]) - 1
+            while remaining is not None:
+                while position < len(remaining):
+                    room = block_records - len(out)
+                    out += remaining[position:position + room]
+                    position += room
+                    if len(out) >= block_records:
+                        yield out
+                        out = []
+                if out:
+                    yield out
+                    out = []
+                remaining = _next_block(sources[index])
+                position = 0
+        if out:
+            yield out
+    finally:
+        # Drop every block reference at once, and close every closeable
+        # source, so one raising reader (or an abandoned merge) does not
+        # leak the other streams' open file handles until garbage
+        # collection.
+        blocks.clear()
+        iterators.clear()
+        for source in sources:
+            close = getattr(source, "close", None)
+            if close is not None:
+                close()
+
+
+def merge_blocks(
+    streams: Sequence[Iterable[Sequence[Any]]],
+    counter: Optional[MergeCounter] = None,
+    *,
+    block_records: int,
+    fan_in: Optional[int] = None,
+) -> Iterator[List[Any]]:
+    """Lazily merge block streams into ascending lists of records.
+
+    Parameters
+    ----------
+    streams:
+        One iterable of blocks per sorted stream: each block a list of
+        records, the blocks of a stream in order.  Closeable streams
+        (run readers) are closed when the merge ends or is abandoned.
+    counter:
+        When given, ``records`` and ``cpu_ops`` are accumulated on it
+        for the lists delivered (``log2 k`` ops per output record, the
+        analytic CPU model).
+    block_records:
+        Output list size (``>= 1``): each list holds ``block_records``
+        records, or up to twice that mid-merge, and the last may be
+        short.
+    fan_in:
+        Optional declared merge width: validated (``>= 2``) and
+        enforced against ``len(streams)``, so a scheduling bug that
+        hands the final merge more runs than its fan-in fails loudly
+        instead of silently over-widening the merge.
+    """
+    _check_streams(streams, fan_in, block_records)
+    stretches: List[Tuple[int, int]] = []
+    merged = _merge([iter(s) for s in streams], block_records, stretches)
+    records = 0
+    try:
+        for block in merged:
+            records += len(block)
+            yield block
+    finally:
+        merged.close()
+        _charge(counter, stretches, records)
+
+
 def kway_merge(
     streams: Sequence[Iterable[Any]],
     counter: Optional[MergeCounter] = None,
@@ -83,93 +329,86 @@ def kway_merge(
 ) -> Iterator[Any]:
     """Lazily merge ``streams`` (each ascending) into one ascending stream.
 
-    Parameters
-    ----------
-    streams:
-        Sorted record sources; anything iterable.
-    counter:
-        When given, ``records`` and ``cpu_ops`` are accumulated on it
-        (``log2 k`` ops per output record, the analytic CPU model).
-    fan_in:
-        Optional declared merge width: validated (``>= 2``) and
-        enforced against ``len(streams)``, so a scheduling bug that
-        hands the final merge more runs than its fan-in fails loudly
-        instead of silently over-widening the merge.
-    buffer_records:
-        Optional declared reader buffer size; validated (``>= 1``).
-        The merge itself does not buffer — the parameter exists so
-        file-backed callers funnel their knobs through one validator.
+    The per-record view of :func:`merge_blocks`.  A list stream is one
+    block; any other iterable is read in blocks of ``buffer_records``
+    records, each read only when the merge needs that stream's next
+    record.  The default of one record reads the streams exactly as a
+    record-at-a-time merge reads them: a stream is not started, nor
+    read past a record, before the merge needs it, which keeps a
+    simulated merge's page reads in order.  Callers whose streams have
+    no such side effects (store compaction) pass a larger
+    ``buffer_records`` and get slices instead of steps.
+    ``counter`` is charged for exactly the records yielded, and every
+    closeable stream is closed when the merge ends or is abandoned.
+    ``fan_in`` is validated and enforced as in :func:`merge_blocks`.
     """
-    validate_merge_params(fan_in, buffer_records)
-    if fan_in is not None and len(streams) > fan_in:
-        raise ValueError(
-            f"{len(streams)} streams exceed the declared fan_in {fan_in}"
-        )
-    iterators: List[Iterator[Any]] = [iter(s) for s in streams]
-    heap: List[tuple] = []
-    exhausted: Iterator[Any] = iter(())
-    # ``cost`` is charged per stretch of constant heap width, from
-    # ``charged`` records on (module docstring).
-    records = charged = 0
-    cost = cpu_ops = 0
+    _check_streams(streams, fan_in, buffer_records)
+    size = 1 if buffer_records is None else buffer_records
+    sources: List[Any] = [
+        s if isinstance(s, list) else iter(s) for s in streams
+    ]
+    stretches: List[Tuple[int, int]] = []
+    merged = _merge(
+        [_view_blocks(source, size) for source in sources],
+        VIEW_BLOCK_RECORDS, stretches,
+    )
+    records = 0
+    rest: Iterator[Any] = iter(())
     try:
-        for index, iterator in enumerate(iterators):
-            try:
-                head = next(iterator)
-            except StopIteration:
-                iterators[index] = exhausted
-                continue
-            heap.append((head, index))
-        heapify(heap)
-        width = len(heap)
-        cost = log_cost(width)
-
-        while width > 1:
-            key, index = heap[0]
-            rival = heap[1][0]
-            records += 1
-            yield key
-            for head in iterators[index]:
-                # Gallop: while the stream's next record is strictly
-                # below both children of the root, it is the minimum
-                # and stays on top without touching the heap.
-                if head < rival and (width == 2 or head < heap[2][0]):
-                    records += 1
-                    yield head
-                    continue
-                heapreplace(heap, (head, index))
-                break
-            else:
-                # Drop the reference so a file-backed reader (and any
-                # chunk it buffers) is freed as soon as its run is
-                # exhausted, not at the end of the whole merge.
-                iterators[index] = exhausted
-                heappop(heap)
-                cpu_ops += (records - charged) * cost
-                charged = records
-                width -= 1
-                cost = log_cost(width)
-
-        if heap:
-            # One stream left: copy it out.
-            key, index = heap[0]
-            records += 1
-            yield key
-            for key in iterators[index]:
-                records += 1
-                yield key
+        for block in merged:
+            records += len(block)
+            rest = iter(block)
+            yield from rest
     finally:
-        if counter is not None:
-            counter.records += records
-            counter.cpu_ops += cpu_ops + (records - charged) * cost
-        # One raising reader (or an abandoned merge) must not leak the
-        # other streams' open file handles until garbage collection:
-        # close every closeable reader still referenced.  Harmless for
-        # plain iterables and already-finished generators.
-        for iterator in iterators:
-            close = getattr(iterator, "close", None)
+        # An abandoned view has yielded all but what is left of ``rest``.
+        records -= length_hint(rest)
+        merged.close()
+        for source in sources:
+            close = getattr(source, "close", None)
             if close is not None:
                 close()
+        _charge(counter, stretches, records)
+
+
+def records_of(blocks: Iterator[Sequence[Any]]) -> Iterator[Any]:
+    """The records of a block stream, in order.
+
+    The per-record view the sort backends give over their block
+    paths; ``blocks`` is closed when the view ends or is abandoned.
+    """
+    try:
+        for block in blocks:
+            yield from block
+    finally:
+        close = getattr(blocks, "close", None)
+        if close is not None:
+            close()
+
+
+def cut_blocks(records: Iterator[Any], size: int) -> Iterator[List[Any]]:
+    """``records`` as lists of ``size`` records (the last may be
+    short), read one list at a time; ``records`` is closed when the
+    blocks end or are abandoned."""
+    try:
+        while True:
+            block = list(islice(records, size))
+            if not block:
+                return
+            yield block
+    finally:
+        close = getattr(records, "close", None)
+        if close is not None:
+            close()
+
+
+def _view_blocks(source: Any, size: int) -> Iterator[Sequence[Any]]:
+    """``source`` as blocks: a list is one block, an iterator is cut
+    into blocks of ``size`` (1-tuples, straight from ``zip``, for 1)."""
+    if isinstance(source, list):
+        return iter((source,))
+    if size == 1:
+        return zip(source)
+    return cut_blocks(source, size)
 
 
 def grouped(

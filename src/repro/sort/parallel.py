@@ -53,6 +53,7 @@ from repro.engine.spill_codec import validate_codec
 from repro.merge.kway import (
     DEFAULT_FAN_IN,
     MergeCounter,
+    records_of,
     validate_merge_params,
 )
 from repro.sort.spill import (
@@ -61,7 +62,7 @@ from repro.sort.spill import (
     FileSpillSort,
     SpilledRun,
     SpillSession,
-    merge_spilled_runs,
+    merge_spilled_blocks,
     publish_instrumentation,
 )
 
@@ -396,7 +397,13 @@ class PartitionedSort:
     # -- public API --------------------------------------------------------------
 
     def sort(self, records: Iterable[Any]) -> Iterator[Any]:
-        """Lazily yield ``records`` in ascending order.
+        """Lazily yield ``records`` in ascending order: the
+        per-record view of :meth:`sort_blocks`."""
+        return records_of(self.sort_blocks(records))
+
+    def sort_blocks(self, records: Iterable[Any]) -> Iterator[List[Any]]:
+        """Lazily yield ``records`` in ascending order, as lists of
+        about ``buffer_records`` records.
 
         Partitioning and the worker fan-out happen on the first
         ``next()``; the returned iterator then streams the parent-side
@@ -464,7 +471,7 @@ class PartitionedSort:
                 for result in results
             ]
             try:
-                yield from merge_spilled_runs(
+                yield from merge_spilled_blocks(
                     session,
                     runs,
                     counter,

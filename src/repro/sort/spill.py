@@ -20,8 +20,9 @@ RecordFormat` (DESIGN.md §9): spill files are checksummed RBLC block
 streams written and read through :mod:`repro.engine.block_io` (every
 block's CRC is verified on read-back, DESIGN.md §15).  Every merge,
 intermediate or final, reads each run synchronously through
-:meth:`SpilledRun.records`, one decoded block at a time (DESIGN.md
-§9.3).
+:meth:`SpilledRun.blocks`, one decoded block at a time (DESIGN.md
+§9.3), and :func:`~repro.merge.kway.merge_blocks` hands its writer
+lists, not records (DESIGN.md §6).
 
 The backend instruments its own laziness: :attr:`FileSpillSort.
 max_resident_records` tracks the largest number of records ever held in
@@ -61,7 +62,8 @@ from repro.engine.merge_reading import open_reading
 from repro.merge.kway import (
     DEFAULT_FAN_IN,
     MergeCounter,
-    kway_merge,
+    merge_blocks,
+    records_of,
     reduce_to_fan_in,
     validate_merge_params,
 )
@@ -135,7 +137,7 @@ class SpilledRun:
 
     The file is an RBLC block stream under the session's codec, or,
     for ``plain=True``, a caller's plain-line file (``repro merge``
-    inputs).  :meth:`records` is a lazy block-buffered reader that
+    inputs).  :meth:`blocks` is a lazy block-buffered reader that
     holds at most one decoded block at a time and deletes the file
     once it is fully consumed.
     """
@@ -167,10 +169,12 @@ class SpilledRun:
         #: contract as the CLI's input streams.
         self.skip_blank = plain and record_format.blank_input_skippable
 
-    def records(self) -> Iterator[Any]:
-        """Yield the run's records in order, buffered and lazily.
+    def blocks(self) -> Iterator[List[Any]]:
+        """Yield the run's decoded blocks in order, lazily.
 
-        A run whose file ends early — block CRCs can only vouch for the
+        Each block counts as buffered in the session while the consumer
+        holds it (until the next one is asked for).  A run whose file
+        ends early — block CRCs can only vouch for the
         blocks that *are* there, not for silently missing ones — fails
         with a :class:`~repro.engine.errors.SortError` naming the file
         and both counts, instead of quietly merging a partial run.
@@ -187,7 +191,7 @@ class SpilledRun:
                     delivered += len(chunk)
                     session.buffer_grew(len(chunk))
                     try:
-                        yield from chunk
+                        yield chunk
                     finally:
                         session.buffer_shrank(len(chunk))
         finally:
@@ -227,9 +231,10 @@ def merge_group_to_file(
     path = session.spill_path()
     with open_run(path, "w", session.codec) as out:
         writer = BlockWriter(out, record_format, buffer_records, session.codec)
-        writer.write_all(
-            kway_merge([run.records() for run in group], counter)
-        )
+        writer.write_blocks(merge_blocks(
+            [run.blocks() for run in group], counter,
+            block_records=buffer_records,
+        ))
         writer.flush()
     session.spilled(writer.raw_bytes, writer.disk_bytes)
     return SpilledRun(
@@ -246,12 +251,29 @@ def merge_spilled_runs(
     buffer_records: int,
     merge_group: Optional[Callable[[Sequence[SpilledRun]], SpilledRun]] = None,
 ) -> Iterator[Any]:
+    """The per-record view of :func:`merge_spilled_blocks`."""
+    return records_of(merge_spilled_blocks(
+        session, runs, counter, record_format, fan_in, buffer_records,
+        merge_group,
+    ))
+
+
+def merge_spilled_blocks(
+    session: SpillSession,
+    runs: Sequence[SpilledRun],
+    counter: MergeCounter,
+    record_format: RecordFormat,
+    fan_in: int,
+    buffer_records: int,
+    merge_group: Optional[Callable[[Sequence[SpilledRun]], SpilledRun]] = None,
+) -> Iterator[List[Any]]:
     """Reduce ``runs`` to ``fan_in`` and stream the final k-way merge.
 
     The shared merge tail of every real-file backend: intermediate
     passes (``merge_group``, :func:`merge_group_to_file` by default)
     write new spill files; the final merge reads the survivors through
-    :meth:`SpilledRun.records`, as the intermediate passes do.
+    :meth:`SpilledRun.blocks`, as the intermediate passes do, and
+    yields lists of about ``buffer_records`` records.
     ``session.merge_passes`` describes what happened once the stream
     is consumed.
     """
@@ -264,9 +286,9 @@ def merge_spilled_runs(
     session.merge_passes = 1 + extra_passes
     readers = open_reading(runs)
     try:
-        yield from kway_merge(
-            readers.streams(), counter,
-            fan_in=fan_in, buffer_records=buffer_records,
+        yield from merge_blocks(
+            readers.streams(), counter, block_records=buffer_records,
+            fan_in=fan_in,
         )
     finally:
         readers.close()
@@ -360,7 +382,13 @@ class FileSpillSort:
     # -- public API --------------------------------------------------------------
 
     def sort(self, records: Iterable[Any]) -> Iterator[Any]:
-        """Lazily yield ``records`` in ascending order.
+        """Lazily yield ``records`` in ascending order: the
+        per-record view of :meth:`sort_blocks`."""
+        return records_of(self.sort_blocks(records))
+
+    def sort_blocks(self, records: Iterable[Any]) -> Iterator[List[Any]]:
+        """Lazily yield ``records`` in ascending order, as lists of
+        about ``buffer_records`` records.
 
         Runs are spilled to disk as they are generated; the returned
         iterator streams the merged output.  :attr:`report` holds the
@@ -394,7 +422,7 @@ class FileSpillSort:
             )
 
             started = time.perf_counter()
-            yield from merge_spilled_runs(
+            yield from merge_spilled_blocks(
                 session,
                 runs,
                 counter,
@@ -433,7 +461,7 @@ class FileSpillSort:
                 out, self.record_format, self.buffer_records,
                 self.spill_codec,
             )
-            writer.write_all(self.sort(records))
+            writer.write_blocks(self.sort_blocks(records))
             writer.flush()
             if fsync:
                 out.flush()

@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from repro.core.records import INT, STR
+from repro.core.records import FLOAT, INT, STR, DelimitedFormat
 from repro.engine.block_io import (
     BlockWriter,
     iter_records,
@@ -65,7 +65,71 @@ class TestIterRecords:
         assert got == ["b", " ", "a", ""]
 
 
+class TestSkipBlank:
+    """Blank lines are dropped wherever they sit in a block, and an
+    undecodable line fails with the error of a filter-first decode."""
+
+    @pytest.mark.parametrize("text, blocks", [
+        ("\n1\n2\n3\n", [[1, 2, 3]]),
+        ("1\n \t\n2\n3\n", [[1, 2, 3]]),
+        ("1\n2\n3\n  \n", [[1, 2, 3]]),
+        ("1\n2\n\n\n \n\n3\n", [[1, 2], [3]]),
+    ])
+    def test_blank_lines_anywhere_in_a_block(self, text, blocks):
+        got = list(read_blocks(
+            io.StringIO(text), INT, 4, skip_blank=True, codec=None
+        ))
+        assert got == blocks
+
+    def test_a_blank_line_is_not_a_csv_row(self):
+        # A blank line would decode as a row keyed on column 0.
+        fmt = DelimitedFormat(",", 0)
+        handle = io.StringIO("b,1\n\n  \na,2\n")
+        records = list(iter_records(handle, fmt, 8, skip_blank=True, codec=None))
+        assert [record[1] for record in records] == ["b,1", "a,2"]
+
+    @pytest.mark.parametrize("fmt, lines", [
+        (INT, ["1\n", "\n", "abc\n", "2\n"]),
+        (INT, [" \n", "4\n", "x1\n"]),
+        (FLOAT, ["1.5\n", "\n", "nan\n"]),
+    ])
+    def test_error_text_is_the_filter_first_error(self, fmt, lines):
+        with pytest.raises(ValueError) as expected:
+            fmt.decode_block([line for line in lines if line.strip()])
+        with pytest.raises(ValueError) as got:
+            list(read_blocks(
+                io.StringIO("".join(lines)), fmt, 8, skip_blank=True,
+                codec=None,
+            ))
+        assert str(got.value) == str(expected.value)
+
+
 class TestBlockWriter:
+    @pytest.mark.parametrize("sizes", [[3], [4, 4], [1, 9, 2], [12], []])
+    def test_write_blocks_keeps_write_all_blocks(self, sizes):
+        records = list(range(sum(sizes)))
+        lists, start = [], 0
+        for size in sizes:
+            lists.append(records[start:start + size])
+            start += size
+        flushed = []
+
+        class Recording(BlockWriter):
+            def flush(self):
+                flushed.append(len(self._pending))
+                super().flush()
+
+        by_records, by_blocks = io.StringIO(), io.StringIO()
+        writer = Recording(by_records, INT, 4, codec=None)
+        writer.write_all(records)
+        writer.flush()
+        expected_flushes, flushed[:] = flushed[:], []
+        writer = Recording(by_blocks, INT, 4, codec=None)
+        assert writer.write_blocks(lists) == len(records)
+        writer.flush()
+        assert flushed == expected_flushes
+        assert by_blocks.getvalue() == by_records.getvalue()
+
     def test_write_all_across_many_flushes(self):
         # Regression: flush() used to rebind the pending list, orphaning
         # write_all's local alias — every record after the first block

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from repro.iosim.disk import DiskGeometry, DiskModel
 from repro.iosim.files import SimulatedFileSystem
-from repro.merge.kway import MergeCounter, kway_merge, merge_runs
+from repro.merge.kway import (
+    MIN_GALLOP,
+    MergeCounter,
+    kway_merge,
+    merge_blocks,
+    merge_runs,
+)
 from repro.merge.merge_tree import MergeTree, merge_files
 from repro.merge.polyphase import polyphase_merge, polyphase_schedule
 from repro.runs.base import log_cost
@@ -269,3 +275,104 @@ def test_abandoned_merge_closes_every_reader_and_counts_its_prefix(
     assert all(got is want for got, (want, _) in zip(prefix, expected))
     assert counter.records == len(prefix)
     assert counter.cpu_ops == sum(_charges(expected)[: len(prefix)])
+
+
+# -- the block merge against the same reference -------------------------------
+
+def _as_blocks(stream, size):
+    return [stream[start:start + size] for start in range(0, len(stream), size)]
+
+
+@st.composite
+def _streaky_streams(draw):
+    """Streams with runs far longer than the gallop threshold: each
+    stream owns whole stretches of the key space, with ties at the
+    stretch edges."""
+    count = draw(st.integers(1, 6))
+    streams = [[] for _ in range(count)]
+    key = 0
+    for _ in range(draw(st.integers(0, 12))):
+        owner = draw(st.integers(0, count - 1))
+        length = draw(st.integers(1, 3 * MIN_GALLOP))
+        streams[owner].extend(range(key, key + length))
+        key += length - draw(st.integers(0, 1))
+    return [sorted(stream) for stream in streams]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_sorted_streams(), _streaky_streams()),
+    st.integers(1, 5),
+    st.integers(1, 5),
+)
+def test_block_merge_is_the_reference_merge(streams, size, block_records):
+    expected = _reference_merge(streams)
+    counter = MergeCounter()
+    lists = list(merge_blocks(
+        [iter(_as_blocks(stream, size)) for stream in streams], counter,
+        block_records=block_records,
+    ))
+    merged = [record for out in lists for record in out]
+    assert len(merged) == len(expected)
+    assert all(got is want for got, (want, _) in zip(merged, expected))
+    assert all(0 < len(out) <= 2 * block_records for out in lists)
+    assert counter.records == len(expected)
+    assert counter.cpu_ops == sum(_charges(expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_sorted_streams(), _streaky_streams()),
+    st.integers(1, 5),
+    st.integers(1, 40),
+)
+def test_abandoned_block_merge_closes_every_reader(streams, size, take):
+    closed = []
+
+    def reader(index, blocks):
+        try:
+            yield from blocks
+        finally:
+            closed.append(index)
+
+    readers = [
+        reader(i, _as_blocks(stream, size)) for i, stream in enumerate(streams)
+    ]
+    counter = MergeCounter()
+    merge = merge_blocks(readers, counter, block_records=size)
+    taken = [out for _, out in zip(range(take), merge)]
+    merge.close()
+    # take >= 1: the merge has started every reader.
+    assert sorted(closed) == list(range(len(streams)))
+    expected = _reference_merge(streams)
+    prefix = [record for out in taken for record in out]
+    assert all(got is want for got, (want, _) in zip(prefix, expected))
+    assert counter.records == len(prefix)
+    assert counter.cpu_ops == sum(_charges(expected)[: len(prefix)])
+
+
+def test_long_streak_is_emitted_in_slices():
+    """One stream far ahead of the other: its blocks come out whole."""
+    long_run = list(range(0, 20_000, 2))
+    short_run = [5_001, 15_001]
+    lists = list(merge_blocks(
+        [iter(_as_blocks(long_run, 1_000)), iter([short_run])],
+        block_records=1_000,
+    ))
+    assert [record for out in lists for record in out] == sorted(
+        long_run + short_run
+    )
+    assert len(lists) <= 14
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sorted_streams(), st.integers(1, 6))
+def test_record_view_with_read_ahead_is_the_reference_merge(streams, size):
+    expected = _reference_merge(streams)
+    counter = MergeCounter()
+    merged = list(kway_merge(
+        [iter(stream) for stream in streams], counter, buffer_records=size
+    ))
+    assert all(got is want for got, (want, _) in zip(merged, expected))
+    assert len(merged) == len(expected)
+    assert counter.cpu_ops == sum(_charges(expected))
