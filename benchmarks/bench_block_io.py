@@ -153,8 +153,8 @@ def merge_only(
     import tempfile
 
     from repro.engine.block_io import write_sequence
-    from repro.merge.kway import MergeCounter
-    from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_runs
+    from repro.merge.kway import MergeCounter, records_of
+    from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_blocks
 
     run_records = records // fan_in
     with tempfile.TemporaryDirectory(prefix="repro-benchio-") as work_dir:
@@ -172,10 +172,10 @@ def merge_only(
         digest = hashlib.sha256()
         count = 0
         started = time.perf_counter()
-        for value in merge_spilled_runs(
+        for value in records_of(merge_spilled_blocks(
             session, runs, MergeCounter(), record_format, fan_in,
             block_records,
-        ):
+        )):
             digest.update((encode(value) + "\n").encode("ascii"))
             count += 1
         wall = time.perf_counter() - started

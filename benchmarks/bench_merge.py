@@ -16,18 +16,18 @@ workloads produce:
 * ``compaction``: four sorted ``(key, meta)`` entry streams of 45k
   entries each through ``repro.store.compaction.merge_streams``, the
   merge and last-writer-wins dedup store compaction runs;
-* ``kway_merge view``: the same four streams, as generators, through
-  ``repro.merge.kway.kway_merge`` with its defaults — the record view
-  the simulated merges use, which reads each stream one record at a
-  time.
+* ``kway_merge``: the same four streams, as generators, through
+  ``repro.merge.kway.kway_merge`` alone — the record-at-a-time merge
+  the simulated merges and store compaction use.
 
 The spill cells write their runs as RBLC spill files (codec ``none``,
 4096-record blocks) before the clock starts.  A ``final`` cell times
 the final merge as ``repro sort`` runs it, from the run readers to the
 text encode of every output block (``merge_spilled_blocks`` into
-``BlockWriter.write_blocks`` where the tree has them, else
-``merge_spilled_runs`` into ``write_all``); the ``intermediate`` cell
-times ``merge_group_to_file``.
+``BlockWriter.write_blocks`` where the tree has them, else, in trees
+from before the block merge, ``merge_spilled_runs`` into
+``write_all``); the ``intermediate`` cell times
+``merge_group_to_file``.
 
 Each measurement is a fresh child process that imports ``repro`` from
 one source tree (``--tree NAME=SRC_DIR``, repeatable).  The
@@ -36,7 +36,9 @@ other repeat.  Each cell records, per tree, the median and
 interquartile range of the wall seconds over ``--repeats`` runs and a
 sha256 over the output bytes, the record count and the merge
 ``cpu_ops``; the script exits 1 when the digests differ between
-repeats or trees.
+repeats or trees, or, for ``--smoke`` at the default seed, from the
+digests in :data:`SMOKE_DIGESTS`, so a one-tree smoke run still
+checks the merge output.
 
 Usage::
 
@@ -47,7 +49,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_merge.py --smoke
 
 ``--smoke`` shrinks every input about tenfold, runs one repeat and
-writes to a temporary file unless ``--output`` is given.
+writes to a temporary file unless ``--output`` is given.  After a
+deliberate change of the inputs or of the digest, regenerate
+:data:`SMOKE_DIGESTS` from the tree before the change.
 """
 
 from __future__ import annotations
@@ -71,6 +75,25 @@ DEFAULT_OUTPUT = REPO / "BENCH_merge.json"
 BUFFER_RECORDS = 4096
 FAN_IN = 10
 
+#: The sha256 of every ``--smoke`` cell at seed 1: the output of the
+#: record-at-a-time merge the block merge replaced on the spill path.
+SMOKE_DIGESTS = {
+    "sort-mixed final":
+        "3fa7c381e70c18d956025be7a53e0012132065b2703fee35a072b68e9ecff7ea",
+    "sort-random intermediate":
+        "4d58d049e62c08aa189b55e588db7c0b350d8426b55880529756643eb46b8341",
+    "sort-random final":
+        "ed03fe13dcef9d3733db22f785316e95f50280a15e126a35d447a2a2f6e6a0b4",
+    "service final":
+        "779e5515552cd0a37284eafdad1cbffb2ceaf8ce4be36853f977470e517837f8",
+    "ties final":
+        "1aefc4f645653cc7cecd7d9ccb318cfd98d07aea6178abc53954d0c1e46dfeb0",
+    "compaction":
+        "bfed407cf804f0506b7b546933860bce7662d5683f22b50a7c7315e95e3d592e",
+    "kway_merge":
+        "f8b49dddba959dd7d388f42d6cd04af50145d4d8cb891b213ae17e8685027d1b",
+}
+
 #: The measurement a child process runs: argv = kind, pickled
 #: streams.  It prints one JSON object.
 CHILD = r"""
@@ -82,12 +105,12 @@ with open(path, "rb") as f:
 from repro.merge.kway import MergeCounter
 counter = MergeCounter()
 sha = hashlib.sha256()
-if kind in ("compaction", "view"):
+if kind in ("compaction", "records"):
     from repro.merge.kway import kway_merge
     from repro.store.compaction import merge_streams
     sources = [(entry for entry in stream) for stream in streams]
     wall = time.perf_counter()
-    if kind == "view":
+    if kind == "records":
         merged = list(kway_merge(sources, counter))
     else:
         merged = list(merge_streams(sources, counter=counter))
@@ -220,7 +243,7 @@ def build_cells(smoke: bool, seed: int) -> List[Tuple[str, str, List[Any]]]:
         ("service final", "final", [sorted(job[:cut]), sorted(job[cut:])]),
         ("ties final", "final", ties),
         ("compaction", "compaction", entries),
-        ("kway_merge view", "view", entries),
+        ("kway_merge", "records", entries),
     ]
 
 
@@ -256,8 +279,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             output = DEFAULT_OUTPUT
 
+    reference = SMOKE_DIGESTS if args.smoke and args.seed == 1 else {}
     cells = []
     identical = True
+    matches = True
     with tempfile.TemporaryDirectory(prefix="bench-merge-") as scratch:
         for index, (cell, kind, streams) in enumerate(
             build_cells(args.smoke, args.seed)
@@ -278,6 +303,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 {row["sha256"] for row in per_tree.values()}
             ) == 1
             identical = identical and agree
+            if cell in reference:
+                matches = matches and all(
+                    row["sha256"] == reference[cell]
+                    for row in per_tree.values()
+                )
             cells.append({"cell": cell, "streams": shape, "trees": per_tree,
                           "identical_output": agree})
             line = "  ".join(
@@ -298,12 +328,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
         "identical_output_across_trees": identical,
+        "matches_reference": matches if reference else None,
         "cells": cells,
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {output}")
     if not identical:
         print("ERROR: merge output differs across repeats or trees",
+              file=sys.stderr)
+        return 1
+    if not matches:
+        print("ERROR: merge output differs from SMOKE_DIGESTS",
               file=sys.stderr)
         return 1
     return 0

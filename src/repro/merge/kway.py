@@ -15,46 +15,54 @@ per-record cost at one native comparison: for binary spill records that
 comparison is a raw ``bytes`` memcmp, which is the point of the whole
 binary path.
 
-There is one merge loop, :func:`merge_blocks`: it takes one iterator
-of blocks (lists of records) per stream and yields output lists of
-about ``block_records`` records (never more than twice that), so the
-readers and the writer around it move blocks, not records
-(DESIGN.md §6).  :func:`kway_merge` is its per-record view, for
-callers that consume records (``grouped``, the operators, store
-compaction, the simulated merges).  Four things keep Python work per
-record small (DESIGN.md §14):
+There are two merge loops over that heap, one per kind of stream;
+they share no code because each is tuned to what its streams hand it
+(DESIGN.md §6, §14):
+
+* :func:`merge_blocks` takes one iterator of blocks (lists of
+  records) per stream and yields output lists of about
+  ``block_records`` records (never more than twice that), so the run
+  readers and the output writer around a spill merge move blocks, not
+  records.
+* :func:`kway_merge` takes record streams and yields records, for
+  callers whose streams are record generators (``grouped``, the
+  operators, store compaction, the simulated merges).  Cutting such a
+  stream into blocks would only add a hand-over per record.
+
+Both keep the Python work per record small the same ways:
 
 * **Galloping.**  After the top record of stream ``i`` is output, the
-  stream keeps appending while its next record is strictly below both
+  stream keeps going while its next record is strictly below both
   children of the heap root, without touching the heap; the first
   record that is not goes back through ``heapreplace``.  A strict
   ``<`` on records implies the ``(record, index)`` tuple order, and
   every tie (``-0.0`` against ``0.0`` included) falls through to
-  ``heapreplace``, which breaks it on the stream index.
-* **Slices after a streak.**  Once one stream has supplied
-  :data:`MIN_GALLOP` records in a row (timsort's idea), the merge
-  bisects that stream's current block for the smallest rival head and
-  emits the whole slice below it with one ``extend``.  The bisect side
-  follows the stream index — ``bisect_right`` when the stream wins
-  ties against the rival, ``bisect_left`` when it loses them — so the
+  ``heapreplace``, which breaks it on the stream index — so the
   output is exactly the ``(record, stream_index)`` order the store's
-  last-writer-wins compaction relies on.  A short slice drops the
-  merge back to per-record steps, so fully interleaved streams pay
-  for no bisects.
-* **One stream left** is copied out a slice at a time.
+  last-writer-wins compaction relies on.
+* **One stream left** is copied out without the heap.
 * **Hoisted cost charge.**  ``log_cost`` of the heap width is charged
-  per stretch of constant width (it only changes when a stream ends,
-  which is at a block boundary); the stretches reach the
-  :class:`MergeCounter` once, in a ``finally``, charged for exactly
-  the records delivered, so an abandoned merge — block or record view
-  — reports just the prefix its consumer took.
+  per stretch of constant width (it only changes when a stream ends);
+  the charge reaches the :class:`MergeCounter` once, in a
+  ``finally``, for exactly the records delivered, so an abandoned
+  merge reports just the prefix its consumer took.
+
+The block loop adds **slices after a streak**: once one stream has
+supplied :data:`MIN_GALLOP` records in a row (timsort's idea), it
+bisects that stream's current block for the smallest rival head and
+emits the whole slice below it with one ``extend``.  The bisect side
+follows the stream index — ``bisect_right`` when the stream wins ties
+against the rival, ``bisect_left`` when it loses them — so ties keep
+the same order.  A short slice drops the merge back to per-record
+steps, so fully interleaved streams pay for no bisects.  The last
+stream is copied a slice at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
-from itertools import groupby, islice
+from itertools import groupby
 from operator import length_hint
 from typing import (
     Any,
@@ -76,8 +84,6 @@ DEFAULT_FAN_IN = 10
 #: its block instead of stepping record by record (timsort's value).
 MIN_GALLOP = 7
 
-#: Size of the lists :func:`kway_merge` takes from the merge loop.
-VIEW_BLOCK_RECORDS = 256
 
 class MergeCounter:
     """Optional cost accumulator threaded through merges."""
@@ -157,9 +163,8 @@ def _merge(
     Each stream is its current block plus a list iterator over it; the
     heap holds each stream's head.  ``stretches`` receives the cost
     stretches as streams end.  The loop delivers what it holds before
-    it asks any source for another block, so a source cut into
-    one-record blocks is read exactly as a record-at-a-time merge
-    reads it.  Every source is closed on the way out.
+    it asks any source for another block.  Every source is closed on
+    the way out.
     """
     count = len(sources)
     blocks: List[Any] = [None] * count
@@ -329,45 +334,93 @@ def kway_merge(
 ) -> Iterator[Any]:
     """Lazily merge ``streams`` (each ascending) into one ascending stream.
 
-    The per-record view of :func:`merge_blocks`.  A list stream is one
-    block; any other iterable is read in blocks of ``buffer_records``
-    records, each read only when the merge needs that stream's next
-    record.  The default of one record reads the streams exactly as a
-    record-at-a-time merge reads them: a stream is not started, nor
-    read past a record, before the merge needs it, which keeps a
-    simulated merge's page reads in order.  Callers whose streams have
-    no such side effects (store compaction) pass a larger
-    ``buffer_records`` and get slices instead of steps.
-    ``counter`` is charged for exactly the records yielded, and every
-    closeable stream is closed when the merge ends or is abandoned.
-    ``fan_in`` is validated and enforced as in :func:`merge_blocks`.
+    The record-at-a-time merge loop (module docstring), for callers
+    whose streams yield records.
+
+    Parameters
+    ----------
+    streams:
+        Sorted record sources; anything iterable.  Each is read only
+        when the merge needs its next record.
+    counter:
+        When given, ``records`` and ``cpu_ops`` are accumulated on it
+        (``log2 k`` ops per output record, the analytic CPU model).
+    fan_in:
+        Optional declared merge width: validated (``>= 2``) and
+        enforced against ``len(streams)``, so a scheduling bug that
+        hands the final merge more runs than its fan-in fails loudly
+        instead of silently over-widening the merge.
+    buffer_records:
+        Optional declared reader buffer size; validated (``>= 1``).
+        The merge itself does not buffer — the parameter exists so
+        file-backed callers funnel their knobs through one validator.
     """
     _check_streams(streams, fan_in, buffer_records)
-    size = 1 if buffer_records is None else buffer_records
-    sources: List[Any] = [
-        s if isinstance(s, list) else iter(s) for s in streams
-    ]
-    stretches: List[Tuple[int, int]] = []
-    merged = _merge(
-        [_view_blocks(source, size) for source in sources],
-        VIEW_BLOCK_RECORDS, stretches,
-    )
-    records = 0
-    rest: Iterator[Any] = iter(())
+    iterators: List[Iterator[Any]] = [iter(s) for s in streams]
+    heap: List[tuple] = []
+    exhausted: Iterator[Any] = iter(())
+    # ``cost`` is charged per stretch of constant heap width, from
+    # ``charged`` records on (module docstring).
+    records = charged = 0
+    cost = cpu_ops = 0
     try:
-        for block in merged:
-            records += len(block)
-            rest = iter(block)
-            yield from rest
+        for index, iterator in enumerate(iterators):
+            try:
+                head = next(iterator)
+            except StopIteration:
+                iterators[index] = exhausted
+                continue
+            heap.append((head, index))
+        heapify(heap)
+        width = len(heap)
+        cost = log_cost(width)
+
+        while width > 1:
+            key, index = heap[0]
+            rival = heap[1][0]
+            records += 1
+            yield key
+            for head in iterators[index]:
+                # Gallop: while the stream's next record is strictly
+                # below both children of the root, it is the minimum
+                # and stays on top without touching the heap.
+                if head < rival and (width == 2 or head < heap[2][0]):
+                    records += 1
+                    yield head
+                    continue
+                heapreplace(heap, (head, index))
+                break
+            else:
+                # Drop the reference so a file-backed reader (and any
+                # chunk it buffers) is freed as soon as its run is
+                # exhausted, not at the end of the whole merge.
+                iterators[index] = exhausted
+                heappop(heap)
+                cpu_ops += (records - charged) * cost
+                charged = records
+                width -= 1
+                cost = log_cost(width)
+
+        if heap:
+            # One stream left: copy it out.
+            key, index = heap[0]
+            records += 1
+            yield key
+            for key in iterators[index]:
+                records += 1
+                yield key
     finally:
-        # An abandoned view has yielded all but what is left of ``rest``.
-        records -= length_hint(rest)
-        merged.close()
-        for source in sources:
-            close = getattr(source, "close", None)
+        if counter is not None:
+            counter.records += records
+            counter.cpu_ops += cpu_ops + (records - charged) * cost
+        # One raising reader (or an abandoned merge) must not leak the
+        # other streams' open file handles until garbage collection:
+        # close every closeable reader still referenced.  Harmless for
+        # plain iterables and already-finished generators.
+        for iterator in iterators:
+            close = getattr(iterator, "close", None)
             if close is not None:
                 close()
-        _charge(counter, stretches, records)
 
 
 def records_of(blocks: Iterator[Sequence[Any]]) -> Iterator[Any]:
@@ -383,32 +436,6 @@ def records_of(blocks: Iterator[Sequence[Any]]) -> Iterator[Any]:
         close = getattr(blocks, "close", None)
         if close is not None:
             close()
-
-
-def cut_blocks(records: Iterator[Any], size: int) -> Iterator[List[Any]]:
-    """``records`` as lists of ``size`` records (the last may be
-    short), read one list at a time; ``records`` is closed when the
-    blocks end or are abandoned."""
-    try:
-        while True:
-            block = list(islice(records, size))
-            if not block:
-                return
-            yield block
-    finally:
-        close = getattr(records, "close", None)
-        if close is not None:
-            close()
-
-
-def _view_blocks(source: Any, size: int) -> Iterator[Sequence[Any]]:
-    """``source`` as blocks: a list is one block, an iterator is cut
-    into blocks of ``size`` (1-tuples, straight from ``zip``, for 1)."""
-    if isinstance(source, list):
-        return iter((source,))
-    if size == 1:
-        return zip(source)
-    return cut_blocks(source, size)
 
 
 def grouped(

@@ -242,22 +242,6 @@ def merge_group_to_file(
     )
 
 
-def merge_spilled_runs(
-    session: SpillSession,
-    runs: Sequence[SpilledRun],
-    counter: MergeCounter,
-    record_format: RecordFormat,
-    fan_in: int,
-    buffer_records: int,
-    merge_group: Optional[Callable[[Sequence[SpilledRun]], SpilledRun]] = None,
-) -> Iterator[Any]:
-    """The per-record view of :func:`merge_spilled_blocks`."""
-    return records_of(merge_spilled_blocks(
-        session, runs, counter, record_format, fan_in, buffer_records,
-        merge_group,
-    ))
-
-
 def merge_spilled_blocks(
     session: SpillSession,
     runs: Sequence[SpilledRun],

@@ -1,10 +1,9 @@
 """Compaction and scan hot loops (DESIGN.md §17).
 
 Merging tables *is* the sort engine's k-way merge: every input is an
-ascending ``(key, meta)`` stream, cut into blocks of
-:data:`MERGE_BLOCK_ENTRIES` and interleaved by
-:func:`~repro.merge.kway.merge_blocks`, and the §17 meta layout makes
-the two LSM-specific steps pure tuple work:
+ascending ``(key, meta)`` stream, :func:`~repro.merge.kway.kway_merge`
+interleaves them, and the §17 meta layout makes the two LSM-specific
+steps pure tuple work:
 
 * **Last-writer-wins dedup** — equal keys arrive adjacent after the
   merge, and the inverted seqno at the front of each meta makes the
@@ -24,11 +23,11 @@ runtime that none happen.
 
 from __future__ import annotations
 
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from repro.merge.kway import MergeCounter, cut_blocks, merge_blocks
+from repro.merge.kway import MergeCounter, kway_merge
 from repro.store.format import META_PREFIX, TOMBSTONE_BYTE
 
 __all__ = [
@@ -40,16 +39,12 @@ __all__ = [
 
 Entry = Tuple[bytes, bytes]
 
-#: Entries the merge reads ahead from each stream, so that it can
-#: emit slices of one stream instead of stepping entry by entry.
-MERGE_BLOCK_ENTRIES = 128
-
 
 def lww_entries(merged: Iterable[Entry]) -> Iterator[Entry]:
     """Keep only the newest entry of each equal-key group.
 
-    ``merged`` must be sorted (the merge of sorted streams); the
-    inverted seqno makes the newest entry the
+    ``merged`` must be sorted (the output of ``kway_merge`` over
+    sorted streams); the inverted seqno makes the newest entry the
     group minimum, and the heap emits equal tuples in stream order, so
     the first element of each group is the winner.
     """
@@ -76,11 +71,7 @@ def merge_streams(
     the caller asserts the streams cover every live table, so nothing
     older can resurface a deleted key.
     """
-    merged = merge_blocks(
-        [cut_blocks(iter(stream), MERGE_BLOCK_ENTRIES) for stream in streams],
-        counter, block_records=MERGE_BLOCK_ENTRIES,
-    )
-    deduped = lww_entries(chain.from_iterable(merged))
+    deduped = lww_entries(kway_merge(streams, counter))
     if drop_deletes:
         return live_entries(deduped)
     return deduped

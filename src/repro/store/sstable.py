@@ -36,7 +36,7 @@ serves:
   searched.
 * ``entries(start, end)`` — block-at-a-time ordered scan from the
   first covering block.  The yielded tuples go straight into
-  the merge heap and LWW grouping without any per-record decode
+  ``kway_merge`` heaps and LWW grouping without any per-record decode
   (R007 holds here and in compaction).
 
 Keys within one table are unique — the memtable holds one entry per

@@ -30,7 +30,7 @@ block.  ``scan`` k-way-merges the memtable with every table through
 the same LWW machinery compaction uses.
 
 **Compaction.**  When a level holds more than ``fan_in`` tables, all
-of them merge into one table at the next level (``merge_blocks`` under
+of them merge into one table at the next level (``kway_merge`` under
 the hood, :func:`~repro.merge.kway.reduce_to_fan_in` bounding open
 readers when a merge is wider than ``fan_in``).  Tombstones are
 dropped only when the merge covers every live table — otherwise a

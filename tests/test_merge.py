@@ -363,16 +363,3 @@ def test_long_streak_is_emitted_in_slices():
         long_run + short_run
     )
     assert len(lists) <= 14
-
-
-@settings(max_examples=100, deadline=None)
-@given(_sorted_streams(), st.integers(1, 6))
-def test_record_view_with_read_ahead_is_the_reference_merge(streams, size):
-    expected = _reference_merge(streams)
-    counter = MergeCounter()
-    merged = list(kway_merge(
-        [iter(stream) for stream in streams], counter, buffer_records=size
-    ))
-    assert all(got is want for got, (want, _) in zip(merged, expected))
-    assert len(merged) == len(expected)
-    assert counter.cpu_ops == sum(_charges(expected))

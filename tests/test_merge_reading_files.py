@@ -17,8 +17,8 @@ from repro.core.records import INT
 from repro.engine.block_io import write_sequence
 from repro.engine.merge_reading import open_reading
 from repro.engine.planner import SortEngine
-from repro.merge.kway import MergeCounter
-from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_runs
+from repro.merge.kway import MergeCounter, records_of
+from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_blocks
 from repro.workloads.generators import DISTRIBUTIONS, make_input
 
 #: Every value ``--reading`` accepts.
@@ -84,9 +84,9 @@ class TestPrefetchCorrectness:
             tmp_path, session, [list(range(500)), list(range(500))], 16
         )
         before = threading.active_count()
-        merged = merge_spilled_runs(
+        merged = records_of(merge_spilled_blocks(
             session, runs, MergeCounter(), INT, 2, 16
-        )
+        ))
         for _ in range(300):
             next(merged)
         assert threading.active_count() == before
@@ -120,9 +120,9 @@ class TestLifecycle:
             SpilledRun(session, spill_path, 200, INT, 32),
             SpilledRun(session, keep_path, 200, INT, 32, keep=True),
         ]
-        merged = list(merge_spilled_runs(
+        merged = list(records_of(merge_spilled_blocks(
             session, runs, MergeCounter(), INT, 2, 32
-        ))
+        )))
         assert len(merged) == 400
         assert not os.path.exists(spill_path)
         assert os.path.exists(keep_path)
@@ -165,6 +165,6 @@ class TestLifecycle:
         session = SpillSession(str(tmp_path))
         runs = _spilled_runs(tmp_path, session, [[1, 2], [3]], 8)
         with pytest.raises(ValueError, match="buffer_records"):
-            list(merge_spilled_runs(
+            list(merge_spilled_blocks(
                 session, runs, MergeCounter(), INT, 2, 0
             ))
