@@ -66,22 +66,26 @@ import locale  # noqa: F401
 import os
 import shutil
 import sys
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, ContextManager, List, Optional, TextIO
+from contextlib import ExitStack, nullcontext
+from dataclasses import fields, replace
+from typing import (
+    TYPE_CHECKING, Any, ContextManager, Dict, List, Optional, Sequence,
+    TextIO,
+)
 
-from repro.core.config import ALGORITHMS, GeneratorSpec, RECOMMENDED, TwoWayConfig
+from repro.core.config import ALGORITHMS, RECOMMENDED, TwoWayConfig
 from repro.core.heuristics import INPUT_HEURISTICS, OUTPUT_HEURISTICS
-from repro.core.records import FORMAT_NAMES, STR, resolve_format
+from repro.core.records import FORMAT_NAMES
 from repro.engine.block_io import (
     BlockWriter,
     DEFAULT_BLOCK_RECORDS,
     iter_records,
 )
 from repro.engine.errors import SortError
+from repro.engine.job import DEFAULTS, OPS, OpRun, OpSpec
 from repro.engine.resilience import (
     JOURNAL_NAME,
     atomic_output,
-    input_fingerprint,
     wipe_directory,
 )
 from repro.engine.planner import (
@@ -89,8 +93,7 @@ from repro.engine.planner import (
     SortEngine,
     spec_for_format,
 )
-from repro.engine.spill_codec import AUTO_CODEC, SPILL_CODECS
-from repro.merge.kway import DEFAULT_FAN_IN
+from repro.engine.spill_codec import SPILL_CODECS
 from repro.sort.spill import DEFAULT_BUFFER_RECORDS
 
 # The modules above are the whole sort path except the default run
@@ -110,30 +113,40 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 gc.freeze()
 
 
-def _make_spec(args: argparse.Namespace) -> GeneratorSpec:
-    two_way = None
-    if args.algorithm == "2wrs":
-        two_way = TwoWayConfig(
-            buffer_setup=args.buffer_setup,
-            buffer_fraction=args.buffer_fraction,
-            input_heuristic=args.input_heuristic,
-            output_heuristic=args.output_heuristic,
-            seed=args.seed,
+#: OpSpec fields whose command-line option has another name.
+_OPTION_NAMES = {"fmt": "format", "aggregates": "agg"}
+
+
+def _op_spec(args: argparse.Namespace) -> OpSpec:
+    """The op description of a parsed command line: each field from its
+    option, or from :data:`~repro.engine.job.DEFAULTS` where the
+    subcommand has none (``sort`` has no ``--by``; ``runs`` is a sort)."""
+    return OpSpec(**{
+        field.name: getattr(
+            args, _OPTION_NAMES.get(field.name, field.name),
+            getattr(DEFAULTS, field.name),
         )
-    return GeneratorSpec(
-        algorithm=args.algorithm, memory=args.memory, two_way=two_way
+        for field in fields(OpSpec)
+    })
+
+
+def _valid_op_spec(args: argparse.Namespace) -> OpSpec:
+    spec = _op_spec(args)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise SystemExit(f"repro: error: {exc}")
+    return spec
+
+
+def _two_way(args: argparse.Namespace) -> TwoWayConfig:
+    return TwoWayConfig(
+        buffer_setup=args.buffer_setup,
+        buffer_fraction=args.buffer_fraction,
+        input_heuristic=args.input_heuristic,
+        output_heuristic=args.output_heuristic,
+        seed=args.seed,
     )
-
-
-def _record_format(args: argparse.Namespace, key=None):
-    key = key if key is not None else args.key
-    if key is not None and args.format not in ("csv", "tsv"):
-        # Silently ignoring --key would sort by the wrong thing.
-        raise SystemExit(
-            f"repro: error: --key only applies to the delimited formats "
-            f"(csv, tsv), not --format {args.format}"
-        )
-    return resolve_format(args.format, key=key if key is not None else 0)
 
 
 def _open_input(path: Optional[str]) -> ContextManager[TextIO]:
@@ -162,24 +175,19 @@ def _open_output(path: Optional[str]) -> ContextManager[TextIO]:
 
 
 def _durable_work_dir(
-    args: argparse.Namespace,
-    inputs: Optional[tuple] = None,
-    suffix: str = ".sortwork",
+    args: argparse.Namespace, inputs: Sequence[Optional[str]], suffix: str
 ) -> Optional[str]:
     """The stable work directory of a ``--resume`` run, or None.
 
-    Derived from the output path (``out.txt`` -> ``out.txt.sortwork``)
-    unless ``--work-dir`` names one explicitly.  Resuming needs real
-    input files (the journal skips *re-sorting*, not re-reading) and a
-    stable place for the journal, so stdin/stdout pipes are rejected
-    with a clear message instead of a confusing failure later.  The
-    two-input join passes its own ``inputs`` and derives
-    ``OUTPUT.joinwork``.
+    Derived from the output path (``out.txt`` -> ``out.txt.sortwork``,
+    a join's ``out.txt.joinwork``) unless ``--work-dir`` names one
+    explicitly.  Resuming needs real input files (the journal skips
+    *re-sorting*, not re-reading) and a stable place for the journal,
+    so stdin/stdout pipes are rejected with a clear message instead of
+    a confusing failure later.
     """
     if args.work_dir is None and not args.resume:
         return None
-    if inputs is None:
-        inputs = (args.input,)
     if args.resume and any(path in (None, "-") for path in inputs):
         raise SystemExit(
             "repro: error: --resume requires real input files (the "
@@ -193,31 +201,6 @@ def _durable_work_dir(
             "directory is derived from it) or an explicit --work-dir"
         )
     return args.output + suffix
-
-
-def _engine_for(
-    args: argparse.Namespace,
-    record_format,
-    work_dir: Optional[str] = None,
-    fingerprint: Optional[str] = None,
-) -> SortEngine:
-    """One configured engine from a sort-or-operator namespace.
-
-    ``merge`` namespaces carry no parallel knobs (the command cannot
-    honour them), hence the defaults.
-    """
-    return SortEngine(
-        _make_spec(args),
-        record_format=record_format,
-        workers=getattr(args, "workers", 1),
-        partition=getattr(args, "partition", "hash"),
-        fan_in=args.fan_in,
-        buffer_records=args.merge_buffer,
-        block_records=args.block_records,
-        spill_codec=getattr(args, "spill_codec", "none"),
-        work_dir=work_dir,
-        input_fingerprint=fingerprint,
-    )
 
 
 def _sort_failure(command: str, exc: Exception, *work_dirs) -> int:
@@ -241,7 +224,7 @@ def _sort_failure(command: str, exc: Exception, *work_dirs) -> int:
     return 1
 
 
-def _discard_work(derived: bool, *attempts) -> None:
+def _discard_work(derived: bool, attempts) -> None:
     """Remove what a durable attempt wrote before a data error stopped it.
 
     A data error (an undecodable line, a non-numeric value under
@@ -268,29 +251,83 @@ def _discard_work(derived: bool, *attempts) -> None:
         )
 
 
-def cmd_sort(args: argparse.Namespace) -> int:
-    work_dir = _durable_work_dir(args)
-    engine = _engine_for(
-        args,
-        _record_format(args),
-        work_dir,
-        input_fingerprint(args.input) if work_dir else None,
+def _remove_if_empty(path: Optional[str]) -> None:
+    if path is not None:
+        try:
+            os.rmdir(path)
+        except OSError:
+            pass
+
+
+def cmd_op(args: argparse.Namespace) -> int:
+    """``sort``, ``distinct``, ``agg``, ``topk`` and ``join``: one
+    :class:`~repro.engine.job.OpRun` between the command's files."""
+    spec = _valid_op_spec(args)
+    join = spec.op == "join"
+    if join:
+        if args.left == "-" and args.right == "-":
+            raise SystemExit(
+                "repro: error: at most one join input may be stdin ('-')"
+            )
+        inputs = (args.left, args.right)
+    else:
+        inputs = (args.input,)
+    base = _durable_work_dir(
+        args, inputs, ".joinwork" if join else ".sortwork"
     )
+    work_dirs: Sequence[Optional[str]] = (None, None)
+    if base is not None:
+        work_dirs = (
+            (os.path.join(base, "left"), os.path.join(base, "right"))
+            if join else (base,)
+        )
     try:
-        with _open_input(args.input) as handle, _open_output(args.output) as out:
-            # End-to-end streaming: records decode and encode in blocks,
-            # runs spill to temp files as they are generated, and the
-            # merge reads them back lazily, so no list of all runs (or
-            # of the merged output) is ever materialised.
-            engine.sort_stream(handle, out, resume=args.resume)
+        job = OpRun(
+            spec,
+            inputs=inputs,
+            work_dirs=work_dirs,
+            two_way=_two_way(args),
+            workers=args.workers,
+            partition=args.partition,
+            merge_buffer=args.merge_buffer,
+            block_records=args.block_records,
+            buffer_limit=getattr(args, "buffer_limit", None),
+        )
     except ValueError as exc:
-        # Data-level failure: an undecodable record in the input.
-        print(f"repro: sort failed: {exc}", file=sys.stderr)
-        _discard_work(args.work_dir is None, (engine, work_dir))
+        raise SystemExit(f"repro: error: {exc}")
+    try:
+        with ExitStack() as stack:
+            sources = [
+                stack.enter_context(_open_input(path)) for path in inputs
+            ]
+            out = stack.enter_context(_open_output(args.output))
+            job.run(sources[0], out, *sources[1:], resume=args.resume)
+    except ValueError as exc:
+        # Data-level failure: an undecodable record, a non-numeric
+        # value under sum/avg, a ragged row or a missing key column.
+        print(f"repro: {spec.op} failed: {exc}", file=sys.stderr)
+        _discard_work(
+            join or args.work_dir is None, zip(job.engines, work_dirs)
+        )
+        if join and args.work_dir is None:
+            _remove_if_empty(base)
         return 1
     except (SortError, OSError) as exc:
-        return _sort_failure("sort", exc, work_dir)
-    _print_sort_report(engine, args.report)
+        return _sort_failure(spec.op, exc, *work_dirs)
+    if join:
+        # A finished durable join leaves two empty side directories.
+        _remove_if_empty(base)
+    if job.op is None:
+        _print_sort_report(job.engines[0], args.report)
+    elif join:
+        _print_operator_report(
+            job.op, zip(("left", "right"), job.engines), args.report
+        )
+    else:
+        heap = job.op.plan.mode == "heap"
+        _print_operator_report(
+            job.op, [] if heap else [("spill", job.engines[0])], args.report
+        )
     return 0
 
 
@@ -386,174 +423,17 @@ def _print_operator_report(op, engines, verbose: bool) -> None:
         _engine_detail_lines(engine, label)
 
 
-def _run_unary_operator(
-    args: argparse.Namespace,
-    command: str,
-    make_op,
-    output_format=None,
-) -> int:
-    """Shared body of the single-input operator subcommands.
-
-    ``make_op(engine)`` builds the operator (constructor ValueErrors
-    become usage errors); ``output_format`` overrides the writer's
-    record format for operators whose output rows are plain text.
-    """
-    record_format = _record_format(args)
-    work_dir = _durable_work_dir(args)
-    engine = _engine_for(
-        args, record_format, work_dir,
-        input_fingerprint(args.input) if work_dir else None,
-    )
-    try:
-        op = make_op(engine)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}")
-    # TopK's heap scan reads csv/tsv rows as the base format's tuples.
-    input_format = (
-        op.input_format() if hasattr(op, "input_format")
-        else engine.record_format
-    )
-    try:
-        with _open_input(args.input) as handle, _open_output(args.output) as out:
-            # Both CLI boundaries stay plain text whatever the working
-            # format (csv/tsv rows carry key bytes in between).
-            records = iter_records(
-                handle, input_format, args.block_records,
-                skip_blank=True, codec=None,
-            )
-            writer = BlockWriter(
-                out, output_format or input_format,
-                args.block_records, codec=None,
-            )
-            writer.write_all(op.run(records, resume=args.resume))
-            writer.flush()
-    except ValueError as exc:
-        # Data-level failure: non-numeric value under sum/avg, ragged
-        # rows, undecodable records.
-        print(f"repro: {command} failed: {exc}", file=sys.stderr)
-        _discard_work(args.work_dir is None, (engine, work_dir))
-        return 1
-    except (SortError, OSError) as exc:
-        return _sort_failure(command, exc, work_dir)
-    engines = [] if op.plan.mode == "heap" else [("spill", engine)]
-    _print_operator_report(op, engines, args.report)
-    return 0
-
-
-def cmd_distinct(args: argparse.Namespace) -> int:
-    from repro.ops.distinct import Distinct
-
-    return _run_unary_operator(
-        args, "distinct", lambda engine: Distinct(engine, by=args.by)
-    )
-
-
-def cmd_agg(args: argparse.Namespace) -> int:
-    from repro.ops.aggregate import GroupByAggregate
-
-    return _run_unary_operator(
-        args, "agg",
-        lambda engine: GroupByAggregate(
-            engine, aggregates=args.agg, value_column=args.value
-        ),
-        # Output rows are delimited text, whatever the input format.
-        output_format=STR,
-    )
-
-
-def cmd_topk(args: argparse.Namespace) -> int:
-    from repro.ops.topk import TopK
-
-    return _run_unary_operator(
-        args, "topk", lambda engine: TopK(engine, args.k)
-    )
-
-
-def _join_work_dirs(args: argparse.Namespace):
-    """Per-side durable work directories for a ``--resume`` join."""
-    base = _durable_work_dir(
-        args, inputs=(args.left, args.right), suffix=".joinwork"
-    )
-    if base is None:
-        return None, None
-    return os.path.join(base, "left"), os.path.join(base, "right")
-
-
-def cmd_join(args: argparse.Namespace) -> int:
-    from repro.ops.join import SortMergeJoin
-
-    if args.left == "-" and args.right == "-":
-        raise SystemExit(
-            "repro: error: at most one join input may be stdin ('-')"
-        )
-    left_format = _record_format(args)
-    right_format = _record_format(
-        args, key=args.right_key if args.right_key is not None else args.key
-    )
-    left_work, right_work = _join_work_dirs(args)
-    left_engine = _engine_for(
-        args, left_format, left_work,
-        input_fingerprint(args.left) if left_work else None,
-    )
-    right_engine = _engine_for(
-        args, right_format, right_work,
-        input_fingerprint(args.right) if right_work else None,
-    )
-    try:
-        op = SortMergeJoin(
-            left_engine, right_engine, buffer_limit=args.buffer_limit
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}")
-    try:
-        with _open_input(args.left) as left_handle, \
-                _open_input(args.right) as right_handle, \
-                _open_output(args.output) as out:
-            left_records = iter_records(
-                left_handle, left_engine.record_format, args.block_records,
-                skip_blank=True, codec=None,
-            )
-            right_records = iter_records(
-                right_handle, right_engine.record_format, args.block_records,
-                skip_blank=True, codec=None,
-            )
-            writer = BlockWriter(out, STR, args.block_records, codec=None)
-            writer.write_all(
-                op.run(left_records, right_records, resume=args.resume)
-            )
-            writer.flush()
-    except ValueError as exc:
-        # Data-level failure: undecodable rows, missing key columns.
-        print(f"repro: join failed: {exc}", file=sys.stderr)
-        _discard_work(
-            True, (left_engine, left_work), (right_engine, right_work)
-        )
-        if left_work is not None and args.work_dir is None:
-            try:
-                os.rmdir(os.path.dirname(left_work))
-            except OSError:
-                pass
-        return 1
-    except (SortError, OSError) as exc:
-        return _sort_failure("join", exc, left_work, right_work)
-    # A fully successful durable join leaves two empty side dirs under
-    # the base; tidy the base away (rmdir refuses non-empty).
-    if left_work is not None:
-        base = os.path.dirname(left_work)
-        try:
-            os.rmdir(base)
-        except OSError:
-            pass
-    _print_operator_report(
-        op, [("left", left_engine), ("right", right_engine)], args.report
-    )
-    return 0
-
-
 def cmd_merge(args: argparse.Namespace) -> int:
     """Merge already-sorted files without re-sorting (like ``sort -m``)."""
-    record_format = _record_format(args)
-    engine = _engine_for(args, record_format)
+    spec = _valid_op_spec(args)
+    engine = SortEngine(
+        spec.generator(_two_way(args)),
+        record_format=spec.record_format(),
+        fan_in=spec.fan_in,
+        buffer_records=args.merge_buffer,
+        block_records=args.block_records,
+        spill_codec=spec.spill_codec,
+    )
     try:
         with _open_output(args.output) as out:
             writer = BlockWriter(
@@ -587,7 +467,8 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_runs(args: argparse.Namespace) -> int:
-    record_format = _record_format(args)
+    spec = _valid_op_spec(args)
+    record_format = spec.record_format()
     try:
         with _open_input(args.input) as handle:
             data = list(
@@ -607,14 +488,15 @@ def cmd_runs(args: argparse.Namespace) -> int:
         from repro.sort.external import ExternalSort
     print(header)
     for name in ALGORITHMS:
-        namespace = argparse.Namespace(**vars(args))
-        namespace.algorithm = name
-        spec = spec_for_format(_make_spec(namespace), record_format)
+        generator_spec = spec_for_format(
+            replace(spec, algorithm=name).generator(_two_way(args)),
+            record_format,
+        )
         if args.report:
             # Full simulated pipeline (analytic CPU + simulated disk),
             # so the paper's two headline timings (run phase,
             # run+merge) appear per algorithm.
-            pipeline = ExternalSort(spec.build(), fan_in=args.fan_in)
+            pipeline = ExternalSort(generator_spec.build(), fan_in=spec.fan_in)
             _, report = pipeline.sort(iter(data))
             print(
                 f"{report.algorithm:<10} {report.runs:>6} "
@@ -623,7 +505,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
                 f" {report.run_time:>9.3f}s {report.total_time:>10.3f}s"
             )
         else:
-            generator = spec.build()
+            generator = generator_spec.build()
             for _ in generator.generate_runs(iter(data)):
                 pass
             stats = generator.stats
@@ -732,37 +614,21 @@ def cmd_submit(args: argparse.Namespace) -> int:
         if args.id:
             payload = client.submit_id(args.id)
         else:
-            # Abspath here, client-side: the server may well run in a
-            # different working directory than the submitting shell.
-            job = {
-                "op": args.op,
-                "tenant": args.tenant,
-                "memory": args.memory,
-                "algorithm": args.algorithm,
-                "fan_in": args.fan_in,
-                "format": args.format,
-                "spill_codec": args.spill_codec,
-            }
-            if args.input:
-                job["input"] = os.path.abspath(args.input)
-            if args.store:
-                job["store"] = os.path.abspath(args.store)
-            if args.output:
-                job["output"] = os.path.abspath(args.output)
-            if args.key is not None:
-                job["key"] = args.key
-            if args.right_key is not None:
-                job["right_key"] = args.right_key
-            if args.right_input:
-                job["right_input"] = os.path.abspath(args.right_input)
-            if args.by != "record":
-                job["by"] = args.by
-            if args.agg != ("count",):
-                job["aggregates"] = list(args.agg)
-            if args.value is not None:
-                job["value"] = args.value
-            if args.k:
-                job["k"] = args.k
+            # The server fills every description field left out here
+            # from the same defaults, so only the ones set are sent.
+            spec = _op_spec(args)
+            job: Dict[str, Any] = {"op": args.op, "tenant": args.tenant}
+            for field in fields(OpSpec):
+                value = getattr(spec, field.name)
+                if value != getattr(DEFAULTS, field.name):
+                    name = "format" if field.name == "fmt" else field.name
+                    job[name] = value
+            for name in ("input", "right_input", "output", "store"):
+                # Abspath here, client-side: the server may well run in
+                # a different working directory than the submitting
+                # shell.
+                if getattr(args, name):
+                    job[name] = os.path.abspath(getattr(args, name))
             payload = client.submit(job)
         if args.wait:
             payload = client.wait(payload["id"])
@@ -875,20 +741,10 @@ def _store_scan(store: Store, args: argparse.Namespace) -> int:
 
 
 def _store_ingest(store: Store, args: argparse.Namespace) -> int:
-    from repro.store.oplog import parse_op_line
+    from repro.store.oplog import apply_oplog
 
-    applied = 0
     with _open_input(args.input) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parsed = parse_op_line(line, lineno)
-            if parsed is None:
-                continue
-            op, key, value = parsed
-            if op == "put":
-                store.put(key, value)
-            else:
-                store.delete(key)
-            applied += 1
+        applied = apply_oplog(store, handle)
     print(f"store ingest: {applied} operation(s) applied", file=sys.stderr)
     return 0
 
@@ -1026,9 +882,11 @@ def _aggregate_list(text: str):
 
 
 def _add_generator_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--memory", type=_positive_int, default=10_000,
-                   help="working memory in records (default 10000)")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="2wrs")
+    p.add_argument("--memory", type=_positive_int, default=DEFAULTS.memory,
+                   help=f"working memory in records "
+                        f"(default {DEFAULTS.memory})")
+    p.add_argument("--algorithm", choices=ALGORITHMS,
+                   default=DEFAULTS.algorithm)
     p.add_argument("--buffer-setup", choices=("input", "both", "victim"),
                    default=RECOMMENDED.buffer_setup)
     p.add_argument("--buffer-fraction", type=_fraction,
@@ -1038,11 +896,12 @@ def _add_generator_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-heuristic", choices=sorted(OUTPUT_HEURISTICS),
                    default=RECOMMENDED.output_heuristic)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fan-in", type=_fan_in, default=DEFAULT_FAN_IN,
-                   help=f"merge fan-in (default {DEFAULT_FAN_IN})")
-    p.add_argument("--format", choices=FORMAT_NAMES, default="int",
+    p.add_argument("--fan-in", type=_fan_in, default=DEFAULTS.fan_in,
+                   help=f"merge fan-in (default {DEFAULTS.fan_in})")
+    p.add_argument("--format", choices=FORMAT_NAMES, default=DEFAULTS.fmt,
                    help="record type: one int/float/str per line, or "
-                        "csv/tsv rows sorted by --key (default int)")
+                        "csv/tsv rows sorted by --key "
+                        f"(default {DEFAULTS.fmt})")
     p.add_argument("--key", type=_key_columns, default=None,
                    help="0-based key column (or comma-separated "
                         "columns, compared left to right), only valid "
@@ -1074,13 +933,6 @@ def _add_engine_options(
                    help="records encoded/decoded per block on the "
                         "input and output streams "
                         f"(default {DEFAULT_BLOCK_RECORDS})")
-    p.add_argument("--reading",
-                   choices=("auto", "naive", "forecasting",
-                            "double_buffering"),
-                   default="auto",
-                   help="accepted for compatibility; the final merge "
-                        "reads its runs synchronously, one block per "
-                        "run at a time (DESIGN.md §9.3)")
     if parallel:
         p.add_argument("--workers", type=_positive_int, default=1,
                        help="partition the input and sort the shards "
@@ -1094,20 +946,13 @@ def _add_engine_options(
                             "balances any distribution, 'range' gives "
                             "each worker a disjoint key band from "
                             "sampled cut points (default hash)")
-    p.add_argument("--binary-spill", action="store_true",
-                   help="accepted for compatibility; csv/tsv rows "
-                        "always spill as key bytes (DESIGN.md §14)")
-    p.add_argument("--spill-codec",
-                   choices=(AUTO_CODEC,) + SPILL_CODECS,
-                   default="none",
+    p.add_argument("--spill-codec", choices=SPILL_CODECS,
+                   default=DEFAULTS.spill_codec,
                    help="per-block compression of spill/shard files "
                         "(DESIGN.md §15): 'zlib' is the cheap byte "
-                        "compressor, 'lzma' the heavy one; 'auto' "
-                        "means 'none', which was fastest in every "
-                        "cell of the measured sweep (default none)")
-    p.add_argument("--checksum", action="store_true",
-                   help="accepted for compatibility; spill blocks are "
-                        "always checksummed")
+                        "compressor, 'lzma' the heavy one; 'none' was "
+                        "fastest in every cell of the measured sweep "
+                        f"(default {DEFAULTS.spill_codec})")
     if not durable:
         return
     p.add_argument("--resume", action="store_true",
@@ -1133,7 +978,7 @@ def _add_sort(sub: Any) -> None:
     _add_generator_options(p_sort)
     _add_engine_options(p_sort)
     _add_io_arguments(p_sort)
-    p_sort.set_defaults(func=cmd_sort)
+    p_sort.set_defaults(func=cmd_op, op="sort")
 
 
 def _add_distinct(sub: Any) -> None:
@@ -1146,11 +991,11 @@ def _add_distinct(sub: Any) -> None:
     _add_generator_options(p_distinct)
     _add_engine_options(p_distinct)
     p_distinct.add_argument(
-        "--by", choices=DISTINCT_MODES, default="record",
+        "--by", choices=DISTINCT_MODES, default=DEFAULTS.by,
         help="what counts as a duplicate: the whole record, or just its "
              "sort key (first record per key wins; default record)")
     _add_io_arguments(p_distinct)
-    p_distinct.set_defaults(func=cmd_distinct)
+    p_distinct.set_defaults(func=cmd_op, op="distinct")
 
 
 def _add_agg(sub: Any) -> None:
@@ -1163,7 +1008,7 @@ def _add_agg(sub: Any) -> None:
     _add_generator_options(p_agg)
     _add_engine_options(p_agg)
     p_agg.add_argument(
-        "--agg", type=_aggregate_list, default=("count",),
+        "--agg", type=_aggregate_list, default=DEFAULTS.aggregates,
         help="comma-separated aggregates per key group: "
              f"{', '.join(AGGREGATES)} (default count)")
     p_agg.add_argument(
@@ -1171,7 +1016,7 @@ def _add_agg(sub: Any) -> None:
         help="0-based column holding the aggregated value (required for "
              "sum/min/max/avg over delimited rows)")
     _add_io_arguments(p_agg)
-    p_agg.set_defaults(func=cmd_agg)
+    p_agg.set_defaults(func=cmd_op, op="agg")
 
 
 def _add_join(sub: Any) -> None:
@@ -1193,7 +1038,7 @@ def _add_join(sub: Any) -> None:
     p_join.add_argument("right", help="right input file ('-' = stdin)")
     p_join.add_argument("-o", "--output",
                         help="output file (default stdout)")
-    p_join.set_defaults(func=cmd_join)
+    p_join.set_defaults(func=cmd_op, op="join")
 
 
 def _add_topk(sub: Any) -> None:
@@ -1208,7 +1053,7 @@ def _add_topk(sub: Any) -> None:
         help="how many records to keep; k <= --memory short-circuits to "
              "a bounded heap scan with no sort at all")
     _add_io_arguments(p_topk)
-    p_topk.set_defaults(func=cmd_topk)
+    p_topk.set_defaults(func=cmd_op, op="topk")
 
 
 def _add_merge(sub: Any) -> None:
@@ -1294,10 +1139,10 @@ def _add_store(sub: Any) -> None:
                        help="per-block compression of SSTable data, "
                             "same codecs as --spill-codec "
                             "(default none)")
-        p.add_argument("--fan-in", type=_fan_in, default=DEFAULT_FAN_IN,
+        p.add_argument("--fan-in", type=_fan_in, default=DEFAULTS.fan_in,
                        help="compaction fan-in: a level holding more "
                             "tables than this merges into the next "
-                            f"(default {DEFAULT_FAN_IN})")
+                            f"(default {DEFAULTS.fan_in})")
         p.add_argument("--no-sync", action="store_true",
                        help="skip the per-write WAL fsync (bulk loads: "
                             "much faster, but a crash may lose the "
@@ -1429,36 +1274,33 @@ def _add_submit(sub: Any) -> None:
     # Mirrors service.jobs.JOB_OPS; importing it here would load the
     # whole service package for every CLI run (a test pins the two).
     p_submit.add_argument("--op",
-                          choices=("sort", "distinct", "agg", "topk",
-                                   "join", "store_ingest", "store_scan",
-                                   "store_compact"),
-                          default="sort")
+                          choices=OPS + ("store_ingest", "store_scan",
+                                         "store_compact"),
+                          default=DEFAULTS.op)
     p_submit.add_argument("--store", default=None,
                           help="server-side store directory for the "
                                "store_* ops")
     p_submit.add_argument("--tenant", default="default")
-    p_submit.add_argument("--memory", type=_positive_int, default=10_000)
-    p_submit.add_argument("--algorithm", choices=ALGORITHMS, default="2wrs")
-    p_submit.add_argument("--fan-in", type=_fan_in, default=8)
-    p_submit.add_argument("--format", choices=FORMAT_NAMES, default="int")
+    p_submit.add_argument("--memory", type=_positive_int,
+                          default=DEFAULTS.memory)
+    p_submit.add_argument("--algorithm", choices=ALGORITHMS,
+                          default=DEFAULTS.algorithm)
+    p_submit.add_argument("--fan-in", type=_fan_in, default=DEFAULTS.fan_in)
+    p_submit.add_argument("--format", choices=FORMAT_NAMES,
+                          default=DEFAULTS.fmt)
     p_submit.add_argument("--key", type=_key_columns, default=None)
     p_submit.add_argument("--right-key", type=_key_columns, default=None)
     p_submit.add_argument("--right-input", default=None,
                           help="right side of a join")
-    p_submit.add_argument("--by", choices=DISTINCT_MODES, default="record")
+    p_submit.add_argument("--by", choices=DISTINCT_MODES,
+                          default=DEFAULTS.by)
     p_submit.add_argument("--agg", type=_aggregate_list,
-                          default=("count",))
-    p_submit.add_argument("--value", type=_non_negative_int, default=None)
-    p_submit.add_argument("-k", type=_non_negative_int, default=0)
-    p_submit.add_argument("--binary-spill", action="store_true",
-                          help="accepted for compatibility; csv/tsv rows "
-                               "always spill as key bytes")
-    p_submit.add_argument("--spill-codec",
-                          choices=(AUTO_CODEC,) + SPILL_CODECS,
-                          default="none")
-    p_submit.add_argument("--checksum", action="store_true",
-                          help="accepted for compatibility; spill blocks "
-                               "are always checksummed")
+                          default=DEFAULTS.aggregates)
+    p_submit.add_argument("--value", type=_non_negative_int,
+                          default=DEFAULTS.value)
+    p_submit.add_argument("-k", type=_non_negative_int, default=DEFAULTS.k)
+    p_submit.add_argument("--spill-codec", choices=SPILL_CODECS,
+                          default=DEFAULTS.spill_codec)
     p_submit.add_argument("--wait", action="store_true",
                           help="block until the job reaches a terminal "
                                "state; exit 1 if it failed")

@@ -37,14 +37,13 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, TextIO
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.config import RECOMMENDED, GeneratorSpec
 from repro.core.records import INT, RecordFormat
 from repro.engine.block_io import (
     DEFAULT_BLOCK_RECORDS,
-    BlockWriter,
-    iter_records,
+    BlockWriter,  # noqa: F401 - the op pipeline encodes output through it
     validate_block_records,
 )
 from repro.engine.report import DEFAULT_CPU_OP_TIME, PhaseReport, SortReport
@@ -166,8 +165,9 @@ class SortEngine:
     fan_in / buffer_records:
         Merge tree width and per-run read-buffer records.
     block_records:
-        Records per encode/decode batch on the engine's own input and
-        output streams (:meth:`sort_stream`).
+        Records per block of the in-memory sort's output lists (the
+        op pipeline, :mod:`repro.engine.job`, decodes and encodes in
+        blocks of the same size).
     work_dir / input_fingerprint:
         Durable mode (DESIGN.md §11): spilling backends journal their
         progress under the stable ``work_dir`` (kept on failure,
@@ -216,7 +216,7 @@ class SortEngine:
         self.fan_in = fan_in
         self.buffer_records = buffer_records
         self.block_records = block_records
-        #: Concrete spill codec (DESIGN.md §15): ``"auto"`` is ``"none"``.
+        #: Spill codec (DESIGN.md §15).
         self.spill_codec = validate_codec(spill_codec)
         self.work_dir = work_dir
         self.input_fingerprint = input_fingerprint
@@ -290,27 +290,6 @@ class SortEngine:
         if plan.mode == "parallel":
             return self._sort_parallel(stream)
         return self._sort_spill(stream)
-
-    def sort_stream(
-        self, source: TextIO, sink: TextIO, resume: bool = False
-    ) -> int:
-        """Decode ``source``, sort, encode into ``sink``; return length.
-
-        Both directions move in blocks of :attr:`block_records`
-        records, and the merge hands the writer lists, not records;
-        blank input lines are tolerated (the CLI's historical
-        contract).  ``resume`` is forwarded to :meth:`sort`.
-        """
-        records = iter_records(
-            source, self.record_format, self.block_records, skip_blank=True,
-            codec=None,
-        )
-        writer = BlockWriter(
-            sink, self.record_format, self.block_records, codec=None
-        )
-        writer.write_blocks(self.sort_blocks(records, resume=resume))
-        writer.flush()
-        return writer.written
 
     def merge_files(self, paths: Sequence[str]) -> Iterator[Any]:
         """Merge already-sorted files into one ascending stream.

@@ -26,10 +26,6 @@ Codecs
     at a noticeably higher CPU cost; worth it only when multi-pass
     merge I/O dominates.
 
-``auto`` is accepted wherever a codec can be named and resolves to
-``none`` in :func:`validate_codec`: on the measured sweep
-(``BENCH_spillio.json``) no cell paid for compressing automatically.
-
 Both directions work block-at-a-time — one call per block, never one
 per record — so R007's zero-per-record-decode invariant holds in the
 merge readers regardless of codec.
@@ -43,9 +39,6 @@ from typing import Dict, Tuple
 
 #: Codec names accepted everywhere a spill codec can be chosen.
 SPILL_CODECS: Tuple[str, ...] = ("none", "zlib", "lzma")
-
-#: Accepted spelling that :func:`validate_codec` resolves to ``none``.
-AUTO_CODEC = "auto"
 
 #: Wire ids for the RBLC block header and the SSTable index.  Ids 3
 #: and 4 belonged to the retired front-coding codecs and must never
@@ -70,12 +63,7 @@ class SpillCodecError(ValueError):
 
 
 def validate_codec(codec: str) -> str:
-    """Return the concrete codec ``codec`` names, else raise ``ValueError``.
-
-    ``auto`` resolves to ``none`` here and nowhere else.
-    """
-    if codec == AUTO_CODEC:
-        return "none"
+    """Return ``codec`` if it names a spill codec, else raise ``ValueError``."""
     if codec not in SPILL_CODECS:
         known = ", ".join(SPILL_CODECS)
         raise ValueError(f"unknown spill codec {codec!r} (expected one of {known})")

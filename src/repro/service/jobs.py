@@ -6,7 +6,8 @@ to the same id, which is what makes re-attach work with no server-side
 registry surviving the crash.  Everything that changes the output
 (operator, inputs, format, keys, aggregates, k) or the durable work
 fingerprint (memory, fan-in, codec…) is part of the
-identity; purely ephemeral knobs (nothing today) would not be.
+identity.  The execution knobs only the CLI sets (block sizes, worker
+processes, the 2WRS factors; DESIGN.md §16) are not part of a job.
 """
 
 from __future__ import annotations
@@ -15,24 +16,19 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Sequence
 
-from repro.core.config import ALGORITHMS
-from repro.core.records import FORMAT_NAMES
-from repro.engine.spill_codec import validate_codec
+from repro.engine.job import DEFAULTS, OPS, KeyColumns, OpSpec
 
 __all__ = ["JOB_OPS", "STORE_OPS", "JobSpec", "job_id_for"]
+
+#: The ops that act on a store directory instead of sorting a file.
+STORE_OPS = ("store_ingest", "store_scan", "store_compact")
 
 #: Operators a job may run: the CLI's file-to-file subcommands, plus
 #: the store jobs (DESIGN.md §17) that run against a server-side store
 #: directory under the same pool-granted memory budget.
-JOB_OPS = (
-    "sort", "distinct", "agg", "topk", "join",
-    "store_ingest", "store_scan", "store_compact",
-)
-
-#: The ops that act on a store directory instead of sorting a file.
-STORE_OPS = ("store_ingest", "store_scan", "store_compact")
+JOB_OPS = OPS + STORE_OPS
 
 #: Store ops that read no input file (they only need the directory).
 _INPUTLESS_OPS = ("store_scan", "store_compact")
@@ -40,8 +36,6 @@ _INPUTLESS_OPS = ("store_scan", "store_compact")
 #: Hex digits kept from the SHA-256 — plenty against collisions at
 #: service scale, short enough to paste into a terminal.
 _ID_HEX = 16
-
-KeyColumns = Union[int, Tuple[int, ...]]
 
 
 def _normalise_key(value: Any) -> Optional[KeyColumns]:
@@ -66,9 +60,17 @@ def _key_payload(key: Optional[KeyColumns]) -> Optional[list]:
     return [key] if isinstance(key, int) else list(key)
 
 
+def _path(payload: Dict[str, Any], name: str) -> Optional[str]:
+    # An absent path stays None — abspath("") would silently become
+    # the cwd.
+    value = payload.get(name)
+    return os.path.abspath(str(value)) if value else None
+
+
 @dataclass(frozen=True)
-class JobSpec:
-    """Everything needed to run one job (and to name it).
+class JobSpec(OpSpec):
+    """Everything needed to run one job (and to name it): the op
+    description, its server-side paths and the tenant.
 
     ``input``/``right_input``/``output`` are server-side paths: the
     service reads and writes files on its own filesystem, it does not
@@ -77,29 +79,14 @@ class JobSpec:
     the job's spool directory and fetched with ``result``.
     """
 
-    op: str
-    input: str
+    input: str = ""
     output: Optional[str] = None
     right_input: Optional[str] = None
     store: Optional[str] = None
     tenant: str = "default"
-    fmt: str = "int"
-    key: Optional[KeyColumns] = None
-    right_key: Optional[KeyColumns] = None
-    by: str = "record"
-    aggregates: Tuple[str, ...] = ("count",)
-    value: Optional[int] = None
-    k: int = 0
-    memory: int = 10_000
-    algorithm: str = "2wrs"
-    fan_in: int = 8
-    spill_codec: str = "none"
 
-    def validate(self) -> None:
-        if self.op not in JOB_OPS:
-            raise ValueError(
-                f"unknown op {self.op!r}; expected one of {', '.join(JOB_OPS)}"
-            )
+    def validate(self, ops: Sequence[str] = JOB_OPS) -> None:
+        super().validate(ops)
         if not self.input and self.op not in _INPUTLESS_OPS:
             raise ValueError("job needs an input path")
         if self.op in STORE_OPS and not self.store:
@@ -111,87 +98,42 @@ class JobSpec:
         if self.op == "join" and not self.right_input:
             raise ValueError("join jobs need a right_input path")
         if self.op != "join" and self.right_input:
-            raise ValueError(f"right_input only applies to join, not {self.op}")
-        if self.op == "topk" and self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.memory < 1:
-            raise ValueError(f"memory must be >= 1, got {self.memory}")
-        if self.fan_in < 2:
-            raise ValueError(f"fan_in must be >= 2, got {self.fan_in}")
-        if self.algorithm not in ALGORITHMS:
             raise ValueError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
-            )
-        if self.fmt not in FORMAT_NAMES:
-            raise ValueError(
-                f"unknown record format {self.fmt!r}; known: "
-                f"{', '.join(FORMAT_NAMES)}"
-            )
-        validate_codec(self.spill_codec)
-        if self.key is not None and self.fmt not in ("csv", "tsv"):
-            raise ValueError(
-                f"key columns only apply to csv/tsv, not {self.fmt!r}"
+                f"right_input only applies to join, not {self.op}"
             )
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "JobSpec":
         """A validated spec from a submit message's ``job`` object.
 
-        ``checksum`` and ``binary_spill`` are accepted and ignored:
-        spill blocks are always checksummed, csv/tsv rows always spill
-        as key bytes, and older clients and ``job.json`` files send
-        both.
+        Absent fields take the defaults of :data:`~repro.engine.job
+        .DEFAULTS`; an unknown field is an error.
         """
-        known = {
-            "op", "input", "output", "right_input", "store", "tenant",
-            "format", "key", "right_key", "by", "aggregates", "value",
-            "k", "memory", "algorithm", "fan_in", "binary_spill",
-            "spill_codec", "checksum",
-        }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - _PAYLOAD_KEYS)
         if unknown:
             raise ValueError(f"unknown job fields: {', '.join(unknown)}")
-        aggregates = payload.get("aggregates") or ["count"]
+        value = payload.get("value")
         spec = cls(
             op=str(payload.get("op", "")),
-            # An absent input stays "" (validate decides whether the op
-            # needs one) — abspath("") would silently become the cwd.
-            input=(
-                os.path.abspath(str(payload["input"]))
-                if payload.get("input")
-                else ""
-            ),
-            output=(
-                os.path.abspath(str(payload["output"]))
-                if payload.get("output")
-                else None
-            ),
-            right_input=(
-                os.path.abspath(str(payload["right_input"]))
-                if payload.get("right_input")
-                else None
-            ),
-            store=(
-                os.path.abspath(str(payload["store"]))
-                if payload.get("store")
-                else None
-            ),
+            input=_path(payload, "input") or "",
+            output=_path(payload, "output"),
+            right_input=_path(payload, "right_input"),
+            store=_path(payload, "store"),
             tenant=str(payload.get("tenant", "default")),
-            fmt=str(payload.get("format", "int")),
+            fmt=str(payload.get("format", DEFAULTS.fmt)),
             key=_normalise_key(payload.get("key")),
             right_key=_normalise_key(payload.get("right_key")),
-            by=str(payload.get("by", "record")),
-            aggregates=tuple(str(name) for name in aggregates),
-            value=(
-                int(payload["value"])
-                if payload.get("value") is not None
-                else None
+            by=str(payload.get("by", DEFAULTS.by)),
+            aggregates=tuple(
+                str(name)
+                for name in payload.get("aggregates") or DEFAULTS.aggregates
             ),
-            k=int(payload.get("k", 0)),
-            memory=int(payload.get("memory", 10_000)),
-            algorithm=str(payload.get("algorithm", "2wrs")),
-            fan_in=int(payload.get("fan_in", 8)),
-            spill_codec=str(payload.get("spill_codec", "none")),
+            value=int(value) if value is not None else None,
+            k=int(payload.get("k", DEFAULTS.k)),
+            memory=int(payload.get("memory", DEFAULTS.memory)),
+            algorithm=str(payload.get("algorithm", DEFAULTS.algorithm)),
+            fan_in=int(payload.get("fan_in", DEFAULTS.fan_in)),
+            spill_codec=str(payload.get("spill_codec", DEFAULTS.spill_codec)),
         )
         spec.validate()
         return spec
@@ -217,6 +159,10 @@ class JobSpec:
             "fan_in": self.fan_in,
             "spill_codec": self.spill_codec,
         }
+
+
+#: The fields of a canonical payload, which are all a submit may send.
+_PAYLOAD_KEYS = frozenset(JobSpec().to_payload())
 
 
 def job_id_for(spec: JobSpec) -> str:

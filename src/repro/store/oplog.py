@@ -29,13 +29,17 @@ sqlite oracle.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.store.store import Store
 
 __all__ = [
     "escape_bytes",
     "unescape_bytes",
     "format_item",
     "parse_op_line",
+    "apply_oplog",
 ]
 
 _ESCAPES = {0x5C: "\\\\", 0x09: "\\t", 0x0A: "\\n", 0x0D: "\\r"}
@@ -144,3 +148,21 @@ def parse_op_line(
     raise ValueError(
         f"oplog line {lineno}: unknown op {op!r} (expected put or del)"
     )
+
+
+def apply_oplog(store: "Store", lines: Iterable[str]) -> int:
+    """Apply every operation of an oplog to ``store``, in order; return
+    how many were applied.  A malformed line raises ``ValueError``
+    naming it, after the lines before it were applied."""
+    applied = 0
+    for lineno, line in enumerate(lines, start=1):
+        parsed = parse_op_line(line, lineno)
+        if parsed is None:
+            continue
+        op, key, value = parsed
+        if op == "put":
+            store.put(key, value)
+        else:
+            store.delete(key)
+        applied += 1
+    return applied

@@ -23,15 +23,13 @@ Four families, each pinning a bug class the text path hides:
 Plus the resume-fingerprint encoding rule, the rule that only
 delimited rows carry key bytes, and the join format compatibility
 errors that keep raw-byte keys from silently comparing against decoded
-ones.  ``--binary-spill`` is a no-op (csv/tsv rows always carry key
-bytes), so the CLI cases that pass it pin that the flag changes
-nothing.
+ones.  The format alone picks the spill body, so the CLI cases
+check that one path against ``sorted()`` and GNU sort.
 """
 
 import io
 import os
 import random
-import re
 import shutil
 import struct
 import subprocess
@@ -39,7 +37,6 @@ import zlib
 
 import pytest
 
-from _helpers import sha256_file
 from repro.cli import main
 from repro.core.config import RECOMMENDED, GeneratorSpec
 from repro.core.records import (
@@ -63,8 +60,6 @@ from repro.engine.planner import SortEngine
 from repro.engine.resilience import ResumableSpillSort
 from repro.ops import TopK
 from repro.ops.join import _check_key_compatibility
-from repro.testing.faults import FaultPlan, activate
-from repro.workloads.generators import make_input
 
 GNU_SORT = shutil.which("sort")
 
@@ -114,18 +109,14 @@ class TestFloatKeyOrder:
     @pytest.mark.parametrize("lines", [ZEROS, SPELLINGS, INFINITIES],
                              ids=["zeros", "spellings", "infinities"])
     def test_text_and_binary_byte_identical(self, tmp_path, lines):
-        """The tentpole guarantee on the spellings that expose it.
+        """The spill path on the spellings that expose it.
 
         Equal-value groups have no *stable* order through replacement
-        selection (text or binary — runs reorder equals), so the
-        contract is: binary reproduces the text path's bytes exactly,
-        values are non-decreasing, and no line is lost or altered.
+        selection (runs reorder equals), so the contract is: values
+        are non-decreasing, and no line is lost or altered.
         """
         corpus = lines * 4  # spill at SPILL_MEMORY records
         text = cli_sort(tmp_path, corpus, "--format", "float", name="t")
-        binary = cli_sort(tmp_path, corpus, "--format", "float",
-                          "--binary-spill", name="b")
-        assert text == binary
         out = text.decode("utf-8").splitlines()
         values = [float(line) for line in out]
         assert values == sorted(values)
@@ -134,40 +125,35 @@ class TestFloatKeyOrder:
     @pytest.mark.parametrize("lines", [ZEROS, SPELLINGS, INFINITIES],
                              ids=["zeros", "spellings", "infinities"])
     def test_parallel_binary_matches_parallel_text(self, tmp_path, lines):
-        """Same guarantee on the partitioned backend.  (Parallel and
-        serial may legitimately order equal-key groups differently —
-        sharding changes merge order — so the comparison is within the
-        backend, the same identity the differential suite sweeps.)"""
+        """The partitioned backend repeats its own bytes and loses no
+        line.  (Parallel and serial may legitimately order equal-key
+        groups differently — sharding changes merge order — so the
+        comparison is within the backend.)"""
         corpus = lines * 4
         text = cli_sort(tmp_path, corpus, "--format", "float",
                         "--workers", "2", name="s")
-        binary = cli_sort(tmp_path, corpus, "--format", "float",
-                          "--binary-spill", "--workers", "2", name="p")
-        assert text == binary
+        again = cli_sort(tmp_path, corpus, "--format", "float",
+                         "--workers", "2", name="p")
+        assert text == again
+        assert sorted(text.decode("utf-8").splitlines()) == sorted(corpus)
 
     def test_spellings_round_trip_byte_identically(self, tmp_path):
         """``-0.0`` stays ``-0.0`` and ``1e3`` stays ``1e3``: the
         payload is the original text, never a re-``repr``."""
         corpus = (self.ZEROS + self.SPELLINGS) * 3
-        out = cli_sort(tmp_path, corpus, "--format", "float",
-                       "--binary-spill")
+        out = cli_sort(tmp_path, corpus, "--format", "float")
         got = sorted(out.decode("utf-8").splitlines())
         assert got == sorted(corpus)
 
     def test_negative_zero_group_matches_text_path_exactly(self, tmp_path):
-        """All spellings of zero are one equal-key group; the binary
-        path must emit that group in exactly the text path's order —
-        the bug class the key codec's ``-0.0`` canonicalisation fixes
-        (IEEE bytes would split the group: ``-0.0`` before ``0.0``)."""
+        """All spellings of zero are one equal-key group: it lands
+        between the negatives and the positives with every spelling
+        kept (IEEE key bytes would split it: ``-0.0`` before ``0.0``)."""
         corpus = ["-0.0", "7.0", "0.0", "-7.0", "0.0", "-0.0"] * 5
         text = cli_sort(tmp_path, corpus, "--format", "float", name="t")
-        binary = cli_sort(tmp_path, corpus, "--format", "float",
-                          "--binary-spill", name="b")
-        zeros = [line for line in binary.decode("utf-8").splitlines()
-                 if float(line) == 0.0]
-        assert zeros == [line for line in text.decode("utf-8").splitlines()
-                         if float(line) == 0.0]
-        assert sorted(zeros) == ["-0.0"] * 10 + ["0.0"] * 10
+        out = text.decode("utf-8").splitlines()
+        assert out[:5] == ["-7.0"] * 5 and out[-5:] == ["7.0"] * 5
+        assert sorted(out[5:-5]) == ["-0.0"] * 10 + ["0.0"] * 10
 
     @pytest.mark.skipif(GNU_SORT is None, reason="GNU sort not installed")
     def test_infinities_agree_with_gnu_sort_g(self, tmp_path):
@@ -181,17 +167,16 @@ class TestFloatKeyOrder:
             [GNU_SORT, "-g", str(source)], capture_output=True,
             env={**os.environ, "LC_ALL": "C"}, check=True,
         ).stdout
-        for flags in ([], ["--binary-spill"]):
-            got = cli_sort(tmp_path, corpus * 4, "--format", "float", *flags,
-                           name="gnu" + ("b" if flags else "t"))
-            # corpus * 4: each distinct line appears 4x consecutively
-            # in sorted output; collapse back for the distinct oracle.
-            collapsed = "".join(
-                line + "\n"
-                for i, line in enumerate(got.decode("utf-8").splitlines())
-                if i % 4 == 0
-            ).encode("utf-8")
-            assert collapsed == gnu
+        got = cli_sort(tmp_path, corpus * 4, "--format", "float",
+                       name="gnu")
+        # corpus * 4: each distinct line appears 4x consecutively in
+        # sorted output; collapse back for the distinct oracle.
+        collapsed = "".join(
+            line + "\n"
+            for i, line in enumerate(got.decode("utf-8").splitlines())
+            if i % 4 == 0
+        ).encode("utf-8")
+        assert collapsed == gnu
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +203,10 @@ class TestDelimitedEmptyVsMissing:
             self.EMPTY_KEY_CORPUS, DelimitedFormat(",", key_column=1)
         )
         outputs = {
-            "text": cli_sort(tmp_path, self.EMPTY_KEY_CORPUS, *args,
-                             name="text"),
-            "binary": cli_sort(tmp_path, self.EMPTY_KEY_CORPUS, *args,
-                               "--binary-spill", name="bin"),
+            "serial": cli_sort(tmp_path, self.EMPTY_KEY_CORPUS, *args,
+                               name="serial"),
             "parallel": cli_sort(tmp_path, self.EMPTY_KEY_CORPUS, *args,
                                  "--workers", "2", name="par"),
-            "parallel-binary": cli_sort(
-                tmp_path, self.EMPTY_KEY_CORPUS, *args, "--workers", "2",
-                "--binary-spill", name="parbin"),
         }
         for backend, got in outputs.items():
             assert got == want, f"{backend} diverges on empty key fields"
@@ -237,19 +217,15 @@ class TestDelimitedEmptyVsMissing:
         source.write_text(
             "".join(row + "\n" for row in self.EMPTY_KEY_CORPUS)
         )
-        outs = []
-        for suffix, flags in (("t", []), ("b", ["--binary-spill"])):
-            out = tmp_path / f"ops.{suffix}.out"
-            assert main(
-                ["distinct", "--memory", str(SPILL_MEMORY), "--format",
-                 "csv", "--key", "1", *flags, str(source), "-o", str(out)]
-            ) == 0
-            outs.append(out)
-        assert sha256_file(outs[0]) == sha256_file(outs[1])
+        out = tmp_path / "ops.out"
+        assert main(
+            ["distinct", "--memory", str(SPILL_MEMORY), "--format",
+             "csv", "--key", "1", str(source), "-o", str(out)]
+        ) == 0
         # distinct dedupes whole records; the three empty-key rows are
         # distinct rows and land together: after every numeric key,
         # before every non-empty text key, tie-broken by row text.
-        got = outs[0].read_text().splitlines()
+        got = out.read_text().splitlines()
         assert got == ["f,-3,r", "d,1.5,w", "b,2,x", "a,,c", "e,,q",
                        "h,,t", "g,abc,s", "c,zz,y"]
 
@@ -262,8 +238,7 @@ class TestDelimitedEmptyVsMissing:
         with pytest.raises(ValueError, match=self.MISSING):
             BinaryRecordFormat(fmt).decode("a")
 
-    @pytest.mark.parametrize("flags", [[], ["--binary-spill"]],
-                             ids=["text", "binary"])
+    @pytest.mark.parametrize("flags", [[]], ids=["text"])
     def test_missing_column_raises_in_cli_sort(self, tmp_path, flags, capsys):
         source = tmp_path / "missing.in"
         source.write_text("a\nb,2,x\n")
@@ -274,8 +249,7 @@ class TestDelimitedEmptyVsMissing:
         assert "row has 1 column(s), key column 1 does not exist" in err
         assert not (tmp_path / "missing.out").exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--binary-spill"]],
-                             ids=["text", "binary"])
+    @pytest.mark.parametrize("flags", [[]], ids=["text"])
     def test_missing_column_fails_ops_with_same_message(
         self, tmp_path, flags, capsys
     ):
@@ -354,18 +328,16 @@ class TestFramingSelfDefence:
         )
 
     def test_cli_durable_sort_survives_hostile_payloads(self, tmp_path):
-        """End to end: spilling + ``--checksum`` runs hold forged
-        header lines as data, for both encodings (the fault-harness
-        regression this satellite started from)."""
+        """End to end: durable spilled runs hold forged header lines as
+        data (the fault-harness regression this satellite started
+        from)."""
         corpus = [line for line in HOSTILE_LINES if line] * 6
         want = sorted_oracle(corpus, STR)
-        for name, flags in (("text", []), ("bin", ["--binary-spill"])):
-            got = cli_sort(
-                tmp_path, corpus, "--format", "str", "--checksum",
-                "--resume", "--work-dir", str(tmp_path / f"wd-{name}"),
-                *flags, name=name,
-            )
-            assert got == want, f"{name} mangled header-lookalike payloads"
+        got = cli_sort(
+            tmp_path, corpus, "--format", "str",
+            "--resume", "--work-dir", str(tmp_path / "wd"), name="text",
+        )
+        assert got == want, "mangled header-lookalike payloads"
 
     # -- torn / corrupted block files -------------------------------------
 
@@ -599,7 +571,7 @@ class TestJoinBinaryCompatibility:
 
 
 # ---------------------------------------------------------------------------
-# the format picks the body; --binary-spill is a no-op
+# the format picks the body
 # ---------------------------------------------------------------------------
 
 
@@ -617,12 +589,6 @@ def _record_rblc_encodings(monkeypatch):
     return seen
 
 
-def _reused_runs(stderr):
-    match = re.search(r"runs_reused=(\d+)", stderr)
-    assert match, stderr
-    return int(match.group(1))
-
-
 class TestFormatPicksTheBody:
     def test_default_csv_sort_spills_key_bytes(self, tmp_path, monkeypatch):
         rng = random.Random(4)
@@ -638,53 +604,3 @@ class TestFormatPicksTheBody:
         assert out.read_bytes() == sorted_oracle(
             lines, DelimitedFormat(",", 0)
         )
-
-    @pytest.mark.parametrize("fmt", ["int", "csv"])
-    def test_flag_does_not_change_the_resume_identity(
-        self, tmp_path, fmt, capsys
-    ):
-        """A work dir journaled under ``--binary-spill`` resumes without
-        the flag: the flag no longer changes the fingerprint."""
-        rng = random.Random(5)
-        if fmt == "int":
-            lines = [str(rng.randint(-999, 999)) for _ in range(600)]
-            args = []
-        else:
-            lines = [f"r{rng.randint(0, 999)},{rng.randint(0, 99)}"
-                     for _ in range(600)]
-            args = ["--format", "csv", "--key", "1"]
-        source = tmp_path / "in.txt"
-        source.write_text("".join(line + "\n" for line in lines))
-        ref = tmp_path / "ref.txt"
-        assert main(["sort", "--memory", "16", *args, str(source),
-                     "-o", str(ref)]) == 0
-        out = tmp_path / "out.txt"
-        durable = ["sort", "--memory", "16", "--fan-in", "4", *args,
-                   "--work-dir", str(tmp_path / "wd"), "--resume",
-                   "--report", str(source), "-o", str(out)]
-        plan = FaultPlan(op="write", nth=12, kind="raise",
-                         path_substring="run-")
-        with activate(plan) as state:
-            assert main(durable + ["--binary-spill"]) == 1
-        assert state.fired
-        capsys.readouterr()
-        assert main(durable) == 0
-        assert _reused_runs(capsys.readouterr().err) > 0
-        assert out.read_bytes() == ref.read_bytes()
-
-    def test_flag_keeps_2wrs_arithmetic_on_mixed_ints(self, tmp_path, capsys):
-        """``--binary-spill`` used to turn int records into key-byte
-        pairs, which took away the victim buffer's arithmetic and cut
-        2WRS's runs down to about memory size."""
-        source = tmp_path / "mixed.txt"
-        source.write_text(
-            "".join(f"{v}\n" for v in make_input("mixed_balanced", 20_000,
-                                                 seed=1))
-        )
-        counts = []
-        for flags in ([], ["--binary-spill"]):
-            assert main(["sort", "--memory", "500", "--report", *flags,
-                         str(source), "-o", str(tmp_path / "out.txt")]) == 0
-            err = capsys.readouterr().err
-            counts.append(int(re.search(r"in (\d+) runs", err).group(1)))
-        assert counts[0] == counts[1] < 5

@@ -299,9 +299,7 @@ class TestRecordFormats:
         src.write_text("".join(f"{line}\n" for line in lines))
         outputs = set()
         variants = [
-            ["--reading", "naive"],
-            ["--reading", "forecasting"],
-            ["--reading", "double_buffering"],
+            [],
             ["--workers", "2"],
         ]
         for index, variant in enumerate(variants):
@@ -400,6 +398,7 @@ class TestMinDistanceNonNumericKeys:
         assert out.read_text().splitlines() == sorted(lines)
 
     def test_binary_spill(self, tmp_path, capsys):
+        # Int runs spill as int64 block bodies.
         import random
 
         rng = random.Random(6)
@@ -408,7 +407,7 @@ class TestMinDistanceNonNumericKeys:
         src.write_text("".join(f"{value}\n" for value in values))
         out = tmp_path / "out.txt"
         assert main(
-            ["sort", "--binary-spill", "--memory", "100",
+            ["sort", "--memory", "100",
              "--output-heuristic", "min_distance", str(src), "-o", str(out)]
         ) == 0
         assert [int(line) for line in out.read_text().splitlines()] == sorted(

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import GeneratorSpec, RECOMMENDED, TwoWayConfig
 from repro.core.records import FLOAT, INT, STR, DelimitedFormat
 from repro.engine.block_io import write_sequence
+from repro.engine.job import OpRun, OpSpec
 from repro.engine.planner import (
     SortEngine,
     plan_sort,
@@ -131,29 +132,25 @@ class TestEngineModes:
             {"workers": 2},
             {"workers": 3, "partition": "range"},
         ):
-            engine = SortEngine(
-                GeneratorSpec("lss", 250), tmp_dir=str(tmp_path), **kwargs
-            )
+            job = OpRun(OpSpec(algorithm="lss", memory=250), **kwargs)
             sink = io.StringIO()
             source = io.StringIO("".join(f"{v}\n" for v in data))
-            assert engine.sort_stream(source, sink) == len(data)
+            assert job.run(source, sink) == len(data)
             outputs.append(sink.getvalue())
         assert len(set(outputs)) == 1
 
     def test_sort_stream_tolerates_blank_lines(self, tmp_path):
-        engine = SortEngine(GeneratorSpec("lss", 100), tmp_dir=str(tmp_path))
+        job = OpRun(OpSpec(algorithm="lss", memory=100))
         sink = io.StringIO()
-        assert engine.sort_stream(io.StringIO("3\n\n1\n\n2\n"), sink) == 3
+        assert job.run(io.StringIO("3\n\n1\n\n2\n"), sink) == 3
         assert sink.getvalue() == "1\n2\n3\n"
 
     def test_sort_stream_keeps_blank_str_records(self, tmp_path):
         # sort --format str must agree with sort(1), which keeps
         # whitespace-only lines.
-        engine = SortEngine(
-            GeneratorSpec("lss", 100), record_format=STR, tmp_dir=str(tmp_path)
-        )
+        job = OpRun(OpSpec(fmt="str", algorithm="lss", memory=100))
         sink = io.StringIO()
-        assert engine.sort_stream(io.StringIO("b\n \na\n"), sink) == 3
+        assert job.run(io.StringIO("b\n \na\n"), sink) == 3
         assert sink.getvalue() == " \na\nb\n"
 
     def test_abandoned_parallel_sort_still_reports_merge_stats(self, tmp_path):
@@ -201,12 +198,10 @@ class TestEngineFormats:
 
         rng = random.Random(3)
         data = [rng.gauss(0, 1000) for _ in range(2_000)]
-        engine = SortEngine(
-            GeneratorSpec("rs", 100), record_format=FLOAT, tmp_dir=str(tmp_path)
-        )
+        job = OpRun(OpSpec(fmt="float", algorithm="rs", memory=100))
         sink = io.StringIO()
         source = io.StringIO("".join(f"{v!r}\n" for v in data))
-        engine.sort_stream(source, sink)
+        job.run(source, sink)
         got = [float(line) for line in sink.getvalue().splitlines()]
         assert got == sorted(data)
 

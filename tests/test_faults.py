@@ -300,26 +300,23 @@ def format_args(fmt):
 
 
 def run_matrix_case(
-    tmp_path, fmt, workers, plan, records=600, memory=16, binary=False,
+    tmp_path, fmt, workers, plan, records=600, memory=16,
     codec="none",
 ):
     """One acceptance check: faulted run fails cleanly, resume matches."""
-    case = dict(fmt=fmt, workers=workers, plan=plan.describe(),
-                binary=binary, codec=codec)
+    case = dict(fmt=fmt, workers=workers, plan=plan.describe(), codec=codec)
     source = make_corpus(tmp_path, fmt, records, workers)
     base = ["sort", "--memory", str(memory), "--fan-in", "4",
             "--merge-buffer", "8", *format_args(fmt)]
     if workers > 1:
         base += ["--workers", str(workers)]
-    if binary:
-        base += ["--binary-spill"]
     if codec != "none":
         base += ["--spill-codec", codec]
     ref = tmp_path / "ref.txt"
     assert main(base + [str(source), "-o", str(ref)]) == 0, stress_case(**case)
 
     out = tmp_path / "out.txt"
-    durable = base + ["--resume", "--checksum", str(source), "-o", str(out)]
+    durable = base + ["--resume", str(source), "-o", str(out)]
     with activate(plan) as state:
         code = main(durable)
     # Workers count their own faults in their own processes, so the
@@ -382,15 +379,15 @@ class TestFaultMatrixSmoke:
 
     def test_serial_binary_run_fault(self, tmp_path):
         """Binary RBLK runs recover exactly like text runs."""
-        run_matrix_case(tmp_path, "int", 1, SERIAL_FAULTS[0], binary=True)
+        run_matrix_case(tmp_path, "int", 1, SERIAL_FAULTS[0])
 
     def test_serial_binary_bit_flip(self, tmp_path):
         """A flipped byte inside an RBLK body is caught by the header
         CRC and the poisoned run is regenerated on resume."""
-        run_matrix_case(tmp_path, "csv", 1, SERIAL_FAULTS[4], binary=True)
+        run_matrix_case(tmp_path, "csv", 1, SERIAL_FAULTS[4])
 
     def test_parallel_binary_shard_fault(self, tmp_path):
-        run_matrix_case(tmp_path, "int", 2, PARALLEL_FAULTS[0], binary=True)
+        run_matrix_case(tmp_path, "int", 2, PARALLEL_FAULTS[0])
 
 
 CODECS_UNDER_TEST = ["zlib", "lzma"]
@@ -420,7 +417,7 @@ class TestFaultMatrixCodecSmoke:
         """Order-preserving key bytes under zlib: corrupt stored body,
         caught before any record reaches the merge."""
         run_matrix_case(
-            tmp_path, "int", 1, SERIAL_FAULTS[4], binary=True, codec="zlib"
+            tmp_path, "int", 1, SERIAL_FAULTS[4], codec="zlib"
         )
 
     def test_parallel_shard_bit_flip_zlib(self, tmp_path):
@@ -431,19 +428,17 @@ class TestFaultMatrixCodecSmoke:
 class TestFaultMatrixStress:
     """The full sweep: every fault point x backend x format."""
 
-    @pytest.mark.parametrize("binary", [False, True], ids=["text", "bin"])
     @pytest.mark.parametrize("fmt", ["int", "str", "csv"])
     @pytest.mark.parametrize("plan", SERIAL_FAULTS,
                              ids=lambda p: p.describe())
-    def test_serial(self, tmp_path, fmt, plan, binary):
-        run_matrix_case(tmp_path, fmt, 1, plan, binary=binary)
+    def test_serial(self, tmp_path, fmt, plan):
+        run_matrix_case(tmp_path, fmt, 1, plan)
 
-    @pytest.mark.parametrize("binary", [False, True], ids=["text", "bin"])
     @pytest.mark.parametrize("fmt", ["int", "str", "csv"])
     @pytest.mark.parametrize("plan", PARALLEL_FAULTS,
                              ids=lambda p: p.describe())
-    def test_parallel(self, tmp_path, fmt, plan, binary):
-        run_matrix_case(tmp_path, fmt, 2, plan, binary=binary)
+    def test_parallel(self, tmp_path, fmt, plan):
+        run_matrix_case(tmp_path, fmt, 2, plan)
 
 
 @pytest.mark.stress
@@ -451,11 +446,10 @@ class TestFaultMatrixCodecStress:
     """Every fault point x every codec, serial and parallel."""
 
     @pytest.mark.parametrize("codec", CODECS_UNDER_TEST)
-    @pytest.mark.parametrize("binary", [False, True], ids=["text", "bin"])
     @pytest.mark.parametrize("plan", SERIAL_FAULTS,
                              ids=lambda p: p.describe())
-    def test_serial(self, tmp_path, plan, binary, codec):
-        run_matrix_case(tmp_path, "int", 1, plan, binary=binary, codec=codec)
+    def test_serial(self, tmp_path, plan, codec):
+        run_matrix_case(tmp_path, "int", 1, plan, codec=codec)
 
     @pytest.mark.parametrize("codec", CODECS_UNDER_TEST)
     @pytest.mark.parametrize("plan", PARALLEL_FAULTS,
@@ -489,7 +483,7 @@ class TestCleanFailureWithoutDurability:
     def test_default_cli_sort_rejects_bit_flipped_spill(
         self, tmp_path, monkeypatch, capsys, fmt, workers, substring
     ):
-        """A default sort — no --resume, no --checksum — must never
+        """A default sort — no --resume — must never
         turn a flipped spill byte into wrong output: it exits 1 with a
         located CorruptBlockError, publishes nothing, and removes its
         temp directory."""

@@ -1,10 +1,10 @@
 """Tests for the final merge's run readers (DESIGN.md §9.3).
 
 Every merge reads each spilled run synchronously through
-``SpilledRun.records()``: the merged bytes are the same for every
-``--reading`` choice (an accepted no-op), no thread is started, the
-session holds at most one written block per open reader, and closing
-the readers mid-merge releases handles and buffers."""
+``SpilledRun.records()``: the merged bytes equal ``sorted()``, no
+thread is started, the session holds at most one written block per
+open reader, and closing the readers mid-merge releases handles and
+buffers."""
 
 import os
 import threading
@@ -21,21 +21,13 @@ from repro.merge.kway import MergeCounter, records_of
 from repro.sort.spill import SpilledRun, SpillSession, merge_spilled_blocks
 from repro.workloads.generators import DISTRIBUTIONS, make_input
 
-#: Every value ``--reading`` accepts.
-READING_CHOICES = ("auto", "naive", "forecasting", "double_buffering")
-
-
 def _cli_outputs(tmp_path, lines, *flags):
-    """Sort ``lines`` once per ``--reading`` choice; choice -> output."""
+    """Sort ``lines`` through the CLI; {"sync": output bytes}."""
     src = tmp_path / "input.txt"
     src.write_text("".join(f"{line}\n" for line in lines))
-    outputs = {}
-    for reading in READING_CHOICES:
-        out = tmp_path / f"out-{reading}.txt"
-        assert main(["sort", *flags, "--reading", reading, str(src),
-                     "-o", str(out)]) == 0
-        outputs[reading] = out.read_bytes()
-    return outputs
+    out = tmp_path / "out.txt"
+    assert main(["sort", *flags, str(src), "-o", str(out)]) == 0
+    return {"sync": out.read_bytes()}
 
 
 def _spilled_runs(tmp_path, session, runs, block_records, keep=True):
@@ -159,7 +151,7 @@ class TestLifecycle:
         with pytest.raises(SystemExit) as exc:
             main(["sort", "--reading", "psychic", str(src)])
         assert exc.value.code == 2
-        assert "invalid choice: 'psychic'" in capsys.readouterr().err
+        assert "unrecognized arguments: --reading" in capsys.readouterr().err
 
     def test_invalid_buffer_rejected(self, tmp_path):
         session = SpillSession(str(tmp_path))

@@ -89,7 +89,7 @@ class TestDistinctCommand:
         out = tmp_path / "out.txt"
         code, _, _ = run(
             capsys,
-            ["distinct", "--memory", "32", "--resume", "--checksum",
+            ["distinct", "--memory", "32", "--resume",
              str(source), "-o", str(out)],
         )
         assert code == 0
@@ -248,7 +248,7 @@ class TestJoinCommand:
                                    "-o", str(plain)])[0] == 0
         assert run(
             capsys,
-            base + ["--resume", "--checksum", str(left), str(right),
+            base + ["--resume", str(left), str(right),
                     "-o", str(durable)],
         )[0] == 0
         assert plain.read_bytes() == durable.read_bytes()
@@ -425,9 +425,10 @@ class TestMergeCommand:
         assert code == 0
         assert out.read_text() == "a,1\nb,2\nc,3\n"
 
-    def test_checksum_flag_accepts_plain_input_files(self, tmp_path, capsys):
-        # --checksum only applies to the merge's own intermediate
-        # spills; caller-provided inputs are plain text files.
+    def test_intermediate_merge_reads_plain_input_files(self, tmp_path,
+                                                         capsys):
+        # Only the merge's own intermediate spills are RBLC block
+        # streams; caller-provided inputs are plain text files.
         paths = [
             str(write(tmp_path / f"in{i}.txt",
                       [str(v) for v in range(i, 30, 3)]))
@@ -436,7 +437,7 @@ class TestMergeCommand:
         out = tmp_path / "out.txt"
         code, _, _ = run(
             capsys,
-            ["merge", "--checksum", "--fan-in", "2", *paths,
+            ["merge", "--fan-in", "2", *paths,
              "-o", str(out)],
         )
         assert code == 0

@@ -553,7 +553,7 @@ class TestCliResilience:
         ref = tmp_path / "ref.txt"
         assert main(["sort", "--memory", "16", str(path), "-o", str(ref)]) == 0
         out = tmp_path / "out.txt"
-        argv = ["sort", "--memory", "16", "--resume", "--checksum",
+        argv = ["sort", "--memory", "16", "--resume",
                 str(path), "-o", str(out)]
         plan = FaultPlan(op="write", nth=12, kind="raise",
                          path_substring="run-")
@@ -569,7 +569,7 @@ class TestCliResilience:
 
         path = self.write_input(tmp_path)
         out = tmp_path / "out.txt"
-        argv = ["sort", "--memory", "16", "--resume", "--checksum",
+        argv = ["sort", "--memory", "16", "--resume",
                 str(path), "-o", str(out)]
         plan = FaultPlan(op="write", nth=6, kind="bit_flip",
                          path_substring="run-")

@@ -31,6 +31,7 @@ import pytest
 
 import repro
 from repro.service.client import ServiceClient, read_endpoint
+from repro.merge.kway import DEFAULT_FAN_IN
 from repro.service.jobs import JobSpec, job_id_for
 from repro.service.runner import JobCancelled
 from repro.service.scheduler import JobScheduler, TERMINAL_STATES
@@ -140,32 +141,19 @@ def _gated_scheduler(tmp_path, monkeypatch, **kwargs):
 
 
 class TestJobSpecPayload:
-    def test_checksum_field_accepted_and_ignored(self, tmp_path):
-        """Spill blocks are always checksummed: the old ``checksum``
-        submit field still parses but changes neither the spec nor
-        the job id."""
-        base = {"op": "sort", "input": str(tmp_path / "in.txt")}
-        plain = JobSpec.from_payload(base)
-        flagged = JobSpec.from_payload({**base, "checksum": True})
-        assert flagged == plain
-        assert "checksum" not in flagged.to_payload()
-        assert job_id_for(flagged) == job_id_for(plain)
-
-    def test_binary_spill_field_accepted_and_ignored(self, tmp_path):
-        """csv/tsv rows always spill as key bytes: the old
-        ``binary_spill`` submit field still parses but changes neither
-        the spec nor the job id."""
-        base = {"op": "agg", "input": str(tmp_path / "in.csv"),
-                "format": "csv", "key": 0}
-        plain = JobSpec.from_payload(base)
-        flagged = JobSpec.from_payload({**base, "binary_spill": True})
-        assert flagged == plain
-        assert "binary_spill" not in flagged.to_payload()
-        assert job_id_for(flagged) == job_id_for(plain)
+    @pytest.mark.parametrize("field", ["checksum", "binary_spill"])
+    def test_retired_fields_are_unknown(self, tmp_path, field):
+        """Spill blocks are always checksummed and csv/tsv rows always
+        spill as key bytes, so neither field is part of a job."""
+        with pytest.raises(ValueError, match=f"unknown job fields: {field}"):
+            JobSpec.from_payload({
+                "op": "sort", "input": str(tmp_path / "in.txt"), field: True,
+            })
 
     @pytest.mark.parametrize("field, value, message", [
         ("spill_codec", "bogus", "unknown spill codec 'bogus'"),
         ("spill_codec", "front", "unknown spill codec 'front'"),
+        ("spill_codec", "auto", "unknown spill codec 'auto'"),
         ("algorithm", "bogus", "algorithm must be one of"),
         ("format", "bogus", "unknown record format 'bogus'"),
     ])
@@ -175,14 +163,14 @@ class TestJobSpecPayload:
         with pytest.raises(ValueError, match=message):
             JobSpec.from_payload({**base, field: value})
 
-    def test_auto_codec_is_kept_as_spelled(self, tmp_path):
-        """``auto`` is a valid spelling (it runs as ``none``); the spec
-        and so the job id keep it, like any persisted job.json."""
-        spec = JobSpec.from_payload({
-            "op": "sort", "input": str(tmp_path / "in.txt"),
-            "spill_codec": "auto",
-        })
-        assert spec.to_payload()["spill_codec"] == "auto"
+    def test_absent_fields_take_the_shared_defaults(self, tmp_path):
+        """A submit that names only the op and input runs under the
+        same defaults as the CLI (fan-in included)."""
+        spec = JobSpec.from_payload(
+            {"op": "sort", "input": str(tmp_path / "in.txt")}
+        )
+        assert spec.fan_in == DEFAULT_FAN_IN
+        assert spec == JobSpec(op="sort", input=str(tmp_path / "in.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +217,19 @@ class TestSpoolReload:
         assert job_id in err
         assert "unknown spill codec 'front'" in err
 
-    def test_job_json_with_binary_spill_still_loads(self, tmp_path):
+    def test_job_json_with_binary_spill_is_dropped_loudly(
+        self, tmp_path, capsys
+    ):
         spool, job_id = self._finished_job(tmp_path)
         self._edit_job_json(spool, job_id, binary_spill=True)
+        capsys.readouterr()
         scheduler = JobScheduler(spool, total_memory=1000)
         try:
-            payload = scheduler.status(job_id)
-            assert payload is not None
-            assert payload["status"] == "done"
-            assert payload["records_out"] == 300
+            assert scheduler.status(job_id) is None
         finally:
             scheduler.shutdown()
+        assert not os.path.exists(os.path.join(spool, "jobs", job_id))
+        assert "unknown job fields: binary_spill" in capsys.readouterr().err
 
 
 
@@ -709,13 +699,14 @@ class TestLiveServer:
         _write_input(path, 50)
         for field, value in [("spill_codec", "bogus"),
                              ("spill_codec", "front+zlib"),
+                             ("spill_codec", "auto"),
                              ("algorithm", "bogus"), ("format", "bogus")]:
-            with pytest.raises(ServiceError, match="bogus|front"):
+            with pytest.raises(ServiceError, match="bogus|front|auto"):
                 client.submit({"op": "sort", "input": str(path),
                                field: value})
         assert os.listdir(tmp_path / "spool" / "jobs") == []
         payload = client.wait(client.submit(
-            {"op": "sort", "input": str(path), "spill_codec": "auto"}
+            {"op": "sort", "input": str(path)}
         )["id"])
         assert payload["status"] == "done", payload["error"]
 

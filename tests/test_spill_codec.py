@@ -4,8 +4,9 @@ Codec-layer units (compress/decompress round-trips), the RBLC block
 framing through ``BlockWriter`` / ``read_blocks`` including every
 corruption class and the retired wire ids, the raw-vs-on-disk byte
 accounting that feeds ``SortReport``, the codec key in both resume
-fingerprints, the planner's codec row (``auto`` is ``none``), and
-``--spill-codec auto`` output against ``none`` through the CLI.
+fingerprints, the planner's codec row (left to itself it picks
+``none``), and a CLI run naming no codec against ``--spill-codec
+none``.
 """
 
 import random
@@ -30,7 +31,6 @@ from repro.engine.planner import SortEngine, plan_sort
 from repro.engine.report import SortReport
 from repro.engine.resilience import ResumableSpillSort, SortJournal
 from repro.engine.spill_codec import (
-    AUTO_CODEC,
     SPILL_CODECS,
     SpillCodecError,
     compress_body,
@@ -60,8 +60,9 @@ class TestValidateCodec:
         with pytest.raises(ValueError):
             validate_codec("snappy")
 
-    def test_auto_resolves_to_none(self):
-        assert validate_codec(AUTO_CODEC) == "none"
+    def test_auto_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown spill codec 'auto'"):
+            validate_codec("auto")
 
     def test_retired_front_codecs_are_unknown(self):
         for codec in ("front", "front+zlib"):
@@ -349,9 +350,10 @@ class TestEngineSpillCodecs:
             assert report.spill_disk_bytes < report.spill_raw_bytes
 
     def test_auto_codec_resolves_and_sorts(self):
+        # An engine that names no codec spills uncompressed.
         engine = SortEngine(
             GeneratorSpec("lss", 256), fan_in=4, buffer_records=64,
-            block_records=64, spill_codec=AUTO_CODEC,
+            block_records=64,
         )
         assert engine.spill_codec == "none"
         assert list(engine.sort(iter(self.DATA))) == sorted(self.DATA)
@@ -438,32 +440,29 @@ class TestPlannerCodecRow:
 
     def test_auto_single_pass_picks_none(self):
         for records in (101, 500, 1000):
-            plan = plan_sort(memory=100, input_records=records,
-                             codec=AUTO_CODEC)
+            plan = plan_sort(memory=100, input_records=records)
             assert plan.mode == "spill"
             assert plan.codec == "none"
 
     def test_auto_multi_pass_or_unknown_picks_none(self):
         for records in (None, 5000, 10_000_000):
-            plan = plan_sort(memory=100, input_records=records,
-                             codec=AUTO_CODEC)
+            plan = plan_sort(memory=100, input_records=records)
             assert plan.mode == "spill"
             assert plan.codec == "none"
 
     def test_lzma_never_chosen_automatically(self):
         for records in (None, 10, 10_000, 10_000_000):
             for memory in (1, 100, 100_000):
-                plan = plan_sort(memory=memory, input_records=records,
-                                 codec=AUTO_CODEC)
+                plan = plan_sort(memory=memory, input_records=records)
                 assert plan.codec != "lzma"
 
     def test_plan_in_memory_has_no_codec(self):
-        plan = plan_sort(memory=1000, input_records=10, codec=AUTO_CODEC)
+        plan = plan_sort(memory=1000, input_records=10)
         assert plan.mode == "in_memory"
         assert plan.codec is None
 
     def test_plan_spill_resolves_auto(self):
-        plan = plan_sort(memory=100, input_records=50_000, codec=AUTO_CODEC)
+        plan = plan_sort(memory=100, input_records=50_000)
         assert plan.mode == "spill"
         assert plan.codec == "none"
 
@@ -473,7 +472,7 @@ class TestPlannerCodecRow:
 
 
 # ---------------------------------------------------------------------------
-# CLI: ``auto`` is ``none``; retired names are argparse errors
+# CLI: no codec named is ``none``; retired names are argparse errors
 # ---------------------------------------------------------------------------
 
 
@@ -519,17 +518,17 @@ class TestAutoCodecCli:
             "join": ["join", *csv, str(left), str(right)],
         }[case]
         argv = argv[:1] + ["--memory", "50"] + argv[1:]
+        # A command that names no codec runs as one naming ``none``.
         outputs = {
-            codec: _cli_bytes(
-                capsys, argv[:1] + ["--spill-codec", codec] + argv[1:],
-                tmp_path / f"{case}-{codec}.out",
-            )
-            for codec in ("none", AUTO_CODEC)
+            name: _cli_bytes(capsys, argv[:1] + flags + argv[1:],
+                             tmp_path / f"{case}-{name}.out")
+            for name, flags in (("none", ["--spill-codec", "none"]),
+                                ("auto", []))
         }
         assert outputs["none"]
-        assert outputs[AUTO_CODEC] == outputs["none"]
+        assert outputs["auto"] == outputs["none"]
 
-    @pytest.mark.parametrize("codec", ["front", "front+zlib"])
+    @pytest.mark.parametrize("codec", ["front", "front+zlib", "auto"])
     def test_retired_codec_is_an_argparse_error(self, tmp_path, capsys,
                                                 codec):
         source = tmp_path / "in.txt"
