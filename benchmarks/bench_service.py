@@ -1,6 +1,6 @@
 """Load generator for the resident sort service (DESIGN.md §16).
 
-Starts a real server (in-process asyncio listener over a temp spool),
+Starts a real server (in-process threaded listener over a temp spool),
 then drives it at several client concurrency levels: each client
 thread submits spilling sort jobs and waits for each over the TCP
 protocol (a server-side ``wait`` that answers once the job is done),
@@ -24,7 +24,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import hashlib
 import io
 import json
@@ -186,10 +185,9 @@ def main(argv: List[str] | None = None) -> int:
         )
         endpoint = os.path.join(work, "endpoint.json")
 
-        def serve() -> None:
-            asyncio.run(service.run(endpoint_file=endpoint))
-
-        thread = threading.Thread(target=serve, daemon=True)
+        thread = threading.Thread(
+            target=service.run, args=(endpoint,), daemon=True
+        )
         thread.start()
         address = read_endpoint(endpoint, timeout=30.0)
         client = ServiceClient(address)

@@ -570,13 +570,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"--tenant-quota expects TENANT=RECORDS, got {item!r}"
             )
         quotas[tenant] = int(limit)
-    # Deferred import: asyncio/service machinery only loads for the
+    # Deferred import: the service machinery only loads for the
     # service subcommands, not for plain sorts.
-    import asyncio
-
     from repro.service.server import SortService
 
-    # The server's modules (operators, store, asyncio) live as long as
+    # The server's modules (operators, store, scheduler) live as long as
     # the process too; frozen like the sort path's, they stay out of
     # every collection the long-running server makes.
     gc.freeze()
@@ -590,7 +588,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_quota=args.default_quota,
     )
     try:
-        asyncio.run(service.run(endpoint_file=args.endpoint_file))
+        service.run(endpoint_file=args.endpoint_file)
     except KeyboardInterrupt:
         # Ctrl-C ran the same teardown as a ``shutdown`` request: the
         # running jobs were cancelled, not waited for, and re-attach by

@@ -1,29 +1,30 @@
-"""R004 — MemoryBroker request/release pairing.
+"""R004 — memory grant request/release pairing.
 
-Unpaired requests and releases are how a broker pool drifts:
+Unpaired requests and releases are how a shared memory pool drifts:
 memory requested and never released (or released twice) shrinks the
-shared pool until concurrent sorts starve.  The harder variant is a
-job that fails *between* request and release: it leaks its grant
-forever unless the release sits on the error path too.
+pool until concurrent jobs starve.  The harder variant is a job that
+fails *between* request and release: it leaks its grant forever
+unless the release sits on the error path too.
+
+Two pools hand out grants, each through one request/release pair:
+
+* ``MemoryBroker.try_allocate`` / ``release`` (the simulator's broker);
+* ``JobScheduler._acquire`` / ``_release`` (the service's admission,
+  DESIGN.md §16), which ``JobScheduler._run`` pairs around a job.
 
 The rule checks every function (outside the broker module itself)
-that calls ``request`` / ``request_or_enqueue`` / ``try_allocate`` on
-some receiver:
+that calls a request on some receiver:
 
-* the function must also call ``release`` / ``release_and_regrant``
-  / ``cancel_owner`` on the *same* receiver, and at least one must sit
-  inside a ``finally`` block or ``except`` handler — a straight-line
-  release never runs when the sorting work in between raises; or
+* the function must also call the matching release on the *same*
+  receiver, and at least one such call must sit inside a ``finally``
+  block or ``except`` handler — a straight-line release never runs
+  when the work in between raises; or
 * the granted amount must escape via ``return`` (an acquisition
   helper transfers the pairing obligation to its caller, which is
   then linted itself).
 
-No ``src/`` code outside the broker module calls these methods today:
-the simulator lives in that module, and the service scheduler keeps
-its own pool counters.  ``request_or_enqueue``, ``release_and_regrant``
-and ``cancel_owner`` are no longer broker methods either; the names
-stay so that the rule and its corpus are unchanged.  Scoped to ``src/repro`` (tests hammer brokers in
-deliberately unpaired ways to prove the accounting).
+Scoped to ``src/repro`` (tests hammer brokers in deliberately
+unpaired ways to prove the accounting).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from repro.lint.astutil import (
 from repro.lint.findings import Finding
 from repro.lint.registry import FileContext, rule
 
-_REQUESTS = ("request", "request_or_enqueue", "try_allocate")
-_RELEASES = ("release", "release_and_regrant", "cancel_owner")
+#: Request method -> the release method that returns its grant.
+_PAIRS = {"try_allocate": "release", "_acquire": "_release"}
 
 
 def _in_scope(logical_path: str) -> bool:
@@ -75,7 +76,7 @@ def _request_calls(scope: Scope) -> List[Tuple[ast.Call, str, Optional[str]]]:
     for node in scope.nodes():
         if (
             isinstance(node, ast.Call)
-            and last_component(node.func) in _REQUESTS
+            and last_component(node.func) in _PAIRS
         ):
             receiver = _receiver(node)
             if receiver is not None:
@@ -107,26 +108,29 @@ def check_broker_pairing(ctx: FileContext) -> List[Finding]:
             continue
         guarded = guarded_lines(scope)
         releases = [
-            (node, _receiver(node))
+            (node, _receiver(node), last_component(node.func))
             for node in scope.nodes()
             if isinstance(node, ast.Call)
-            and last_component(node.func) in _RELEASES
         ]
         for call, receiver, assigned_name in requests:
             if _grant_escapes(scope, call, assigned_name):
                 continue  # acquisition helper; the caller owns pairing
-            paired = [rel for rel, recv in releases if recv == receiver]
             method = last_component(call.func)
+            paired = [
+                rel
+                for rel, recv, name in releases
+                if recv == receiver and name == _PAIRS[method]
+            ]
             if not paired:
                 findings.append(
                     Finding(
                         ctx.path,
                         call.lineno,
                         "R004",
-                        f"{receiver}.{method}() has no matching release "
-                        f"on {receiver!r} in this function — an "
-                        f"unreleased grant shrinks the shared pool for "
-                        f"every other sort until the process dies",
+                        f"{receiver}.{method}() has no matching "
+                        f"{receiver}.{_PAIRS[method]}() in this function "
+                        f"— an unreleased grant shrinks the shared pool for "
+                        f"every other job until the process dies",
                     )
                 )
             elif not any(rel.lineno in guarded for rel in paired):

@@ -22,9 +22,6 @@ Within ``repro/core``, ``repro/engine``, ``repro/merge``,
   spelled-out-name check) and ``datetime...now`` / ``utcnow`` /
   ``today``.  Monotonic measurement (``perf_counter``, ``monotonic``)
   and ``sleep`` are fine — they time work, they do not stamp output.
-  One carve-out: ``loop.time()`` — the asyncio event loop's clock is
-  monotonic by contract, and it is the sanctioned timestamp source for
-  the resident service.
 
 Report/bench code is deliberately out of scope (timings belong there),
 as are tests.
@@ -42,20 +39,11 @@ from repro.lint.registry import FileContext, rule
 _CORE_PACKAGES = ("core", "engine", "merge", "ops", "service", "store")
 _WALL_CLOCK_NAMES = ("time", "time_ns")
 _DATETIME_READS = ("now", "utcnow", "today")
-#: The asyncio event loop's clock is monotonic by contract; the
-#: resident service stamps uptime/latency with it, never wall time.
-_MONOTONIC_RECEIVERS = ("loop",)
 
 
 def _in_scope(logical_path: str) -> bool:
     path = logical_path.replace("\\", "/")
     return any(f"repro/{package}/" in path for package in _CORE_PACKAGES)
-
-
-def _is_monotonic_receiver(target: str) -> bool:
-    """``loop.time()`` (any ``*loop`` receiver) is monotonic, not wall."""
-    receiver = target.rsplit(".", 1)[0]
-    return receiver.split(".")[-1].endswith(_MONOTONIC_RECEIVERS)
 
 
 def _flag(ctx: FileContext, node: ast.AST, detail: str) -> Finding:
@@ -115,15 +103,15 @@ def check_determinism(ctx: FileContext) -> List[Finding]:
         elif (
             "." in target
             and last_component(node.func) in _WALL_CLOCK_NAMES
-            and not _is_monotonic_receiver(target)
         ):
             findings.append(
                 _flag(
                     ctx,
                     node,
                     f"{target}() reads the wall clock; use "
-                    f"time.perf_counter() for durations, loop.time() "
-                    f"on the event loop, or accept a clock parameter",
+                    f"time.perf_counter() for durations, "
+                    f"time.monotonic() for timestamps, or accept a "
+                    f"clock parameter",
                 )
             )
         elif (

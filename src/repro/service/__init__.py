@@ -1,8 +1,9 @@
 """Resident sort service (DESIGN.md §16).
 
-One long-running asyncio process accepts sort/distinct/agg/join/topk
-jobs over a small length-prefixed JSON protocol, runs each through the
-existing :class:`~repro.engine.planner.SortEngine`, and admits each job
+One long-running process accepts sort/distinct/agg/join/topk jobs
+over a small length-prefixed JSON protocol, serving each connection on
+a thread of its own; it runs each job through the existing
+:class:`~repro.engine.planner.SortEngine`, and admits each job
 to one shared memory pool with per-tenant quotas: a job runs once its
 whole ask fits both the pool and its tenant's quota.
 

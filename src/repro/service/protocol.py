@@ -6,11 +6,11 @@ stream self-delimiting over plain TCP with zero dependencies, and the
 JSON body keeps the protocol inspectable — ``nc`` plus a hand-built
 header is a usable debugging client.
 
-The framing itself (:func:`encode_message`, the body and length
-checks) lives here, with the blocking-socket helpers the client uses;
-the server's ``asyncio`` stream helpers in :mod:`repro.service.server`
-build on the same pieces, so the two ends can never drift apart on
-framing, and the client never imports ``asyncio``.
+The framing (:func:`encode_message`, the body and length checks) and
+the blocking-socket helpers :func:`send_message` and
+:func:`recv_message` live here, and both ends use them: the client on
+its one socket, the server on each connection's thread.  So the two
+ends can never drift apart on framing.
 """
 
 from __future__ import annotations

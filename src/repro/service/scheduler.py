@@ -33,10 +33,9 @@ import shutil
 import sys
 import threading
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.errors import SortError
 from repro.engine.resilience import read_marker, write_marker
@@ -84,11 +83,6 @@ class JobScheduler:
         Per-tenant memory caps in records, each at least 1; tenants not
         listed get ``default_quota`` (the whole pool when that is None
         too).
-    on_finish:
-        Called with a job's id, on the thread that finished it, each
-        time the job's terminal status is published — the server's
-        completion push.  An exception it raises is printed to stderr
-        and otherwise ignored.
     """
 
     def __init__(
@@ -98,7 +92,6 @@ class JobScheduler:
         job_workers: int = 8,
         tenant_quotas: Optional[Dict[str, int]] = None,
         default_quota: Optional[int] = None,
-        on_finish: Optional[Callable[[str], None]] = None,
     ) -> None:
         if total_memory < 1:
             raise ValueError(f"total_memory must be >= 1, got {total_memory}")
@@ -124,12 +117,13 @@ class JobScheduler:
         self._waiters: List[Tuple[JobState, str, int]] = []
         self._jobs: Dict[str, JobState] = {}
         self._admission = threading.Condition()
-        self._lock = threading.RLock()
+        #: Guards the job table and each job's status; notified when a
+        #: job turns terminal and when shutdown starts.
+        self._lock = threading.Condition()
         self._executor = ThreadPoolExecutor(
             max_workers=job_workers, thread_name_prefix="repro-job"
         )
         self._shut_down = False
-        self._on_finish = on_finish
         self._scan_spool()
 
     # -- submission and queries ------------------------------------------------
@@ -187,6 +181,29 @@ class JobScheduler:
                 return None
             return self._status_payload(state)
 
+    def wait(self, job_id: str, timeout: float) -> Optional[Dict[str, Any]]:
+        """``job_id``'s status payload once the job is terminal or
+        ``timeout`` seconds have passed; None for an unknown id.
+
+        Shutdown turns every queued, waiting or running job terminal,
+        so it ends these waits too; a wait on an ``interrupted`` job,
+        which nothing will finish, returns as shutdown starts.
+        """
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            while True:
+                state = self._jobs.get(job_id)
+                if state is None:
+                    return None
+                remaining = deadline - time.monotonic()
+                if (
+                    state.status in TERMINAL_STATES
+                    or remaining <= 0
+                    or (self._shut_down and state.status == "interrupted")
+                ):
+                    return self._status_payload(state)
+                self._lock.wait(remaining)
+
     def list_jobs(self) -> List[Dict[str, Any]]:
         with self._lock:
             return [
@@ -231,6 +248,7 @@ class JobScheduler:
             if self._shut_down:
                 return
             self._shut_down = True
+            self._lock.notify_all()
             states = list(self._jobs.values())
         for state in states:
             if state.status not in TERMINAL_STATES:
@@ -272,11 +290,7 @@ class JobScheduler:
             status = "failed"
         finally:
             if granted:
-                tenant = state.spec.tenant
-                with self._admission:
-                    self.pool_used -= granted
-                    self._tenant_used[tenant] -= granted
-                    self._admission.notify_all()
+                self._release(state, granted)
         # Published only after the grant and the tenant quota are back:
         # a client that sees a terminal status also sees the memory
         # returned to the pool.
@@ -309,6 +323,13 @@ class JobScheduler:
             # Waiters behind this one may have stood back for its ask.
             self._admission.notify_all()
         raise JobCancelled(f"job {state.job_id} cancelled")
+
+    def _release(self, state: JobState, granted: int) -> None:
+        """Return a job's grant to the pool and to its tenant's quota."""
+        with self._admission:
+            self.pool_used -= granted
+            self._tenant_used[state.spec.tenant] -= granted
+            self._admission.notify_all()
 
     def _admits(self, entry: Tuple[JobState, str, int]) -> bool:
         """Would a first-fit pass over the waiters, in arrival order,
@@ -371,23 +392,27 @@ class JobScheduler:
             state.status = status
 
     def _finish(self, state: JobState, status: str) -> None:
+        """Persist the terminal status, then publish it.
+
+        A client that sees the job terminal can rely on ``status.json``
+        surviving a restart.  The status turns terminal in memory, and
+        its waits wake, even when persisting it fails.
+        """
+        finished_m = time.monotonic()
         with self._lock:
-            state.status = status
-            state.finished_m = time.monotonic()
-            payload = self._status_payload(state)
+            payload = self._status_payload(
+                replace(state, status=status, finished_m=finished_m)
+            )
         try:
             write_marker(
                 os.path.join(self._job_dir(state.job_id), "status.json"),
                 payload,
             )
         finally:
-            # The status is terminal in memory either way: wake its
-            # waiters even when persisting it failed.
-            if self._on_finish is not None:
-                try:
-                    self._on_finish(state.job_id)
-                except Exception:  # a broken hook must not stop _finish
-                    traceback.print_exc(file=sys.stderr)
+            with self._lock:
+                state.status = status
+                state.finished_m = finished_m
+                self._lock.notify_all()
 
     def _status_payload(self, state: JobState) -> Dict[str, Any]:
         outcome = state.outcome

@@ -1,9 +1,9 @@
-"""The resident sort service: an asyncio front over the scheduler.
+"""The resident sort service: a threaded front over the scheduler.
 
-One event loop accepts connections (``asyncio.start_server``) and
-speaks the length-prefixed JSON protocol; all sorting happens in the
-scheduler's worker threads, so the loop only ever does cheap dict
-work, file-chunk reads via the default executor, and socket I/O.
+A :class:`socketserver.ThreadingTCPServer` accepts connections and
+serves each on a thread of its own, reading and writing frames with
+the blocking :mod:`repro.service.protocol` helpers the client uses;
+all sorting happens in the scheduler's worker threads.
 
 Commands (one request object per frame)::
 
@@ -19,33 +19,30 @@ Commands (one request object per frame)::
 
 ``wait`` answers with the ``status`` payload as soon as the job turns
 terminal, or with its current status once ``timeout`` seconds (at most
-:data:`WAIT_CAP_S`) run out.  The scheduler pushes each completion to
-the loop, so a waiting client learns of it without polling.
+:data:`WAIT_CAP_S`) run out: the connection's thread blocks in
+:meth:`JobScheduler.wait`, which the job's completion wakes, so a
+waiting client learns of it without polling.
 
 Every response carries ``ok``; failures carry ``error`` and never
 close the connection — a client can keep a session open.
 
-Timestamps use the event loop's own monotonic clock (``loop.time()``,
-the sanctioned R006 carve-out) — the service never reads the wall
-clock, so nothing time-derived can leak into job output.
+Timestamps come from ``time.monotonic()`` — the service never reads
+the wall clock, so nothing time-derived can leak into job output.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
-from typing import Any, Dict, Optional, Set, Tuple
+import socket
+import socketserver
+import threading
+import time
+from typing import Any, Dict, Optional, Tuple
 
 from repro.engine.resilience import write_marker
 from repro.service.jobs import JobSpec
-from repro.service.protocol import (
-    HEADER,
-    ProtocolError,
-    check_length,
-    decode_body,
-    encode_message,
-)
-from repro.service.scheduler import TERMINAL_STATES, JobScheduler
+from repro.service.protocol import ProtocolError, recv_message, send_message
+from repro.service.scheduler import JobScheduler
 
 __all__ = ["SortService"]
 
@@ -60,32 +57,26 @@ WAIT_CAP_S = 10.0
 #: Seconds shutdown gives answered waits to write their replies.
 _SHUTDOWN_REPLY_S = 1.0
 
-
-async def read_message(
-    reader: asyncio.StreamReader,
-) -> Optional[Dict[str, Any]]:
-    """Next message from an asyncio stream; None on clean EOF."""
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise ProtocolError("connection closed mid-header") from None
-    (length,) = HEADER.unpack(header)
-    check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid-message") from None
-    return decode_body(body)
+#: Seconds between the listener's checks for a ``shutdown`` request.
+_SHUTDOWN_POLL_S = 0.05
 
 
-async def write_message(
-    writer: asyncio.StreamWriter, payload: Dict[str, Any]
-) -> None:
-    """Send one message over an asyncio stream and drain the buffer."""
-    writer.write(encode_message(payload))
-    await writer.drain()
+class _Listener(socketserver.ThreadingTCPServer):
+    """Accepts connections; each is served by ``SortService._serve``
+    on a daemon thread, which the service joins itself at shutdown."""
+
+    daemon_threads = True
+    block_on_close = False
+    allow_reuse_address = True
+
+    def __init__(self, service: "SortService") -> None:
+        self.service = service
+        super().__init__(
+            (service.host, service.port), socketserver.BaseRequestHandler
+        )
+
+    def finish_request(self, request: Any, client_address: Any) -> None:
+        self.service._serve(request)
 
 
 class SortService:
@@ -107,151 +98,133 @@ class SortService:
             job_workers=job_workers,
             tenant_quotas=tenant_quotas,
             default_quota=default_quota,
-            on_finish=self._job_finished,
         )
         self.host = host
         self.port = port
         self.bound: Optional[Tuple[str, int]] = None
-        self._stop = asyncio.Event()
         self._started_at = 0.0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Job id -> futures of the ``wait`` requests parked on it.
-        # Touched only on the loop thread; each request removes its own
-        # future once its reply is written.
-        self._waiters: Dict[str, Set["asyncio.Future[None]"]] = {}
-        self._no_waiters = asyncio.Event()
-        self._no_waiters.set()
+        self._listener: Optional[_Listener] = None
+        # Open connection -> the thread serving it.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
 
-    async def run(self, endpoint_file: Optional[str] = None) -> None:
+    def run(self, endpoint_file: Optional[str] = None) -> None:
         """Serve until a ``shutdown`` command or Ctrl-C arrives."""
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self._started_at = loop.time()
-        sockname = server.sockets[0].getsockname()
+        listener = _Listener(self)
+        self._listener = listener
+        self._started_at = time.monotonic()
+        sockname = listener.socket.getsockname()
         self.bound = (str(sockname[0]), int(sockname[1]))
-        if endpoint_file:
-            # Atomic, like every other publish: a client watching for
-            # the endpoint file must never read half an address.
-            write_marker(
-                endpoint_file,
-                {"host": self.bound[0], "port": self.bound[1]},
-            )
-        print(
-            f"repro-service listening on {self.bound[0]}:{self.bound[1]} "
-            f"(pid {os.getpid()})",
-            flush=True,
-        )
-        async with server:
-            try:
-                await self._stop.wait()
-            finally:
-                # A ``shutdown`` request and Ctrl-C (which cancels this
-                # task) tear down alike.  Leaving the block waits for
-                # open connections (3.12+), and a parked ``wait`` holds
-                # one open: stop accepting, cancel the jobs, and answer
-                # every wait before that.
-                server.close()
-                await loop.run_in_executor(None, self.scheduler.shutdown)
-                for job_id in list(self._waiters):
-                    self._wake(job_id)
-                try:
-                    await asyncio.wait_for(
-                        self._no_waiters.wait(), _SHUTDOWN_REPLY_S
-                    )
-                except asyncio.TimeoutError:
-                    pass
-
-    # -- completion push -------------------------------------------------------
-
-    def _job_finished(self, job_id: str) -> None:
-        """Scheduler hook, on a worker thread: wake ``job_id``'s waits."""
-        loop = self._loop
-        if loop is None:
-            return
         try:
-            loop.call_soon_threadsafe(self._wake, job_id)
-        except RuntimeError:
-            pass  # the loop has closed: nobody is left waiting
+            if endpoint_file:
+                # Atomic, like every other publish: a client watching
+                # for the endpoint file must never read half an address.
+                write_marker(
+                    endpoint_file,
+                    {"host": self.bound[0], "port": self.bound[1]},
+                )
+            print(
+                f"repro-service listening on {self.bound[0]}:"
+                f"{self.bound[1]} (pid {os.getpid()})",
+                flush=True,
+            )
+            listener.serve_forever(_SHUTDOWN_POLL_S)
+        finally:
+            # A ``shutdown`` request and Ctrl-C tear down alike: stop
+            # accepting, cancel the jobs (which answers every parked
+            # wait), then end the open connections.
+            listener.server_close()
+            self.scheduler.shutdown()
+            self._close_connections()
 
-    def _wake(self, job_id: str) -> None:
-        for woken in self._waiters.get(job_id, ()):
-            if not woken.done():
-                woken.set_result(None)
+    def _close_connections(self) -> None:
+        """Let each connection finish the reply it is writing, then
+        end it: its next read sees EOF."""
+        with self._connections_lock:
+            live = dict(self._connections)
+        for sock in live:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the client already went away
+        deadline = time.monotonic() + _SHUTDOWN_REPLY_S
+        for thread in live.values():
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     # -- connection handling ---------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve(self, sock: socket.socket) -> None:
+        """One connection's requests, in order, until EOF or ``shutdown``."""
+        with self._connections_lock:
+            self._connections[sock] = threading.current_thread()
         try:
             while True:
                 try:
-                    request = await read_message(reader)
+                    request = recv_message(sock)
                 except ProtocolError as exc:
-                    await write_message(
-                        writer, {"ok": False, "error": str(exc)}
-                    )
+                    send_message(sock, {"ok": False, "error": str(exc)})
                     break
                 if request is None:
                     break
-                await self._dispatch(request, writer)
+                self._dispatch(request, sock)
                 if request.get("cmd") == "shutdown":
                     break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+        except OSError:
+            pass  # the client went away mid-request or mid-reply
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            with self._connections_lock:
+                del self._connections[sock]
 
-    async def _dispatch(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
+    def _dispatch(self, request: Dict[str, Any], sock: socket.socket) -> None:
         cmd = str(request.get("cmd", ""))
         try:
             if cmd == "ping":
-                loop = asyncio.get_running_loop()
-                await write_message(
-                    writer,
+                send_message(
+                    sock,
                     {
                         "ok": True,
-                        "uptime_s": round(loop.time() - self._started_at, 3),
+                        "uptime_s": round(
+                            time.monotonic() - self._started_at, 3
+                        ),
                         "jobs": len(self.scheduler.list_jobs()),
                     },
                 )
             elif cmd == "submit":
-                await write_message(writer, self._submit(request))
+                send_message(sock, self._submit(request))
             elif cmd == "status":
-                await write_message(writer, self._status(request))
+                job_id = str(request.get("id", ""))
+                send_message(
+                    sock, _reply(job_id, self.scheduler.status(job_id))
+                )
             elif cmd == "wait":
-                await self._wait(request, writer)
+                timeout = _wait_timeout(request)
+                job_id = str(request.get("id", ""))
+                send_message(
+                    sock, _reply(job_id, self.scheduler.wait(job_id, timeout))
+                )
             elif cmd == "cancel":
                 job_id = str(request.get("id", ""))
                 cancelled = self.scheduler.cancel(job_id)
-                await write_message(
-                    writer, {"ok": True, "id": job_id, "cancelled": cancelled}
+                send_message(
+                    sock, {"ok": True, "id": job_id, "cancelled": cancelled}
                 )
             elif cmd == "jobs":
-                await write_message(
-                    writer, {"ok": True, "jobs": self.scheduler.list_jobs()}
+                send_message(
+                    sock, {"ok": True, "jobs": self.scheduler.list_jobs()}
                 )
             elif cmd == "result":
-                await self._stream_result(request, writer)
+                self._stream_result(request, sock)
             elif cmd == "shutdown":
-                await write_message(writer, {"ok": True, "stopping": True})
-                self._stop.set()
+                send_message(sock, {"ok": True, "stopping": True})
+                if self._listener is not None:
+                    # Returns once run() has stopped serving.
+                    self._listener.shutdown()
             else:
-                await write_message(
-                    writer,
-                    {"ok": False, "error": f"unknown command {cmd!r}"},
+                send_message(
+                    sock, {"ok": False, "error": f"unknown command {cmd!r}"}
                 )
         except (ValueError, RuntimeError) as exc:
-            await write_message(writer, {"ok": False, "error": str(exc)})
+            send_message(sock, {"ok": False, "error": str(exc)})
 
     def _submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if "job" in request:
@@ -271,56 +244,17 @@ class SortService:
         payload = self.scheduler.status(state.job_id) or {}
         return {"ok": True, **payload}
 
-    def _status(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job_id = str(request.get("id", ""))
-        payload = self.scheduler.status(job_id)
-        if payload is None:
-            return {"ok": False, "error": f"unknown job id {job_id!r}"}
-        return {"ok": True, **payload}
-
-    async def _wait(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
-        timeout = _wait_timeout(request)
-        job_id = str(request.get("id", ""))
-        # Register before reading the status: a job that finishes in
-        # between wakes this future instead of being missed.
-        woken: "asyncio.Future[None]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._waiters.setdefault(job_id, set()).add(woken)
-        self._no_waiters.clear()
-        try:
-            reply = self._status(request)
-            if (
-                reply["ok"]
-                and reply["status"] not in TERMINAL_STATES
-                and not self._stop.is_set()
-            ):
-                await asyncio.wait({woken}, timeout=timeout)
-                reply = self._status(request)
-            await write_message(writer, reply)
-        finally:
-            waiters = self._waiters[job_id]
-            waiters.discard(woken)
-            if not waiters:
-                del self._waiters[job_id]
-                if not self._waiters:
-                    self._no_waiters.set()
-
-    async def _stream_result(
-        self, request: Dict[str, Any], writer: asyncio.StreamWriter
+    def _stream_result(
+        self, request: Dict[str, Any], sock: socket.socket
     ) -> None:
         job_id = str(request.get("id", ""))
         payload = self.scheduler.status(job_id)
         if payload is None:
-            await write_message(
-                writer, {"ok": False, "error": f"unknown job id {job_id!r}"}
-            )
+            send_message(sock, _reply(job_id, payload))
             return
         if payload["status"] != "done":
-            await write_message(
-                writer,
+            send_message(
+                sock,
                 {
                     "ok": False,
                     "error": f"job {job_id} is {payload['status']}, "
@@ -330,8 +264,8 @@ class SortService:
             return
         path = self.scheduler.result_path(job_id)
         if path is None or not os.path.isfile(path):
-            await write_message(
-                writer,
+            send_message(
+                sock,
                 {
                     "ok": False,
                     "error": f"result file for job {job_id} is missing "
@@ -339,22 +273,25 @@ class SortService:
                 },
             )
             return
-        loop = asyncio.get_running_loop()
         size = os.path.getsize(path)
-        await write_message(
-            writer,
-            {"ok": True, "type": "header", "id": job_id, "bytes": size},
+        send_message(
+            sock, {"ok": True, "type": "header", "id": job_id, "bytes": size}
         )
         # repro: lint-waive R002 result streaming re-reads the published output; the job that wrote it ran inside the seam
         with open(path, "r", encoding="utf-8") as handle:
             while True:
-                chunk = await loop.run_in_executor(
-                    None, handle.read, _RESULT_CHUNK_BYTES
-                )
+                chunk = handle.read(_RESULT_CHUNK_BYTES)
                 if not chunk:
                     break
-                await write_message(writer, {"type": "chunk", "data": chunk})
-        await write_message(writer, {"type": "end"})
+                send_message(sock, {"type": "chunk", "data": chunk})
+        send_message(sock, {"type": "end"})
+
+
+def _reply(job_id: str, payload: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """A job's status payload as a reply; an error for an unknown id."""
+    if payload is None:
+        return {"ok": False, "error": f"unknown job id {job_id!r}"}
+    return {"ok": True, **payload}
 
 
 def _wait_timeout(request: Dict[str, Any]) -> float:

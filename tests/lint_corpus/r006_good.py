@@ -16,9 +16,3 @@ def timed(work):
     start = time.perf_counter()
     work()
     return time.perf_counter() - start
-
-
-def uptime(loop, started_at):
-    # The asyncio event-loop clock is monotonic — sanctioned for the
-    # resident service's uptime/latency stamps.
-    return loop.time() - started_at

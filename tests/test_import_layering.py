@@ -97,6 +97,20 @@ def test_memory_broker_loads_no_multiprocessing():
     assert done.stdout.split() == []
 
 
+def test_serve_path_loads_no_asyncio():
+    # The service runs on threads only (DESIGN.md §16): neither the
+    # CLI nor the server module behind ``repro serve`` loads asyncio.
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli, repro.service.server; "
+         "print(' '.join(m for m in sys.modules "
+         "if m.split('.')[0] == 'asyncio'))"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.split() == []
+
+
 def test_registries_are_complete_in_a_fresh_interpreter():
     # The adaptive input heuristic registers itself when its module
     # loads; a lazy repro.core must not drop it from the registry the

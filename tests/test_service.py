@@ -4,7 +4,7 @@ Three layers, cheapest first:
 
 * scheduler-level — :class:`~repro.service.scheduler.JobScheduler`
   driven directly (quotas, cancellation, idempotent submit);
-* in-process server — a real asyncio listener in a thread, talked to
+* in-process server — a real threaded listener in a thread, talked to
   through :class:`~repro.service.client.ServiceClient` (concurrency,
   result streaming, sha256 identity with serial runs);
 * subprocess server — ``python -m repro.cli serve`` killed with
@@ -14,7 +14,6 @@ Three layers, cheapest first:
   the whole service path.
 """
 
-import asyncio
 import hashlib
 import io
 import itertools
@@ -380,6 +379,116 @@ class TestScheduler:
         finally:
             scheduler.shutdown()
 
+    def test_terminal_status_is_published_only_once_persisted(
+        self, tmp_path, monkeypatch
+    ):
+        """While ``status.json`` is being written, ``status`` and
+        ``wait`` still say ``running``: a client that sees ``done`` can
+        rely on the status surviving a restart."""
+        from repro.engine.resilience import read_marker
+        from repro.service import scheduler as scheduler_module
+
+        writing, release = threading.Event(), threading.Event()
+        write_marker = scheduler_module.write_marker
+
+        def held_write(path, payload):
+            if os.path.basename(path) == "status.json":
+                writing.set()
+                assert release.wait(30.0)
+            write_marker(path, payload)
+
+        monkeypatch.setattr(scheduler_module, "write_marker", held_write)
+        _write_input(tmp_path / "in.txt", 50)
+        scheduler = JobScheduler(
+            str(tmp_path / "spool"), total_memory=1000, job_workers=1
+        )
+        try:
+            job_id = scheduler.submit(JobSpec(
+                op="sort", input=str(tmp_path / "in.txt"), memory=64
+            )).job_id
+            assert writing.wait(30.0)
+            assert scheduler.status(job_id)["status"] == "running"
+            assert scheduler.wait(job_id, timeout=0.2)["status"] == "running"
+            release.set()
+            payload = scheduler.wait(job_id, timeout=30.0)
+            assert payload["status"] == "done"
+            assert read_marker(
+                str(tmp_path / "spool" / "jobs" / job_id / "status.json")
+            ) == payload
+        finally:
+            release.set()
+            scheduler.shutdown()
+
+    def test_waits_racing_completions_miss_none(self, tmp_path, monkeypatch):
+        """Two threads per job submit it and wait at once, under a tiny
+        switch interval: every wait returns ``done`` well inside its
+        timeout, so no completion slipped between a status check and
+        the wait."""
+        from repro.service import scheduler as scheduler_module
+        from repro.service.runner import JobOutcome
+
+        def quick_run_job(spec, *, memory, work_dir, result_path,
+                          cancel=None, job_id=""):
+            return JobOutcome(records_out=0)
+
+        monkeypatch.setattr(scheduler_module, "run_job", quick_run_job)
+        _write_input(tmp_path / "in.txt", 10)
+        scheduler = JobScheduler(
+            str(tmp_path / "spool"), total_memory=1000, job_workers=4
+        )
+        statuses = []
+
+        def submit_and_wait(fan_in):
+            job_id = scheduler.submit(JobSpec(
+                op="sort", input=str(tmp_path / "in.txt"), memory=10,
+                fan_in=fan_in,
+            )).job_id
+            statuses.append(scheduler.wait(job_id, timeout=20.0)["status"])
+
+        threads = [threading.Thread(target=submit_and_wait, args=(fan_in,))
+                   for fan_in in range(2, 18) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert time.monotonic() - started < 15.0
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.shutdown()
+        assert statuses == ["done"] * len(threads)
+
+    def test_failed_status_write_still_publishes_the_status(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import scheduler as scheduler_module
+
+        write_marker = scheduler_module.write_marker
+
+        def failing_write(path, payload):
+            if os.path.basename(path) == "status.json":
+                raise OSError("disk full")
+            write_marker(path, payload)
+
+        monkeypatch.setattr(scheduler_module, "write_marker", failing_write)
+        _write_input(tmp_path / "in.txt", 50)
+        scheduler = JobScheduler(
+            str(tmp_path / "spool"), total_memory=1000, job_workers=1
+        )
+        try:
+            job_id = scheduler.submit(JobSpec(
+                op="sort", input=str(tmp_path / "in.txt"), memory=64
+            )).job_id
+            started = time.monotonic()
+            assert scheduler.wait(job_id, timeout=30.0)["status"] == "done"
+            assert time.monotonic() - started < 10.0
+        finally:
+            scheduler.shutdown()
+
     def test_waiter_over_its_quota_does_not_block_a_job_that_fits(
         self, tmp_path, monkeypatch
     ):
@@ -536,17 +645,15 @@ class TestScheduler:
         self, tmp_path, monkeypatch
     ):
         """``shutdown`` drops queued runs from the executor; those jobs
-        still turn terminal through ``_finish`` and its hook."""
+        still turn terminal through ``_finish``."""
         from repro.service import scheduler as scheduler_module
 
         monkeypatch.setattr(
             scheduler_module, "run_job", _gated_run_job(threading.Event())
         )
         _write_input(tmp_path / "in.txt", 10)
-        finished = []
         scheduler = JobScheduler(
-            str(tmp_path / "spool"), total_memory=100, job_workers=1,
-            on_finish=finished.append,
+            str(tmp_path / "spool"), total_memory=100, job_workers=1
         )
         running = scheduler.submit(
             JobSpec(op="sort", input=str(tmp_path / "in.txt"), memory=10)
@@ -558,46 +665,12 @@ class TestScheduler:
         scheduler.shutdown()
         assert scheduler.status(running.job_id)["status"] == "cancelled"
         assert scheduler.status(queued.job_id)["status"] == "cancelled"
-        assert sorted(finished) == sorted([running.job_id, queued.job_id])
         # Published like any terminal status: a restart reloads it.
         reloaded = JobScheduler(str(tmp_path / "spool"), total_memory=100)
         try:
             assert reloaded.status(queued.job_id)["status"] == "cancelled"
         finally:
             reloaded.shutdown()
-
-    def test_failing_finish_hook_does_not_stop_finish(
-        self, tmp_path, capsys
-    ):
-        def broken_hook(job_id):
-            raise RuntimeError(f"hook broke on {job_id}")
-
-        _write_input(tmp_path / "in.txt", 50)
-        scheduler = JobScheduler(
-            str(tmp_path / "spool"), total_memory=1000, job_workers=1,
-            on_finish=broken_hook,
-        )
-        returned = []
-        finish = scheduler._finish
-
-        def observed_finish(state, status):
-            finish(state, status)
-            returned.append(status)
-
-        scheduler._finish = observed_finish
-        try:
-            for fan_in in (4, 5):
-                job_id = scheduler.submit(JobSpec(
-                    op="sort", input=str(tmp_path / "in.txt"), memory=64,
-                    fan_in=fan_in,
-                )).job_id
-                payload = _wait_scheduler(scheduler, job_id)
-                assert payload["status"] == "done"
-        finally:
-            scheduler.shutdown()
-        assert returned == ["done", "done"]
-        err = capsys.readouterr().err
-        assert err.count("RuntimeError: hook broke on") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -606,19 +679,34 @@ class TestScheduler:
 
 
 def _start_service(tmp_path):
-    """A real server on an asyncio loop in a daemon thread."""
+    """A real server in a daemon thread."""
     service = SortService(
         str(tmp_path / "spool"), total_memory=2000, job_workers=4
     )
     endpoint = tmp_path / "endpoint.json"
-
-    def serve():
-        asyncio.run(service.run(endpoint_file=str(endpoint)))
-
-    thread = threading.Thread(target=serve, daemon=True)
+    thread = threading.Thread(
+        target=service.run, args=(str(endpoint),), daemon=True
+    )
     thread.start()
     client = ServiceClient(read_endpoint(str(endpoint), timeout=30.0))
     return service, thread, client
+
+
+def _parked_waits(service, monkeypatch):
+    """The job ids of the ``wait`` calls now inside the scheduler, one
+    entry per call, kept up to date as calls enter and return."""
+    parked = []
+    wait = service.scheduler.wait
+
+    def tracked(job_id, timeout):
+        parked.append(job_id)
+        try:
+            return wait(job_id, timeout)
+        finally:
+            parked.remove(job_id)
+
+    monkeypatch.setattr(service.scheduler, "wait", tracked)
+    return parked
 
 
 @pytest.fixture()
@@ -752,6 +840,7 @@ class TestWait:
     ):
         service, client, tmp_path = live_service
         job_id, gate = self._gated_job(service, client, tmp_path, monkeypatch)
+        parked = _parked_waits(service, monkeypatch)
         outcome = {}
 
         def waiter():
@@ -760,7 +849,7 @@ class TestWait:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        _wait_until(lambda: job_id in service._waiters, "a parked wait")
+        _wait_until(lambda: job_id in parked, "a parked wait")
         released = time.monotonic()
         gate.set()
         thread.join(timeout=10.0)
@@ -865,37 +954,17 @@ class TestWait:
     ):
         service, client, tmp_path = live_service
         job_id, gate = self._gated_job(service, client, tmp_path, monkeypatch)
+        parked = _parked_waits(service, monkeypatch)
         sock, ask = self._raw(client)
         with sock:
             from repro.service.protocol import send_message
 
             send_message(sock, {"cmd": "wait", "id": job_id})
-            _wait_until(lambda: job_id in service._waiters, "a parked wait")
+            _wait_until(lambda: job_id in parked, "a parked wait")
         gate.set()
         assert client.wait(job_id, timeout=30.0)["status"] == "done"
-        _wait_until(lambda: not service._waiters, "the waiter to leave")
+        _wait_until(lambda: not parked, "the waiter to leave")
         assert client.ping()["ok"] is True
-
-    def test_failing_completion_hook_keeps_the_server_answering(
-        self, live_service, monkeypatch, capsys
-    ):
-        from repro.service import server as server_module
-
-        service, client, tmp_path = live_service
-        monkeypatch.setattr(server_module, "WAIT_CAP_S", 0.2)
-
-        def broken_hook(job_id):
-            raise RuntimeError(f"hook broke on {job_id}")
-
-        monkeypatch.setattr(service.scheduler, "_on_finish", broken_hook)
-        _write_input(tmp_path / "in.txt", 50)
-        job_id = client.submit(
-            {"op": "sort", "input": str(tmp_path / "in.txt"), "memory": 64}
-        )["id"]
-        # No push arrives, so the wait ends with a window's re-read.
-        assert client.wait(job_id, timeout=30.0)["status"] == "done"
-        assert client.ping()["ok"] is True
-        assert f"hook broke on {job_id}" in capsys.readouterr().err
 
     def test_submit_wait_cli_prints_the_status_payload(
         self, live_service, capsys
@@ -913,12 +982,13 @@ class TestWait:
         assert printed["status"] == "done"
         assert printed == client.status(printed["id"])
 
-    def test_shutdown_answers_a_pending_wait(self, tmp_path):
+    def test_shutdown_answers_a_pending_wait(self, tmp_path, monkeypatch):
         """A parked ``wait`` must neither hold the listener open nor
         keep its job running: shutdown cancels and answers it."""
         from repro.service.client import ServiceError
 
         service, serving, client = _start_service(tmp_path)
+        parked = _parked_waits(service, monkeypatch)
         waiter = None
         try:
             _write_input(tmp_path / "big.txt", 600_000, stride=31)
@@ -937,7 +1007,7 @@ class TestWait:
 
             waiter = threading.Thread(target=wait_for_job)
             waiter.start()
-            _wait_until(lambda: job_id in service._waiters, "a parked wait")
+            _wait_until(lambda: job_id in parked, "a parked wait")
             started = time.monotonic()
             client.shutdown()
             serving.join(timeout=2.0)
@@ -953,6 +1023,84 @@ class TestWait:
                 service.scheduler.shutdown()
             if waiter is not None:
                 waiter.join(timeout=30.0)
+
+
+class TestHostileClients:
+    """Clients that break the protocol mid-frame or vanish mid-result:
+    the server answers the next ``ping`` and its connection threads
+    exit."""
+
+    def _settled_thread_count(self, client):
+        assert client.ping()["ok"] is True
+        return threading.active_count()
+
+    def _assert_recovers(self, client, baseline):
+        assert client.ping()["ok"] is True
+        _wait_until(lambda: threading.active_count() <= baseline,
+                    "the connection threads to exit")
+
+    def test_client_gone_after_the_result_header(
+        self, live_service, monkeypatch
+    ):
+        from repro.service import scheduler as scheduler_module
+        from repro.service import server as server_module
+        from repro.service.protocol import recv_message, send_message
+        from repro.service.runner import JobOutcome
+
+        service, client, tmp_path = live_service
+        size = 3 * server_module._RESULT_CHUNK_BYTES + 10
+
+        def big_result(spec, *, memory, work_dir, result_path,
+                       cancel=None, job_id=""):
+            with open(result_path, "w", encoding="utf-8") as out:
+                out.write("7\n" * (size // 2))
+            return JobOutcome(records_out=size // 2)
+
+        monkeypatch.setattr(scheduler_module, "run_job", big_result)
+        _write_input(tmp_path / "in.txt", 10)
+        job_id = client.submit(
+            {"op": "sort", "input": str(tmp_path / "in.txt"), "memory": 10}
+        )["id"]
+        assert client.wait(job_id, timeout=30.0)["status"] == "done"
+        baseline = self._settled_thread_count(client)
+        with client._connect() as sock:
+            send_message(sock, {"cmd": "result", "id": job_id})
+            header = recv_message(sock)
+            assert header["type"] == "header"
+            assert header["bytes"] > server_module._RESULT_CHUNK_BYTES
+        self._assert_recovers(client, baseline)
+
+    def test_frame_longer_than_the_limit_is_refused(self, live_server):
+        from repro.service.protocol import (
+            HEADER, MAX_MESSAGE_BYTES, recv_message,
+        )
+
+        client, _ = live_server
+        baseline = self._settled_thread_count(client)
+        with client._connect() as sock:
+            sock.sendall(HEADER.pack(MAX_MESSAGE_BYTES + 1))
+            reply = recv_message(sock)
+            assert reply["ok"] is False
+            assert "exceeds" in reply["error"]
+            assert recv_message(sock) is None  # the server hung up
+        self._assert_recovers(client, baseline)
+
+    def test_body_cut_short_by_a_closed_socket(self, live_server):
+        import socket
+
+        from repro.service.protocol import HEADER, recv_message
+
+        client, _ = live_server
+        baseline = self._settled_thread_count(client)
+        with client._connect() as sock:
+            sock.sendall(HEADER.pack(100) + b'{"cmd": "pi')
+            sock.shutdown(socket.SHUT_WR)
+            reply = recv_message(sock)
+            assert reply["ok"] is False
+            assert "closed mid-message" in reply["error"]
+        with client._connect() as sock:
+            sock.sendall(HEADER.pack(100) + b'{"cmd": "pi')
+        self._assert_recovers(client, baseline)
 
 
 # ---------------------------------------------------------------------------
